@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -20,21 +21,32 @@ from .snapshots import emit_diagnostics, emit_snapshot
 from .solver import SolverFailure, run_until
 
 
-def run_simulation(cfg: RunConfig, out_dir=None) -> int:
-    """Execute one configured run: snapshots, diagnostics stream, summary."""
+# run-wide summary of a run that produced no diagnostics record
+_NO_SUMMARY = {"min_v": math.nan, "min_theta": math.nan,
+              "E_entropy_final": math.nan, "repr_residual_max": math.nan}
+
+
+def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
+    """Execute one configured run: snapshots, diagnostics stream, summary.
+
+    Returns the exit code and the run-wide summary: the minima of v and theta
+    and the largest representation residual over every accepted step (NaN
+    without the representation diagnostic), and E_entropy of the last record.
+    The summary does not depend on the diagnostics cadence.
+    """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output directory {out}: {exc}",
               file=sys.stderr)
-        return 2
+        return 2, dict(_NO_SUMMARY)
 
     try:
         state = make_initial_state(cfg.grid, cfg.profile, cfg.bc)
     except (ValueError, OSError) as exc:
         print(f"error: initial profile rejected: {exc}", file=sys.stderr)
-        return 2
+        return 2, dict(_NO_SUMMARY)
 
     anchor = None
     if cfg.repr_anchor is not None:
@@ -55,12 +67,14 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> int:
 
     status = 0
     pending = [None]  # last record not yet written, for sparse cadences
+    last = [collector.make_record(state)]
     with open(out / "diagnostics.jsonl", "w") as stream:
-        emit_diagnostics(collector.make_record(state), stream)
+        emit_diagnostics(last[0], stream)
         emit_snapshot(state, cfg.grid, out / "snapshot_initial.csv")
 
         def sink(s, report):
             record = collector.on_step(s, report)
+            last[0] = record
             if s.step % cfg.diagnostics_every == 0:
                 emit_diagnostics(record, stream)
                 pending[0] = None
@@ -78,9 +92,13 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> int:
         if pending[0] is not None:
             emit_diagnostics(pending[0], stream)
 
+    summary = {"min_v": collector.min_v_run,
+               "min_theta": collector.min_theta_run,
+               "E_entropy_final": last[0].E_entropy,
+               "repr_residual_max": (math.nan if collector.acc is None
+                                     else collector.max_repr_residual)}
     if status == 0:
         emit_snapshot(state, cfg.grid, out / "snapshot_final.csv")
-        final_record = collector.make_record(state)
         repr_txt = ("n/a" if collector.acc is None
                     else f"{collector.max_repr_residual:.6g}")
         print(f"run complete: t = {state.t:.6g}, steps = {state.step}")
@@ -88,10 +106,10 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> int:
               f"max_v = {collector.max_v_run:.17g}, "
               f"min_theta = {collector.min_theta_run:.17g}, "
               f"max_theta = {collector.max_theta_run:.17g}")
-        print(f"summary: E_entropy_final = {final_record.E_entropy:.17g}, "
+        print(f"summary: E_entropy_final = {last[0].E_entropy:.17g}, "
               f"W_integral = {collector.w_cum:.17g}, "
               f"repr_residual_max = {repr_txt}")
-    return status
+    return status, summary
 
 
 def _cmd_run(args) -> int:
@@ -100,7 +118,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run_simulation(cfg, args.out)
+    return run_simulation(cfg, args.out)[0]
 
 
 def _parse_axes(axis_args) -> dict:
@@ -135,28 +153,9 @@ def _sweep_case(cfg: RunConfig, alpha, beta, amp) -> RunConfig:
 
 def _sweep_worker(task):
     cfg, run_dir, combo = task
-    code = run_simulation(cfg, run_dir)
-    row = {"alpha": cfg.params.alpha, "beta": cfg.params.beta,
-           "amp": combo.get("amp", 1.0), "exit": code}
-    summary_path = Path(run_dir) / "diagnostics.jsonl"
-    min_v = min_theta = e_final = float("nan")
-    repr_max = float("nan")
-    try:
-        with open(summary_path) as f:
-            records = [json.loads(line) for line in f if line.strip()]
-        if records:
-            min_v = min(r["min_v"] for r in records)
-            min_theta = min(r["min_theta"] for r in records)
-            e_final = records[-1]["E_entropy"]
-            resids = [r["repr_residual_max"] for r in records
-                      if r.get("repr_residual_max") is not None]
-            if resids:
-                repr_max = max(resids)
-    except OSError:
-        pass
-    row.update(min_v=min_v, min_theta=min_theta, E_entropy_final=e_final,
-               repr_residual_max=repr_max)
-    return row
+    code, summary = run_simulation(cfg, run_dir)
+    return {"alpha": cfg.params.alpha, "beta": cfg.params.beta,
+            "amp": combo.get("amp", 1.0), "exit": code, **summary}
 
 
 def _cmd_sweep(args) -> int:

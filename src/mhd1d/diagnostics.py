@@ -51,20 +51,27 @@ def energy_entropy(state: GasState, grid: Grid, p: PhysicalParams) -> float:
 
 
 def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
-                  bc: BoundaryCondition) -> float:
+                  bc: BoundaryCondition, heat_flux: Optional[np.ndarray] = None,
+                  dissipation: Optional[np.ndarray] = None) -> float:
     """Dissipation rate: the integral of
     kappa(theta)*theta_x^2/(v*theta^2) + (mu(v)*u_x^2 + lam|w_x|^2 + nu|b_x|^2)/(v*theta).
 
     Gradients use the solver's node stencils and interface coefficients, so
     this is exactly the heating the temperature stage injects, weighted by
     1/theta. Nonnegative by construction.
+
+    heat_flux and dissipation, when given, must be the unforced heat flux
+    and dissipation source of this state, as a StepReport carries them; they
+    are then used instead of being computed again.
     """
     _check_positive_state(state)
     dx = grid.dx
     m = grid.cells
     bnd = _boundary_data(grid, bc, state.t, None)
 
-    h = _heat_flux(state.theta, state.v, dx, p, bnd)
+    h = heat_flux
+    if h is None:
+        h = _heat_flux(state.theta, state.v, dx, p, bnd)
     grad = np.empty(m + 1)
     theta_bar = np.empty(m + 1)
     grad[1:-1] = (state.theta[1:] - state.theta[:-1]) / dx
@@ -86,7 +93,9 @@ def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
     weights[0] = weights[-1] = 0.5 * dx
     heat_part = float(np.sum(weights * h * grad / theta_bar ** 2))
 
-    q = dissipation_source(state.v, state.u, state.w, state.b, grid, p, bnd)
+    q = dissipation
+    if q is None:
+        q = dissipation_source(state.v, state.u, state.w, state.b, grid, p, bnd)
     mech_part = float(dx * np.sum(q / state.theta))
     return heat_part + mech_part
 
@@ -353,12 +362,14 @@ class DiagnosticsCollector:
         grid, p = self.grid, self.p
         mass = self._mass(state)
         momentum = self._momentum(state)
-        w_rate = dissipation_W(state, grid, p, self.bc)
         if report is None:
+            w_rate = dissipation_W(state, grid, p, self.bc)
             dt = 0.0
             iters = retries = 0
             mass_defect = momentum_defect = 0.0
         else:
+            w_rate = dissipation_W(state, grid, p, self.bc, report.heat_flux,
+                                   report.dissipation)
             dt = report.dt_used
             iters, retries = report.newton_iterations, report.retries
             self.w_cum += w_rate * dt

@@ -20,10 +20,12 @@ all other center-to-node transfers are arithmetic means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .constitutive import pressure, viscosity_mu
 from .core import (
@@ -89,6 +91,13 @@ class StepReport:
 
     The *_flux fields are the amounts the boundary terms added to the
     corresponding domain totals during this step (signed).
+
+    dissipation is the stage-(e) heating source per cell (dissipation_source
+    of the new state) and heat_flux the diffusive heat flux at every node of
+    the new state (_heat_flux of its theta and v), both with the step's
+    boundary data, so the monitors need not compute them again. Both are None
+    for a forced (manufactured-solution) step, whose boundary data are not
+    the unforced ones the monitors use.
     """
 
     dt_used: float
@@ -98,6 +107,8 @@ class StepReport:
     momentum_flux: float = 0.0
     energy_flux: float = 0.0
     entropy_flux: float = 0.0
+    dissipation: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    heat_flux: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -152,14 +163,18 @@ def _tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     """Solve a tridiagonal system given the three diagonals.
 
     lower[0] and upper[-1] are ignored. rhs may have a trailing component
-    axis; the same matrix is applied to every column.
+    axis; the same matrix is applied to every column. Calls LAPACK gtsv
+    directly, the routine scipy.linalg.solve_banded uses for (1, 1) bands, so
+    the result is bitwise the same without building the band array. No input
+    is overwritten. The system must have at least two unknowns (the LAPACK
+    wrapper rejects n = 1), which every grid of at least 4 cells gives.
     """
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
+    _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
 
 
 def _b_gradient(b: np.ndarray, bnd: _BoundaryData, dx: float) -> np.ndarray:
@@ -179,12 +194,13 @@ def _harmonic(a: np.ndarray, b_: np.ndarray) -> np.ndarray:
     return 2.0 * a * b_ / (a + b_)
 
 
-def _heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
-               bnd: _BoundaryData, derivs: bool = False, frozen: bool = False):
-    """Diffusive heat flux kappa(theta) * theta_x / v at every node.
+def _heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
+                            p: PhysicalParams, bnd: _BoundaryData):
+    """Diffusive heat flux kappa(theta) * theta_x / v at every node, and a
+    function jacobian(frozen) for the Newton Jacobian.
 
-    With derivs=True also returns (dH/d(theta of left cell), dH/d(theta of
-    right cell)) per node for the Newton Jacobian; frozen=True drops the
+    jacobian returns (dH/d(theta of left cell), dH/d(theta of right cell)) per
+    node from the flux's own coefficients; frozen=True drops the
     conductivity-derivative terms (Picard linearization).
     """
     m = theta.shape[0]
@@ -211,32 +227,37 @@ def _heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
     c_r = _harmonic(a[-1], a_gr)
     H[-1] = c_r * (bnd.th_gr - theta[-1]) / dx
 
-    if not derivs:
-        return H
+    def jacobian(frozen: bool):
+        da = np.zeros_like(theta) if frozen else p.kappa_tilde * p.beta * theta ** (p.beta - 1.0) / v
+        # d(harmonic(x, y))/dx = 2 y^2 / (x + y)^2
+        dh_left = np.zeros(m + 1)   # dH[j] / d theta[j-1]
+        dh_right = np.zeros(m + 1)  # dH[j] / d theta[j]
+        dc_dal = 2.0 * a[1:] ** 2 / (a[:-1] + a[1:]) ** 2
+        dc_dar = 2.0 * a[:-1] ** 2 / (a[:-1] + a[1:]) ** 2
+        dh_left[1:-1] = dc_dal * da[:-1] * grad_int - c_int / dx
+        dh_right[1:-1] = dc_dar * da[1:] * grad_int + c_int / dx
 
-    da = np.zeros_like(theta) if frozen else p.kappa_tilde * p.beta * theta ** (p.beta - 1.0) / v
-    # d(harmonic(x, y))/dx = 2 y^2 / (x + y)^2
-    dh_left = np.zeros(m + 1)   # dH[j] / d theta[j-1]
-    dh_right = np.zeros(m + 1)  # dH[j] / d theta[j]
-    dc_dal = 2.0 * a[1:] ** 2 / (a[:-1] + a[1:]) ** 2
-    dc_dar = 2.0 * a[:-1] ** 2 / (a[:-1] + a[1:]) ** 2
-    dh_left[1:-1] = dc_dal * da[:-1] * grad_int - c_int / dx
-    dh_right[1:-1] = dc_dar * da[1:] * grad_int + c_int / dx
+        if bnd.left_wall:
+            if bnd.isothermal:
+                dc_l = 0.0 if frozen else \
+                    p.kappa_tilde * p.beta * (0.5 * (theta[0] + FAR_FIELD_THETA)) ** (p.beta - 1.0) / (2.0 * v[0])
+                dh_right[0] = (c_l + dc_l * (theta[0] - FAR_FIELD_THETA)) / (0.5 * dx)
+            # insulated: flux and derivative identically zero
+        else:
+            dc_l = 2.0 * a_gl ** 2 / (a_gl + a[0]) ** 2
+            dh_right[0] = dc_l * da[0] * (theta[0] - bnd.th_gl) / dx + c_l / dx
 
-    if bnd.left_wall:
-        if bnd.isothermal:
-            dc_l = 0.0 if frozen else \
-                p.kappa_tilde * p.beta * (0.5 * (theta[0] + FAR_FIELD_THETA)) ** (p.beta - 1.0) / (2.0 * v[0])
-            dh_right[0] = (c_l + dc_l * (theta[0] - FAR_FIELD_THETA)) / (0.5 * dx)
-        # insulated: flux and derivative identically zero
-    else:
-        dc_l = 2.0 * a_gl ** 2 / (a_gl + a[0]) ** 2
-        dh_right[0] = dc_l * da[0] * (theta[0] - bnd.th_gl) / dx + c_l / dx
+        dc_r = 2.0 * a_gr ** 2 / (a[-1] + a_gr) ** 2
+        dh_left[-1] = dc_r * da[-1] * (bnd.th_gr - theta[-1]) / dx - c_r / dx
+        return dh_left, dh_right
 
-    dc_r = 2.0 * a_gr ** 2 / (a[-1] + a_gr) ** 2
-    dh_left[-1] = dc_r * da[-1] * (bnd.th_gr - theta[-1]) / dx - c_r / dx
+    return H, jacobian
 
-    return H, dh_left, dh_right
+
+def _heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
+               bnd: _BoundaryData) -> np.ndarray:
+    """Diffusive heat flux kappa(theta) * theta_x / v at every node."""
+    return _heat_flux_and_jacobian(theta, v, dx, p, bnd)[0]
 
 
 def compute_dt(state: GasState, grid: Grid, p: PhysicalParams,
@@ -254,16 +275,31 @@ def compute_dt(state: GasState, grid: Grid, p: PhysicalParams,
     return float(np.clip(ctl.cfl * grid.dx / s_max, ctl.dt_min, ctl.dt_max))
 
 
-def substep_velocity(state: GasState, grid: Grid, p: PhysicalParams,
-                     bc: BoundaryCondition, dt: float, t_new: float,
-                     forcing=None) -> np.ndarray:
-    """Stage (a): implicit viscous solve for u with explicit total-pressure
-    gradient (R*theta/v + |b|^2/2 from stage-begin values)."""
-    m = grid.cells
-    dx = grid.dx
-    bnd = _boundary_data(grid, bc, t_new, forcing)
+def _velocity_coeffs(state: GasState, p: PhysicalParams
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Stage-(a) cell coefficients of a state: mu(v)/v and the total pressure
+    R*theta/v + |b|^2/2."""
     a = viscosity_mu(state.v, p) / state.v
     g = pressure(state.v, state.theta, p) + 0.5 * np.sum(state.b ** 2, axis=1)
+    return a, g
+
+
+def substep_velocity(state: GasState, grid: Grid, p: PhysicalParams,
+                     bc: BoundaryCondition, dt: float, t_new: float,
+                     forcing=None, *, bnd: Optional[_BoundaryData] = None,
+                     coeffs: Optional[tuple[np.ndarray, np.ndarray]] = None
+                     ) -> np.ndarray:
+    """Stage (a): implicit viscous solve for u with explicit total-pressure
+    gradient (R*theta/v + |b|^2/2 from stage-begin values).
+
+    bnd (the boundary data at t_new) and coeffs (_velocity_coeffs of state)
+    are built here unless the caller already holds them.
+    """
+    m = grid.cells
+    dx = grid.dx
+    if bnd is None:
+        bnd = _boundary_data(grid, bc, t_new, forcing)
+    a, g = _velocity_coeffs(state, p) if coeffs is None else coeffs
     r = dt / dx ** 2
 
     diag = 1.0 + r * (a[1:] + a[:-1])
@@ -295,12 +331,14 @@ def substep_volume(state: GasState, u_new: np.ndarray, grid: Grid, dt: float,
 
 def substep_transverse(state: GasState, v_new: np.ndarray, grid: Grid,
                        p: PhysicalParams, bc: BoundaryCondition, dt: float,
-                       t_new: float, forcing=None) -> np.ndarray:
+                       t_new: float, forcing=None, *,
+                       bnd: Optional[_BoundaryData] = None) -> np.ndarray:
     """Stage (c): implicit transverse-velocity solve, magnetic tension b_x
     explicit from stage-begin b. Both components share one matrix."""
     m = grid.cells
     dx = grid.dx
-    bnd = _boundary_data(grid, bc, t_new, forcing)
+    if bnd is None:
+        bnd = _boundary_data(grid, bc, t_new, forcing)
     a = p.lam / v_new
     r = dt / dx ** 2
 
@@ -335,12 +373,14 @@ def _induction_coeffs(v_new: np.ndarray, p: PhysicalParams,
 
 def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
                       grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
-                      dt: float, t_new: float, forcing=None) -> np.ndarray:
+                      dt: float, t_new: float, forcing=None, *,
+                      bnd: Optional[_BoundaryData] = None) -> np.ndarray:
     """Stage (d): implicit induction solve for b; the stage-(b) volume
     multiplies the time term, w_x comes from stage (c)."""
     m = grid.cells
     dx = grid.dx
-    bnd = _boundary_data(grid, bc, t_new, forcing)
+    if bnd is None:
+        bnd = _boundary_data(grid, bc, t_new, forcing)
     d = _induction_coeffs(v_new, p, bnd)
     r = dt / dx ** 2
 
@@ -381,42 +421,46 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
                         w_new: np.ndarray, b_new: np.ndarray, grid: Grid,
                         p: PhysicalParams, bc: BoundaryCondition,
                         ctl: StepControl, dt: float, t_new: float,
-                        forcing=None) -> tuple[np.ndarray, int]:
+                        forcing=None, *, bnd: Optional[_BoundaryData] = None,
+                        full_output: bool = False):
     """Stage (e): fully implicit temperature solve by Newton iteration.
 
     Solves c_v*theta_t + (R*theta/v)*u_x = (kappa(theta)*theta_x/v)_x + Q with
     the compression term implicit in theta and Q the stage dissipation. The
     conductivity is relinearized each iteration (full beta*theta**(beta-1)
     derivative); if the residual fails to decrease three times in a row the
-    Jacobian falls back to the frozen-coefficient (Picard) form. Returns the
-    new temperature and the number of Newton updates taken.
+    Jacobian falls back to the frozen-coefficient (Picard) form. Each iterate
+    evaluates the heat flux once, for the residual and the Jacobian alike.
+
+    Returns (theta, number of Newton updates taken). With full_output=True
+    returns (theta, updates, Q, H) where H is the heat flux at the returned
+    theta, or None when the last update moved theta past the last flux
+    evaluation. bnd is the boundary data at t_new, built here if not given.
 
     Raises _NewtonFailed when the iteration cap is reached without meeting
     the tolerance.
     """
     dx = grid.dx
-    bnd = _boundary_data(grid, bc, t_new, forcing)
+    if bnd is None:
+        bnd = _boundary_data(grid, bc, t_new, forcing)
     ux = np.diff(u_new) / dx
     q = dissipation_source(v_new, u_new, w_new, b_new, grid, p, bnd)
     s_theta = forcing.sources(grid, t_new)["theta"] if forcing is not None else 0.0
 
     adv = p.R * ux / v_new
 
-    def residual(th):
-        h = _heat_flux(th, v_new, dx, p, bnd)
-        return (p.c_v * (th - state.theta) / dt + th * adv
-                - np.diff(h) / dx - q - s_theta)
-
     theta = state.theta.copy()
     picard = False
     stall = 0
     prev_norm = math.inf
     for it in range(ctl.newton_max_iter + 1):
-        f = residual(theta)
+        h, jacobian = _heat_flux_and_jacobian(theta, v_new, dx, p, bnd)
+        f = (p.c_v * (theta - state.theta) / dt + theta * adv
+             - np.diff(h) / dx - q - s_theta)
         fnorm = float(np.max(np.abs(f)))
         scale = max(1.0, float(np.max(theta)))
         if fnorm <= ctl.newton_tol * p.c_v * scale / dt:
-            return theta, it
+            break
         if it == ctl.newton_max_iter:
             raise _NewtonFailed
         if fnorm >= prev_norm:
@@ -427,8 +471,7 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
             stall = 0
         prev_norm = fnorm
 
-        _, dh_left, dh_right = _heat_flux(theta, v_new, dx, p, bnd,
-                                          derivs=True, frozen=picard)
+        dh_left, dh_right = jacobian(frozen=picard)
         diag = p.c_v / dt + adv - (dh_left[1:] - dh_right[:-1]) / dx
         upper = np.empty(grid.cells)
         lower = np.empty(grid.cells)
@@ -446,32 +489,36 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
                 raise _NewtonFailed
         theta = theta + delta
         if float(np.max(np.abs(delta))) <= ctl.newton_tol * scale:
-            return theta, it + 1
-    raise _NewtonFailed
+            it, h = it + 1, None
+            break
+    else:
+        raise _NewtonFailed
+    if full_output:
+        return theta, it, q, h
+    return theta, it
 
 
-def _boundary_report(state_old: GasState, u_new, v_new, w_new, b_new, theta_new,
-                     grid: Grid, p: PhysicalParams, bnd: _BoundaryData,
-                     dt: float) -> tuple[float, float, float, float]:
+def _boundary_report(u_new, v_new, w_new, b_new, theta_new, grid: Grid,
+                     p: PhysicalParams, bnd: _BoundaryData, dt: float,
+                     a_old: np.ndarray, g_old: np.ndarray, h: np.ndarray
+                     ) -> tuple[float, float, float, float]:
     """Boundary flux totals (mass, momentum, total energy, entropy budget)
     added to the domain during this step.
 
-    Mass and momentum reproduce the telescoped sums of stages (b) and (a)
-    exactly; the energy and entropy terms are second-order monitors.
+    a_old and g_old are the stage-(a) coefficients of the old state
+    (_velocity_coeffs) and h the heat flux of the new state. Mass and
+    momentum reproduce the telescoped sums of stages (b) and (a) exactly; the
+    energy and entropy terms are second-order monitors.
     """
     dx = grid.dx
     ux_new = np.diff(u_new) / dx
 
     mass_flux = dt * (u_new[-1] - u_new[0])
 
-    a_old = viscosity_mu(state_old.v, p) / state_old.v
-    g_old = (pressure(state_old.v, state_old.theta, p)
-             + 0.5 * np.sum(state_old.b ** 2, axis=1))
     stress_l = a_old[0] * ux_new[0] - g_old[0]
     stress_r = a_old[-1] * ux_new[-1] - g_old[-1]
     momentum_flux = dt * (stress_r - stress_l)
 
-    h = _heat_flux(theta_new, v_new, dx, p, bnd)
     d = _induction_coeffs(v_new, p, bnd)
     bx = _b_gradient(b_new, bnd, dx)
     x_l, x_r = d[0] * bx[0], d[-1] * bx[-1]
@@ -529,19 +576,24 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
         dt = min(dt, dt_cap)
     retries = 0
     newton_streak = 0
+    coeffs = _velocity_coeffs(state, p)
 
     while True:
         t_new = state.t + dt
+        bnd = _boundary_data(grid, bc, t_new, forcing)
         try:
-            u_new = substep_velocity(state, grid, p, bc, dt, t_new, forcing)
+            u_new = substep_velocity(state, grid, p, bc, dt, t_new, forcing,
+                                     bnd=bnd, coeffs=coeffs)
             v_new = substep_volume(state, u_new, grid, dt, t_new, forcing)
             if not np.all(v_new > 0.0):
                 raise _PositivityRetry
-            w_new = substep_transverse(state, v_new, grid, p, bc, dt, t_new, forcing)
-            b_new = substep_induction(state, v_new, w_new, grid, p, bc, dt, t_new, forcing)
-            theta_new, iters = substep_temperature(state, v_new, u_new, w_new,
-                                                   b_new, grid, p, bc, ctl, dt,
-                                                   t_new, forcing)
+            w_new = substep_transverse(state, v_new, grid, p, bc, dt, t_new,
+                                       forcing, bnd=bnd)
+            b_new = substep_induction(state, v_new, w_new, grid, p, bc, dt,
+                                      t_new, forcing, bnd=bnd)
+            theta_new, iters, q, h = substep_temperature(
+                state, v_new, u_new, w_new, b_new, grid, p, bc, ctl, dt, t_new,
+                forcing, bnd=bnd, full_output=True)
             newton_streak = 0
             if not np.all(theta_new > 0.0):
                 raise _PositivityRetry
@@ -571,12 +623,16 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             continue
         break
 
-    bnd = _boundary_data(grid, bc, t_new, forcing)
-    fluxes = _boundary_report(state, u_new, v_new, w_new, b_new, theta_new,
-                              grid, p, bnd, dt)
+    if h is None:
+        h = _heat_flux(theta_new, v_new, grid.dx, p, bnd)
+    fluxes = _boundary_report(u_new, v_new, w_new, b_new, theta_new, grid, p,
+                              bnd, dt, *coeffs, h)
+    held = forcing is None
     report = StepReport(dt_used=dt, newton_iterations=iters, retries=retries,
                         mass_flux=fluxes[0], momentum_flux=fluxes[1],
-                        energy_flux=fluxes[2], entropy_flux=fluxes[3])
+                        energy_flux=fluxes[2], entropy_flux=fluxes[3],
+                        dissipation=q if held else None,
+                        heat_flux=h if held else None)
     new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
                          t=t_new, step=state.step + 1)
     return new_state, report

@@ -355,6 +355,22 @@ class TestSweepCommand:
         assert cli.main(["sweep", "--config", str(cfg_path),
                          "--axis", "gamma=1,2"]) == 2
 
+    def test_summary_does_not_depend_on_diagnostics_cadence(self, tmp_path):
+        # the run-wide extremes cover every accepted step, not only the
+        # records a sparse cadence writes
+        text = (SMALL_RUN.replace("time.t_end = 0.05", "time.t_end = 0.5")
+                + "time.dt_max = 0.005\n")
+        summaries = []
+        for every in (1, 50):
+            cfg_path = write_config(
+                tmp_path, text + f"output.diagnostics_every = {every}\n",
+                name=f"every{every}.cfg")
+            out = tmp_path / f"sweep{every}"
+            assert cli.main(["sweep", "--config", str(cfg_path),
+                             "--axis", "alpha=0,1", "--out", str(out)]) == 0
+            summaries.append((out / "summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+
     def test_parallel_workers_match_serial(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_RUN + "sweep.workers = 2\n")
         out = tmp_path / "sweep_par"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
+from scipy.linalg import solve_banded
 
 from conftest import ALL_REGIMES, reference_state, smooth_bump, state_max_diff
+from mhd1d import solver
 from mhd1d.core import (
     BoundaryCondition,
     GasState,
@@ -10,12 +13,16 @@ from mhd1d.core import (
     PhysicalParams,
     make_initial_state,
 )
+from mhd1d.diagnostics import DiagnosticsCollector, dissipation_W
 from mhd1d.solver import (
     NewtonDivergence,
     PositivityFailure,
     StepControl,
     _boundary_data,
+    _heat_flux,
+    _tridiag_solve,
     compute_dt,
+    dissipation_source,
     run_until,
     step,
     substep_induction,
@@ -24,7 +31,7 @@ from mhd1d.solver import (
     substep_velocity,
     substep_volume,
 )
-from mhd1d.verification import explicit_reference
+from mhd1d.verification import MmsForcing, MmsSolution, explicit_reference
 
 CAUCHY = BoundaryCondition.CAUCHY_FAR_FIELD
 
@@ -234,6 +241,78 @@ class TestSubstepsInIsolation:
         expected = np.linalg.solve(dense, rhs)
         assert iters <= 2
         assert np.max(np.abs(theta_new - expected)) < 1e-10
+
+
+class TestTridiagSolve:
+    """The direct LAPACK call must reproduce solve_banded bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 64, 2048])
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_matches_solve_banded(self, n, columns):
+        rng = np.random.default_rng(n)
+        lower = rng.normal(size=n)
+        upper = rng.normal(size=n)
+        diag = 3.0 + rng.random(n)
+        rhs = rng.normal(size=n if columns is None else (n, columns))
+        ab = np.zeros((3, n))
+        ab[0, 1:] = upper[:-1]
+        ab[1] = diag
+        ab[2, :-1] = lower[1:]
+        expected = solve_banded((1, 1), ab, rhs, check_finite=False)
+        rhs_before = rhs.copy()
+        x = _tridiag_solve(lower, diag, upper, rhs)
+        assert x.shape == rhs.shape
+        assert np.array_equal(x, expected)
+        assert np.array_equal(rhs, rhs_before)
+
+    def test_singular_raises(self):
+        diag = np.ones(5)
+        diag[2] = 0.0
+        with pytest.raises(LinAlgError):
+            _tridiag_solve(np.zeros(5), diag, np.zeros(5), np.ones(5))
+
+
+class TestStepHandsOverMonitorInputs:
+    """The step's heat flux and dissipation feed the monitors; they must equal
+    a fresh evaluation on the new state exactly."""
+
+    @pytest.mark.parametrize("bc", ALL_REGIMES)
+    def test_report_arrays_and_W_are_exact(self, bc, monkeypatch):
+        # beta = 0.5 makes the Newton solve end both ways within six steps: on
+        # the residual test, with the flux of the returned theta in hand, and
+        # on the update test, without it
+        newton_flux_held = []
+
+        def recording(*args, **kwargs):
+            out = substep_temperature(*args, **kwargs)
+            newton_flux_held.append(out[3] is not None)
+            return out
+
+        monkeypatch.setattr(solver, "substep_temperature", recording)
+        wall = bc.has_left_wall
+        grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=0.5)
+        state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
+        collector = DiagnosticsCollector(grid, p, bc, state)
+        bnd = _boundary_data(grid, bc, 0.0)
+        for _ in range(6):
+            state, report = step(state, grid, p, bc, StepControl())
+            assert np.array_equal(report.heat_flux,
+                                  _heat_flux(state.theta, state.v, grid.dx, p, bnd))
+            assert np.array_equal(report.dissipation,
+                                  dissipation_source(state.v, state.u, state.w,
+                                                     state.b, grid, p, bnd))
+            record = collector.on_step(state, report)
+            assert record.W == dissipation_W(state, grid, p, bc)
+        assert set(newton_flux_held) == {True, False}
+
+    def test_forced_step_hands_over_nothing(self):
+        sol = MmsSolution(amp_v=0.1, amp_theta=0.1)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        grid = Grid.uniform(16, 1.0, 0.0)
+        _, report = step(sol.state(grid, 0.0), grid, p, CAUCHY,
+                         StepControl(dt_max=1e-3), forcing=MmsForcing(sol, p))
+        assert report.heat_flux is None and report.dissipation is None
 
 
 class TestStepBudgets:
