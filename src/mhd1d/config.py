@@ -296,9 +296,10 @@ def parse_config(text: str) -> RunConfig:
     if workers < 1:
         look.fail("sweep.workers", "workers >= 1")
 
-    anchor = look.get("repr.anchor")
-    if anchor is not None and not grid.left_edge < anchor < grid.right_edge:
-        look.fail("repr.anchor", "anchor inside the domain interior")
+    anchor = look.get("repr.anchor")  # used at its nearest node
+    if anchor is not None and not (grid.left_edge < anchor < grid.right_edge and
+                                   0 < round((anchor - left) / grid.dx) < cells):
+        look.fail("repr.anchor", "an interior nearest node (1 to grid.cells - 1)")
 
     return RunConfig(grid=grid, bc=bc, params=params, profile=profile,
                      control=control, t_end=t_end,

@@ -227,6 +227,10 @@ def make_initial_state(grid: Grid, profile: InitialProfile,
     Rejects profiles whose continuum infimum of v or theta is nonpositive,
     file profiles whose length mismatches the grid, and wall regimes whose
     initial u, w (at the wall node) or b (in the wall cell) exceed 1e-12.
+    u and w on every far-field end node (both ends for Cauchy, the right end
+    with a wall) are set to FAR_FIELD_U and FAR_FIELD_W, the values the
+    solver holds there, so that the initial data match the boundary data
+    instead of keeping the profile's sampled tail.
     """
     m = grid.cells
     xc = grid.centers()
@@ -280,6 +284,9 @@ def make_initial_state(grid: Grid, profile: InitialProfile,
             bad.append(f"|b(wall cell)| = {np.max(np.abs(state.b[0]))}")
         if bad:
             raise ProfileError("profile incompatible with wall regime: " + ", ".join(bad))
+    far_ends = [-1] if bc.has_left_wall else [0, -1]
+    state.u[far_ends] = FAR_FIELD_U
+    state.w[far_ends] = FAR_FIELD_W
 
     state.validate(grid)
     return state

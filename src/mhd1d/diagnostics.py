@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import solver
 from .constitutive import effective_stress, state_energy_density
 from .core import (
     FAR_FIELD_THETA,
@@ -23,7 +24,7 @@ from .core import (
     Grid,
     PhysicalParams,
 )
-from .solver import StepReport, _boundary_data, _heat_flux, dissipation_source
+from .solver import StepReport, boundary_data, dissipation_source
 
 
 def _check_positive_state(state: GasState) -> None:
@@ -67,11 +68,11 @@ def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
     _check_positive_state(state)
     dx = grid.dx
     m = grid.cells
-    bnd = _boundary_data(grid, bc, state.t, None)
+    bnd = boundary_data(grid, bc, state.t)
 
     h = heat_flux
     if h is None:
-        h = _heat_flux(state.theta, state.v, dx, p, bnd)
+        h = solver.heat_flux(state.theta, state.v, dx, p, bnd)
     grad = np.empty(m + 1)
     theta_bar = np.empty(m + 1)
     grad[1:-1] = (state.theta[1:] - state.theta[:-1]) / dx
@@ -328,14 +329,11 @@ class DiagnosticsCollector:
     """
 
     def __init__(self, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
-                 state0: GasState, repr_anchor: Optional[int] = None,
-                 theta_lo: float = 0.5, theta_hi: float = 2.0,
-                 track_repr: bool = True):
+                 state0: GasState, repr_anchor: Optional[int] = None):
         self.grid, self.p, self.bc = grid, p, bc
-        self.theta_lo, self.theta_hi = theta_lo, theta_hi
         self.e0 = energy_entropy(state0, grid, p)
         self.acc = (ReprAccumulator.start(state0, grid, p, repr_anchor)
-                    if (track_repr and p.is_normalized) else None)
+                    if p.is_normalized else None)
         self.w_cum = 0.0
         self.mass_flux_cum = 0.0
         self.momentum_flux_cum = 0.0
@@ -395,7 +393,7 @@ class DiagnosticsCollector:
             repr_max = None
 
         slab_v, slab_th = slab_integrals(state, grid)
-        meas_lo, meas_hi = level_set_measures(state, grid, self.theta_lo, self.theta_hi)
+        meas_lo, meas_hi = level_set_measures(state, grid)
         self.min_v_run = min(self.min_v_run, float(state.v.min()))
         self.min_theta_run = min(self.min_theta_run, float(state.theta.min()))
         self.max_v_run = max(self.max_v_run, float(state.v.max()))

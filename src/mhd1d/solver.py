@@ -13,7 +13,10 @@ freshest available fields:
   (e) temperature: fully implicit Newton solve with the conductivity
       relinearized every iteration, fed by the dissipation of stages (a)-(d).
 
-Nonpositive v or theta anywhere discards the attempt, halves dt, and retries.
+Nonpositive v anywhere, or a temperature solve that fails, discards the
+attempt, halves dt, and retries; the Newton solve damps its updates so that
+theta stays positive. Every stage reads the attempt's BoundaryData, which
+decides the boundary regime and carries any manufactured-solution sources.
 Interface diffusion coefficients are harmonic means of adjacent cell values;
 all other center-to-node transfers are arithmetic means.
 """
@@ -94,7 +97,7 @@ class StepReport:
 
     dissipation is the stage-(e) heating source per cell (dissipation_source
     of the new state) and heat_flux the diffusive heat flux at every node of
-    the new state (_heat_flux of its theta and v), both with the step's
+    the new state (heat_flux of its theta and v), both with the step's
     boundary data, so the monitors need not compute them again. Both are None
     for a forced (manufactured-solution) step, whose boundary data are not
     the unforced ones the monitors use.
@@ -112,12 +115,15 @@ class StepReport:
 
 
 @dataclass
-class _BoundaryData:
-    """Resolved boundary treatment for one stage evaluation.
+class BoundaryData:
+    """Resolved boundary treatment of one step attempt.
 
     For far-field-type ends the ghost cell sits one dx beyond the last center
     and carries the far-field (or manufactured) values. A left wall replaces
     the ghost with a Dirichlet value at the node itself, half a cell away.
+    sources holds the manufactured-solution source terms at the attempt's
+    time, one array per field ("v", "u", "w", "b", "theta") at that field's
+    grid locations, or None for the unforced system.
     """
 
     left_wall: bool
@@ -132,44 +138,40 @@ class _BoundaryData:
     th_gr: float
     b_gl: np.ndarray
     b_gr: np.ndarray
+    sources: Optional[dict] = None
 
 
-def _boundary_data(grid: Grid, bc: BoundaryCondition, t: float, forcing=None) -> _BoundaryData:
+def boundary_data(grid: Grid, bc: BoundaryCondition, t: float,
+                  forcing=None) -> BoundaryData:
+    """The boundary data of the regime at time t, or the forcing's own
+    (forcing.boundary_data(grid, t)), which requires the Cauchy regime."""
     if forcing is not None:
         if bc is not BoundaryCondition.CAUCHY_FAR_FIELD:
             raise ValueError("manufactured-solution forcing requires the Cauchy regime")
-        u_l, u_r, w_l, w_r = forcing.node_values(grid, t)
-        gh = forcing.ghost_values(grid, t)
-        return _BoundaryData(left_wall=False, isothermal=False,
-                             u_left=u_l, u_right=u_r,
-                             w_left=np.asarray(w_l, dtype=float),
-                             w_right=np.asarray(w_r, dtype=float),
-                             v_gl=gh["v_l"], v_gr=gh["v_r"],
-                             th_gl=gh["theta_l"], th_gr=gh["theta_r"],
-                             b_gl=np.asarray(gh["b_l"], dtype=float),
-                             b_gr=np.asarray(gh["b_r"], dtype=float))
+        return forcing.boundary_data(grid, t)
     zero2 = np.zeros(2)
-    return _BoundaryData(left_wall=bc.has_left_wall,
-                         isothermal=(bc is BoundaryCondition.ISOTHERMAL_WALL_LEFT),
-                         u_left=FAR_FIELD_U, u_right=FAR_FIELD_U,
-                         w_left=zero2, w_right=zero2,
-                         v_gl=FAR_FIELD_V, v_gr=FAR_FIELD_V,
-                         th_gl=FAR_FIELD_THETA, th_gr=FAR_FIELD_THETA,
-                         b_gl=np.full(2, FAR_FIELD_B), b_gr=np.full(2, FAR_FIELD_B))
+    return BoundaryData(left_wall=bc.has_left_wall,
+                        isothermal=(bc is BoundaryCondition.ISOTHERMAL_WALL_LEFT),
+                        u_left=FAR_FIELD_U, u_right=FAR_FIELD_U,
+                        w_left=zero2, w_right=zero2,
+                        v_gl=FAR_FIELD_V, v_gr=FAR_FIELD_V,
+                        th_gl=FAR_FIELD_THETA, th_gr=FAR_FIELD_THETA,
+                        b_gl=np.full(2, FAR_FIELD_B), b_gr=np.full(2, FAR_FIELD_B))
 
 
-def _tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                   rhs: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system given the three diagonals.
+def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with sub-diagonal dl, diagonal d and
+    super-diagonal du (dl and du of length n - 1; one array may be both).
 
-    lower[0] and upper[-1] are ignored. rhs may have a trailing component
-    axis; the same matrix is applied to every column. Calls LAPACK gtsv
-    directly, the routine scipy.linalg.solve_banded uses for (1, 1) bands, so
-    the result is bitwise the same without building the band array. No input
-    is overwritten. The system must have at least two unknowns (the LAPACK
-    wrapper rejects n = 1), which every grid of at least 4 cells gives.
+    rhs may have a trailing component axis; the same matrix is applied to
+    every column. Calls LAPACK gtsv directly, the routine
+    scipy.linalg.solve_banded uses for (1, 1) bands, so the result is bitwise
+    the same without building the band array. No input is overwritten. The
+    system must have at least two unknowns (the LAPACK wrapper rejects
+    n = 1), which every grid of at least 4 cells gives.
     """
-    _, _, _, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    _, _, _, x, info = dgtsv(dl, d, du, rhs)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
@@ -177,7 +179,7 @@ def _tridiag_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     return x
 
 
-def _b_gradient(b: np.ndarray, bnd: _BoundaryData, dx: float) -> np.ndarray:
+def b_gradient(b: np.ndarray, bnd: BoundaryData, dx: float) -> np.ndarray:
     """Transverse-field gradient at every node, ghosts per the boundary data."""
     m = b.shape[0]
     bx = np.empty((m + 1, 2))
@@ -194,8 +196,8 @@ def _harmonic(a: np.ndarray, b_: np.ndarray) -> np.ndarray:
     return 2.0 * a * b_ / (a + b_)
 
 
-def _heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
-                            p: PhysicalParams, bnd: _BoundaryData):
+def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
+                           p: PhysicalParams, bnd: BoundaryData):
     """Diffusive heat flux kappa(theta) * theta_x / v at every node, and a
     function jacobian(frozen) for the Newton Jacobian.
 
@@ -254,10 +256,10 @@ def _heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
     return H, jacobian
 
 
-def _heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
-               bnd: _BoundaryData) -> np.ndarray:
+def heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
+              bnd: BoundaryData) -> np.ndarray:
     """Diffusive heat flux kappa(theta) * theta_x / v at every node."""
-    return _heat_flux_and_jacobian(theta, v, dx, p, bnd)[0]
+    return heat_flux_and_jacobian(theta, v, dx, p, bnd)[0]
 
 
 def compute_dt(state: GasState, grid: Grid, p: PhysicalParams,
@@ -275,8 +277,8 @@ def compute_dt(state: GasState, grid: Grid, p: PhysicalParams,
     return float(np.clip(ctl.cfl * grid.dx / s_max, ctl.dt_min, ctl.dt_max))
 
 
-def _velocity_coeffs(state: GasState, p: PhysicalParams
-                     ) -> tuple[np.ndarray, np.ndarray]:
+def velocity_coeffs(state: GasState, p: PhysicalParams
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Stage-(a) cell coefficients of a state: mu(v)/v and the total pressure
     R*theta/v + |b|^2/2."""
     a = viscosity_mu(state.v, p) / state.v
@@ -284,84 +286,58 @@ def _velocity_coeffs(state: GasState, p: PhysicalParams
     return a, g
 
 
-def substep_velocity(state: GasState, grid: Grid, p: PhysicalParams,
-                     bc: BoundaryCondition, dt: float, t_new: float,
-                     forcing=None, *, bnd: Optional[_BoundaryData] = None,
-                     coeffs: Optional[tuple[np.ndarray, np.ndarray]] = None
-                     ) -> np.ndarray:
+def _node_diffusion(a: np.ndarray, r: float, rhs: np.ndarray, left, right
+                    ) -> np.ndarray:
+    """Node field x of the implicit diffusion solve
+    x_j - r*(a_j*(x_{j+1} - x_j) - a_{j-1}*(x_j - x_{j-1})) = rhs_j at the
+    interior nodes, with cell coefficients a and Dirichlet end values left
+    and right. rhs (interior nodes only) is modified in place."""
+    off = -r * a[1:-1]
+    rhs[0] += r * a[0] * left
+    rhs[-1] += r * a[-1] * right
+    x = np.empty((rhs.shape[0] + 2,) + rhs.shape[1:])
+    x[0] = left
+    x[-1] = right
+    x[1:-1] = tridiag_solve(off, 1.0 + r * (a[1:] + a[:-1]), off, rhs)
+    return x
+
+
+def substep_velocity(state: GasState, grid: Grid, dt: float,
+                     bnd: BoundaryData,
+                     coeffs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Stage (a): implicit viscous solve for u with explicit total-pressure
-    gradient (R*theta/v + |b|^2/2 from stage-begin values).
-
-    bnd (the boundary data at t_new) and coeffs (_velocity_coeffs of state)
-    are built here unless the caller already holds them.
-    """
-    m = grid.cells
-    dx = grid.dx
-    if bnd is None:
-        bnd = _boundary_data(grid, bc, t_new, forcing)
-    a, g = _velocity_coeffs(state, p) if coeffs is None else coeffs
-    r = dt / dx ** 2
-
-    diag = 1.0 + r * (a[1:] + a[:-1])
-    upper = np.empty(m - 1)
-    lower = np.empty(m - 1)
-    upper[:-1] = -r * a[1:-1]
-    lower[1:] = -r * a[1:-1]
-    rhs = state.u[1:-1] - (dt / dx) * (g[1:] - g[:-1])
-    if forcing is not None:
-        rhs = rhs + dt * forcing.sources(grid, t_new)["u"][1:-1]
-    rhs[0] += r * a[0] * bnd.u_left
-    rhs[-1] += r * a[-1] * bnd.u_right
-
-    u_new = np.empty(m + 1)
-    u_new[0] = bnd.u_left
-    u_new[-1] = bnd.u_right
-    u_new[1:-1] = _tridiag_solve(lower, diag, upper, rhs)
-    return u_new
+    gradient; coeffs are velocity_coeffs of the stage-begin state."""
+    a, g = coeffs
+    rhs = state.u[1:-1] - (dt / grid.dx) * (g[1:] - g[:-1])
+    if bnd.sources is not None:
+        rhs = rhs + dt * bnd.sources["u"][1:-1]
+    return _node_diffusion(a, dt / grid.dx ** 2, rhs, bnd.u_left, bnd.u_right)
 
 
 def substep_volume(state: GasState, u_new: np.ndarray, grid: Grid, dt: float,
-                   t_new: float = 0.0, forcing=None) -> np.ndarray:
+                   bnd: BoundaryData) -> np.ndarray:
     """Stage (b): conservative volume update v += dt * u_x."""
     v_new = state.v + dt * np.diff(u_new) / grid.dx
-    if forcing is not None:
-        v_new = v_new + dt * forcing.sources(grid, t_new)["v"]
+    if bnd.sources is not None:
+        v_new = v_new + dt * bnd.sources["v"]
     return v_new
 
 
 def substep_transverse(state: GasState, v_new: np.ndarray, grid: Grid,
-                       p: PhysicalParams, bc: BoundaryCondition, dt: float,
-                       t_new: float, forcing=None, *,
-                       bnd: Optional[_BoundaryData] = None) -> np.ndarray:
+                       p: PhysicalParams, dt: float, bnd: BoundaryData
+                       ) -> np.ndarray:
     """Stage (c): implicit transverse-velocity solve, magnetic tension b_x
     explicit from stage-begin b. Both components share one matrix."""
-    m = grid.cells
     dx = grid.dx
-    if bnd is None:
-        bnd = _boundary_data(grid, bc, t_new, forcing)
-    a = p.lam / v_new
-    r = dt / dx ** 2
-
-    diag = 1.0 + r * (a[1:] + a[:-1])
-    upper = np.empty(m - 1)
-    lower = np.empty(m - 1)
-    upper[:-1] = -r * a[1:-1]
-    lower[1:] = -r * a[1:-1]
     rhs = state.w[1:-1] + (dt / dx) * (state.b[1:] - state.b[:-1])
-    if forcing is not None:
-        rhs = rhs + dt * forcing.sources(grid, t_new)["w"][1:-1]
-    rhs[0] += r * a[0] * bnd.w_left
-    rhs[-1] += r * a[-1] * bnd.w_right
-
-    w_new = np.empty((m + 1, 2))
-    w_new[0] = bnd.w_left
-    w_new[-1] = bnd.w_right
-    w_new[1:-1] = _tridiag_solve(lower, diag, upper, rhs)
-    return w_new
+    if bnd.sources is not None:
+        rhs = rhs + dt * bnd.sources["w"][1:-1]
+    return _node_diffusion(p.lam / v_new, dt / dx ** 2, rhs, bnd.w_left,
+                           bnd.w_right)
 
 
-def _induction_coeffs(v_new: np.ndarray, p: PhysicalParams,
-                      bnd: _BoundaryData) -> np.ndarray:
+def induction_coeffs(v_new: np.ndarray, p: PhysicalParams,
+                     bnd: BoundaryData) -> np.ndarray:
     """Magnetic diffusion coefficient nu/v at nodes (harmonic interface mean)."""
     m = v_new.shape[0]
     d = np.empty(m + 1)
@@ -372,57 +348,48 @@ def _induction_coeffs(v_new: np.ndarray, p: PhysicalParams,
 
 
 def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
-                      grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
-                      dt: float, t_new: float, forcing=None, *,
-                      bnd: Optional[_BoundaryData] = None) -> np.ndarray:
+                      grid: Grid, p: PhysicalParams, dt: float,
+                      bnd: BoundaryData) -> np.ndarray:
     """Stage (d): implicit induction solve for b; the stage-(b) volume
     multiplies the time term, w_x comes from stage (c)."""
-    m = grid.cells
     dx = grid.dx
-    if bnd is None:
-        bnd = _boundary_data(grid, bc, t_new, forcing)
-    d = _induction_coeffs(v_new, p, bnd)
+    d = induction_coeffs(v_new, p, bnd)
     r = dt / dx ** 2
 
     diag = v_new + r * (d[:-1] + d[1:])
-    upper = np.empty(m)
-    lower = np.empty(m)
-    upper[:-1] = -r * d[1:-1]
-    lower[1:] = -r * d[1:-1]
+    off = -r * d[1:-1]
     if bnd.left_wall:
         # Dirichlet b = 0 at the wall node, half a cell from the first center.
         diag[0] = v_new[0] + r * (2.0 * d[0] + d[1])
 
     rhs = state.v[:, None] * state.b + (dt / dx) * np.diff(w_new, axis=0)
-    if forcing is not None:
-        rhs = rhs + dt * forcing.sources(grid, t_new)["b"]
+    if bnd.sources is not None:
+        rhs = rhs + dt * bnd.sources["b"]
     if not bnd.left_wall:
         rhs[0] += r * d[0] * bnd.b_gl
     rhs[-1] += r * d[-1] * bnd.b_gr
 
-    return _tridiag_solve(lower, diag, upper, rhs)
+    return tridiag_solve(off, diag, off, rhs)
 
 
 def dissipation_source(v: np.ndarray, u: np.ndarray, w: np.ndarray,
                        b: np.ndarray, grid: Grid, p: PhysicalParams,
-                       bnd: _BoundaryData) -> np.ndarray:
+                       bnd: BoundaryData) -> np.ndarray:
     """Nonnegative viscous/resistive heating per cell,
     (mu(v)*u_x^2 + lam*|w_x|^2 + nu*|b_x|^2) / v, with |b_x|^2 averaged from
     the adjacent nodes."""
     dx = grid.dx
     ux = np.diff(u) / dx
     wx_sq = np.sum((np.diff(w, axis=0) / dx) ** 2, axis=1)
-    bx_sq = np.sum(_b_gradient(b, bnd, dx) ** 2, axis=1)
+    bx_sq = np.sum(b_gradient(b, bnd, dx) ** 2, axis=1)
     bx_sq_cell = 0.5 * (bx_sq[:-1] + bx_sq[1:])
     return (viscosity_mu(v, p) * ux ** 2 + p.lam * wx_sq + p.nu * bx_sq_cell) / v
 
 
 def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
                         w_new: np.ndarray, b_new: np.ndarray, grid: Grid,
-                        p: PhysicalParams, bc: BoundaryCondition,
-                        ctl: StepControl, dt: float, t_new: float,
-                        forcing=None, *, bnd: Optional[_BoundaryData] = None,
-                        full_output: bool = False):
+                        p: PhysicalParams, ctl: StepControl, dt: float,
+                        bnd: BoundaryData):
     """Stage (e): fully implicit temperature solve by Newton iteration.
 
     Solves c_v*theta_t + (R*theta/v)*u_x = (kappa(theta)*theta_x/v)_x + Q with
@@ -432,20 +399,20 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     Jacobian falls back to the frozen-coefficient (Picard) form. Each iterate
     evaluates the heat flux once, for the residual and the Jacobian alike.
 
-    Returns (theta, number of Newton updates taken). With full_output=True
-    returns (theta, updates, Q, H) where H is the heat flux at the returned
-    theta, or None when the last update moved theta past the last flux
-    evaluation. bnd is the boundary data at t_new, built here if not given.
+    Returns (theta, number of Newton updates taken, Q, H) where H is the heat
+    flux at the returned theta, or None when the last update moved theta past
+    the last flux evaluation. The returned theta is positive whenever the
+    stage-begin theta is: it is either an iterate that met the residual test
+    or one reached by an update damped until theta + delta > 0. A NaN iterate
+    meets neither test and ends in _NewtonFailed.
 
     Raises _NewtonFailed when the iteration cap is reached without meeting
     the tolerance.
     """
     dx = grid.dx
-    if bnd is None:
-        bnd = _boundary_data(grid, bc, t_new, forcing)
     ux = np.diff(u_new) / dx
     q = dissipation_source(v_new, u_new, w_new, b_new, grid, p, bnd)
-    s_theta = forcing.sources(grid, t_new)["theta"] if forcing is not None else 0.0
+    s_theta = bnd.sources["theta"] if bnd.sources is not None else 0.0
 
     adv = p.R * ux / v_new
 
@@ -454,7 +421,7 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     stall = 0
     prev_norm = math.inf
     for it in range(ctl.newton_max_iter + 1):
-        h, jacobian = _heat_flux_and_jacobian(theta, v_new, dx, p, bnd)
+        h, jacobian = heat_flux_and_jacobian(theta, v_new, dx, p, bnd)
         f = (p.c_v * (theta - state.theta) / dt + theta * adv
              - np.diff(h) / dx - q - s_theta)
         fnorm = float(np.max(np.abs(f)))
@@ -473,11 +440,7 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
 
         dh_left, dh_right = jacobian(frozen=picard)
         diag = p.c_v / dt + adv - (dh_left[1:] - dh_right[:-1]) / dx
-        upper = np.empty(grid.cells)
-        lower = np.empty(grid.cells)
-        upper[:-1] = -dh_right[1:-1] / dx
-        lower[1:] = dh_left[1:-1] / dx
-        delta = _tridiag_solve(lower, diag, upper, -f)
+        delta = tridiag_solve(dh_left[1:-1] / dx, diag, -dh_right[1:-1] / dx, -f)
 
         # Damp the update rather than clip: theta must stay positive for the
         # conductivity to be evaluable at the next iterate.
@@ -493,20 +456,18 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
             break
     else:
         raise _NewtonFailed
-    if full_output:
-        return theta, it, q, h
-    return theta, it
+    return theta, it, q, h
 
 
 def _boundary_report(u_new, v_new, w_new, b_new, theta_new, grid: Grid,
-                     p: PhysicalParams, bnd: _BoundaryData, dt: float,
+                     p: PhysicalParams, bnd: BoundaryData, dt: float,
                      a_old: np.ndarray, g_old: np.ndarray, h: np.ndarray
                      ) -> tuple[float, float, float, float]:
     """Boundary flux totals (mass, momentum, total energy, entropy budget)
     added to the domain during this step.
 
     a_old and g_old are the stage-(a) coefficients of the old state
-    (_velocity_coeffs) and h the heat flux of the new state. Mass and
+    (velocity_coeffs) and h the heat flux of the new state. Mass and
     momentum reproduce the telescoped sums of stages (b) and (a) exactly; the
     energy and entropy terms are second-order monitors.
     """
@@ -519,8 +480,8 @@ def _boundary_report(u_new, v_new, w_new, b_new, theta_new, grid: Grid,
     stress_r = a_old[-1] * ux_new[-1] - g_old[-1]
     momentum_flux = dt * (stress_r - stress_l)
 
-    d = _induction_coeffs(v_new, p, bnd)
-    bx = _b_gradient(b_new, bnd, dx)
+    d = induction_coeffs(v_new, p, bnd)
+    bx = b_gradient(b_new, bnd, dx)
     x_l, x_r = d[0] * bx[0], d[-1] * bx[-1]
     if bnd.left_wall:
         b_node_l = np.zeros(2)
@@ -565,8 +526,8 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
 
     The proposed dt comes from compute_dt, optionally capped (used by
     run_until to land exactly on the end time). An attempt that produces
-    nonpositive v or theta, or whose temperature solve fails, is discarded
-    and retried at half the step.
+    nonpositive v, or whose temperature solve fails, is discarded and retried
+    at half the step; the temperature solve keeps theta positive itself.
 
     Raises PositivityFailure after retry_max halvings (or a dt underflow),
     NewtonDivergence after two consecutive temperature-solve failures.
@@ -576,27 +537,20 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
         dt = min(dt, dt_cap)
     retries = 0
     newton_streak = 0
-    coeffs = _velocity_coeffs(state, p)
+    coeffs = velocity_coeffs(state, p)
 
     while True:
         t_new = state.t + dt
-        bnd = _boundary_data(grid, bc, t_new, forcing)
+        bnd = boundary_data(grid, bc, t_new, forcing)
         try:
-            u_new = substep_velocity(state, grid, p, bc, dt, t_new, forcing,
-                                     bnd=bnd, coeffs=coeffs)
-            v_new = substep_volume(state, u_new, grid, dt, t_new, forcing)
+            u_new = substep_velocity(state, grid, dt, bnd, coeffs)
+            v_new = substep_volume(state, u_new, grid, dt, bnd)
             if not np.all(v_new > 0.0):
                 raise _PositivityRetry
-            w_new = substep_transverse(state, v_new, grid, p, bc, dt, t_new,
-                                       forcing, bnd=bnd)
-            b_new = substep_induction(state, v_new, w_new, grid, p, bc, dt,
-                                      t_new, forcing, bnd=bnd)
+            w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
+            b_new = substep_induction(state, v_new, w_new, grid, p, dt, bnd)
             theta_new, iters, q, h = substep_temperature(
-                state, v_new, u_new, w_new, b_new, grid, p, bc, ctl, dt, t_new,
-                forcing, bnd=bnd, full_output=True)
-            newton_streak = 0
-            if not np.all(theta_new > 0.0):
-                raise _PositivityRetry
+                state, v_new, u_new, w_new, b_new, grid, p, ctl, dt, bnd)
         except _PositivityRetry:
             retries += 1
             if retries > ctl.retry_max:
@@ -624,10 +578,10 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
         break
 
     if h is None:
-        h = _heat_flux(theta_new, v_new, grid.dx, p, bnd)
+        h = heat_flux(theta_new, v_new, grid.dx, p, bnd)
     fluxes = _boundary_report(u_new, v_new, w_new, b_new, theta_new, grid, p,
                               bnd, dt, *coeffs, h)
-    held = forcing is None
+    held = bnd.sources is None
     report = StepReport(dt_used=dt, newton_iterations=iters, retries=retries,
                         mass_flux=fluxes[0], momentum_flux=fluxes[1],
                         energy_flux=fluxes[2], entropy_flux=fluxes[3],

@@ -248,11 +248,11 @@ def test_criterion_10_oracle_equivalence():
         p = PhysicalParams.normalized(alpha=alpha, beta=1.0)
         state0 = make_initial_state(grid, profile, CAUCHY)
         diffs = oracle_comparison(state0, grid, 0.01, p, CAUCHY, ctl,
-                                  dt_ref=1e-6)
+                                  dt_ref=2e-5)
         worst = max(worst, max(diffs.values()))
         assert max(diffs.values()) <= 1e-4, (alpha, diffs)
     _report("10 oracle equivalence",
-            f"semi-implicit vs RK4 reference at dt_ref = 1e-6: "
+            f"semi-implicit vs RK4 reference at dt_ref = 2e-5: "
             f"max field diff {worst:.2e} <= 1e-4 for alpha in {{0, 1}}")
 
 

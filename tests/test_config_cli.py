@@ -262,6 +262,18 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("anchor", ["-15.9", "15.9"])
+    def test_anchor_nearest_an_end_node_exit_2(self, tmp_path, capsys, anchor):
+        # inside the domain, but the nearest node is node 0 or node M, where
+        # the representation diagnostic cannot be anchored
+        text = ("grid.cells = 64\ngrid.mass = 32.0\nparams.preset = normalized\n"
+                f"repr.anchor = {anchor}\ntime.t_end = 0.1\n")
+        cfg_path = write_config(tmp_path, text)
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "repr.anchor" in err and "Traceback" not in err
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 

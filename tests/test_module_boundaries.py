@@ -1,0 +1,56 @@
+"""Module boundaries of the package: no module of mhd1d reaches into another
+module's private names. A helper two modules share is part of the owner's
+public surface and carries a public name."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import mhd1d
+
+PACKAGE = Path(mhd1d.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _private_uses(path: Path) -> list[str]:
+    """Private names this module imports from, or reads off, another
+    mhd1d module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    own = path.stem
+    modules = set()  # local names bound to mhd1d modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            in_package = node.level > 0 or (node.module or "").split(".")[0] == "mhd1d"
+            if not in_package:
+                continue
+            source = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                if source in ("", "mhd1d"):
+                    # from . import module
+                    modules.add(alias.asname or alias.name)
+                elif source != own and alias.name.startswith("_"):
+                    found.append(f"from {source} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "mhd1d":
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    assert _private_uses(path) == []
+
+
+def test_the_check_sees_private_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .solver import _hidden, public\n"
+                     "from . import solver\n"
+                     "x = solver._other\n")
+    assert _private_uses(probe) == ["from solver import _hidden", "solver._other"]

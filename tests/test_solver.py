@@ -18,11 +18,10 @@ from mhd1d.solver import (
     NewtonDivergence,
     PositivityFailure,
     StepControl,
-    _boundary_data,
-    _heat_flux,
-    _tridiag_solve,
+    boundary_data,
     compute_dt,
     dissipation_source,
+    heat_flux,
     run_until,
     step,
     substep_induction,
@@ -30,6 +29,8 @@ from mhd1d.solver import (
     substep_transverse,
     substep_velocity,
     substep_volume,
+    tridiag_solve,
+    velocity_coeffs,
 )
 from mhd1d.verification import MmsForcing, MmsSolution, explicit_reference
 
@@ -117,11 +118,16 @@ class TestSubstepsInIsolation:
                                 beta=0.7, lam=0.9, nu=1.3, R=1.1, c_v=0.9)
         self.state = bump_state(self.grid)
         self.dt = 0.01
+        self.bnd = boundary_data(self.grid, CAUCHY, self.state.t + self.dt)
+
+    def velocity(self):
+        return substep_velocity(self.state, self.grid, self.dt, self.bnd,
+                                velocity_coeffs(self.state, self.p))
 
     def test_velocity_matches_dense_solve(self):
         grid, p, state, dt = self.grid, self.p, self.state, self.dt
         m, dx = grid.cells, grid.dx
-        u_new = substep_velocity(state, grid, p, CAUCHY, dt, state.t + dt)
+        u_new = self.velocity()
         a = (p.mu1 + p.mu2 * state.v ** (-p.alpha)) / state.v
         g = p.R * state.theta / state.v + 0.5 * np.sum(state.b ** 2, axis=1)
         r = dt / dx ** 2
@@ -142,18 +148,17 @@ class TestSubstepsInIsolation:
 
     def test_volume_update_is_conservative(self):
         grid, state, dt = self.grid, self.state, self.dt
-        u_new = substep_velocity(state, grid, self.p, CAUCHY, dt, state.t + dt)
-        v_new = substep_volume(state, u_new, grid, dt)
+        u_new = self.velocity()
+        v_new = substep_volume(state, u_new, grid, dt, self.bnd)
         change = grid.dx * (np.sum(v_new) - np.sum(state.v))
         assert change == pytest.approx(dt * (u_new[-1] - u_new[0]), abs=1e-14)
 
     def test_transverse_matches_dense_solve(self):
         grid, p, state, dt = self.grid, self.p, self.state, self.dt
         m, dx = grid.cells, grid.dx
-        u_new = substep_velocity(state, grid, p, CAUCHY, dt, state.t + dt)
-        v_new = substep_volume(state, u_new, grid, dt)
-        w_new = substep_transverse(state, v_new, grid, p, CAUCHY, dt,
-                                   state.t + dt)
+        u_new = self.velocity()
+        v_new = substep_volume(state, u_new, grid, dt, self.bnd)
+        w_new = substep_transverse(state, v_new, grid, p, dt, self.bnd)
         a = p.lam / v_new
         r = dt / dx ** 2
         n = m - 1
@@ -174,12 +179,11 @@ class TestSubstepsInIsolation:
     def test_induction_satisfies_its_stencil(self):
         grid, p, state, dt = self.grid, self.p, self.state, self.dt
         dx = grid.dx
-        u_new = substep_velocity(state, grid, p, CAUCHY, dt, state.t + dt)
-        v_new = substep_volume(state, u_new, grid, dt)
+        bnd = self.bnd
+        u_new = self.velocity()
+        v_new = substep_volume(state, u_new, grid, dt, bnd)
         w_new = state.w.copy()
-        b_new = substep_induction(state, v_new, w_new, grid, p, CAUCHY, dt,
-                                  state.t + dt)
-        bnd = _boundary_data(grid, CAUCHY, state.t + dt, None)
+        b_new = substep_induction(state, v_new, w_new, grid, p, dt, bnd)
         d = np.empty(grid.cells + 1)
         d[1:-1] = 2.0 * p.nu / (v_new[:-1] + v_new[1:])
         d[0] = 2.0 * p.nu / (bnd.v_gl + v_new[0])
@@ -206,9 +210,9 @@ class TestSubstepsInIsolation:
         v_new = state.v.copy()
         w_new = state.w.copy()
         b_new = state.b.copy()
-        theta_new, iters = substep_temperature(
-            state, v_new, u_new, w_new, b_new, grid, p, CAUCHY,
-            StepControl(), dt, state.t + dt)
+        theta_new, iters, _, _ = substep_temperature(
+            state, v_new, u_new, w_new, b_new, grid, p, StepControl(), dt,
+            self.bnd)
 
         a = p.kappa_tilde / v_new
         c = np.empty(m + 1)
@@ -248,28 +252,32 @@ class TestTridiagSolve:
 
     @pytest.mark.parametrize("n", [3, 64, 2048])
     @pytest.mark.parametrize("columns", [None, 2])
-    def test_matches_solve_banded(self, n, columns):
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_matches_solve_banded(self, n, columns, symmetric):
+        # symmetric passes one array as both off-diagonals, as the stage
+        # solves do
         rng = np.random.default_rng(n)
-        lower = rng.normal(size=n)
-        upper = rng.normal(size=n)
+        lower = rng.normal(size=n - 1)
+        upper = lower if symmetric else rng.normal(size=n - 1)
         diag = 3.0 + rng.random(n)
         rhs = rng.normal(size=n if columns is None else (n, columns))
         ab = np.zeros((3, n))
-        ab[0, 1:] = upper[:-1]
+        ab[0, 1:] = upper
         ab[1] = diag
-        ab[2, :-1] = lower[1:]
+        ab[2, :-1] = lower
         expected = solve_banded((1, 1), ab, rhs, check_finite=False)
-        rhs_before = rhs.copy()
-        x = _tridiag_solve(lower, diag, upper, rhs)
+        before = [arr.copy() for arr in (lower, diag, upper, rhs)]
+        x = tridiag_solve(lower, diag, upper, rhs)
         assert x.shape == rhs.shape
         assert np.array_equal(x, expected)
-        assert np.array_equal(rhs, rhs_before)
+        for arr, old in zip((lower, diag, upper, rhs), before):
+            assert np.array_equal(arr, old)
 
     def test_singular_raises(self):
         diag = np.ones(5)
         diag[2] = 0.0
         with pytest.raises(LinAlgError):
-            _tridiag_solve(np.zeros(5), diag, np.zeros(5), np.ones(5))
+            tridiag_solve(np.zeros(4), diag, np.zeros(4), np.ones(5))
 
 
 class TestStepHandsOverMonitorInputs:
@@ -294,11 +302,11 @@ class TestStepHandsOverMonitorInputs:
         p = PhysicalParams.normalized(alpha=1.0, beta=0.5)
         state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
         collector = DiagnosticsCollector(grid, p, bc, state)
-        bnd = _boundary_data(grid, bc, 0.0)
+        bnd = boundary_data(grid, bc, 0.0)
         for _ in range(6):
             state, report = step(state, grid, p, bc, StepControl())
             assert np.array_equal(report.heat_flux,
-                                  _heat_flux(state.theta, state.v, grid.dx, p, bnd))
+                                  heat_flux(state.theta, state.v, grid.dx, p, bnd))
             assert np.array_equal(report.dissipation,
                                   dissipation_source(state.v, state.u, state.w,
                                                      state.b, grid, p, bnd))
@@ -313,6 +321,18 @@ class TestStepHandsOverMonitorInputs:
         _, report = step(sol.state(grid, 0.0), grid, p, CAUCHY,
                          StepControl(dt_max=1e-3), forcing=MmsForcing(sol, p))
         assert report.heat_flux is None and report.dissipation is None
+
+
+class TestForcingRegime:
+    @pytest.mark.parametrize("bc", [BoundaryCondition.ISOTHERMAL_WALL_LEFT,
+                                    BoundaryCondition.INSULATED_WALL_LEFT])
+    def test_forcing_requires_the_cauchy_regime(self, bc):
+        sol = MmsSolution(amp_v=0.1, amp_theta=0.1)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        grid = Grid.uniform(16, 1.0, 0.0)
+        with pytest.raises(ValueError, match="Cauchy"):
+            step(sol.state(grid, 0.0), grid, p, bc, StepControl(dt_max=1e-3),
+                 forcing=MmsForcing(sol, p))
 
 
 class TestStepBudgets:

@@ -107,6 +107,24 @@ class TestExplicitReference:
         exact = heat_exact_semidiscrete(state0.theta, grid, p, bc, 0.01)
         assert np.max(np.abs(ref.theta - exact)) <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_fourth_order_on_the_oracle_profile(self, alpha):
+        # the oracle study's data: successive differences must shrink at
+        # fourth order (end nodes off their boundary values make it first)
+        grid = Grid.uniform(16, 1.0, -0.5)
+        p = PhysicalParams.normalized(alpha=alpha, beta=1.0)
+        state0 = make_initial_state(grid, GaussianBump(
+            center=0.0, width=0.2, amp_v=-0.1, amp_u=0.1, amp_theta=0.1,
+            amp_b=(0.1, -0.05), amp_w=(0.1, 0.05)), CAUCHY)
+        dts = [1e-4, 5e-5, 2.5e-5, 1.25e-5]
+        outs = [explicit_reference(state0.copy(), grid, 0.01, p, CAUCHY,
+                                   dt_ref=dt) for dt in dts]
+        diffs = [max(np.max(np.abs(getattr(a, f) - getattr(b, f)))
+                     for f in ("v", "u", "theta", "w", "b"))
+                 for a, b in zip(outs[:-1], outs[1:])]
+        order = np.polyfit(np.log(dts[:-1]), np.log(diffs), 1)[0]
+        assert order >= 3.5, diffs
+
     def test_mass_conserved_each_step(self):
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
@@ -160,8 +178,8 @@ class TestForcingAdapter:
         p = PhysicalParams.normalized()
         forcing = MmsForcing(sol, p)
         grid = Grid.uniform(16, 1.0, 0.0)
-        gh = forcing.ghost_values(grid, 0.1)
-        assert gh["theta_l"] == pytest.approx(
+        bnd = forcing.boundary_data(grid, 0.1)
+        assert bnd.th_gl == pytest.approx(
             float(sol.theta(-0.5 * grid.dx, 0.1)), rel=1e-15)
-        assert gh["theta_r"] == pytest.approx(
+        assert bnd.th_gr == pytest.approx(
             float(sol.theta(1.0 + 0.5 * grid.dx, 0.1)), rel=1e-15)
