@@ -136,6 +136,9 @@ def _parse_axes(axis_args) -> dict:
         except ValueError:
             raise ConfigError(f"axis '{name}' values must be numbers, "
                               f"got {values!r}") from None
+        if not all(math.isfinite(x) for x in axes[name]):
+            raise ConfigError(f"axis '{name}' values must be finite, "
+                              f"got {values!r}")
         if not axes[name]:
             raise ConfigError(f"axis '{name}' has no values")
     return axes
@@ -177,8 +180,6 @@ def _cmd_sweep(args) -> int:
         return 2
 
     out_root = Path(args.out if args.out is not None else cfg.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-
     tasks = []
     for alpha, beta, amp in combos:
         combo = {}
@@ -200,6 +201,7 @@ def _cmd_sweep(args) -> int:
             return 2
         tasks.append((case, str(run_dir), combo))
 
+    out_root.mkdir(parents=True, exist_ok=True)
     if cfg.sweep_workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.sweep_workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))

@@ -6,6 +6,7 @@ table and defaults.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -103,10 +104,11 @@ class RunConfig:
     def with_params(self, alpha: float, beta: float) -> "RunConfig":
         """Rebuild with new exponents, preserving the preset coupling
         mu2 = alpha when the normalized preset is in force."""
+        what = f"alpha = {alpha!r}, beta = {beta!r}"
         if self.normalized_preset:
-            params = PhysicalParams.normalized(alpha=alpha, beta=beta)
+            params = _build(what, PhysicalParams.normalized, alpha=alpha, beta=beta)
         else:
-            params = replace(self.params, alpha=alpha, beta=beta)
+            params = _build(what, replace, self.params, alpha=alpha, beta=beta)
         return replace(self, params=params)
 
     def with_amplitude_scale(self, factor: float) -> "RunConfig":
@@ -152,19 +154,21 @@ def _raw_entries(text: str) -> dict:
 class _Lookup:
     def __init__(self, entries: dict):
         self.entries = entries
-        self.lines = {}
 
     def get(self, key):
         parser, default = _KEYS[key]
         if key not in self.entries:
             return default
         raw, lineno = self.entries[key]
-        self.lines[key] = lineno
         try:
-            return parser(raw)
+            value = parser(raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: key '{key}' expects "
                               f"{parser.__name__}, got {raw!r}") from None
+        if parser is float and not math.isfinite(value):
+            raise ConfigError(f"line {lineno}: key '{key}' expects a finite "
+                              f"float, got {raw!r}")
+        return value
 
     def was_set(self, key) -> bool:
         return key in self.entries
@@ -175,6 +179,15 @@ class _Lookup:
     def fail(self, key, constraint):
         raise ConfigError(f"line {self.line(key)}: key '{key}' violates "
                           f"{constraint}")
+
+
+def _build(what: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), with a ValueError it raises turned into a
+    ConfigError that names what the arguments came from."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -195,7 +208,7 @@ def parse_config(text: str) -> RunConfig:
     left = look.get("grid.left")
     if left is None:
         left = -0.5 * mass if bc is BoundaryCondition.CAUCHY_FAR_FIELD else 0.0
-    grid = Grid.uniform(cells, mass, left)
+    grid = _build("grid.cells, grid.mass", Grid.uniform, cells, mass, left)
 
     preset = look.get("params.preset")
     if preset is not None and preset != "normalized":
@@ -211,7 +224,8 @@ def parse_config(text: str) -> RunConfig:
             if look.was_set(key):
                 look.fail(key, "no explicit constants together with "
                                "params.preset = normalized")
-        params = PhysicalParams.normalized(alpha=alpha, beta=beta)
+        params = _build("params.alpha, params.beta",
+                        PhysicalParams.normalized, alpha=alpha, beta=beta)
     else:
         positive = {"params.mu1": "mu1", "params.kappa": "kappa_tilde",
                     "params.lambda": "lam", "params.nu": "nu",
@@ -225,13 +239,16 @@ def parse_config(text: str) -> RunConfig:
         mu2 = look.get("params.mu2")
         if mu2 < 0.0:
             look.fail("params.mu2", "mu2 >= 0")
-        params = PhysicalParams(mu1=values["mu1"], mu2=mu2, alpha=alpha,
-                                kappa_tilde=values["kappa_tilde"], beta=beta,
-                                lam=values["lam"], nu=values["nu"],
-                                R=values["R"], c_v=values["c_v"])
+        params = _build("params.*", PhysicalParams,
+                        mu1=values["mu1"], mu2=mu2, alpha=alpha,
+                        kappa_tilde=values["kappa_tilde"], beta=beta,
+                        lam=values["lam"], nu=values["nu"],
+                        R=values["R"], c_v=values["c_v"])
 
     profile_kind = look.get("initial.profile")
     seed = look.get("seed")
+    if seed < 0:
+        look.fail("seed", "seed >= 0")
     if profile_kind == "constant":
         profile: InitialProfile = ConstantProfile()
     elif profile_kind == "gaussian_bump":
@@ -275,10 +292,9 @@ def parse_config(text: str) -> RunConfig:
     retry_max = look.get("time.retry_max")
     if retry_max < 0:
         look.fail("time.retry_max", "retry_max >= 0")
-    control = StepControl(cfl=cfl, dt_min=dt_min, dt_max=dt_max,
-                          newton_tol=newton_tol,
-                          newton_max_iter=newton_max_iter,
-                          retry_max=retry_max)
+    control = _build("time.*", StepControl, cfl=cfl, dt_min=dt_min,
+                     dt_max=dt_max, newton_tol=newton_tol,
+                     newton_max_iter=newton_max_iter, retry_max=retry_max)
 
     t_end = look.get("time.t_end")
     if not t_end > 0.0:

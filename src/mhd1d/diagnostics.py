@@ -18,20 +18,12 @@ import numpy as np
 from . import solver
 from .constitutive import effective_stress, state_energy_density
 from .core import (
-    FAR_FIELD_THETA,
     BoundaryCondition,
     GasState,
     Grid,
     PhysicalParams,
 )
 from .solver import StepReport, boundary_data, dissipation_source
-
-
-def _check_positive_state(state: GasState) -> None:
-    if not np.all(state.v > 0.0):
-        raise ValueError(f"nonpositive specific volume, min v = {state.v.min()}")
-    if not np.all(state.theta > 0.0):
-        raise ValueError(f"nonpositive temperature, min theta = {state.theta.min()}")
 
 
 def energy_entropy(state: GasState, grid: Grid, p: PhysicalParams) -> float:
@@ -41,7 +33,7 @@ def energy_entropy(state: GasState, grid: Grid, p: PhysicalParams) -> float:
 
     Nonnegative; zero exactly at the far-field state (1, 0, 1, 0, 0).
     """
-    _check_positive_state(state)
+    state.validate(grid)
     u_c = 0.5 * (state.u[:-1] + state.u[1:])
     w_c = 0.5 * (state.w[:-1] + state.w[1:])
     kinetic = 0.5 * (u_c ** 2 + np.sum(w_c ** 2, axis=1)
@@ -65,7 +57,7 @@ def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
     and dissipation source of this state, as a StepReport carries them; they
     are then used instead of being computed again.
     """
-    _check_positive_state(state)
+    state.validate(grid)
     dx = grid.dx
     m = grid.cells
     bnd = boundary_data(grid, bc, state.t)
@@ -77,18 +69,8 @@ def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
     theta_bar = np.empty(m + 1)
     grad[1:-1] = (state.theta[1:] - state.theta[:-1]) / dx
     theta_bar[1:-1] = 0.5 * (state.theta[:-1] + state.theta[1:])
-    if bnd.left_wall:
-        if bnd.isothermal:
-            grad[0] = (state.theta[0] - FAR_FIELD_THETA) / (0.5 * dx)
-            theta_bar[0] = 0.5 * (state.theta[0] + FAR_FIELD_THETA)
-        else:
-            grad[0] = 0.0
-            theta_bar[0] = state.theta[0]
-    else:
-        grad[0] = (state.theta[0] - bnd.th_gl) / dx
-        theta_bar[0] = 0.5 * (bnd.th_gl + state.theta[0])
-    grad[-1] = (bnd.th_gr - state.theta[-1]) / dx
-    theta_bar[-1] = 0.5 * (state.theta[-1] + bnd.th_gr)
+    theta_bar[0], grad[0], theta_bar[-1], grad[-1] = solver.end_nodes(
+        state.theta, bnd.th_gl, bnd.th_gr, bnd, dx)
 
     weights = np.full(m + 1, dx)
     weights[0] = weights[-1] = 0.5 * dx
@@ -346,7 +328,6 @@ class DiagnosticsCollector:
         self.max_v_run = float(state0.v.max())
         self.max_theta_run = float(state0.theta.max())
         self.max_repr_residual = 0.0
-        self.min_dt = math.inf
 
     def _mass(self, state: GasState) -> float:
         return float(self.grid.dx * np.sum(state.v))
@@ -380,7 +361,6 @@ class DiagnosticsCollector:
             mom_scale = max(1.0, float(grid.dx * np.sum(np.abs(state.u))))
             momentum_defect = abs(momentum - self._prev_momentum
                                   - report.momentum_flux) / mom_scale
-            self.min_dt = min(self.min_dt, dt)
             if self.acc is not None:
                 representation_update(self.acc, state, grid, dt, p)
         self._prev_mass = mass
@@ -394,18 +374,19 @@ class DiagnosticsCollector:
 
         slab_v, slab_th = slab_integrals(state, grid)
         meas_lo, meas_hi = level_set_measures(state, grid)
-        self.min_v_run = min(self.min_v_run, float(state.v.min()))
-        self.min_theta_run = min(self.min_theta_run, float(state.theta.min()))
-        self.max_v_run = max(self.max_v_run, float(state.v.max()))
-        self.max_theta_run = max(self.max_theta_run, float(state.theta.max()))
+        min_v, max_v = float(state.v.min()), float(state.v.max())
+        min_theta, max_theta = float(state.theta.min()), float(state.theta.max())
+        self.min_v_run = min(self.min_v_run, min_v)
+        self.min_theta_run = min(self.min_theta_run, min_theta)
+        self.max_v_run = max(self.max_v_run, max_v)
+        self.max_theta_run = max(self.max_theta_run, max_theta)
 
         return DiagnosticsRecord(
             t=state.t, step=state.step, dt=dt, newton_iterations=iters,
             retries=retries,
             E_entropy=energy_entropy(state, grid, p),
             W=w_rate, W_cum=self.w_cum,
-            min_v=float(state.v.min()), max_v=float(state.v.max()),
-            min_theta=float(state.theta.min()), max_theta=float(state.theta.max()),
+            min_v=min_v, max_v=max_v, min_theta=min_theta, max_theta=max_theta,
             mass_total=mass, mass_flux_cum=self.mass_flux_cum,
             mass_defect=mass_defect,
             momentum_total=momentum, momentum_flux_cum=self.momentum_flux_cum,

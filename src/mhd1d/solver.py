@@ -118,27 +118,34 @@ class StepReport:
 class BoundaryData:
     """Resolved boundary treatment of one step attempt.
 
-    For far-field-type ends the ghost cell sits one dx beyond the last center
-    and carries the far-field (or manufactured) values. A left wall replaces
-    the ghost with a Dirichlet value at the node itself, half a cell away.
-    sources holds the manufactured-solution source terms at the attempt's
-    time, one array per field ("v", "u", "w", "b", "theta") at that field's
-    grid locations, or None for the unforced system.
+    u_*/w_* are the end nodes' Dirichlet values. The outer values v_g*, th_g*
+    and b_g* close the end-node stencils (end_nodes): a far-field or
+    manufactured ghost one dx beyond the end center, a left wall's own value
+    on its node, or None where a wall holds no value (v on every wall, theta
+    on an insulated one). sources holds the manufactured-solution source
+    terms at the attempt's time, one array per field ("v", "u", "w", "b",
+    "theta") at that field's grid locations, or None for the unforced system.
     """
 
     left_wall: bool
-    isothermal: bool
     u_left: float
     u_right: float
     w_left: np.ndarray
     w_right: np.ndarray
-    v_gl: float
+    v_gl: Optional[float]
     v_gr: float
-    th_gl: float
+    th_gl: Optional[float]
     th_gr: float
     b_gl: np.ndarray
     b_gr: np.ndarray
     sources: Optional[dict] = None
+
+
+_LEFT_OUTER = {  # (v_gl, th_gl) of each regime, see BoundaryData
+    BoundaryCondition.CAUCHY_FAR_FIELD: (FAR_FIELD_V, FAR_FIELD_THETA),
+    BoundaryCondition.ISOTHERMAL_WALL_LEFT: (None, FAR_FIELD_THETA),
+    BoundaryCondition.INSULATED_WALL_LEFT: (None, None),
+}
 
 
 def boundary_data(grid: Grid, bc: BoundaryCondition, t: float,
@@ -150,12 +157,12 @@ def boundary_data(grid: Grid, bc: BoundaryCondition, t: float,
             raise ValueError("manufactured-solution forcing requires the Cauchy regime")
         return forcing.boundary_data(grid, t)
     zero2 = np.zeros(2)
+    v_gl, th_gl = _LEFT_OUTER[bc]
     return BoundaryData(left_wall=bc.has_left_wall,
-                        isothermal=(bc is BoundaryCondition.ISOTHERMAL_WALL_LEFT),
                         u_left=FAR_FIELD_U, u_right=FAR_FIELD_U,
                         w_left=zero2, w_right=zero2,
-                        v_gl=FAR_FIELD_V, v_gr=FAR_FIELD_V,
-                        th_gl=FAR_FIELD_THETA, th_gr=FAR_FIELD_THETA,
+                        v_gl=v_gl, v_gr=FAR_FIELD_V,
+                        th_gl=th_gl, th_gr=FAR_FIELD_THETA,
                         b_gl=np.full(2, FAR_FIELD_B), b_gr=np.full(2, FAR_FIELD_B))
 
 
@@ -179,16 +186,26 @@ def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     return x
 
 
+def end_nodes(f: np.ndarray, lo, hi, bnd: BoundaryData, dx: float):
+    """(mean, gradient) of the cell field f at its left end node, then at its
+    right, closed by the outer values lo and hi (see BoundaryData): a ghost g
+    gives 0.5*(g + f[0]) and (f[0] - g)/dx, a wall value w 0.5*(w + f[0]) and
+    (f[0] - w)/(0.5*dx), None f[0] and 0; on the right, 0.5*(f[-1] + g) and
+    (g - f[-1])/dx."""
+    f0 = f[0]
+    if lo is None:
+        left = f0, 0.0
+    else:
+        left = 0.5 * (lo + f0), (f0 - lo) / (0.5 * dx if bnd.left_wall else dx)
+    return (*left, 0.5 * (f[-1] + hi), (hi - f[-1]) / dx)
+
+
 def b_gradient(b: np.ndarray, bnd: BoundaryData, dx: float) -> np.ndarray:
-    """Transverse-field gradient at every node, ghosts per the boundary data."""
+    """Transverse-field gradient at every node, closed per end_nodes."""
     m = b.shape[0]
     bx = np.empty((m + 1, 2))
     bx[1:-1] = (b[1:] - b[:-1]) / dx
-    if bnd.left_wall:
-        bx[0] = b[0] / (0.5 * dx)
-    else:
-        bx[0] = (b[0] - bnd.b_gl) / dx
-    bx[-1] = (bnd.b_gr - b[-1]) / dx
+    _, bx[0], _, bx[-1] = end_nodes(b, bnd.b_gl, bnd.b_gr, bnd, dx)
     return bx
 
 
@@ -213,13 +230,12 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
     grad_int = (theta[1:] - theta[:-1]) / dx
     H[1:-1] = c_int * grad_int
 
-    if bnd.left_wall:
-        if bnd.isothermal:
-            th_mid = 0.5 * (theta[0] + FAR_FIELD_THETA)
-            c_l = p.kappa_tilde * th_mid ** p.beta / v[0]
-            H[0] = c_l * (theta[0] - FAR_FIELD_THETA) / (0.5 * dx)
-        else:
-            H[0] = 0.0
+    if bnd.th_gl is None:
+        H[0] = 0.0
+    elif bnd.left_wall:
+        th_mid = 0.5 * (theta[0] + bnd.th_gl)
+        c_l = p.kappa_tilde * th_mid ** p.beta / v[0]
+        H[0] = c_l * (theta[0] - bnd.th_gl) / (0.5 * dx)
     else:
         a_gl = p.kappa_tilde * bnd.th_gl ** p.beta / bnd.v_gl
         c_l = _harmonic(a_gl, a[0])
@@ -239,15 +255,14 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
         dh_left[1:-1] = dc_dal * da[:-1] * grad_int - c_int / dx
         dh_right[1:-1] = dc_dar * da[1:] * grad_int + c_int / dx
 
-        if bnd.left_wall:
-            if bnd.isothermal:
-                dc_l = 0.0 if frozen else \
-                    p.kappa_tilde * p.beta * (0.5 * (theta[0] + FAR_FIELD_THETA)) ** (p.beta - 1.0) / (2.0 * v[0])
-                dh_right[0] = (c_l + dc_l * (theta[0] - FAR_FIELD_THETA)) / (0.5 * dx)
-            # insulated: flux and derivative identically zero
-        else:
+        if not bnd.left_wall:
             dc_l = 2.0 * a_gl ** 2 / (a_gl + a[0]) ** 2
             dh_right[0] = dc_l * da[0] * (theta[0] - bnd.th_gl) / dx + c_l / dx
+        elif bnd.th_gl is not None:
+            dc_l = 0.0 if frozen else \
+                p.kappa_tilde * p.beta * th_mid ** (p.beta - 1.0) / (2.0 * v[0])
+            dh_right[0] = (c_l + dc_l * (theta[0] - bnd.th_gl)) / (0.5 * dx)
+        # an insulated wall: flux and derivative identically zero
 
         dc_r = 2.0 * a_gr ** 2 / (a[-1] + a_gr) ** 2
         dh_left[-1] = dc_r * da[-1] * (bnd.th_gr - theta[-1]) / dx - c_r / dx
@@ -336,14 +351,14 @@ def substep_transverse(state: GasState, v_new: np.ndarray, grid: Grid,
                            bnd.w_right)
 
 
-def induction_coeffs(v_new: np.ndarray, p: PhysicalParams,
-                     bnd: BoundaryData) -> np.ndarray:
+def induction_coeffs(v_new: np.ndarray, p: PhysicalParams, bnd: BoundaryData,
+                     dx: float) -> np.ndarray:
     """Magnetic diffusion coefficient nu/v at nodes (harmonic interface mean)."""
     m = v_new.shape[0]
     d = np.empty(m + 1)
     d[1:-1] = 2.0 * p.nu / (v_new[:-1] + v_new[1:])
-    d[0] = p.nu / v_new[0] if bnd.left_wall else 2.0 * p.nu / (bnd.v_gl + v_new[0])
-    d[-1] = 2.0 * p.nu / (v_new[-1] + bnd.v_gr)
+    v_l, _, v_r, _ = end_nodes(v_new, bnd.v_gl, bnd.v_gr, bnd, dx)
+    d[0], d[-1] = p.nu / v_l, p.nu / v_r
     return d
 
 
@@ -353,7 +368,7 @@ def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
     """Stage (d): implicit induction solve for b; the stage-(b) volume
     multiplies the time term, w_x comes from stage (c)."""
     dx = grid.dx
-    d = induction_coeffs(v_new, p, bnd)
+    d = induction_coeffs(v_new, p, bnd, dx)
     r = dt / dx ** 2
 
     diag = v_new + r * (d[:-1] + d[1:])
@@ -472,51 +487,34 @@ def _boundary_report(u_new, v_new, w_new, b_new, theta_new, grid: Grid,
     energy and entropy terms are second-order monitors.
     """
     dx = grid.dx
-    ux_new = np.diff(u_new) / dx
-
-    mass_flux = dt * (u_new[-1] - u_new[0])
-
-    stress_l = a_old[0] * ux_new[0] - g_old[0]
-    stress_r = a_old[-1] * ux_new[-1] - g_old[-1]
-    momentum_flux = dt * (stress_r - stress_l)
-
-    d = induction_coeffs(v_new, p, bnd)
-    bx = b_gradient(b_new, bnd, dx)
-    x_l, x_r = d[0] * bx[0], d[-1] * bx[-1]
+    v_l, _, v_r, _ = end_nodes(v_new, bnd.v_gl, bnd.v_gr, bnd, dx)
+    th_l, _, th_r, _ = end_nodes(theta_new, bnd.th_gl, bnd.th_gr, bnd, dx)
+    b_l, bx_l, b_r, bx_r = end_nodes(b_new, bnd.b_gl, bnd.b_gr, bnd, dx)
     if bnd.left_wall:
-        b_node_l = np.zeros(2)
-        th_node_l = FAR_FIELD_THETA if bnd.isothermal else theta_new[0]
-    else:
-        b_node_l = 0.5 * (bnd.b_gl + b_new[0])
-        th_node_l = 0.5 * (bnd.th_gl + theta_new[0])
-    b_node_r = 0.5 * (b_new[-1] + bnd.b_gr)
-    th_node_r = 0.5 * (theta_new[-1] + bnd.th_gr)
+        # The wall node holds the wall's own b, and theta where it fixes one.
+        b_l = bnd.b_gl
+        th_l = th_l if bnd.th_gl is None else bnd.th_gl
 
-    u_l, u_r = u_new[0], u_new[-1]
-    w_l, w_r = w_new[0], w_new[-1]
-    wx = np.diff(w_new, axis=0) / dx
-    v_node_l = v_new[0] if bnd.left_wall else 0.5 * (bnd.v_gl + v_new[0])
-    v_node_r = 0.5 * (v_new[-1] + bnd.v_gr)
-    g_node_l = p.R * th_node_l / v_node_l + 0.5 * float(b_node_l @ b_node_l)
-    g_node_r = p.R * th_node_r / v_node_r + 0.5 * float(b_node_r @ b_node_r)
-    visc_l = viscosity_mu(v_new[0], p) / v_new[0] * u_l * ux_new[0]
-    visc_r = viscosity_mu(v_new[-1], p) / v_new[-1] * u_r * ux_new[-1]
-    wvisc_l = p.lam / v_new[0] * float(w_l @ wx[0])
-    wvisc_r = p.lam / v_new[-1] * float(w_r @ wx[-1])
+    def end(c, j, v_node, th_node, b_node, bx):
+        """Stress, energy flux and entropy flux at node j of end cell c."""
+        u, w, vc = u_new[j], w_new[j], v_new[c]
+        ux = (u_new[c + 1] - u_new[c]) / dx
+        wx = (w_new[c + 1] - w_new[c]) / dx
+        g_node = p.R * th_node / v_node + 0.5 * float(b_node @ b_node)
+        visc = viscosity_mu(vc, p) / vc * u * ux
+        wvisc = p.lam / vc * float(w @ wx)
+        wb = float(w @ b_node)
+        bxb = float(b_node @ (p.nu / v_node * bx))
+        phi = u * g_node - wb - h[j] - visc - wvisc - bxb
+        bf = ((1.0 - 1.0 / th_node) * h[j] + bxb + visc + wvisc - u * g_node
+              + p.R * u + wb)
+        return a_old[c] * ux - g_old[c], phi, bf
 
-    phi_l = u_l * g_node_l - float(w_l @ b_node_l) - h[0] - visc_l - wvisc_l \
-        - float(b_node_l @ x_l)
-    phi_r = u_r * g_node_r - float(w_r @ b_node_r) - h[-1] - visc_r - wvisc_r \
-        - float(b_node_r @ x_r)
-    energy_flux = dt * (phi_l - phi_r)
-
-    bf_l = ((1.0 - 1.0 / th_node_l) * h[0] + float(b_node_l @ x_l)
-            + visc_l + wvisc_l - u_l * g_node_l + p.R * u_l + float(w_l @ b_node_l))
-    bf_r = ((1.0 - 1.0 / th_node_r) * h[-1] + float(b_node_r @ x_r)
-            + visc_r + wvisc_r - u_r * g_node_r + p.R * u_r + float(w_r @ b_node_r))
-    entropy_flux = dt * (bf_r - bf_l)
-
-    return mass_flux, momentum_flux, energy_flux, entropy_flux
+    m = grid.cells
+    stress_l, phi_l, bf_l = end(0, 0, v_l, th_l, b_l, bx_l)
+    stress_r, phi_r, bf_r = end(m - 1, m, v_r, th_r, b_r, bx_r)
+    return (dt * (u_new[-1] - u_new[0]), dt * (stress_r - stress_l),
+            dt * (phi_l - phi_r), dt * (bf_r - bf_l))
 
 
 def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,

@@ -171,7 +171,7 @@ class MmsForcing:
         sol = self.sol
         xl, xr = grid.left_edge, grid.right_edge
         gl, gr = xl - 0.5 * grid.dx, xr + 0.5 * grid.dx
-        return BoundaryData(left_wall=False, isothermal=False,
+        return BoundaryData(left_wall=False,
                             u_left=float(sol.u(xl, t)), u_right=float(sol.u(xr, t)),
                             w_left=sol.w(xl, t), w_right=sol.w(xr, t),
                             v_gl=float(sol.v(gl, t)), v_gr=float(sol.v(gr, t)),
@@ -206,7 +206,7 @@ def _semi_discrete_rhs(v, u, w, b, theta, grid: Grid, p: PhysicalParams,
     dw = np.zeros_like(w)
     dw[1:-1] = (wflux[1:] - wflux[:-1]) / dx + (b[1:] - b[:-1]) / dx
 
-    d = induction_coeffs(v, p, bnd)
+    d = induction_coeffs(v, p, bnd, dx)
     bx = b_gradient(b, bnd, dx)
     xflux = d[:, None] * bx
     # (v*b)_t = w_x + flux_x, so b_t = (w_x + flux_x - b*v_t) / v.

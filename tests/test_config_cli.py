@@ -274,6 +274,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "repr.anchor" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, key", [
+        ("params.preset = normalized\nparams.alpha = nan\n", "params.alpha"),
+        ("params.mu2 = nan\n", "params.mu2"),
+        ("params.preset = normalized\nparams.beta = nan\n", "params.beta"),
+        ("grid.mass = 5e-324\n", "grid.mass"),
+        ("seed = -1\ninitial.profile = gaussian_bump\ninitial.jitter = 0.1\n",
+         "seed"),
+        ("time.dt_min = nan\n", "time.dt_min"),
+        ("output.snapshot_interval = nan\n", "output.snapshot_interval"),
+        ("time.t_end = inf\n", "time.t_end"),
+    ])
+    def test_values_that_got_past_validation_exit_2(self, tmp_path, capsys,
+                                                    text, key):
+        cfg_path = write_config(tmp_path, "grid.cells = 16\n" + text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -366,6 +387,17 @@ class TestSweepCommand:
         cfg_path = write_config(tmp_path, SMALL_RUN)
         assert cli.main(["sweep", "--config", str(cfg_path),
                          "--axis", "gamma=1,2"]) == 2
+
+    @pytest.mark.parametrize("axis", ["alpha=-1", "beta=nan", "amp=nan"])
+    def test_invalid_axis_value_exit_2_before_any_run(self, tmp_path, capsys,
+                                                      axis):
+        cfg_path = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg_path), "--axis", axis,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and axis.split("=")[0] in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_summary_does_not_depend_on_diagnostics_cadence(self, tmp_path):
         # the run-wide extremes cover every accepted step, not only the

@@ -1,6 +1,8 @@
 """Module boundaries of the package: no module of mhd1d reaches into another
 module's private names. A helper two modules share is part of the owner's
-public surface and carries a public name."""
+public surface and carries a public name. The boundary regime of a step is
+read in solver.py alone; every other module closes its end nodes through
+solver.end_nodes."""
 import ast
 from pathlib import Path
 
@@ -10,6 +12,16 @@ import mhd1d
 
 PACKAGE = Path(mhd1d.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+REGIME_FIELDS = ("left_wall", "isothermal")
+
+
+def _regime_reads(path: Path) -> list[str]:
+    """Attribute reads of a BoundaryData regime field in this module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in REGIME_FIELDS]
 
 
 def _private_uses(path: Path) -> list[str]:
@@ -54,3 +66,15 @@ def test_the_check_sees_private_imports(tmp_path):
                      "from . import solver\n"
                      "x = solver._other\n")
     assert _private_uses(probe) == ["from solver import _hidden", "solver._other"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "solver.py"],
+                         ids=lambda p: p.name)
+def test_only_the_solver_reads_the_boundary_regime(path):
+    assert _regime_reads(path) == []
+
+
+def test_the_check_sees_regime_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("if bnd.left_wall and not bnd.isothermal:\n    pass\n")
+    assert sorted(_regime_reads(probe)) == ["line 1: .isothermal", "line 1: .left_wall"]

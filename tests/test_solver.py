@@ -21,6 +21,7 @@ from mhd1d.solver import (
     boundary_data,
     compute_dt,
     dissipation_source,
+    end_nodes,
     heat_flux,
     run_until,
     step,
@@ -247,6 +248,50 @@ class TestSubstepsInIsolation:
         assert np.max(np.abs(theta_new - expected)) < 1e-10
 
 
+class TestEndNodes:
+    """The one end-node rule, against its documented values, for each kind of
+    outer value: a far-field ghost, a left wall's own value, None."""
+
+    # outer-value kind of (v, theta, b) at the left end of each boundary
+    KINDS = {"cauchy": ("ghost", "ghost", "ghost"),
+             "isothermal_wall": (None, "wall", "wall"),
+             "insulated_wall": (None, None, "wall"),
+             "mms": ("ghost", "ghost", "ghost")}
+
+    @pytest.mark.parametrize("name", list(KINDS))
+    def test_exact_end_values(self, name):
+        grid = Grid.uniform(16, 4.8, 0.0 if "wall" in name else -2.4)
+        dx = grid.dx  # 0.3, not a power of two
+        if name == "mms":
+            p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+            bnd = MmsForcing(MmsSolution(), p).boundary_data(grid, 0.1)
+        else:
+            bnd = boundary_data(grid, BoundaryCondition(name), 0.0)
+        rng = np.random.default_rng(5)
+        fields = [(1.0 + rng.random(16), bnd.v_gl, bnd.v_gr),
+                  (1.0 + rng.random(16), bnd.th_gl, bnd.th_gr),
+                  (rng.standard_normal((16, 2)), bnd.b_gl, bnd.b_gr)]
+        for kind, (f, lo, hi) in zip(self.KINDS[name], fields):
+            mean_l, grad_l, mean_r, grad_r = end_nodes(f, lo, hi, bnd, dx)
+            if kind is None:
+                assert lo is None
+                want_l = (f[0], 0.0)
+            elif kind == "wall":
+                want_l = (0.5 * (lo + f[0]), (f[0] - lo) / (0.5 * dx))
+            else:
+                want_l = (0.5 * (lo + f[0]), (f[0] - lo) / dx)
+            want_r = (0.5 * (f[-1] + hi), (hi - f[-1]) / dx)
+            for got, want in zip((mean_l, grad_l, mean_r, grad_r), want_l + want_r):
+                assert np.array_equal(got, want)
+
+    def test_wall_outer_values(self):
+        grid = Grid.uniform(16, 8.0, 0.0)
+        iso = boundary_data(grid, BoundaryCondition.ISOTHERMAL_WALL_LEFT, 0.0)
+        ins = boundary_data(grid, BoundaryCondition.INSULATED_WALL_LEFT, 0.0)
+        assert iso.v_gl is None and iso.th_gl == 1.0 and np.all(iso.b_gl == 0.0)
+        assert ins.v_gl is None and ins.th_gl is None and np.all(ins.b_gl == 0.0)
+
+
 class TestTridiagSolve:
     """The direct LAPACK call must reproduce solve_banded bit for bit."""
 
@@ -441,6 +486,20 @@ class TestWallRegimes:
         state = run_until(state, grid, 1.0, p, bc, StepControl())
         assert state.theta.min() > 0.0
         assert state.theta.max() < peak0
+
+    def test_isothermal_wall_node_holds_theta_one(self):
+        # hot wall cell, far end undisturbed: the wall node sits at theta = 1,
+        # so no entropy flux crosses it, while heat leaves through the wall
+        grid = Grid.uniform(64, 32.0, 0.0)
+        p = PhysicalParams.normalized(alpha=0.0, beta=1.0)
+        bc = BoundaryCondition.ISOTHERMAL_WALL_LEFT
+        state = make_initial_state(grid, GaussianBump(
+            center=0.75, width=1.0, amp_theta=3.0), bc)
+        assert state.theta[0] > 2.0 and state.theta[-1] == 1.0
+        new, report = step(state, grid, p, bc, StepControl())
+        assert new.theta[-1] == 1.0
+        assert report.entropy_flux == 0.0
+        assert report.energy_flux < 0.0
 
     def test_insulated_wall_blocks_heat_flux(self):
         grid = Grid.uniform(64, 32.0, 0.0)
