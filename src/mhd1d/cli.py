@@ -56,14 +56,19 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
     collector = DiagnosticsCollector(cfg.grid, cfg.params, cfg.bc, state,
                                      repr_anchor=anchor)
 
-    snap_next = [state.t + cfg.snapshot_interval]
+    interval, t0 = cfg.snapshot_interval, state.t
+    snap_next = [t0 + interval]
 
     def maybe_snapshot(s):
-        if cfg.snapshot_interval <= 0.0 or s.t < snap_next[0] - 1e-12:
+        if interval <= 0.0 or s.t < snap_next[0] - 1e-12:
             return
         emit_snapshot(s, cfg.grid, out / f"snapshot_{s.step:06d}.csv")
-        while s.t >= snap_next[0] - 1e-12:
-            snap_next[0] += cfg.snapshot_interval
+        # the first multiple of the interval past t + 1e-12, in one step
+        # whatever the interval; where t / interval overflows, the next
+        # step snapshots, as every step does below the float spacing of t
+        count = (s.t - t0 + 1e-12) / interval
+        snap_next[0] = (t0 + (math.floor(count) + 1) * interval
+                        if math.isfinite(count) else s.t)
 
     status = 0
     pending = [None]  # last record not yet written, for sparse cadences

@@ -190,6 +190,18 @@ def _build(what: str, factory, *args, **kwargs):
         raise ConfigError(f"{what}: {exc}") from None
 
 
+def _nodes_resolved(grid: Grid) -> bool:
+    """Whether the node coordinates left + j*dx are finite and strictly
+    increasing, decided without building them: rounding j*dx moves a node by
+    at most half an ulp of the span cells*dx, and adding the left edge by at
+    most half an ulp of the largest coordinate, so a spacing dx above the sum
+    of those two ulps keeps every pair of neighbours apart."""
+    span, right = grid.cells * grid.dx, grid.right_edge
+    if not (math.isfinite(span) and math.isfinite(right)):
+        return False
+    return grid.dx > math.ulp(span) + math.ulp(max(abs(grid.left_edge), abs(right)))
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a configuration."""
     look = _Lookup(_raw_entries(text))
@@ -209,6 +221,10 @@ def parse_config(text: str) -> RunConfig:
     if left is None:
         left = -0.5 * mass if bc is BoundaryCondition.CAUCHY_FAR_FIELD else 0.0
     grid = _build("grid.cells, grid.mass", Grid.uniform, cells, mass, left)
+    if not _nodes_resolved(grid):
+        look.fail("grid.left" if look.was_set("grid.left") else "grid.cells",
+                  "finite, strictly increasing node coordinates grid.left + "
+                  "j * grid.mass / grid.cells")
 
     preset = look.get("params.preset")
     if preset is not None and preset != "normalized":

@@ -4,13 +4,15 @@ All functions accept scalars or numpy arrays and are pure.
 """
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from .core import GasState, Grid, PhysicalParams
+from .core import GasState, Grid, PhysicalParams, sq2
 
 
 def _require_positive(name, value):
-    if np.any(np.asarray(value) <= 0.0):
+    if (np.asarray(value) <= 0.0).any():
         raise ValueError(f"{name} must be positive, got min {np.min(value)}")
 
 
@@ -49,8 +51,8 @@ def total_energy_density(v, theta, u, w, b, p: PhysicalParams):
     _require_positive("temperature", theta)
     w = np.asarray(w, dtype=float)
     b = np.asarray(b, dtype=float)
-    w_sq = np.sum(w * w, axis=-1) if w.ndim and w.shape[-1] == 2 else w * w
-    b_sq = np.sum(b * b, axis=-1) if b.ndim and b.shape[-1] == 2 else b * b
+    w_sq = sq2(w) if w.ndim and w.shape[-1] == 2 else w * w
+    b_sq = sq2(b) if b.ndim and b.shape[-1] == 2 else b * b
     return p.c_v * theta + 0.5 * (np.asarray(u) ** 2 + w_sq + v * b_sq)
 
 
@@ -62,23 +64,38 @@ def state_energy_density(state: GasState, p: PhysicalParams) -> np.ndarray:
     return total_energy_density(state.v, state.theta, u_c, w_c, state.b, p)
 
 
-def effective_stress(state: GasState, grid: Grid, p: PhysicalParams) -> np.ndarray:
+def effective_stress(state: GasState, grid: Grid, p: PhysicalParams,
+                     node: Optional[int] = None):
     """Total longitudinal stress mu(v)*u_x/v - (R*theta/v + |b|^2/2) at nodes.
 
     Cell quantities (mu/v, R*theta/v, |b|^2) are averaged to interior nodes by
     arithmetic mean and u_x at an interior node is the mean of the two adjacent
     cell gradients, i.e. the centered difference (u[j+1] - u[j-1]) / (2 dx).
     Boundary nodes use the adjacent cell's values and one-sided u_x.
-    """
-    state.validate(grid)
-    dx = grid.dx
-    mu_over_v = viscosity_mu(state.v, p) / state.v
-    ptot = pressure(state.v, state.theta, p) + 0.5 * np.sum(state.b ** 2, axis=1)
-    ux_cell = np.diff(state.u) / dx
 
+    With node, an interior node index, returns the stress at that node alone
+    as a float, bitwise the same entry of the full array, from the two
+    adjacent cells and three nodes; only those are read, and the constitutive
+    laws check their positivity instead of the whole state being validated.
+    """
+    if node is None:
+        state.validate(grid)
+        cells, nodes = slice(None), slice(None)
+    elif 0 < node < grid.cells:
+        cells, nodes = slice(node - 1, node + 1), slice(node - 1, node + 2)
+    else:
+        raise ValueError(f"node {node} must be interior (1 to {grid.cells - 1})")
+    v, u = state.v[cells], state.u[nodes]
+    mu_over_v = viscosity_mu(v, p) / v
+    ptot = pressure(v, state.theta[cells], p) + 0.5 * sq2(state.b[cells])
+    ux_cell = (u[1:] - u[:-1]) / grid.dx
+
+    interior = (0.5 * (mu_over_v[:-1] + mu_over_v[1:]) * 0.5 * (ux_cell[:-1] + ux_cell[1:])
+                - 0.5 * (ptot[:-1] + ptot[1:]))
+    if node is not None:
+        return float(interior[0])
     sigma = np.empty(grid.cells + 1)
-    sigma[1:-1] = (0.5 * (mu_over_v[:-1] + mu_over_v[1:]) * 0.5 * (ux_cell[:-1] + ux_cell[1:])
-                   - 0.5 * (ptot[:-1] + ptot[1:]))
+    sigma[1:-1] = interior
     sigma[0] = mu_over_v[0] * ux_cell[0] - ptot[0]
     sigma[-1] = mu_over_v[-1] * ux_cell[-1] - ptot[-1]
     return sigma

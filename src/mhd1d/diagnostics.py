@@ -6,6 +6,10 @@ level-set measures, and the volume representation-formula residual that
 reconstructs v from initial data, the stress history at an anchor node, and
 a temperature/magnetic history integral. The representation diagnostic is
 derived for the normalized constant preset only and is rejected otherwise.
+
+Called on their own, the monitors validate the state. DiagnosticsCollector
+validates each state once per record instead and hands the monitors the
+quantities they share (RecordTerms), so a record computes each quantity once.
 """
 from __future__ import annotations
 
@@ -16,36 +20,77 @@ from typing import Optional
 import numpy as np
 
 from . import solver
-from .constitutive import effective_stress, state_energy_density
+from .constitutive import effective_stress
 from .core import (
     BoundaryCondition,
     GasState,
     Grid,
     PhysicalParams,
+    sq2,
 )
-from .solver import StepReport, boundary_data, dissipation_source
+from .solver import BoundaryData, StepReport, boundary_data, dissipation_source
 
 
-def energy_entropy(state: GasState, grid: Grid, p: PhysicalParams) -> float:
+@dataclass(frozen=True)
+class RecordTerms:
+    """Cell quantities of one state that several monitors read, computed once
+    per record by record_terms.
+
+    b_sq is |b|^2 and kinetic the kinetic energy density
+    (u^2 + |w|^2 + v|b|^2)/2, with u and w averaged from the adjacent nodes.
+    With a representation accumulator, b_factor is
+    init_factor * exp(integral of u from the anchor - its initial value) and
+    v_pow is v**(-alpha), which the update and the residual share; both are
+    None without one.
+    """
+
+    b_sq: np.ndarray
+    kinetic: np.ndarray
+    b_factor: Optional[np.ndarray] = None
+    v_pow: Optional[np.ndarray] = None
+
+
+def record_terms(state: GasState, grid: Grid, p: PhysicalParams,
+                 acc: Optional["ReprAccumulator"] = None) -> RecordTerms:
+    """The RecordTerms of a state, with the representation factors of acc
+    when given. The state is not validated."""
+    b_sq = sq2(state.b)
+    u_c = 0.5 * (state.u[:-1] + state.u[1:])
+    w_c = 0.5 * (state.w[:-1] + state.w[1:])
+    kinetic = 0.5 * (u_c ** 2 + sq2(w_c) + state.v * b_sq)
+    if acc is None:
+        return RecordTerms(b_sq, kinetic)
+    ucum = _integral_to_centers(state.u, grid, acc.anchor)
+    return RecordTerms(b_sq, kinetic,
+                       b_factor=acc.init_factor * np.exp(ucum - acc.u0_integral),
+                       v_pow=state.v ** (-p.alpha))
+
+
+def energy_entropy(state: GasState, grid: Grid, p: PhysicalParams,
+                   terms: Optional[RecordTerms] = None,
+                   validated: bool = False) -> float:
     """Energy-entropy functional: the midpoint-rule integral of
     (u^2 + |w|^2 + v|b|^2)/2 + R(v - ln v - 1) + c_v(theta - ln theta - 1),
     with node fields averaged to cell centers.
 
     Nonnegative; zero exactly at the far-field state (1, 0, 1, 0, 0).
+    terms, when given, are record_terms of this state; validated=True says
+    the caller has validated the state already.
     """
-    state.validate(grid)
-    u_c = 0.5 * (state.u[:-1] + state.u[1:])
-    w_c = 0.5 * (state.w[:-1] + state.w[1:])
-    kinetic = 0.5 * (u_c ** 2 + np.sum(w_c ** 2, axis=1)
-                     + state.v * np.sum(state.b ** 2, axis=1))
+    if not validated:
+        state.validate(grid)
+    if terms is None:
+        terms = record_terms(state, grid, p)
     vol = state.v - np.log(state.v) - 1.0
     therm = state.theta - np.log(state.theta) - 1.0
-    return float(grid.dx * np.sum(kinetic + p.R * vol + p.c_v * therm))
+    return float(grid.dx * (terms.kinetic + p.R * vol + p.c_v * therm).sum())
 
 
 def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
                   bc: BoundaryCondition, heat_flux: Optional[np.ndarray] = None,
-                  dissipation: Optional[np.ndarray] = None) -> float:
+                  dissipation: Optional[np.ndarray] = None,
+                  bnd: Optional[BoundaryData] = None,
+                  validated: bool = False) -> float:
     """Dissipation rate: the integral of
     kappa(theta)*theta_x^2/(v*theta^2) + (mu(v)*u_x^2 + lam|w_x|^2 + nu|b_x|^2)/(v*theta).
 
@@ -55,12 +100,16 @@ def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
 
     heat_flux and dissipation, when given, must be the unforced heat flux
     and dissipation source of this state, as a StepReport carries them; they
-    are then used instead of being computed again.
+    are then used instead of being computed again. bnd, when given, must be
+    the unforced boundary_data of grid and bc, which does not depend on t.
+    validated=True says the caller has validated the state already.
     """
-    state.validate(grid)
+    if not validated:
+        state.validate(grid)
     dx = grid.dx
     m = grid.cells
-    bnd = boundary_data(grid, bc, state.t)
+    if bnd is None:
+        bnd = boundary_data(grid, bc, state.t)
 
     h = heat_flux
     if h is None:
@@ -72,14 +121,15 @@ def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
     theta_bar[0], grad[0], theta_bar[-1], grad[-1] = solver.end_nodes(
         state.theta, bnd.th_gl, bnd.th_gr, bnd, dx)
 
-    weights = np.full(m + 1, dx)
-    weights[0] = weights[-1] = 0.5 * dx
-    heat_part = float(np.sum(weights * h * grad / theta_bar ** 2))
+    # trapezoid weights: dx, and dx/2 on the end nodes
+    wh = dx * h
+    wh[0], wh[-1] = 0.5 * dx * h[0], 0.5 * dx * h[-1]
+    heat_part = float((wh * grad / theta_bar ** 2).sum())
 
     q = dissipation
     if q is None:
         q = dissipation_source(state.v, state.u, state.w, state.b, grid, p, bnd)
-    mech_part = float(dx * np.sum(q / state.theta))
+    mech_part = float(dx * (q / state.theta).sum())
     return heat_part + mech_part
 
 
@@ -196,7 +246,8 @@ class ReprAccumulator:
 
 def default_anchor(grid: Grid) -> int:
     """Node index nearest the integer mass coordinate closest to the domain center."""
-    mid = 0.5 * (grid.left_edge + grid.right_edge)
+    # halved before the sum, which cannot overflow on a far-offset grid
+    mid = 0.5 * grid.left_edge + 0.5 * grid.right_edge
     target = round(mid)
     j = round((target - grid.left_edge) / grid.dx)
     return int(np.clip(j, 1, grid.cells - 1))
@@ -221,23 +272,25 @@ def _integral_to_centers(u: np.ndarray, grid: Grid, anchor: int) -> np.ndarray:
 
 
 def representation_update(acc: ReprAccumulator, state: GasState, grid: Grid,
-                          dt: float, p: PhysicalParams) -> ReprAccumulator:
+                          dt: float, p: PhysicalParams,
+                          terms: Optional[RecordTerms] = None) -> ReprAccumulator:
     """Advance the accumulator by one accepted step of size dt.
 
     The stress integral gets a rectangle-rule increment from the end-of-step
     stress at the anchor; the history integral is advanced with the stress
     factor treated as exponential across the step, which keeps the far-field
-    equilibrium reconstruction exact to round-off for any dt.
+    equilibrium reconstruction exact to round-off for any dt. terms, when
+    given, are record_terms(state, grid, p, acc).
     """
     _require_normalized(p)
-    sigma_n = float(effective_stress(state, grid, p)[acc.anchor])
+    if terms is None:
+        terms = record_terms(state, grid, p, acc)
+    sigma_n = effective_stress(state, grid, p, node=acc.anchor)
     acc.sigma_integral += sigma_n * dt
     y = math.exp(acc.sigma_integral)
 
-    ucum = _integral_to_centers(state.u, grid, acc.anchor)
-    b_factor = acc.init_factor * np.exp(ucum - acc.u0_integral)
-    h = (np.exp(-state.v ** (-p.alpha))
-         * (state.theta + 0.5 * state.v * np.sum(state.b ** 2, axis=1)) / b_factor)
+    h = (np.exp(-terms.v_pow)
+         * (state.theta + 0.5 * state.v * terms.b_sq) / terms.b_factor)
     sdt = sigma_n * dt
     geom = dt if sdt == 0.0 else math.expm1(sdt) / sigma_n
     acc.history = acc.history + h * geom / y
@@ -246,15 +299,17 @@ def representation_update(acc: ReprAccumulator, state: GasState, grid: Grid,
 
 
 def representation_residual(acc: ReprAccumulator, state: GasState, grid: Grid,
-                            p: PhysicalParams) -> np.ndarray:
+                            p: PhysicalParams,
+                            terms: Optional[RecordTerms] = None) -> np.ndarray:
     """Per-cell relative defect |v - v_reconstructed| / v of the
     representation formula, given an accumulator consistent with the
-    trajectory that produced the state."""
+    trajectory that produced the state. terms, when given, are
+    record_terms(state, grid, p, acc)."""
     _require_normalized(p)
+    if terms is None:
+        terms = record_terms(state, grid, p, acc)
     y = math.exp(acc.sigma_integral)
-    ucum = _integral_to_centers(state.u, grid, acc.anchor)
-    b_factor = acc.init_factor * np.exp(ucum - acc.u0_integral)
-    pred = b_factor * y * np.exp(state.v ** (-p.alpha)) * (1.0 + acc.history)
+    pred = terms.b_factor * y * np.exp(terms.v_pow) * (1.0 + acc.history)
     return np.abs(state.v - pred) / state.v
 
 
@@ -313,6 +368,7 @@ class DiagnosticsCollector:
     def __init__(self, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
                  state0: GasState, repr_anchor: Optional[int] = None):
         self.grid, self.p, self.bc = grid, p, bc
+        self.bnd = boundary_data(grid, bc, state0.t)  # unforced: no t dependence
         self.e0 = energy_entropy(state0, grid, p)
         self.acc = (ReprAccumulator.start(state0, grid, p, repr_anchor)
                     if p.is_normalized else None)
@@ -330,25 +386,33 @@ class DiagnosticsCollector:
         self.max_repr_residual = 0.0
 
     def _mass(self, state: GasState) -> float:
-        return float(self.grid.dx * np.sum(state.v))
+        return float(self.grid.dx * state.v.sum())
 
     def _momentum(self, state: GasState) -> float:
-        return float(self.grid.dx * np.sum(state.u))
+        return float(self.grid.dx * state.u.sum())
 
     def make_record(self, state: GasState,
                     report: Optional[StepReport] = None) -> DiagnosticsRecord:
-        """Assemble the record for a state; report=None marks the t = 0 row."""
+        """Assemble the record for a state; report=None marks the t = 0 row.
+
+        The state is validated once, and the monitors share its RecordTerms
+        and the collector's boundary data.
+        """
         grid, p = self.grid, self.p
+        state.validate(grid)
+        terms = record_terms(state, grid, p, self.acc)
         mass = self._mass(state)
         momentum = self._momentum(state)
         if report is None:
-            w_rate = dissipation_W(state, grid, p, self.bc)
+            w_rate = dissipation_W(state, grid, p, self.bc, bnd=self.bnd,
+                                   validated=True)
             dt = 0.0
             iters = retries = 0
             mass_defect = momentum_defect = 0.0
         else:
             w_rate = dissipation_W(state, grid, p, self.bc, report.heat_flux,
-                                   report.dissipation)
+                                   report.dissipation, bnd=self.bnd,
+                                   validated=True)
             dt = report.dt_used
             iters, retries = report.newton_iterations, report.retries
             self.w_cum += w_rate * dt
@@ -358,16 +422,17 @@ class DiagnosticsCollector:
             self.entropy_flux_cum += report.entropy_flux
             mass_defect = abs(mass - self._prev_mass - report.mass_flux) \
                 / max(abs(self._prev_mass), 1.0)
-            mom_scale = max(1.0, float(grid.dx * np.sum(np.abs(state.u))))
+            mom_scale = max(1.0, float(grid.dx * np.abs(state.u).sum()))
             momentum_defect = abs(momentum - self._prev_momentum
                                   - report.momentum_flux) / mom_scale
             if self.acc is not None:
-                representation_update(self.acc, state, grid, dt, p)
+                representation_update(self.acc, state, grid, dt, p, terms)
         self._prev_mass = mass
         self._prev_momentum = momentum
 
         if self.acc is not None:
-            repr_max = float(np.max(representation_residual(self.acc, state, grid, p)))
+            repr_max = float(representation_residual(self.acc, state, grid, p,
+                                                     terms).max())
             self.max_repr_residual = max(self.max_repr_residual, repr_max)
         else:
             repr_max = None
@@ -384,14 +449,14 @@ class DiagnosticsCollector:
         return DiagnosticsRecord(
             t=state.t, step=state.step, dt=dt, newton_iterations=iters,
             retries=retries,
-            E_entropy=energy_entropy(state, grid, p),
+            E_entropy=energy_entropy(state, grid, p, terms, validated=True),
             W=w_rate, W_cum=self.w_cum,
             min_v=min_v, max_v=max_v, min_theta=min_theta, max_theta=max_theta,
             mass_total=mass, mass_flux_cum=self.mass_flux_cum,
             mass_defect=mass_defect,
             momentum_total=momentum, momentum_flux_cum=self.momentum_flux_cum,
             momentum_defect=momentum_defect,
-            energy_total=float(grid.dx * np.sum(state_energy_density(state, p))),
+            energy_total=float(grid.dx * (p.c_v * state.theta + terms.kinetic).sum()),
             energy_flux_cum=self.energy_flux_cum,
             entropy_flux_cum=self.entropy_flux_cum,
             measure_theta_low=meas_lo, measure_theta_high=meas_hi,

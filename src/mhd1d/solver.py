@@ -41,6 +41,7 @@ from .core import (
     GasState,
     Grid,
     PhysicalParams,
+    sq2,
 )
 
 
@@ -285,11 +286,10 @@ def compute_dt(state: GasState, grid: Grid, p: PhysicalParams,
     with the far-field signal speed as a floor, then clamped to
     [dt_min, dt_max].
     """
-    b_sq = np.sum(state.b ** 2, axis=1)
-    s = np.sqrt(p.gamma * p.R * state.theta + state.v * b_sq) / state.v
+    s = np.sqrt(p.gamma * p.R * state.theta + state.v * sq2(state.b)) / state.v
     s_far = math.sqrt(p.gamma * p.R * FAR_FIELD_THETA * FAR_FIELD_V) / FAR_FIELD_V
     s_max = max(float(s.max()), s_far)
-    return float(np.clip(ctl.cfl * grid.dx / s_max, ctl.dt_min, ctl.dt_max))
+    return float(min(max(ctl.cfl * grid.dx / s_max, ctl.dt_min), ctl.dt_max))
 
 
 def velocity_coeffs(state: GasState, p: PhysicalParams
@@ -297,7 +297,7 @@ def velocity_coeffs(state: GasState, p: PhysicalParams
     """Stage-(a) cell coefficients of a state: mu(v)/v and the total pressure
     R*theta/v + |b|^2/2."""
     a = viscosity_mu(state.v, p) / state.v
-    g = pressure(state.v, state.theta, p) + 0.5 * np.sum(state.b ** 2, axis=1)
+    g = pressure(state.v, state.theta, p) + 0.5 * sq2(state.b)
     return a, g
 
 
@@ -332,7 +332,7 @@ def substep_velocity(state: GasState, grid: Grid, dt: float,
 def substep_volume(state: GasState, u_new: np.ndarray, grid: Grid, dt: float,
                    bnd: BoundaryData) -> np.ndarray:
     """Stage (b): conservative volume update v += dt * u_x."""
-    v_new = state.v + dt * np.diff(u_new) / grid.dx
+    v_new = state.v + dt * (u_new[1:] - u_new[:-1]) / grid.dx
     if bnd.sources is not None:
         v_new = v_new + dt * bnd.sources["v"]
     return v_new
@@ -377,7 +377,7 @@ def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
         # Dirichlet b = 0 at the wall node, half a cell from the first center.
         diag[0] = v_new[0] + r * (2.0 * d[0] + d[1])
 
-    rhs = state.v[:, None] * state.b + (dt / dx) * np.diff(w_new, axis=0)
+    rhs = state.v[:, None] * state.b + (dt / dx) * (w_new[1:] - w_new[:-1])
     if bnd.sources is not None:
         rhs = rhs + dt * bnd.sources["b"]
     if not bnd.left_wall:
@@ -394,9 +394,9 @@ def dissipation_source(v: np.ndarray, u: np.ndarray, w: np.ndarray,
     (mu(v)*u_x^2 + lam*|w_x|^2 + nu*|b_x|^2) / v, with |b_x|^2 averaged from
     the adjacent nodes."""
     dx = grid.dx
-    ux = np.diff(u) / dx
-    wx_sq = np.sum((np.diff(w, axis=0) / dx) ** 2, axis=1)
-    bx_sq = np.sum(b_gradient(b, bnd, dx) ** 2, axis=1)
+    ux = (u[1:] - u[:-1]) / dx
+    wx_sq = sq2((w[1:] - w[:-1]) / dx)
+    bx_sq = sq2(b_gradient(b, bnd, dx))
     bx_sq_cell = 0.5 * (bx_sq[:-1] + bx_sq[1:])
     return (viscosity_mu(v, p) * ux ** 2 + p.lam * wx_sq + p.nu * bx_sq_cell) / v
 
@@ -425,7 +425,7 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     the tolerance.
     """
     dx = grid.dx
-    ux = np.diff(u_new) / dx
+    ux = (u_new[1:] - u_new[:-1]) / dx
     q = dissipation_source(v_new, u_new, w_new, b_new, grid, p, bnd)
     s_theta = bnd.sources["theta"] if bnd.sources is not None else 0.0
 
@@ -438,9 +438,9 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     for it in range(ctl.newton_max_iter + 1):
         h, jacobian = heat_flux_and_jacobian(theta, v_new, dx, p, bnd)
         f = (p.c_v * (theta - state.theta) / dt + theta * adv
-             - np.diff(h) / dx - q - s_theta)
-        fnorm = float(np.max(np.abs(f)))
-        scale = max(1.0, float(np.max(theta)))
+             - (h[1:] - h[:-1]) / dx - q - s_theta)
+        fnorm = float(np.abs(f).max())
+        scale = max(1.0, float(theta.max()))
         if fnorm <= ctl.newton_tol * p.c_v * scale / dt:
             break
         if it == ctl.newton_max_iter:
@@ -460,13 +460,13 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
         # Damp the update rather than clip: theta must stay positive for the
         # conductivity to be evaluable at the next iterate.
         guard = 0
-        while np.any(theta + delta <= 0.0):
+        while (theta + delta <= 0.0).any():
             delta *= 0.5
             guard += 1
             if guard > 60:
                 raise _NewtonFailed
         theta = theta + delta
-        if float(np.max(np.abs(delta))) <= ctl.newton_tol * scale:
+        if float(np.abs(delta).max()) <= ctl.newton_tol * scale:
             it, h = it + 1, None
             break
     else:
@@ -543,7 +543,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
         try:
             u_new = substep_velocity(state, grid, dt, bnd, coeffs)
             v_new = substep_volume(state, u_new, grid, dt, bnd)
-            if not np.all(v_new > 0.0):
+            if not (v_new > 0.0).all():
                 raise _PositivityRetry
             w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
             b_new = substep_induction(state, v_new, w_new, grid, p, dt, bnd)

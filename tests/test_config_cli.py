@@ -284,6 +284,8 @@ class TestRunCommand:
         ("time.dt_min = nan\n", "time.dt_min"),
         ("output.snapshot_interval = nan\n", "output.snapshot_interval"),
         ("time.t_end = inf\n", "time.t_end"),
+        # at left = 1e308 every node has the same coordinate
+        ("grid.left = 1e308\ngrid.mass = 8\nbc = insulated_wall\n", "grid.left"),
     ])
     def test_values_that_got_past_validation_exit_2(self, tmp_path, capsys,
                                                     text, key):
@@ -294,6 +296,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("cells", [16, 4096])
+    def test_accepted_grids_have_increasing_nodes(self, cells):
+        # the check decides without building the nodes; every grid it
+        # accepts must have finite, strictly increasing node coordinates,
+        # and the offsets where the spacing is lost must be rejected
+        verdicts = []
+        for exponent in range(0, 21):
+            text = (f"grid.cells = {cells}\ngrid.mass = 1.0\n"
+                    f"grid.left = 1e{exponent}\n")
+            try:
+                grid = parse_config(text).grid
+            except ConfigError as exc:
+                assert "grid.left" in str(exc)
+                verdicts.append(False)
+                continue
+            nodes = grid.nodes()
+            assert np.isfinite(nodes).all() and (np.diff(nodes) > 0.0).all()
+            verdicts.append(True)
+        assert verdicts[0] and not verdicts[-1]
+        assert verdicts == sorted(verdicts, reverse=True)
 
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -330,6 +353,49 @@ class TestRunCommand:
         snaps = [s for s in out.glob("snapshot_0*.csv")
                  if "nodes" not in s.name and "initial" not in s.name]
         assert len(snaps) >= 3
+
+    @pytest.mark.parametrize("interval", [0.5, 0.3, 0.1])
+    def test_snapshot_names_follow_the_interval(self, tmp_path, interval):
+        # oracle: the interval rule replayed on the step times, one interval
+        # added at a time until the next snapshot time passes t; a 16-cell
+        # step is longer than 0.1, so some steps pass several times
+        text = SMALL_RUN.replace("time.t_end = 0.05", "time.t_end = 2.0") \
+            + f"output.snapshot_interval = {interval}\n"
+        cfg_path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+        records = [json.loads(l) for l in
+                   (out / "diagnostics.jsonl").read_text().splitlines()]
+        expected, snap_next = [], interval
+        for r in records[1:]:
+            if r["t"] >= snap_next - 1e-12:
+                expected.append(f"snapshot_{r['step']:06d}.csv")
+                while r["t"] >= snap_next - 1e-12:
+                    snap_next += interval
+        got = sorted(p.name for p in out.glob("snapshot_0*.csv")
+                     if not p.name.endswith(".nodes.csv"))
+        assert got == expected and len(got) >= 3
+        if interval == 0.1:
+            assert any(b["t"] - a["t"] > interval
+                       for a, b in zip(records, records[1:]))
+
+    def test_snapshot_interval_below_float_spacing_ends(self, tmp_path):
+        # 1e-300 added to t changes nothing, so stepping the next snapshot
+        # time by one interval at a time never passes t; the run must end
+        # promptly with one snapshot per accepted step
+        cfg_path = write_config(tmp_path,
+                                SMALL_RUN + "output.snapshot_interval = 1e-300\n")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhd1d.cli", "run", "--config",
+             str(cfg_path), "--out", str(out)],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        steps = len((out / "diagnostics.jsonl").read_text().splitlines()) - 1
+        snaps = [p for p in out.glob("snapshot_0*.csv")
+                 if not p.name.endswith(".nodes.csv")]
+        assert steps >= 1 and len(snaps) == steps
 
 
 class TestCheckConfig:

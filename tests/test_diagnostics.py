@@ -1,9 +1,11 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from conftest import reference_state, smooth_bump
+from conftest import ALL_REGIMES, reference_state, smooth_bump
+from mhd1d.constitutive import effective_stress, state_energy_density
 from mhd1d.core import (
     BoundaryCondition,
     GaussianBump,
@@ -13,7 +15,9 @@ from mhd1d.core import (
 )
 from mhd1d.diagnostics import (
     DiagnosticsCollector,
+    DiagnosticsRecord,
     ReprAccumulator,
+    default_anchor,
     dissipation_W,
     energy_entropy,
     equilibrium_roots,
@@ -22,7 +26,7 @@ from mhd1d.diagnostics import (
     representation_update,
     slab_integrals,
 )
-from mhd1d.solver import StepControl, run_until
+from mhd1d.solver import StepControl, run_until, step
 
 CAUCHY = BoundaryCondition.CAUCHY_FAR_FIELD
 
@@ -307,3 +311,106 @@ class TestCollector:
                               for r in records))
         assert drifts[0] > drifts[1] > drifts[2]
         assert drifts[2] <= drifts[1] / 1.5
+
+
+class TestOnePassRecord:
+    """make_record validates each state once and shares its cell terms, the
+    boundary data and the representation factors between the monitors; every
+    field must still equal the public monitors called on their own."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("bc", ALL_REGIMES)
+    def test_record_equals_the_monitors_called_alone(self, bc, alpha):
+        wall = bc.has_left_wall
+        grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
+        p = PhysicalParams.normalized(alpha=alpha, beta=1.0)
+        state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
+        collector = DiagnosticsCollector(grid, p, bc, state)
+        anchor = collector.acc.anchor
+        ref = ReprAccumulator.start(state, grid, p, anchor)
+        dx = grid.dx
+        sigma_integral = w_cum = 0.0
+        flux_cum = dict.fromkeys(("mass", "momentum", "energy", "entropy"), 0.0)
+        prev_mass = prev_momentum = None
+        report = None
+        for n in range(7):
+            if n > 0:
+                state, report = step(state, grid, p, bc, StepControl())
+            record = collector.make_record(state, report)
+
+            mass = float(dx * np.sum(state.v))
+            momentum = float(dx * np.sum(state.u))
+            w_rate = dissipation_W(state, grid, p, bc)
+            dt = mass_defect = momentum_defect = 0.0
+            if report is not None:
+                dt = report.dt_used
+                w_cum += w_rate * dt
+                for name in flux_cum:
+                    flux_cum[name] += getattr(report, f"{name}_flux")
+                mass_defect = (abs(mass - prev_mass - report.mass_flux)
+                               / max(abs(prev_mass), 1.0))
+                momentum_defect = (abs(momentum - prev_momentum - report.momentum_flux)
+                                   / max(1.0, float(dx * np.sum(np.abs(state.u)))))
+                representation_update(ref, state, grid, dt, p)
+                sigma_integral += float(effective_stress(state, grid, p)[anchor]) * dt
+                assert collector.acc.sigma_integral == sigma_integral
+                assert np.array_equal(collector.acc.history, ref.history)
+            prev_mass, prev_momentum = mass, momentum
+            slab_v, slab_th = slab_integrals(state, grid)
+            low, high = level_set_measures(state, grid)
+            expected = DiagnosticsRecord(
+                t=state.t, step=state.step, dt=dt,
+                newton_iterations=0 if report is None else report.newton_iterations,
+                retries=0 if report is None else report.retries,
+                E_entropy=energy_entropy(state, grid, p), W=w_rate, W_cum=w_cum,
+                min_v=float(np.min(state.v)), max_v=float(np.max(state.v)),
+                min_theta=float(np.min(state.theta)),
+                max_theta=float(np.max(state.theta)),
+                mass_total=mass, mass_flux_cum=flux_cum["mass"],
+                mass_defect=mass_defect,
+                momentum_total=momentum, momentum_flux_cum=flux_cum["momentum"],
+                momentum_defect=momentum_defect,
+                energy_total=float(dx * np.sum(state_energy_density(state, p))),
+                energy_flux_cum=flux_cum["energy"],
+                entropy_flux_cum=flux_cum["entropy"],
+                measure_theta_low=low, measure_theta_high=high,
+                slab_v_min=float(np.min(slab_v)), slab_v_max=float(np.max(slab_v)),
+                slab_theta_min=float(np.min(slab_th)),
+                slab_theta_max=float(np.max(slab_th)),
+                repr_residual_max=float(np.max(
+                    representation_residual(ref, state, grid, p))))
+            assert asdict(record) == asdict(expected), f"record {n}"
+
+    def test_anchor_stress_is_the_entry_of_the_full_array(self):
+        grid = Grid.uniform(32, 16.0, -8.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state = make_initial_state(grid, smooth_bump(), CAUCHY)
+        sigma = effective_stress(state, grid, p)
+        for node in range(1, grid.cells):
+            assert effective_stress(state, grid, p, node=node) == sigma[node]
+        for node in (0, grid.cells):
+            with pytest.raises(ValueError, match="interior"):
+                effective_stress(state, grid, p, node=node)
+
+    def test_record_validates_the_state(self):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state = reference_state(grid)
+        collector = DiagnosticsCollector(grid, p, CAUCHY, state)
+        state.theta[3] = -1.0
+        with pytest.raises(ValueError, match="temperature"):
+            collector.make_record(state)
+
+
+class TestDefaultAnchor:
+    def test_far_offset_grid_has_a_finite_anchor(self):
+        # left + right overflows; the halves do not
+        grid = Grid(cells=4, dx=1.75e307, left_edge=1e308)
+        assert default_anchor(grid) in range(1, 4)
+
+    @pytest.mark.parametrize("cells, mass, left", [
+        (16, 8.0, -4.0), (64, 32.0, -16.0), (33, 7.3, 0.0), (50, 3.0, 1.25)])
+    def test_matches_the_rounded_midpoint(self, cells, mass, left):
+        grid = Grid.uniform(cells, mass, left)
+        j = round((round(0.5 * (grid.left_edge + grid.right_edge)) - left) / grid.dx)
+        assert default_anchor(grid) == min(max(j, 1), cells - 1)
