@@ -29,6 +29,7 @@ from .diagnostics import (
     energy_entropy,
     equilibrium_roots,
     level_set_measures,
+    record_terms,
     representation_residual,
     representation_update,
     slab_integrals,
@@ -45,8 +46,9 @@ __all__ = [
     "StepControl", "StepReport", "compute_dt", "run_until", "step",
     "DiagnosticsCollector", "DiagnosticsRecord", "ReprAccumulator",
     "dissipation_W", "energy_entropy", "equilibrium_roots",
-    "level_set_measures", "representation_residual", "representation_update",
-    "slab_integrals", "SnapshotError", "emit_diagnostics", "emit_snapshot",
+    "level_set_measures", "record_terms", "representation_residual",
+    "representation_update", "slab_integrals", "SnapshotError",
+    "emit_diagnostics", "emit_snapshot",
     "load_snapshot", "ConfigError", "RunConfig", "parse_config",
     "parse_config_file", "__version__",
 ]

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import verification
 from .config import ConfigError, RunConfig, parse_config_file
 from .core import make_initial_state
-from .diagnostics import DiagnosticsCollector, default_anchor
+from .diagnostics import DiagnosticsCollector
 from .snapshots import emit_diagnostics, emit_snapshot
 from .solver import SolverFailure, run_until
 
@@ -48,11 +48,8 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
         print(f"error: initial profile rejected: {exc}", file=sys.stderr)
         return 2, dict(_NO_SUMMARY)
 
-    anchor = None
-    if cfg.repr_anchor is not None:
-        anchor = round((cfg.repr_anchor - cfg.grid.left_edge) / cfg.grid.dx)
-    elif cfg.params.is_normalized:
-        anchor = default_anchor(cfg.grid)
+    anchor = (None if cfg.repr_anchor is None
+              else round((cfg.repr_anchor - cfg.grid.left_edge) / cfg.grid.dx))
     collector = DiagnosticsCollector(cfg.grid, cfg.params, cfg.bc, state,
                                      repr_anchor=anchor)
 

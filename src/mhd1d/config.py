@@ -28,6 +28,10 @@ class ConfigError(ValueError):
     """Configuration problem; message names the key, line, and constraint."""
 
 
+# unit mass intervals per cell; a record integrates over each (slab_integrals)
+SLAB_INTERVALS_PER_CELL = 16
+
+
 _BC_NAMES = {
     "cauchy": BoundaryCondition.CAUCHY_FAR_FIELD,
     "isothermal_wall": BoundaryCondition.ISOTHERMAL_WALL_LEFT,
@@ -217,6 +221,9 @@ def parse_config(text: str) -> RunConfig:
     mass = look.get("grid.mass")
     if not mass > 0.0:
         look.fail("grid.mass", "mass > 0")
+    if mass > SLAB_INTERVALS_PER_CELL * cells:
+        look.fail("grid.mass", f"mass <= {SLAB_INTERVALS_PER_CELL} * grid.cells "
+                  "(at most that many unit intervals per cell)")
     left = look.get("grid.left")
     if left is None:
         left = -0.5 * mass if bc is BoundaryCondition.CAUCHY_FAR_FIELD else 0.0

@@ -7,9 +7,9 @@ reconstructs v from initial data, the stress history at an anchor node, and
 a temperature/magnetic history integral. The representation diagnostic is
 derived for the normalized constant preset only and is rejected otherwise.
 
-Called on their own, the monitors validate the state. DiagnosticsCollector
-validates each state once per record instead and hands the monitors the
-quantities they share (RecordTerms), so a record computes each quantity once.
+Every monitor reads the RecordTerms of its state, which only record_terms
+builds, for a record and a standalone call alike: it validates the state and
+computes each quantity that several monitors share once.
 """
 from __future__ import annotations
 
@@ -33,87 +33,72 @@ from .solver import BoundaryData, StepReport, boundary_data, dissipation_source
 
 @dataclass(frozen=True)
 class RecordTerms:
-    """Cell quantities of one state that several monitors read, computed once
-    per record by record_terms.
+    """Quantities of one state that the monitors read, built by record_terms.
 
-    b_sq is |b|^2 and kinetic the kinetic energy density
-    (u^2 + |w|^2 + v|b|^2)/2, with u and w averaged from the adjacent nodes.
-    With a representation accumulator, b_factor is
-    init_factor * exp(integral of u from the anchor - its initial value) and
-    v_pow is v**(-alpha), which the update and the residual share; both are
-    None without one.
+    bnd is the unforced BoundaryData, heat_flux the heat flux at every node
+    and dissipation the heating source per cell (both with bnd). b_sq is
+    |b|^2 and kinetic the kinetic energy density (u^2 + |w|^2 + v|b|^2)/2,
+    with u and w averaged from the adjacent nodes. With a representation
+    accumulator, b_factor is init_factor * exp(integral of u from the anchor
+    - its initial value) and v_pow is v**(-alpha); both are None without one.
     """
 
+    bnd: BoundaryData
+    heat_flux: np.ndarray
+    dissipation: np.ndarray
     b_sq: np.ndarray
     kinetic: np.ndarray
-    b_factor: Optional[np.ndarray] = None
-    v_pow: Optional[np.ndarray] = None
+    b_factor: Optional[np.ndarray]
+    v_pow: Optional[np.ndarray]
 
 
 def record_terms(state: GasState, grid: Grid, p: PhysicalParams,
-                 acc: Optional["ReprAccumulator"] = None) -> RecordTerms:
-    """The RecordTerms of a state, with the representation factors of acc
-    when given. The state is not validated."""
+                 bnd: BoundaryData, acc: Optional["ReprAccumulator"] = None,
+                 report: Optional[StepReport] = None) -> RecordTerms:
+    """Validate the state and return its RecordTerms. bnd is the unforced
+    boundary_data; the heat flux and dissipation come from report when it
+    carries them and are computed with bnd otherwise."""
+    state.validate(grid)
+    if report is None or report.heat_flux is None:
+        h = solver.heat_flux(state.theta, state.v, grid.dx, p, bnd)
+        q = dissipation_source(state.v, state.u, state.w, state.b, grid, p, bnd)
+    else:
+        h, q = report.heat_flux, report.dissipation
     b_sq = sq2(state.b)
     u_c = 0.5 * (state.u[:-1] + state.u[1:])
     w_c = 0.5 * (state.w[:-1] + state.w[1:])
     kinetic = 0.5 * (u_c ** 2 + sq2(w_c) + state.v * b_sq)
-    if acc is None:
-        return RecordTerms(b_sq, kinetic)
-    ucum = _integral_to_centers(state.u, grid, acc.anchor)
-    return RecordTerms(b_sq, kinetic,
-                       b_factor=acc.init_factor * np.exp(ucum - acc.u0_integral),
-                       v_pow=state.v ** (-p.alpha))
+    b_factor = v_pow = None
+    if acc is not None:
+        ucum = _integral_to_centers(state.u, grid, acc.anchor)
+        b_factor = acc.init_factor * np.exp(ucum - acc.u0_integral)
+        v_pow = state.v ** (-p.alpha)
+    return RecordTerms(bnd, h, q, b_sq, kinetic, b_factor, v_pow)
 
 
 def energy_entropy(state: GasState, grid: Grid, p: PhysicalParams,
-                   terms: Optional[RecordTerms] = None,
-                   validated: bool = False) -> float:
+                   terms: RecordTerms) -> float:
     """Energy-entropy functional: the midpoint-rule integral of
     (u^2 + |w|^2 + v|b|^2)/2 + R(v - ln v - 1) + c_v(theta - ln theta - 1),
     with node fields averaged to cell centers.
 
     Nonnegative; zero exactly at the far-field state (1, 0, 1, 0, 0).
-    terms, when given, are record_terms of this state; validated=True says
-    the caller has validated the state already.
     """
-    if not validated:
-        state.validate(grid)
-    if terms is None:
-        terms = record_terms(state, grid, p)
     vol = state.v - np.log(state.v) - 1.0
     therm = state.theta - np.log(state.theta) - 1.0
     return float(grid.dx * (terms.kinetic + p.R * vol + p.c_v * therm).sum())
 
 
 def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
-                  bc: BoundaryCondition, heat_flux: Optional[np.ndarray] = None,
-                  dissipation: Optional[np.ndarray] = None,
-                  bnd: Optional[BoundaryData] = None,
-                  validated: bool = False) -> float:
+                  terms: RecordTerms) -> float:
     """Dissipation rate: the integral of
     kappa(theta)*theta_x^2/(v*theta^2) + (mu(v)*u_x^2 + lam|w_x|^2 + nu|b_x|^2)/(v*theta).
 
     Gradients use the solver's node stencils and interface coefficients, so
     this is exactly the heating the temperature stage injects, weighted by
     1/theta. Nonnegative by construction.
-
-    heat_flux and dissipation, when given, must be the unforced heat flux
-    and dissipation source of this state, as a StepReport carries them; they
-    are then used instead of being computed again. bnd, when given, must be
-    the unforced boundary_data of grid and bc, which does not depend on t.
-    validated=True says the caller has validated the state already.
     """
-    if not validated:
-        state.validate(grid)
-    dx = grid.dx
-    m = grid.cells
-    if bnd is None:
-        bnd = boundary_data(grid, bc, state.t)
-
-    h = heat_flux
-    if h is None:
-        h = solver.heat_flux(state.theta, state.v, dx, p, bnd)
+    dx, m, bnd, h = grid.dx, grid.cells, terms.bnd, terms.heat_flux
     grad = np.empty(m + 1)
     theta_bar = np.empty(m + 1)
     grad[1:-1] = (state.theta[1:] - state.theta[:-1]) / dx
@@ -125,11 +110,7 @@ def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
     wh = dx * h
     wh[0], wh[-1] = 0.5 * dx * h[0], 0.5 * dx * h[-1]
     heat_part = float((wh * grad / theta_bar ** 2).sum())
-
-    q = dissipation
-    if q is None:
-        q = dissipation_source(state.v, state.u, state.w, state.b, grid, p, bnd)
-    mech_part = float(dx * (q / state.theta).sum())
+    mech_part = float(dx * (terms.dissipation / state.theta).sum())
     return heat_part + mech_part
 
 
@@ -170,8 +151,9 @@ def slab_integrals(state: GasState, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     aligned to integer mass coordinates inside the domain.
 
     Midpoint quadrature; cells straddling an interval edge are split in
-    proportion to their overlap. Empty arrays if the domain is shorter than
-    one unit.
+    proportion to their overlap, that is, the piecewise-linear cumulative
+    integral is interpolated at the integers. Empty arrays if the domain is
+    shorter than one unit.
     """
     left, right, dx, m = grid.left_edge, grid.right_edge, grid.dx, grid.cells
     n0 = math.ceil(left - 1e-9)
@@ -188,25 +170,20 @@ def slab_integrals(state: GasState, grid: Grid) -> tuple[np.ndarray, np.ndarray]
         th_ints = state.theta.reshape(n_int, per).sum(axis=1) * dx
         return v_ints, th_ints
 
-    cell_lo = left + np.arange(m) * dx
-    cell_hi = cell_lo + dx
-    v_ints = np.empty(n_int)
-    th_ints = np.empty(n_int)
-    for k in range(n_int):
-        a, b_ = n0 + k, n0 + k + 1
-        overlap = np.clip(np.minimum(cell_hi, b_) - np.maximum(cell_lo, a), 0.0, None)
-        v_ints[k] = np.sum(state.v * overlap)
-        th_ints[k] = np.sum(state.theta * overlap)
-    return v_ints, th_ints
+    nodes = grid.nodes()
+    ints = float(n0) + np.arange(n_int + 1.0)
+
+    def per_interval(f):
+        cum = np.interp(ints, nodes, np.concatenate(([0.0], (dx * f).cumsum())))
+        return cum[1:] - cum[:-1]
+
+    return per_interval(state.v), per_interval(state.theta)
 
 
-def level_set_measures(state: GasState, grid: Grid, lo: float = 0.5,
-                       hi: float = 2.0) -> tuple[float, float]:
-    """Mass measures of the cold set {theta < lo} and the hot set {theta > hi}."""
-    if not 0.0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    low = grid.dx * float(np.count_nonzero(state.theta < lo))
-    high = grid.dx * float(np.count_nonzero(state.theta > hi))
+def level_set_measures(state: GasState, grid: Grid) -> tuple[float, float]:
+    """Mass measures of the cold set {theta < 1/2} and the hot set {theta > 2}."""
+    low = grid.dx * float(np.count_nonzero(state.theta < 0.5))
+    high = grid.dx * float(np.count_nonzero(state.theta > 2.0))
     return low, high
 
 
@@ -273,19 +250,17 @@ def _integral_to_centers(u: np.ndarray, grid: Grid, anchor: int) -> np.ndarray:
 
 def representation_update(acc: ReprAccumulator, state: GasState, grid: Grid,
                           dt: float, p: PhysicalParams,
-                          terms: Optional[RecordTerms] = None) -> ReprAccumulator:
+                          terms: RecordTerms) -> ReprAccumulator:
     """Advance the accumulator by one accepted step of size dt.
 
     The stress integral gets a rectangle-rule increment from the end-of-step
     stress at the anchor; the history integral is advanced with the stress
     factor treated as exponential across the step, which keeps the far-field
-    equilibrium reconstruction exact to round-off for any dt. terms, when
-    given, are record_terms(state, grid, p, acc).
+    equilibrium reconstruction exact to round-off for any dt. terms are the
+    record_terms of the state with acc.
     """
     _require_normalized(p)
-    if terms is None:
-        terms = record_terms(state, grid, p, acc)
-    sigma_n = effective_stress(state, grid, p, node=acc.anchor)
+    sigma_n = effective_stress(state, grid, p, acc.anchor)
     acc.sigma_integral += sigma_n * dt
     y = math.exp(acc.sigma_integral)
 
@@ -299,15 +274,12 @@ def representation_update(acc: ReprAccumulator, state: GasState, grid: Grid,
 
 
 def representation_residual(acc: ReprAccumulator, state: GasState, grid: Grid,
-                            p: PhysicalParams,
-                            terms: Optional[RecordTerms] = None) -> np.ndarray:
+                            p: PhysicalParams, terms: RecordTerms) -> np.ndarray:
     """Per-cell relative defect |v - v_reconstructed| / v of the
     representation formula, given an accumulator consistent with the
-    trajectory that produced the state. terms, when given, are
-    record_terms(state, grid, p, acc)."""
+    trajectory that produced the state. terms are the record_terms of the
+    state with acc."""
     _require_normalized(p)
-    if terms is None:
-        terms = record_terms(state, grid, p, acc)
     y = math.exp(acc.sigma_integral)
     pred = terms.b_factor * y * np.exp(terms.v_pow) * (1.0 + acc.history)
     return np.abs(state.v - pred) / state.v
@@ -367,9 +339,8 @@ class DiagnosticsCollector:
 
     def __init__(self, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
                  state0: GasState, repr_anchor: Optional[int] = None):
-        self.grid, self.p, self.bc = grid, p, bc
+        self.grid, self.p = grid, p
         self.bnd = boundary_data(grid, bc, state0.t)  # unforced: no t dependence
-        self.e0 = energy_entropy(state0, grid, p)
         self.acc = (ReprAccumulator.start(state0, grid, p, repr_anchor)
                     if p.is_normalized else None)
         self.w_cum = 0.0
@@ -395,24 +366,19 @@ class DiagnosticsCollector:
                     report: Optional[StepReport] = None) -> DiagnosticsRecord:
         """Assemble the record for a state; report=None marks the t = 0 row.
 
-        The state is validated once, and the monitors share its RecordTerms
-        and the collector's boundary data.
+        Every monitor reads the one RecordTerms of the state, built with the
+        collector's boundary data and the report's heat flux and dissipation.
         """
         grid, p = self.grid, self.p
-        state.validate(grid)
-        terms = record_terms(state, grid, p, self.acc)
+        terms = record_terms(state, grid, p, self.bnd, self.acc, report)
         mass = self._mass(state)
         momentum = self._momentum(state)
+        w_rate = dissipation_W(state, grid, p, terms)
         if report is None:
-            w_rate = dissipation_W(state, grid, p, self.bc, bnd=self.bnd,
-                                   validated=True)
             dt = 0.0
             iters = retries = 0
             mass_defect = momentum_defect = 0.0
         else:
-            w_rate = dissipation_W(state, grid, p, self.bc, report.heat_flux,
-                                   report.dissipation, bnd=self.bnd,
-                                   validated=True)
             dt = report.dt_used
             iters, retries = report.newton_iterations, report.retries
             self.w_cum += w_rate * dt
@@ -449,7 +415,7 @@ class DiagnosticsCollector:
         return DiagnosticsRecord(
             t=state.t, step=state.step, dt=dt, newton_iterations=iters,
             retries=retries,
-            E_entropy=energy_entropy(state, grid, p, terms, validated=True),
+            E_entropy=energy_entropy(state, grid, p, terms),
             W=w_rate, W_cum=self.w_cum,
             min_v=min_v, max_v=max_v, min_theta=min_theta, max_theta=max_theta,
             mass_total=mass, mass_flux_cum=self.mass_flux_cum,

@@ -36,7 +36,6 @@ from .core import (
     FAR_FIELD_THETA,
     FAR_FIELD_U,
     FAR_FIELD_V,
-    FAR_FIELD_W,
     BoundaryCondition,
     GasState,
     Grid,

@@ -41,6 +41,7 @@ from .solver import (
     induction_coeffs,
     run_until,
     tridiag_solve,
+    velocity_coeffs,
 )
 
 REFERENCE_MAX_CELLS = 64
@@ -195,8 +196,7 @@ def _semi_discrete_rhs(v, u, w, b, theta, grid: Grid, p: PhysicalParams,
     dx = grid.dx
     ux = np.diff(u) / dx  # v_t
 
-    a = viscosity_mu(v, p) / v
-    g = p.R * theta / v + 0.5 * np.sum(b ** 2, axis=1)
+    a, g = velocity_coeffs(GasState(v=v, theta=theta, b=b, u=u, w=w), p)
     visc = a * ux
     du = np.zeros_like(u)
     du[1:-1] = (visc[1:] - visc[:-1]) / dx - (g[1:] - g[:-1]) / dx

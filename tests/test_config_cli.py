@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import reference_state, smooth_bump
 from mhd1d import cli
-from mhd1d.config import ConfigError, parse_config
+from mhd1d.config import SLAB_INTERVALS_PER_CELL, ConfigError, parse_config
 from mhd1d.core import (
     BoundaryCondition,
     ConstantProfile,
@@ -286,6 +287,8 @@ class TestRunCommand:
         ("time.t_end = inf\n", "time.t_end"),
         # at left = 1e308 every node has the same coordinate
         ("grid.left = 1e308\ngrid.mass = 8\nbc = insulated_wall\n", "grid.left"),
+        # one unit interval per slab entry: 1e300 of them cannot be allocated
+        ("grid.mass = 1e300\n", "grid.mass"),
     ])
     def test_values_that_got_past_validation_exit_2(self, tmp_path, capsys,
                                                     text, key):
@@ -296,6 +299,13 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert "Traceback" not in err and not out.exists()
+
+    def test_mass_is_bounded_by_unit_intervals_per_cell(self):
+        bound = float(SLAB_INTERVALS_PER_CELL * 16)
+        assert parse_config(f"grid.cells = 16\ngrid.mass = {bound!r}\n").grid.mass == bound
+        above = math.nextafter(bound, math.inf)
+        with pytest.raises(ConfigError, match="grid.mass"):
+            parse_config(f"grid.cells = 16\ngrid.mass = {above!r}\n")
 
     @pytest.mark.parametrize("cells", [16, 4096])
     def test_accepted_grids_have_increasing_nodes(self, cells):
@@ -396,6 +406,26 @@ class TestRunCommand:
         snaps = [p for p in out.glob("snapshot_0*.csv")
                  if not p.name.endswith(".nodes.csv")]
         assert steps >= 1 and len(snaps) == steps
+
+    def test_unaligned_grid_with_many_unit_intervals_ends(self, tmp_path):
+        # 200000 unit intervals, none aligned with a cell edge: the slab
+        # integrals of a record must cost O(cells + intervals), not a pass
+        # over the cells per interval
+        cfg_path = write_config(tmp_path, (
+            "grid.cells = 16384\ngrid.mass = 200000.5\nparams.preset = normalized\n"
+            "initial.profile = gaussian_bump\ninitial.width = 1000.0\n"
+            "initial.amp_theta = 0.3\ntime.t_end = 1e-6\n"))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mhd1d.cli", "run", "--config",
+             str(cfg_path), "--out", str(out)],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        records = [json.loads(line) for line in
+                   (out / "diagnostics.jsonl").read_text().splitlines()]
+        assert len(records) == 2
+        for r in records:
+            assert 1.0 - 1e-9 <= r["slab_theta_min"] < r["slab_theta_max"] <= 1.3
 
 
 class TestCheckConfig:

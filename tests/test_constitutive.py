@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_state
-from mhd1d.constitutive import (
-    conductivity_kappa,
-    effective_stress,
-    pressure,
-    total_energy_density,
-    viscosity_mu,
-)
+from mhd1d.constitutive import effective_stress, pressure, viscosity_mu
 from mhd1d.core import Grid, PhysicalParams
 from mhd1d.verification import MmsSolution
 
@@ -64,68 +58,24 @@ class TestViscosity:
             viscosity_mu(-1.0, PhysicalParams())
 
 
-class TestConductivity:
-    def test_values(self):
-        assert conductivity_kappa(1.0, PhysicalParams(kappa_tilde=3.3, beta=7.0)) \
-            == pytest.approx(3.3)
-        assert conductivity_kappa(4.0, PhysicalParams(kappa_tilde=1.0, beta=0.5)) \
-            == pytest.approx(2.0)
-        # degeneracy as theta -> 0
-        assert conductivity_kappa(0.01, PhysicalParams(kappa_tilde=1.0, beta=1.0)) \
-            == pytest.approx(0.01)
-
-    def test_nondecreasing_positive(self):
-        p = PhysicalParams(kappa_tilde=2.0, beta=0.75)
-        theta = np.linspace(1e-4, 10.0, 300)
-        kap = conductivity_kappa(theta, p)
-        assert np.all(np.diff(kap) >= 0.0)
-        assert np.all(kap > 0.0)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            conductivity_kappa(0.0, PhysicalParams())
-
-
-class TestTotalEnergyDensity:
-    def test_reference_state(self):
-        p = PhysicalParams(c_v=1.0)
-        assert total_energy_density(1.0, 1.0, 0.0, 0.0, 0.0, p) == pytest.approx(1.0)
-
-    def test_kinetic(self):
-        p = PhysicalParams(c_v=1.0)
-        assert total_energy_density(1.0, 1.0, 2.0, 0.0, 0.0, p) == pytest.approx(3.0)
-
-    def test_magnetic(self):
-        p = PhysicalParams(c_v=1.0)
-        assert total_energy_density(2.0, 1.0, 0.0, np.zeros(2),
-                                    np.array([1.0, 0.0]), p) == pytest.approx(2.0)
-
-    def test_reduces_to_thermal(self):
-        p = PhysicalParams(c_v=2.5)
-        rng = np.random.default_rng(3)
-        v = rng.uniform(0.5, 2.0, 20)
-        theta = rng.uniform(0.5, 2.0, 20)
-        e = total_energy_density(v, theta, np.zeros(20), np.zeros((20, 2)),
-                                 np.zeros((20, 2)), p)
-        assert np.allclose(e, 2.5 * theta, rtol=1e-15)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            total_energy_density(-1.0, 1.0, 0.0, 0.0, 0.0, PhysicalParams())
+def interior_stress(state, grid, p):
+    """effective_stress at every interior node."""
+    return np.array([effective_stress(state, grid, p, j)
+                     for j in range(1, grid.cells)])
 
 
 class TestEffectiveStress:
     def test_equilibrium_stress_is_minus_pressure(self):
         grid = Grid.uniform(8, 4.0, 0.0)
         state = reference_state(grid)
-        sigma = effective_stress(state, grid, PhysicalParams(R=1.0))
+        sigma = interior_stress(state, grid, PhysicalParams(R=1.0))
         assert np.allclose(sigma, -1.0, atol=1e-15)
 
     def test_magnetic_pressure_contribution(self):
         grid = Grid.uniform(8, 4.0, 0.0)
         state = reference_state(grid)
         state.b[:, 0] = np.sqrt(2.0)
-        sigma = effective_stress(state, grid, PhysicalParams(R=1.0))
+        sigma = interior_stress(state, grid, PhysicalParams(R=1.0))
         assert np.allclose(sigma, -2.0, rtol=1e-14)
 
     def test_matches_analytic_stress_at_second_order(self):
@@ -138,14 +88,14 @@ class TestEffectiveStress:
         for cells in (32, 64, 128):
             grid = Grid.uniform(cells, 1.0, 0.0)
             state = sol.state(grid, t)
-            xn = grid.nodes()
+            xn = grid.nodes()[1:-1]
             k, ee = sol.k, np.exp(-t)
             v = sol.v(xn, t)
             ux = sol.amp_u * k * np.cos(k * xn) * ee
             mu = p.mu1 + p.mu2 * v ** (-p.alpha)
             analytic = mu * ux / v - (p.R * sol.theta(xn, t) / v
                                       + 0.5 * np.sum(sol.b(xn, t) ** 2, axis=-1))
-            sigma = effective_stress(state, grid, p)
-            errs.append(np.max(np.abs(sigma[1:-1] - analytic[1:-1])))
+            sigma = interior_stress(state, grid, p)
+            errs.append(np.max(np.abs(sigma - analytic)))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 1.9)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_REGIMES, reference_state, smooth_bump
-from mhd1d.constitutive import effective_stress, state_energy_density
+from mhd1d.constitutive import effective_stress, pressure, viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
     GaussianBump,
@@ -22,20 +22,27 @@ from mhd1d.diagnostics import (
     energy_entropy,
     equilibrium_roots,
     level_set_measures,
+    record_terms,
     representation_residual,
     representation_update,
     slab_integrals,
 )
-from mhd1d.solver import StepControl, run_until, step
+from mhd1d.solver import StepControl, boundary_data, run_until, step
 
 CAUCHY = BoundaryCondition.CAUCHY_FAR_FIELD
+
+
+def terms_of(state, grid, p, bc=CAUCHY, acc=None):
+    """The RecordTerms of a state without a step report: fresh H and q."""
+    return record_terms(state, grid, p, boundary_data(grid, bc, state.t), acc)
 
 
 class TestEnergyEntropy:
     def test_reference_state_is_zero(self):
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized()
-        assert energy_entropy(reference_state(grid), grid, p) == 0.0
+        state = reference_state(grid)
+        assert energy_entropy(state, grid, p, terms_of(state, grid, p)) == 0.0
 
     def test_uniform_volume_offset(self):
         # v = e everywhere: integrand is e - 2 per unit mass (R = 1)
@@ -43,7 +50,7 @@ class TestEnergyEntropy:
         state = reference_state(grid)
         state.v[:] = math.e
         p = PhysicalParams.normalized()
-        assert energy_entropy(state, grid, p) == pytest.approx(
+        assert energy_entropy(state, grid, p, terms_of(state, grid, p)) == pytest.approx(
             16.0 * (math.e - 2.0), rel=1e-14)
 
     def test_bump_matches_fine_quadrature(self):
@@ -54,7 +61,7 @@ class TestEnergyEntropy:
         p = PhysicalParams(R=1.2, c_v=0.8, mu1=1.0)
         grid = Grid.uniform(16384, 32.0, -16.0)
         state = make_initial_state(grid, prof, CAUCHY)
-        discrete = energy_entropy(state, grid, p)
+        discrete = energy_entropy(state, grid, p, terms_of(state, grid, p))
 
         n_fine = 1 << 21
         x = -16.0 + (np.arange(n_fine) + 0.5) * (32.0 / n_fine)
@@ -76,14 +83,16 @@ class TestEnergyEntropy:
         state = reference_state(grid)
         state.v[2] = -1.0
         with pytest.raises(ValueError):
-            energy_entropy(state, grid, PhysicalParams())
+            p = PhysicalParams()
+            energy_entropy(state, grid, p, terms_of(state, grid, p))
 
 
 class TestDissipationW:
     def test_reference_state_is_zero(self):
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized()
-        assert dissipation_W(reference_state(grid), grid, p, CAUCHY) == 0.0
+        state = reference_state(grid)
+        assert dissipation_W(state, grid, p, terms_of(state, grid, p)) == 0.0
 
     def test_linear_velocity_constant_shear(self):
         # u = c*x gives u_x = c exactly; with v = theta = 1 and mu2 = 0 the
@@ -93,7 +102,7 @@ class TestDissipationW:
         c = 0.37
         state.u = c * grid.nodes()
         p = PhysicalParams(mu1=1.4, mu2=0.0)
-        w = dissipation_W(state, grid, p, CAUCHY)
+        w = dissipation_W(state, grid, p, terms_of(state, grid, p))
         assert w == pytest.approx(1.4 * c ** 2 * 8.0, rel=1e-13)
 
     def test_nonnegative_on_random_states(self):
@@ -108,7 +117,7 @@ class TestDissipationW:
             state.u = rng.normal(0.0, 1.0, grid.cells + 1)
             state.w = rng.normal(0.0, 1.0, (grid.cells + 1, 2))
             state.b = rng.normal(0.0, 1.0, (grid.cells, 2))
-            assert dissipation_W(state, grid, p, CAUCHY) >= 0.0
+            assert dissipation_W(state, grid, p, terms_of(state, grid, p)) >= 0.0
 
 
 class TestEquilibriumRoots:
@@ -130,6 +139,22 @@ class TestEquilibriumRoots:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             equilibrium_roots(-0.1)
+
+
+def overlap_loop(f, grid):
+    """Integrals of the cell field f over the whole unit intervals of the
+    grid, one interval at a time."""
+    left, dx, m = grid.left_edge, grid.dx, grid.cells
+    n0 = math.ceil(left - 1e-9)
+    n_int = max(math.floor(grid.right_edge + 1e-9) - n0, 0)
+    cell_lo = left + np.arange(m) * dx
+    cell_hi = cell_lo + dx
+    out = np.empty(n_int)
+    for k in range(n_int):
+        overlap = np.clip(np.minimum(cell_hi, n0 + k + 1)
+                          - np.maximum(cell_lo, n0 + k), 0.0, None)
+        out[k] = np.sum(f * overlap)
+    return out
 
 
 class TestSlabIntegrals:
@@ -162,6 +187,30 @@ class TestSlabIntegrals:
             exact = 2.0 + 0.1 * (math.cos(n) - math.cos(n + 1))
             assert v_ints[k] == pytest.approx(exact, abs=2e-3)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unaligned_grids_match_the_overlap_loop(self, seed):
+        # oracle: each unit interval summed over its overlap with every cell
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            cells = int(rng.integers(4, 200))
+            dx = float(rng.choice([rng.uniform(0.01, 1.0), rng.uniform(1.0, 16.0)]))
+            left = float(rng.choice([rng.uniform(-50.0, 50.0),
+                                     round(rng.uniform(-50.0, 50.0)) + rng.uniform(-2e-9, 2e-9),
+                                     1e6 + rng.uniform(0.0, 1.0)]))
+            grid = Grid(cells=cells, dx=dx, left_edge=left)
+            state = reference_state(grid)
+            state.v = rng.uniform(0.2, 3.0, cells)
+            state.theta = rng.uniform(0.2, 3.0, cells)
+            got = slab_integrals(state, grid)
+            for f, ints in zip((state.v, state.theta), got):
+                want = overlap_loop(f, grid)
+                assert ints.shape == want.shape
+                # round-off of the sums, and of the coordinates: a cell edge
+                # is known to an ulp of the largest coordinate
+                ulp = math.ulp(max(abs(left), abs(grid.right_edge)))
+                tol = 1e-13 * float(np.sum(f)) * dx + 8.0 * ulp * float(np.max(f))
+                assert np.max(np.abs(ints - want), initial=0.0) <= tol
+
     def test_short_domain_gives_nothing(self):
         grid = Grid.uniform(4, 0.5, 0.1)
         v_ints, th_ints = slab_integrals(reference_state(grid), grid)
@@ -179,11 +228,6 @@ class TestLevelSetMeasures:
         state.theta[:] = 3.0
         lo, hi = level_set_measures(state, grid)
         assert lo == 0.0 and hi == pytest.approx(5.0, rel=1e-14)
-
-    def test_threshold_validation(self):
-        grid = Grid.uniform(16, 8.0, -4.0)
-        with pytest.raises(ValueError):
-            level_set_measures(reference_state(grid), grid, lo=2.0, hi=1.0)
 
 
 class TestRepresentationFormula:
@@ -213,12 +257,14 @@ class TestRepresentationFormula:
             dt = 0.02
             t += dt
             state.t = t
-            representation_update(acc, state, grid, dt, p)
+            representation_update(acc, state, grid, dt, p,
+                                  terms_of(state, grid, p, acc=acc))
         assert math.exp(acc.sigma_integral) == pytest.approx(math.exp(-t), rel=1e-12)
         assert np.allclose(acc.history, math.exp(t) - 1.0, rtol=1e-12)
         b_factor = acc.init_factor * np.exp(-acc.u0_integral)
         assert np.allclose(b_factor, math.exp(-1.0), rtol=1e-14)
-        resid = representation_residual(acc, state, grid, p)
+        resid = representation_residual(acc, state, grid, p,
+                                        terms_of(state, grid, p, acc=acc))
         assert np.max(resid) <= 1e-12
 
     def test_accumulators_stay_finite_on_smooth_run(self):
@@ -228,7 +274,8 @@ class TestRepresentationFormula:
         acc = ReprAccumulator.start(state, grid, p)
 
         def sink(s, r):
-            representation_update(acc, s, grid, r.dt_used, p)
+            representation_update(acc, s, grid, r.dt_used, p,
+                                  terms_of(s, grid, p, acc=acc))
             assert math.exp(acc.sigma_integral) > 0.0
             assert np.all(np.isfinite(acc.history))
 
@@ -313,10 +360,20 @@ class TestCollector:
         assert drifts[2] <= drifts[1] / 1.5
 
 
+def energy_density(state, p):
+    """c_v*theta + (u^2 + |w|^2 + v|b|^2)/2 per cell, with u and w averaged
+    from the adjacent nodes: an oracle for the record's energy_total."""
+    u_c = 0.5 * (state.u[:-1] + state.u[1:])
+    w_c = 0.5 * (state.w[:-1] + state.w[1:])
+    return p.c_v * state.theta + 0.5 * (u_c ** 2 + np.sum(w_c ** 2, axis=1)
+                                        + state.v * np.sum(state.b ** 2, axis=1))
+
+
 class TestOnePassRecord:
-    """make_record validates each state once and shares its cell terms, the
-    boundary data and the representation factors between the monitors; every
-    field must still equal the public monitors called on their own."""
+    """make_record builds one RecordTerms per state, with the step's heat
+    flux and dissipation, and every monitor reads it; every field must still
+    equal the monitor called through record_terms without a report, which
+    computes a fresh H and q."""
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     @pytest.mark.parametrize("bc", ALL_REGIMES)
@@ -338,9 +395,10 @@ class TestOnePassRecord:
                 state, report = step(state, grid, p, bc, StepControl())
             record = collector.make_record(state, report)
 
+            terms = terms_of(state, grid, p, bc, ref)
             mass = float(dx * np.sum(state.v))
             momentum = float(dx * np.sum(state.u))
-            w_rate = dissipation_W(state, grid, p, bc)
+            w_rate = dissipation_W(state, grid, p, terms)
             dt = mass_defect = momentum_defect = 0.0
             if report is not None:
                 dt = report.dt_used
@@ -351,8 +409,8 @@ class TestOnePassRecord:
                                / max(abs(prev_mass), 1.0))
                 momentum_defect = (abs(momentum - prev_momentum - report.momentum_flux)
                                    / max(1.0, float(dx * np.sum(np.abs(state.u)))))
-                representation_update(ref, state, grid, dt, p)
-                sigma_integral += float(effective_stress(state, grid, p)[anchor]) * dt
+                representation_update(ref, state, grid, dt, p, terms)
+                sigma_integral += effective_stress(state, grid, p, anchor) * dt
                 assert collector.acc.sigma_integral == sigma_integral
                 assert np.array_equal(collector.acc.history, ref.history)
             prev_mass, prev_momentum = mass, momentum
@@ -362,7 +420,7 @@ class TestOnePassRecord:
                 t=state.t, step=state.step, dt=dt,
                 newton_iterations=0 if report is None else report.newton_iterations,
                 retries=0 if report is None else report.retries,
-                E_entropy=energy_entropy(state, grid, p), W=w_rate, W_cum=w_cum,
+                E_entropy=energy_entropy(state, grid, p, terms), W=w_rate, W_cum=w_cum,
                 min_v=float(np.min(state.v)), max_v=float(np.max(state.v)),
                 min_theta=float(np.min(state.theta)),
                 max_theta=float(np.max(state.theta)),
@@ -370,7 +428,7 @@ class TestOnePassRecord:
                 mass_defect=mass_defect,
                 momentum_total=momentum, momentum_flux_cum=flux_cum["momentum"],
                 momentum_defect=momentum_defect,
-                energy_total=float(dx * np.sum(state_energy_density(state, p))),
+                energy_total=float(dx * np.sum(energy_density(state, p))),
                 energy_flux_cum=flux_cum["energy"],
                 entropy_flux_cum=flux_cum["entropy"],
                 measure_theta_low=low, measure_theta_high=high,
@@ -378,19 +436,42 @@ class TestOnePassRecord:
                 slab_theta_min=float(np.min(slab_th)),
                 slab_theta_max=float(np.max(slab_th)),
                 repr_residual_max=float(np.max(
-                    representation_residual(ref, state, grid, p))))
+                    representation_residual(ref, state, grid, p, terms))))
             assert asdict(record) == asdict(expected), f"record {n}"
+
+    @pytest.mark.parametrize("bc", ALL_REGIMES)
+    def test_terms_take_the_reports_arrays(self, bc):
+        wall = bc.has_left_wall
+        grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
+        state, report = step(state, grid, p, bc, StepControl())
+        bnd = boundary_data(grid, bc, 0.0)
+        handed = record_terms(state, grid, p, bnd, report=report)
+        assert handed.heat_flux is report.heat_flux
+        assert handed.dissipation is report.dissipation
+        # a forced step's report carries none: the terms compute them
+        report.heat_flux = report.dissipation = None
+        fresh = terms_of(state, grid, p, bc)
+        computed = record_terms(state, grid, p, bnd, report=report)
+        assert np.array_equal(computed.heat_flux, fresh.heat_flux)
+        assert np.array_equal(computed.dissipation, fresh.dissipation)
 
     def test_anchor_stress_is_the_entry_of_the_full_array(self):
         grid = Grid.uniform(32, 16.0, -8.0)
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         state = make_initial_state(grid, smooth_bump(), CAUCHY)
-        sigma = effective_stress(state, grid, p)
+        # the stencil over every interior node at once
+        mu_over_v = viscosity_mu(state.v, p) / state.v
+        ptot = pressure(state.v, state.theta, p) + 0.5 * np.sum(state.b ** 2, axis=1)
+        ux_cell = np.diff(state.u) / grid.dx
+        sigma = (0.5 * (mu_over_v[:-1] + mu_over_v[1:]) * 0.5 * (ux_cell[:-1] + ux_cell[1:])
+                 - 0.5 * (ptot[:-1] + ptot[1:]))
         for node in range(1, grid.cells):
-            assert effective_stress(state, grid, p, node=node) == sigma[node]
+            assert effective_stress(state, grid, p, node) == sigma[node - 1]
         for node in (0, grid.cells):
             with pytest.raises(ValueError, match="interior"):
-                effective_stress(state, grid, p, node=node)
+                effective_stress(state, grid, p, node)
 
     def test_record_validates_the_state(self):
         grid = Grid.uniform(16, 8.0, -4.0)

@@ -2,7 +2,9 @@
 module's private names. A helper two modules share is part of the owner's
 public surface and carries a public name. The boundary regime of a step is
 read in solver.py alone; every other module closes its end nodes through
-solver.end_nodes."""
+solver.end_nodes. The monitors have one calling convention: each takes its
+context as required arguments (no parameter defaults), and in
+diagnostics.py only record_terms validates a state."""
 import ast
 from pathlib import Path
 
@@ -78,3 +80,67 @@ def test_the_check_sees_regime_reads(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("if bnd.left_wall and not bnd.isothermal:\n    pass\n")
     assert sorted(_regime_reads(probe)) == ["line 1: .isothermal", "line 1: .left_wall"]
+
+
+MONITORS = {"diagnostics.py": ("energy_entropy", "dissipation_W",
+                               "representation_update", "representation_residual",
+                               "level_set_measures"),
+            "constitutive.py": ("effective_stress", "pressure", "viscosity_mu")}
+
+
+def _functions(path: Path):
+    """Every function and method of this module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def _defaults(path: Path, names) -> list[str]:
+    """Parameters that declare a default in the named functions."""
+    found = []
+    for fn in _functions(path):
+        if fn.name not in names:
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        with_default = positional[len(positional) - len(args.defaults):]
+        with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                         if d is not None]
+        found += [f"{fn.name}: {a.arg}" for a in with_default]
+    return found
+
+
+def _validate_callers(path: Path) -> list[str]:
+    """Functions of this module that call .validate(."""
+    return sorted({fn.name for fn in _functions(path) for node in ast.walk(fn)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "validate"})
+
+
+@pytest.mark.parametrize("name", sorted(MONITORS))
+def test_monitors_declare_no_default(name):
+    path = PACKAGE / name
+    defined = {fn.name for fn in _functions(path)}
+    assert set(MONITORS[name]) <= defined
+    assert _defaults(path, MONITORS[name]) == []
+
+
+def test_only_record_terms_validates_in_diagnostics():
+    assert _validate_callers(PACKAGE / "diagnostics.py") == ["record_terms"]
+
+
+def test_the_checks_see_defaults_and_validate_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def energy_entropy(state, grid, p, terms=None):\n"
+                     "    state.validate(grid)\n"
+                     "def pressure(v, theta, p, *, check=True):\n"
+                     "    pass\n"
+                     "def record_terms(state, grid):\n"
+                     "    state.validate(grid)\n"
+                     "class Collector:\n"
+                     "    def make_record(self, state, report=None):\n"
+                     "        state.validate(self.grid)\n")
+    assert _defaults(probe, ("energy_entropy", "pressure")) == [
+        "energy_entropy: terms", "pressure: check"]
+    assert _validate_callers(probe) == ["energy_entropy", "make_record",
+                                        "record_terms"]

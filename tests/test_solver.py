@@ -13,7 +13,7 @@ from mhd1d.core import (
     PhysicalParams,
     make_initial_state,
 )
-from mhd1d.diagnostics import DiagnosticsCollector, dissipation_W
+from mhd1d.diagnostics import DiagnosticsCollector, dissipation_W, record_terms
 from mhd1d.solver import (
     NewtonDivergence,
     PositivityFailure,
@@ -356,7 +356,8 @@ class TestStepHandsOverMonitorInputs:
                                   dissipation_source(state.v, state.u, state.w,
                                                      state.b, grid, p, bnd))
             record = collector.on_step(state, report)
-            assert record.W == dissipation_W(state, grid, p, bc)
+            assert record.W == dissipation_W(state, grid, p,
+                                             record_terms(state, grid, p, bnd))
         assert set(newton_flux_held) == {True, False}
 
     def test_forced_step_hands_over_nothing(self):
