@@ -21,15 +21,12 @@ from .core import (
     InitialProfile,
     PhysicalParams,
 )
+from .diagnostics import SLAB_INTERVALS_PER_CELL, slab_intervals_bounded
 from .solver import StepControl
 
 
 class ConfigError(ValueError):
     """Configuration problem; message names the key, line, and constraint."""
-
-
-# unit mass intervals per cell; a record integrates over each (slab_integrals)
-SLAB_INTERVALS_PER_CELL = 16
 
 
 _BC_NAMES = {
@@ -221,7 +218,7 @@ def parse_config(text: str) -> RunConfig:
     mass = look.get("grid.mass")
     if not mass > 0.0:
         look.fail("grid.mass", "mass > 0")
-    if mass > SLAB_INTERVALS_PER_CELL * cells:
+    if not slab_intervals_bounded(cells, mass):
         look.fail("grid.mass", f"mass <= {SLAB_INTERVALS_PER_CELL} * grid.cells "
                   "(at most that many unit intervals per cell)")
     left = look.get("grid.left")

@@ -1,12 +1,17 @@
 """Pointwise constitutive laws of the perfect MHD gas and derived quantities.
 
-All functions accept scalars or numpy arrays and are pure.
+The laws accept scalars or numpy arrays; every function is pure.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .core import GasState, Grid, PhysicalParams, sq2
+from .core import GasState, Grid, PhysicalParams
+
+if TYPE_CHECKING:  # the solver imports this module
+    from .solver import StateCoeffs
 
 
 def _require_positive(name, value):
@@ -29,19 +34,19 @@ def viscosity_mu(v, p: PhysicalParams):
     return p.mu1 + p.mu2 * np.asarray(v, dtype=float) ** (-p.alpha)
 
 
-def effective_stress(state: GasState, grid: Grid, p: PhysicalParams,
+def effective_stress(state: GasState, grid: Grid, coeffs: StateCoeffs,
                      node: int) -> float:
     """Total longitudinal stress mu(v)*u_x/v - (R*theta/v + |b|^2/2) at an
-    interior node: mu/v, R*theta/v and |b|^2 are the means of the two
-    adjacent cells and u_x their mean gradient (u[node+1] - u[node-1])/(2 dx).
-    Only those cells and three nodes are read, and the constitutive laws
-    check their positivity."""
+    interior node: mu/v and the total pressure are the means of the two
+    adjacent cells' coeffs (solver.state_coeffs of the state, whose
+    constitutive laws checked positivity) and u_x their mean gradient
+    (u[node+1] - u[node-1])/(2 dx). Only those cells and three nodes are
+    read."""
     if not 0 < node < grid.cells:
         raise ValueError(f"node {node} must be interior (1 to {grid.cells - 1})")
     c = slice(node - 1, node + 1)
-    v, u = state.v[c], state.u[node - 1:node + 2]
-    mu_over_v = viscosity_mu(v, p) / v
-    ptot = pressure(v, state.theta[c], p) + 0.5 * sq2(state.b[c])
+    mu_over_v, ptot = coeffs.mu_over_v[c], coeffs.ptot[c]
+    u = state.u[node - 1:node + 2]
     ux_cell = (u[1:] - u[:-1]) / grid.dx
     return float(0.5 * (mu_over_v[0] + mu_over_v[1]) * 0.5 * (ux_cell[0] + ux_cell[1])
                  - 0.5 * (ptot[0] + ptot[1]))

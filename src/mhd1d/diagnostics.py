@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import solver
-from .constitutive import effective_stress
+from .constitutive import effective_stress, viscosity_mu
 from .core import (
     BoundaryCondition,
     GasState,
@@ -28,7 +28,18 @@ from .core import (
     PhysicalParams,
     sq2,
 )
-from .solver import BoundaryData, StepReport, boundary_data, dissipation_source
+from .solver import (
+    BoundaryData,
+    StateCoeffs,
+    StepReport,
+    boundary_data,
+    dissipation_source,
+    state_coeffs,
+)
+
+# unit mass intervals per cell at most; a record integrates over each
+# (slab_integrals), so the bound keeps a record O(cells)
+SLAB_INTERVALS_PER_CELL = 16
 
 
 @dataclass(frozen=True)
@@ -36,17 +47,18 @@ class RecordTerms:
     """Quantities of one state that the monitors read, built by record_terms.
 
     bnd is the unforced BoundaryData, heat_flux the heat flux at every node
-    and dissipation the heating source per cell (both with bnd). b_sq is
-    |b|^2 and kinetic the kinetic energy density (u^2 + |w|^2 + v|b|^2)/2,
-    with u and w averaged from the adjacent nodes. With a representation
-    accumulator, b_factor is init_factor * exp(integral of u from the anchor
-    - its initial value) and v_pow is v**(-alpha); both are None without one.
+    and dissipation the heating source per cell (both with bnd). coeffs are
+    the state's solver.state_coeffs (mu(v), |b|^2, the total pressure) and
+    kinetic the kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and
+    w averaged from the adjacent nodes. With a representation accumulator,
+    b_factor is init_factor * exp(integral of u from the anchor - its
+    initial value) and v_pow is v**(-alpha); both are None without one.
     """
 
     bnd: BoundaryData
     heat_flux: np.ndarray
     dissipation: np.ndarray
-    b_sq: np.ndarray
+    coeffs: StateCoeffs
     kinetic: np.ndarray
     b_factor: Optional[np.ndarray]
     v_pow: Optional[np.ndarray]
@@ -56,24 +68,30 @@ def record_terms(state: GasState, grid: Grid, p: PhysicalParams,
                  bnd: BoundaryData, acc: Optional["ReprAccumulator"] = None,
                  report: Optional[StepReport] = None) -> RecordTerms:
     """Validate the state and return its RecordTerms. bnd is the unforced
-    boundary_data; the heat flux and dissipation come from report when it
-    carries them and are computed with bnd otherwise."""
+    boundary_data; the coefficients come from report (the step that produced
+    the state), and so do the heat flux and dissipation when it carries them;
+    whatever report does not hold is computed here, with bnd."""
     state.validate(grid)
+    if report is None:
+        coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
+    else:
+        coeffs = report.coeffs
     if report is None or report.heat_flux is None:
         h = solver.heat_flux(state.theta, state.v, grid.dx, p, bnd)
-        q = dissipation_source(state.v, state.u, state.w, state.b, grid, p, bnd)
+        ux = (state.u[1:] - state.u[:-1]) / grid.dx
+        q = dissipation_source(state.v, coeffs.mu, ux, state.w, state.b, grid,
+                               p, bnd)
     else:
         h, q = report.heat_flux, report.dissipation
-    b_sq = sq2(state.b)
     u_c = 0.5 * (state.u[:-1] + state.u[1:])
     w_c = 0.5 * (state.w[:-1] + state.w[1:])
-    kinetic = 0.5 * (u_c ** 2 + sq2(w_c) + state.v * b_sq)
+    kinetic = 0.5 * (u_c ** 2 + sq2(w_c) + state.v * coeffs.b_sq)
     b_factor = v_pow = None
     if acc is not None:
         ucum = _integral_to_centers(state.u, grid, acc.anchor)
         b_factor = acc.init_factor * np.exp(ucum - acc.u0_integral)
         v_pow = state.v ** (-p.alpha)
-    return RecordTerms(bnd, h, q, b_sq, kinetic, b_factor, v_pow)
+    return RecordTerms(bnd, h, q, coeffs, kinetic, b_factor, v_pow)
 
 
 def energy_entropy(state: GasState, grid: Grid, p: PhysicalParams,
@@ -144,6 +162,12 @@ def equilibrium_roots(e0: float) -> tuple[float, float]:
     lower = bisect(0.5 * math.exp(-(1.0 + e0)), 1.0)
     upper = bisect(1.0, 2.0 * e0 + 4.0)
     return min(lower, 1.0), max(upper, 1.0)
+
+
+def slab_intervals_bounded(cells: int, mass: float) -> bool:
+    """Whether a domain of `mass` mass units over `cells` cells holds at most
+    SLAB_INTERVALS_PER_CELL unit mass intervals per cell."""
+    return mass <= SLAB_INTERVALS_PER_CELL * cells
 
 
 def slab_integrals(state: GasState, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -260,12 +284,12 @@ def representation_update(acc: ReprAccumulator, state: GasState, grid: Grid,
     record_terms of the state with acc.
     """
     _require_normalized(p)
-    sigma_n = effective_stress(state, grid, p, acc.anchor)
+    sigma_n = effective_stress(state, grid, terms.coeffs, acc.anchor)
     acc.sigma_integral += sigma_n * dt
     y = math.exp(acc.sigma_integral)
 
     h = (np.exp(-terms.v_pow)
-         * (state.theta + 0.5 * state.v * terms.b_sq) / terms.b_factor)
+         * (state.theta + 0.5 * state.v * terms.coeffs.b_sq) / terms.b_factor)
     sdt = sigma_n * dt
     geom = dt if sdt == 0.0 else math.expm1(sdt) / sigma_n
     acc.history = acc.history + h * geom / y
@@ -335,10 +359,18 @@ class DiagnosticsCollector:
 
     Use make_record(state) once for the initial record, then feed
     (state, report) pairs, e.g. sink=collector.on_step with solver.run_until.
+    The grid must hold at most SLAB_INTERVALS_PER_CELL unit mass intervals
+    per cell (ValueError otherwise), which bounds the slab integrals of every
+    record.
     """
 
     def __init__(self, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
                  state0: GasState, repr_anchor: Optional[int] = None):
+        if not slab_intervals_bounded(grid.cells, grid.mass):
+            raise ValueError(
+                f"grid mass {grid.mass:g} over {grid.cells} cells exceeds "
+                f"SLAB_INTERVALS_PER_CELL = {SLAB_INTERVALS_PER_CELL} unit "
+                "mass intervals per cell")
         self.grid, self.p = grid, p
         self.bnd = boundary_data(grid, bc, state0.t)  # unforced: no t dependence
         self.acc = (ReprAccumulator.start(state0, grid, p, repr_anchor)

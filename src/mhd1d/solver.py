@@ -15,8 +15,11 @@ freshest available fields:
 
 Nonpositive v anywhere, or a temperature solve that fails, discards the
 attempt, halves dt, and retries; the Newton solve damps its updates so that
-theta stays positive. Every stage reads the attempt's BoundaryData, which
-decides the boundary regime and carries any manufactured-solution sources.
+theta stays positive. Each attempt evaluates mu(v) of its new volume once;
+an accepted step hands the new state's StateCoeffs (mu(v), mu(v)/v, |b|^2
+and the total pressure) to the next step and to the monitors. Every stage
+reads the attempt's BoundaryData, which decides the boundary regime and
+carries any manufactured-solution sources.
 Interface diffusion coefficients are harmonic means of adjacent cell values;
 all other center-to-node transfers are arithmetic means.
 """
@@ -88,6 +91,28 @@ class StepControl:
             raise ValueError(f"newton_tol must be > 0, got {self.newton_tol}")
 
 
+@dataclass(frozen=True)
+class StateCoeffs:
+    """Cell coefficients of one state, built by state_coeffs: mu = mu(v),
+    mu_over_v = mu(v)/v, b_sq = |b|^2 and ptot the total pressure
+    R*theta/v + |b|^2/2. A step reads them as its stage-(a) coefficients and
+    its time-step bound; the monitors read them for the same state."""
+
+    mu: np.ndarray
+    mu_over_v: np.ndarray
+    b_sq: np.ndarray
+    ptot: np.ndarray
+
+
+def state_coeffs(state: GasState, mu: np.ndarray, p: PhysicalParams
+                 ) -> StateCoeffs:
+    """The StateCoeffs of a state whose viscosity mu = viscosity_mu(state.v, p)
+    is already evaluated (a step evaluates it as soon as the new v exists)."""
+    b_sq = sq2(state.b)
+    return StateCoeffs(mu=mu, mu_over_v=mu / state.v, b_sq=b_sq,
+                       ptot=pressure(state.v, state.theta, p) + 0.5 * b_sq)
+
+
 @dataclass
 class StepReport:
     """Bookkeeping for one accepted step.
@@ -95,17 +120,19 @@ class StepReport:
     The *_flux fields are the amounts the boundary terms added to the
     corresponding domain totals during this step (signed).
 
-    dissipation is the stage-(e) heating source per cell (dissipation_source
-    of the new state) and heat_flux the diffusive heat flux at every node of
-    the new state (heat_flux of its theta and v), both with the step's
-    boundary data, so the monitors need not compute them again. Both are None
-    for a forced (manufactured-solution) step, whose boundary data are not
-    the unforced ones the monitors use.
+    coeffs are the state_coeffs of the new state, which the next step and the
+    monitors read. dissipation is the stage-(e) heating source per cell
+    (dissipation_source of the new state) and heat_flux the diffusive heat
+    flux at every node of the new state (heat_flux of its theta and v), both
+    with the step's boundary data, so the monitors need not compute them
+    again. Both are None for a forced (manufactured-solution) step, whose
+    boundary data are not the unforced ones the monitors use.
     """
 
     dt_used: float
     newton_iterations: int
     retries: int
+    coeffs: StateCoeffs = field(repr=False, compare=False)
     mass_flux: float = 0.0
     momentum_flux: float = 0.0
     energy_flux: float = 0.0
@@ -226,7 +253,8 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
     a = p.kappa_tilde * theta ** p.beta / v
     H = np.empty(m + 1)
 
-    c_int = _harmonic(a[:-1], a[1:])
+    a_sum = a[:-1] + a[1:]
+    c_int = 2.0 * a[:-1] * a[1:] / a_sum  # harmonic mean, see _harmonic
     grad_int = (theta[1:] - theta[:-1]) / dx
     H[1:-1] = c_int * grad_int
 
@@ -250,10 +278,12 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
         # d(harmonic(x, y))/dx = 2 y^2 / (x + y)^2
         dh_left = np.zeros(m + 1)   # dH[j] / d theta[j-1]
         dh_right = np.zeros(m + 1)  # dH[j] / d theta[j]
-        dc_dal = 2.0 * a[1:] ** 2 / (a[:-1] + a[1:]) ** 2
-        dc_dar = 2.0 * a[:-1] ** 2 / (a[:-1] + a[1:]) ** 2
-        dh_left[1:-1] = dc_dal * da[:-1] * grad_int - c_int / dx
-        dh_right[1:-1] = dc_dar * da[1:] * grad_int + c_int / dx
+        a_sum_sq = a_sum ** 2
+        c_dx = c_int / dx
+        dc_dal = 2.0 * a[1:] ** 2 / a_sum_sq
+        dc_dar = 2.0 * a[:-1] ** 2 / a_sum_sq
+        dh_left[1:-1] = dc_dal * da[:-1] * grad_int - c_dx
+        dh_right[1:-1] = dc_dar * da[1:] * grad_int + c_dx
 
         if not bnd.left_wall:
             dc_l = 2.0 * a_gl ** 2 / (a_gl + a[0]) ** 2
@@ -277,27 +307,18 @@ def heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
     return heat_flux_and_jacobian(theta, v, dx, p, bnd)[0]
 
 
-def compute_dt(state: GasState, grid: Grid, p: PhysicalParams,
-               ctl: StepControl) -> float:
+def compute_dt(state: GasState, b_sq: np.ndarray, grid: Grid,
+               p: PhysicalParams, ctl: StepControl) -> float:
     """Hyperbolic time-step bound; diffusion is implicit and does not restrict dt.
 
     Per-cell Lagrangian fast magnetosonic speed sqrt(gamma*P*v + v*|b|^2) / v,
-    with the far-field signal speed as a floor, then clamped to
-    [dt_min, dt_max].
+    with b_sq = |b|^2 of the state, and the far-field signal speed as a floor,
+    then clamped to [dt_min, dt_max].
     """
-    s = np.sqrt(p.gamma * p.R * state.theta + state.v * sq2(state.b)) / state.v
+    s = np.sqrt(p.gamma * p.R * state.theta + state.v * b_sq) / state.v
     s_far = math.sqrt(p.gamma * p.R * FAR_FIELD_THETA * FAR_FIELD_V) / FAR_FIELD_V
     s_max = max(float(s.max()), s_far)
     return float(min(max(ctl.cfl * grid.dx / s_max, ctl.dt_min), ctl.dt_max))
-
-
-def velocity_coeffs(state: GasState, p: PhysicalParams
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-(a) cell coefficients of a state: mu(v)/v and the total pressure
-    R*theta/v + |b|^2/2."""
-    a = viscosity_mu(state.v, p) / state.v
-    g = pressure(state.v, state.theta, p) + 0.5 * sq2(state.b)
-    return a, g
 
 
 def _node_diffusion(a: np.ndarray, r: float, rhs: np.ndarray, left, right
@@ -317,15 +338,15 @@ def _node_diffusion(a: np.ndarray, r: float, rhs: np.ndarray, left, right
 
 
 def substep_velocity(state: GasState, grid: Grid, dt: float,
-                     bnd: BoundaryData,
-                     coeffs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                     bnd: BoundaryData, coeffs: StateCoeffs) -> np.ndarray:
     """Stage (a): implicit viscous solve for u with explicit total-pressure
-    gradient; coeffs are velocity_coeffs of the stage-begin state."""
-    a, g = coeffs
+    gradient; coeffs are the state_coeffs of the stage-begin state."""
+    g = coeffs.ptot
     rhs = state.u[1:-1] - (dt / grid.dx) * (g[1:] - g[:-1])
     if bnd.sources is not None:
         rhs = rhs + dt * bnd.sources["u"][1:-1]
-    return _node_diffusion(a, dt / grid.dx ** 2, rhs, bnd.u_left, bnd.u_right)
+    return _node_diffusion(coeffs.mu_over_v, dt / grid.dx ** 2, rhs, bnd.u_left,
+                           bnd.u_right)
 
 
 def substep_volume(state: GasState, u_new: np.ndarray, grid: Grid, dt: float,
@@ -386,25 +407,26 @@ def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
     return tridiag_solve(off, diag, off, rhs)
 
 
-def dissipation_source(v: np.ndarray, u: np.ndarray, w: np.ndarray,
-                       b: np.ndarray, grid: Grid, p: PhysicalParams,
-                       bnd: BoundaryData) -> np.ndarray:
+def dissipation_source(v: np.ndarray, mu: np.ndarray, ux: np.ndarray,
+                       w: np.ndarray, b: np.ndarray, grid: Grid,
+                       p: PhysicalParams, bnd: BoundaryData) -> np.ndarray:
     """Nonnegative viscous/resistive heating per cell,
-    (mu(v)*u_x^2 + lam*|w_x|^2 + nu*|b_x|^2) / v, with |b_x|^2 averaged from
-    the adjacent nodes."""
+    (mu(v)*u_x^2 + lam*|w_x|^2 + nu*|b_x|^2) / v, with mu = mu(v), the cell
+    gradient ux = (u[1:] - u[:-1]) / dx and |b_x|^2 averaged from the
+    adjacent nodes."""
     dx = grid.dx
-    ux = (u[1:] - u[:-1]) / dx
     wx_sq = sq2((w[1:] - w[:-1]) / dx)
     bx_sq = sq2(b_gradient(b, bnd, dx))
     bx_sq_cell = 0.5 * (bx_sq[:-1] + bx_sq[1:])
-    return (viscosity_mu(v, p) * ux ** 2 + p.lam * wx_sq + p.nu * bx_sq_cell) / v
+    return (mu * ux ** 2 + p.lam * wx_sq + p.nu * bx_sq_cell) / v
 
 
 def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
-                        w_new: np.ndarray, b_new: np.ndarray, grid: Grid,
-                        p: PhysicalParams, ctl: StepControl, dt: float,
-                        bnd: BoundaryData):
-    """Stage (e): fully implicit temperature solve by Newton iteration.
+                        w_new: np.ndarray, b_new: np.ndarray, mu_new: np.ndarray,
+                        grid: Grid, p: PhysicalParams, ctl: StepControl,
+                        dt: float, bnd: BoundaryData):
+    """Stage (e): fully implicit temperature solve by Newton iteration;
+    mu_new is viscosity_mu of v_new.
 
     Solves c_v*theta_t + (R*theta/v)*u_x = (kappa(theta)*theta_x/v)_x + Q with
     the compression term implicit in theta and Q the stage dissipation. The
@@ -425,7 +447,7 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     """
     dx = grid.dx
     ux = (u_new[1:] - u_new[:-1]) / dx
-    q = dissipation_source(v_new, u_new, w_new, b_new, grid, p, bnd)
+    q = dissipation_source(v_new, mu_new, ux, w_new, b_new, grid, p, bnd)
     s_theta = bnd.sources["theta"] if bnd.sources is not None else 0.0
 
     adv = p.R * ux / v_new
@@ -459,12 +481,14 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
         # Damp the update rather than clip: theta must stay positive for the
         # conductivity to be evaluable at the next iterate.
         guard = 0
-        while (theta + delta <= 0.0).any():
+        trial = theta + delta
+        while (trial <= 0.0).any():
             delta *= 0.5
             guard += 1
             if guard > 60:
                 raise _NewtonFailed
-        theta = theta + delta
+            trial = theta + delta
+        theta = trial
         if float(np.abs(delta).max()) <= ctl.newton_tol * scale:
             it, h = it + 1, None
             break
@@ -473,22 +497,25 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     return theta, it, q, h
 
 
-def _boundary_report(u_new, v_new, w_new, b_new, theta_new, grid: Grid,
-                     p: PhysicalParams, bnd: BoundaryData, dt: float,
-                     a_old: np.ndarray, g_old: np.ndarray, h: np.ndarray
+def _boundary_report(new: GasState, grid: Grid, p: PhysicalParams,
+                     bnd: BoundaryData, dt: float, old: StateCoeffs,
+                     coeffs: StateCoeffs, h: np.ndarray
                      ) -> tuple[float, float, float, float]:
     """Boundary flux totals (mass, momentum, total energy, entropy budget)
     added to the domain during this step.
 
-    a_old and g_old are the stage-(a) coefficients of the old state
-    (velocity_coeffs) and h the heat flux of the new state. Mass and
-    momentum reproduce the telescoped sums of stages (b) and (a) exactly; the
-    energy and entropy terms are second-order monitors.
+    old are the stage-(a) coefficients of the old state, coeffs those of the
+    new state and h its heat flux. Mass and momentum reproduce the telescoped
+    sums of stages (b) and (a) exactly; the energy and entropy terms are
+    second-order monitors. Each end's arithmetic runs on Python floats; its
+    2-vector dot products stay numpy @, whose rounding can differ from
+    x0*y0 + x1*y1.
     """
     dx = grid.dx
-    v_l, _, v_r, _ = end_nodes(v_new, bnd.v_gl, bnd.v_gr, bnd, dx)
-    th_l, _, th_r, _ = end_nodes(theta_new, bnd.th_gl, bnd.th_gr, bnd, dx)
-    b_l, bx_l, b_r, bx_r = end_nodes(b_new, bnd.b_gl, bnd.b_gr, bnd, dx)
+    u_new, w_new = new.u, new.w
+    v_l, _, v_r, _ = end_nodes(new.v, bnd.v_gl, bnd.v_gr, bnd, dx)
+    th_l, _, th_r, _ = end_nodes(new.theta, bnd.th_gl, bnd.th_gr, bnd, dx)
+    b_l, bx_l, b_r, bx_r = end_nodes(new.b, bnd.b_gl, bnd.b_gr, bnd, dx)
     if bnd.left_wall:
         # The wall node holds the wall's own b, and theta where it fixes one.
         b_l = bnd.b_gl
@@ -496,30 +523,32 @@ def _boundary_report(u_new, v_new, w_new, b_new, theta_new, grid: Grid,
 
     def end(c, j, v_node, th_node, b_node, bx):
         """Stress, energy flux and entropy flux at node j of end cell c."""
-        u, w, vc = u_new[j], w_new[j], v_new[c]
-        ux = (u_new[c + 1] - u_new[c]) / dx
+        v_node, th_node, hj = float(v_node), float(th_node), float(h[j])
+        u, w = float(u_new[j]), w_new[j]
+        ux = float(u_new[c + 1] - u_new[c]) / dx
         wx = (w_new[c + 1] - w_new[c]) / dx
         g_node = p.R * th_node / v_node + 0.5 * float(b_node @ b_node)
-        visc = viscosity_mu(vc, p) / vc * u * ux
-        wvisc = p.lam / vc * float(w @ wx)
+        visc = float(coeffs.mu_over_v[c]) * u * ux
+        wvisc = p.lam / float(new.v[c]) * float(w @ wx)
         wb = float(w @ b_node)
         bxb = float(b_node @ (p.nu / v_node * bx))
-        phi = u * g_node - wb - h[j] - visc - wvisc - bxb
-        bf = ((1.0 - 1.0 / th_node) * h[j] + bxb + visc + wvisc - u * g_node
+        phi = u * g_node - wb - hj - visc - wvisc - bxb
+        bf = ((1.0 - 1.0 / th_node) * hj + bxb + visc + wvisc - u * g_node
               + p.R * u + wb)
-        return a_old[c] * ux - g_old[c], phi, bf
+        return float(old.mu_over_v[c]) * ux - float(old.ptot[c]), phi, bf
 
     m = grid.cells
     stress_l, phi_l, bf_l = end(0, 0, v_l, th_l, b_l, bx_l)
     stress_r, phi_r, bf_r = end(m - 1, m, v_r, th_r, b_r, bx_r)
-    return (dt * (u_new[-1] - u_new[0]), dt * (stress_r - stress_l),
+    return (dt * float(u_new[-1] - u_new[0]), dt * (stress_r - stress_l),
             dt * (phi_l - phi_r), dt * (bf_r - bf_l))
 
 
 def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
-         ctl: StepControl, forcing=None, dt_cap: float | None = None
-         ) -> tuple[GasState, StepReport]:
-    """Advance one accepted step.
+         ctl: StepControl, coeffs: StateCoeffs, forcing=None,
+         dt_cap: float | None = None) -> tuple[GasState, StepReport]:
+    """Advance one accepted step; coeffs are the state_coeffs of state (the
+    previous step's report.coeffs).
 
     The proposed dt comes from compute_dt, optionally capped (used by
     run_until to land exactly on the end time). An attempt that produces
@@ -529,12 +558,11 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     Raises PositivityFailure after retry_max halvings (or a dt underflow),
     NewtonDivergence after two consecutive temperature-solve failures.
     """
-    dt = compute_dt(state, grid, p, ctl)
+    dt = compute_dt(state, coeffs.b_sq, grid, p, ctl)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     retries = 0
     newton_streak = 0
-    coeffs = velocity_coeffs(state, p)
 
     while True:
         t_new = state.t + dt
@@ -544,10 +572,11 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             v_new = substep_volume(state, u_new, grid, dt, bnd)
             if not (v_new > 0.0).all():
                 raise _PositivityRetry
+            mu_new = viscosity_mu(v_new, p)
             w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
             b_new = substep_induction(state, v_new, w_new, grid, p, dt, bnd)
             theta_new, iters, q, h = substep_temperature(
-                state, v_new, u_new, w_new, b_new, grid, p, ctl, dt, bnd)
+                state, v_new, u_new, w_new, b_new, mu_new, grid, p, ctl, dt, bnd)
         except _PositivityRetry:
             retries += 1
             if retries > ctl.retry_max:
@@ -574,18 +603,19 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             continue
         break
 
+    new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
+                         t=t_new, step=state.step + 1)
+    new_coeffs = state_coeffs(new_state, mu_new, p)
     if h is None:
         h = heat_flux(theta_new, v_new, grid.dx, p, bnd)
-    fluxes = _boundary_report(u_new, v_new, w_new, b_new, theta_new, grid, p,
-                              bnd, dt, *coeffs, h)
+    fluxes = _boundary_report(new_state, grid, p, bnd, dt, coeffs, new_coeffs, h)
     held = bnd.sources is None
     report = StepReport(dt_used=dt, newton_iterations=iters, retries=retries,
+                        coeffs=new_coeffs,
                         mass_flux=fluxes[0], momentum_flux=fluxes[1],
                         energy_flux=fluxes[2], entropy_flux=fluxes[3],
                         dissipation=q if held else None,
                         heat_flux=h if held else None)
-    new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
-                         t=t_new, step=state.step + 1)
     return new_state, report
 
 
@@ -593,13 +623,16 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
               bc: BoundaryCondition, ctl: StepControl, sink=None,
               forcing=None) -> GasState:
     """Step repeatedly until t_end, invoking sink(state, report) after each
-    accepted step. The final step is shortened to land exactly on t_end."""
+    accepted step, and hand each step's report.coeffs to the next. The final
+    step is shortened to land exactly on t_end."""
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before state time {state.t}")
     snap_tol = 1e-12 * max(1.0, abs(t_end))
+    coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
     while t_end - state.t > snap_tol:
-        state, report = step(state, grid, p, bc, ctl, forcing=forcing,
+        state, report = step(state, grid, p, bc, ctl, coeffs, forcing=forcing,
                              dt_cap=t_end - state.t)
+        coeffs = report.coeffs
         if sink is not None:
             sink(state, report)
     if state.t != t_end and abs(state.t - t_end) <= snap_tol:

@@ -40,8 +40,8 @@ from .solver import (
     heat_flux,
     induction_coeffs,
     run_until,
+    state_coeffs,
     tridiag_solve,
-    velocity_coeffs,
 )
 
 REFERENCE_MAX_CELLS = 64
@@ -196,8 +196,10 @@ def _semi_discrete_rhs(v, u, w, b, theta, grid: Grid, p: PhysicalParams,
     dx = grid.dx
     ux = np.diff(u) / dx  # v_t
 
-    a, g = velocity_coeffs(GasState(v=v, theta=theta, b=b, u=u, w=w), p)
-    visc = a * ux
+    coeffs = state_coeffs(GasState(v=v, theta=theta, b=b, u=u, w=w),
+                          viscosity_mu(v, p), p)
+    g = coeffs.ptot
+    visc = coeffs.mu_over_v * ux
     du = np.zeros_like(u)
     du[1:-1] = (visc[1:] - visc[:-1]) / dx - (g[1:] - g[:-1]) / dx
 
@@ -213,7 +215,7 @@ def _semi_discrete_rhs(v, u, w, b, theta, grid: Grid, p: PhysicalParams,
     db = (wx + np.diff(xflux, axis=0) / dx - b * ux[:, None]) / v[:, None]
 
     h = heat_flux(theta, v, dx, p, bnd)
-    q = dissipation_source(v, u, w, b, grid, p, bnd)
+    q = dissipation_source(v, coeffs.mu, ux, w, b, grid, p, bnd)
     dth = (-(p.R * theta / v) * ux + np.diff(h) / dx + q) / p.c_v
     return ux, du, dw, db, dth
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mhd1d.constitutive import viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
     GasState,
@@ -8,6 +9,7 @@ from mhd1d.core import (
     Grid,
     PhysicalParams,
 )
+from mhd1d.solver import state_coeffs
 
 ALL_REGIMES = [BoundaryCondition.CAUCHY_FAR_FIELD,
                BoundaryCondition.ISOTHERMAL_WALL_LEFT,
@@ -36,6 +38,12 @@ def reference_state(grid: Grid) -> GasState:
     m = grid.cells
     return GasState(v=np.ones(m), theta=np.ones(m), b=np.zeros((m, 2)),
                     u=np.zeros(m + 1), w=np.zeros((m + 1, 2)))
+
+
+def coeffs_of(state: GasState, p: PhysicalParams):
+    """The state's coefficients from the one builder, as a step's first
+    attempt and the record of an unstepped state evaluate them."""
+    return state_coeffs(state, viscosity_mu(state.v, p), p)
 
 
 def state_max_diff(a: GasState, b: GasState) -> float:

@@ -9,10 +9,9 @@ import itertools
 import json
 import math
 
-import numpy as np
 import pytest
 
-from conftest import reference_state, smooth_bump, state_max_diff
+from conftest import coeffs_of, reference_state, smooth_bump, state_max_diff
 from mhd1d import cli
 from mhd1d.core import (
     BoundaryCondition,
@@ -91,8 +90,10 @@ def test_criterion_01_equilibrium_fixed_point():
     for bc in ALL_REGIMES:
         grid = Grid.uniform(64, 32.0, 0.0 if bc.has_left_wall else -16.0)
         state = reference_state(grid)
+        coeffs = coeffs_of(state, p)
         for _ in range(1000):
-            state, _ = step(state, grid, p, bc, ctl)
+            state, report = step(state, grid, p, bc, ctl, coeffs)
+            coeffs = report.coeffs
         diff = state_max_diff(state, reference_state(grid))
         worst = max(worst, diff)
         assert diff <= 1e-12, bc

@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import reference_state, smooth_bump
+from conftest import reference_state
 from mhd1d import cli
-from mhd1d.config import SLAB_INTERVALS_PER_CELL, ConfigError, parse_config
+from mhd1d.config import ConfigError, parse_config
 from mhd1d.core import (
     BoundaryCondition,
     ConstantProfile,
@@ -17,7 +17,7 @@ from mhd1d.core import (
     PhysicalParams,
     make_initial_state,
 )
-from mhd1d.diagnostics import DiagnosticsCollector
+from mhd1d.diagnostics import SLAB_INTERVALS_PER_CELL, DiagnosticsCollector
 from mhd1d.snapshots import (
     SnapshotError,
     emit_diagnostics,

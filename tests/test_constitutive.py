@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import reference_state
+from conftest import coeffs_of, reference_state
 from mhd1d.constitutive import effective_stress, pressure, viscosity_mu
 from mhd1d.core import Grid, PhysicalParams
 from mhd1d.verification import MmsSolution
@@ -60,7 +60,8 @@ class TestViscosity:
 
 def interior_stress(state, grid, p):
     """effective_stress at every interior node."""
-    return np.array([effective_stress(state, grid, p, j)
+    coeffs = coeffs_of(state, p)
+    return np.array([effective_stress(state, grid, coeffs, j)
                      for j in range(1, grid.cells)])
 
 

@@ -1,10 +1,10 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from conftest import ALL_REGIMES, reference_state, smooth_bump
+from conftest import ALL_REGIMES, coeffs_of, reference_state, smooth_bump
 from mhd1d.constitutive import effective_stress, pressure, viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
@@ -14,6 +14,7 @@ from mhd1d.core import (
     make_initial_state,
 )
 from mhd1d.diagnostics import (
+    SLAB_INTERVALS_PER_CELL,
     DiagnosticsCollector,
     DiagnosticsRecord,
     ReprAccumulator,
@@ -359,6 +360,31 @@ class TestCollector:
         assert drifts[0] > drifts[1] > drifts[2]
         assert drifts[2] <= drifts[1] / 1.5
 
+    def test_grid_beyond_the_slab_bound_is_refused(self):
+        # 1e300 unit intervals: slab_integrals could not allocate them
+        grid = Grid(cells=4, dx=2.5e299)
+        p = PhysicalParams(R=1.1)
+        with pytest.raises(ValueError, match="SLAB_INTERVALS_PER_CELL"):
+            DiagnosticsCollector(grid, p, CAUCHY, reference_state(grid))
+        at_bound = Grid(cells=4, dx=float(SLAB_INTERVALS_PER_CELL))
+        coll = DiagnosticsCollector(at_bound, p, CAUCHY, reference_state(at_bound))
+        assert coll.make_record(reference_state(at_bound)).slab_v_max == 1.0
+
+    @pytest.mark.parametrize("bc", ALL_REGIMES)
+    def test_record_fields_are_builtin_scalars(self, bc):
+        wall = bc.has_left_wall
+        grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
+        coll = DiagnosticsCollector(grid, p, bc, state)
+        records = [coll.make_record(state)]
+        run_until(state, grid, 0.1, p, bc, StepControl(),
+                  sink=lambda s, r: records.append(coll.on_step(s, r)))
+        for record in records:
+            for f in fields(record):
+                value = getattr(record, f.name)
+                assert type(value) in (int, float, type(None)), (f.name, type(value))
+
 
 def energy_density(state, p):
     """c_v*theta + (u^2 + |w|^2 + v|b|^2)/2 per cell, with u and w averaged
@@ -392,7 +418,8 @@ class TestOnePassRecord:
         report = None
         for n in range(7):
             if n > 0:
-                state, report = step(state, grid, p, bc, StepControl())
+                state, report = step(state, grid, p, bc, StepControl(),
+                                     coeffs_of(state, p))
             record = collector.make_record(state, report)
 
             terms = terms_of(state, grid, p, bc, ref)
@@ -410,7 +437,8 @@ class TestOnePassRecord:
                 momentum_defect = (abs(momentum - prev_momentum - report.momentum_flux)
                                    / max(1.0, float(dx * np.sum(np.abs(state.u)))))
                 representation_update(ref, state, grid, dt, p, terms)
-                sigma_integral += effective_stress(state, grid, p, anchor) * dt
+                sigma_integral += effective_stress(state, grid, coeffs_of(state, p),
+                                                   anchor) * dt
                 assert collector.acc.sigma_integral == sigma_integral
                 assert np.array_equal(collector.acc.history, ref.history)
             prev_mass, prev_momentum = mass, momentum
@@ -445,11 +473,12 @@ class TestOnePassRecord:
         grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
-        state, report = step(state, grid, p, bc, StepControl())
+        state, report = step(state, grid, p, bc, StepControl(), coeffs_of(state, p))
         bnd = boundary_data(grid, bc, 0.0)
         handed = record_terms(state, grid, p, bnd, report=report)
         assert handed.heat_flux is report.heat_flux
         assert handed.dissipation is report.dissipation
+        assert handed.coeffs is report.coeffs
         # a forced step's report carries none: the terms compute them
         report.heat_flux = report.dissipation = None
         fresh = terms_of(state, grid, p, bc)
@@ -467,11 +496,12 @@ class TestOnePassRecord:
         ux_cell = np.diff(state.u) / grid.dx
         sigma = (0.5 * (mu_over_v[:-1] + mu_over_v[1:]) * 0.5 * (ux_cell[:-1] + ux_cell[1:])
                  - 0.5 * (ptot[:-1] + ptot[1:]))
+        coeffs = coeffs_of(state, p)
         for node in range(1, grid.cells):
-            assert effective_stress(state, grid, p, node) == sigma[node - 1]
+            assert effective_stress(state, grid, coeffs, node) == sigma[node - 1]
         for node in (0, grid.cells):
             with pytest.raises(ValueError, match="interior"):
-                effective_stress(state, grid, p, node)
+                effective_stress(state, grid, coeffs, node)
 
     def test_record_validates_the_state(self):
         grid = Grid.uniform(16, 8.0, -4.0)

@@ -4,7 +4,8 @@ public surface and carries a public name. The boundary regime of a step is
 read in solver.py alone; every other module closes its end nodes through
 solver.end_nodes. The monitors have one calling convention: each takes its
 context as required arguments (no parameter defaults), and in
-diagnostics.py only record_terms validates a state."""
+diagnostics.py only record_terms validates a state. No module of the package
+or of the tests imports a name it never reads."""
 import ast
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import mhd1d
 
 PACKAGE = Path(mhd1d.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 REGIME_FIELDS = ("left_wall", "isothermal")
@@ -144,3 +146,49 @@ def test_the_checks_see_defaults_and_validate_calls(tmp_path):
         "energy_entropy: terms", "pressure: check"]
     assert _validate_callers(probe) == ["energy_entropy", "make_record",
                                         "record_terms"]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names this module imports and never reads; a name listed in __all__
+    counts as read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts
+                     if isinstance(elt, ast.Constant)}
+    return sorted(f"line {line}: {name}" for name, line in imported.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    assert _unused_imports(path) == []
+
+
+def test_the_check_sees_unused_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os\n"
+                     "import numpy as np\n"
+                     "import xml.dom\n"
+                     "from .solver import step, heat_flux as hf, run_until\n"
+                     "__all__ = ['run_until']\n"
+                     "x = np.zeros(1)\n"
+                     "def f(a: hf) -> None:\n"
+                     "    os = 1\n")
+    assert _unused_imports(probe) == ["line 2: os", "line 4: xml",
+                                      "line 5: step"]

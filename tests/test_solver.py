@@ -1,22 +1,26 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 from scipy.linalg import solve_banded
 
-from conftest import ALL_REGIMES, reference_state, smooth_bump, state_max_diff
+from conftest import ALL_REGIMES, coeffs_of, reference_state, smooth_bump, state_max_diff
 from mhd1d import solver
+from mhd1d.constitutive import pressure, viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
-    GasState,
     GaussianBump,
     Grid,
     PhysicalParams,
     make_initial_state,
+    sq2,
 )
 from mhd1d.diagnostics import DiagnosticsCollector, dissipation_W, record_terms
 from mhd1d.solver import (
     NewtonDivergence,
     PositivityFailure,
+    StateCoeffs,
     StepControl,
     boundary_data,
     compute_dt,
@@ -31,7 +35,6 @@ from mhd1d.solver import (
     substep_velocity,
     substep_volume,
     tridiag_solve,
-    velocity_coeffs,
 )
 from mhd1d.verification import MmsForcing, MmsSolution, explicit_reference
 
@@ -62,7 +65,7 @@ class TestComputeDt:
         grid = Grid(cells=10, dx=0.1)
         state = reference_state(grid)
         p = PhysicalParams(R=1.0, c_v=1.0)
-        dt = compute_dt(state, grid, p, StepControl(cfl=0.4, dt_max=10.0))
+        dt = compute_dt(state, sq2(state.b), grid, p, StepControl(cfl=0.4, dt_max=10.0))
         assert dt == pytest.approx(0.4 * 0.1 / np.sqrt(2.0), rel=1e-12)
         assert dt == pytest.approx(0.028284, abs=1e-6)
 
@@ -71,7 +74,7 @@ class TestComputeDt:
         state = reference_state(grid)
         state.b[:, 0] = np.sqrt(2.0)  # |b|^2 = 2 -> s = sqrt(2 + 2) = 2
         p = PhysicalParams(R=1.0, c_v=1.0)
-        dt = compute_dt(state, grid, p, StepControl(cfl=0.4, dt_max=10.0))
+        dt = compute_dt(state, sq2(state.b), grid, p, StepControl(cfl=0.4, dt_max=10.0))
         assert dt == pytest.approx(0.02, rel=1e-12)
 
     def test_clamped_to_bounds(self):
@@ -79,10 +82,10 @@ class TestComputeDt:
         state = reference_state(grid)
         p = PhysicalParams()
         ctl = StepControl(dt_min=1e-3, dt_max=2e-3)
-        assert 1e-3 <= compute_dt(state, grid, p, ctl) <= 2e-3
+        assert 1e-3 <= compute_dt(state, sq2(state.b), grid, p, ctl) <= 2e-3
         hot = reference_state(grid)
         hot.theta[:] = 1e8
-        assert compute_dt(hot, grid, p, ctl) == 1e-3
+        assert compute_dt(hot, sq2(hot.b), grid, p, ctl) == 1e-3
 
 
 class TestEquilibriumFixedPoint:
@@ -92,8 +95,10 @@ class TestEquilibriumFixedPoint:
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         state = reference_state(grid)
         ctl = StepControl()
+        coeffs = coeffs_of(state, p)
         for _ in range(20):
-            state, report = step(state, grid, p, bc, ctl)
+            state, report = step(state, grid, p, bc, ctl, coeffs)
+            coeffs = report.coeffs
         assert np.all(state.v == 1.0)
         assert np.all(state.theta == 1.0)
         assert np.all(state.u == 0.0)
@@ -123,7 +128,7 @@ class TestSubstepsInIsolation:
 
     def velocity(self):
         return substep_velocity(self.state, self.grid, self.dt, self.bnd,
-                                velocity_coeffs(self.state, self.p))
+                                coeffs_of(self.state, self.p))
 
     def test_velocity_matches_dense_solve(self):
         grid, p, state, dt = self.grid, self.p, self.state, self.dt
@@ -212,8 +217,8 @@ class TestSubstepsInIsolation:
         w_new = state.w.copy()
         b_new = state.b.copy()
         theta_new, iters, _, _ = substep_temperature(
-            state, v_new, u_new, w_new, b_new, grid, p, StepControl(), dt,
-            self.bnd)
+            state, v_new, u_new, w_new, b_new, viscosity_mu(v_new, p), grid, p,
+            StepControl(), dt, self.bnd)
 
         a = p.kappa_tilde / v_new
         c = np.empty(m + 1)
@@ -349,12 +354,15 @@ class TestStepHandsOverMonitorInputs:
         collector = DiagnosticsCollector(grid, p, bc, state)
         bnd = boundary_data(grid, bc, 0.0)
         for _ in range(6):
-            state, report = step(state, grid, p, bc, StepControl())
+            state, report = step(state, grid, p, bc, StepControl(),
+                                 coeffs_of(state, p))
             assert np.array_equal(report.heat_flux,
                                   heat_flux(state.theta, state.v, grid.dx, p, bnd))
+            ux = (state.u[1:] - state.u[:-1]) / grid.dx
             assert np.array_equal(report.dissipation,
-                                  dissipation_source(state.v, state.u, state.w,
-                                                     state.b, grid, p, bnd))
+                                  dissipation_source(state.v, viscosity_mu(state.v, p),
+                                                     ux, state.w, state.b, grid, p,
+                                                     bnd))
             record = collector.on_step(state, report)
             assert record.W == dissipation_W(state, grid, p,
                                              record_terms(state, grid, p, bnd))
@@ -364,9 +372,120 @@ class TestStepHandsOverMonitorInputs:
         sol = MmsSolution(amp_v=0.1, amp_theta=0.1)
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         grid = Grid.uniform(16, 1.0, 0.0)
-        _, report = step(sol.state(grid, 0.0), grid, p, CAUCHY,
-                         StepControl(dt_max=1e-3), forcing=MmsForcing(sol, p))
+        state = sol.state(grid, 0.0)
+        _, report = step(state, grid, p, CAUCHY, StepControl(dt_max=1e-3),
+                         coeffs_of(state, p), forcing=MmsForcing(sol, p))
         assert report.heat_flux is None and report.dissipation is None
+
+
+def assert_carried(report, state, p):
+    """Every array of the report's coefficients equals the builder's."""
+    fresh = coeffs_of(state, p)
+    for f in fields(StateCoeffs):
+        assert np.array_equal(getattr(report.coeffs, f.name),
+                              getattr(fresh, f.name)), f.name
+
+
+def end_fluxes_reference(old, new, grid, p, bnd, dt, h):
+    """The boundary report as it was written before the coefficients were
+    carried: numpy scalars throughout, viscosity_mu of each end cell's own
+    volume, and the old state's coefficients evaluated here."""
+    dx = grid.dx
+    u_new, v_new, w_new = new.u, new.v, new.w
+    a_old = viscosity_mu(old.v, p) / old.v
+    g_old = pressure(old.v, old.theta, p) + 0.5 * np.sum(old.b ** 2, axis=1)
+    v_l, _, v_r, _ = end_nodes(v_new, bnd.v_gl, bnd.v_gr, bnd, dx)
+    th_l, _, th_r, _ = end_nodes(new.theta, bnd.th_gl, bnd.th_gr, bnd, dx)
+    b_l, bx_l, b_r, bx_r = end_nodes(new.b, bnd.b_gl, bnd.b_gr, bnd, dx)
+    if bnd.left_wall:
+        b_l = bnd.b_gl
+        th_l = th_l if bnd.th_gl is None else bnd.th_gl
+
+    def end(c, j, v_node, th_node, b_node, bx):
+        u, w, vc = u_new[j], w_new[j], v_new[c]
+        ux = (u_new[c + 1] - u_new[c]) / dx
+        wx = (w_new[c + 1] - w_new[c]) / dx
+        g_node = p.R * th_node / v_node + 0.5 * float(b_node @ b_node)
+        visc = viscosity_mu(vc, p) / vc * u * ux
+        wvisc = p.lam / vc * float(w @ wx)
+        wb = float(w @ b_node)
+        bxb = float(b_node @ (p.nu / v_node * bx))
+        phi = u * g_node - wb - h[j] - visc - wvisc - bxb
+        bf = ((1.0 - 1.0 / th_node) * h[j] + bxb + visc + wvisc - u * g_node
+              + p.R * u + wb)
+        return a_old[c] * ux - g_old[c], phi, bf
+
+    m = grid.cells
+    stress_l, phi_l, bf_l = end(0, 0, v_l, th_l, b_l, bx_l)
+    stress_r, phi_r, bf_r = end(m - 1, m, v_r, th_r, b_r, bx_r)
+    return (dt * (u_new[-1] - u_new[0]), dt * (stress_r - stress_l),
+            dt * (phi_l - phi_r), dt * (bf_r - bf_l))
+
+
+class TestStepCarriesCoefficients:
+    """A step hands the new state's coefficients to the next step and the
+    monitors; they must be the builder's, bit for bit."""
+
+    @pytest.mark.parametrize("bc", ALL_REGIMES)
+    def test_unforced_steps(self, bc):
+        wall = bc.has_left_wall
+        grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
+        p = PhysicalParams(mu1=0.8, mu2=0.6, alpha=1.3, beta=0.7)
+        state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
+        coeffs = coeffs_of(state, p)
+        for _ in range(5):
+            state, report = step(state, grid, p, bc, StepControl(), coeffs)
+            assert_carried(report, state, p)
+            coeffs = report.coeffs
+
+    def test_forced_step(self):
+        sol = MmsSolution(amp_v=0.1, amp_u=0.2, amp_theta=0.1, amp_w=(0.1, 0.2),
+                          amp_b=(0.2, 0.1))
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        grid = Grid.uniform(16, 1.0, 0.1)
+        state = sol.state(grid, 0.0)
+        new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=1e-3),
+                           coeffs_of(state, p), forcing=MmsForcing(sol, p))
+        assert_carried(report, new, p)
+
+    def test_retried_step(self):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=0.5, beta=1.0)
+        state = reference_state(grid)
+        state.u = -10.0 * np.tanh(grid.nodes())
+        state.u[0] = state.u[-1] = 0.0
+        ctl = StepControl(cfl=1.0, dt_min=1e-12, dt_max=0.2)
+        new, report = step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+        assert report.retries >= 1
+        assert_carried(report, new, p)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.3])
+    def test_boundary_fluxes_match_the_scalar_report(self, alpha):
+        # manufactured data put nonzero b and w on both end nodes, so each of
+        # the four 2-vector products contributes
+        rng = np.random.default_rng(11)
+        grid = Grid.uniform(16, 1.0, 0.1)
+        p = PhysicalParams(mu1=1.0, mu2=0.7, alpha=alpha, beta=1.2, lam=0.9,
+                           nu=1.1, R=1.05)
+        for _ in range(6):
+            sol = MmsSolution(amp_v=rng.uniform(-0.5, 0.5), amp_u=rng.uniform(-1, 1),
+                              amp_theta=rng.uniform(-0.5, 0.5),
+                              amp_w=tuple(rng.uniform(-1, 1, 2)),
+                              amp_b=tuple(rng.uniform(-1, 1, 2)))
+            forcing = MmsForcing(sol, p)
+            state = sol.state(grid, 0.0)
+            coeffs = coeffs_of(state, p)
+            for _ in range(3):
+                new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=2e-3),
+                                   coeffs, forcing=forcing)
+                bnd = boundary_data(grid, CAUCHY, new.t, forcing)
+                assert np.all(new.w[[0, -1]] != 0.0) and np.all(bnd.b_gl != 0.0)
+                h = heat_flux(new.theta, new.v, grid.dx, p, bnd)
+                expected = end_fluxes_reference(state, new, grid, p, bnd,
+                                                report.dt_used, h)
+                assert (report.mass_flux, report.momentum_flux, report.energy_flux,
+                        report.entropy_flux) == expected
+                state, coeffs = new, report.coeffs
 
 
 class TestForcingRegime:
@@ -376,8 +495,9 @@ class TestForcingRegime:
         sol = MmsSolution(amp_v=0.1, amp_theta=0.1)
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         grid = Grid.uniform(16, 1.0, 0.0)
+        state = sol.state(grid, 0.0)
         with pytest.raises(ValueError, match="Cauchy"):
-            step(sol.state(grid, 0.0), grid, p, bc, StepControl(dt_max=1e-3),
+            step(state, grid, p, bc, StepControl(dt_max=1e-3), coeffs_of(state, p),
                  forcing=MmsForcing(sol, p))
 
 
@@ -387,10 +507,12 @@ class TestStepBudgets:
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         state = bump_state(grid)
         ctl = StepControl()
+        coeffs = coeffs_of(state, p)
         for _ in range(25):
             mass0 = grid.dx * np.sum(state.v)
             mom0 = grid.dx * np.sum(state.u)
-            state, report = step(state, grid, p, CAUCHY, ctl)
+            state, report = step(state, grid, p, CAUCHY, ctl, coeffs)
+            coeffs = report.coeffs
             mass1 = grid.dx * np.sum(state.v)
             mom1 = grid.dx * np.sum(state.u)
             assert abs(mass1 - mass0 - report.mass_flux) / mass0 <= 1e-13
@@ -497,7 +619,7 @@ class TestWallRegimes:
         state = make_initial_state(grid, GaussianBump(
             center=0.75, width=1.0, amp_theta=3.0), bc)
         assert state.theta[0] > 2.0 and state.theta[-1] == 1.0
-        new, report = step(state, grid, p, bc, StepControl())
+        new, report = step(state, grid, p, bc, StepControl(), coeffs_of(state, p))
         assert new.theta[-1] == 1.0
         assert report.entropy_flux == 0.0
         assert report.energy_flux < 0.0
@@ -543,7 +665,7 @@ class TestFailureModes:
         state.u = -10.0 * np.tanh(grid.nodes())
         state.u[0] = state.u[-1] = 0.0
         ctl = StepControl(cfl=1.0, dt_min=1e-12, dt_max=0.2, retry_max=20)
-        new_state, report = step(state, grid, p, CAUCHY, ctl)
+        new_state, report = step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
         assert report.retries >= 1
         assert new_state.v.min() > 0.0
 
@@ -555,7 +677,7 @@ class TestFailureModes:
         state.u[0] = state.u[-1] = 0.0
         ctl = StepControl(cfl=1.0, dt_min=1e-12, dt_max=0.2, retry_max=0)
         with pytest.raises(PositivityFailure) as err:
-            step(state, grid, p, CAUCHY, ctl)
+            step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
         assert err.value.t == state.t
 
     def test_newton_divergence_after_two_failures(self):
@@ -564,7 +686,7 @@ class TestFailureModes:
         state = bump_state(grid)
         ctl = StepControl(newton_max_iter=0, dt_min=1e-12)
         with pytest.raises(NewtonDivergence):
-            step(state, grid, p, CAUCHY, ctl)
+            step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
 
 
 class TestRunUntil:
