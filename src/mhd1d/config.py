@@ -7,6 +7,7 @@ table and defaults.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -35,49 +36,53 @@ _BC_NAMES = {
     "insulated_wall": BoundaryCondition.INSULATED_WALL_LEFT,
 }
 
-# key -> (parser, default); None default means "computed later"
+# key -> (parser, default, lower bound); a None default means "computed
+# later"; a bound (op, limit) holds for every value a config sets, and the
+# rules that join keys live in parse_config
 _KEYS = {
-    "grid.cells": (int, 512),
-    "grid.mass": (float, 32.0),
-    "grid.left": (float, None),
-    "bc": (str, "cauchy"),
-    "params.preset": (str, None),
-    "params.alpha": (float, 0.0),
-    "params.beta": (float, 1.0),
-    "params.mu1": (float, 1.0),
-    "params.mu2": (float, 0.0),
-    "params.kappa": (float, 1.0),
-    "params.lambda": (float, 1.0),
-    "params.nu": (float, 1.0),
-    "params.R": (float, 1.0),
-    "params.cv": (float, 1.0),
-    "initial.profile": (str, "constant"),
-    "initial.center": (float, 0.0),
-    "initial.width": (float, 1.0),
-    "initial.amp_v": (float, 0.0),
-    "initial.amp_u": (float, 0.0),
-    "initial.amp_theta": (float, 0.0),
-    "initial.amp_b1": (float, 0.0),
-    "initial.amp_b2": (float, 0.0),
-    "initial.amp_w1": (float, 0.0),
-    "initial.amp_w2": (float, 0.0),
-    "initial.jitter": (float, 0.0),
-    "initial.file": (str, None),
-    "time.t_end": (float, 1.0),
-    "time.cfl": (float, 0.4),
-    "time.dt_min": (float, 1e-10),
-    "time.dt_max": (float, 1.0),
-    "time.newton_tol": (float, 1e-10),
-    "time.newton_max_iter": (int, 50),
-    "time.retry_max": (int, 20),
-    "output.dir": (str, "out"),
-    "output.snapshot_interval": (float, 0.0),
-    "output.diagnostics_every": (int, 1),
-    "repr.anchor": (float, None),
-    "seed": (int, 0),
-    "sweep.cap": (int, 64),
-    "sweep.workers": (int, 1),
+    "grid.cells": (int, 512, (">=", 4)),
+    "grid.mass": (float, 32.0, (">", 0)),
+    "grid.left": (float, None, None),
+    "bc": (str, "cauchy", None),
+    "params.preset": (str, None, None),
+    "params.alpha": (float, 0.0, (">=", 0)),
+    "params.beta": (float, 1.0, (">=", 0)),
+    "params.mu1": (float, 1.0, (">", 0)),
+    "params.mu2": (float, 0.0, (">=", 0)),
+    "params.kappa": (float, 1.0, (">", 0)),
+    "params.lambda": (float, 1.0, (">", 0)),
+    "params.nu": (float, 1.0, (">", 0)),
+    "params.R": (float, 1.0, (">", 0)),
+    "params.cv": (float, 1.0, (">", 0)),
+    "initial.profile": (str, "constant", None),
+    "initial.center": (float, 0.0, None),
+    "initial.width": (float, 1.0, (">", 0)),
+    "initial.amp_v": (float, 0.0, None),
+    "initial.amp_u": (float, 0.0, None),
+    "initial.amp_theta": (float, 0.0, None),
+    "initial.amp_b1": (float, 0.0, None),
+    "initial.amp_b2": (float, 0.0, None),
+    "initial.amp_w1": (float, 0.0, None),
+    "initial.amp_w2": (float, 0.0, None),
+    "initial.jitter": (float, 0.0, (">=", 0)),
+    "initial.file": (str, None, None),
+    "time.t_end": (float, 1.0, (">", 0)),
+    "time.cfl": (float, 0.4, None),
+    "time.dt_min": (float, 1e-10, (">", 0)),
+    "time.dt_max": (float, 1.0, None),
+    "time.newton_tol": (float, 1e-10, (">", 0)),
+    "time.newton_max_iter": (int, 50, (">=", 0)),
+    "time.retry_max": (int, 20, (">=", 0)),
+    "output.dir": (str, "out", None),
+    "output.snapshot_interval": (float, 0.0, (">=", 0)),
+    "output.diagnostics_every": (int, 1, (">=", 1)),
+    "repr.anchor": (float, None, None),
+    "seed": (int, 0, (">=", 0)),
+    "sweep.cap": (int, 64, (">=", 1)),
+    "sweep.workers": (int, 1, (">=", 1)),
 }
+
+_BOUND_OPS = {">": operator.gt, ">=": operator.ge}
 
 _PRESET_FIXED = ("params.mu1", "params.mu2", "params.kappa", "params.lambda",
                  "params.nu", "params.R", "params.cv")
@@ -96,7 +101,6 @@ class RunConfig:
     out_dir: str
     snapshot_interval: float
     diagnostics_every: int
-    seed: int
     sweep_cap: int
     sweep_workers: int
     repr_anchor: Optional[float]
@@ -157,7 +161,7 @@ class _Lookup:
         self.entries = entries
 
     def get(self, key):
-        parser, default = _KEYS[key]
+        parser, default, bound = _KEYS[key]
         if key not in self.entries:
             return default
         raw, lineno = self.entries[key]
@@ -169,6 +173,8 @@ class _Lookup:
         if parser is float and not math.isfinite(value):
             raise ConfigError(f"line {lineno}: key '{key}' expects a finite "
                               f"float, got {raw!r}")
+        if bound is not None and not _BOUND_OPS[bound[0]](value, bound[1]):
+            self.fail(key, "{} {} {}".format(key.rpartition(".")[2], *bound))
         return value
 
     def was_set(self, key) -> bool:
@@ -204,7 +210,9 @@ def _nodes_resolved(grid: Grid) -> bool:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a configuration."""
+    """Parse and fully validate a configuration. Each key's own lower bound
+    is checked as the key is read (_KEYS); the checks here are the rest:
+    names, upper bounds and the rules that join keys."""
     look = _Lookup(_raw_entries(text))
 
     bc_name = look.get("bc")
@@ -212,12 +220,7 @@ def parse_config(text: str) -> RunConfig:
         look.fail("bc", f"one of {sorted(_BC_NAMES)}")
     bc = _BC_NAMES[bc_name]
 
-    cells = look.get("grid.cells")
-    if cells < 4:
-        look.fail("grid.cells", "cells >= 4")
-    mass = look.get("grid.mass")
-    if not mass > 0.0:
-        look.fail("grid.mass", "mass > 0")
+    cells, mass = look.get("grid.cells"), look.get("grid.mass")
     if not slab_intervals_bounded(cells, mass):
         look.fail("grid.mass", f"mass <= {SLAB_INTERVALS_PER_CELL} * grid.cells "
                   "(at most that many unit intervals per cell)")
@@ -233,12 +236,7 @@ def parse_config(text: str) -> RunConfig:
     preset = look.get("params.preset")
     if preset is not None and preset != "normalized":
         look.fail("params.preset", "'normalized' (or omit the key)")
-    alpha = look.get("params.alpha")
-    beta = look.get("params.beta")
-    if alpha < 0.0:
-        look.fail("params.alpha", "alpha >= 0")
-    if beta < 0.0:
-        look.fail("params.beta", "beta >= 0")
+    alpha, beta = look.get("params.alpha"), look.get("params.beta")
     if preset == "normalized":
         for key in _PRESET_FIXED:
             if look.was_set(key):
@@ -246,38 +244,20 @@ def parse_config(text: str) -> RunConfig:
                                "params.preset = normalized")
         params = _build("params.alpha, params.beta",
                         PhysicalParams.normalized, alpha=alpha, beta=beta)
-    else:
-        positive = {"params.mu1": "mu1", "params.kappa": "kappa_tilde",
-                    "params.lambda": "lam", "params.nu": "nu",
-                    "params.R": "R", "params.cv": "c_v"}
-        values = {}
-        for key, field_name in positive.items():
-            val = look.get(key)
-            if not val > 0.0:
-                look.fail(key, f"{field_name} > 0")
-            values[field_name] = val
-        mu2 = look.get("params.mu2")
-        if mu2 < 0.0:
-            look.fail("params.mu2", "mu2 >= 0")
+    else:  # keyword order is read order, which decides the key a fault names
         params = _build("params.*", PhysicalParams,
-                        mu1=values["mu1"], mu2=mu2, alpha=alpha,
-                        kappa_tilde=values["kappa_tilde"], beta=beta,
-                        lam=values["lam"], nu=values["nu"],
-                        R=values["R"], c_v=values["c_v"])
+                        mu1=look.get("params.mu1"),
+                        kappa_tilde=look.get("params.kappa"),
+                        lam=look.get("params.lambda"), nu=look.get("params.nu"),
+                        R=look.get("params.R"), c_v=look.get("params.cv"),
+                        mu2=look.get("params.mu2"), alpha=alpha, beta=beta)
 
     profile_kind = look.get("initial.profile")
-    seed = look.get("seed")
-    if seed < 0:
-        look.fail("seed", "seed >= 0")
+    seed = look.get("seed")  # read, and so bounded, with or without jitter
     if profile_kind == "constant":
         profile: InitialProfile = ConstantProfile()
     elif profile_kind == "gaussian_bump":
-        width = look.get("initial.width")
-        if not width > 0.0:
-            look.fail("initial.width", "width > 0")
-        jitter = look.get("initial.jitter")
-        if jitter < 0.0:
-            look.fail("initial.jitter", "jitter >= 0")
+        width, jitter = look.get("initial.width"), look.get("initial.jitter")
         amps = {name: look.get(f"initial.amp_{name}")
                 for name in ("v", "u", "theta", "b1", "b2", "w1", "w2")}
         if jitter > 0.0:
@@ -303,34 +283,15 @@ def parse_config(text: str) -> RunConfig:
     dt_min, dt_max = look.get("time.dt_min"), look.get("time.dt_max")
     if not dt_min < dt_max:
         look.fail("time.dt_max", "dt_min < dt_max")
-    newton_tol = look.get("time.newton_tol")
-    if not newton_tol > 0.0:
-        look.fail("time.newton_tol", "newton_tol > 0")
-    newton_max_iter = look.get("time.newton_max_iter")
-    if newton_max_iter < 0:
-        look.fail("time.newton_max_iter", "newton_max_iter >= 0")
-    retry_max = look.get("time.retry_max")
-    if retry_max < 0:
-        look.fail("time.retry_max", "retry_max >= 0")
     control = _build("time.*", StepControl, cfl=cfl, dt_min=dt_min,
-                     dt_max=dt_max, newton_tol=newton_tol,
-                     newton_max_iter=newton_max_iter, retry_max=retry_max)
+                     dt_max=dt_max, newton_tol=look.get("time.newton_tol"),
+                     newton_max_iter=look.get("time.newton_max_iter"),
+                     retry_max=look.get("time.retry_max"))
 
     t_end = look.get("time.t_end")
-    if not t_end > 0.0:
-        look.fail("time.t_end", "t_end > 0")
     snap_int = look.get("output.snapshot_interval")
-    if snap_int < 0.0:
-        look.fail("output.snapshot_interval", "snapshot_interval >= 0")
     diag_every = look.get("output.diagnostics_every")
-    if diag_every < 1:
-        look.fail("output.diagnostics_every", "diagnostics_every >= 1")
-    cap = look.get("sweep.cap")
-    if cap < 1:
-        look.fail("sweep.cap", "cap >= 1")
-    workers = look.get("sweep.workers")
-    if workers < 1:
-        look.fail("sweep.workers", "workers >= 1")
+    cap, workers = look.get("sweep.cap"), look.get("sweep.workers")
 
     anchor = look.get("repr.anchor")  # used at its nearest node
     if anchor is not None and not (grid.left_edge < anchor < grid.right_edge and
@@ -341,7 +302,7 @@ def parse_config(text: str) -> RunConfig:
                      control=control, t_end=t_end,
                      out_dir=look.get("output.dir"),
                      snapshot_interval=snap_int, diagnostics_every=diag_every,
-                     seed=seed, sweep_cap=cap, sweep_workers=workers,
+                     sweep_cap=cap, sweep_workers=workers,
                      repr_anchor=anchor,
                      normalized_preset=(preset == "normalized"))
 

@@ -279,11 +279,6 @@ def make_initial_state(grid: Grid, profile: InitialProfile,
     else:
         raise TypeError(f"unknown profile type {type(profile).__name__}")
 
-    if not np.all(state.v > 0.0):
-        raise ProfileError(f"initial specific volume has min {state.v.min()} <= 0")
-    if not np.all(state.theta > 0.0):
-        raise ProfileError(f"initial temperature has min {state.theta.min()} <= 0")
-
     if bc.has_left_wall:
         bad = []
         if abs(state.u[0]) > WALL_TOL:

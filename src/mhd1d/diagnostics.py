@@ -41,6 +41,11 @@ from .solver import (
 # (slab_integrals), so the bound keeps a record O(cells)
 SLAB_INTERVALS_PER_CELL = 16
 
+# |sigma_integral - offset| past which a ReprAccumulator is rescaled: e**512
+# is about 1e222, so the factor and the history stay finite, and a run whose
+# stress integral stays within 512 of zero is never rescaled
+_REPR_RESCALE = 512.0
+
 
 @dataclass(frozen=True)
 class RecordTerms:
@@ -216,9 +221,13 @@ class ReprAccumulator:
     """Running integrals behind the volume representation formula.
 
     anchor is a node index at an integer mass coordinate. sigma_integral is
-    the time integral of the effective stress at the anchor (whose exponential
-    is the stress-history factor, positive by construction). history is the
-    per-cell temperature/magnetic history integral. init_factor stores
+    the time integral S of the effective stress at the anchor, whose
+    exponential Y = exp(S) is the stress-history factor, positive by
+    construction. With H the per-cell temperature/magnetic history integral,
+    the reconstruction's factor Y * (1 + H) is held as
+    exp(S - offset) * (unit + history): offset = 0, unit = 1 and history = H
+    until the first rescale (_REPR_RESCALE), unit = 0 and history =
+    exp(offset) * (1 + H) after it. init_factor stores
     v0 * exp(-v0**(-alpha)) and u0_integral the initial velocity integral from
     the anchor to each cell center.
     """
@@ -226,6 +235,8 @@ class ReprAccumulator:
     anchor: int
     t: float
     sigma_integral: float
+    offset: float
+    unit: float
     history: np.ndarray
     init_factor: np.ndarray
     u0_integral: np.ndarray
@@ -240,9 +251,9 @@ class ReprAccumulator:
             raise ValueError(f"anchor node {anchor} must be interior")
         init_factor = state0.v * np.exp(-state0.v ** (-p.alpha))
         u0_int = _integral_to_centers(state0.u, grid, anchor)
-        return cls(anchor=anchor, t=state0.t, sigma_integral=0.0,
-                   history=np.zeros(grid.cells), init_factor=init_factor,
-                   u0_integral=u0_int)
+        return cls(anchor=anchor, t=state0.t, sigma_integral=0.0, offset=0.0,
+                   unit=1.0, history=np.zeros(grid.cells),
+                   init_factor=init_factor, u0_integral=u0_int)
 
 
 def default_anchor(grid: Grid) -> int:
@@ -286,7 +297,12 @@ def representation_update(acc: ReprAccumulator, state: GasState, grid: Grid,
     _require_normalized(p)
     sigma_n = effective_stress(state, grid, terms.coeffs, acc.anchor)
     acc.sigma_integral += sigma_n * dt
-    y = math.exp(acc.sigma_integral)
+    if abs(acc.sigma_integral - acc.offset) > _REPR_RESCALE:
+        # move the offset to S, folding the factor into the history
+        acc.history = ((acc.unit + acc.history)
+                       * math.exp(acc.sigma_integral - acc.offset))
+        acc.unit, acc.offset = 0.0, acc.sigma_integral
+    y = math.exp(acc.sigma_integral - acc.offset)
 
     h = (np.exp(-terms.v_pow)
          * (state.theta + 0.5 * state.v * terms.coeffs.b_sq) / terms.b_factor)
@@ -304,8 +320,8 @@ def representation_residual(acc: ReprAccumulator, state: GasState, grid: Grid,
     trajectory that produced the state. terms are the record_terms of the
     state with acc."""
     _require_normalized(p)
-    y = math.exp(acc.sigma_integral)
-    pred = terms.b_factor * y * np.exp(terms.v_pow) * (1.0 + acc.history)
+    y = math.exp(acc.sigma_integral - acc.offset)
+    pred = terms.b_factor * y * np.exp(terms.v_pow) * (acc.unit + acc.history)
     return np.abs(state.v - pred) / state.v
 
 

@@ -56,7 +56,8 @@ class SolverFailure(RuntimeError):
 
 
 class PositivityFailure(SolverFailure):
-    """Raised when retry_max halvings of dt still produce v <= 0 or theta <= 0."""
+    """Raised when retry_max halvings of dt still produce v <= 0 (the
+    temperature solve keeps theta positive by damping its updates)."""
 
 
 class NewtonDivergence(SolverFailure):
@@ -85,10 +86,14 @@ class StepControl:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
+        if not self.dt_min > 0.0:
+            raise ValueError(f"dt_min must be > 0, got {self.dt_min}")
         if not self.dt_min < self.dt_max:
             raise ValueError(f"need dt_min < dt_max, got {self.dt_min} >= {self.dt_max}")
         if not self.newton_tol > 0.0:
             raise ValueError(f"newton_tol must be > 0, got {self.newton_tol}")
+        if not self.newton_max_iter >= 0:
+            raise ValueError(f"newton_max_iter must be >= 0, got {self.newton_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -133,12 +138,12 @@ class StepReport:
     newton_iterations: int
     retries: int
     coeffs: StateCoeffs = field(repr=False, compare=False)
-    mass_flux: float = 0.0
-    momentum_flux: float = 0.0
-    energy_flux: float = 0.0
-    entropy_flux: float = 0.0
-    dissipation: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    heat_flux: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    mass_flux: float
+    momentum_flux: float
+    energy_flux: float
+    entropy_flux: float
+    dissipation: Optional[np.ndarray] = field(repr=False, compare=False)
+    heat_flux: Optional[np.ndarray] = field(repr=False, compare=False)
 
 
 @dataclass
@@ -492,8 +497,6 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
         if float(np.abs(delta).max()) <= ctl.newton_tol * scale:
             it, h = it + 1, None
             break
-    else:
-        raise _NewtonFailed
     return theta, it, q, h
 
 

@@ -1,14 +1,16 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import reference_state
 from mhd1d import cli
-from mhd1d.config import ConfigError, parse_config
+from mhd1d.config import _KEYS, ConfigError, parse_config
 from mhd1d.core import (
     BoundaryCondition,
     ConstantProfile,
@@ -112,6 +114,53 @@ class TestParseConfig:
     def test_missing_value(self):
         with pytest.raises(ConfigError, match="no value"):
             parse_config("grid.cells =")
+
+
+BOUNDED_KEYS = sorted(key for key, (_, _, bound) in _KEYS.items() if bound)
+
+
+def bound_text(key):
+    """A key's lower bound as the error message and the README state it."""
+    op, limit = _KEYS[key][2]
+    return f"{key.rpartition('.')[2]} {op} {limit}"
+
+
+def readme_key_rows():
+    """Each key named in the first column of the README's configuration
+    table, mapped to its whole row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                rows[key] = line
+    return rows
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("key", BOUNDED_KEYS)
+    def test_first_value_past_each_bound_is_refused(self, key):
+        # the limit itself for '>', the next value below it for '>='
+        parser, _, (op, limit) = _KEYS[key]
+        if op == ">":
+            value = limit
+        elif parser is int:
+            value = limit - 1
+        else:
+            value = math.nextafter(limit, -math.inf)
+        # width and jitter are read only for a bump
+        prefix = "initial.profile = gaussian_bump\n" if key.startswith("initial.") else ""
+        line = prefix.count("\n") + 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"{prefix}{key} = {value!r}\n")
+        assert str(exc.value) == f"line {line}: key '{key}' violates {bound_text(key)}"
+
+    def test_readme_states_every_key_and_its_bound(self):
+        rows = readme_key_rows()
+        assert sorted(rows) == sorted(_KEYS)
+        for key in BOUNDED_KEYS:
+            assert f"`{bound_text(key)}`" in rows[key], key
 
 
 class TestSnapshots:
@@ -289,6 +338,8 @@ class TestRunCommand:
         ("grid.left = 1e308\ngrid.mass = 8\nbc = insulated_wall\n", "grid.left"),
         # one unit interval per slab entry: 1e300 of them cannot be allocated
         ("grid.mass = 1e300\n", "grid.mass"),
+        # a negative step ran backward in time until exp overflowed
+        ("time.dt_min = -2\ntime.dt_max = -1\n", "time.dt_min"),
     ])
     def test_values_that_got_past_validation_exit_2(self, tmp_path, capsys,
                                                     text, key):

@@ -8,6 +8,7 @@ from conftest import ALL_REGIMES, coeffs_of, reference_state, smooth_bump
 from mhd1d.constitutive import effective_stress, pressure, viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
+    ConstantProfile,
     GaussianBump,
     Grid,
     PhysicalParams,
@@ -282,6 +283,24 @@ class TestRepresentationFormula:
 
         run_until(state, grid, 0.5, p, CAUCHY, StepControl(), sink=sink)
         assert acc.t == 0.5
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_residual_stays_round_off_past_the_float_range_of_exp(self, alpha):
+        # at rest the anchor stress is -1: exp(sigma_integral) = exp(-t)
+        # underflows near t = 745 while the history grows as exp(t), so the
+        # accumulator must rescale both to keep every residual at round-off
+        grid = Grid.uniform(8, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=alpha, beta=1.0)
+        state = make_initial_state(grid, ConstantProfile(), CAUCHY)
+        collector = DiagnosticsCollector(grid, p, CAUCHY, state)
+        residuals = [collector.make_record(state, None).repr_residual_max]
+
+        def sink(s, r):
+            residuals.append(collector.make_record(s, r).repr_residual_max)
+
+        run_until(state, grid, 800.0, p, CAUCHY, StepControl(cfl=1.0), sink=sink)
+        assert collector.acc.sigma_integral < -790.0
+        assert all(r is not None and r <= 1e-12 for r in residuals)
 
     def test_residual_shrinks_under_refinement(self):
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
