@@ -67,33 +67,40 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
         snap_next[0] = (t0 + (math.floor(count) + 1) * interval
                         if math.isfinite(count) else s.t)
 
-    status = 0
     pending = [None]  # last record not yet written, for sparse cadences
     last = [collector.make_record(state)]
+    failure = None
     with open(out / "diagnostics.jsonl", "w") as stream:
         emit_diagnostics(last[0], stream)
         emit_snapshot(state, cfg.grid, out / "snapshot_initial.csv")
 
+        def write(records):
+            for record in records:
+                if record.step % cfg.diagnostics_every == 0:
+                    emit_diagnostics(record, stream)
+                    pending[0] = None
+                else:
+                    pending[0] = record
+                last[0] = record
+
         def sink(s, report):
-            record = collector.on_step(s, report)
-            last[0] = record
-            if s.step % cfg.diagnostics_every == 0:
-                emit_diagnostics(record, stream)
-                pending[0] = None
-            else:
-                pending[0] = record
+            write(collector.push(s, report))
             maybe_snapshot(s)
 
         try:
             state = run_until(state, cfg.grid, cfg.t_end, cfg.params, cfg.bc,
                               cfg.control, sink=sink)
         except SolverFailure as exc:
-            print(f"error: {exc}; run minima: v = {collector.min_v_run:.6g}, "
+            failure = exc
+        # the buffered steps, before the failure message reads the minima
+        write(collector.flush())
+        if failure is not None:
+            print(f"error: {failure}; run minima: v = {collector.min_v_run:.6g}, "
                   f"theta = {collector.min_theta_run:.6g}", file=sys.stderr)
-            status = 3
         if pending[0] is not None:
             emit_diagnostics(pending[0], stream)
 
+    status = 0 if failure is None else 3
     summary = {"min_v": collector.min_v_run,
                "min_theta": collector.min_theta_run,
                "E_entropy_final": last[0].E_entropy,

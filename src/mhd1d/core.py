@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -171,18 +171,73 @@ class GasState:
                         u=self.u.copy(), w=self.w.copy(), t=self.t, step=self.step)
 
     def validate(self, grid: Grid) -> None:
-        """Check array shapes against the grid and strict positivity of v, theta."""
-        m = grid.cells
-        shapes = {"v": (self.v, (m,)), "theta": (self.theta, (m,)),
-                  "b": (self.b, (m, 2)), "u": (self.u, (m + 1,)),
-                  "w": (self.w, (m + 1, 2))}
-        for name, (arr, want) in shapes.items():
-            if arr.shape != want:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
-        if not (self.v > 0.0).all():
-            raise ValueError(f"nonpositive specific volume, min v = {self.v.min()}")
-        if not (self.theta > 0.0).all():
-            raise ValueError(f"nonpositive temperature, min theta = {self.theta.min()}")
+        """Check array shapes against the grid, strict positivity of v and
+        theta, and that every field is finite."""
+        _check_fields(self, grid, ())
+
+
+@dataclass(frozen=True)
+class StateBlock:
+    """K states of one grid stacked along a leading record axis.
+
+    v, theta: (K, M); b: (K, M, 2); u: (K, M+1); w: (K, M+1, 2); t and step
+    hold each record's time and step. The monitors of mhd1d.diagnostics read
+    a block as they read a GasState, and give one value per record.
+    """
+
+    v: np.ndarray
+    theta: np.ndarray
+    b: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    t: tuple
+    step: tuple
+
+    @classmethod
+    def of(cls, states: Sequence[GasState]) -> "StateBlock":
+        """The states stacked in order, their t and step read now."""
+        return cls(v=stack_rows([s.v for s in states]),
+                   theta=stack_rows([s.theta for s in states]),
+                   b=stack_rows([s.b for s in states]),
+                   u=stack_rows([s.u for s in states]),
+                   w=stack_rows([s.w for s in states]),
+                   t=tuple(s.t for s in states),
+                   step=tuple(s.step for s in states))
+
+    def validate(self, grid: Grid) -> None:
+        """GasState.validate of every record at once: each check is one call
+        over the whole block."""
+        _check_fields(self, grid, (len(self.t),))
+
+
+def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Equal-shape arrays stacked along a new leading axis into one
+    C-ordered array; a single array is viewed (x[None]), not copied."""
+    if len(rows) == 1:
+        return rows[0][None]
+    shape = rows[0].shape
+    if any(r.shape != shape for r in rows):
+        raise ValueError(f"cannot stack arrays of shapes {[r.shape for r in rows]}")
+    # np.concatenate costs a third of np.stack's call overhead
+    return np.concatenate(rows).reshape((len(rows),) + shape)
+
+
+def _check_fields(s, grid: Grid, lead: tuple) -> None:
+    m = grid.cells
+    shapes = {"v": (s.v, (m,)), "theta": (s.theta, (m,)),
+              "b": (s.b, (m, 2)), "u": (s.u, (m + 1,)),
+              "w": (s.w, (m + 1, 2))}
+    for name, (arr, want) in shapes.items():
+        if arr.shape != lead + want:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {lead + want}")
+    if not (s.v > 0.0).all():
+        raise ValueError(f"nonpositive specific volume, min v = {s.v.min()}")
+    if not (s.theta > 0.0).all():
+        raise ValueError(f"nonpositive temperature, min theta = {s.theta.min()}")
+    for name, (arr, _) in shapes.items():
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ValueError(f"non-finite {name}: {arr[~finite].flat[0]}")
 
 
 @dataclass(frozen=True)

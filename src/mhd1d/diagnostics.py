@@ -9,13 +9,17 @@ derived for the normalized constant preset only and is rejected otherwise.
 
 Every monitor reads the RecordTerms of its state, which only record_terms
 builds, for a record and a standalone call alike: it validates the state and
-computes each quantity that several monitors share once.
+computes each quantity that several monitors share once. A monitor reads a
+core.StateBlock, states stacked along a leading record axis, as it reads a
+GasState and gives one value per record: the DiagnosticsCollector evaluates
+a block of accepted steps in one set of array operations, and only the
+running sums and the representation accumulator advance record by record.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +30,9 @@ from .core import (
     GasState,
     Grid,
     PhysicalParams,
+    StateBlock,
     sq2,
+    stack_rows,
 )
 from .solver import (
     BoundaryData,
@@ -40,6 +46,11 @@ from .solver import (
 # unit mass intervals per cell at most; a record integrates over each
 # (slab_integrals), so the bound keeps a record O(cells)
 SLAB_INTERVALS_PER_CELL = 16
+
+# cell rows of a record block: the collector records max(1, BLOCK_CELLS //
+# cells) accepted steps at once, which spreads the per-call cost of a small
+# grid over many records and keeps a block of a large grid at one state
+BLOCK_CELLS = 4096
 
 # |sigma_integral - offset| past which a ReprAccumulator is rescaled: e**512
 # is about 1e222, so the factor and the history stay finite, and a run whose
@@ -58,6 +69,7 @@ class RecordTerms:
     w averaged from the adjacent nodes. With a representation accumulator,
     b_factor is init_factor * exp(integral of u from the anchor - its
     initial value) and v_pow is v**(-alpha); both are None without one.
+    The terms of a StateBlock carry its leading record axis on every array.
     """
 
     bnd: BoundaryData
@@ -69,27 +81,58 @@ class RecordTerms:
     v_pow: Optional[np.ndarray]
 
 
-def record_terms(state: GasState, grid: Grid, p: PhysicalParams,
+@dataclass(frozen=True)
+class ReportArrays:
+    """The arrays that the StepReports of a StateBlock's records hand the
+    monitors, stacked like the block: coeffs (StateCoeffs of (K, M) arrays),
+    heat_flux and dissipation, both None unless every report carries them.
+    record_terms reads it as it reads the StepReport of one state."""
+
+    coeffs: StateCoeffs
+    heat_flux: Optional[np.ndarray]
+    dissipation: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, reports: Sequence[StepReport]) -> "ReportArrays":
+        c = [r.coeffs for r in reports]
+        coeffs = StateCoeffs(mu=stack_rows([x.mu for x in c]),
+                             mu_over_v=stack_rows([x.mu_over_v for x in c]),
+                             b_sq=stack_rows([x.b_sq for x in c]),
+                             ptot=stack_rows([x.ptot for x in c]))
+        if any(r.heat_flux is None for r in reports):
+            return cls(coeffs, None, None)
+        return cls(coeffs, stack_rows([r.heat_flux for r in reports]),
+                   stack_rows([r.dissipation for r in reports]))
+
+
+def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
                  bnd: BoundaryData, acc: Optional["ReprAccumulator"] = None,
-                 report: Optional[StepReport] = None) -> RecordTerms:
-    """Validate the state and return its RecordTerms. bnd is the unforced
-    boundary_data; the coefficients come from report (the step that produced
-    the state), and so do the heat flux and dissipation when it carries them;
-    whatever report does not hold is computed here, with bnd."""
+                 report: StepReport | ReportArrays | None = None) -> RecordTerms:
+    """Validate the state, a GasState or a StateBlock, and return its
+    RecordTerms. bnd is the unforced boundary_data; the coefficients come
+    from report (the StepReport of the step that produced a GasState, the
+    ReportArrays of a block's steps), and so do the heat flux and
+    dissipation when it carries them; whatever report does not hold is
+    computed here, with bnd."""
     state.validate(grid)
     if report is None:
         coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
     else:
         coeffs = report.coeffs
     if report is None or report.heat_flux is None:
-        h = solver.heat_flux(state.theta, state.v, grid.dx, p, bnd)
-        ux = (state.u[1:] - state.u[:-1]) / grid.dx
-        q = dissipation_source(state.v, coeffs.mu, ux, state.w, state.b, grid,
-                               p, bnd)
+        # the solver's stencils run along the first axis: hand them
+        # cell-first views, and take the results back C-ordered, so that a
+        # record's sums run over it as over a lone state's array
+        v, theta, u = state.v.T, state.theta.T, state.u.T
+        w, b = np.moveaxis(state.w, -2, 0), np.moveaxis(state.b, -2, 0)
+        h = solver.heat_flux(theta, v, grid.dx, p, bnd)
+        q = dissipation_source(v, coeffs.mu.T, (u[1:] - u[:-1]) / grid.dx, w, b,
+                               grid, p, bnd)
+        h, q = np.ascontiguousarray(h.T), np.ascontiguousarray(q.T)
     else:
         h, q = report.heat_flux, report.dissipation
-    u_c = 0.5 * (state.u[:-1] + state.u[1:])
-    w_c = 0.5 * (state.w[:-1] + state.w[1:])
+    u_c = 0.5 * (state.u[..., :-1] + state.u[..., 1:])
+    w_c = 0.5 * (state.w[..., :-1, :] + state.w[..., 1:, :])
     kinetic = 0.5 * (u_c ** 2 + sq2(w_c) + state.v * coeffs.b_sq)
     b_factor = v_pow = None
     if acc is not None:
@@ -99,8 +142,8 @@ def record_terms(state: GasState, grid: Grid, p: PhysicalParams,
     return RecordTerms(bnd, h, q, coeffs, kinetic, b_factor, v_pow)
 
 
-def energy_entropy(state: GasState, grid: Grid, p: PhysicalParams,
-                   terms: RecordTerms) -> float:
+def energy_entropy(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
+                   terms: RecordTerms):
     """Energy-entropy functional: the midpoint-rule integral of
     (u^2 + |w|^2 + v|b|^2)/2 + R(v - ln v - 1) + c_v(theta - ln theta - 1),
     with node fields averaged to cell centers.
@@ -109,11 +152,11 @@ def energy_entropy(state: GasState, grid: Grid, p: PhysicalParams,
     """
     vol = state.v - np.log(state.v) - 1.0
     therm = state.theta - np.log(state.theta) - 1.0
-    return float(grid.dx * (terms.kinetic + p.R * vol + p.c_v * therm).sum())
+    return grid.dx * (terms.kinetic + p.R * vol + p.c_v * therm).sum(axis=-1)
 
 
-def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
-                  terms: RecordTerms) -> float:
+def dissipation_W(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
+                  terms: RecordTerms):
     """Dissipation rate: the integral of
     kappa(theta)*theta_x^2/(v*theta^2) + (mu(v)*u_x^2 + lam|w_x|^2 + nu|b_x|^2)/(v*theta).
 
@@ -121,19 +164,19 @@ def dissipation_W(state: GasState, grid: Grid, p: PhysicalParams,
     this is exactly the heating the temperature stage injects, weighted by
     1/theta. Nonnegative by construction.
     """
-    dx, m, bnd, h = grid.dx, grid.cells, terms.bnd, terms.heat_flux
-    grad = np.empty(m + 1)
-    theta_bar = np.empty(m + 1)
-    grad[1:-1] = (state.theta[1:] - state.theta[:-1]) / dx
-    theta_bar[1:-1] = 0.5 * (state.theta[:-1] + state.theta[1:])
-    theta_bar[0], grad[0], theta_bar[-1], grad[-1] = solver.end_nodes(
-        state.theta, bnd.th_gl, bnd.th_gr, bnd, dx)
+    dx, bnd, h, theta = grid.dx, terms.bnd, terms.heat_flux, state.theta
+    grad = np.empty(h.shape)
+    theta_bar = np.empty(h.shape)
+    grad[..., 1:-1] = (theta[..., 1:] - theta[..., :-1]) / dx
+    theta_bar[..., 1:-1] = 0.5 * (theta[..., :-1] + theta[..., 1:])
+    theta_bar[..., 0], grad[..., 0], theta_bar[..., -1], grad[..., -1] = \
+        solver.end_nodes(theta.T, bnd.th_gl, bnd.th_gr, bnd, dx)
 
     # trapezoid weights: dx, and dx/2 on the end nodes
     wh = dx * h
-    wh[0], wh[-1] = 0.5 * dx * h[0], 0.5 * dx * h[-1]
-    heat_part = float((wh * grad / theta_bar ** 2).sum())
-    mech_part = float(dx * (terms.dissipation / state.theta).sum())
+    wh[..., 0], wh[..., -1] = 0.5 * dx * h[..., 0], 0.5 * dx * h[..., -1]
+    heat_part = (wh * grad / theta_bar ** 2).sum(axis=-1)
+    mech_part = dx * (terms.dissipation / theta).sum(axis=-1)
     return heat_part + mech_part
 
 
@@ -175,7 +218,8 @@ def slab_intervals_bounded(cells: int, mass: float) -> bool:
     return mass <= SLAB_INTERVALS_PER_CELL * cells
 
 
-def slab_integrals(state: GasState, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+def slab_integrals(state: GasState | StateBlock, grid: Grid
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of v and theta over each whole unit mass interval [N, N+1]
     aligned to integer mass coordinates inside the domain.
 
@@ -185,34 +229,39 @@ def slab_integrals(state: GasState, grid: Grid) -> tuple[np.ndarray, np.ndarray]
     shorter than one unit.
     """
     left, right, dx, m = grid.left_edge, grid.right_edge, grid.dx, grid.cells
+    lead = state.v.shape[:-1]
     n0 = math.ceil(left - 1e-9)
     n_int = math.floor(right + 1e-9) - n0
     if n_int < 1:
-        return np.empty(0), np.empty(0)
+        return np.empty(lead + (0,)), np.empty(lead + (0,))
 
     per = round(1.0 / dx)
     aligned = (per >= 1 and abs(per * dx - 1.0) <= 1e-12
                and abs(left - round(left)) <= 1e-12 and m % per == 0
                and m // per == n_int)
     if aligned:
-        v_ints = state.v.reshape(n_int, per).sum(axis=1) * dx
-        th_ints = state.theta.reshape(n_int, per).sum(axis=1) * dx
+        v_ints = state.v.reshape(lead + (n_int, per)).sum(axis=-1) * dx
+        th_ints = state.theta.reshape(lead + (n_int, per)).sum(axis=-1) * dx
         return v_ints, th_ints
 
     nodes = grid.nodes()
     ints = float(n0) + np.arange(n_int + 1.0)
 
     def per_interval(f):
-        cum = np.interp(ints, nodes, np.concatenate(([0.0], (dx * f).cumsum())))
-        return cum[1:] - cum[:-1]
+        cum = np.zeros(lead + (m + 1,))
+        np.cumsum(dx * f, axis=-1, out=cum[..., 1:])
+        # np.interp takes one record at a time
+        at = np.array([np.interp(ints, nodes, row)
+                       for row in cum.reshape(-1, m + 1)]).reshape(lead + (-1,))
+        return at[..., 1:] - at[..., :-1]
 
     return per_interval(state.v), per_interval(state.theta)
 
 
-def level_set_measures(state: GasState, grid: Grid) -> tuple[float, float]:
+def level_set_measures(state: GasState | StateBlock, grid: Grid):
     """Mass measures of the cold set {theta < 1/2} and the hot set {theta > 2}."""
-    low = grid.dx * float(np.count_nonzero(state.theta < 0.5))
-    high = grid.dx * float(np.count_nonzero(state.theta > 2.0))
+    low = grid.dx * (state.theta < 0.5).sum(axis=-1)
+    high = grid.dx * (state.theta > 2.0).sum(axis=-1)
     return low, high
 
 
@@ -240,6 +289,11 @@ class ReprAccumulator:
     history: np.ndarray
     init_factor: np.ndarray
     u0_integral: np.ndarray
+
+    @property
+    def y(self) -> float:
+        """The stress factor exp(sigma_integral - offset)."""
+        return math.exp(self.sigma_integral - self.offset)
 
     @classmethod
     def start(cls, state0: GasState, grid: Grid, p: PhysicalParams,
@@ -273,55 +327,84 @@ def _require_normalized(p: PhysicalParams) -> None:
 
 
 def _integral_to_centers(u: np.ndarray, grid: Grid, anchor: int) -> np.ndarray:
-    """Integral of the piecewise-linear node field u from the anchor node to
-    every cell center (trapezoid over whole cells plus the half-cell tail)."""
+    """Integral of the piecewise-linear node field u (nodes on the last axis)
+    from the anchor node to every cell center (trapezoid over whole cells
+    plus the half-cell tail)."""
     dx = grid.dx
-    seg = 0.5 * dx * (u[:-1] + u[1:])
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    to_nodes = cum - cum[anchor]
-    tail = dx * (3.0 * u[:-1] + u[1:]) / 8.0
-    return to_nodes[:-1] + tail
+    cum = np.zeros(u.shape)
+    np.cumsum(0.5 * dx * (u[..., :-1] + u[..., 1:]), axis=-1, out=cum[..., 1:])
+    to_nodes = cum - cum[..., anchor, None]
+    tail = dx * (3.0 * u[..., :-1] + u[..., 1:]) / 8.0
+    return to_nodes[..., :-1] + tail
 
 
-def representation_update(acc: ReprAccumulator, state: GasState, grid: Grid,
-                          dt: float, p: PhysicalParams,
-                          terms: RecordTerms) -> ReprAccumulator:
-    """Advance the accumulator by one accepted step of size dt.
+@dataclass(frozen=True)
+class ReprFactors:
+    """The reconstruction factor exp(S - offset) * (unit + history) after
+    each record of a representation_update: y = exp(S - offset) and unit of
+    shape (K, 1), history (K, M). representation_residual reads it as it
+    reads an accumulator."""
+
+    y: np.ndarray
+    unit: np.ndarray
+    history: np.ndarray
+
+
+def representation_update(acc: ReprAccumulator, state: GasState | StateBlock,
+                          grid: Grid, dt, p: PhysicalParams,
+                          terms: RecordTerms) -> ReprFactors:
+    """Advance the accumulator by one accepted step of size dt for a
+    GasState, or by one step per record of a StateBlock, dt holding their
+    sizes in order.
 
     The stress integral gets a rectangle-rule increment from the end-of-step
     stress at the anchor; the history integral is advanced with the stress
     factor treated as exponential across the step, which keeps the far-field
     equilibrium reconstruction exact to round-off for any dt. terms are the
-    record_terms of the state with acc.
+    record_terms of the state with acc. Returns the factors after each
+    record.
     """
     _require_normalized(p)
-    sigma_n = effective_stress(state, grid, terms.coeffs, acc.anchor)
-    acc.sigma_integral += sigma_n * dt
-    if abs(acc.sigma_integral - acc.offset) > _REPR_RESCALE:
-        # move the offset to S, folding the factor into the history
-        acc.history = ((acc.unit + acc.history)
-                       * math.exp(acc.sigma_integral - acc.offset))
-        acc.unit, acc.offset = 0.0, acc.sigma_integral
-    y = math.exp(acc.sigma_integral - acc.offset)
+    sigma = np.atleast_1d(effective_stress(state, grid, terms.coeffs, acc.anchor))
+    steps = zip(sigma.tolist(), np.atleast_1d(dt).tolist())
+    after = []  # (y, unit, geom) of each record
+    rescaled = {}  # record -> (unit, factor) that fold into the history
+    for k, (sigma_n, dt_k) in enumerate(steps):
+        acc.sigma_integral += sigma_n * dt_k
+        if abs(acc.sigma_integral - acc.offset) > _REPR_RESCALE:
+            # move the offset to S, folding the factor into the history
+            rescaled[k] = acc.unit, acc.y
+            acc.unit, acc.offset = 0.0, acc.sigma_integral
+        sdt = sigma_n * dt_k
+        after.append((acc.y, acc.unit,
+                      dt_k if sdt == 0.0 else math.expm1(sdt) / sigma_n))
+    y, unit, geom = np.array(after).T[..., None]  # each (K, 1)
 
     h = (np.exp(-terms.v_pow)
          * (state.theta + 0.5 * state.v * terms.coeffs.b_sq) / terms.b_factor)
-    sdt = sigma_n * dt
-    geom = dt if sdt == 0.0 else math.expm1(sdt) / sigma_n
-    acc.history = acc.history + h * geom / y
-    acc.t = state.t
-    return acc
+    increment = h.reshape(len(after), -1) * geom / y
+    history = np.empty_like(increment)
+    row = acc.history
+    for k in range(len(after)):  # in order: each row adds to the one before
+        if k in rescaled:
+            before, factor = rescaled[k]
+            row = (before + row) * factor
+        row = np.add(row, increment[k], out=history[k])
+    acc.history = row
+    acc.t = float(np.atleast_1d(state.t)[-1])
+    return ReprFactors(y, unit, history)
 
 
-def representation_residual(acc: ReprAccumulator, state: GasState, grid: Grid,
+def representation_residual(acc: ReprAccumulator | ReprFactors,
+                            state: GasState | StateBlock, grid: Grid,
                             p: PhysicalParams, terms: RecordTerms) -> np.ndarray:
     """Per-cell relative defect |v - v_reconstructed| / v of the
     representation formula, given an accumulator consistent with the
-    trajectory that produced the state. terms are the record_terms of the
+    trajectory that produced the state, or the ReprFactors that
+    representation_update returned for it. terms are the record_terms of the
     state with acc."""
     _require_normalized(p)
-    y = math.exp(acc.sigma_integral - acc.offset)
-    pred = terms.b_factor * y * np.exp(terms.v_pow) * (acc.unit + acc.history)
+    pred = terms.b_factor * acc.y * np.exp(terms.v_pow) * (acc.unit + acc.history)
     return np.abs(state.v - pred) / state.v
 
 
@@ -370,11 +453,15 @@ class DiagnosticsRecord:
 
 
 class DiagnosticsCollector:
-    """Stateful sink that assembles a DiagnosticsRecord after every accepted
+    """Stateful sink that assembles a DiagnosticsRecord for every accepted
     step and maintains the cumulative budgets.
 
     Use make_record(state) once for the initial record, then feed
-    (state, report) pairs, e.g. sink=collector.on_step with solver.run_until.
+    (state, report) pairs in order: on_step records one at once (e.g.
+    sink=collector.on_step with solver.run_until), push buffers them and
+    records block_size = max(1, BLOCK_CELLS // cells) of them at a time, and
+    flush records what push still holds; flush before calling on_step again.
+    Each way runs record_block, so the records are the same.
     The grid must hold at most SLAB_INTERVALS_PER_CELL unit mass intervals
     per cell (ValueError otherwise), which bounds the slab integrals of every
     record.
@@ -391,95 +478,129 @@ class DiagnosticsCollector:
         self.bnd = boundary_data(grid, bc, state0.t)  # unforced: no t dependence
         self.acc = (ReprAccumulator.start(state0, grid, p, repr_anchor)
                     if p.is_normalized else None)
+        self.block_size = max(1, BLOCK_CELLS // grid.cells)
+        self._buffer = []
         self.w_cum = 0.0
         self.mass_flux_cum = 0.0
         self.momentum_flux_cum = 0.0
         self.energy_flux_cum = 0.0
         self.entropy_flux_cum = 0.0
-        self._prev_mass = self._mass(state0)
-        self._prev_momentum = self._momentum(state0)
+        self._prev_mass = float(grid.dx * state0.v.sum())
+        self._prev_momentum = float(grid.dx * state0.u.sum())
         self.min_v_run = float(state0.v.min())
         self.min_theta_run = float(state0.theta.min())
         self.max_v_run = float(state0.v.max())
         self.max_theta_run = float(state0.theta.max())
         self.max_repr_residual = 0.0
 
-    def _mass(self, state: GasState) -> float:
-        return float(self.grid.dx * state.v.sum())
-
-    def _momentum(self, state: GasState) -> float:
-        return float(self.grid.dx * state.u.sum())
-
     def make_record(self, state: GasState,
                     report: Optional[StepReport] = None) -> DiagnosticsRecord:
-        """Assemble the record for a state; report=None marks the t = 0 row.
-
-        Every monitor reads the one RecordTerms of the state, built with the
-        collector's boundary data and the report's heat flux and dissipation.
-        """
-        grid, p = self.grid, self.p
-        terms = record_terms(state, grid, p, self.bnd, self.acc, report)
-        mass = self._mass(state)
-        momentum = self._momentum(state)
-        w_rate = dissipation_W(state, grid, p, terms)
-        if report is None:
-            dt = 0.0
-            iters = retries = 0
-            mass_defect = momentum_defect = 0.0
-        else:
-            dt = report.dt_used
-            iters, retries = report.newton_iterations, report.retries
-            self.w_cum += w_rate * dt
-            self.mass_flux_cum += report.mass_flux
-            self.momentum_flux_cum += report.momentum_flux
-            self.energy_flux_cum += report.energy_flux
-            self.entropy_flux_cum += report.entropy_flux
-            mass_defect = abs(mass - self._prev_mass - report.mass_flux) \
-                / max(abs(self._prev_mass), 1.0)
-            mom_scale = max(1.0, float(grid.dx * np.abs(state.u).sum()))
-            momentum_defect = abs(momentum - self._prev_momentum
-                                  - report.momentum_flux) / mom_scale
-            if self.acc is not None:
-                representation_update(self.acc, state, grid, dt, p, terms)
-        self._prev_mass = mass
-        self._prev_momentum = momentum
-
-        if self.acc is not None:
-            repr_max = float(representation_residual(self.acc, state, grid, p,
-                                                     terms).max())
-            self.max_repr_residual = max(self.max_repr_residual, repr_max)
-        else:
-            repr_max = None
-
-        slab_v, slab_th = slab_integrals(state, grid)
-        meas_lo, meas_hi = level_set_measures(state, grid)
-        min_v, max_v = float(state.v.min()), float(state.v.max())
-        min_theta, max_theta = float(state.theta.min()), float(state.theta.max())
-        self.min_v_run = min(self.min_v_run, min_v)
-        self.min_theta_run = min(self.min_theta_run, min_theta)
-        self.max_v_run = max(self.max_v_run, max_v)
-        self.max_theta_run = max(self.max_theta_run, max_theta)
-
-        return DiagnosticsRecord(
-            t=state.t, step=state.step, dt=dt, newton_iterations=iters,
-            retries=retries,
-            E_entropy=energy_entropy(state, grid, p, terms),
-            W=w_rate, W_cum=self.w_cum,
-            min_v=min_v, max_v=max_v, min_theta=min_theta, max_theta=max_theta,
-            mass_total=mass, mass_flux_cum=self.mass_flux_cum,
-            mass_defect=mass_defect,
-            momentum_total=momentum, momentum_flux_cum=self.momentum_flux_cum,
-            momentum_defect=momentum_defect,
-            energy_total=float(grid.dx * (p.c_v * state.theta + terms.kinetic).sum()),
-            energy_flux_cum=self.energy_flux_cum,
-            entropy_flux_cum=self.entropy_flux_cum,
-            measure_theta_low=meas_lo, measure_theta_high=meas_hi,
-            slab_v_min=float(slab_v.min()) if slab_v.size else math.nan,
-            slab_v_max=float(slab_v.max()) if slab_v.size else math.nan,
-            slab_theta_min=float(slab_th.min()) if slab_th.size else math.nan,
-            slab_theta_max=float(slab_th.max()) if slab_th.size else math.nan,
-            repr_residual_max=repr_max,
-        )
+        """Assemble the record for a state; report=None marks the t = 0 row."""
+        return self.record_block([state], [report])[0]
 
     def on_step(self, state: GasState, report: StepReport) -> DiagnosticsRecord:
         return self.make_record(state, report)
+
+    def push(self, state: GasState, report: StepReport) -> list[DiagnosticsRecord]:
+        """Buffer an accepted step with the t and step it has now (run_until
+        moves the final state's t onto t_end after its last sink call). Once
+        block_size steps are buffered, record them and return their records;
+        until then return []."""
+        self._buffer.append((replace(state), report))
+        return self.flush() if len(self._buffer) >= self.block_size else []
+
+    def flush(self) -> list[DiagnosticsRecord]:
+        """Record every buffered step, in order, as one block."""
+        if not self._buffer:
+            return []
+        states, reports = zip(*self._buffer)
+        self._buffer = []
+        return self.record_block(states, reports)
+
+    def record_block(self, states: Sequence[GasState],
+                     reports: Sequence[Optional[StepReport]]
+                     ) -> list[DiagnosticsRecord]:
+        """The records of consecutive accepted states, each with the report
+        of the step that produced it; reports == [None] for the t = 0 row.
+
+        Every monitor runs once over the StateBlock of the states and reads
+        its one RecordTerms, built with the collector's boundary data and the
+        reports' coefficients, heat flux and dissipation. The running sums,
+        budget defects, run extremes and the representation accumulator then
+        advance record by record, in order.
+        """
+        grid, p, dx = self.grid, self.p, self.grid.dx
+        block = StateBlock.of(states)
+        stepped = reports[0] is not None
+        terms = record_terms(block, grid, p, self.bnd, self.acc,
+                             ReportArrays.of(reports) if stepped else None)
+        mass = (dx * block.v.sum(axis=-1)).tolist()
+        momentum = (dx * block.u.sum(axis=-1)).tolist()
+        mom_scale = (dx * np.abs(block.u).sum(axis=-1)).tolist()
+        w_rate = dissipation_W(block, grid, p, terms).tolist()
+        e_entropy = energy_entropy(block, grid, p, terms).tolist()
+        energy = (dx * (p.c_v * block.theta + terms.kinetic).sum(axis=-1)).tolist()
+        if self.acc is None:
+            repr_max = [None] * len(states)
+        else:
+            factors = self.acc
+            if stepped:
+                factors = representation_update(self.acc, block, grid,
+                                                [r.dt_used for r in reports],
+                                                p, terms)
+            repr_max = representation_residual(factors, block, grid, p,
+                                               terms).max(axis=-1).tolist()
+        min_v, max_v = block.v.min(axis=-1).tolist(), block.v.max(axis=-1).tolist()
+        min_th = block.theta.min(axis=-1).tolist()
+        max_th = block.theta.max(axis=-1).tolist()
+        meas_lo, meas_hi = (m.tolist() for m in level_set_measures(block, grid))
+        slabs = []
+        for ints in slab_integrals(block, grid):
+            if ints.shape[-1]:
+                slabs += [ints.min(axis=-1).tolist(), ints.max(axis=-1).tolist()]
+            else:
+                slabs += [[math.nan] * len(states)] * 2
+
+        records = []
+        for k, report in enumerate(reports):
+            if report is None:
+                dt = 0.0
+                iters = retries = 0
+                mass_defect = momentum_defect = 0.0
+            else:
+                dt = report.dt_used
+                iters, retries = report.newton_iterations, report.retries
+                self.w_cum += w_rate[k] * dt
+                self.mass_flux_cum += report.mass_flux
+                self.momentum_flux_cum += report.momentum_flux
+                self.energy_flux_cum += report.energy_flux
+                self.entropy_flux_cum += report.entropy_flux
+                mass_defect = abs(mass[k] - self._prev_mass - report.mass_flux) \
+                    / max(abs(self._prev_mass), 1.0)
+                momentum_defect = abs(momentum[k] - self._prev_momentum
+                                      - report.momentum_flux) / max(1.0, mom_scale[k])
+            self._prev_mass = mass[k]
+            self._prev_momentum = momentum[k]
+            if repr_max[k] is not None:
+                self.max_repr_residual = max(self.max_repr_residual, repr_max[k])
+            self.min_v_run = min(self.min_v_run, min_v[k])
+            self.min_theta_run = min(self.min_theta_run, min_th[k])
+            self.max_v_run = max(self.max_v_run, max_v[k])
+            self.max_theta_run = max(self.max_theta_run, max_th[k])
+            records.append(DiagnosticsRecord(
+                t=block.t[k], step=block.step[k], dt=dt, newton_iterations=iters,
+                retries=retries, E_entropy=e_entropy[k], W=w_rate[k],
+                W_cum=self.w_cum, min_v=min_v[k], max_v=max_v[k],
+                min_theta=min_th[k], max_theta=max_th[k],
+                mass_total=mass[k], mass_flux_cum=self.mass_flux_cum,
+                mass_defect=mass_defect,
+                momentum_total=momentum[k],
+                momentum_flux_cum=self.momentum_flux_cum,
+                momentum_defect=momentum_defect,
+                energy_total=energy[k], energy_flux_cum=self.energy_flux_cum,
+                entropy_flux_cum=self.entropy_flux_cum,
+                measure_theta_low=meas_lo[k], measure_theta_high=meas_hi[k],
+                slab_v_min=slabs[0][k], slab_v_max=slabs[1][k],
+                slab_theta_min=slabs[2][k], slab_theta_max=slabs[3][k],
+                repr_residual_max=repr_max[k]))
+        return records

@@ -16,6 +16,7 @@ import numpy as np
 from .core import GasState, Grid
 
 _FMT = "%.17g"
+_ROWS = 1024
 
 
 class SnapshotError(ValueError):
@@ -31,21 +32,19 @@ def emit_snapshot(state: GasState, grid: Grid, path) -> None:
     """Write the center/node CSV pair for a state."""
     path = Path(path)
     header = f"# t={_FMT % state.t} step={state.step}\n"
-    xc, xn = grid.centers(), grid.nodes()
-    with open(path, "w") as f:
-        f.write(header)
-        f.write("x_center,v,theta,b1,b2\n")
-        for i in range(grid.cells):
-            f.write(",".join(_FMT % val for val in
-                             (xc[i], state.v[i], state.theta[i],
-                              state.b[i, 0], state.b[i, 1])) + "\n")
-    with open(node_companion(path), "w") as f:
-        f.write(header)
-        f.write("x_node,u,w1,w2\n")
-        for j in range(grid.cells + 1):
-            f.write(",".join(_FMT % val for val in
-                             (xn[j], state.u[j], state.w[j, 0], state.w[j, 1]))
-                    + "\n")
+    for name, columns, fields in (
+            (path, "x_center,v,theta,b1,b2",
+             (grid.centers(), state.v, state.theta, state.b)),
+            (node_companion(path), "x_node,u,w1,w2",
+             (grid.nodes(), state.u, state.w))):
+        with open(name, "w") as f:
+            f.write(header + columns + "\n")
+            # one % per _ROWS rows: the call cost of one % per file, and a
+            # temporary text of at most _ROWS rows however large the grid
+            for at in range(0, fields[0].shape[0], _ROWS):
+                table = np.column_stack([a[at:at + _ROWS] for a in fields])
+                row = ",".join([_FMT] * table.shape[1]) + "\n"
+                f.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def _parse_header(line: str, path) -> tuple[float, int]:

@@ -223,7 +223,8 @@ def end_nodes(f: np.ndarray, lo, hi, bnd: BoundaryData, dx: float):
     right, closed by the outer values lo and hi (see BoundaryData): a ghost g
     gives 0.5*(g + f[0]) and (f[0] - g)/dx, a wall value w 0.5*(w + f[0]) and
     (f[0] - w)/(0.5*dx), None f[0] and 0; on the right, 0.5*(f[-1] + g) and
-    (g - f[-1])/dx."""
+    (g - f[-1])/dx. The cell axis of f is its first: a transposed view of a
+    block of records (cells last) closes every record at once."""
     f0 = f[0]
     if lo is None:
         left = f0, 0.0
@@ -235,7 +236,7 @@ def end_nodes(f: np.ndarray, lo, hi, bnd: BoundaryData, dx: float):
 def b_gradient(b: np.ndarray, bnd: BoundaryData, dx: float) -> np.ndarray:
     """Transverse-field gradient at every node, closed per end_nodes."""
     m = b.shape[0]
-    bx = np.empty((m + 1, 2))
+    bx = np.empty((m + 1,) + b.shape[1:])
     bx[1:-1] = (b[1:] - b[:-1]) / dx
     _, bx[0], _, bx[-1] = end_nodes(b, bnd.b_gl, bnd.b_gr, bnd, dx)
     return bx
@@ -256,7 +257,7 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
     """
     m = theta.shape[0]
     a = p.kappa_tilde * theta ** p.beta / v
-    H = np.empty(m + 1)
+    H = np.empty((m + 1,) + theta.shape[1:])
 
     a_sum = a[:-1] + a[1:]
     c_int = 2.0 * a[:-1] * a[1:] / a_sum  # harmonic mean, see _harmonic
@@ -308,7 +309,8 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
 
 def heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
               bnd: BoundaryData) -> np.ndarray:
-    """Diffusive heat flux kappa(theta) * theta_x / v at every node."""
+    """Diffusive heat flux kappa(theta) * theta_x / v at every node; the
+    cell axis is the first, as in end_nodes."""
     return heat_flux_and_jacobian(theta, v, dx, p, bnd)[0]
 
 
@@ -418,7 +420,7 @@ def dissipation_source(v: np.ndarray, mu: np.ndarray, ux: np.ndarray,
     """Nonnegative viscous/resistive heating per cell,
     (mu(v)*u_x^2 + lam*|w_x|^2 + nu*|b_x|^2) / v, with mu = mu(v), the cell
     gradient ux = (u[1:] - u[:-1]) / dx and |b_x|^2 averaged from the
-    adjacent nodes."""
+    adjacent nodes; the cell axis is the first, as in end_nodes."""
     dx = grid.dx
     wx_sq = sq2((w[1:] - w[:-1]) / dx)
     bx_sq = sq2(b_gradient(b, bnd, dx))

@@ -19,7 +19,11 @@ from mhd1d.core import (
     PhysicalParams,
     make_initial_state,
 )
-from mhd1d.diagnostics import SLAB_INTERVALS_PER_CELL, DiagnosticsCollector
+from mhd1d.diagnostics import (
+    BLOCK_CELLS,
+    SLAB_INTERVALS_PER_CELL,
+    DiagnosticsCollector,
+)
 from mhd1d.snapshots import (
     SnapshotError,
     emit_diagnostics,
@@ -27,6 +31,7 @@ from mhd1d.snapshots import (
     load_snapshot,
     node_companion,
 )
+from mhd1d.solver import SolverFailure, run_until
 
 CAUCHY = BoundaryCondition.CAUCHY_FAR_FIELD
 
@@ -477,6 +482,109 @@ class TestRunCommand:
         assert len(records) == 2
         for r in records:
             assert 1.0 - 1e-9 <= r["slab_theta_min"] < r["slab_theta_max"] <= 1.3
+
+
+def per_step_records(text):
+    """The records and the collector of the run a config describes, made one
+    accepted step at a time through the Python API, and the failure that
+    ended the run, if any."""
+    cfg = parse_config(text)
+    state = make_initial_state(cfg.grid, cfg.profile, cfg.bc)
+    coll = DiagnosticsCollector(cfg.grid, cfg.params, cfg.bc, state)
+    records = [coll.make_record(state)]
+    failure = None
+    try:
+        run_until(state, cfg.grid, cfg.t_end, cfg.params, cfg.bc, cfg.control,
+                  sink=lambda s, r: records.append(coll.on_step(s, r)))
+    except SolverFailure as exc:
+        failure = exc
+    return records, coll, failure
+
+
+def json_line(record):
+    return json.dumps(record.to_json_dict())
+
+
+BLOCK_RUN = SMALL_RUN.replace("grid.cells = 16", "grid.cells = 32")
+
+
+class TestRecordBlocksInTheRunCommand:
+    """The run command records its steps a block at a time; what it writes
+    and prints must be what one step at a time gives."""
+
+    def test_sparse_cadence_matches_the_per_step_records(self, tmp_path, capsys):
+        text = (BLOCK_RUN.replace("time.t_end = 0.05", "time.t_end = 1.2")
+                + "time.dt_max = 0.004\noutput.diagnostics_every = 7\n")
+        records, coll, _ = per_step_records(text)
+        steps = len(records) - 1
+        block = BLOCK_CELLS // 32
+        # two full blocks and a ragged one, whose last record is pending
+        assert steps > 2 * block and steps % block and steps % 7
+        want = [json_line(r) for r in records if r.step % 7 == 0] \
+            + [json_line(records[-1])]
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == 0
+        assert (out / "diagnostics.jsonl").read_text().splitlines() == want
+        printed = capsys.readouterr().out
+        assert (f"min_v = {coll.min_v_run:.17g}, max_v = {coll.max_v_run:.17g}, "
+                f"min_theta = {coll.min_theta_run:.17g}, "
+                f"max_theta = {coll.max_theta_run:.17g}") in printed
+        assert (f"E_entropy_final = {records[-1].E_entropy:.17g}, "
+                f"W_integral = {coll.w_cum:.17g}, "
+                f"repr_residual_max = {coll.max_repr_residual:.6g}") in printed
+
+    def test_failure_inside_a_block_writes_every_accepted_step(self, tmp_path,
+                                                                capsys):
+        # one Newton update per step suffices for two steps, then not
+        text = (BLOCK_RUN.replace("time.t_end = 0.05", "time.t_end = 2.0")
+                .replace("initial.amp_v = -0.2", "initial.amp_v = -0.1")
+                .replace("initial.amp_u = 0.2\n", "")
+                .replace("initial.amp_theta = 0.3\n", "")
+                .replace("initial.amp_b1 = 0.2\n", "")
+                .replace("initial.amp_w1 = 0.1\n", "")
+                + "time.newton_max_iter = 1\ntime.newton_tol = 1e-8\n")
+        records, coll, failure = per_step_records(text)
+        assert failure is not None and 1 < len(records) - 1 < BLOCK_CELLS // 32
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == 3
+        assert (out / "diagnostics.jsonl").read_text().splitlines() \
+            == [json_line(r) for r in records]
+        err = capsys.readouterr().err
+        assert (f"error: {failure}; run minima: v = {coll.min_v_run:.6g}, "
+                f"theta = {coll.min_theta_run:.6g}\n") == err
+
+
+class TestNonFiniteFields:
+    def test_overflowing_sweep_amplitude_exits_2(self, tmp_path, capsys):
+        # 2 * 1e308 overflows to inf: the profile is rejected before a step
+        text = ("grid.cells = 16\ngrid.mass = 8.0\n"
+                "initial.profile = gaussian_bump\ninitial.amp_v = 2\n")
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(write_config(tmp_path, text)),
+                         "--axis", "amp=1e308", "--out", str(out)]) == 0
+        row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row[3] == "2"
+        err = capsys.readouterr().err
+        assert "initial profile rejected: non-finite v" in err
+        assert "Traceback" not in err
+        assert not (out / "run_amp1e+308" / "diagnostics.jsonl").exists()
+
+    def test_snapshot_with_inf_exits_2(self, tmp_path, capsys):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        state = reference_state(grid)
+        state.u[5] = math.inf
+        snap = tmp_path / "snap.csv"
+        emit_snapshot(state, grid, snap)
+        text = (f"grid.cells = 16\ngrid.mass = 8.0\ninitial.profile = file\n"
+                f"initial.file = {snap}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial profile rejected: non-finite u")
+        assert not (out / "diagnostics.jsonl").exists()
 
 
 class TestCheckConfig:

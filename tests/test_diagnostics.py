@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from mhd1d.constitutive import effective_stress, pressure, viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
     ConstantProfile,
+    GasState,
     GaussianBump,
     Grid,
     PhysicalParams,
+    StateBlock,
     make_initial_state,
 )
 from mhd1d.diagnostics import (
+    BLOCK_CELLS,
     SLAB_INTERVALS_PER_CELL,
     DiagnosticsCollector,
     DiagnosticsRecord,
@@ -544,3 +548,174 @@ class TestDefaultAnchor:
         grid = Grid.uniform(cells, mass, left)
         j = round((round(0.5 * (grid.left_edge + grid.right_edge)) - left) / grid.dx)
         assert default_anchor(grid) == min(max(j, 1), cells - 1)
+
+
+def trajectory(grid, p, bc, profile, t_end, ctl=StepControl()):
+    """The initial state and every accepted (state, report) of a run, each
+    state with the t and step that the sink received."""
+    state0 = make_initial_state(grid, profile, bc)
+    pairs = []
+    run_until(state0.copy(), grid, t_end, p, bc, ctl,
+              sink=lambda s, r: pairs.append((replace(s), r)))
+    return state0, pairs
+
+
+def collector_outcome(coll, records):
+    """What a run reports from its collector: the JSON lines, and the run
+    extremes and running sums that the summary prints."""
+    lines = [json.dumps(r.to_json_dict()) for r in records]
+    totals = (coll.min_v_run, coll.max_v_run, coll.min_theta_run,
+              coll.max_theta_run, coll.max_repr_residual, coll.w_cum,
+              coll.mass_flux_cum, coll.momentum_flux_cum,
+              coll.energy_flux_cum, coll.entropy_flux_cum)
+    return lines, totals
+
+
+def per_step(grid, p, bc, state0, pairs):
+    coll = DiagnosticsCollector(grid, p, bc, state0)
+    records = [coll.make_record(state0)]
+    records += [coll.on_step(s, r) for s, r in pairs]
+    return coll, records
+
+
+def in_blocks(grid, p, bc, state0, pairs, size):
+    """Records of the pairs fed to record_block `size` at a time, the last
+    block ragged; size None pushes every pair and flushes at the end."""
+    coll = DiagnosticsCollector(grid, p, bc, state0)
+    records = [coll.make_record(state0)]
+    if size is None:
+        for s, r in pairs:
+            records += coll.push(s, r)
+        records += coll.flush()
+    else:
+        for at in range(0, len(pairs), size):
+            chunk = pairs[at:at + size]
+            records += coll.record_block([s for s, _ in chunk],
+                                         [r for _, r in chunk])
+    return coll, records
+
+
+WALL_BUMP = smooth_bump(center=8.0)
+
+
+class TestRecordBlocks:
+    """A block of records is the same records as one state at a time: every
+    JSON line, run extreme and running sum, bit for bit."""
+
+    CASES = {
+        "cauchy-alpha0": (Grid.uniform(32, 16.0, -8.0), PhysicalParams.normalized(0.0, 1.0),
+                          CAUCHY, smooth_bump()),
+        "cauchy-alpha1.3": (Grid.uniform(32, 16.0, -8.0), PhysicalParams.normalized(1.3, 0.7),
+                            CAUCHY, smooth_bump()),
+        "isothermal-alpha0": (Grid.uniform(32, 16.0, 0.0), PhysicalParams.normalized(0.0, 1.0),
+                              BoundaryCondition.ISOTHERMAL_WALL_LEFT, WALL_BUMP),
+        "isothermal-alpha1.3": (Grid.uniform(32, 16.0, 0.0), PhysicalParams.normalized(1.3, 1.6),
+                                BoundaryCondition.ISOTHERMAL_WALL_LEFT, WALL_BUMP),
+        "insulated-alpha0": (Grid.uniform(32, 16.0, 0.0), PhysicalParams.normalized(0.0, 0.5),
+                             BoundaryCondition.INSULATED_WALL_LEFT, WALL_BUMP),
+        "insulated-alpha1.3": (Grid.uniform(32, 16.0, 0.0), PhysicalParams.normalized(1.3, 1.0),
+                               BoundaryCondition.INSULATED_WALL_LEFT, WALL_BUMP),
+        # no representation accumulator without the normalized preset
+        "general-constants": (Grid.uniform(32, 16.0, -8.0),
+                              PhysicalParams(mu1=0.8, mu2=0.7, alpha=1.3, beta=1.6,
+                                             lam=1.2, nu=0.9, R=1.1, c_v=0.7),
+                              CAUCHY, smooth_bump()),
+        # unit intervals that split cells: the interpolated slab integrals
+        "unaligned-9.5": (Grid.uniform(38, 9.5, -4.75), PhysicalParams.normalized(1.0, 1.0),
+                          CAUCHY, smooth_bump()),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocks_match_the_records_of_one_state_at_a_time(self, case):
+        grid, p, bc, profile = self.CASES[case]
+        state0, pairs = trajectory(grid, p, bc, profile, 3.01, StepControl(dt_max=0.02))
+        k = BLOCK_CELLS // grid.cells
+        assert len(pairs) > k and len(pairs) % k and len(pairs) % 2, len(pairs)
+        want = collector_outcome(*per_step(grid, p, bc, state0, pairs))
+        for size in (1, 2, k, None):
+            assert collector_outcome(*in_blocks(grid, p, bc, state0, pairs, size)) \
+                == want, size
+        # reports without heat flux and dissipation: the terms compute them
+        bare = [(s, replace(r, heat_flux=None, dissipation=None)) for s, r in pairs]
+        assert collector_outcome(*in_blocks(grid, p, bc, state0, bare, k)) == want
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_representation_rescale_inside_a_block(self, alpha):
+        # the equilibrium run to t = 800 moves the accumulator's offset once,
+        # near t = 512, in the middle of a block of BLOCK_CELLS // 8 records
+        grid = Grid.uniform(8, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=alpha, beta=1.0)
+        state0, pairs = trajectory(grid, p, CAUCHY, ConstantProfile(), 800.0,
+                                   StepControl(cfl=1.0))
+        ref = DiagnosticsCollector(grid, p, CAUCHY, state0)
+        records = [ref.make_record(state0)]
+        moved = []
+        for n, (s, r) in enumerate(pairs, start=1):
+            records.append(ref.on_step(s, r))
+            if ref.acc.offset != 0.0 and not moved:
+                moved.append(n)
+        k = BLOCK_CELLS // grid.cells
+        assert moved and moved[0] % k not in (0, 1)
+        coll, got = in_blocks(grid, p, CAUCHY, state0, pairs, None)
+        assert collector_outcome(coll, got) == collector_outcome(ref, records)
+        assert coll.acc.offset == ref.acc.offset
+        assert coll.acc.sigma_integral == ref.acc.sigma_integral
+        assert np.array_equal(coll.acc.history, ref.acc.history)
+        assert all(r.repr_residual_max <= 1e-12 for r in got)
+
+
+    def test_push_keeps_the_t_and_step_it_received(self):
+        # run_until moves the final state's t onto t_end after its last
+        # sink call, before the caller flushes
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state0, pairs = trajectory(grid, p, CAUCHY, smooth_bump(), 0.1)
+        coll = DiagnosticsCollector(grid, p, CAUCHY, state0)
+        state, report = pairs[0]
+        t, n = state.t, state.step
+        assert coll.push(state, report) == []
+        state.t, state.step = t + 1e-13, n + 1
+        (record,) = coll.flush()
+        assert (record.t, record.step) == (t, n)
+        assert coll.flush() == []
+
+
+class TestFieldsMustBeFinite:
+    FIELDS = ("v", "theta", "b", "u", "w")
+
+    @pytest.mark.parametrize("name", FIELDS)
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_state_with_a_non_finite_entry_is_rejected(self, name, bad):
+        grid = Grid.uniform(8, 4.0, -2.0)
+        state = reference_state(grid)
+        getattr(state, name).flat[3] = bad
+        with pytest.raises(ValueError):
+            state.validate(grid)
+        # every record of a block is checked, in one pass over the block
+        block = StateBlock.of([reference_state(grid), state, reference_state(grid)])
+        with pytest.raises(ValueError):
+            block.validate(grid)
+
+    @pytest.mark.parametrize("name", ("b", "u", "w"))
+    def test_message_names_the_field(self, name):
+        grid = Grid.uniform(8, 4.0, -2.0)
+        state = reference_state(grid)
+        getattr(state, name).flat[2] = math.inf
+        with pytest.raises(ValueError, match=f"non-finite {name}"):
+            state.validate(grid)
+
+    def test_a_finite_block_passes_and_shapes_must_agree(self):
+        grid = Grid.uniform(8, 4.0, -2.0)
+        StateBlock.of([reference_state(grid)] * 3).validate(grid)
+        short = reference_state(Grid.uniform(7, 4.0, -2.0))
+        with pytest.raises(ValueError, match="shapes"):
+            StateBlock.of([reference_state(grid), short, short])
+
+    def test_block_of_one_views_the_state(self):
+        grid = Grid.uniform(8, 4.0, -2.0)
+        state = GasState(v=np.ones(8), theta=np.ones(8), b=np.zeros((8, 2)),
+                         u=np.zeros(9), w=np.zeros((9, 2)), t=0.5, step=3)
+        block = StateBlock.of([state])
+        assert (block.t, block.step) == ((0.5,), (3,))
+        for name in self.FIELDS:
+            assert np.shares_memory(getattr(block, name), getattr(state, name))
