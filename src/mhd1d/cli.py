@@ -1,7 +1,8 @@
 """Command-line entry points: run, sweep, verify, check-config.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure (lost
-positivity or diverged temperature solve), 4 verification-study failure.
+Exit codes: 0 success, 2 configuration error or unwritable output, 3 solver
+failure (lost positivity or diverged temperature solve), 4
+verification-study failure.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import verification
-from .config import ConfigError, RunConfig, parse_config_file
+from .config import ConfigError, RunConfig, describe, parse_config_file
 from .core import make_initial_state
 from .diagnostics import DiagnosticsCollector
 from .snapshots import emit_diagnostics, emit_snapshot
@@ -24,6 +25,14 @@ from .solver import SolverFailure, run_until
 # run-wide summary of a run that produced no diagnostics record
 _NO_SUMMARY = {"min_v": math.nan, "min_theta": math.nan,
               "E_entropy_final": math.nan, "repr_residual_max": math.nan}
+
+_AXES = ("alpha", "beta", "amp")
+
+
+def _error(message: str) -> int:
+    """Report an input or output the command cannot use; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
@@ -38,104 +47,92 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory {out}: {exc}",
-              file=sys.stderr)
-        return 2, dict(_NO_SUMMARY)
-
+        return (_error(f"cannot create output directory {out}: {exc}"),
+                dict(_NO_SUMMARY))
     try:
         state = make_initial_state(cfg.grid, cfg.profile, cfg.bc)
     except (ValueError, OSError) as exc:
-        print(f"error: initial profile rejected: {exc}", file=sys.stderr)
-        return 2, dict(_NO_SUMMARY)
+        return _error(f"initial profile rejected: {exc}"), dict(_NO_SUMMARY)
+    try:
+        return _simulate(cfg, state, out)
+    except OSError as exc:
+        return _error(f"cannot write output in {out}: {exc}"), dict(_NO_SUMMARY)
 
-    anchor = (None if cfg.repr_anchor is None
-              else round((cfg.repr_anchor - cfg.grid.left_edge) / cfg.grid.dx))
+
+def _simulate(cfg: RunConfig, state, out: Path) -> tuple[int, dict]:
+    """run_simulation from the initial state on; a failed write raises."""
     collector = DiagnosticsCollector(cfg.grid, cfg.params, cfg.bc, state,
-                                     repr_anchor=anchor)
-
+                                     repr_anchor=cfg.repr_node)
     interval, t0 = cfg.snapshot_interval, state.t
-    snap_next = [t0 + interval]
-
-    def maybe_snapshot(s):
-        if interval <= 0.0 or s.t < snap_next[0] - 1e-12:
-            return
-        emit_snapshot(s, cfg.grid, out / f"snapshot_{s.step:06d}.csv")
-        # the first multiple of the interval past t + 1e-12, in one step
-        # whatever the interval; where t / interval overflows, the next
-        # step snapshots, as every step does below the float spacing of t
-        count = (s.t - t0 + 1e-12) / interval
-        snap_next[0] = (t0 + (math.floor(count) + 1) * interval
-                        if math.isfinite(count) else s.t)
-
-    pending = [None]  # last record not yet written, for sparse cadences
-    last = [collector.make_record(state)]
+    snap_next = t0 + interval
+    last = collector.make_record(state)
     failure = None
     with open(out / "diagnostics.jsonl", "w") as stream:
-        emit_diagnostics(last[0], stream)
+        emit_diagnostics(last, stream)
         emit_snapshot(state, cfg.grid, out / "snapshot_initial.csv")
 
-        def write(records):
-            for record in records:
-                if record.step % cfg.diagnostics_every == 0:
-                    emit_diagnostics(record, stream)
-                    pending[0] = None
-                else:
-                    pending[0] = record
-                last[0] = record
+        def write(records):  # on the cadence; `last` keeps the newest
+            nonlocal last
+            for last in records:
+                if last.step % cfg.diagnostics_every == 0:
+                    emit_diagnostics(last, stream)
 
         def sink(s, report):
+            nonlocal snap_next
             write(collector.push(s, report))
-            maybe_snapshot(s)
+            if interval > 0.0 and s.t >= snap_next - 1e-12:
+                emit_snapshot(s, cfg.grid, out / f"snapshot_{s.step:06d}.csv")
+                # the first multiple of the interval past t + 1e-12, in one
+                # step whatever the interval; past an overflow of t / interval
+                # every step snapshots, as below the float spacing of t
+                count = (s.t - t0 + 1e-12) / interval
+                snap_next = (t0 + (math.floor(count) + 1) * interval
+                             if math.isfinite(count) else s.t)
 
         try:
             state = run_until(state, cfg.grid, cfg.t_end, cfg.params, cfg.bc,
                               cfg.control, sink=sink)
         except SolverFailure as exc:
             failure = exc
-        # the buffered steps, before the failure message reads the minima
-        write(collector.flush())
-        if failure is not None:
-            print(f"error: {failure}; run minima: v = {collector.min_v_run:.6g}, "
-                  f"theta = {collector.min_theta_run:.6g}", file=sys.stderr)
-        if pending[0] is not None:
-            emit_diagnostics(pending[0], stream)
+        write(collector.flush())  # before the failure message reads the minima
+        if last.step % cfg.diagnostics_every != 0:  # the cadence skipped it
+            emit_diagnostics(last, stream)
 
-    status = 0 if failure is None else 3
     summary = {"min_v": collector.min_v_run,
                "min_theta": collector.min_theta_run,
-               "E_entropy_final": last[0].E_entropy,
+               "E_entropy_final": last.E_entropy,
                "repr_residual_max": (math.nan if collector.acc is None
                                      else collector.max_repr_residual)}
-    if status == 0:
-        emit_snapshot(state, cfg.grid, out / "snapshot_final.csv")
-        repr_txt = ("n/a" if collector.acc is None
-                    else f"{collector.max_repr_residual:.6g}")
-        print(f"run complete: t = {state.t:.6g}, steps = {state.step}")
-        print(f"summary: min_v = {collector.min_v_run:.17g}, "
-              f"max_v = {collector.max_v_run:.17g}, "
-              f"min_theta = {collector.min_theta_run:.17g}, "
-              f"max_theta = {collector.max_theta_run:.17g}")
-        print(f"summary: E_entropy_final = {last[0].E_entropy:.17g}, "
-              f"W_integral = {collector.w_cum:.17g}, "
-              f"repr_residual_max = {repr_txt}")
-    return status, summary
+    if failure is not None:
+        print(f"error: {failure}; run minima: v = {collector.min_v_run:.6g}, "
+              f"theta = {collector.min_theta_run:.6g}", file=sys.stderr)
+        return 3, summary
+    emit_snapshot(state, cfg.grid, out / "snapshot_final.csv")
+    repr_txt = ("n/a" if collector.acc is None
+                else f"{collector.max_repr_residual:.6g}")
+    print(f"run complete: t = {state.t:.6g}, steps = {state.step}")
+    print(f"summary: min_v = {collector.min_v_run:.17g}, "
+          f"max_v = {collector.max_v_run:.17g}, "
+          f"min_theta = {collector.min_theta_run:.17g}, "
+          f"max_theta = {collector.max_theta_run:.17g}")
+    print(f"summary: E_entropy_final = {last.E_entropy:.17g}, "
+          f"W_integral = {collector.w_cum:.17g}, "
+          f"repr_residual_max = {repr_txt}")
+    return 0, summary
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = parse_config_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return run_simulation(cfg, args.out)[0]
+    return run_simulation(parse_config_file(args.config), args.out)[0]
 
 
 def _parse_axes(axis_args) -> dict:
+    """The sweep axes named on the command line, with their values, in the
+    order alpha, beta, amp."""
     axes = {}
     for item in axis_args or []:
         name, _, values = item.partition("=")
         name = name.strip()
-        if name not in ("alpha", "beta", "amp"):
+        if name not in _AXES:
             raise ConfigError(f"unknown sweep axis '{name}' "
                               "(expected alpha, beta, or amp)")
         if name in axes:
@@ -150,7 +147,7 @@ def _parse_axes(axis_args) -> dict:
                               f"got {values!r}")
         if not axes[name]:
             raise ConfigError(f"axis '{name}' has no values")
-    return axes
+    return {name: axes[name] for name in _AXES if name in axes}
 
 
 def _sweep_case(cfg: RunConfig, alpha, beta, amp) -> RunConfig:
@@ -171,46 +168,25 @@ def _sweep_worker(task):
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        cfg = parse_config_file(args.config)
-        axes = _parse_axes(args.axis)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    alphas = axes.get("alpha", [None])
-    betas = axes.get("beta", [None])
-    amps = axes.get("amp", [None])
-    combos = list(itertools.product(alphas, betas, amps))
+    cfg = parse_config_file(args.config)
+    axes = _parse_axes(args.axis)
+    combos = [dict(zip(axes, values))
+              for values in itertools.product(*axes.values())]
     if len(combos) > cfg.sweep_cap:
-        print(f"config error: sweep of {len(combos)} runs exceeds "
-              f"sweep.cap = {cfg.sweep_cap}; refusing to start",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"sweep of {len(combos)} runs exceeds "
+                          f"sweep.cap = {cfg.sweep_cap}; refusing to start")
 
     out_root = Path(args.out if args.out is not None else cfg.out_dir)
     tasks = []
-    for alpha, beta, amp in combos:
-        combo = {}
-        name_bits = []
-        if alpha is not None:
-            combo["alpha"] = alpha
-            name_bits.append(f"alpha{alpha:g}")
-        if beta is not None:
-            combo["beta"] = beta
-            name_bits.append(f"beta{beta:g}")
-        if amp is not None:
-            combo["amp"] = amp
-            name_bits.append(f"amp{amp:g}")
-        run_dir = out_root / ("run_" + "_".join(name_bits) if name_bits else "run")
-        try:
-            case = _sweep_case(cfg, alpha, beta, amp)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        tasks.append((case, str(run_dir), combo))
+    for combo in combos:  # {axis: value}, one run each
+        name = "_".join(["run"] + [f"{k}{v:g}" for k, v in combo.items()])
+        case = _sweep_case(cfg, *map(combo.get, _AXES))
+        tasks.append((case, str(out_root / name), combo))
 
-    out_root.mkdir(parents=True, exist_ok=True)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _error(f"cannot create output directory {out_root}: {exc}")
     if cfg.sweep_workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.sweep_workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
@@ -229,29 +205,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 def _cmd_verify(_args) -> int:
     studies = verification.standard_studies()
-    ok = True
     for study in studies:
         print(json.dumps(study))
-        ok = ok and study["pass"]
-    return 0 if ok else 4
+    return 0 if all(study["pass"] for study in studies) else 4
 
 
 def _cmd_check_config(args) -> int:
-    try:
-        cfg = parse_config_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    from .config import describe
-
-    print(describe(cfg))
+    print(describe(parse_config_file(args.config)))
     return 0
 
 
@@ -282,7 +247,11 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=_cmd_check_config)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

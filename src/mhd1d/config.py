@@ -103,7 +103,7 @@ class RunConfig:
     diagnostics_every: int
     sweep_cap: int
     sweep_workers: int
-    repr_anchor: Optional[float]
+    repr_node: Optional[int]  # the node nearest repr.anchor
     normalized_preset: bool
 
     def with_params(self, alpha: float, beta: float) -> "RunConfig":
@@ -294,8 +294,9 @@ def parse_config(text: str) -> RunConfig:
     cap, workers = look.get("sweep.cap"), look.get("sweep.workers")
 
     anchor = look.get("repr.anchor")  # used at its nearest node
-    if anchor is not None and not (grid.left_edge < anchor < grid.right_edge and
-                                   0 < round((anchor - left) / grid.dx) < cells):
+    inside = anchor is not None and grid.left_edge < anchor < grid.right_edge
+    node = round((anchor - left) / grid.dx) if inside else None
+    if anchor is not None and not (inside and 0 < node < cells):
         look.fail("repr.anchor", "an interior nearest node (1 to grid.cells - 1)")
 
     return RunConfig(grid=grid, bc=bc, params=params, profile=profile,
@@ -303,7 +304,7 @@ def parse_config(text: str) -> RunConfig:
                      out_dir=look.get("output.dir"),
                      snapshot_interval=snap_int, diagnostics_every=diag_every,
                      sweep_cap=cap, sweep_workers=workers,
-                     repr_anchor=anchor,
+                     repr_node=node,
                      normalized_preset=(preset == "normalized"))
 
 

@@ -18,7 +18,7 @@ running sums and the representation accumulator advance record by record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -457,10 +457,11 @@ class DiagnosticsCollector:
     step and maintains the cumulative budgets.
 
     Use make_record(state) once for the initial record, then feed
-    (state, report) pairs in order: on_step records one at once (e.g.
-    sink=collector.on_step with solver.run_until), push buffers them and
-    records block_size = max(1, BLOCK_CELLS // cells) of them at a time, and
-    flush records what push still holds; flush before calling on_step again.
+    (state, report) pairs in order: make_record(state, report) records one at
+    once (e.g. sink=collector.make_record with solver.run_until), push buffers
+    them and records block_size = max(1, BLOCK_CELLS // cells) of them at a
+    time, and flush records what push still holds; flush before calling
+    make_record again.
     Each way runs record_block, so the records are the same.
     The grid must hold at most SLAB_INTERVALS_PER_CELL unit mass intervals
     per cell (ValueError otherwise), which bounds the slab integrals of every
@@ -498,15 +499,12 @@ class DiagnosticsCollector:
         """Assemble the record for a state; report=None marks the t = 0 row."""
         return self.record_block([state], [report])[0]
 
-    def on_step(self, state: GasState, report: StepReport) -> DiagnosticsRecord:
-        return self.make_record(state, report)
-
     def push(self, state: GasState, report: StepReport) -> list[DiagnosticsRecord]:
-        """Buffer an accepted step with the t and step it has now (run_until
-        moves the final state's t onto t_end after its last sink call). Once
-        block_size steps are buffered, record them and return their records;
-        until then return []."""
-        self._buffer.append((replace(state), report))
+        """Buffer an accepted step as given: it is read when its block is
+        recorded, so it must not change meanwhile. Once block_size steps
+        are buffered, record them and return their records; until then
+        return []."""
+        self._buffer.append((state, report))
         return self.flush() if len(self._buffer) >= self.block_size else []
 
     def flush(self) -> list[DiagnosticsRecord]:

@@ -26,7 +26,7 @@ all other center-to-node transfers are arithmetic means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -629,7 +629,9 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
               forcing=None) -> GasState:
     """Step repeatedly until t_end, invoking sink(state, report) after each
     accepted step, and hand each step's report.coeffs to the next. The final
-    step is shortened to land exactly on t_end."""
+    step is shortened to land exactly on t_end; a state within round-off of
+    t_end is returned as a copy at t_end, so no state handed out or passed in
+    is edited."""
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before state time {state.t}")
     snap_tol = 1e-12 * max(1.0, abs(t_end))
@@ -641,5 +643,5 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
         if sink is not None:
             sink(state, report)
     if state.t != t_end and abs(state.t - t_end) <= snap_tol:
-        state.t = t_end
+        state = replace(state, t=t_end)
     return state

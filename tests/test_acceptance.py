@@ -135,7 +135,7 @@ def _budget_run(cells, alpha=1.0, beta=1.0, t_end=1.0):
     coll = DiagnosticsCollector(grid, p, CAUCHY, state)
     records = [coll.make_record(state)]
     run_until(state, grid, t_end, p, CAUCHY, StepControl(),
-              sink=lambda s, r: records.append(coll.on_step(s, r)))
+              sink=lambda s, r: records.append(coll.make_record(s, r)))
     e0 = records[0].E_entropy
     gaps = [r.E_entropy + r.W_cum - e0 - abs(r.entropy_flux_cum)
             for r in records]
@@ -205,7 +205,7 @@ def test_criterion_08_representation_formula():
         grid = Grid.uniform(64, 32.0, -16.0)
         state = reference_state(grid)
         coll = DiagnosticsCollector(grid, p, CAUCHY, state)
-        run_until(state, grid, 1.0, p, CAUCHY, ctl, sink=coll.on_step)
+        run_until(state, grid, 1.0, p, CAUCHY, ctl, sink=coll.make_record)
         assert coll.max_repr_residual <= 1e-10, alpha
 
     # smooth nontrivial runs: <= 5% at M = 512 and decreasing over 3 levels
@@ -216,7 +216,7 @@ def test_criterion_08_representation_formula():
             grid = Grid.uniform(cells, 32.0, -16.0)
             state = make_initial_state(grid, smooth_bump(), CAUCHY)
             coll = DiagnosticsCollector(grid, p, CAUCHY, state)
-            run_until(state, grid, 1.0, p, CAUCHY, ctl, sink=coll.on_step)
+            run_until(state, grid, 1.0, p, CAUCHY, ctl, sink=coll.make_record)
             maxes[cells] = coll.max_repr_residual
         assert maxes[512] <= 0.05, alpha
         assert maxes[256] > maxes[512] > maxes[1024], (alpha, maxes)

@@ -495,7 +495,7 @@ def per_step_records(text):
     failure = None
     try:
         run_until(state, cfg.grid, cfg.t_end, cfg.params, cfg.bc, cfg.control,
-                  sink=lambda s, r: records.append(coll.on_step(s, r)))
+                  sink=lambda s, r: records.append(coll.make_record(s, r)))
     except SolverFailure as exc:
         failure = exc
     return records, coll, failure
@@ -677,6 +677,72 @@ class TestSweepCommand:
                          "--axis", "alpha=0,1", "--out", str(out)])
         assert code == 0
         assert len((out / "summary.csv").read_text().splitlines()) == 3
+
+    def test_axis_order_does_not_change_the_runs(self, tmp_path):
+        cfg_path = write_config(tmp_path, SMALL_RUN)
+        outcomes = []
+        for name, axes in (("a", ["amp=0.5,1", "alpha=0,1"]),
+                           ("b", ["alpha=0,1", "amp=0.5,1"])):
+            out = tmp_path / name
+            args = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+            for axis in axes:
+                args += ["--axis", axis]
+            assert cli.main(args) == 0
+            outcomes.append((sorted(p.name for p in out.glob("run_*")),
+                             (out / "summary.csv").read_bytes()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == ["run_alpha0_amp0.5", "run_alpha0_amp1",
+                                  "run_alpha1_amp0.5", "run_alpha1_amp1"]
+
+    def test_cap_refusal_message(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL_RUN + "sweep.cap = 3\n")
+        assert cli.main(["sweep", "--config", str(cfg_path),
+                         "--axis", "alpha=0,1", "--axis", "beta=0.5,1",
+                         "--out", str(tmp_path / "sweep")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sweep of 4 runs exceeds sweep.cap = 3; "
+            "refusing to start\n")
+
+
+class TestUnwritableOutput:
+    """An output directory or file that cannot be written exits 2 with a
+    message naming the path; in a sweep that run's row exits 2."""
+
+    @pytest.mark.parametrize("command", [["run"],
+                                         ["sweep", "--axis", "alpha=0,1"]])
+    def test_out_that_is_a_file_exits_2(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main([*command, "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in err and out.read_text() == ""
+
+    def test_run_with_an_unopenable_diagnostics_file_exits_2(self, tmp_path,
+                                                             capsys):
+        cfg_path = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        (out / "diagnostics.jsonl").mkdir(parents=True)
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output in {out}: ")
+        assert str(out / "diagnostics.jsonl") in err
+
+    def test_sweep_row_with_an_unopenable_file_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "sweep"
+        (out / "run_alpha1" / "diagnostics.jsonl").mkdir(parents=True)
+        assert cli.main(["sweep", "--config", str(cfg_path),
+                         "--axis", "alpha=0,1", "--out", str(out)]) == 0
+        rows = [row.split(",") for row in
+                (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [(row[0], row[3]) for row in rows] == [("0", "0"), ("1", "2")]
+        assert rows[1][4:] == ["nan"] * 4
+        assert str(out / "run_alpha1" / "diagnostics.jsonl") in \
+            capsys.readouterr().err
 
 
 class TestVerifyCommand:

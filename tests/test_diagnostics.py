@@ -314,7 +314,7 @@ class TestRepresentationFormula:
             state = make_initial_state(grid, smooth_bump(), CAUCHY)
             coll = DiagnosticsCollector(grid, p, CAUCHY, state)
             run_until(state, grid, 0.5, p, CAUCHY, StepControl(),
-                      sink=coll.on_step)
+                      sink=coll.make_record)
             maxes.append(coll.max_repr_residual)
         assert maxes[0] > maxes[1] > maxes[2]
 
@@ -333,7 +333,7 @@ class TestCollector:
 
         records = [rec0]
         run_until(state, grid, 0.5, p, CAUCHY, StepControl(),
-                  sink=lambda s, r: records.append(coll.on_step(s, r)))
+                  sink=lambda s, r: records.append(coll.make_record(s, r)))
         times = [r.t for r in records]
         assert all(b > a for a, b in zip(times, times[1:]))
         assert all(r.mass_defect <= 1e-13 for r in records)
@@ -345,7 +345,7 @@ class TestCollector:
         coll = DiagnosticsCollector(grid, p, CAUCHY, state)
         records = [coll.make_record(state)]
         run_until(state, grid, 0.5, p, CAUCHY, StepControl(),
-                  sink=lambda s, r: records.append(coll.on_step(s, r)))
+                  sink=lambda s, r: records.append(coll.make_record(s, r)))
         e0 = records[0].E_entropy
         bound = 2.0 * e0 / (2.0 * math.log(2.0) - 1.0)
         assert bound == pytest.approx(5.177399 * e0, rel=1e-6)
@@ -376,7 +376,7 @@ class TestCollector:
             coll = DiagnosticsCollector(grid, p, CAUCHY, state)
             records = [coll.make_record(state)]
             run_until(state, grid, 1.0, p, CAUCHY, StepControl(),
-                      sink=lambda s, r: records.append(coll.on_step(s, r)))
+                      sink=lambda s, r: records.append(coll.make_record(s, r)))
             e_tot0 = records[0].energy_total
             drifts.append(max(abs(r.energy_total - e_tot0 - r.energy_flux_cum)
                               for r in records))
@@ -402,7 +402,7 @@ class TestCollector:
         coll = DiagnosticsCollector(grid, p, bc, state)
         records = [coll.make_record(state)]
         run_until(state, grid, 0.1, p, bc, StepControl(),
-                  sink=lambda s, r: records.append(coll.on_step(s, r)))
+                  sink=lambda s, r: records.append(coll.make_record(s, r)))
         for record in records:
             for f in fields(record):
                 value = getattr(record, f.name)
@@ -551,12 +551,11 @@ class TestDefaultAnchor:
 
 
 def trajectory(grid, p, bc, profile, t_end, ctl=StepControl()):
-    """The initial state and every accepted (state, report) of a run, each
-    state with the t and step that the sink received."""
+    """The initial state and every accepted (state, report) of a run."""
     state0 = make_initial_state(grid, profile, bc)
     pairs = []
     run_until(state0.copy(), grid, t_end, p, bc, ctl,
-              sink=lambda s, r: pairs.append((replace(s), r)))
+              sink=lambda s, r: pairs.append((s, r)))
     return state0, pairs
 
 
@@ -574,7 +573,7 @@ def collector_outcome(coll, records):
 def per_step(grid, p, bc, state0, pairs):
     coll = DiagnosticsCollector(grid, p, bc, state0)
     records = [coll.make_record(state0)]
-    records += [coll.on_step(s, r) for s, r in pairs]
+    records += [coll.make_record(s, r) for s, r in pairs]
     return coll, records
 
 
@@ -651,7 +650,7 @@ class TestRecordBlocks:
         records = [ref.make_record(state0)]
         moved = []
         for n, (s, r) in enumerate(pairs, start=1):
-            records.append(ref.on_step(s, r))
+            records.append(ref.make_record(s, r))
             if ref.acc.offset != 0.0 and not moved:
                 moved.append(n)
         k = BLOCK_CELLS // grid.cells
@@ -662,22 +661,6 @@ class TestRecordBlocks:
         assert coll.acc.sigma_integral == ref.acc.sigma_integral
         assert np.array_equal(coll.acc.history, ref.acc.history)
         assert all(r.repr_residual_max <= 1e-12 for r in got)
-
-
-    def test_push_keeps_the_t_and_step_it_received(self):
-        # run_until moves the final state's t onto t_end after its last
-        # sink call, before the caller flushes
-        grid = Grid.uniform(16, 8.0, -4.0)
-        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
-        state0, pairs = trajectory(grid, p, CAUCHY, smooth_bump(), 0.1)
-        coll = DiagnosticsCollector(grid, p, CAUCHY, state0)
-        state, report = pairs[0]
-        t, n = state.t, state.step
-        assert coll.push(state, report) == []
-        state.t, state.step = t + 1e-13, n + 1
-        (record,) = coll.flush()
-        assert (record.t, record.step) == (t, n)
-        assert coll.flush() == []
 
 
 class TestFieldsMustBeFinite:

@@ -4,8 +4,9 @@ public surface and carries a public name. The boundary regime of a step is
 read in solver.py alone; every other module closes its end nodes through
 solver.end_nodes. The monitors have one calling convention: each takes its
 context as required arguments (no parameter defaults), and in
-diagnostics.py only record_terms validates a state. No module of the package
-or of the tests imports a name it never reads."""
+diagnostics.py only record_terms validates a state. In cli.py only main
+catches ConfigError, so every config error leaves by one exit path. No module
+of the package or of the tests imports a name it never reads."""
 import ast
 from pathlib import Path
 
@@ -192,3 +193,40 @@ def test_the_check_sees_unused_imports(tmp_path):
                      "    os = 1\n")
     assert _unused_imports(probe) == ["line 2: os", "line 4: xml",
                                       "line 5: step"]
+
+
+def _config_error_handlers(path: Path) -> list[str]:
+    """Functions of this module with an `except` clause that names
+    ConfigError, alone or in a tuple, bare or as a module attribute."""
+    found = set()
+    for fn in _functions(path):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                if any(ast.unparse(t).split(".")[-1] == "ConfigError"
+                       for t in types):
+                    found.add(fn.name)
+    return sorted(found)
+
+
+def test_only_main_catches_config_errors_in_the_cli():
+    assert _config_error_handlers(PACKAGE / "cli.py") == ["main"]
+
+
+def test_the_check_sees_config_error_handlers(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def main():\n"
+                     "    try:\n        pass\n"
+                     "    except ConfigError:\n        pass\n"
+                     "def _cmd_run(args):\n"
+                     "    try:\n        pass\n"
+                     "    except (OSError, ConfigError) as exc:\n        pass\n"
+                     "def _cmd_sweep(args):\n"
+                     "    try:\n        pass\n"
+                     "    except OSError:\n        pass\n"
+                     "def _cmd_check_config(args):\n"
+                     "    try:\n        pass\n"
+                     "    except config.ConfigError:\n        pass\n")
+    assert _config_error_handlers(probe) == ["_cmd_check_config", "_cmd_run",
+                                             "main"]

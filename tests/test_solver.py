@@ -364,7 +364,7 @@ class TestStepHandsOverMonitorInputs:
                                   dissipation_source(state.v, viscosity_mu(state.v, p),
                                                      ux, state.w, state.b, grid, p,
                                                      bnd))
-            record = collector.on_step(state, report)
+            record = collector.make_record(state, report)
             assert record.W == dissipation_W(state, grid, p,
                                              record_terms(state, grid, p, bnd))
         assert set(newton_flux_held) == {True, False}
@@ -718,3 +718,23 @@ class TestRunUntil:
         run_until(bump_state(grid16), grid16, 0.2, params_normalized, CAUCHY,
                   StepControl(), sink=lambda s, r: times.append(s.t))
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+
+    def test_snaps_onto_t_end_without_editing_the_callers_state(
+            self, grid16, params_normalized):
+        state = reference_state(grid16)
+        state.t = 1.0 - 1e-14
+        out = run_until(state, grid16, 1.0, params_normalized, CAUCHY,
+                        StepControl())
+        assert out.t == 1.0 and state.t == 1.0 - 1e-14
+
+    def test_snaps_onto_t_end_without_editing_a_state_the_sink_received(
+            self, grid16, params_normalized):
+        # the rest state steps at dt_max, so the third step lands 5e-13 short
+        # of t_end, inside the snap tolerance
+        seen = []
+        out = run_until(reference_state(grid16), grid16, 0.3 + 5e-13,
+                        params_normalized, CAUCHY, StepControl(dt_max=0.1),
+                        sink=lambda s, r: seen.append((s, s.t)))
+        assert out.t == 0.3 + 5e-13 and len(seen) == 3
+        assert seen[-1][1] != out.t
+        assert all(s.t == t for s, t in seen)
