@@ -195,10 +195,13 @@ def _cmd_sweep(args) -> int:
 
     columns = ["alpha", "beta", "amp", "exit", "min_v", "min_theta",
                "E_entropy_final", "repr_residual_max"]
-    with open(out_root / "summary.csv", "w") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")
+    try:
+        with open(out_root / "summary.csv", "w") as f:
+            f.write(",".join(columns) + "\n")
+            for row in rows:
+                f.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")
+    except OSError as exc:
+        return _error(f"cannot write output in {out_root}: {exc}")
     print(f"sweep complete: {len(rows)} runs, summary in "
           f"{out_root / 'summary.csv'}")
     return 0

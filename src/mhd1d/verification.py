@@ -47,10 +47,24 @@ from .solver import (
 REFERENCE_MAX_CELLS = 64
 REFERENCE_SAFETY = 0.2
 
+FIELDS = ("v", "u", "theta", "w", "b")
+# each field's far-field value and the trig of its mode, counted in quarter
+# turns from sin (0 for sin, 1 for cos); derivative n adds n quarter turns
+_MODES = {"v": (1.0, 0), "u": (0.0, 0), "theta": (1.0, 1), "w": (0.0, 0),
+          "b": (0.0, 1)}
+
+
+def _closed_form(name: str):
+    def closed_form(self, x, t):
+        return _MODES[name][0] + self.perturbation(name, x, t)
+    closed_form.__name__ = closed_form.__qualname__ = name
+    return closed_form
+
 
 @dataclass(frozen=True)
 class MmsSolution:
-    """Closed-form manufactured fields.
+    """Closed-form manufactured fields, each its far-field value plus one
+    mode amp*trig(kx)*exp(-t).
 
     v = 1 + amp_v*sin(kx)*exp(-t), u = amp_u*sin(kx)*exp(-t),
     theta = 1 + amp_theta*cos(kx)*exp(-t), w like u and b like theta per
@@ -70,23 +84,27 @@ class MmsSolution:
             raise ValueError("v/theta amplitudes beyond 0.8 violate the "
                              "positivity margin of 0.2")
 
-    # closed forms ---------------------------------------------------------
-    def v(self, x, t):
-        return 1.0 + self.amp_v * np.sin(self.k * x) * math.exp(-t)
+    def perturbation(self, name: str, x, t: float, order: int = 0):
+        """The `order`-th x derivative of one field's mode,
+        amp*k^order*trig^(order)(kx)*exp(-t) multiplied left to right; w and
+        b carry their two components on a trailing axis."""
+        return self._mode(name, order, self._trig(x), math.exp(-t))
 
-    def u(self, x, t):
-        return self.amp_u * np.sin(self.k * x) * math.exp(-t)
+    def _trig(self, x) -> tuple:
+        kx = self.k * np.asarray(x, dtype=float)
+        return np.sin(kx), np.cos(kx)
 
-    def theta(self, x, t):
-        return 1.0 + self.amp_theta * np.cos(self.k * x) * math.exp(-t)
+    def _mode(self, name: str, order: int, trig: tuple, e: float):
+        """perturbation from sin(kx), cos(kx) and exp(-t)."""
+        coef = np.asarray(getattr(self, "amp_" + name), dtype=float)
+        for _ in range(order):
+            coef = coef * self.k
+        turns = _MODES[name][1] + order  # sin, cos, -sin, -cos, ...
+        f = trig[turns % 2] if turns % 4 < 2 else -trig[turns % 2]
+        return coef * (f[..., None] if coef.ndim else f) * e
 
-    def w(self, x, t):
-        base = np.sin(self.k * x) * math.exp(-t)
-        return np.stack([a * base for a in self.amp_w], axis=-1)
-
-    def b(self, x, t):
-        base = np.cos(self.k * x) * math.exp(-t)
-        return np.stack([a * base for a in self.amp_b], axis=-1)
+    # closed forms, far field plus mode: v(x, t), u(x, t), ...
+    v, u, theta, w, b = (_closed_form(n) for n in FIELDS)
 
     def state(self, grid: Grid, t: float) -> GasState:
         xc, xn = grid.centers(), grid.nodes()
@@ -102,26 +120,13 @@ class MmsSolution:
         terms assembled here; see tests for the numerical-differentiation
         cross-check of this algebra.
         """
-        x = np.asarray(x, dtype=float)
-        ee = math.exp(-t)
-        s, c = np.sin(self.k * x), np.cos(self.k * x)
-        k = self.k
-        av, au, ath = self.amp_v, self.amp_u, self.amp_theta
-        aw = np.asarray(self.amp_w)
-        ab = np.asarray(self.amp_b)
-
-        v = 1.0 + av * s * ee
-        v_t, v_x = -av * s * ee, av * k * c * ee
-        u_t, u_x, u_xx = -au * s * ee, au * k * c * ee, -au * k * k * s * ee
-        th = 1.0 + ath * c * ee
-        th_t, th_x, th_xx = -ath * c * ee, -ath * k * s * ee, -ath * k * k * c * ee
-        w_t = -aw[None, :] * s[..., None] * ee
-        w_x = aw[None, :] * k * c[..., None] * ee
-        w_xx = -aw[None, :] * k * k * s[..., None] * ee
-        b_ = ab[None, :] * c[..., None] * ee
-        b_t = -ab[None, :] * c[..., None] * ee
-        b_x = -ab[None, :] * k * s[..., None] * ee
-        b_xx = -ab[None, :] * k * k * c[..., None] * ee
+        trig, e = self._trig(x), math.exp(-t)
+        mode, d1, d2 = ({n: self._mode(n, order, trig, e) for n in FIELDS}
+                        for order in range(3))
+        v, _, th, _, b_ = (_MODES[n][0] + mode[n] for n in FIELDS)
+        v_t, u_t, th_t, w_t, b_t = (-mode[n] for n in FIELDS)  # f_t = -mode
+        v_x, u_x, th_x, w_x, b_x = (d1[n] for n in FIELDS)
+        _, u_xx, th_xx, w_xx, b_xx = (d2[n] for n in FIELDS)
 
         s_v = v_t - u_x
 
@@ -190,9 +195,10 @@ def reference_dt_bound(state: GasState, grid: Grid, p: PhysicalParams) -> float:
     return REFERENCE_SAFETY * grid.dx ** 2 * float(np.min(state.v)) / worst
 
 
-def _semi_discrete_rhs(v, u, w, b, theta, grid: Grid, p: PhysicalParams,
-                       bnd: BoundaryData):
+def _semi_discrete_rhs(y: dict, grid: Grid, p: PhysicalParams,
+                       bnd: BoundaryData) -> dict:
     """Time derivatives of all fields with the solver's spatial stencils."""
+    v, u, theta, w, b = (y[f] for f in FIELDS)
     dx = grid.dx
     ux = np.diff(u) / dx  # v_t
 
@@ -217,7 +223,7 @@ def _semi_discrete_rhs(v, u, w, b, theta, grid: Grid, p: PhysicalParams,
     h = heat_flux(theta, v, dx, p, bnd)
     q = dissipation_source(v, coeffs.mu, ux, w, b, grid, p, bnd)
     dth = (-(p.R * theta / v) * ux + np.diff(h) / dx + q) / p.c_v
-    return ux, du, dw, db, dth
+    return {"v": ux, "u": du, "theta": dth, "w": dw, "b": db}
 
 
 def explicit_reference(state0: GasState, grid: Grid, t_end: float,
@@ -225,10 +231,13 @@ def explicit_reference(state0: GasState, grid: Grid, t_end: float,
                        dt_ref: float) -> GasState:
     """Classical 4-stage explicit reference integration of the same
     semi-discrete system. Intended for tiny grids; rejects dt_ref beyond the
-    explicit diffusion stability bound and aborts on lost positivity."""
+    explicit diffusion stability bound and aborts on lost positivity. The
+    returned state shares no array with state0, which it leaves unchanged."""
     if grid.cells > REFERENCE_MAX_CELLS:
         raise ValueError(f"reference integrator is limited to "
                          f"{REFERENCE_MAX_CELLS} cells, got {grid.cells}")
+    if t_end < state0.t:
+        raise ValueError(f"t_end = {t_end} is before state time {state0.t}")
     bound = reference_dt_bound(state0, grid, p)
     if dt_ref > bound:
         raise ValueError(f"dt_ref = {dt_ref} exceeds the explicit stability "
@@ -236,45 +245,29 @@ def explicit_reference(state0: GasState, grid: Grid, t_end: float,
 
     bnd = boundary_data(grid, bc, state0.t)
 
-    def impose(u, w):
-        u[0], u[-1] = bnd.u_left, bnd.u_right
-        w[0], w[-1] = bnd.w_left, bnd.w_right
+    def impose(y):
+        y["u"][0], y["u"][-1] = bnd.u_left, bnd.u_right
+        y["w"][0], y["w"][-1] = bnd.w_left, bnd.w_right
 
-    v, u = state0.v.copy(), state0.u.copy()
-    w, b = state0.w.copy(), state0.b.copy()
-    theta = state0.theta.copy()
+    y = {f: getattr(state0, f).copy() for f in FIELDS}
     t = state0.t
     steps = 0
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         dt = min(dt_ref, t_end - t)
-        k1 = _semi_discrete_rhs(v, u, w, b, theta, grid, p, bnd)
-        y2 = _rk_stage(v, u, w, b, theta, k1, 0.5 * dt)
-        impose(y2[1], y2[2])
-        k2 = _semi_discrete_rhs(*y2, grid, p, bnd)
-        y3 = _rk_stage(v, u, w, b, theta, k2, 0.5 * dt)
-        impose(y3[1], y3[2])
-        k3 = _semi_discrete_rhs(*y3, grid, p, bnd)
-        y4 = _rk_stage(v, u, w, b, theta, k3, dt)
-        impose(y4[1], y4[2])
-        k4 = _semi_discrete_rhs(*y4, grid, p, bnd)
-
-        v = v + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        u = u + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        w = w + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        b = b + dt / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        theta = theta + dt / 6.0 * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4])
+        ks = [_semi_discrete_rhs(y, grid, p, bnd)]
+        for h in (0.5 * dt, 0.5 * dt, dt):
+            stage = {f: y[f] + h * ks[-1][f] for f in FIELDS}
+            impose(stage)
+            ks.append(_semi_discrete_rhs(stage, grid, p, bnd))
+        k1, k2, k3, k4 = ks
+        y = {f: y[f] + dt / 6.0 * (k1[f] + 2.0 * k2[f] + 2.0 * k3[f] + k4[f])
+             for f in FIELDS}
         t += dt
         steps += 1
-        impose(u, w)
-        if not (np.all(v > 0.0) and np.all(theta > 0.0)):
+        impose(y)
+        if not (np.all(y["v"] > 0.0) and np.all(y["theta"] > 0.0)):
             raise PositivityFailure("reference integration lost positivity", t)
-    return GasState(v=v, theta=theta, b=b, u=u, w=w, t=t_end,
-                    step=state0.step + steps)
-
-
-def _rk_stage(v, u, w, b, theta, k, h):
-    return (v + h * k[0], u + h * k[1], w + h * k[2], b + h * k[3],
-            theta + h * k[4])
+    return GasState(**y, t=t_end, step=state0.step + steps)
 
 
 def heat_exact_semidiscrete(theta0: np.ndarray, grid: Grid, p: PhysicalParams,
@@ -303,36 +296,42 @@ def heat_exact_semidiscrete(theta0: np.ndarray, grid: Grid, p: PhysicalParams,
     return theta_ss + vecs @ (np.exp(lam * t) * coeffs)
 
 
+def _forced_run(sol: MmsSolution, p: PhysicalParams, grid: Grid,
+                t_end: float, dt: float) -> GasState:
+    """The solver at fixed step dt on the manufactured problem, from its
+    exact state at t = 0."""
+    ctl = StepControl(cfl=1.0, dt_min=1e-14, dt_max=dt)
+    return run_until(sol.state(grid, 0.0), grid, t_end, p,
+                     BoundaryCondition.CAUCHY_FAR_FIELD, ctl,
+                     forcing=MmsForcing(sol, p))
+
+
+def _order(steps, errors) -> float | None:
+    """Least-squares slope of log error against log step; None when every
+    error is below 1e-13, exact to round-off, where the order is undefined."""
+    if max(errors) < 1e-13:
+        return None
+    return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
+
+
 def mms_convergence(sol: MmsSolution, p: PhysicalParams, cells_list,
                     t_end: float, dt_coarsest: float, mass: float = 1.0,
                     left_edge: float = 0.0) -> dict:
     """Spatial refinement study: run the solver on each grid with dt scaled
     as dx^2 and report L2 errors against the closed forms plus least-squares
     orders per field."""
-    bc = BoundaryCondition.CAUCHY_FAR_FIELD
-    forcing = MmsForcing(sol, p)
-    errors = {f: [] for f in ("v", "u", "theta", "w", "b")}
+    errors = {f: [] for f in FIELDS}
     dxs = []
     for cells in cells_list:
         grid = Grid.uniform(cells, mass, left_edge)
         dt = dt_coarsest * (cells_list[0] / cells) ** 2
-        ctl = StepControl(cfl=1.0, dt_min=1e-14, dt_max=dt)
-        state = run_until(sol.state(grid, 0.0), grid, t_end, p, bc, ctl,
-                          forcing=forcing)
+        state = _forced_run(sol, p, grid, t_end, dt)
         exact = sol.state(grid, t_end)
-        dx = grid.dx
-        dxs.append(dx)
-        errors["v"].append(_l2(state.v - exact.v, dx))
-        errors["u"].append(_l2(state.u - exact.u, dx))
-        errors["theta"].append(_l2(state.theta - exact.theta, dx))
-        errors["w"].append(_l2(state.w - exact.w, dx))
-        errors["b"].append(_l2(state.b - exact.b, dx))
-    orders = {}
-    for f, errs in errors.items():
-        if max(errs) < 1e-13:
-            orders[f] = None  # exact to round-off, order undefined
-        else:
-            orders[f] = float(np.polyfit(np.log(dxs), np.log(errs), 1)[0])
+        dxs.append(grid.dx)
+        for f in FIELDS:
+            errors[f].append(_l2(getattr(state, f) - getattr(exact, f),
+                                 grid.dx))
+    orders = {f: _order(dxs, errs) for f, errs in errors.items()}
     return {"dx": dxs, "errors": errors, "orders": orders}
 
 
@@ -341,23 +340,13 @@ def temporal_convergence(sol: MmsSolution, p: PhysicalParams, cells: int,
                          left_edge: float = 0.0) -> dict:
     """Step refinement study on a fixed grid. Successive differences of the
     final states isolate the time-integration order from the (common)
-    spatial error."""
-    bc = BoundaryCondition.CAUCHY_FAR_FIELD
-    forcing = MmsForcing(sol, p)
+    spatial error; the order is None when every difference is below 1e-13."""
     grid = Grid.uniform(cells, mass, left_edge)
-    finals = []
-    for dt in dts:
-        ctl = StepControl(cfl=1.0, dt_min=1e-14, dt_max=dt)
-        finals.append(run_until(sol.state(grid, 0.0), grid, t_end, p, bc, ctl,
-                                forcing=forcing))
-    diffs = []
-    for s1, s2 in zip(finals[:-1], finals[1:]):
-        diffs.append(max(_linf(s1.v - s2.v), _linf(s1.u - s2.u),
-                         _linf(s1.theta - s2.theta), _linf(s1.w - s2.w),
-                         _linf(s1.b - s2.b)))
-    order = float(np.polyfit(np.log(np.asarray(dts[:-1], dtype=float)),
-                             np.log(diffs), 1)[0])
-    return {"dts": list(dts), "diffs": diffs, "order": order}
+    finals = [_forced_run(sol, p, grid, t_end, dt) for dt in dts]
+    diffs = [max(_field_diffs(s1, s2).values())
+             for s1, s2 in zip(finals[:-1], finals[1:])]
+    return {"dts": list(dts), "diffs": diffs,
+            "order": _order(dts[:-1], diffs)}
 
 
 def oracle_comparison(state0: GasState, grid: Grid, t_end: float,
@@ -365,11 +354,13 @@ def oracle_comparison(state0: GasState, grid: Grid, t_end: float,
                       ctl: StepControl, dt_ref: float) -> dict:
     """Max-norm disagreement per field between the semi-implicit solver and
     the explicit reference on the same configuration."""
-    solved = run_until(state0.copy(), grid, t_end, p, bc, ctl)
-    ref = explicit_reference(state0.copy(), grid, t_end, p, bc, dt_ref)
-    return {"v": _linf(solved.v - ref.v), "u": _linf(solved.u - ref.u),
-            "theta": _linf(solved.theta - ref.theta),
-            "w": _linf(solved.w - ref.w), "b": _linf(solved.b - ref.b)}
+    solved = run_until(state0, grid, t_end, p, bc, ctl)
+    return _field_diffs(solved,
+                        explicit_reference(state0, grid, t_end, p, bc, dt_ref))
+
+
+def _field_diffs(a: GasState, b: GasState) -> dict:
+    return {f: _linf(getattr(a, f) - getattr(b, f)) for f in FIELDS}
 
 
 def _l2(diff: np.ndarray, dx: float) -> float:
@@ -387,66 +378,53 @@ def numerical_source_check(sol: MmsSolution, p: PhysicalParams,
     differentiation of the closed forms (fluxes included as nested
     divided differences). Returns max abs discrepancy per equation."""
     x = np.linspace(0.0, 1.0, n_samples, endpoint=False) + 0.31 / n_samples
+    at = {f: (lambda xx, f=f: getattr(sol, f)(xx, t)) for f in FIELDS}
 
-    def ddx(f):
-        return (f(x + h_x) - f(x - h_x)) / (2.0 * h_x)
+    def ddx(g, xx=x):  # centered difference in x of g(xx)
+        return (g(xx + h_x) - g(xx - h_x)) / (2.0 * h_x)
 
     def ddt(f):
         return (f(x, t + h_t) - f(x, t - h_t)) / (2.0 * h_t)
 
-    def u_x(xx):
-        return (sol.u(xx + h_x, t) - sol.u(xx - h_x, t)) / (2.0 * h_x)
-
-    def th_x(xx):
-        return (sol.theta(xx + h_x, t) - sol.theta(xx - h_x, t)) / (2.0 * h_x)
-
-    def w_x(xx):
-        return (sol.w(xx + h_x, t) - sol.w(xx - h_x, t)) / (2.0 * h_x)
-
-    def b_x(xx):
-        return (sol.b(xx + h_x, t) - sol.b(xx - h_x, t)) / (2.0 * h_x)
-
     def mu_of(xx):
-        return p.mu1 + p.mu2 * sol.v(xx, t) ** (-p.alpha)
+        return p.mu1 + p.mu2 * at["v"](xx) ** (-p.alpha)
 
-    num_v = ddt(sol.v) - ddx(lambda xx: sol.u(xx, t))
+    num_v = ddt(sol.v) - ddx(at["u"])
 
     def total_pressure(xx):
-        return (p.R * sol.theta(xx, t) / sol.v(xx, t)
-                + 0.5 * np.sum(sol.b(xx, t) ** 2, axis=-1))
+        return (p.R * at["theta"](xx) / at["v"](xx)
+                + 0.5 * np.sum(at["b"](xx) ** 2, axis=-1))
 
     def visc_flux(xx):
-        return mu_of(xx) * u_x(xx) / sol.v(xx, t)
+        return mu_of(xx) * ddx(at["u"], xx) / at["v"](xx)
 
-    num_u = ddt(lambda xx, tt: sol.u(xx, tt)) + ddx(total_pressure) - ddx(visc_flux)
+    num_u = ddt(sol.u) + ddx(total_pressure) - ddx(visc_flux)
 
     def w_flux(xx):
-        return p.lam * w_x(xx) / sol.v(xx, t)[..., None]
+        return p.lam * ddx(at["w"], xx) / at["v"](xx)[..., None]
 
-    num_w = (ddt(sol.w) - b_x(x)
-             - (w_flux(x + h_x) - w_flux(x - h_x)) / (2.0 * h_x))
+    num_w = ddt(sol.w) - ddx(at["b"]) - ddx(w_flux)
 
     def b_flux(xx):
-        return p.nu * b_x(xx) / sol.v(xx, t)[..., None]
+        return p.nu * ddx(at["b"], xx) / at["v"](xx)[..., None]
 
     num_b = (ddt(lambda xx, tt: sol.v(xx, tt)[..., None] * sol.b(xx, tt))
-             - w_x(x) - (b_flux(x + h_x) - b_flux(x - h_x)) / (2.0 * h_x))
+             - ddx(at["w"]) - ddx(b_flux))
 
     def th_flux(xx):
-        return (p.kappa_tilde * sol.theta(xx, t) ** p.beta * th_x(xx)
-                / sol.v(xx, t))
+        return (p.kappa_tilde * at["theta"](xx) ** p.beta * ddx(at["theta"], xx)
+                / at["v"](xx))
 
-    diss = (mu_of(x) * u_x(x) ** 2 + p.lam * np.sum(w_x(x) ** 2, axis=-1)
-            + p.nu * np.sum(b_x(x) ** 2, axis=-1)) / sol.v(x, t)
+    diss = (mu_of(x) * ddx(at["u"]) ** 2
+            + p.lam * np.sum(ddx(at["w"]) ** 2, axis=-1)
+            + p.nu * np.sum(ddx(at["b"]) ** 2, axis=-1)) / at["v"](x)
     num_theta = (p.c_v * ddt(sol.theta)
-                 + (p.R * sol.theta(x, t) / sol.v(x, t)) * u_x(x)
-                 - (th_flux(x + h_x) - th_flux(x - h_x)) / (2.0 * h_x)
-                 - diss)
+                 + (p.R * at["theta"](x) / at["v"](x)) * ddx(at["u"])
+                 - ddx(th_flux) - diss)
 
-    hand = sol.sources_at(x, t, p)
-    return {"v": _linf(num_v - hand["v"]), "u": _linf(num_u - hand["u"]),
-            "w": _linf(num_w - hand["w"]), "b": _linf(num_b - hand["b"]),
-            "theta": _linf(num_theta - hand["theta"])}
+    num = {"v": num_v, "u": num_u, "w": num_w, "b": num_b, "theta": num_theta}
+    return {f: _linf(num[f] - hand)
+            for f, hand in sol.sources_at(x, t, p).items()}
 
 
 def standard_studies() -> list[dict]:
@@ -472,8 +450,9 @@ def standard_studies() -> list[dict]:
     # step sizes that divide t_end exactly, so no run ends on a shortened step
     temporal = temporal_convergence(sol, p_norm, cells=64,
                                     dts=[2e-3, 1e-3, 5e-4, 2.5e-4], t_end=0.1)
-    studies.append({"study": "mms_temporal_order", "order": temporal["order"],
-                    "threshold": 0.9, "pass": temporal["order"] >= 0.9})
+    order = temporal["order"]
+    studies.append({"study": "mms_temporal_order", "order": order,
+                    "threshold": 0.9, "pass": order is None or order >= 0.9})
 
     for alpha in (0.0, 1.0):
         p_a = PhysicalParams.normalized(alpha=alpha, beta=1.0)

@@ -745,6 +745,19 @@ class TestUnwritableOutput:
             capsys.readouterr().err
 
 
+    def test_sweep_with_an_unwritable_summary_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "sweep"
+        (out / "summary.csv").mkdir(parents=True)
+        assert cli.main(["sweep", "--config", str(cfg_path),
+                         "--axis", "alpha=0,1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output in {out}: ")
+        assert "Traceback" not in err
+        for run in ("run_alpha0", "run_alpha1"):
+            assert (out / run / "snapshot_final.csv").is_file()
+            assert (out / run / "diagnostics.jsonl").read_text()
+
 class TestVerifyCommand:
     def test_studies_emit_json_lines_and_pass(self, capsys):
         code = cli.main(["verify"])

@@ -9,6 +9,7 @@ from mhd1d.core import (
     PhysicalParams,
     make_initial_state,
 )
+from mhd1d.solver import StepControl
 from mhd1d.verification import (
     MmsForcing,
     MmsSolution,
@@ -17,6 +18,7 @@ from mhd1d.verification import (
     mms_convergence,
     mms_sources,
     numerical_source_check,
+    oracle_comparison,
     reference_dt_bound,
     temporal_convergence,
 )
@@ -64,6 +66,32 @@ class TestMmsSources:
                            beta=0.7, lam=1.1, nu=0.9, R=1.15, c_v=0.85)
         errs = numerical_source_check(sol, p, n_samples=256)
         assert max(errs.values()) <= 1e-6, errs
+
+    def test_closed_forms_are_far_field_plus_mode(self):
+        sol = MmsSolution(amp_v=0.2, amp_u=-0.3, amp_theta=0.1,
+                          amp_w=(0.1, -0.2), amp_b=(0.3, 0.05))
+        x, t, k = np.linspace(0.0, 1.0, 17), 0.4, sol.k
+        e = np.exp(-t)
+        assert np.allclose(sol.v(x, t), 1.0 + 0.2 * np.sin(k * x) * e,
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(sol.theta(x, t), 1.0 + 0.1 * np.cos(k * x) * e,
+                           rtol=0.0, atol=1e-15)
+        assert sol.w(x, t).shape == sol.b(x, t).shape == (17, 2)
+        assert np.allclose(sol.b(x, t)[:, 1], 0.05 * np.cos(k * x) * e,
+                           rtol=0.0, atol=1e-15)
+        # each derivative is a quarter turn of the trig times k
+        for name in ("v", "u", "theta", "w", "b"):
+            f0, f2 = (sol.perturbation(name, x, t, n) for n in (0, 2))
+            assert np.allclose(f2, -k * k * f0, rtol=0.0, atol=1e-13), name
+        assert np.allclose(sol.perturbation("u", x, t, 3),
+                           0.3 * k ** 3 * np.cos(k * x) * e,
+                           rtol=0.0, atol=1e-12)
+
+    def test_source_check_keys_run_v_u_w_b_theta(self):
+        # the order of the `max_errors` keys in the verify output
+        errs = numerical_source_check(MmsSolution(amp_v=0.1),
+                                      PhysicalParams.normalized(), n_samples=8)
+        assert list(errs) == ["v", "u", "w", "b", "theta"]
 
 
 class TestExplicitReference:
@@ -138,6 +166,47 @@ class TestExplicitReference:
             assert abs(new_mass - mass) / mass <= 1e-13
             mass = new_mass
 
+    @pytest.mark.parametrize("t_end", [0.5, 0.5 + 1e-5])
+    def test_leaves_its_input_alone(self, t_end):
+        # zero steps (t_end at the state time) and one step
+        grid = Grid.uniform(16, 1.0, -0.5)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state0 = make_initial_state(grid, GaussianBump(
+            center=0.0, width=0.2, amp_v=-0.1, amp_u=0.1, amp_theta=0.1,
+            amp_b=(0.1, -0.05), amp_w=(0.1, 0.05)), CAUCHY)
+        state0.t, state0.step = 0.5, 7
+        before = state0.copy()
+        out = explicit_reference(state0, grid, t_end, p, CAUCHY, dt_ref=1e-5)
+        assert out.step == 7 + (t_end > 0.5) and out.t == t_end
+        for f in ("v", "u", "theta", "w", "b"):
+            assert np.array_equal(getattr(state0, f), getattr(before, f)), f
+            assert not np.shares_memory(getattr(out, f), getattr(state0, f)), f
+        assert (state0.t, state0.step) == (0.5, 7)
+
+    def test_rejects_an_end_before_the_state_time(self):
+        grid = Grid.uniform(16, 1.0, 0.0)
+        p = PhysicalParams.normalized()
+        state = reference_state(grid)
+        state.t = 0.5
+        with pytest.raises(ValueError,
+                           match="t_end = 0.1 is before state time 0.5"):
+            explicit_reference(state, grid, 0.1, p, CAUCHY, dt_ref=1e-6)
+
+    def test_oracle_comparison_keys_and_input(self):
+        # the order of the `max_diffs` keys in the verify output
+        grid = Grid.uniform(16, 1.0, -0.5)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state0 = make_initial_state(grid, GaussianBump(
+            center=0.0, width=0.2, amp_u=0.1, amp_theta=0.1), CAUCHY)
+        before = state0.copy()
+        diffs = oracle_comparison(state0, grid, 1e-4, p, CAUCHY,
+                                  StepControl(cfl=0.4, dt_min=1e-12,
+                                              dt_max=2e-5), dt_ref=2e-5)
+        assert list(diffs) == ["v", "u", "theta", "w", "b"]
+        assert max(diffs.values()) <= 1e-4
+        for f in ("v", "u", "theta", "w", "b"):
+            assert np.array_equal(getattr(state0, f), getattr(before, f)), f
+
 
 class TestConvergenceStudies:
     def test_zero_amplitudes_are_exact(self):
@@ -147,6 +216,22 @@ class TestConvergenceStudies:
         for field, errs in res["errors"].items():
             assert max(errs) < 1e-13, field
         assert all(o is None for o in res["orders"].values())
+
+    def test_spatial_order_keys_run_v_u_theta_w_b(self):
+        # the order of the `orders` keys in the verify output
+        res = mms_convergence(MmsSolution(amp_u=0.1),
+                              PhysicalParams.normalized(), [8, 16],
+                              t_end=0.01, dt_coarsest=1e-3)
+        assert list(res["orders"]) == ["v", "u", "theta", "w", "b"]
+
+    def test_zero_amplitudes_have_no_temporal_order(self):
+        res = temporal_convergence(MmsSolution(),
+                                   PhysicalParams.normalized(alpha=1.0,
+                                                             beta=1.0),
+                                   cells=8, dts=[2e-3, 1e-3, 5e-4],
+                                   t_end=0.01)
+        assert max(res["diffs"]) < 1e-13
+        assert res["order"] is None
 
     def test_small_spatial_study_converges(self):
         sol = MmsSolution(amp_v=0.15, amp_u=0.2, amp_theta=0.12,
