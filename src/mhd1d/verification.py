@@ -48,17 +48,9 @@ REFERENCE_MAX_CELLS = 64
 REFERENCE_SAFETY = 0.2
 
 FIELDS = ("v", "u", "theta", "w", "b")
-# each field's far-field value and the trig of its mode, counted in quarter
-# turns from sin (0 for sin, 1 for cos); derivative n adds n quarter turns
-_MODES = {"v": (1.0, 0), "u": (0.0, 0), "theta": (1.0, 1), "w": (0.0, 0),
-          "b": (0.0, 1)}
-
-
-def _closed_form(name: str):
-    def closed_form(self, x, t):
-        return _MODES[name][0] + self.perturbation(name, x, t)
-    closed_form.__name__ = closed_form.__qualname__ = name
-    return closed_form
+# the trig of each field's mode, counted in quarter turns from sin (0 for sin,
+# 1 for cos); the n-th x derivative adds n quarter turns
+_TURNS = {"v": 0, "u": 0, "theta": 1, "w": 0, "b": 1}
 
 
 @dataclass(frozen=True)
@@ -88,23 +80,36 @@ class MmsSolution:
         """The `order`-th x derivative of one field's mode,
         amp*k^order*trig^(order)(kx)*exp(-t) multiplied left to right; w and
         b carry their two components on a trailing axis."""
-        return self._mode(name, order, self._trig(x), math.exp(-t))
+        kx = self.k * x
+        trig = np.cos(kx) if (_TURNS[name] + order) % 2 else np.sin(kx)
+        return self._mode(name, order, trig, math.exp(-t))
 
-    def _trig(self, x) -> tuple:
-        kx = self.k * np.asarray(x, dtype=float)
-        return np.sin(kx), np.cos(kx)
-
-    def _mode(self, name: str, order: int, trig: tuple, e: float):
-        """perturbation from sin(kx), cos(kx) and exp(-t)."""
-        coef = np.asarray(getattr(self, "amp_" + name), dtype=float)
+    def _mode(self, name: str, order: int, trig, e: float):
+        """perturbation from the sin(kx) or cos(kx) it needs and exp(-t)."""
+        coef = getattr(self, "amp_" + name)
+        if name in ("w", "b"):  # two components on a trailing axis
+            coef, trig = np.asarray(coef, dtype=float), trig[..., None]
         for _ in range(order):
             coef = coef * self.k
-        turns = _MODES[name][1] + order  # sin, cos, -sin, -cos, ...
-        f = trig[turns % 2] if turns % 4 < 2 else -trig[turns % 2]
-        return coef * (f[..., None] if coef.ndim else f) * e
+        if (_TURNS[name] + order) % 4 >= 2:  # -sin or -cos
+            coef = -coef
+        return coef * trig * e
 
-    # closed forms, far field plus mode: v(x, t), u(x, t), ...
-    v, u, theta, w, b = (_closed_form(n) for n in FIELDS)
+    # closed forms, far field plus mode
+    def v(self, x, t):
+        return 1.0 + self.perturbation("v", x, t)
+
+    def u(self, x, t):
+        return self.perturbation("u", x, t)
+
+    def theta(self, x, t):
+        return 1.0 + self.perturbation("theta", x, t)
+
+    def w(self, x, t):
+        return self.perturbation("w", x, t)
+
+    def b(self, x, t):
+        return self.perturbation("b", x, t)
 
     def state(self, grid: Grid, t: float) -> GasState:
         xc, xn = grid.centers(), grid.nodes()
@@ -120,13 +125,19 @@ class MmsSolution:
         terms assembled here; see tests for the numerical-differentiation
         cross-check of this algebra.
         """
-        trig, e = self._trig(x), math.exp(-t)
-        mode, d1, d2 = ({n: self._mode(n, order, trig, e) for n in FIELDS}
-                        for order in range(3))
-        v, _, th, _, b_ = (_MODES[n][0] + mode[n] for n in FIELDS)
-        v_t, u_t, th_t, w_t, b_t = (-mode[n] for n in FIELDS)  # f_t = -mode
-        v_x, u_x, th_x, w_x, b_x = (d1[n] for n in FIELDS)
-        _, u_xx, th_xx, w_xx, b_xx = (d2[n] for n in FIELDS)
+        kx = self.k * np.asarray(x, dtype=float)
+        sin_cos, e = (np.sin(kx), np.cos(kx)), math.exp(-t)
+
+        def d(name, order):  # the order-th x derivative of one field's mode
+            return self._mode(name, order,
+                              sin_cos[(_TURNS[name] + order) % 2], e)
+
+        mode = {n: d(n, 0) for n in FIELDS}
+        v, th, b_ = 1.0 + mode["v"], 1.0 + mode["theta"], mode["b"]
+        # every mode decays as exp(-t), so each f_t is minus its mode
+        v_t, u_t, th_t, w_t, b_t = (-mode[n] for n in FIELDS)
+        v_x, u_x, th_x, w_x, b_x = (d(n, 1) for n in FIELDS)
+        u_xx, th_xx, w_xx, b_xx = (d(n, 2) for n in ("u", "theta", "w", "b"))
 
         s_v = v_t - u_x
 
@@ -155,11 +166,11 @@ class MmsSolution:
 def mms_sources(sol: MmsSolution, grid: Grid, t: float,
                 p: PhysicalParams) -> dict:
     """Sources evaluated at grid locations: cell centers for v, b, theta and
-    nodes for u, w."""
-    at_c = sol.sources_at(grid.centers(), t, p)
-    at_n = sol.sources_at(grid.nodes(), t, p)
-    return {"v": at_c["v"], "u": at_n["u"], "w": at_n["w"],
-            "b": at_c["b"], "theta": at_c["theta"]}
+    nodes for u, w. One call of sources_at covers both point sets."""
+    m = grid.cells
+    at = sol.sources_at(np.concatenate((grid.centers(), grid.nodes())), t, p)
+    return {"v": at["v"][:m], "u": at["u"][m:], "w": at["w"][m:],
+            "b": at["b"][:m], "theta": at["theta"][:m]}
 
 
 @dataclass(frozen=True)
@@ -329,8 +340,8 @@ def mms_convergence(sol: MmsSolution, p: PhysicalParams, cells_list,
         exact = sol.state(grid, t_end)
         dxs.append(grid.dx)
         for f in FIELDS:
-            errors[f].append(_l2(getattr(state, f) - getattr(exact, f),
-                                 grid.dx))
+            diff = getattr(state, f) - getattr(exact, f)
+            errors[f].append(float(np.sqrt(grid.dx * np.sum(diff ** 2))))
     orders = {f: _order(dxs, errs) for f, errs in errors.items()}
     return {"dx": dxs, "errors": errors, "orders": orders}
 
@@ -361,10 +372,6 @@ def oracle_comparison(state0: GasState, grid: Grid, t_end: float,
 
 def _field_diffs(a: GasState, b: GasState) -> dict:
     return {f: _linf(getattr(a, f) - getattr(b, f)) for f in FIELDS}
-
-
-def _l2(diff: np.ndarray, dx: float) -> float:
-    return float(np.sqrt(dx * np.sum(diff ** 2)))
 
 
 def _linf(diff: np.ndarray) -> float:
@@ -400,16 +407,12 @@ def numerical_source_check(sol: MmsSolution, p: PhysicalParams,
 
     num_u = ddt(sol.u) + ddx(total_pressure) - ddx(visc_flux)
 
-    def w_flux(xx):
-        return p.lam * ddx(at["w"], xx) / at["v"](xx)[..., None]
+    def flux(coef, f):  # the diffusive flux coef*f_x/v of w or b
+        return lambda xx: coef * ddx(at[f], xx) / at["v"](xx)[..., None]
 
-    num_w = ddt(sol.w) - ddx(at["b"]) - ddx(w_flux)
-
-    def b_flux(xx):
-        return p.nu * ddx(at["b"], xx) / at["v"](xx)[..., None]
-
+    num_w = ddt(sol.w) - ddx(at["b"]) - ddx(flux(p.lam, "w"))
     num_b = (ddt(lambda xx, tt: sol.v(xx, tt)[..., None] * sol.b(xx, tt))
-             - ddx(at["w"]) - ddx(b_flux))
+             - ddx(at["w"]) - ddx(flux(p.nu, "b")))
 
     def th_flux(xx):
         return (p.kappa_tilde * at["theta"](xx) ** p.beta * ddx(at["theta"], xx)

@@ -744,7 +744,6 @@ class TestUnwritableOutput:
         assert str(out / "run_alpha1" / "diagnostics.jsonl") in \
             capsys.readouterr().err
 
-
     def test_sweep_with_an_unwritable_summary_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "sweep"
@@ -757,6 +756,7 @@ class TestUnwritableOutput:
         for run in ("run_alpha0", "run_alpha1"):
             assert (out / run / "snapshot_final.csv").is_file()
             assert (out / run / "diagnostics.jsonl").read_text()
+
 
 class TestVerifyCommand:
     def test_studies_emit_json_lines_and_pass(self, capsys):
