@@ -290,8 +290,9 @@ def make_initial_state(grid: Grid, profile: InitialProfile,
     compatibility with the chosen boundary regime.
 
     Rejects profiles whose continuum infimum of v or theta is nonpositive,
-    file profiles whose length mismatches the grid, and wall regimes whose
-    initial u, w (at the wall node) or b (in the wall cell) exceed 1e-12.
+    file profiles whose cell count, left_edge or dx (beyond 1e-9 * dx)
+    mismatches the grid, and wall regimes whose initial u, w (at the wall
+    node) or b (in the wall cell) exceed 1e-12.
     u and w on every far-field end node (both ends for Cauchy, the right end
     with a wall) are set to FAR_FIELD_U and FAR_FIELD_W, the values the
     solver holds there, so that the initial data match the boundary data
@@ -329,6 +330,11 @@ def make_initial_state(grid: Grid, profile: InitialProfile,
         loaded, file_grid = snapshots.load_snapshot(profile.path)
         if file_grid.cells != m:
             raise ProfileError(f"file profile has {file_grid.cells} cells, grid has {m}")
+        for name in ("left_edge", "dx"):
+            have, want = getattr(file_grid, name), getattr(grid, name)
+            if abs(have - want) > 1e-9 * grid.dx:
+                raise ProfileError(f"file profile has {name} = {have!r}, "
+                                   f"grid has {want!r}")
         state = GasState(v=loaded.v, theta=loaded.theta, b=loaded.b,
                          u=loaded.u, w=loaded.w, t=0.0, step=0)
     else:

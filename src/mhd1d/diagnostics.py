@@ -52,11 +52,6 @@ SLAB_INTERVALS_PER_CELL = 16
 # grid over many records and keeps a block of a large grid at one state
 BLOCK_CELLS = 4096
 
-# |sigma_integral - offset| past which a ReprAccumulator is rescaled: e**512
-# is about 1e222, so the factor and the history stay finite, and a run whose
-# stress integral stays within 512 of zero is never rescaled
-_REPR_RESCALE = 512.0
-
 
 @dataclass(frozen=True)
 class RecordTerms:
@@ -267,33 +262,23 @@ def level_set_measures(state: GasState | StateBlock, grid: Grid):
 
 @dataclass
 class ReprAccumulator:
-    """Running integrals behind the volume representation formula.
+    """Running factor of the volume representation formula.
 
-    anchor is a node index at an integer mass coordinate. sigma_integral is
-    the time integral S of the effective stress at the anchor, whose
-    exponential Y = exp(S) is the stress-history factor, positive by
-    construction. With H the per-cell temperature/magnetic history integral,
-    the reconstruction's factor Y * (1 + H) is held as
-    exp(S - offset) * (unit + history): offset = 0, unit = 1 and history = H
-    until the first rescale (_REPR_RESCALE), unit = 0 and history =
-    exp(offset) * (1 + H) after it. init_factor stores
-    v0 * exp(-v0**(-alpha)) and u0_integral the initial velocity integral from
-    the anchor to each cell center.
+    anchor is a node index at an integer mass coordinate. factor is the
+    per-cell reconstruction factor Y * (1 + H), one at t = 0: Y = exp(S) is
+    the stress-history factor, S the time integral of the effective stress
+    at the anchor, and H the per-cell temperature/magnetic history integral.
+    The factor approximates v * exp(-v**(-alpha)) / b_factor, so it stays of
+    order one while v stays bounded above and below, even where exp(S) alone
+    leaves the float range. init_factor stores v0 * exp(-v0**(-alpha)) and
+    u0_integral the initial velocity integral from the anchor to each cell
+    center.
     """
 
     anchor: int
-    t: float
-    sigma_integral: float
-    offset: float
-    unit: float
-    history: np.ndarray
+    factor: np.ndarray
     init_factor: np.ndarray
     u0_integral: np.ndarray
-
-    @property
-    def y(self) -> float:
-        """The stress factor exp(sigma_integral - offset)."""
-        return math.exp(self.sigma_integral - self.offset)
 
     @classmethod
     def start(cls, state0: GasState, grid: Grid, p: PhysicalParams,
@@ -305,8 +290,7 @@ class ReprAccumulator:
             raise ValueError(f"anchor node {anchor} must be interior")
         init_factor = state0.v * np.exp(-state0.v ** (-p.alpha))
         u0_int = _integral_to_centers(state0.u, grid, anchor)
-        return cls(anchor=anchor, t=state0.t, sigma_integral=0.0, offset=0.0,
-                   unit=1.0, history=np.zeros(grid.cells),
+        return cls(anchor=anchor, factor=np.ones(grid.cells),
                    init_factor=init_factor, u0_integral=u0_int)
 
 
@@ -338,73 +322,47 @@ def _integral_to_centers(u: np.ndarray, grid: Grid, anchor: int) -> np.ndarray:
     return to_nodes[..., :-1] + tail
 
 
-@dataclass(frozen=True)
-class ReprFactors:
-    """The reconstruction factor exp(S - offset) * (unit + history) after
-    each record of a representation_update: y = exp(S - offset) and unit of
-    shape (K, 1), history (K, M). representation_residual reads it as it
-    reads an accumulator."""
-
-    y: np.ndarray
-    unit: np.ndarray
-    history: np.ndarray
-
-
 def representation_update(acc: ReprAccumulator, state: GasState | StateBlock,
                           grid: Grid, dt, p: PhysicalParams,
-                          terms: RecordTerms) -> ReprFactors:
+                          terms: RecordTerms) -> np.ndarray:
     """Advance the accumulator by one accepted step of size dt for a
     GasState, or by one step per record of a StateBlock, dt holding their
     sizes in order.
 
-    The stress integral gets a rectangle-rule increment from the end-of-step
-    stress at the anchor; the history integral is advanced with the stress
-    factor treated as exponential across the step, which keeps the far-field
-    equilibrium reconstruction exact to round-off for any dt. terms are the
-    record_terms of the state with acc. Returns the factors after each
-    record.
+    The end-of-step stress sigma at the anchor is held across the step, so
+    the factor P = Y * (1 + H) advances as P * exp(sigma dt) + h * geom, with
+    h the history integrand and geom = expm1(sigma dt) / sigma (dt when
+    sigma dt = 0); this keeps the far-field equilibrium reconstruction exact
+    to round-off for any dt. terms are the record_terms of the state with
+    acc. Returns the factor after each record, a (K, M) array.
     """
     _require_normalized(p)
     sigma = np.atleast_1d(effective_stress(state, grid, terms.coeffs, acc.anchor))
-    steps = zip(sigma.tolist(), np.atleast_1d(dt).tolist())
-    after = []  # (y, unit, geom) of each record
-    rescaled = {}  # record -> (unit, factor) that fold into the history
-    for k, (sigma_n, dt_k) in enumerate(steps):
-        acc.sigma_integral += sigma_n * dt_k
-        if abs(acc.sigma_integral - acc.offset) > _REPR_RESCALE:
-            # move the offset to S, folding the factor into the history
-            rescaled[k] = acc.unit, acc.y
-            acc.unit, acc.offset = 0.0, acc.sigma_integral
-        sdt = sigma_n * dt_k
-        after.append((acc.y, acc.unit,
-                      dt_k if sdt == 0.0 else math.expm1(sdt) / sigma_n))
-    y, unit, geom = np.array(after).T[..., None]  # each (K, 1)
-
     h = (np.exp(-terms.v_pow)
          * (state.theta + 0.5 * state.v * terms.coeffs.b_sq) / terms.b_factor)
-    increment = h.reshape(len(after), -1) * geom / y
-    history = np.empty_like(increment)
-    row = acc.history
-    for k in range(len(after)):  # in order: each row adds to the one before
-        if k in rescaled:
-            before, factor = rescaled[k]
-            row = (before + row) * factor
-        row = np.add(row, increment[k], out=history[k])
-    acc.history = row
-    acc.t = float(np.atleast_1d(state.t)[-1])
-    return ReprFactors(y, unit, history)
+    h = h.reshape(len(sigma), -1)
+    factor = np.empty_like(h)
+    row = acc.factor
+    steps = zip(sigma.tolist(), np.atleast_1d(dt).tolist())
+    # in order: each record's factor starts from the one before
+    for k, (sigma_n, dt_k) in enumerate(steps):
+        sdt = sigma_n * dt_k
+        geom = dt_k if sdt == 0.0 else math.expm1(sdt) / sigma_n
+        row = np.add(row * math.exp(sdt), h[k] * geom, out=factor[k])
+    acc.factor = row
+    return factor
 
 
-def representation_residual(acc: ReprAccumulator | ReprFactors,
-                            state: GasState | StateBlock, grid: Grid,
-                            p: PhysicalParams, terms: RecordTerms) -> np.ndarray:
+def representation_residual(factor: np.ndarray, state: GasState | StateBlock,
+                            grid: Grid, p: PhysicalParams,
+                            terms: RecordTerms) -> np.ndarray:
     """Per-cell relative defect |v - v_reconstructed| / v of the
-    representation formula, given an accumulator consistent with the
-    trajectory that produced the state, or the ReprFactors that
-    representation_update returned for it. terms are the record_terms of the
-    state with acc."""
+    representation formula, given the reconstruction factor of the state:
+    the factor of an accumulator consistent with the trajectory that
+    produced it, or the factors that representation_update returned for it.
+    terms are the record_terms of the state with that accumulator."""
     _require_normalized(p)
-    pred = terms.b_factor * acc.y * np.exp(terms.v_pow) * (acc.unit + acc.history)
+    pred = terms.b_factor * np.exp(terms.v_pow) * factor
     return np.abs(state.v - pred) / state.v
 
 
@@ -541,12 +499,12 @@ class DiagnosticsCollector:
         if self.acc is None:
             repr_max = [None] * len(states)
         else:
-            factors = self.acc
+            factor = self.acc.factor
             if stepped:
-                factors = representation_update(self.acc, block, grid,
-                                                [r.dt_used for r in reports],
-                                                p, terms)
-            repr_max = representation_residual(factors, block, grid, p,
+                factor = representation_update(self.acc, block, grid,
+                                               [r.dt_used for r in reports],
+                                               p, terms)
+            repr_max = representation_residual(factor, block, grid, p,
                                                terms).max(axis=-1).tolist()
         min_v, max_v = block.v.min(axis=-1).tolist(), block.v.max(axis=-1).tolist()
         min_th = block.theta.min(axis=-1).tolist()

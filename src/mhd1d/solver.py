@@ -94,6 +94,8 @@ class StepControl:
             raise ValueError(f"newton_tol must be > 0, got {self.newton_tol}")
         if not self.newton_max_iter >= 0:
             raise ValueError(f"newton_max_iter must be >= 0, got {self.newton_max_iter}")
+        if not self.retry_max >= 0:
+            raise ValueError(f"retry_max must be >= 0, got {self.retry_max}")
 
 
 @dataclass(frozen=True)
@@ -502,10 +504,10 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     return theta, it, q, h
 
 
-def _boundary_report(new: GasState, grid: Grid, p: PhysicalParams,
-                     bnd: BoundaryData, dt: float, old: StateCoeffs,
-                     coeffs: StateCoeffs, h: np.ndarray
-                     ) -> tuple[float, float, float, float]:
+def boundary_report(new: GasState, grid: Grid, p: PhysicalParams,
+                    bnd: BoundaryData, dt: float, old: StateCoeffs,
+                    coeffs: StateCoeffs, h: np.ndarray
+                    ) -> tuple[float, float, float, float]:
     """Boundary flux totals (mass, momentum, total energy, entropy budget)
     added to the domain during this step.
 
@@ -613,7 +615,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     new_coeffs = state_coeffs(new_state, mu_new, p)
     if h is None:
         h = heat_flux(theta_new, v_new, grid.dx, p, bnd)
-    fluxes = _boundary_report(new_state, grid, p, bnd, dt, coeffs, new_coeffs, h)
+    fluxes = boundary_report(new_state, grid, p, bnd, dt, coeffs, new_coeffs, h)
     held = bnd.sources is None
     report = StepReport(dt_used=dt, newton_iterations=iters, retries=retries,
                         coeffs=new_coeffs,

@@ -120,6 +120,20 @@ class TestMakeInitialState:
         with pytest.raises(ProfileError, match="cells"):
             make_initial_state(grid, FileProfile(str(path)), bc)
 
+    @pytest.mark.parametrize("other, message", [
+        (Grid.uniform(16, 8.0, -3.0), "left_edge = -3.0, grid has -4.0"),
+        (Grid.uniform(16, 32.0, -4.0), "dx = 2.0, grid has 0.5"),
+    ])
+    def test_file_profile_off_the_grid(self, tmp_path, other, message):
+        # same cell count, other coordinates: the profile would be squeezed
+        # or shifted onto the grid without complaint
+        grid = Grid.uniform(16, 8.0, -4.0)
+        path = tmp_path / "snap.csv"
+        emit_snapshot(reference_state(other), other, path)
+        with pytest.raises(ProfileError, match=message):
+            make_initial_state(grid, FileProfile(str(path)),
+                               BoundaryCondition.CAUCHY_FAR_FIELD)
+
     @pytest.mark.parametrize("bc", [BoundaryCondition.ISOTHERMAL_WALL_LEFT,
                                     BoundaryCondition.INSULATED_WALL_LEFT])
     def test_wall_incompatible_velocity_rejected(self, bc):

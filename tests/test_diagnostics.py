@@ -247,13 +247,13 @@ class TestRepresentationFormula:
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=1.0)
         acc = ReprAccumulator.start(reference_state(grid), grid, p)
-        assert acc.sigma_integral == 0.0
-        assert np.all(acc.history == 0.0)
-        assert math.exp(acc.sigma_integral) == 1.0
+        assert acc.factor.shape == (grid.cells,)
+        assert np.all(acc.factor == 1.0)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_equilibrium_closed_forms(self, alpha):
-        # at the far-field state: Y = exp(-t), B = exp(-1), history = e^t - 1
+        # at the far-field state: Y = exp(-t), B = exp(-1), H = e^t - 1, so
+        # the factor Y * (1 + H) stays 1
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=alpha, beta=1.0)
         state = reference_state(grid)
@@ -265,11 +265,10 @@ class TestRepresentationFormula:
             state.t = t
             representation_update(acc, state, grid, dt, p,
                                   terms_of(state, grid, p, acc=acc))
-        assert math.exp(acc.sigma_integral) == pytest.approx(math.exp(-t), rel=1e-12)
-        assert np.allclose(acc.history, math.exp(t) - 1.0, rtol=1e-12)
+        assert np.max(np.abs(acc.factor - 1.0)) <= 1e-12
         b_factor = acc.init_factor * np.exp(-acc.u0_integral)
         assert np.allclose(b_factor, math.exp(-1.0), rtol=1e-14)
-        resid = representation_residual(acc, state, grid, p,
+        resid = representation_residual(acc.factor, state, grid, p,
                                         terms_of(state, grid, p, acc=acc))
         assert np.max(resid) <= 1e-12
 
@@ -282,17 +281,42 @@ class TestRepresentationFormula:
         def sink(s, r):
             representation_update(acc, s, grid, r.dt_used, p,
                                   terms_of(s, grid, p, acc=acc))
-            assert math.exp(acc.sigma_integral) > 0.0
-            assert np.all(np.isfinite(acc.history))
+            assert np.all(np.isfinite(acc.factor))
+            assert np.all(acc.factor > 0.0)
 
-        run_until(state, grid, 0.5, p, CAUCHY, StepControl(), sink=sink)
-        assert acc.t == 0.5
+        assert run_until(state, grid, 0.5, p, CAUCHY, StepControl(), sink=sink).t == 0.5
+
+    def test_factor_follows_the_split_stress_and_history_recurrence(self):
+        # the split form of the factor: S += sigma dt, H += h geom / exp(S),
+        # factor = exp(S) * (1 + H), which holds while exp(S) stays in range
+        grid = Grid.uniform(64, 16.0, -8.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state = make_initial_state(grid, smooth_bump(), CAUCHY)
+        acc = ReprAccumulator.start(state, grid, p)
+        split = {"S": 0.0, "H": np.zeros(grid.cells)}
+        defects = []
+
+        def sink(s, r):
+            terms = terms_of(s, grid, p, acc=acc)
+            representation_update(acc, s, grid, r.dt_used, p, terms)
+            sigma = effective_stress(s, grid, coeffs_of(s, p), acc.anchor)
+            sdt = sigma * r.dt_used
+            geom = r.dt_used if sdt == 0.0 else math.expm1(sdt) / sigma
+            h = (np.exp(-s.v ** (-p.alpha)) * (s.theta + 0.5 * s.v * terms.coeffs.b_sq)
+                 / terms.b_factor)
+            split["S"] += sdt
+            split["H"] = split["H"] + h * geom / math.exp(split["S"])
+            want = math.exp(split["S"]) * (1.0 + split["H"])
+            defects.append(np.max(np.abs(acc.factor - want) / want))
+
+        run_until(state, grid, 2.0, p, CAUCHY, StepControl(), sink=sink)
+        assert len(defects) > 10 and max(defects) <= 1e-13
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_residual_stays_round_off_past_the_float_range_of_exp(self, alpha):
-        # at rest the anchor stress is -1: exp(sigma_integral) = exp(-t)
-        # underflows near t = 745 while the history grows as exp(t), so the
-        # accumulator must rescale both to keep every residual at round-off
+        # at rest the anchor stress is -1: exp(S) = exp(-t) underflows near
+        # t = 745 while H grows as exp(t); their product, the factor, must
+        # stay 1 and keep every residual at round-off
         grid = Grid.uniform(8, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=alpha, beta=1.0)
         state = make_initial_state(grid, ConstantProfile(), CAUCHY)
@@ -302,8 +326,9 @@ class TestRepresentationFormula:
         def sink(s, r):
             residuals.append(collector.make_record(s, r).repr_residual_max)
 
-        run_until(state, grid, 800.0, p, CAUCHY, StepControl(cfl=1.0), sink=sink)
-        assert collector.acc.sigma_integral < -790.0
+        final = run_until(state, grid, 800.0, p, CAUCHY, StepControl(cfl=1.0),
+                          sink=sink)
+        assert final.t == 800.0
         assert all(r is not None and r <= 1e-12 for r in residuals)
 
     def test_residual_shrinks_under_refinement(self):
@@ -435,7 +460,7 @@ class TestOnePassRecord:
         anchor = collector.acc.anchor
         ref = ReprAccumulator.start(state, grid, p, anchor)
         dx = grid.dx
-        sigma_integral = w_cum = 0.0
+        w_cum = 0.0
         flux_cum = dict.fromkeys(("mass", "momentum", "energy", "entropy"), 0.0)
         prev_mass = prev_momentum = None
         report = None
@@ -460,10 +485,7 @@ class TestOnePassRecord:
                 momentum_defect = (abs(momentum - prev_momentum - report.momentum_flux)
                                    / max(1.0, float(dx * np.sum(np.abs(state.u)))))
                 representation_update(ref, state, grid, dt, p, terms)
-                sigma_integral += effective_stress(state, grid, coeffs_of(state, p),
-                                                   anchor) * dt
-                assert collector.acc.sigma_integral == sigma_integral
-                assert np.array_equal(collector.acc.history, ref.history)
+                assert np.array_equal(collector.acc.factor, ref.factor)
             prev_mass, prev_momentum = mass, momentum
             slab_v, slab_th = slab_integrals(state, grid)
             low, high = level_set_measures(state, grid)
@@ -487,7 +509,7 @@ class TestOnePassRecord:
                 slab_theta_min=float(np.min(slab_th)),
                 slab_theta_max=float(np.max(slab_th)),
                 repr_residual_max=float(np.max(
-                    representation_residual(ref, state, grid, p, terms))))
+                    representation_residual(ref.factor, state, grid, p, terms))))
             assert asdict(record) == asdict(expected), f"record {n}"
 
     @pytest.mark.parametrize("bc", ALL_REGIMES)
@@ -639,27 +661,19 @@ class TestRecordBlocks:
         assert collector_outcome(*in_blocks(grid, p, bc, state0, bare, k)) == want
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_representation_rescale_inside_a_block(self, alpha):
-        # the equilibrium run to t = 800 moves the accumulator's offset once,
-        # near t = 512, in the middle of a block of BLOCK_CELLS // 8 records
+    def test_representation_blocks_past_the_float_range_of_exp(self, alpha):
+        # the equilibrium run to t = 800, past the t = 745 where exp(S)
+        # underflows, in blocks of BLOCK_CELLS // 8 records, the last ragged
         grid = Grid.uniform(8, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=alpha, beta=1.0)
         state0, pairs = trajectory(grid, p, CAUCHY, ConstantProfile(), 800.0,
                                    StepControl(cfl=1.0))
-        ref = DiagnosticsCollector(grid, p, CAUCHY, state0)
-        records = [ref.make_record(state0)]
-        moved = []
-        for n, (s, r) in enumerate(pairs, start=1):
-            records.append(ref.make_record(s, r))
-            if ref.acc.offset != 0.0 and not moved:
-                moved.append(n)
         k = BLOCK_CELLS // grid.cells
-        assert moved and moved[0] % k not in (0, 1)
+        assert pairs[-1][0].t == 800.0 and len(pairs) > k and len(pairs) % k
+        ref, records = per_step(grid, p, CAUCHY, state0, pairs)
         coll, got = in_blocks(grid, p, CAUCHY, state0, pairs, None)
         assert collector_outcome(coll, got) == collector_outcome(ref, records)
-        assert coll.acc.offset == ref.acc.offset
-        assert coll.acc.sigma_integral == ref.acc.sigma_integral
-        assert np.array_equal(coll.acc.history, ref.acc.history)
+        assert np.array_equal(coll.acc.factor, ref.acc.factor)
         assert all(r.repr_residual_max <= 1e-12 for r in got)
 
 

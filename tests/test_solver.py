@@ -53,7 +53,7 @@ class TestStepControl:
     @pytest.mark.parametrize("kwargs", [
         {"cfl": 0.0}, {"cfl": 1.5}, {"dt_min": 1.0, "dt_max": 0.5},
         {"newton_tol": 0.0}, {"dt_min": -2.0, "dt_max": -1.0},
-        {"newton_max_iter": -1},
+        {"newton_max_iter": -1}, {"retry_max": -1},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
