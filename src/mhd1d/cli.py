@@ -177,9 +177,14 @@ def _cmd_sweep(args) -> int:
                           f"sweep.cap = {cfg.sweep_cap}; refusing to start")
 
     out_root = Path(args.out if args.out is not None else cfg.out_dir)
-    tasks = []
+    tasks, named = [], {}
     for combo in combos:  # {axis: value}, one run each
         name = "_".join(["run"] + [f"{k}{v:g}" for k, v in combo.items()])
+        values = ", ".join(f"{k} = {v!r}" for k, v in combo.items())
+        if name in named:
+            raise ConfigError(f"sweep runs ({named[name]}) and ({values}) would "
+                              f"share the run directory {name}; refusing to start")
+        named[name] = values
         case = _sweep_case(cfg, *map(combo.get, _AXES))
         tasks.append((case, str(out_root / name), combo))
 

@@ -36,6 +36,9 @@ _BC_NAMES = {
     "insulated_wall": BoundaryCondition.INSULATED_WALL_LEFT,
 }
 
+_PROFILE_NAMES = {ConstantProfile: "constant", GaussianBump: "gaussian_bump",
+                  FileProfile: "file"}
+
 # key -> (parser, default, lower bound); a None default means "computed
 # later"; a bound (op, limit) holds for every value a config sets, and the
 # rules that join keys live in parse_config
@@ -84,8 +87,10 @@ _KEYS = {
 
 _BOUND_OPS = {">": operator.gt, ">=": operator.ge}
 
-_PRESET_FIXED = ("params.mu1", "params.mu2", "params.kappa", "params.lambda",
-                 "params.nu", "params.R", "params.cv")
+# key -> PhysicalParams field of each constant the normalized preset fixes
+_PRESET_FIXED = {"params.mu1": "mu1", "params.mu2": "mu2",
+                 "params.kappa": "kappa_tilde", "params.lambda": "lam",
+                 "params.nu": "nu", "params.R": "R", "params.cv": "c_v"}
 
 
 @dataclass(frozen=True)
@@ -318,23 +323,26 @@ def parse_config_file(path) -> RunConfig:
 
 
 def describe(cfg: RunConfig) -> str:
-    """Canonical one-key-per-line rendering of a parsed config."""
+    """Canonical one-key-per-line rendering of a parsed config's grid,
+    boundary regime, constants, profile kind, end time, CFL number and
+    output directory, itself a config that parse_config reads back to the
+    same values: the constants the normalized preset fixes are left to it,
+    and a file profile names its file."""
+    profile = cfg.profile
+    constants = ["params.preset = normalized"] if cfg.normalized_preset else [
+        f"{key} = {getattr(cfg.params, name):.17g}"
+        for key, name in _PRESET_FIXED.items()]
     lines = [
         f"grid.cells = {cfg.grid.cells}",
         f"grid.mass = {cfg.grid.mass:.17g}",
         f"grid.left = {cfg.grid.left_edge:.17g}",
         f"bc = {cfg.bc.value}",
-        f"params.preset = {'normalized' if cfg.normalized_preset else 'custom'}",
+        *constants,
         f"params.alpha = {cfg.params.alpha:.17g}",
         f"params.beta = {cfg.params.beta:.17g}",
-        f"params.mu1 = {cfg.params.mu1:.17g}",
-        f"params.mu2 = {cfg.params.mu2:.17g}",
-        f"params.kappa = {cfg.params.kappa_tilde:.17g}",
-        f"params.lambda = {cfg.params.lam:.17g}",
-        f"params.nu = {cfg.params.nu:.17g}",
-        f"params.R = {cfg.params.R:.17g}",
-        f"params.cv = {cfg.params.c_v:.17g}",
-        f"initial.profile = {type(cfg.profile).__name__}",
+        f"initial.profile = {_PROFILE_NAMES[type(profile)]}",
+        *([f"initial.file = {profile.path}"]
+          if isinstance(profile, FileProfile) else []),
         f"time.t_end = {cfg.t_end:.17g}",
         f"time.cfl = {cfg.control.cfl:.17g}",
         f"output.dir = {cfg.out_dir}",

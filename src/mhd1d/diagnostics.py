@@ -8,12 +8,13 @@ a temperature/magnetic history integral. The representation diagnostic is
 derived for the normalized constant preset only and is rejected otherwise.
 
 Every monitor reads the RecordTerms of its state, which only record_terms
-builds, for a record and a standalone call alike: it validates the state and
-computes each quantity that several monitors share once. A monitor reads a
-core.StateBlock, states stacked along a leading record axis, as it reads a
-GasState and gives one value per record: the DiagnosticsCollector evaluates
-a block of accepted steps in one set of array operations, and only the
-running sums and the representation accumulator advance record by record.
+builds, for a record and a standalone call alike: it validates the state,
+takes the heat flux, dissipation and coefficients from the step report, and
+computes each other quantity that several monitors share once. A monitor
+reads a core.StateBlock, states stacked along a leading record axis, as it
+reads a GasState and gives one value per record: the DiagnosticsCollector
+evaluates a block of accepted steps in one set of array operations, and only
+the running sums and the representation accumulator advance record by record.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import solver
-from .constitutive import effective_stress, viscosity_mu
+from .constitutive import effective_stress
 from .core import (
     BoundaryCondition,
     GasState,
@@ -39,8 +40,7 @@ from .solver import (
     StateCoeffs,
     StepReport,
     boundary_data,
-    dissipation_source,
-    state_coeffs,
+    initial_report,
 )
 
 # unit mass intervals per cell at most; a record integrates over each
@@ -57,10 +57,10 @@ BLOCK_CELLS = 4096
 class RecordTerms:
     """Quantities of one state that the monitors read, built by record_terms.
 
-    bnd is the unforced BoundaryData, heat_flux the heat flux at every node
-    and dissipation the heating source per cell (both with bnd). coeffs are
-    the state's solver.state_coeffs (mu(v), |b|^2, the total pressure) and
-    kinetic the kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and
+    bnd is the collector's BoundaryData. heat_flux (at every node),
+    dissipation (per cell) and coeffs, the state's solver.state_coeffs
+    (mu(v), |b|^2, the total pressure), are the step report's; kinetic is
+    the kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and
     w averaged from the adjacent nodes. With a representation accumulator,
     b_factor is init_factor * exp(integral of u from the anchor - its
     initial value) and v_pow is v**(-alpha); both are None without one.
@@ -80,12 +80,12 @@ class RecordTerms:
 class ReportArrays:
     """The arrays that the StepReports of a StateBlock's records hand the
     monitors, stacked like the block: coeffs (StateCoeffs of (K, M) arrays),
-    heat_flux and dissipation, both None unless every report carries them.
-    record_terms reads it as it reads the StepReport of one state."""
+    heat_flux and dissipation. record_terms reads it as it reads the
+    StepReport of one state."""
 
     coeffs: StateCoeffs
-    heat_flux: Optional[np.ndarray]
-    dissipation: Optional[np.ndarray]
+    heat_flux: np.ndarray
+    dissipation: np.ndarray
 
     @classmethod
     def of(cls, reports: Sequence[StepReport]) -> "ReportArrays":
@@ -94,38 +94,20 @@ class ReportArrays:
                              mu_over_v=stack_rows([x.mu_over_v for x in c]),
                              b_sq=stack_rows([x.b_sq for x in c]),
                              ptot=stack_rows([x.ptot for x in c]))
-        if any(r.heat_flux is None for r in reports):
-            return cls(coeffs, None, None)
         return cls(coeffs, stack_rows([r.heat_flux for r in reports]),
                    stack_rows([r.dissipation for r in reports]))
 
 
 def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
-                 bnd: BoundaryData, acc: Optional["ReprAccumulator"] = None,
-                 report: StepReport | ReportArrays | None = None) -> RecordTerms:
+                 bnd: BoundaryData, report: StepReport | ReportArrays,
+                 acc: Optional["ReprAccumulator"] = None) -> RecordTerms:
     """Validate the state, a GasState or a StateBlock, and return its
-    RecordTerms. bnd is the unforced boundary_data; the coefficients come
-    from report (the StepReport of the step that produced a GasState, the
-    ReportArrays of a block's steps), and so do the heat flux and
-    dissipation when it carries them; whatever report does not hold is
-    computed here, with bnd."""
+    RecordTerms. bnd is the boundary_data the monitors close the end nodes
+    with; the coefficients, heat flux and dissipation come from report: the
+    StepReport of the step that produced a GasState (solver.initial_report
+    for a state no step produced), or the ReportArrays of a block's steps."""
     state.validate(grid)
-    if report is None:
-        coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
-    else:
-        coeffs = report.coeffs
-    if report is None or report.heat_flux is None:
-        # the solver's stencils run along the first axis: hand them
-        # cell-first views, and take the results back C-ordered, so that a
-        # record's sums run over it as over a lone state's array
-        v, theta, u = state.v.T, state.theta.T, state.u.T
-        w, b = np.moveaxis(state.w, -2, 0), np.moveaxis(state.b, -2, 0)
-        h = solver.heat_flux(theta, v, grid.dx, p, bnd)
-        q = dissipation_source(v, coeffs.mu.T, (u[1:] - u[:-1]) / grid.dx, w, b,
-                               grid, p, bnd)
-        h, q = np.ascontiguousarray(h.T), np.ascontiguousarray(q.T)
-    else:
-        h, q = report.heat_flux, report.dissipation
+    coeffs = report.coeffs
     u_c = 0.5 * (state.u[..., :-1] + state.u[..., 1:])
     w_c = 0.5 * (state.w[..., :-1, :] + state.w[..., 1:, :])
     kinetic = 0.5 * (u_c ** 2 + sq2(w_c) + state.v * coeffs.b_sq)
@@ -134,7 +116,8 @@ def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
         ucum = _integral_to_centers(state.u, grid, acc.anchor)
         b_factor = acc.init_factor * np.exp(ucum - acc.u0_integral)
         v_pow = state.v ** (-p.alpha)
-    return RecordTerms(bnd, h, q, coeffs, kinetic, b_factor, v_pow)
+    return RecordTerms(bnd, report.heat_flux, report.dissipation, coeffs,
+                       kinetic, b_factor, v_pow)
 
 
 def energy_entropy(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
@@ -454,7 +437,10 @@ class DiagnosticsCollector:
 
     def make_record(self, state: GasState,
                     report: Optional[StepReport] = None) -> DiagnosticsRecord:
-        """Assemble the record for a state; report=None marks the t = 0 row."""
+        """Assemble the record for a state; report=None marks the t = 0 row,
+        recorded as a zero-length step (solver.initial_report)."""
+        if report is None:
+            report = initial_report(state, self.grid, self.p, self.bnd)
         return self.record_block([state], [report])[0]
 
     def push(self, state: GasState, report: StepReport) -> list[DiagnosticsRecord]:
@@ -474,10 +460,9 @@ class DiagnosticsCollector:
         return self.record_block(states, reports)
 
     def record_block(self, states: Sequence[GasState],
-                     reports: Sequence[Optional[StepReport]]
-                     ) -> list[DiagnosticsRecord]:
+                     reports: Sequence[StepReport]) -> list[DiagnosticsRecord]:
         """The records of consecutive accepted states, each with the report
-        of the step that produced it; reports == [None] for the t = 0 row.
+        of the step that produced it.
 
         Every monitor runs once over the StateBlock of the states and reads
         its one RecordTerms, built with the collector's boundary data and the
@@ -487,9 +472,8 @@ class DiagnosticsCollector:
         """
         grid, p, dx = self.grid, self.p, self.grid.dx
         block = StateBlock.of(states)
-        stepped = reports[0] is not None
-        terms = record_terms(block, grid, p, self.bnd, self.acc,
-                             ReportArrays.of(reports) if stepped else None)
+        terms = record_terms(block, grid, p, self.bnd, ReportArrays.of(reports),
+                             self.acc)
         mass = (dx * block.v.sum(axis=-1)).tolist()
         momentum = (dx * block.u.sum(axis=-1)).tolist()
         mom_scale = (dx * np.abs(block.u).sum(axis=-1)).tolist()
@@ -499,11 +483,8 @@ class DiagnosticsCollector:
         if self.acc is None:
             repr_max = [None] * len(states)
         else:
-            factor = self.acc.factor
-            if stepped:
-                factor = representation_update(self.acc, block, grid,
-                                               [r.dt_used for r in reports],
-                                               p, terms)
+            factor = representation_update(self.acc, block, grid,
+                                           [r.dt_used for r in reports], p, terms)
             repr_max = representation_residual(factor, block, grid, p,
                                                terms).max(axis=-1).tolist()
         min_v, max_v = block.v.min(axis=-1).tolist(), block.v.max(axis=-1).tolist()
@@ -519,22 +500,15 @@ class DiagnosticsCollector:
 
         records = []
         for k, report in enumerate(reports):
-            if report is None:
-                dt = 0.0
-                iters = retries = 0
-                mass_defect = momentum_defect = 0.0
-            else:
-                dt = report.dt_used
-                iters, retries = report.newton_iterations, report.retries
-                self.w_cum += w_rate[k] * dt
-                self.mass_flux_cum += report.mass_flux
-                self.momentum_flux_cum += report.momentum_flux
-                self.energy_flux_cum += report.energy_flux
-                self.entropy_flux_cum += report.entropy_flux
-                mass_defect = abs(mass[k] - self._prev_mass - report.mass_flux) \
-                    / max(abs(self._prev_mass), 1.0)
-                momentum_defect = abs(momentum[k] - self._prev_momentum
-                                      - report.momentum_flux) / max(1.0, mom_scale[k])
+            self.w_cum += w_rate[k] * report.dt_used
+            self.mass_flux_cum += report.mass_flux
+            self.momentum_flux_cum += report.momentum_flux
+            self.energy_flux_cum += report.energy_flux
+            self.entropy_flux_cum += report.entropy_flux
+            mass_defect = abs(mass[k] - self._prev_mass - report.mass_flux) \
+                / max(abs(self._prev_mass), 1.0)
+            momentum_defect = abs(momentum[k] - self._prev_momentum
+                                  - report.momentum_flux) / max(1.0, mom_scale[k])
             self._prev_mass = mass[k]
             self._prev_momentum = momentum[k]
             if repr_max[k] is not None:
@@ -544,8 +518,9 @@ class DiagnosticsCollector:
             self.max_v_run = max(self.max_v_run, max_v[k])
             self.max_theta_run = max(self.max_theta_run, max_th[k])
             records.append(DiagnosticsRecord(
-                t=block.t[k], step=block.step[k], dt=dt, newton_iterations=iters,
-                retries=retries, E_entropy=e_entropy[k], W=w_rate[k],
+                t=block.t[k], step=block.step[k], dt=report.dt_used,
+                newton_iterations=report.newton_iterations,
+                retries=report.retries, E_entropy=e_entropy[k], W=w_rate[k],
                 W_cum=self.w_cum, min_v=min_v[k], max_v=max_v[k],
                 min_theta=min_th[k], max_theta=max_th[k],
                 mass_total=mass[k], mass_flux_cum=self.mass_flux_cum,

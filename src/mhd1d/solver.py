@@ -131,9 +131,9 @@ class StepReport:
     monitors read. dissipation is the stage-(e) heating source per cell
     (dissipation_source of the new state) and heat_flux the diffusive heat
     flux at every node of the new state (heat_flux of its theta and v), both
-    with the step's boundary data, so the monitors need not compute them
-    again. Both are None for a forced (manufactured-solution) step, whose
-    boundary data are not the unforced ones the monitors use.
+    with the step's boundary data (a forced step's are the forcing's), so
+    the monitors need not compute them again. initial_report gives the
+    report of a zero-length step, for a state no step produced.
     """
 
     dt_used: float
@@ -144,8 +144,8 @@ class StepReport:
     momentum_flux: float
     energy_flux: float
     entropy_flux: float
-    dissipation: Optional[np.ndarray] = field(repr=False, compare=False)
-    heat_flux: Optional[np.ndarray] = field(repr=False, compare=False)
+    dissipation: np.ndarray = field(repr=False, compare=False)
+    heat_flux: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass
@@ -259,7 +259,7 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
     """
     m = theta.shape[0]
     a = p.kappa_tilde * theta ** p.beta / v
-    H = np.empty((m + 1,) + theta.shape[1:])
+    H = np.empty(m + 1)
 
     a_sum = a[:-1] + a[1:]
     c_int = 2.0 * a[:-1] * a[1:] / a_sum  # harmonic mean, see _harmonic
@@ -311,8 +311,7 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
 
 def heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
               bnd: BoundaryData) -> np.ndarray:
-    """Diffusive heat flux kappa(theta) * theta_x / v at every node; the
-    cell axis is the first, as in end_nodes."""
+    """Diffusive heat flux kappa(theta) * theta_x / v at every node."""
     return heat_flux_and_jacobian(theta, v, dx, p, bnd)[0]
 
 
@@ -422,7 +421,7 @@ def dissipation_source(v: np.ndarray, mu: np.ndarray, ux: np.ndarray,
     """Nonnegative viscous/resistive heating per cell,
     (mu(v)*u_x^2 + lam*|w_x|^2 + nu*|b_x|^2) / v, with mu = mu(v), the cell
     gradient ux = (u[1:] - u[:-1]) / dx and |b_x|^2 averaged from the
-    adjacent nodes; the cell axis is the first, as in end_nodes."""
+    adjacent nodes."""
     dx = grid.dx
     wx_sq = sq2((w[1:] - w[:-1]) / dx)
     bx_sq = sq2(b_gradient(b, bnd, dx))
@@ -445,11 +444,11 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     evaluates the heat flux once, for the residual and the Jacobian alike.
 
     Returns (theta, number of Newton updates taken, Q, H) where H is the heat
-    flux at the returned theta, or None when the last update moved theta past
-    the last flux evaluation. The returned theta is positive whenever the
-    stage-begin theta is: it is either an iterate that met the residual test
-    or one reached by an update damped until theta + delta > 0. A NaN iterate
-    meets neither test and ends in _NewtonFailed.
+    flux at the returned theta: the last iterate's, or evaluated once more
+    when the last update moved theta past it. The returned theta is positive
+    whenever the stage-begin theta is: it is either an iterate that met the
+    residual test or one reached by an update damped until theta + delta > 0.
+    A NaN iterate meets neither test and ends in _NewtonFailed.
 
     Raises _NewtonFailed when the iteration cap is reached without meeting
     the tolerance.
@@ -499,7 +498,7 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
             trial = theta + delta
         theta = trial
         if float(np.abs(delta).max()) <= ctl.newton_tol * scale:
-            it, h = it + 1, None
+            it, h = it + 1, heat_flux(theta, v_new, dx, p, bnd)
             break
     return theta, it, q, h
 
@@ -613,17 +612,28 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
                          t=t_new, step=state.step + 1)
     new_coeffs = state_coeffs(new_state, mu_new, p)
-    if h is None:
-        h = heat_flux(theta_new, v_new, grid.dx, p, bnd)
     fluxes = boundary_report(new_state, grid, p, bnd, dt, coeffs, new_coeffs, h)
-    held = bnd.sources is None
     report = StepReport(dt_used=dt, newton_iterations=iters, retries=retries,
                         coeffs=new_coeffs,
                         mass_flux=fluxes[0], momentum_flux=fluxes[1],
                         energy_flux=fluxes[2], entropy_flux=fluxes[3],
-                        dissipation=q if held else None,
-                        heat_flux=h if held else None)
+                        dissipation=q, heat_flux=h)
     return new_state, report
+
+
+def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
+                   bnd: BoundaryData) -> StepReport:
+    """The StepReport of a zero-length step ending at state (dt 0, no Newton
+    updates, retries or boundary fluxes), with the state's coefficients,
+    dissipation and heat flux under bnd; the state is validated first."""
+    state.validate(grid)
+    coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
+    ux = (state.u[1:] - state.u[:-1]) / grid.dx
+    q = dissipation_source(state.v, coeffs.mu, ux, state.w, state.b, grid, p, bnd)
+    return StepReport(dt_used=0.0, newton_iterations=0, retries=0, coeffs=coeffs,
+                      mass_flux=0.0, momentum_flux=0.0, energy_flux=0.0,
+                      entropy_flux=0.0, dissipation=q,
+                      heat_flux=heat_flux(state.theta, state.v, grid.dx, p, bnd))
 
 
 def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import reference_state
 from mhd1d import cli
-from mhd1d.config import _KEYS, ConfigError, parse_config
+from mhd1d.config import _KEYS, ConfigError, describe, parse_config
 from mhd1d.core import (
     BoundaryCondition,
     ConstantProfile,
@@ -597,6 +597,50 @@ class TestCheckConfig:
         cfg_path = write_config(tmp_path, "grid.cells = 2\n")
         assert cli.main(["check-config", "--config", str(cfg_path)]) == 2
 
+    CUSTOM = """
+grid.cells = 40
+grid.mass = 9.7
+grid.left = 0.25
+bc = insulated_wall
+params.alpha = 1.3
+params.beta = 1.6
+params.mu1 = 0.8
+params.mu2 = 0.6
+params.kappa = 1.2
+params.lambda = 0.9
+params.nu = 1.1
+params.R = 1.05
+params.cv = 0.7
+time.t_end = 0.3
+time.cfl = 0.25
+output.dir = elsewhere
+"""
+
+    @pytest.mark.parametrize("case", ["normalized-bump", "custom", "file"])
+    def test_output_is_a_config_that_reads_back_the_same(self, tmp_path, capsys,
+                                                         case):
+        if case == "file":
+            grid = Grid.uniform(16, 8.0, -4.0)
+            emit_snapshot(reference_state(grid), grid, tmp_path / "snap.csv")
+            text = (SMALL_RUN.replace("initial.profile = gaussian_bump",
+                                      "initial.profile = file")
+                    + f"initial.file = {tmp_path / 'snap.csv'}\n")
+        else:
+            text = SMALL_RUN if case == "normalized-bump" else self.CUSTOM
+        cfg = parse_config(text)
+        assert cli.main(["check-config", "--config",
+                         str(write_config(tmp_path, text))]) == 0
+        echoed = capsys.readouterr().out
+        assert echoed == describe(cfg) + "\n"
+        again = parse_config(echoed)
+        for name in ("grid", "bc", "params", "t_end", "out_dir",
+                     "normalized_preset"):
+            assert getattr(again, name) == getattr(cfg, name), name
+        assert again.control.cfl == cfg.control.cfl
+        assert type(again.profile) is type(cfg.profile)
+        if case == "file":
+            assert again.profile == cfg.profile
+
 
 class TestSweepCommand:
     def test_cartesian_product_and_summary(self, tmp_path):
@@ -693,6 +737,27 @@ class TestSweepCommand:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == ["run_alpha0_amp0.5", "run_alpha0_amp1",
                                   "run_alpha1_amp0.5", "run_alpha1_amp1"]
+
+    @pytest.mark.parametrize("axes, first, second, name", [
+        (["alpha=1,1.0000001"], "(alpha = 1.0)", "(alpha = 1.0000001)",
+         "run_alpha1"),
+        (["amp=0.5,0.5"], "(amp = 0.5)", "(amp = 0.5)", "run_amp0.5"),
+        (["alpha=0,1", "amp=0.25,0.2500001"], "(alpha = 0.0, amp = 0.25)",
+         "(alpha = 0.0, amp = 0.2500001)", "run_alpha0_amp0.25"),
+    ])
+    def test_runs_that_would_share_a_directory_are_refused(self, tmp_path, capsys,
+                                                           axes, first, second,
+                                                           name):
+        cfg_path = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", str(cfg_path), "--out", str(out)]
+        for axis in axes:
+            args += ["--axis", axis]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == (
+            f"config error: sweep runs {first} and {second} would share the "
+            f"run directory {name}; refusing to start\n")
+        assert not out.exists()
 
     def test_cap_refusal_message(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL_RUN + "sweep.cap = 3\n")

@@ -4,7 +4,9 @@ public surface and carries a public name. The boundary regime of a step is
 read in solver.py alone; every other module closes its end nodes through
 solver.end_nodes. The monitors have one calling convention: each takes its
 context as required arguments (no parameter defaults), and in
-diagnostics.py only record_terms validates a state. In cli.py only main
+diagnostics.py only record_terms validates a state. diagnostics.py computes
+none of the arrays a step report carries (heat flux, dissipation,
+coefficients): it reads them off the report. In cli.py only main
 catches ConfigError, so every config error leaves by one exit path. No module
 of the package or of the tests imports a name it never reads."""
 import ast
@@ -147,6 +149,51 @@ def test_the_checks_see_defaults_and_validate_calls(tmp_path):
         "energy_entropy: terms", "pressure: check"]
     assert _validate_callers(probe) == ["energy_entropy", "make_record",
                                         "record_terms"]
+
+
+# the builders of a StepReport's arrays, which the monitors read off the report
+REPORT_BUILDERS = ("heat_flux", "heat_flux_and_jacobian", "dissipation_source",
+                   "state_coeffs", "viscosity_mu")
+
+
+def _calls_of(path: Path, names) -> list[str]:
+    """Calls of the named functions in this module: bare, under an import
+    alias, or as an attribute (solver.heat_flux)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            name = aliases.get(node.func.id, node.func.id)
+        elif isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+        else:
+            continue
+        if name in names:
+            found.append(f"line {node.lineno}: {name}")
+    return sorted(found)
+
+
+def test_the_monitors_compute_no_report_array():
+    assert _calls_of(PACKAGE / "diagnostics.py", REPORT_BUILDERS) == []
+
+
+def test_the_check_sees_report_array_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import solver\n"
+                     "from .solver import heat_flux as hf, state_coeffs\n"
+                     "from .constitutive import viscosity_mu\n"
+                     "h = hf(theta, v, dx, p, bnd)\n"
+                     "q = solver.dissipation_source(v, mu, ux, w, b, grid, p, bnd)\n"
+                     "c = state_coeffs(state, viscosity_mu(state.v, p), p)\n"
+                     "j = solver.heat_flux_and_jacobian(theta, v, dx, p, bnd)\n"
+                     "x = report.heat_flux, terms.dissipation\n")
+    assert _calls_of(probe, REPORT_BUILDERS) == [
+        "line 4: heat_flux", "line 5: dissipation_source", "line 6: state_coeffs",
+        "line 6: viscosity_mu", "line 7: heat_flux_and_jacobian"]
 
 
 def _unused_imports(path: Path) -> list[str]:

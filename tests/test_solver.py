@@ -27,6 +27,7 @@ from mhd1d.solver import (
     dissipation_source,
     end_nodes,
     heat_flux,
+    initial_report,
     run_until,
     step,
     substep_induction,
@@ -339,14 +340,21 @@ class TestStepHandsOverMonitorInputs:
     def test_report_arrays_and_W_are_exact(self, bc, monkeypatch):
         # beta = 0.5 makes the Newton solve end both ways within six steps: on
         # the residual test, with the flux of the returned theta in hand, and
-        # on the update test, without it
-        newton_flux_held = []
+        # on the update test, which evaluates heat_flux of the returned theta
+        flux_calls = []
+        flux_evaluated_at_exit = []
+
+        def counting_flux(*args):
+            flux_calls.append(args)
+            return heat_flux(*args)
 
         def recording(*args, **kwargs):
+            before = len(flux_calls)
             out = substep_temperature(*args, **kwargs)
-            newton_flux_held.append(out[3] is not None)
+            flux_evaluated_at_exit.append(len(flux_calls) > before)
             return out
 
+        monkeypatch.setattr(solver, "heat_flux", counting_flux)
         monkeypatch.setattr(solver, "substep_temperature", recording)
         wall = bc.has_left_wall
         grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
@@ -365,18 +373,30 @@ class TestStepHandsOverMonitorInputs:
                                                      ux, state.w, state.b, grid, p,
                                                      bnd))
             record = collector.make_record(state, report)
+            fresh = initial_report(state, grid, p, bnd)
             assert record.W == dissipation_W(state, grid, p,
-                                             record_terms(state, grid, p, bnd))
-        assert set(newton_flux_held) == {True, False}
+                                             record_terms(state, grid, p, bnd, fresh))
+        assert set(flux_evaluated_at_exit) == {True, False}
 
-    def test_forced_step_hands_over_nothing(self):
-        sol = MmsSolution(amp_v=0.1, amp_theta=0.1)
+    def test_forced_step_hands_over_the_forced_arrays(self):
+        # the manufactured ghosts differ from the far field at both ends, so
+        # the forced arrays differ from the unforced ones there
+        sol = MmsSolution(amp_v=0.1, amp_u=0.2, amp_theta=0.1, amp_w=(0.1, 0.2),
+                          amp_b=(0.2, 0.1))
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
-        grid = Grid.uniform(16, 1.0, 0.0)
+        grid = Grid.uniform(16, 1.0, 0.1)
         state = sol.state(grid, 0.0)
-        _, report = step(state, grid, p, CAUCHY, StepControl(dt_max=1e-3),
-                         coeffs_of(state, p), forcing=MmsForcing(sol, p))
-        assert report.heat_flux is None and report.dissipation is None
+        forcing = MmsForcing(sol, p)
+        new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=1e-3),
+                           coeffs_of(state, p), forcing=forcing)
+        ux = (new.u[1:] - new.u[:-1]) / grid.dx
+        for bnd, same in ((boundary_data(grid, CAUCHY, new.t, forcing), True),
+                          (boundary_data(grid, CAUCHY, new.t), False)):
+            h = heat_flux(new.theta, new.v, grid.dx, p, bnd)
+            q = dissipation_source(new.v, viscosity_mu(new.v, p), ux, new.w,
+                                   new.b, grid, p, bnd)
+            assert np.array_equal(report.heat_flux, h) is same
+            assert np.array_equal(report.dissipation, q) is same
 
 
 def assert_carried(report, state, p):
