@@ -323,28 +323,47 @@ def parse_config_file(path) -> RunConfig:
 
 
 def describe(cfg: RunConfig) -> str:
-    """Canonical one-key-per-line rendering of a parsed config's grid,
-    boundary regime, constants, profile kind, end time, CFL number and
-    output directory, itself a config that parse_config reads back to the
-    same values: the constants the normalized preset fixes are left to it,
-    and a file profile names its file."""
-    profile = cfg.profile
-    constants = ["params.preset = normalized"] if cfg.normalized_preset else [
-        f"{key} = {getattr(cfg.params, name):.17g}"
-        for key, name in _PRESET_FIXED.items()]
-    lines = [
-        f"grid.cells = {cfg.grid.cells}",
-        f"grid.mass = {cfg.grid.mass:.17g}",
-        f"grid.left = {cfg.grid.left_edge:.17g}",
-        f"bc = {cfg.bc.value}",
-        *constants,
-        f"params.alpha = {cfg.params.alpha:.17g}",
-        f"params.beta = {cfg.params.beta:.17g}",
-        f"initial.profile = {_PROFILE_NAMES[type(profile)]}",
-        *([f"initial.file = {profile.path}"]
-          if isinstance(profile, FileProfile) else []),
-        f"time.t_end = {cfg.t_end:.17g}",
-        f"time.cfl = {cfg.control.cfl:.17g}",
-        f"output.dir = {cfg.out_dir}",
-    ]
-    return "\n".join(lines)
+    """Canonical one-key-per-line rendering of every resolved value of a
+    parsed config, itself a config that parse_config reads back to an equal
+    RunConfig: the constants the normalized preset fixes are left to it, a
+    bump prints its resolved amplitudes (jitter applied, so without jitter or
+    seed), a file profile names its file, and repr.anchor, when set, prints
+    the coordinate of the node it resolved to. Floats print as their shortest
+    round-trip repr."""
+    grid, ctl, profile = cfg.grid, cfg.control, cfg.profile
+    values = {"grid.cells": grid.cells, "grid.mass": grid.mass,
+              "grid.left": grid.left_edge, "bc": cfg.bc.value}
+    if cfg.normalized_preset:
+        values["params.preset"] = "normalized"
+    else:
+        values.update({key: getattr(cfg.params, name)
+                       for key, name in _PRESET_FIXED.items()})
+    values.update({"params.alpha": cfg.params.alpha,
+                   "params.beta": cfg.params.beta,
+                   "initial.profile": _PROFILE_NAMES[type(profile)]})
+    if isinstance(profile, GaussianBump):
+        values.update({"initial.center": profile.center,
+                       "initial.width": profile.width,
+                       "initial.amp_v": profile.amp_v,
+                       "initial.amp_u": profile.amp_u,
+                       "initial.amp_theta": profile.amp_theta,
+                       "initial.amp_b1": profile.amp_b[0],
+                       "initial.amp_b2": profile.amp_b[1],
+                       "initial.amp_w1": profile.amp_w[0],
+                       "initial.amp_w2": profile.amp_w[1]})
+    elif isinstance(profile, FileProfile):
+        values["initial.file"] = profile.path
+    values.update({"time.t_end": cfg.t_end, "time.cfl": ctl.cfl,
+                   "time.dt_min": ctl.dt_min, "time.dt_max": ctl.dt_max,
+                   "time.newton_tol": ctl.newton_tol,
+                   "time.newton_max_iter": ctl.newton_max_iter,
+                   "time.retry_max": ctl.retry_max,
+                   "output.dir": cfg.out_dir,
+                   "output.snapshot_interval": cfg.snapshot_interval,
+                   "output.diagnostics_every": cfg.diagnostics_every})
+    if cfg.repr_node is not None:
+        values["repr.anchor"] = grid.left_edge + cfg.repr_node * grid.dx
+    values.update({"sweep.cap": cfg.sweep_cap,
+                   "sweep.workers": cfg.sweep_workers})
+    return "\n".join(f"{key} = {float(value)!r}" if _KEYS[key][0] is float
+                     else f"{key} = {value}" for key, value in values.items())

@@ -14,12 +14,15 @@ freshest available fields:
       relinearized every iteration, fed by the dissipation of stages (a)-(d).
 
 Nonpositive v anywhere, or a temperature solve that fails, discards the
-attempt, halves dt, and retries; the Newton solve damps its updates so that
-theta stays positive. Each attempt evaluates mu(v) of its new volume once;
-an accepted step hands the new state's StateCoeffs (mu(v), mu(v)/v, |b|^2
-and the total pressure) to the next step and to the monitors. Every stage
-reads the attempt's BoundaryData, which decides the boundary regime and
-carries any manufactured-solution sources.
+attempt, halves dt, and retries, at most retry_max times per step; the
+Newton solve damps its updates so that theta stays positive. Each attempt
+evaluates mu(v) of its new volume once; an accepted step hands the new
+state's StateCoeffs (mu(v), mu(v)/v, |b|^2 and the total pressure) to the
+next step and to the monitors. Every stage reads the attempt's BoundaryData,
+which decides the boundary regime and carries any manufactured-solution
+sources; an unforced regime's BoundaryData is built once and shared.
+The symmetric, diagonally dominant solves of stages (a), (c) and (d) use
+LAPACK ptsv; the Newton Jacobian of stage (e) is not symmetric and uses gtsv.
 Interface diffusion coefficients are harmonic means of adjacent cell values;
 all other center-to-node transfers are arithmetic means.
 """
@@ -31,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dptsv
 
 from .constitutive import pressure, viscosity_mu
 from .core import (
@@ -61,7 +64,8 @@ class PositivityFailure(SolverFailure):
 
 
 class NewtonDivergence(SolverFailure):
-    """Raised when the temperature solve hits its iteration cap twice in a row."""
+    """Raised when retry_max halvings of dt (or a dt underflow) still leave
+    the temperature solve at its iteration cap."""
 
 
 class _PositivityRetry(Exception):
@@ -148,7 +152,7 @@ class StepReport:
     heat_flux: np.ndarray = field(repr=False, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryData:
     """Resolved boundary treatment of one step attempt.
 
@@ -159,6 +163,8 @@ class BoundaryData:
     on an insulated one). sources holds the manufactured-solution source
     terms at the attempt's time, one array per field ("v", "u", "w", "b",
     "theta") at that field's grid locations, or None for the unforced system.
+    Every array it holds is made read-only, so one instance can serve every
+    step attempt of a regime.
     """
 
     left_wall: bool
@@ -174,6 +180,11 @@ class BoundaryData:
     b_gr: np.ndarray
     sources: Optional[dict] = None
 
+    def __post_init__(self):
+        arrays = [self.w_left, self.w_right, self.b_gl, self.b_gr]
+        for arr in arrays + list((self.sources or {}).values()):
+            arr.flags.writeable = False
+
 
 _LEFT_OUTER = {  # (v_gl, th_gl) of each regime, see BoundaryData
     BoundaryCondition.CAUCHY_FAR_FIELD: (FAR_FIELD_V, FAR_FIELD_THETA),
@@ -181,23 +192,27 @@ _LEFT_OUTER = {  # (v_gl, th_gl) of each regime, see BoundaryData
     BoundaryCondition.INSULATED_WALL_LEFT: (None, None),
 }
 
+# the unforced BoundaryData of each regime, which depends on nothing else
+_UNFORCED = {bc: BoundaryData(left_wall=bc.has_left_wall,
+                              u_left=FAR_FIELD_U, u_right=FAR_FIELD_U,
+                              w_left=np.zeros(2), w_right=np.zeros(2),
+                              v_gl=v_gl, v_gr=FAR_FIELD_V,
+                              th_gl=th_gl, th_gr=FAR_FIELD_THETA,
+                              b_gl=np.full(2, FAR_FIELD_B),
+                              b_gr=np.full(2, FAR_FIELD_B))
+             for bc, (v_gl, th_gl) in _LEFT_OUTER.items()}
+
 
 def boundary_data(grid: Grid, bc: BoundaryCondition, t: float,
                   forcing=None) -> BoundaryData:
-    """The boundary data of the regime at time t, or the forcing's own
-    (forcing.boundary_data(grid, t)), which requires the Cauchy regime."""
+    """The boundary data of the regime, the same instance at every time t, or
+    the forcing's own (forcing.boundary_data(grid, t)), which requires the
+    Cauchy regime."""
     if forcing is not None:
         if bc is not BoundaryCondition.CAUCHY_FAR_FIELD:
             raise ValueError("manufactured-solution forcing requires the Cauchy regime")
         return forcing.boundary_data(grid, t)
-    zero2 = np.zeros(2)
-    v_gl, th_gl = _LEFT_OUTER[bc]
-    return BoundaryData(left_wall=bc.has_left_wall,
-                        u_left=FAR_FIELD_U, u_right=FAR_FIELD_U,
-                        w_left=zero2, w_right=zero2,
-                        v_gl=v_gl, v_gr=FAR_FIELD_V,
-                        th_gl=th_gl, th_gr=FAR_FIELD_THETA,
-                        b_gl=np.full(2, FAR_FIELD_B), b_gr=np.full(2, FAR_FIELD_B))
+    return _UNFORCED[bc]
 
 
 def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
@@ -217,6 +232,23 @@ def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
+
+
+def symmetric_tridiag_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray
+                            ) -> np.ndarray:
+    """Solve the symmetric positive definite tridiagonal system with diagonal
+    d and off-diagonal e (length n - 1), as tridiag_solve(e, d, e, rhs) does,
+    by LAPACK ptsv (a pivot-free L*D*L^T factorization). Its operations differ
+    from gtsv's, so the result agrees with tridiag_solve to round-off, not bit
+    for bit; each column of rhs is solved alone. No input is overwritten.
+    Raises LinAlgError when the matrix is not positive definite.
+    """
+    _, _, x, info = dptsv(d, e, rhs)
+    if info > 0:
+        raise LinAlgError("matrix not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of ptsv")
     return x
 
 
@@ -248,17 +280,21 @@ def _harmonic(a: np.ndarray, b_: np.ndarray) -> np.ndarray:
     return 2.0 * a * b_ / (a + b_)
 
 
-def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
-                           p: PhysicalParams, bnd: BoundaryData):
-    """Diffusive heat flux kappa(theta) * theta_x / v at every node, and a
-    function jacobian(frozen) for the Newton Jacobian.
+def heat_flux_stencil(theta: np.ndarray, k_over_v: np.ndarray, dx: float,
+                      p: PhysicalParams, bnd: BoundaryData):
+    """Diffusive heat flux kappa(theta) * theta_x / v at every node, with
+    k_over_v = kappa_tilde / v per cell, and a function bands(frozen) for the
+    Newton Jacobian.
 
-    jacobian returns (dH/d(theta of left cell), dH/d(theta of right cell)) per
-    node from the flux's own coefficients; frozen=True drops the
-    conductivity-derivative terms (Picard linearization).
+    bands returns the (sub, main, super) diagonals of the derivative of the
+    flux divergence -(H[1:] - H[:-1]) / dx with respect to theta, from the
+    flux's own coefficients; the conductivity's derivative is beta*a/theta
+    for the cell value a = kappa(theta)/v, so no second power is taken.
+    frozen=True drops the conductivity-derivative terms (Picard
+    linearization).
     """
     m = theta.shape[0]
-    a = p.kappa_tilde * theta ** p.beta / v
+    a = k_over_v * theta ** p.beta
     H = np.empty(m + 1)
 
     a_sum = a[:-1] + a[1:]
@@ -270,7 +306,7 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
         H[0] = 0.0
     elif bnd.left_wall:
         th_mid = 0.5 * (theta[0] + bnd.th_gl)
-        c_l = p.kappa_tilde * th_mid ** p.beta / v[0]
+        c_l = k_over_v[0] * th_mid ** p.beta
         H[0] = c_l * (theta[0] - bnd.th_gl) / (0.5 * dx)
     else:
         a_gl = p.kappa_tilde * bnd.th_gl ** p.beta / bnd.v_gl
@@ -281,38 +317,43 @@ def heat_flux_and_jacobian(theta: np.ndarray, v: np.ndarray, dx: float,
     c_r = _harmonic(a[-1], a_gr)
     H[-1] = c_r * (bnd.th_gr - theta[-1]) / dx
 
-    def jacobian(frozen: bool):
-        da = np.zeros_like(theta) if frozen else p.kappa_tilde * p.beta * theta ** (p.beta - 1.0) / v
-        # d(harmonic(x, y))/dx = 2 y^2 / (x + y)^2
-        dh_left = np.zeros(m + 1)   # dH[j] / d theta[j-1]
-        dh_right = np.zeros(m + 1)  # dH[j] / d theta[j]
-        a_sum_sq = a_sum ** 2
-        c_dx = c_int / dx
-        dc_dal = 2.0 * a[1:] ** 2 / a_sum_sq
-        dc_dar = 2.0 * a[:-1] ** 2 / a_sum_sq
-        dh_left[1:-1] = dc_dal * da[:-1] * grad_int - c_dx
-        dh_right[1:-1] = dc_dar * da[1:] * grad_int + c_dx
+    def bands(frozen: bool):
+        # lo and hi: dH_j/dtheta of the cell left and right of node j, over
+        # dx. A harmonic mean c(x, y) has dc/dx = c y / (x (x + y)), and
+        # da/dtheta = beta a / theta, so the conductance term of dH_j/dtheta
+        # of the left cell is H_j y beta / ((x + y) theta).
+        c_dd = c_int / (dx * dx)
+        if frozen:
+            lo_int, hi_int = -c_dd, c_dd
+        else:
+            bt = p.beta / theta
+            g = H[1:-1] / (a_sum * dx)
+            lo_int = g * a[1:] * bt[:-1] - c_dd
+            hi_int = g * a[:-1] * bt[1:] + c_dd
 
-        if not bnd.left_wall:
-            dc_l = 2.0 * a_gl ** 2 / (a_gl + a[0]) ** 2
-            dh_right[0] = dc_l * da[0] * (theta[0] - bnd.th_gl) / dx + c_l / dx
-        elif bnd.th_gl is not None:
-            dc_l = 0.0 if frozen else \
-                p.kappa_tilde * p.beta * th_mid ** (p.beta - 1.0) / (2.0 * v[0])
-            dh_right[0] = (c_l + dc_l * (theta[0] - bnd.th_gl)) / (0.5 * dx)
-        # an insulated wall: flux and derivative identically zero
+        if bnd.th_gl is None:  # an insulated wall: flux and derivative zero
+            hi_0 = 0.0
+        elif bnd.left_wall:  # the conductance of th_mid, half a cell away
+            hi_0 = c_l / (0.5 * dx) + (
+                0.0 if frozen else H[0] * p.beta / (2.0 * th_mid))
+        else:
+            hi_0 = c_l / dx + (0.0 if frozen else H[0] * a_gl / (a_gl + a[0]) * bt[0])
+        lo_m = (0.0 if frozen else H[-1] * a_gr / (a[-1] + a_gr) * bt[-1]) - c_r / dx
 
-        dc_r = 2.0 * a_gr ** 2 / (a[-1] + a_gr) ** 2
-        dh_left[-1] = dc_r * da[-1] * (bnd.th_gr - theta[-1]) / dx - c_r / dx
-        return dh_left, dh_right
+        main = np.empty(m)
+        main[1:] = hi_int
+        main[0] = hi_0 / dx
+        main[:-1] -= lo_int
+        main[-1] -= lo_m / dx
+        return lo_int, main, -hi_int
 
-    return H, jacobian
+    return H, bands
 
 
 def heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
               bnd: BoundaryData) -> np.ndarray:
     """Diffusive heat flux kappa(theta) * theta_x / v at every node."""
-    return heat_flux_and_jacobian(theta, v, dx, p, bnd)[0]
+    return heat_flux_stencil(theta, p.kappa_tilde / v, dx, p, bnd)[0]
 
 
 def compute_dt(state: GasState, b_sq: np.ndarray, grid: Grid,
@@ -341,7 +382,7 @@ def _node_diffusion(a: np.ndarray, r: float, rhs: np.ndarray, left, right
     x = np.empty((rhs.shape[0] + 2,) + rhs.shape[1:])
     x[0] = left
     x[-1] = right
-    x[1:-1] = tridiag_solve(off, 1.0 + r * (a[1:] + a[:-1]), off, rhs)
+    x[1:-1] = symmetric_tridiag_solve(1.0 + r * (a[1:] + a[:-1]), off, rhs)
     return x
 
 
@@ -412,7 +453,7 @@ def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
         rhs[0] += r * d[0] * bnd.b_gl
     rhs[-1] += r * d[-1] * bnd.b_gr
 
-    return tridiag_solve(off, diag, off, rhs)
+    return symmetric_tridiag_solve(diag, off, rhs)
 
 
 def dissipation_source(v: np.ndarray, mu: np.ndarray, ux: np.ndarray,
@@ -441,7 +482,9 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     conductivity is relinearized each iteration (full beta*theta**(beta-1)
     derivative); if the residual fails to decrease three times in a row the
     Jacobian falls back to the frozen-coefficient (Picard) form. Each iterate
-    evaluates the heat flux once, for the residual and the Jacobian alike.
+    evaluates the heat flux once (heat_flux_stencil), for the residual and
+    the Jacobian alike; kappa_tilde / v, the diagonal base c_v/dt + R*u_x/v
+    and the residual's theta-free part are evaluated once per stage.
 
     Returns (theta, number of Newton updates taken, Q, H) where H is the heat
     flux at the returned theta: the last iterate's, or evaluated once more
@@ -456,18 +499,20 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     dx = grid.dx
     ux = (u_new[1:] - u_new[:-1]) / dx
     q = dissipation_source(v_new, mu_new, ux, w_new, b_new, grid, p, bnd)
-    s_theta = bnd.sources["theta"] if bnd.sources is not None else 0.0
-
-    adv = p.R * ux / v_new
+    k_over_v = p.kappa_tilde / v_new
+    base = p.c_v / dt + p.R * ux / v_new
+    # the residual is theta * base - (H[1:] - H[:-1]) / dx - known
+    known = p.c_v * state.theta / dt + q
+    if bnd.sources is not None:
+        known += bnd.sources["theta"]
 
     theta = state.theta.copy()
     picard = False
     stall = 0
     prev_norm = math.inf
     for it in range(ctl.newton_max_iter + 1):
-        h, jacobian = heat_flux_and_jacobian(theta, v_new, dx, p, bnd)
-        f = (p.c_v * (theta - state.theta) / dt + theta * adv
-             - (h[1:] - h[:-1]) / dx - q - s_theta)
+        h, bands = heat_flux_stencil(theta, k_over_v, dx, p, bnd)
+        f = theta * base - (h[1:] - h[:-1]) / dx - known
         fnorm = float(np.abs(f).max())
         scale = max(1.0, float(theta.max()))
         if fnorm <= ctl.newton_tol * p.c_v * scale / dt:
@@ -482,9 +527,9 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
             stall = 0
         prev_norm = fnorm
 
-        dh_left, dh_right = jacobian(frozen=picard)
-        diag = p.c_v / dt + adv - (dh_left[1:] - dh_right[:-1]) / dx
-        delta = tridiag_solve(dh_left[1:-1] / dx, diag, -dh_right[1:-1] / dx, -f)
+        lower, main, upper = bands(frozen=picard)
+        main += base
+        delta = tridiag_solve(lower, main, upper, -f)
 
         # Damp the update rather than clip: theta must stay positive for the
         # conductivity to be evaluable at the next iterate.
@@ -561,14 +606,14 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     nonpositive v, or whose temperature solve fails, is discarded and retried
     at half the step; the temperature solve keeps theta positive itself.
 
-    Raises PositivityFailure after retry_max halvings (or a dt underflow),
-    NewtonDivergence after two consecutive temperature-solve failures.
+    Raises, when the attempt after retry_max halvings fails too or a halving
+    takes dt below dt_min, PositivityFailure if that attempt produced
+    nonpositive v and NewtonDivergence if its temperature solve failed.
     """
     dt = compute_dt(state, coeffs.b_sq, grid, p, ctl)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     retries = 0
-    newton_streak = 0
 
     while True:
         t_new = state.t + dt
@@ -583,29 +628,20 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             b_new = substep_induction(state, v_new, w_new, grid, p, dt, bnd)
             theta_new, iters, q, h = substep_temperature(
                 state, v_new, u_new, w_new, b_new, mu_new, grid, p, ctl, dt, bnd)
-        except _PositivityRetry:
+        except (_PositivityRetry, _NewtonFailed) as exc:
+            failure, what = (
+                (PositivityFailure, "state stayed nonpositive")
+                if isinstance(exc, _PositivityRetry) else
+                (NewtonDivergence,
+                 f"temperature solve exceeded {ctl.newton_max_iter} iterations"))
             retries += 1
             if retries > ctl.retry_max:
-                raise PositivityFailure(
-                    f"state stayed nonpositive after {ctl.retry_max} dt halvings",
-                    state.t) from None
+                raise failure(f"{what} after {ctl.retry_max} dt halvings",
+                              state.t) from None
             dt *= 0.5
             if dt < ctl.dt_min:
-                raise PositivityFailure(
-                    f"dt halved below dt_min = {ctl.dt_min}", state.t) from None
-            continue
-        except _NewtonFailed:
-            newton_streak += 1
-            retries += 1
-            if newton_streak >= 2:
-                raise NewtonDivergence(
-                    f"temperature solve exceeded {ctl.newton_max_iter} iterations "
-                    "twice consecutively", state.t) from None
-            dt *= 0.5
-            if dt < ctl.dt_min:
-                raise NewtonDivergence(
-                    f"dt halved below dt_min = {ctl.dt_min} during temperature "
-                    "retries", state.t) from None
+                raise failure(f"{what}; dt halved below dt_min = {ctl.dt_min}",
+                              state.t) from None
             continue
         break
 

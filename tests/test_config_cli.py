@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -32,6 +33,8 @@ from mhd1d.snapshots import (
     node_companion,
 )
 from mhd1d.solver import SolverFailure, run_until
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 CAUCHY = BoundaryCondition.CAUCHY_FAR_FIELD
 
@@ -269,6 +272,22 @@ time.t_end = 0.05
 
 
 class TestRunCommand:
+    def test_failed_temperature_solves_are_retried_at_smaller_steps(
+            self, tmp_path):
+        # beta = 6 stalls the Newton solve of the first steps at the default
+        # cap; halving dt under time.retry_max, as for lost positivity, lets
+        # the run finish
+        text = ("params.beta = 6\ninitial.profile = gaussian_bump\n"
+                "initial.amp_theta = 3\ngrid.cells = 64\ngrid.mass = 16\n"
+                "time.t_end = 0.5\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == 0
+        records = [json.loads(line) for line in
+                   (out / "diagnostics.jsonl").read_text().splitlines()]
+        assert records[-1]["t"] == 0.5
+        assert max(r["retries"] for r in records) == 4
+
     def test_run_writes_outputs_and_summary(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "out"
@@ -536,14 +555,16 @@ class TestRecordBlocksInTheRunCommand:
 
     def test_failure_inside_a_block_writes_every_accepted_step(self, tmp_path,
                                                                 capsys):
-        # one Newton update per step suffices for two steps, then not
+        # one Newton update per step suffices for two steps, then not, even
+        # after the one dt halving that retry_max allows
         text = (BLOCK_RUN.replace("time.t_end = 0.05", "time.t_end = 2.0")
                 .replace("initial.amp_v = -0.2", "initial.amp_v = -0.1")
                 .replace("initial.amp_u = 0.2\n", "")
                 .replace("initial.amp_theta = 0.3\n", "")
                 .replace("initial.amp_b1 = 0.2\n", "")
                 .replace("initial.amp_w1 = 0.1\n", "")
-                + "time.newton_max_iter = 1\ntime.newton_tol = 1e-8\n")
+                + "time.newton_max_iter = 1\ntime.newton_tol = 1e-8\n"
+                + "time.retry_max = 1\n")
         records, coll, failure = per_step_records(text)
         assert failure is not None and 1 < len(records) - 1 < BLOCK_CELLS // 32
         out = tmp_path / "out"
@@ -640,6 +661,33 @@ output.dir = elsewhere
         assert type(again.profile) is type(cfg.profile)
         if case == "file":
             assert again.profile == cfg.profile
+
+
+    @pytest.mark.parametrize("extra", [
+        "",
+        "initial.amp_u = 0.25\ninitial.amp_b2 = -0.1\ninitial.jitter = 0.03\n"
+        "seed = 11\n",
+    ])
+    def test_output_reads_back_to_an_equal_run_config(self, tmp_path, capsys,
+                                                       monkeypatch, extra):
+        # the benchmark's run_small config with a nondefault key of every
+        # section that used to go unprinted; jittered amplitudes print as
+        # resolved, so neither jitter nor seed is needed to read them back
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                      PERFBENCH / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench)
+        spec.loader.exec_module(bench)
+        text = (bench.config_text(*bench.WORKLOADS["run_small"][:3], 3)
+                + "time.dt_max = 0.05\noutput.diagnostics_every = 4\n"
+                + "sweep.cap = 9\nrepr.anchor = 2.3\n" + extra)
+        cfg = parse_config(text)
+        assert cli.main(["check-config", "--config",
+                         str(write_config(tmp_path, text))]) == 0
+        echoed = capsys.readouterr().out
+        assert parse_config(echoed) == cfg
+        assert "jitter" not in echoed and "seed" not in echoed
 
 
 class TestSweepCommand:

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from mhd1d.solver import (
     substep_transverse,
     substep_velocity,
     substep_volume,
+    symmetric_tridiag_solve,
     tridiag_solve,
 )
 from mhd1d.verification import MmsForcing, MmsSolution, explicit_reference
@@ -291,6 +292,24 @@ class TestEndNodes:
             for got, want in zip((mean_l, grad_l, mean_r, grad_r), want_l + want_r):
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("bc", ALL_REGIMES)
+    def test_unforced_data_is_one_frozen_read_only_instance(self, bc):
+        bnd = boundary_data(Grid.uniform(16, 8.0, 0.0), bc, 0.0)
+        assert boundary_data(Grid.uniform(64, 3.0, 0.0), bc, 7.5) is bnd
+        with pytest.raises(FrozenInstanceError):
+            bnd.u_left = 1.0
+        for arr in (bnd.w_left, bnd.w_right, bnd.b_gl, bnd.b_gr):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_forced_data_is_read_only(self):
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        bnd = boundary_data(Grid.uniform(16, 1.0, 0.1), CAUCHY, 0.1,
+                            MmsForcing(MmsSolution(), p))
+        for arr in (bnd.w_left, bnd.b_gr, *bnd.sources.values()):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
     def test_wall_outer_values(self):
         grid = Grid.uniform(16, 8.0, 0.0)
         iso = boundary_data(grid, BoundaryCondition.ISOTHERMAL_WALL_LEFT, 0.0)
@@ -306,8 +325,7 @@ class TestTridiagSolve:
     @pytest.mark.parametrize("columns", [None, 2])
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_matches_solve_banded(self, n, columns, symmetric):
-        # symmetric passes one array as both off-diagonals, as the stage
-        # solves do
+        # symmetric passes one array as both off-diagonals
         rng = np.random.default_rng(n)
         lower = rng.normal(size=n - 1)
         upper = lower if symmetric else rng.normal(size=n - 1)
@@ -330,6 +348,58 @@ class TestTridiagSolve:
         diag[2] = 0.0
         with pytest.raises(LinAlgError):
             tridiag_solve(np.zeros(4), diag, np.zeros(4), np.ones(5))
+
+
+def dominant_system(n, columns, seed):
+    """A symmetric, strictly diagonally dominant tridiagonal system with a
+    positive diagonal, as the stage solves build: (d, e, rhs)."""
+    rng = np.random.default_rng(seed)
+    e = rng.normal(size=n - 1)
+    d = 0.5 + rng.random(n)
+    d[:-1] += np.abs(e)
+    d[1:] += np.abs(e)
+    rhs = rng.normal(size=n if columns is None else (n, columns))
+    return d, e, rhs
+
+
+class TestSymmetricTridiagSolve:
+    """ptsv orders its operations unlike gtsv, so it agrees with solve_banded
+    to round-off; the bound is 1e-14 of the solution's largest entry (the
+    largest error over these cases is 1.7e-16 of it)."""
+
+    @pytest.mark.parametrize("n", [3, 64, 2048, 8191])
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_matches_solve_banded_to_round_off(self, n, columns):
+        d, e, rhs = dominant_system(n, columns, n)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = e
+        ab[1] = d
+        ab[2, :-1] = e
+        expected = solve_banded((1, 1), ab, rhs, check_finite=False)
+        x = symmetric_tridiag_solve(d, e, rhs)
+        assert x.shape == rhs.shape
+        assert np.max(np.abs(x - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_solves_each_column_alone(self):
+        # the induction stage's two components must not mix, bit for bit
+        d, e, rhs = dominant_system(257, 2, 1)
+        x = symmetric_tridiag_solve(d, e, rhs)
+        for k in range(2):
+            assert np.array_equal(x[:, k],
+                                  symmetric_tridiag_solve(d, e, rhs[:, k].copy()))
+
+    def test_leaves_its_inputs_unchanged(self):
+        d, e, rhs = dominant_system(64, 2, 2)
+        before = [arr.copy() for arr in (d, e, rhs)]
+        symmetric_tridiag_solve(d, e, rhs)
+        for arr, old in zip((d, e, rhs), before):
+            assert np.array_equal(arr, old)
+
+    def test_indefinite_raises(self):
+        d, e, rhs = dominant_system(16, None, 3)
+        d[5] = -d[5]
+        with pytest.raises(LinAlgError):
+            symmetric_tridiag_solve(d, e, rhs)
 
 
 class TestStepHandsOverMonitorInputs:
@@ -701,13 +771,46 @@ class TestFailureModes:
             step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
         assert err.value.t == state.t
 
-    def test_newton_divergence_after_two_failures(self):
+    def test_newton_divergence_after_retry_max_halvings(self):
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=0.0, beta=1.0)
         state = bump_state(grid)
         ctl = StepControl(newton_max_iter=0, dt_min=1e-12)
         with pytest.raises(NewtonDivergence):
             step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+
+    @pytest.mark.parametrize("retry_max", [0, 1, 3])
+    def test_a_failed_temperature_solve_halves_dt_under_retry_max(
+            self, retry_max, monkeypatch):
+        attempts = []
+
+        def recording(state, v_new, u_new, w_new, b_new, mu_new, grid, p, ctl,
+                      dt, bnd):
+            attempts.append(dt)
+            return substep_temperature(state, v_new, u_new, w_new, b_new,
+                                       mu_new, grid, p, ctl, dt, bnd)
+
+        monkeypatch.setattr(solver, "substep_temperature", recording)
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=0.0, beta=1.0)
+        state = bump_state(grid)
+        ctl = StepControl(newton_max_iter=0, dt_min=1e-12, retry_max=retry_max)
+        with pytest.raises(NewtonDivergence) as err:
+            step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+        assert f"after {retry_max} dt halvings" in str(err.value)
+        assert err.value.t == state.t
+        assert attempts == [attempts[0] * 0.5 ** k for k in range(retry_max + 1)]
+
+    def test_a_failed_temperature_solve_is_retried_until_it_converges(self):
+        # a large beta stalls the first attempts' Newton solves at the
+        # default cap; smaller steps converge
+        grid = Grid.uniform(64, 16.0, -8.0)
+        p = PhysicalParams(beta=6.0)
+        state = make_initial_state(grid, GaussianBump(amp_theta=3.0), CAUCHY)
+        new, report = step(state, grid, p, CAUCHY, StepControl(),
+                           coeffs_of(state, p))
+        assert report.retries == 4
+        assert new.theta.min() > 0.0
 
 
 class TestRunUntil:
