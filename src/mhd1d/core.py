@@ -156,6 +156,10 @@ class GasState:
 
     v, theta: (M,) positive cell values; b: (M, 2) cell values;
     u: (M+1,) node values; w: (M+1, 2) node values.
+
+    b and w are held column-major (Fortran order), with each component
+    contiguous: the layout in which LAPACK takes and returns the solver's
+    two-column solves. The constructor converts any other layout.
     """
 
     v: np.ndarray
@@ -166,9 +170,14 @@ class GasState:
     t: float = 0.0
     step: int = 0
 
+    def __post_init__(self):
+        self.b = np.asfortranarray(self.b)
+        self.w = np.asfortranarray(self.w)
+
     def copy(self) -> "GasState":
-        return GasState(v=self.v.copy(), theta=self.theta.copy(), b=self.b.copy(),
-                        u=self.u.copy(), w=self.w.copy(), t=self.t, step=self.step)
+        return GasState(v=self.v.copy(), theta=self.theta.copy(),
+                        b=self.b.copy(order="F"), u=self.u.copy(),
+                        w=self.w.copy(order="F"), t=self.t, step=self.step)
 
     def validate(self, grid: Grid) -> None:
         """Check array shapes against the grid, strict positivity of v and
@@ -196,12 +205,9 @@ class StateBlock:
     @classmethod
     def of(cls, states: Sequence[GasState]) -> "StateBlock":
         """The states stacked in order, their t and step read now."""
-        return cls(v=stack_rows([s.v for s in states]),
-                   theta=stack_rows([s.theta for s in states]),
-                   b=stack_rows([s.b for s in states]),
-                   u=stack_rows([s.u for s in states]),
-                   w=stack_rows([s.w for s in states]),
-                   t=tuple(s.t for s in states),
+        arrays = {name: stack_rows([getattr(s, name) for s in states])
+                  for name in ("v", "theta", "b", "u", "w")}
+        return cls(**arrays, t=tuple(s.t for s in states),
                    step=tuple(s.step for s in states))
 
     def validate(self, grid: Grid) -> None:
@@ -211,15 +217,17 @@ class StateBlock:
 
 
 def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
-    """Equal-shape arrays stacked along a new leading axis into one
-    C-ordered array; a single array is viewed (x[None]), not copied."""
+    """Equal-shape arrays of one or two axes stacked along a new leading axis
+    (a single array is viewed, x[None]). Transposed rows are concatenated and
+    viewed back, so a column-major row (b, w) keeps its components contiguous."""
     if len(rows) == 1:
         return rows[0][None]
     shape = rows[0].shape
     if any(r.shape != shape for r in rows):
         raise ValueError(f"cannot stack arrays of shapes {[r.shape for r in rows]}")
     # np.concatenate costs a third of np.stack's call overhead
-    return np.concatenate(rows).reshape((len(rows),) + shape)
+    return np.concatenate([r.T for r in rows]).reshape(
+        (len(rows),) + shape[::-1]).swapaxes(1, -1)
 
 
 def _check_fields(s, grid: Grid, lead: tuple) -> None:
@@ -317,10 +325,11 @@ def make_initial_state(grid: Grid, profile: InitialProfile,
         if not profile.width > 0.0:
             raise ProfileError(f"bump width must be > 0, got {profile.width}")
         c, wdt = profile.center, profile.width
+        # the transposes of the stacked components are column-major
         b = np.stack([_bump(xc, FAR_FIELD_B, profile.amp_b[0], c, wdt),
-                      _bump(xc, FAR_FIELD_B, profile.amp_b[1], c, wdt)], axis=1)
+                      _bump(xc, FAR_FIELD_B, profile.amp_b[1], c, wdt)]).T
         w = np.stack([_bump(xn, FAR_FIELD_W, profile.amp_w[0], c, wdt),
-                      _bump(xn, FAR_FIELD_W, profile.amp_w[1], c, wdt)], axis=1)
+                      _bump(xn, FAR_FIELD_W, profile.amp_w[1], c, wdt)]).T
         state = GasState(v=_bump(xc, FAR_FIELD_V, profile.amp_v, c, wdt),
                          theta=_bump(xc, FAR_FIELD_THETA, profile.amp_theta, c, wdt),
                          b=b, u=_bump(xn, FAR_FIELD_U, profile.amp_u, c, wdt), w=w)

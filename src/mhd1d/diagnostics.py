@@ -89,11 +89,8 @@ class ReportArrays:
 
     @classmethod
     def of(cls, reports: Sequence[StepReport]) -> "ReportArrays":
-        c = [r.coeffs for r in reports]
-        coeffs = StateCoeffs(mu=stack_rows([x.mu for x in c]),
-                             mu_over_v=stack_rows([x.mu_over_v for x in c]),
-                             b_sq=stack_rows([x.b_sq for x in c]),
-                             ptot=stack_rows([x.ptot for x in c]))
+        coeffs = StateCoeffs(*(stack_rows([getattr(r.coeffs, f.name) for r in reports])
+                               for f in fields(StateCoeffs)))
         return cls(coeffs, stack_rows([r.heat_flux for r in reports]),
                    stack_rows([r.dissipation for r in reports]))
 

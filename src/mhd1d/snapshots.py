@@ -94,8 +94,8 @@ def load_snapshot(path) -> tuple[GasState, Grid]:
     dx = float(x_node[1] - x_node[0])
     grid = Grid(cells=centers.shape[0], dx=dx, left_edge=float(x_node[0]))
     state = GasState(v=centers[:, 1].copy(), theta=centers[:, 2].copy(),
-                     b=centers[:, 3:5].copy(), u=nodes[:, 1].copy(),
-                     w=nodes[:, 2:4].copy(), t=t, step=step)
+                     b=centers[:, 3:5], u=nodes[:, 1].copy(),
+                     w=nodes[:, 2:4], t=t, step=step)
     state.validate(grid)
     return state, grid
 

@@ -23,6 +23,9 @@ which decides the boundary regime and carries any manufactured-solution
 sources; an unforced regime's BoundaryData is built once and shared.
 The symmetric, diagonally dominant solves of stages (a), (c) and (d) use
 LAPACK ptsv; the Newton Jacobian of stage (e) is not symmetric and uses gtsv.
+Two-component arrays are column-major, as GasState holds b and w, so ptsv
+takes and returns them without a transposing copy. The heat flux has one
+stencil, over theta padded with the regime's ghosts (heat_flux_stencil).
 Interface diffusion coefficients are harmonic means of adjacent cell values;
 all other center-to-node transfers are arithmetic means.
 """
@@ -224,8 +227,7 @@ def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
     every column. Calls LAPACK gtsv directly, the routine
     scipy.linalg.solve_banded uses for (1, 1) bands, so the result is bitwise
     the same without building the band array. No input is overwritten. The
-    system must have at least two unknowns (the LAPACK wrapper rejects
-    n = 1), which every grid of at least 4 cells gives.
+    wrapper needs at least two unknowns, as every grid of 4 cells gives.
     """
     _, _, _, x, info = dgtsv(dl, d, du, rhs)
     if info > 0:
@@ -270,82 +272,75 @@ def end_nodes(f: np.ndarray, lo, hi, bnd: BoundaryData, dx: float):
 def b_gradient(b: np.ndarray, bnd: BoundaryData, dx: float) -> np.ndarray:
     """Transverse-field gradient at every node, closed per end_nodes."""
     m = b.shape[0]
-    bx = np.empty((m + 1,) + b.shape[1:])
+    bx = np.empty((m + 1,) + b.shape[1:], order="F")
     bx[1:-1] = (b[1:] - b[:-1]) / dx
     _, bx[0], _, bx[-1] = end_nodes(b, bnd.b_gl, bnd.b_gr, bnd, dx)
     return bx
 
 
-def _harmonic(a: np.ndarray, b_: np.ndarray) -> np.ndarray:
-    return 2.0 * a * b_ / (a + b_)
+def _padded(f: np.ndarray, lo, hi) -> np.ndarray:
+    """The cell field f between the values lo and hi (M + 2 values)."""
+    out = np.empty(f.shape[0] + 2)
+    out[0], out[1:-1], out[-1] = lo, f, hi
+    return out
+
+
+def padded_k_over_v(v: np.ndarray, p: PhysicalParams, bnd: BoundaryData
+                    ) -> np.ndarray:
+    """kappa_tilde / v per cell between the ghosts of heat_flux_stencil: that
+    of v_gl and v_gr, or zero on a wall, where no heat crosses an insulated
+    one and the stencil sets the isothermal one's node flux itself."""
+    lo = 0.0 if bnd.v_gl is None else p.kappa_tilde / bnd.v_gl
+    return _padded(p.kappa_tilde / v, lo, p.kappa_tilde / bnd.v_gr)
 
 
 def heat_flux_stencil(theta: np.ndarray, k_over_v: np.ndarray, dx: float,
                       p: PhysicalParams, bnd: BoundaryData):
     """Diffusive heat flux kappa(theta) * theta_x / v at every node, with
-    k_over_v = kappa_tilde / v per cell, and a function bands(frozen) for the
-    Newton Jacobian.
+    k_over_v = padded_k_over_v(v, p, bnd), and a function bands(frozen) for
+    the Newton Jacobian.
+
+    theta is padded with a ghost at each end (th_gl, or theta[0] on an
+    insulated wall, and th_gr), so the flux at all M + 1 nodes is one slice
+    expression: the harmonic mean of the cell values a = kappa(theta)/v on
+    either side times the difference quotient. An insulated wall's ghost has
+    a = 0, so its flux and derivatives vanish. The one fix-up is the
+    isothermal wall, whose th_gl sits on the node half a cell away.
 
     bands returns the (sub, main, super) diagonals of the derivative of the
     flux divergence -(H[1:] - H[:-1]) / dx with respect to theta, from the
     flux's own coefficients; the conductivity's derivative is beta*a/theta
-    for the cell value a = kappa(theta)/v, so no second power is taken.
-    frozen=True drops the conductivity-derivative terms (Picard
-    linearization).
+    for the cell value a, so no second power is taken. frozen=True drops the
+    conductivity-derivative terms (Picard linearization).
     """
-    m = theta.shape[0]
-    a = k_over_v * theta ** p.beta
-    H = np.empty(m + 1)
-
+    th = _padded(theta, theta[0] if bnd.th_gl is None else bnd.th_gl, bnd.th_gr)
+    a = k_over_v * th ** p.beta
     a_sum = a[:-1] + a[1:]
-    c_int = 2.0 * a[:-1] * a[1:] / a_sum  # harmonic mean, see _harmonic
-    grad_int = (theta[1:] - theta[:-1]) / dx
-    H[1:-1] = c_int * grad_int
-
-    if bnd.th_gl is None:
-        H[0] = 0.0
-    elif bnd.left_wall:
+    c = 2.0 * a[:-1] * a[1:] / a_sum
+    H = c * ((th[1:] - th[:-1]) / dx)
+    isothermal = bnd.left_wall and bnd.th_gl is not None
+    if isothermal:
         th_mid = 0.5 * (theta[0] + bnd.th_gl)
-        c_l = k_over_v[0] * th_mid ** p.beta
+        c_l = k_over_v[1] * th_mid ** p.beta
         H[0] = c_l * (theta[0] - bnd.th_gl) / (0.5 * dx)
-    else:
-        a_gl = p.kappa_tilde * bnd.th_gl ** p.beta / bnd.v_gl
-        c_l = _harmonic(a_gl, a[0])
-        H[0] = c_l * (theta[0] - bnd.th_gl) / dx
-
-    a_gr = p.kappa_tilde * bnd.th_gr ** p.beta / bnd.v_gr
-    c_r = _harmonic(a[-1], a_gr)
-    H[-1] = c_r * (bnd.th_gr - theta[-1]) / dx
 
     def bands(frozen: bool):
-        # lo and hi: dH_j/dtheta of the cell left and right of node j, over
-        # dx. A harmonic mean c(x, y) has dc/dx = c y / (x (x + y)), and
-        # da/dtheta = beta a / theta, so the conductance term of dH_j/dtheta
-        # of the left cell is H_j y beta / ((x + y) theta).
-        c_dd = c_int / (dx * dx)
+        # hi, lo: dH_j/dtheta of the cell right of node j (nodes 0..M-1) and
+        # left of it (nodes 1..M), over dx. A harmonic mean c(x, y) has dc/dx
+        # = c y / (x (x + y)) and da/dtheta = beta a / theta, so the term of
+        # the left cell's conductance is H_j y beta / ((x + y) theta).
+        c_dd = c / (dx * dx)
         if frozen:
-            lo_int, hi_int = -c_dd, c_dd
+            hi, lo = c_dd[:-1], -c_dd[1:]
         else:
-            bt = p.beta / theta
-            g = H[1:-1] / (a_sum * dx)
-            lo_int = g * a[1:] * bt[:-1] - c_dd
-            hi_int = g * a[:-1] * bt[1:] + c_dd
-
-        if bnd.th_gl is None:  # an insulated wall: flux and derivative zero
-            hi_0 = 0.0
-        elif bnd.left_wall:  # the conductance of th_mid, half a cell away
-            hi_0 = c_l / (0.5 * dx) + (
-                0.0 if frozen else H[0] * p.beta / (2.0 * th_mid))
-        else:
-            hi_0 = c_l / dx + (0.0 if frozen else H[0] * a_gl / (a_gl + a[0]) * bt[0])
-        lo_m = (0.0 if frozen else H[-1] * a_gr / (a[-1] + a_gr) * bt[-1]) - c_r / dx
-
-        main = np.empty(m)
-        main[1:] = hi_int
-        main[0] = hi_0 / dx
-        main[:-1] -= lo_int
-        main[-1] -= lo_m / dx
-        return lo_int, main, -hi_int
+            bt = p.beta / th
+            g = H / (a_sum * dx)
+            hi = g[:-1] * a[:-2] * bt[1:-1] + c_dd[:-1]
+            lo = g[1:] * a[2:] * bt[1:-1] - c_dd[1:]
+        if isothermal:  # the conductance of th_mid, half a cell away
+            hi[0] = (c_l / (0.5 * dx) + (
+                0.0 if frozen else H[0] * p.beta / (2.0 * th_mid))) / dx
+        return lo[:-1], hi - lo, -hi[1:]
 
     return H, bands
 
@@ -353,7 +348,7 @@ def heat_flux_stencil(theta: np.ndarray, k_over_v: np.ndarray, dx: float,
 def heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
               bnd: BoundaryData) -> np.ndarray:
     """Diffusive heat flux kappa(theta) * theta_x / v at every node."""
-    return heat_flux_stencil(theta, p.kappa_tilde / v, dx, p, bnd)[0]
+    return heat_flux_stencil(theta, padded_k_over_v(v, p, bnd), dx, p, bnd)[0]
 
 
 def compute_dt(state: GasState, b_sq: np.ndarray, grid: Grid,
@@ -379,7 +374,7 @@ def _node_diffusion(a: np.ndarray, r: float, rhs: np.ndarray, left, right
     off = -r * a[1:-1]
     rhs[0] += r * a[0] * left
     rhs[-1] += r * a[-1] * right
-    x = np.empty((rhs.shape[0] + 2,) + rhs.shape[1:])
+    x = np.empty((rhs.shape[0] + 2,) + rhs.shape[1:], order="F")
     x[0] = left
     x[-1] = right
     x[1:-1] = symmetric_tridiag_solve(1.0 + r * (a[1:] + a[:-1]), off, rhs)
@@ -393,7 +388,7 @@ def substep_velocity(state: GasState, grid: Grid, dt: float,
     g = coeffs.ptot
     rhs = state.u[1:-1] - (dt / grid.dx) * (g[1:] - g[:-1])
     if bnd.sources is not None:
-        rhs = rhs + dt * bnd.sources["u"][1:-1]
+        rhs += dt * bnd.sources["u"][1:-1]
     return _node_diffusion(coeffs.mu_over_v, dt / grid.dx ** 2, rhs, bnd.u_left,
                            bnd.u_right)
 
@@ -403,7 +398,7 @@ def substep_volume(state: GasState, u_new: np.ndarray, grid: Grid, dt: float,
     """Stage (b): conservative volume update v += dt * u_x."""
     v_new = state.v + dt * (u_new[1:] - u_new[:-1]) / grid.dx
     if bnd.sources is not None:
-        v_new = v_new + dt * bnd.sources["v"]
+        v_new += dt * bnd.sources["v"]
     return v_new
 
 
@@ -414,21 +409,18 @@ def substep_transverse(state: GasState, v_new: np.ndarray, grid: Grid,
     explicit from stage-begin b. Both components share one matrix."""
     dx = grid.dx
     rhs = state.w[1:-1] + (dt / dx) * (state.b[1:] - state.b[:-1])
-    if bnd.sources is not None:
-        rhs = rhs + dt * bnd.sources["w"][1:-1]
+    if bnd.sources is not None:  # in place keeps rhs column-major
+        rhs += dt * bnd.sources["w"][1:-1]
     return _node_diffusion(p.lam / v_new, dt / dx ** 2, rhs, bnd.w_left,
                            bnd.w_right)
 
 
-def induction_coeffs(v_new: np.ndarray, p: PhysicalParams, bnd: BoundaryData,
-                     dx: float) -> np.ndarray:
-    """Magnetic diffusion coefficient nu/v at nodes (harmonic interface mean)."""
-    m = v_new.shape[0]
-    d = np.empty(m + 1)
-    d[1:-1] = 2.0 * p.nu / (v_new[:-1] + v_new[1:])
-    v_l, _, v_r, _ = end_nodes(v_new, bnd.v_gl, bnd.v_gr, bnd, dx)
-    d[0], d[-1] = p.nu / v_l, p.nu / v_r
-    return d
+def induction_coeffs(v_new: np.ndarray, p: PhysicalParams, bnd: BoundaryData
+                     ) -> np.ndarray:
+    """Magnetic diffusion coefficient nu/v at nodes (harmonic interface mean),
+    closed by the ghosts v_gl and v_gr, or on a wall by the first cell."""
+    v = _padded(v_new, v_new[0] if bnd.v_gl is None else bnd.v_gl, bnd.v_gr)
+    return 2.0 * p.nu / (v[:-1] + v[1:])
 
 
 def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
@@ -437,7 +429,7 @@ def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
     """Stage (d): implicit induction solve for b; the stage-(b) volume
     multiplies the time term, w_x comes from stage (c)."""
     dx = grid.dx
-    d = induction_coeffs(v_new, p, bnd, dx)
+    d = induction_coeffs(v_new, p, bnd)
     r = dt / dx ** 2
 
     diag = v_new + r * (d[:-1] + d[1:])
@@ -447,8 +439,8 @@ def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
         diag[0] = v_new[0] + r * (2.0 * d[0] + d[1])
 
     rhs = state.v[:, None] * state.b + (dt / dx) * (w_new[1:] - w_new[:-1])
-    if bnd.sources is not None:
-        rhs = rhs + dt * bnd.sources["b"]
+    if bnd.sources is not None:  # in place keeps rhs column-major
+        rhs += dt * bnd.sources["b"]
     if not bnd.left_wall:
         rhs[0] += r * d[0] * bnd.b_gl
     rhs[-1] += r * d[-1] * bnd.b_gr
@@ -499,7 +491,7 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     dx = grid.dx
     ux = (u_new[1:] - u_new[:-1]) / dx
     q = dissipation_source(v_new, mu_new, ux, w_new, b_new, grid, p, bnd)
-    k_over_v = p.kappa_tilde / v_new
+    k_over_v = padded_k_over_v(v_new, p, bnd)
     base = p.c_v / dt + p.R * ux / v_new
     # the residual is theta * base - (H[1:] - H[:-1]) / dx - known
     known = p.c_v * state.theta / dt + q
@@ -512,8 +504,8 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     prev_norm = math.inf
     for it in range(ctl.newton_max_iter + 1):
         h, bands = heat_flux_stencil(theta, k_over_v, dx, p, bnd)
-        f = theta * base - (h[1:] - h[:-1]) / dx - known
-        fnorm = float(np.abs(f).max())
+        neg_f = known - (theta * base - (h[1:] - h[:-1]) / dx)  # minus residual
+        fnorm = float(np.abs(neg_f).max())
         scale = max(1.0, float(theta.max()))
         if fnorm <= ctl.newton_tol * p.c_v * scale / dt:
             break
@@ -529,7 +521,7 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
 
         lower, main, upper = bands(frozen=picard)
         main += base
-        delta = tridiag_solve(lower, main, upper, -f)
+        delta = tridiag_solve(lower, main, upper, neg_f)
 
         # Damp the update rather than clip: theta must stay positive for the
         # conductivity to be evaluable at the next iterate.

@@ -225,7 +225,7 @@ def _semi_discrete_rhs(y: dict, grid: Grid, p: PhysicalParams,
     dw = np.zeros_like(w)
     dw[1:-1] = (wflux[1:] - wflux[:-1]) / dx + (b[1:] - b[:-1]) / dx
 
-    d = induction_coeffs(v, p, bnd, dx)
+    d = induction_coeffs(v, p, bnd)
     bx = b_gradient(b, bnd, dx)
     xflux = d[:, None] * bx
     # (v*b)_t = w_x + flux_x, so b_t = (w_x + flux_x - b*v_t) / v.
@@ -260,7 +260,7 @@ def explicit_reference(state0: GasState, grid: Grid, t_end: float,
         y["u"][0], y["u"][-1] = bnd.u_left, bnd.u_right
         y["w"][0], y["w"][-1] = bnd.w_left, bnd.w_right
 
-    y = {f: getattr(state0, f).copy() for f in FIELDS}
+    y = {f: getattr(state0, f).copy(order="F") for f in FIELDS}
     t = state0.t
     steps = 0
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):

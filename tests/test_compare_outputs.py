@@ -99,6 +99,33 @@ def test_a_perturbed_snapshot_value(trees, compare_outputs, factor, agree):
     assert compare_outputs.compare_trees(parent, change).ok is agree
 
 
+def test_compare_says_whether_the_trees_are_byte_identical(trees, capsys,
+                                                           compare_outputs):
+    parent, change = trees
+    args = ["compare", str(parent), str(change)]
+    assert compare_outputs.main(args) == 0
+    assert "byte-identical: yes\n" in capsys.readouterr().out
+    # a number moved well inside C: the trees agree, but not byte for byte
+    path = change / "out" / "snapshot_final.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "%.17g" % moved(float(cells[2]), 0.1 * compare_outputs.C)
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert compare_outputs.main(args) == 0
+    out = capsys.readouterr().out
+    assert "byte-identical: no\n" in out and out.endswith("PASS\n")
+    # the same number written with more digits is not the same bytes either
+    lines = (parent / "out" / "snapshot_final.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "%.20e" % float(cells[2])
+    lines[5] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    verdict = compare_outputs.compare_trees(parent, change)
+    assert verdict.ok and not verdict.identical
+    assert verdict.largest["snapshots"][0] == 0.0
+
+
 def test_a_changed_newton_count_fails(trees, compare_outputs):
     parent, change = trees
 

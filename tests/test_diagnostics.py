@@ -669,6 +669,9 @@ class TestRecordBlocks:
         state0, pairs = trajectory(grid, p, bc, profile, 3.01, StepControl(dt_max=0.02))
         k = BLOCK_CELLS // grid.cells
         assert len(pairs) > k and len(pairs) % k and len(pairs) % 2, len(pairs)
+        # the states hold b and w column-major, as every GasState does
+        assert all(s.b.flags.f_contiguous and s.w.flags.f_contiguous
+                   for s, _ in pairs)
         want = collector_outcome(*per_step(grid, p, bc, state0, pairs))
         for size in (1, 2, k, None):
             assert collector_outcome(*in_blocks(grid, p, bc, state0, pairs, size)) \

@@ -730,6 +730,71 @@ class TestWallRegimes:
         assert state.theta.min() > 0.0
 
 
+def _flux_padding(theta, bnd):
+    """theta with the ghosts heat_flux_stencil closes it with."""
+    return np.concatenate(([theta[0] if bnd.th_gl is None else bnd.th_gl],
+                           theta, [bnd.th_gr]))
+
+
+class TestHeatFluxJacobian:
+    """The bands of heat_flux_stencil against a centred finite-difference
+    Jacobian of the Newton residual theta*base - (H[1:] - H[:-1])/dx - known,
+    interior and end rows alike. frozen=True is checked against the residual
+    of the flux with its conductances frozen at the linearization point:
+    H_j / D_j times the difference quotient D_j of the perturbed theta."""
+
+    M = 12
+    CASES = [(bc.value, bc) for bc in ALL_REGIMES] + [("forced", None)]
+
+    def setup(self, bc):
+        rng = np.random.default_rng(11)
+        grid = Grid.uniform(self.M, 3.0, 0.0)
+        p = PhysicalParams(kappa_tilde=1.3, beta=1.7)
+        if bc is None:
+            sol = MmsSolution(amp_v=0.3, amp_theta=0.4)
+            bnd = MmsForcing(sol, p).boundary_data(grid, 0.2)
+        else:
+            bnd = boundary_data(grid, bc, 0.0)
+        theta = rng.uniform(0.5, 2.0, self.M)
+        v = rng.uniform(0.5, 1.5, self.M)
+        base = rng.uniform(1.0, 3.0, self.M)
+        known = rng.uniform(-1.0, 1.0, self.M)
+        return grid.dx, p, bnd, theta, v, base, known
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("name, bc", CASES, ids=[c[0] for c in CASES])
+    def test_bands_match_finite_differences(self, name, bc, frozen):
+        dx, p, bnd, theta0, v, base, known = self.setup(bc)
+        k_over_v = solver.padded_k_over_v(v, p, bnd)
+        h0, bands = solver.heat_flux_stencil(theta0, k_over_v, dx, p, bnd)
+        d0 = np.diff(_flux_padding(theta0, bnd)) / dx
+        cond = np.divide(h0, d0, out=np.zeros_like(h0), where=d0 != 0.0)
+
+        def residual(theta):
+            if frozen:
+                h = cond * np.diff(_flux_padding(theta, bnd)) / dx
+            else:
+                h = solver.heat_flux_stencil(theta, k_over_v, dx, p, bnd)[0]
+            return theta * base - (h[1:] - h[:-1]) / dx - known
+
+        fd = np.empty((self.M, self.M))
+        for k in range(self.M):
+            step_k = 1e-6 * theta0[k]
+            up, down = theta0.copy(), theta0.copy()
+            up[k] += step_k
+            down[k] -= step_k
+            fd[:, k] = (residual(up) - residual(down)) / (2.0 * step_k)
+        sub, main, sup = bands(frozen)
+        jac = np.diag(main + base) + np.diag(sub, -1) + np.diag(sup, 1)
+        assert np.count_nonzero(fd - np.triu(np.tril(fd, 1), -1)) == 0
+        for row in range(self.M):
+            scale = np.abs(jac[row]).max()
+            assert np.abs(fd[row] - jac[row]).max() <= 1e-6 * scale, row
+        # an insulated wall passes no heat, whatever theta does
+        if bc is BoundaryCondition.INSULATED_WALL_LEFT:
+            assert h0[0] == 0.0 and main[0] == -sub[0]
+
+
 class TestHeatEquationAgreement:
     def test_solver_matches_explicit_reference(self):
         # u = w = b = 0, v = 1, beta = 0: pure conduction (R tiny keeps the

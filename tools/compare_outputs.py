@@ -15,7 +15,9 @@ directory) first on the import path and, for ``run`` and ``sweep``, with
 the output directory's path written as ``OUT``) and the outputs under
 ``out/``. ``check`` records both versions into a temporary directory and
 compares them. Compare exits 0 when the trees agree and 1 when they do not,
-and prints each problem and the largest relative change of each kind.
+and prints each problem, the largest relative change of each kind and
+whether the two trees are byte-identical (a change meant to alter no result,
+such as a new memory layout, should print yes).
 
 Two trees agree when all of these hold:
 
@@ -60,11 +62,13 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf
 
 @dataclass
 class Verdict:
-    """The problems found, and per kind of output the largest relative change
-    |a - b| / max(|a|, 1) with where it was seen."""
+    """The problems found, per kind of output the largest relative change
+    |a - b| / max(|a|, 1) with where it was seen, and whether the exit codes,
+    stdout and every output file are equal byte for byte."""
 
     problems: list = field(default_factory=list)
     largest: dict = field(default_factory=dict)
+    identical: bool = True
 
     @property
     def ok(self) -> bool:
@@ -128,19 +132,25 @@ def compare_trees(parent: Path, change: Path) -> Verdict:
     """Compare the record of a change against the record of its parent."""
     parent, change = Path(parent), Path(change)
     verdict = Verdict()
-    codes = [(tree / "exit_code").read_text().strip() for tree in (parent, change)]
+
+    def read(rel: str) -> tuple[str, str]:
+        a, b = [(tree / rel).read_bytes() for tree in (parent, change)]
+        verdict.identical &= a == b
+        return a.decode(), b.decode()
+
+    codes = [code.strip() for code in read("exit_code")]
     if codes[0] != codes[1]:
         verdict.problems.append(f"exit code {codes[0]} -> {codes[1]}")
-    _text(verdict, "stdout", "stdout", *[(tree / "stdout.txt").read_text()
-                                         for tree in (parent, change)])
+    _text(verdict, "stdout", "stdout", *read("stdout.txt"))
     files = [{p.relative_to(tree / "out").as_posix()
               for p in (tree / "out").rglob("*") if p.is_file()}
              if (tree / "out").is_dir() else set() for tree in (parent, change)]
     for rel in sorted(files[0] ^ files[1]):
+        verdict.identical = False
         verdict.problems.append(f"{rel}: only in the "
                                 f"{'parent' if rel in files[0] else 'change'}")
     for rel in sorted(files[0] & files[1]):
-        a, b = [(tree / "out" / rel).read_text() for tree in (parent, change)]
+        a, b = read(f"out/{rel}")
         kind = _kind(rel)
         if kind == "diagnostics":
             _records(verdict, rel, a, b)
@@ -177,6 +187,7 @@ def report(verdict: Verdict) -> int:
         print(f"problem: {problem}")
     for kind, (change, where) in sorted(verdict.largest.items()):
         print(f"largest {kind} change: {change:.3g} ({where})")
+    print(f"byte-identical: {'yes' if verdict.identical else 'no'}")
     print(f"round-off agreement (C = {C:g}): {'PASS' if verdict.ok else 'FAIL'}")
     return 0 if verdict.ok else 1
 
