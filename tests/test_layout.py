@@ -53,7 +53,7 @@ def test_initial_and_stepped_states_are_column_major(bc):
     assert_column_major(stepped(bc))
 
 
-def test_every_other_state_builder_is_column_major(tmp_path):
+def test_every_other_way_of_making_a_state_is_column_major(tmp_path):
     grid = Grid.uniform(16, 16.0, -8.0)
     state = make_initial_state(grid, smooth_bump(), CAUCHY)
     emit_snapshot(state, grid, tmp_path / "s.csv")
