@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import verification
@@ -193,6 +192,9 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         return _error(f"cannot create output directory {out_root}: {exc}")
     if cfg.sweep_workers > 1:
+        # deferred: the import costs every other command 15-20 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.sweep_workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))
     else:

@@ -13,9 +13,10 @@ freshest available fields:
   (e) temperature: fully implicit Newton solve with the conductivity
       relinearized every iteration, fed by the dissipation of stages (a)-(d).
 
-Nonpositive v anywhere, or a temperature solve that fails, discards the
-attempt, halves dt, and retries, at most retry_max times per step; the
-Newton solve damps its updates so that theta stays positive. Each attempt
+Nonpositive v anywhere, or a temperature solve that fails (at its iteration
+cap or on a singular Jacobian), discards the attempt, halves dt, and
+retries, at most retry_max times per step; the Newton solve damps its
+updates so that theta stays positive. Each attempt
 evaluates mu(v) of its new volume once; an accepted step hands the new
 state's StateCoeffs (mu(v), mu(v)/v, |b|^2 and the total pressure) to the
 next step and to the monitors. Every stage reads the attempt's BoundaryData,
@@ -23,6 +24,9 @@ which decides the boundary regime and carries any manufactured-solution
 sources; an unforced regime's BoundaryData is built once and shared.
 The symmetric, diagonally dominant solves of stages (a), (c) and (d) use
 LAPACK ptsv; the Newton Jacobian of stage (e) is not symmetric and uses gtsv.
+Both come from scipy's f2py extension scipy.linalg._flapack, loaded from its
+file: importing the scipy.linalg package would cost every process about
+0.2 s for two routines (see _load_flapack).
 Two-component arrays are column-major, as GasState holds b and w, so ptsv
 takes and returns them without a transposing copy. The heat flux has one
 stencil, over theta padded with the regime's ghosts (heat_flux_stencil).
@@ -32,12 +36,15 @@ all other center-to-node transfers are arithmetic means.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Optional
 
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv, dptsv
 
 from .constitutive import pressure, viscosity_mu
 from .core import (
@@ -51,6 +58,26 @@ from .core import (
     PhysicalParams,
     sq2,
 )
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, scipy.linalg._flapack, loaded from its
+    file without running scipy.linalg's package __init__, which imports far
+    more than the two routines the solver calls. The module is the one
+    scipy.linalg.lapack re-exports, so its routines are the same objects."""
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension "
+                          f"scipy.linalg._flapack")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dgtsv, dptsv = _flapack.dgtsv, _flapack.dptsv
 
 
 class SolverFailure(RuntimeError):
@@ -68,7 +95,8 @@ class PositivityFailure(SolverFailure):
 
 class NewtonDivergence(SolverFailure):
     """Raised when retry_max halvings of dt (or a dt underflow) still leave
-    the temperature solve at its iteration cap."""
+    the temperature solve at its iteration cap or with a singular Newton
+    Jacobian."""
 
 
 class _PositivityRetry(Exception):
@@ -486,7 +514,7 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     A NaN iterate meets neither test and ends in _NewtonFailed.
 
     Raises _NewtonFailed when the iteration cap is reached without meeting
-    the tolerance.
+    the tolerance, or when the Newton Jacobian is singular.
     """
     dx = grid.dx
     ux = (u_new[1:] - u_new[:-1]) / dx
@@ -521,7 +549,11 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
 
         lower, main, upper = bands(frozen=picard)
         main += base
-        delta = tridiag_solve(lower, main, upper, neg_f)
+        try:
+            delta = tridiag_solve(lower, main, upper, neg_f)
+        except LinAlgError:  # a singular Jacobian: retry at half the dt
+            raise _NewtonFailed("temperature solve met a singular Newton "
+                                "Jacobian") from None
 
         # Damp the update rather than clip: theta must stay positive for the
         # conductivity to be evaluable at the next iterate.
@@ -624,7 +656,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             failure, what = (
                 (PositivityFailure, "state stayed nonpositive")
                 if isinstance(exc, _PositivityRetry) else
-                (NewtonDivergence,
+                (NewtonDivergence, str(exc) or
                  f"temperature solve exceeded {ctl.newton_max_iter} iterations"))
             retries += 1
             if retries > ctl.retry_max:

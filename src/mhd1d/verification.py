@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .constitutive import viscosity_mu
 from .core import (
@@ -287,6 +286,9 @@ def heat_exact_semidiscrete(theta0: np.ndarray, grid: Grid, p: PhysicalParams,
     c_v*theta_t = kappa_tilde*theta_xx (v = 1, beta = 0, discrete stencils
     with the regime's boundary rows) via symmetric tridiagonal
     eigendecomposition."""
+    # deferred: scipy.linalg's package costs every other command ~0.2 s to import
+    from scipy.linalg import eigh_tridiagonal
+
     m = grid.cells
     coef = p.kappa_tilde / (p.c_v * grid.dx ** 2)
     diag = np.full(m, -2.0 * coef)

@@ -288,6 +288,27 @@ class TestRunCommand:
         assert records[-1]["t"] == 0.5
         assert max(r["retries"] for r in records) == 4
 
+    @pytest.mark.parametrize("retry_max, codes, message", [
+        (20, (0, 3), ""),
+        (4, (3,), "temperature solve met a singular Newton Jacobian after 4 "
+                  "dt halvings")])
+    def test_singular_newton_jacobian_is_retried_not_a_traceback(
+            self, tmp_path, capsys, retry_max, codes, message):
+        # at beta = 20 the Newton iterates heat the domain until kappa swamps
+        # c_v/dt and gtsv meets an exactly singular pivot; the attempt is
+        # retried at half the dt like any other failed temperature solve, and
+        # the fifth attempt of the first step is one that meets it
+        text = ("grid.cells = 64\ngrid.mass = 16\nbc = cauchy\n"
+                "params.preset = normalized\nparams.alpha = 1\n"
+                "params.beta = 20\ninitial.profile = gaussian_bump\n"
+                "initial.amp_theta = 3\ntime.t_end = 0.5\n"
+                f"time.retry_max = {retry_max}\n")
+        code = cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in codes
+        assert "Traceback" not in err and message in err
+
     def test_run_writes_outputs_and_summary(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "out"

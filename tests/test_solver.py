@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -342,6 +344,23 @@ class TestTridiagSolve:
         assert np.array_equal(x, expected)
         for arr, old in zip((lower, diag, upper, rhs), before):
             assert np.array_equal(arr, old)
+
+    def test_commands_load_lapack_without_scipy_linalg(self):
+        # a fresh interpreter: importing the package and its CLI loads scipy's
+        # LAPACK extension alone, whose routines are the ones
+        # scipy.linalg.lapack exports, so every solve runs the same code
+        script = (
+            "import sys\n"
+            "import mhd1d, mhd1d.cli\n"
+            "assert 'scipy.linalg' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "from mhd1d import solver\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "assert solver.dgtsv is lapack.dgtsv\n"
+            "assert solver.dptsv is lapack.dptsv\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_singular_raises(self):
         diag = np.ones(5)
