@@ -13,10 +13,13 @@ freshest available fields:
   (e) temperature: fully implicit Newton solve with the conductivity
       relinearized every iteration, fed by the dissipation of stages (a)-(d).
 
-Nonpositive v anywhere, or a temperature solve that fails (at its iteration
-cap or on a singular Jacobian), discards the attempt, halves dt, and
-retries, at most retry_max times per step; the Newton solve damps its
-updates so that theta stays positive. Each attempt
+A failed attempt raises one retry signal naming its cause: nonpositive v,
+or a temperature solve at its iteration cap, on a singular Jacobian, with an
+update that no damping keeps theta positive, or with an iterate that
+overflows the conductivity. It is discarded and retried at half the dt, at
+most retry_max times per step. Stages (a), (c) and (d) share one implicit
+diffusion solve (_diffusion_solve); the attempt differences the new u and w
+once, and stages (b), (d) and (e) read those differences. Each attempt
 evaluates mu(v) of its new volume once; an accepted step hands the new
 state's StateCoeffs (mu(v), mu(v)/v, |b|^2 and the total pressure) to the
 next step and to the monitors. Every stage reads the attempt's BoundaryData,
@@ -95,16 +98,14 @@ class PositivityFailure(SolverFailure):
 
 class NewtonDivergence(SolverFailure):
     """Raised when retry_max halvings of dt (or a dt underflow) still leave
-    the temperature solve at its iteration cap or with a singular Newton
-    Jacobian."""
+    the temperature solve failing: at its iteration cap, on a singular Newton
+    Jacobian, with an update no damping keeps positive, or with an iterate
+    that overflows the conductivity."""
 
 
-class _PositivityRetry(Exception):
-    pass
-
-
-class _NewtonFailed(Exception):
-    pass
+class _Retry(Exception):
+    """A failed step attempt: args are the SolverFailure subclass to raise
+    once the halvings run out and the reason it names."""
 
 
 @dataclass(frozen=True)
@@ -307,8 +308,9 @@ def b_gradient(b: np.ndarray, bnd: BoundaryData, dx: float) -> np.ndarray:
 
 
 def _padded(f: np.ndarray, lo, hi) -> np.ndarray:
-    """The cell field f between the values lo and hi (M + 2 values)."""
-    out = np.empty(f.shape[0] + 2)
+    """The field f between the values lo and hi along its first axis (two
+    more rows), column-major."""
+    out = np.empty((f.shape[0] + 2,) + f.shape[1:], order="F")
     out[0], out[1:-1], out[-1] = lo, f, hi
     return out
 
@@ -393,20 +395,15 @@ def compute_dt(state: GasState, b_sq: np.ndarray, grid: Grid,
     return float(min(max(ctl.cfl * grid.dx / s_max, ctl.dt_min), ctl.dt_max))
 
 
-def _node_diffusion(a: np.ndarray, r: float, rhs: np.ndarray, left, right
-                    ) -> np.ndarray:
-    """Node field x of the implicit diffusion solve
-    x_j - r*(a_j*(x_{j+1} - x_j) - a_{j-1}*(x_j - x_{j-1})) = rhs_j at the
-    interior nodes, with cell coefficients a and Dirichlet end values left
-    and right. rhs (interior nodes only) is modified in place."""
-    off = -r * a[1:-1]
+def _diffusion_solve(mass, a: np.ndarray, r: float, rhs: np.ndarray, left,
+                     right) -> np.ndarray:
+    """The n unknowns x of the implicit diffusion solve
+    mass*x_i - r*(a_{i+1}*(x_{i+1} - x_i) - a_i*(x_i - x_{i-1})) = rhs_i,
+    with the n + 1 coefficients a around the unknowns and the outer values
+    x_{-1} = left and x_n = right. rhs is modified in place."""
     rhs[0] += r * a[0] * left
     rhs[-1] += r * a[-1] * right
-    x = np.empty((rhs.shape[0] + 2,) + rhs.shape[1:], order="F")
-    x[0] = left
-    x[-1] = right
-    x[1:-1] = symmetric_tridiag_solve(1.0 + r * (a[1:] + a[:-1]), off, rhs)
-    return x
+    return symmetric_tridiag_solve(mass + r * (a[1:] + a[:-1]), -r * a[1:-1], rhs)
 
 
 def substep_velocity(state: GasState, grid: Grid, dt: float,
@@ -417,14 +414,16 @@ def substep_velocity(state: GasState, grid: Grid, dt: float,
     rhs = state.u[1:-1] - (dt / grid.dx) * (g[1:] - g[:-1])
     if bnd.sources is not None:
         rhs += dt * bnd.sources["u"][1:-1]
-    return _node_diffusion(coeffs.mu_over_v, dt / grid.dx ** 2, rhs, bnd.u_left,
-                           bnd.u_right)
+    u = _diffusion_solve(1.0, coeffs.mu_over_v, dt / grid.dx ** 2, rhs,
+                         bnd.u_left, bnd.u_right)
+    return _padded(u, bnd.u_left, bnd.u_right)
 
 
-def substep_volume(state: GasState, u_new: np.ndarray, grid: Grid, dt: float,
+def substep_volume(state: GasState, du: np.ndarray, grid: Grid, dt: float,
                    bnd: BoundaryData) -> np.ndarray:
-    """Stage (b): conservative volume update v += dt * u_x."""
-    v_new = state.v + dt * (u_new[1:] - u_new[:-1]) / grid.dx
+    """Stage (b): conservative volume update v += dt * u_x, with
+    du = u_new[1:] - u_new[:-1] of stage (a)."""
+    v_new = state.v + dt * du / grid.dx
     if bnd.sources is not None:
         v_new += dt * bnd.sources["v"]
     return v_new
@@ -439,8 +438,9 @@ def substep_transverse(state: GasState, v_new: np.ndarray, grid: Grid,
     rhs = state.w[1:-1] + (dt / dx) * (state.b[1:] - state.b[:-1])
     if bnd.sources is not None:  # in place keeps rhs column-major
         rhs += dt * bnd.sources["w"][1:-1]
-    return _node_diffusion(p.lam / v_new, dt / dx ** 2, rhs, bnd.w_left,
-                           bnd.w_right)
+    w = _diffusion_solve(1.0, p.lam / v_new, dt / dx ** 2, rhs, bnd.w_left,
+                         bnd.w_right)
+    return _padded(w, bnd.w_left, bnd.w_right)
 
 
 def induction_coeffs(v_new: np.ndarray, p: PhysicalParams, bnd: BoundaryData
@@ -451,51 +451,41 @@ def induction_coeffs(v_new: np.ndarray, p: PhysicalParams, bnd: BoundaryData
     return 2.0 * p.nu / (v[:-1] + v[1:])
 
 
-def substep_induction(state: GasState, v_new: np.ndarray, w_new: np.ndarray,
+def substep_induction(state: GasState, v_new: np.ndarray, dw: np.ndarray,
                       grid: Grid, p: PhysicalParams, dt: float,
                       bnd: BoundaryData) -> np.ndarray:
     """Stage (d): implicit induction solve for b; the stage-(b) volume
-    multiplies the time term, w_x comes from stage (c)."""
+    multiplies the time term, dw = w_new[1:] - w_new[:-1] of stage (c)."""
     dx = grid.dx
     d = induction_coeffs(v_new, p, bnd)
-    r = dt / dx ** 2
-
-    diag = v_new + r * (d[:-1] + d[1:])
-    off = -r * d[1:-1]
     if bnd.left_wall:
         # Dirichlet b = 0 at the wall node, half a cell from the first center.
-        diag[0] = v_new[0] + r * (2.0 * d[0] + d[1])
-
-    rhs = state.v[:, None] * state.b + (dt / dx) * (w_new[1:] - w_new[:-1])
+        d[0] *= 2.0
+    rhs = state.v[:, None] * state.b + (dt / dx) * dw
     if bnd.sources is not None:  # in place keeps rhs column-major
         rhs += dt * bnd.sources["b"]
-    if not bnd.left_wall:
-        rhs[0] += r * d[0] * bnd.b_gl
-    rhs[-1] += r * d[-1] * bnd.b_gr
-
-    return symmetric_tridiag_solve(diag, off, rhs)
+    return _diffusion_solve(v_new, d, dt / dx ** 2, rhs, bnd.b_gl, bnd.b_gr)
 
 
 def dissipation_source(v: np.ndarray, mu: np.ndarray, ux: np.ndarray,
-                       w: np.ndarray, b: np.ndarray, grid: Grid,
+                       wx: np.ndarray, b: np.ndarray, grid: Grid,
                        p: PhysicalParams, bnd: BoundaryData) -> np.ndarray:
     """Nonnegative viscous/resistive heating per cell,
     (mu(v)*u_x^2 + lam*|w_x|^2 + nu*|b_x|^2) / v, with mu = mu(v), the cell
-    gradient ux = (u[1:] - u[:-1]) / dx and |b_x|^2 averaged from the
-    adjacent nodes."""
-    dx = grid.dx
-    wx_sq = sq2((w[1:] - w[:-1]) / dx)
-    bx_sq = sq2(b_gradient(b, bnd, dx))
+    gradients ux = (u[1:] - u[:-1]) / dx and wx = (w[1:] - w[:-1]) / dx,
+    and |b_x|^2 averaged from the adjacent nodes."""
+    bx_sq = sq2(b_gradient(b, bnd, grid.dx))
     bx_sq_cell = 0.5 * (bx_sq[:-1] + bx_sq[1:])
-    return (mu * ux ** 2 + p.lam * wx_sq + p.nu * bx_sq_cell) / v
+    return (mu * ux ** 2 + p.lam * sq2(wx) + p.nu * bx_sq_cell) / v
 
 
-def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
-                        w_new: np.ndarray, b_new: np.ndarray, mu_new: np.ndarray,
+def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
+                        dw: np.ndarray, b_new: np.ndarray, mu_new: np.ndarray,
                         grid: Grid, p: PhysicalParams, ctl: StepControl,
                         dt: float, bnd: BoundaryData):
     """Stage (e): fully implicit temperature solve by Newton iteration;
-    mu_new is viscosity_mu of v_new.
+    du and dw are the node differences of the new u and w, mu_new is
+    viscosity_mu of v_new.
 
     Solves c_v*theta_t + (R*theta/v)*u_x = (kappa(theta)*theta_x/v)_x + Q with
     the compression term implicit in theta and Q the stage dissipation. The
@@ -511,14 +501,16 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     when the last update moved theta past it. The returned theta is positive
     whenever the stage-begin theta is: it is either an iterate that met the
     residual test or one reached by an update damped until theta + delta > 0.
-    A NaN iterate meets neither test and ends in _NewtonFailed.
 
-    Raises _NewtonFailed when the iteration cap is reached without meeting
-    the tolerance, or when the Newton Jacobian is singular.
+    Raises _Retry naming the cause when the iteration cap is reached without
+    meeting the tolerance, when the Newton Jacobian is singular, when 60
+    halvings of an update still leave theta nonpositive, or when an iterate
+    overflows or makes an invalid value (the loop runs under np.errstate, so
+    no NaN iterate runs on to the cap).
     """
     dx = grid.dx
-    ux = (u_new[1:] - u_new[:-1]) / dx
-    q = dissipation_source(v_new, mu_new, ux, w_new, b_new, grid, p, bnd)
+    ux = du / dx
+    q = dissipation_source(v_new, mu_new, ux, dw / dx, b_new, grid, p, bnd)
     k_over_v = padded_k_over_v(v_new, p, bnd)
     base = p.c_v / dt + p.R * ux / v_new
     # the residual is theta * base - (H[1:] - H[:-1]) / dx - known
@@ -530,45 +522,52 @@ def substep_temperature(state: GasState, v_new: np.ndarray, u_new: np.ndarray,
     picard = False
     stall = 0
     prev_norm = math.inf
-    for it in range(ctl.newton_max_iter + 1):
-        h, bands = heat_flux_stencil(theta, k_over_v, dx, p, bnd)
-        neg_f = known - (theta * base - (h[1:] - h[:-1]) / dx)  # minus residual
-        fnorm = float(np.abs(neg_f).max())
-        scale = max(1.0, float(theta.max()))
-        if fnorm <= ctl.newton_tol * p.c_v * scale / dt:
-            break
-        if it == ctl.newton_max_iter:
-            raise _NewtonFailed
-        if fnorm >= prev_norm:
-            stall += 1
-            if stall >= 3:
-                picard = True
-        else:
-            stall = 0
-        prev_norm = fnorm
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for it in range(ctl.newton_max_iter + 1):
+                h, bands = heat_flux_stencil(theta, k_over_v, dx, p, bnd)
+                neg_f = known - (theta * base - (h[1:] - h[:-1]) / dx)  # minus residual
+                fnorm = float(np.abs(neg_f).max())
+                scale = max(1.0, float(theta.max()))
+                if fnorm <= ctl.newton_tol * p.c_v * scale / dt:
+                    break
+                if it == ctl.newton_max_iter:
+                    raise _Retry(NewtonDivergence, f"temperature solve exceeded "
+                                 f"{ctl.newton_max_iter} iterations")
+                if fnorm >= prev_norm:
+                    stall += 1
+                    if stall >= 3:
+                        picard = True
+                else:
+                    stall = 0
+                prev_norm = fnorm
 
-        lower, main, upper = bands(frozen=picard)
-        main += base
-        try:
-            delta = tridiag_solve(lower, main, upper, neg_f)
-        except LinAlgError:  # a singular Jacobian: retry at half the dt
-            raise _NewtonFailed("temperature solve met a singular Newton "
-                                "Jacobian") from None
+                lower, main, upper = bands(frozen=picard)
+                main += base
+                try:
+                    delta = tridiag_solve(lower, main, upper, neg_f)
+                except LinAlgError:
+                    raise _Retry(NewtonDivergence, "temperature solve met a "
+                                 "singular Newton Jacobian") from None
 
-        # Damp the update rather than clip: theta must stay positive for the
-        # conductivity to be evaluable at the next iterate.
-        guard = 0
-        trial = theta + delta
-        while (trial <= 0.0).any():
-            delta *= 0.5
-            guard += 1
-            if guard > 60:
-                raise _NewtonFailed
-            trial = theta + delta
-        theta = trial
-        if float(np.abs(delta).max()) <= ctl.newton_tol * scale:
-            it, h = it + 1, heat_flux(theta, v_new, dx, p, bnd)
-            break
+                # Damp the update rather than clip: theta must stay positive
+                # for the conductivity to be evaluable at the next iterate.
+                guard = 0
+                trial = theta + delta
+                while (trial <= 0.0).any():
+                    delta *= 0.5
+                    guard += 1
+                    if guard > 60:
+                        raise _Retry(NewtonDivergence, "temperature solve could "
+                                     "not damp an update to keep theta positive")
+                    trial = theta + delta
+                theta = trial
+                if float(np.abs(delta).max()) <= ctl.newton_tol * scale:
+                    it, h = it + 1, heat_flux_stencil(theta, k_over_v, dx, p, bnd)[0]
+                    break
+    except FloatingPointError:
+        raise _Retry(NewtonDivergence, "temperature iterate overflowed the "
+                     "conductivity") from None
     return theta, it, q, h
 
 
@@ -644,20 +643,18 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
         bnd = boundary_data(grid, bc, t_new, forcing)
         try:
             u_new = substep_velocity(state, grid, dt, bnd, coeffs)
-            v_new = substep_volume(state, u_new, grid, dt, bnd)
+            du = u_new[1:] - u_new[:-1]
+            v_new = substep_volume(state, du, grid, dt, bnd)
             if not (v_new > 0.0).all():
-                raise _PositivityRetry
+                raise _Retry(PositivityFailure, "state stayed nonpositive")
             mu_new = viscosity_mu(v_new, p)
             w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
-            b_new = substep_induction(state, v_new, w_new, grid, p, dt, bnd)
+            dw = w_new[1:] - w_new[:-1]
+            b_new = substep_induction(state, v_new, dw, grid, p, dt, bnd)
             theta_new, iters, q, h = substep_temperature(
-                state, v_new, u_new, w_new, b_new, mu_new, grid, p, ctl, dt, bnd)
-        except (_PositivityRetry, _NewtonFailed) as exc:
-            failure, what = (
-                (PositivityFailure, "state stayed nonpositive")
-                if isinstance(exc, _PositivityRetry) else
-                (NewtonDivergence, str(exc) or
-                 f"temperature solve exceeded {ctl.newton_max_iter} iterations"))
+                state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt, bnd)
+        except _Retry as exc:
+            failure, what = exc.args
             retries += 1
             if retries > ctl.retry_max:
                 raise failure(f"{what} after {ctl.retry_max} dt halvings",
@@ -688,12 +685,14 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
     dissipation and heat flux under bnd; the state is validated first."""
     state.validate(grid)
     coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
-    ux = (state.u[1:] - state.u[:-1]) / grid.dx
-    q = dissipation_source(state.v, coeffs.mu, ux, state.w, state.b, grid, p, bnd)
+    dx = grid.dx
+    ux = (state.u[1:] - state.u[:-1]) / dx
+    wx = (state.w[1:] - state.w[:-1]) / dx
+    q = dissipation_source(state.v, coeffs.mu, ux, wx, state.b, grid, p, bnd)
     return StepReport(dt_used=0.0, newton_iterations=0, retries=0, coeffs=coeffs,
                       mass_flux=0.0, momentum_flux=0.0, energy_flux=0.0,
                       entropy_flux=0.0, dissipation=q,
-                      heat_flux=heat_flux(state.theta, state.v, grid.dx, p, bnd))
+                      heat_flux=heat_flux(state.theta, state.v, dx, p, bnd))
 
 
 def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,

@@ -231,7 +231,7 @@ def _semi_discrete_rhs(y: dict, grid: Grid, p: PhysicalParams,
     db = (wx + np.diff(xflux, axis=0) / dx - b * ux[:, None]) / v[:, None]
 
     h = heat_flux(theta, v, dx, p, bnd)
-    q = dissipation_source(v, coeffs.mu, ux, w, b, grid, p, bnd)
+    q = dissipation_source(v, coeffs.mu, ux, wx, b, grid, p, bnd)
     dth = (-(p.R * theta / v) * ux + np.diff(h) / dx + q) / p.c_v
     return {"v": ux, "u": du, "theta": dth, "w": dw, "b": db}
 

@@ -309,6 +309,22 @@ class TestRunCommand:
         assert code in codes
         assert "Traceback" not in err and message in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_overflowing_newton_iterate_fails_its_attempt(self, tmp_path,
+                                                             capsys):
+        # at beta = 50 the failing Newton iterates of the first attempts raise
+        # theta ** beta past the largest double; each such attempt is retried
+        # at half the dt, with no RuntimeWarning, and the run finishes
+        text = ("grid.cells = 64\ngrid.mass = 16\nbc = insulated_wall\n"
+                "params.preset = normalized\nparams.alpha = 1\n"
+                "params.beta = 50\ninitial.profile = gaussian_bump\n"
+                "initial.amp_theta = 3\ntime.t_end = 0.5\n")
+        code = cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "RuntimeWarning" not in err
+
     def test_run_writes_outputs_and_summary(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, SMALL_RUN)
         out = tmp_path / "out"

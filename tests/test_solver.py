@@ -160,7 +160,7 @@ class TestSubstepsInIsolation:
     def test_volume_update_is_conservative(self):
         grid, state, dt = self.grid, self.state, self.dt
         u_new = self.velocity()
-        v_new = substep_volume(state, u_new, grid, dt, self.bnd)
+        v_new = substep_volume(state, u_new[1:] - u_new[:-1], grid, dt, self.bnd)
         change = grid.dx * (np.sum(v_new) - np.sum(state.v))
         assert change == pytest.approx(dt * (u_new[-1] - u_new[0]), abs=1e-14)
 
@@ -168,7 +168,7 @@ class TestSubstepsInIsolation:
         grid, p, state, dt = self.grid, self.p, self.state, self.dt
         m, dx = grid.cells, grid.dx
         u_new = self.velocity()
-        v_new = substep_volume(state, u_new, grid, dt, self.bnd)
+        v_new = substep_volume(state, u_new[1:] - u_new[:-1], grid, dt, self.bnd)
         w_new = substep_transverse(state, v_new, grid, p, dt, self.bnd)
         a = p.lam / v_new
         r = dt / dx ** 2
@@ -187,21 +187,35 @@ class TestSubstepsInIsolation:
         assert np.all(w_new[0] == 0.0) and np.all(w_new[-1] == 0.0)
         assert np.max(np.abs(w_new[1:-1] - expected)) < 1e-13
 
-    def test_induction_satisfies_its_stencil(self):
-        grid, p, state, dt = self.grid, self.p, self.state, self.dt
+    @pytest.mark.parametrize("bc", ALL_REGIMES)
+    def test_induction_satisfies_its_stencil(self, bc):
+        # a wall holds b = 0 on its node, half a cell from the first center,
+        # and its node coefficient takes v of the first cell
+        grid, p, dt = self.grid, self.p, self.dt
         dx = grid.dx
-        bnd = self.bnd
-        u_new = self.velocity()
-        v_new = substep_volume(state, u_new, grid, dt, bnd)
+        if bc is CAUCHY:
+            state, bnd = self.state, self.bnd
+        else:
+            # a bump on the wall, its u and w pinned there, so b is far
+            # from the wall's zero in the first cell
+            grid = Grid.uniform(16, 8.0, 0.0)
+            state = bump_state(grid)
+            state.u[0], state.w[0] = 0.0, 0.0
+            bnd = boundary_data(grid, bc, state.t + dt)
+            assert state.b[0, 0] > 0.2 and np.all(bnd.b_gl == 0.0)
+        u_new = substep_velocity(state, grid, dt, bnd, coeffs_of(state, p))
+        v_new = substep_volume(state, u_new[1:] - u_new[:-1], grid, dt, bnd)
         w_new = state.w.copy()
-        b_new = substep_induction(state, v_new, w_new, grid, p, dt, bnd)
+        b_new = substep_induction(state, v_new, w_new[1:] - w_new[:-1], grid, p,
+                                  dt, bnd)
         d = np.empty(grid.cells + 1)
         d[1:-1] = 2.0 * p.nu / (v_new[:-1] + v_new[1:])
-        d[0] = 2.0 * p.nu / (bnd.v_gl + v_new[0])
+        v0 = v_new[0] if bnd.left_wall else bnd.v_gl
+        d[0] = 2.0 * p.nu / (v0 + v_new[0])
         d[-1] = 2.0 * p.nu / (v_new[-1] + bnd.v_gr)
         bx = np.empty((grid.cells + 1, 2))
         bx[1:-1] = (b_new[1:] - b_new[:-1]) / dx
-        bx[0] = (b_new[0] - bnd.b_gl) / dx
+        bx[0] = (b_new[0] - bnd.b_gl) / (0.5 * dx if bnd.left_wall else dx)
         bx[-1] = (bnd.b_gr - b_new[-1]) / dx
         flux = d[:, None] * bx
         resid = (v_new[:, None] * b_new - dt * np.diff(flux, axis=0) / dx
@@ -222,8 +236,8 @@ class TestSubstepsInIsolation:
         w_new = state.w.copy()
         b_new = state.b.copy()
         theta_new, iters, _, _ = substep_temperature(
-            state, v_new, u_new, w_new, b_new, viscosity_mu(v_new, p), grid, p,
-            StepControl(), dt, self.bnd)
+            state, v_new, u_new[1:] - u_new[:-1], w_new[1:] - w_new[:-1], b_new,
+            viscosity_mu(v_new, p), grid, p, StepControl(), dt, self.bnd)
 
         a = p.kappa_tilde / v_new
         c = np.empty(m + 1)
@@ -429,21 +443,38 @@ class TestStepHandsOverMonitorInputs:
     def test_report_arrays_and_W_are_exact(self, bc, monkeypatch):
         # beta = 0.5 makes the Newton solve end both ways within six steps: on
         # the residual test, with the flux of the returned theta in hand, and
-        # on the update test, which evaluates heat_flux of the returned theta
-        flux_calls = []
-        flux_evaluated_at_exit = []
+        # on the update test, which evaluates the stencil at the returned
+        # theta once more. Either way a stage evaluates kappa_tilde / v once
+        # and the stencil once per update plus once.
+        ctl = StepControl()
+        thetas, k_over_v_calls, exits = [], [], []
 
-        def counting_flux(*args):
-            flux_calls.append(args)
-            return heat_flux(*args)
+        def stencil(theta, *args):
+            thetas.append(theta)
+            return solver_stencil(theta, *args)
+
+        def k_over_v(*args):
+            k_over_v_calls.append(args)
+            return solver_k_over_v(*args)
 
         def recording(*args, **kwargs):
-            before = len(flux_calls)
+            before, k_before = len(thetas), len(k_over_v_calls)
             out = substep_temperature(*args, **kwargs)
-            flux_evaluated_at_exit.append(len(flux_calls) > before)
+            updates, evaluated = out[1], thetas[before:]
+            assert len(k_over_v_calls) - k_before == 1
+            assert len(evaluated) == updates + 1
+            if updates:
+                # the last update is the difference of the last two thetas
+                prev, last = evaluated[-2:]
+                small = (np.abs(last - prev).max()
+                         <= ctl.newton_tol * max(1.0, prev.max()))
+                exits.append("update" if small else "residual")
             return out
 
-        monkeypatch.setattr(solver, "heat_flux", counting_flux)
+        solver_stencil = solver.heat_flux_stencil
+        solver_k_over_v = solver.padded_k_over_v
+        monkeypatch.setattr(solver, "heat_flux_stencil", stencil)
+        monkeypatch.setattr(solver, "padded_k_over_v", k_over_v)
         monkeypatch.setattr(solver, "substep_temperature", recording)
         wall = bc.has_left_wall
         grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
@@ -452,20 +483,19 @@ class TestStepHandsOverMonitorInputs:
         collector = DiagnosticsCollector(grid, p, bc, state)
         bnd = boundary_data(grid, bc, 0.0)
         for _ in range(6):
-            state, report = step(state, grid, p, bc, StepControl(),
-                                 coeffs_of(state, p))
+            state, report = step(state, grid, p, bc, ctl, coeffs_of(state, p))
             assert np.array_equal(report.heat_flux,
                                   heat_flux(state.theta, state.v, grid.dx, p, bnd))
             ux = (state.u[1:] - state.u[:-1]) / grid.dx
+            wx = (state.w[1:] - state.w[:-1]) / grid.dx
             assert np.array_equal(report.dissipation,
                                   dissipation_source(state.v, viscosity_mu(state.v, p),
-                                                     ux, state.w, state.b, grid, p,
-                                                     bnd))
+                                                     ux, wx, state.b, grid, p, bnd))
             record = collector.make_record(state, report)
             fresh = initial_report(state, grid, p, bnd)
             assert record.W == dissipation_W(state, grid, p,
                                              record_terms(state, grid, p, bnd, fresh))
-        assert set(flux_evaluated_at_exit) == {True, False}
+        assert set(exits) == {"update", "residual"}
 
     def test_forced_step_hands_over_the_forced_arrays(self):
         # the manufactured ghosts differ from the far field at both ends, so
@@ -479,10 +509,11 @@ class TestStepHandsOverMonitorInputs:
         new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=1e-3),
                            coeffs_of(state, p), forcing=forcing)
         ux = (new.u[1:] - new.u[:-1]) / grid.dx
+        wx = (new.w[1:] - new.w[:-1]) / grid.dx
         for bnd, same in ((boundary_data(grid, CAUCHY, new.t, forcing), True),
                           (boundary_data(grid, CAUCHY, new.t), False)):
             h = heat_flux(new.theta, new.v, grid.dx, p, bnd)
-            q = dissipation_source(new.v, viscosity_mu(new.v, p), ux, new.w,
+            q = dissipation_source(new.v, viscosity_mu(new.v, p), ux, wx,
                                    new.b, grid, p, bnd)
             assert np.array_equal(report.heat_flux, h) is same
             assert np.array_equal(report.dissipation, q) is same
@@ -868,11 +899,11 @@ class TestFailureModes:
             self, retry_max, monkeypatch):
         attempts = []
 
-        def recording(state, v_new, u_new, w_new, b_new, mu_new, grid, p, ctl,
-                      dt, bnd):
+        def recording(state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt,
+                      bnd):
             attempts.append(dt)
-            return substep_temperature(state, v_new, u_new, w_new, b_new,
-                                       mu_new, grid, p, ctl, dt, bnd)
+            return substep_temperature(state, v_new, du, dw, b_new, mu_new,
+                                       grid, p, ctl, dt, bnd)
 
         monkeypatch.setattr(solver, "substep_temperature", recording)
         grid = Grid.uniform(16, 8.0, -4.0)
@@ -884,6 +915,21 @@ class TestFailureModes:
         assert f"after {retry_max} dt halvings" in str(err.value)
         assert err.value.t == state.t
         assert attempts == [attempts[0] * 0.5 ** k for k in range(retry_max + 1)]
+
+    def test_a_failed_damping_names_the_damping(self, monkeypatch):
+        # an update of -inf leaves theta nonpositive after every halving, one
+        # Newton update into the solve, far below the iteration cap
+        monkeypatch.setattr(solver, "tridiag_solve",
+                            lambda dl, d, du, rhs: np.full_like(rhs, -np.inf))
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=0.0, beta=1.0)
+        state = bump_state(grid)
+        with pytest.raises(NewtonDivergence) as err:
+            step(state, grid, p, CAUCHY, StepControl(retry_max=1),
+                 coeffs_of(state, p))
+        assert str(err.value).startswith(
+            "temperature solve could not damp an update to keep theta positive "
+            "after 1 dt halvings")
 
     def test_a_failed_temperature_solve_is_retried_until_it_converges(self):
         # a large beta stalls the first attempts' Newton solves at the
