@@ -41,14 +41,15 @@ def effective_stress(state: GasState | StateBlock, grid: Grid,
     adjacent cells' coeffs (solver.state_coeffs of the state, whose
     constitutive laws checked positivity) and u_x their mean gradient
     (u[node+1] - u[node-1])/(2 dx). Only those cells and three nodes are
-    read. A StateBlock with its stacked coeffs gives one stress per
-    record."""
+    read, as Python floats. A StateBlock with its stacked coeffs gives an
+    array of one stress per record."""
     if not 0 < node < grid.cells:
         raise ValueError(f"node {node} must be interior (1 to {grid.cells - 1})")
-    c = slice(node - 1, node + 1)
-    mu_over_v, ptot = coeffs.mu_over_v[..., c], coeffs.ptot[..., c]
-    u = state.u[..., node - 1:node + 2]
-    ux_cell = (u[..., 1:] - u[..., :-1]) / grid.dx
-    return (0.5 * (mu_over_v[..., 0] + mu_over_v[..., 1])
-            * 0.5 * (ux_cell[..., 0] + ux_cell[..., 1])
-            - 0.5 * (ptot[..., 0] + ptot[..., 1]))
+    c, dx = slice(node - 1, node + 1), grid.dx
+    stress = [0.5 * (m0 + m1) * 0.5 * ((u1 - u0) / dx + (u2 - u1) / dx)
+              - 0.5 * (p0 + p1)
+              for (m0, m1), (p0, p1), (u0, u1, u2) in zip(
+                  coeffs.mu_over_v[..., c].reshape(-1, 2).tolist(),
+                  coeffs.ptot[..., c].reshape(-1, 2).tolist(),
+                  state.u[..., node - 1:node + 2].reshape(-1, 3).tolist())]
+    return stress[0] if state.u.ndim == 1 else np.array(stress)

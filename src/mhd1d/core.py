@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -179,10 +179,14 @@ class GasState:
                         b=self.b.copy(order="F"), u=self.u.copy(),
                         w=self.w.copy(order="F"), t=self.t, step=self.step)
 
-    def validate(self, grid: Grid) -> None:
+    def validate(self, grid: Grid, b_sq: Optional[np.ndarray] = None
+                 ) -> FieldBounds:
         """Check array shapes against the grid, strict positivity of v and
-        theta, and that every field is finite."""
-        _check_fields(self, grid, ())
+        theta, and that every field is finite; return the FieldBounds that
+        the check read. b_sq, if given, is |b|^2 of this state, as a step
+        report holds it: its maximum decides b's finiteness instead of a
+        scan of b."""
+        return _check_fields(self, grid, (), b_sq)
 
 
 @dataclass(frozen=True)
@@ -204,16 +208,34 @@ class StateBlock:
 
     @classmethod
     def of(cls, states: Sequence[GasState]) -> "StateBlock":
-        """The states stacked in order, their t and step read now."""
-        arrays = {name: stack_rows([getattr(s, name) for s in states])
-                  for name in ("v", "theta", "b", "u", "w")}
-        return cls(**arrays, t=tuple(s.t for s in states),
+        """The states stacked in order, their t and step read now; a single
+        state is viewed."""
+        if len(states) == 1:
+            (s,) = states
+            return cls(s.v[None], s.theta[None], s.b[None], s.u[None],
+                       s.w[None], (s.t,), (s.step,))
+        return cls(*(stack_rows([getattr(s, name) for s in states])
+                     for name in ("v", "theta", "b", "u", "w")),
+                   t=tuple(s.t for s in states),
                    step=tuple(s.step for s in states))
 
-    def validate(self, grid: Grid) -> None:
+    def validate(self, grid: Grid, b_sq: Optional[np.ndarray] = None
+                 ) -> FieldBounds:
         """GasState.validate of every record at once: each check is one call
-        over the whole block."""
-        _check_fields(self, grid, (len(self.t),))
+        over the whole block, and the FieldBounds hold one entry per record;
+        b_sq is then the records' |b|^2 stacked the same way."""
+        return _check_fields(self, grid, (len(self.t),), b_sq)
+
+
+class FieldBounds(NamedTuple):
+    """What validate reads off a state or a block, per record: the extremes
+    of v and theta and u_abs, the sum of |u| over the nodes."""
+
+    v_min: np.ndarray
+    v_max: np.ndarray
+    theta_min: np.ndarray
+    theta_max: np.ndarray
+    u_abs: np.ndarray
 
 
 def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -230,7 +252,8 @@ def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
         (len(rows),) + shape[::-1]).swapaxes(1, -1)
 
 
-def _check_fields(s, grid: Grid, lead: tuple) -> None:
+def _check_fields(s, grid: Grid, lead: tuple,
+                  b_sq: Optional[np.ndarray]) -> FieldBounds:
     m = grid.cells
     shapes = {"v": (s.v, (m,)), "theta": (s.theta, (m,)),
               "b": (s.b, (m, 2)), "u": (s.u, (m + 1,)),
@@ -238,10 +261,33 @@ def _check_fields(s, grid: Grid, lead: tuple) -> None:
     for name, (arr, want) in shapes.items():
         if arr.shape != lead + want:
             raise ValueError(f"{name} has shape {arr.shape}, expected {lead + want}")
-    if not (s.v > 0.0).all():
-        raise ValueError(f"nonpositive specific volume, min v = {s.v.min()}")
-    if not (s.theta > 0.0).all():
-        raise ValueError(f"nonpositive temperature, min theta = {s.theta.min()}")
+    # One reduction per field decides: NaN and -inf reach the minima, NaN
+    # and +inf the maxima, the sum of |u| and the maximum of |b|^2, and
+    # isfinite scans w (and b without b_sq). A sum of finite values that
+    # overflows, or a |b|^2 that did, only sends the state on to the scan,
+    # which then passes it.
+    v_min, v_max = s.v.min(axis=-1), s.v.max(axis=-1)
+    theta_min, theta_max = s.theta.min(axis=-1), s.theta.max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_abs = np.abs(s.u).sum(axis=-1)
+        top = v_max + theta_max + u_abs
+        if b_sq is not None:
+            top += b_sq.max()
+    if not ((np.minimum(v_min, theta_min) > 0.0).all() and np.isfinite(top).all()
+            and (b_sq is not None or np.isfinite(s.b).all())
+            and np.isfinite(s.w).all()):
+        _scan_fields(shapes)
+    return FieldBounds(v_min, v_max, theta_min, theta_max, u_abs)
+
+
+def _scan_fields(shapes: dict) -> None:
+    """Raise for the first defect, in the order positivity of v, of theta,
+    then finiteness field by field; pass if there is none."""
+    v, theta = shapes["v"][0], shapes["theta"][0]
+    if not (v > 0.0).all():
+        raise ValueError(f"nonpositive specific volume, min v = {v.min()}")
+    if not (theta > 0.0).all():
+        raise ValueError(f"nonpositive temperature, min theta = {theta.min()}")
     for name, (arr, _) in shapes.items():
         finite = np.isfinite(arr)
         if not finite.all():

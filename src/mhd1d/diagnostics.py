@@ -9,8 +9,9 @@ derived for the normalized constant preset only and is rejected otherwise.
 
 Every monitor reads the RecordTerms of its state, which only record_terms
 builds, for a record and a standalone call alike: it validates the state,
-takes the heat flux, dissipation and coefficients from the step report, and
-computes each other quantity that several monitors share once. A monitor
+keeps the extremes and the sum of |u| that the check reduced, takes the heat
+flux, dissipation and coefficients from the step report, and computes each
+other quantity that several monitors share once. A monitor
 reads a core.StateBlock, states stacked along a leading record axis, as it
 reads a GasState and gives one value per record: the DiagnosticsCollector
 evaluates a block of accepted steps in one set of array operations, and only
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from . import solver
 from .constitutive import effective_stress
 from .core import (
     BoundaryCondition,
+    FieldBounds,
     GasState,
     Grid,
     PhysicalParams,
@@ -47,6 +49,11 @@ from .solver import (
 # (slab_integrals), so the bound keeps a record O(cells)
 SLAB_INTERVALS_PER_CELL = 16
 
+# thresholds of the cold set {theta < THETA_COLD} and the hot set
+# {theta > THETA_HOT} that level_set_measures measures
+THETA_COLD = 0.5
+THETA_HOT = 2.0
+
 # cell rows of a record block: the collector records max(1, BLOCK_CELLS //
 # cells) accepted steps at once, which spreads the per-call cost of a small
 # grid over many records and keeps a block of a large grid at one state
@@ -59,8 +66,9 @@ class RecordTerms:
 
     bnd is the collector's BoundaryData. heat_flux (at every node),
     dissipation (per cell) and coeffs, the state's solver.state_coeffs
-    (mu(v), |b|^2, the total pressure), are the step report's; kinetic is
-    the kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and
+    (mu(v), |b|^2, the total pressure), are the step report's; bounds are
+    the FieldBounds that validating the state read. v_b_sq is v|b|^2 and
+    kinetic the kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and
     w averaged from the adjacent nodes. With a representation accumulator,
     b_factor is init_factor * exp(integral of u from the anchor - its
     initial value) and v_pow is v**(-alpha); both are None without one.
@@ -71,6 +79,8 @@ class RecordTerms:
     heat_flux: np.ndarray
     dissipation: np.ndarray
     coeffs: StateCoeffs
+    bounds: FieldBounds
+    v_b_sq: np.ndarray
     kinetic: np.ndarray
     b_factor: Optional[np.ndarray]
     v_pow: Optional[np.ndarray]
@@ -89,6 +99,12 @@ class ReportArrays:
 
     @classmethod
     def of(cls, reports: Sequence[StepReport]) -> "ReportArrays":
+        if len(reports) == 1:  # viewed, as StateBlock.of views one state
+            (r,) = reports
+            c = r.coeffs
+            return cls(StateCoeffs(c.mu[None], c.mu_over_v[None], c.b_sq[None],
+                                   c.ptot[None]),
+                       r.heat_flux[None], r.dissipation[None])
         coeffs = StateCoeffs(*(stack_rows([getattr(r.coeffs, f.name) for r in reports])
                                for f in fields(StateCoeffs)))
         return cls(coeffs, stack_rows([r.heat_flux for r in reports]),
@@ -102,19 +118,33 @@ def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
     RecordTerms. bnd is the boundary_data the monitors close the end nodes
     with; the coefficients, heat flux and dissipation come from report: the
     StepReport of the step that produced a GasState (solver.initial_report
-    for a state no step produced), or the ReportArrays of a block's steps."""
-    state.validate(grid)
+    for a state no step produced), or the ReportArrays of a block's steps.
+    The report's |b|^2, which its step formed from the same b, decides b's
+    finiteness in the validation. The node-pair sum u[..., :-1] + u[..., 1:]
+    and v|b|^2 are formed once, for the kinetic energy and the
+    representation factors alike."""
     coeffs = report.coeffs
-    u_c = 0.5 * (state.u[..., :-1] + state.u[..., 1:])
-    w_c = 0.5 * (state.w[..., :-1, :] + state.w[..., 1:, :])
-    kinetic = 0.5 * (u_c ** 2 + sq2(w_c) + state.v * coeffs.b_sq)
+    bounds = state.validate(grid, coeffs.b_sq)
+    u = state.u
+    u_pair = u[..., :-1] + u[..., 1:]
+    w_c = state.w[..., :-1, :] + state.w[..., 1:, :]
+    w_c *= 0.5
+    v_b_sq = state.v * coeffs.b_sq
+    # (u_c^2 + |w_c|^2 + v|b|^2) / 2 with u_c = u_pair / 2, in one buffer
+    kinetic = 0.5 * u_pair
+    kinetic *= kinetic
+    kinetic += sq2(w_c)
+    kinetic += v_b_sq
+    kinetic *= 0.5
     b_factor = v_pow = None
     if acc is not None:
-        ucum = _integral_to_centers(state.u, grid, acc.anchor)
-        b_factor = acc.init_factor * np.exp(ucum - acc.u0_integral)
+        b_factor = _integral_to_centers(u, u_pair, grid, acc.anchor)
+        b_factor -= acc.u0_integral
+        np.exp(b_factor, out=b_factor)
+        b_factor *= acc.init_factor
         v_pow = state.v ** (-p.alpha)
     return RecordTerms(bnd, report.heat_flux, report.dissipation, coeffs,
-                       kinetic, b_factor, v_pow)
+                       bounds, v_b_sq, kinetic, b_factor, v_pow)
 
 
 def energy_entropy(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
@@ -125,9 +155,18 @@ def energy_entropy(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
 
     Nonnegative; zero exactly at the far-field state (1, 0, 1, 0, 0).
     """
-    vol = state.v - np.log(state.v) - 1.0
-    therm = state.theta - np.log(state.theta) - 1.0
-    return grid.dx * (terms.kinetic + p.R * vol + p.c_v * therm).sum(axis=-1)
+    # kinetic + R * (v - ln v - 1) + c_v * (theta - ln theta - 1), in two buffers
+    total = np.log(state.v)
+    np.subtract(state.v, total, out=total)
+    total -= 1.0
+    total *= p.R
+    total += terms.kinetic
+    therm = np.log(state.theta)
+    np.subtract(state.theta, therm, out=therm)
+    therm -= 1.0
+    therm *= p.c_v
+    total += therm
+    return grid.dx * total.sum(axis=-1)
 
 
 def dissipation_W(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
@@ -142,15 +181,22 @@ def dissipation_W(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
     dx, bnd, h, theta = grid.dx, terms.bnd, terms.heat_flux, state.theta
     grad = np.empty(h.shape)
     theta_bar = np.empty(h.shape)
-    grad[..., 1:-1] = (theta[..., 1:] - theta[..., :-1]) / dx
-    theta_bar[..., 1:-1] = 0.5 * (theta[..., :-1] + theta[..., 1:])
+    # the inner nodes are written in place, with no temporary to copy in
+    inner = grad[..., 1:-1]
+    np.subtract(theta[..., 1:], theta[..., :-1], out=inner)
+    inner /= dx
+    inner = theta_bar[..., 1:-1]
+    np.add(theta[..., :-1], theta[..., 1:], out=inner)
+    inner *= 0.5
     theta_bar[..., 0], grad[..., 0], theta_bar[..., -1], grad[..., -1] = \
         solver.end_nodes(theta.T, bnd.th_gl, bnd.th_gr, bnd, dx)
 
     # trapezoid weights: dx, and dx/2 on the end nodes
     wh = dx * h
     wh[..., 0], wh[..., -1] = 0.5 * dx * h[..., 0], 0.5 * dx * h[..., -1]
-    heat_part = (wh * grad / theta_bar ** 2).sum(axis=-1)
+    wh *= grad
+    wh /= np.square(theta_bar, out=theta_bar)
+    heat_part = wh.sum(axis=-1)
     mech_part = dx * (terms.dissipation / theta).sum(axis=-1)
     return heat_part + mech_part
 
@@ -235,8 +281,8 @@ def slab_integrals(state: GasState | StateBlock, grid: Grid
 
 def level_set_measures(state: GasState | StateBlock, grid: Grid):
     """Mass measures of the cold set {theta < 1/2} and the hot set {theta > 2}."""
-    low = grid.dx * (state.theta < 0.5).sum(axis=-1)
-    high = grid.dx * (state.theta > 2.0).sum(axis=-1)
+    low = grid.dx * (state.theta < THETA_COLD).sum(axis=-1)
+    high = grid.dx * (state.theta > THETA_HOT).sum(axis=-1)
     return low, high
 
 
@@ -269,7 +315,8 @@ class ReprAccumulator:
         if not 0 < anchor < grid.cells:
             raise ValueError(f"anchor node {anchor} must be interior")
         init_factor = state0.v * np.exp(-state0.v ** (-p.alpha))
-        u0_int = _integral_to_centers(state0.u, grid, anchor)
+        u0 = state0.u
+        u0_int = _integral_to_centers(u0, u0[:-1] + u0[1:], grid, anchor)
         return cls(anchor=anchor, factor=np.ones(grid.cells),
                    init_factor=init_factor, u0_integral=u0_int)
 
@@ -290,16 +337,23 @@ def _require_normalized(p: PhysicalParams) -> None:
                          "mu2 = alpha)")
 
 
-def _integral_to_centers(u: np.ndarray, grid: Grid, anchor: int) -> np.ndarray:
+def _integral_to_centers(u: np.ndarray, u_pair: np.ndarray, grid: Grid,
+                         anchor: int) -> np.ndarray:
     """Integral of the piecewise-linear node field u (nodes on the last axis)
     from the anchor node to every cell center (trapezoid over whole cells
-    plus the half-cell tail)."""
+    plus the half-cell tail); u_pair holds u[..., :-1] + u[..., 1:]."""
     dx = grid.dx
-    cum = np.zeros(u.shape)
-    np.cumsum(0.5 * dx * (u[..., :-1] + u[..., 1:]), axis=-1, out=cum[..., 1:])
-    to_nodes = cum - cum[..., anchor, None]
-    tail = dx * (3.0 * u[..., :-1] + u[..., 1:]) / 8.0
-    return to_nodes[..., :-1] + tail
+    cum = np.empty(u.shape)
+    cum[..., 0] = 0.0
+    tail = np.multiply(u_pair, 0.5 * dx)  # the cumsum's input, then the tail
+    np.cumsum(tail, axis=-1, out=cum[..., 1:])
+    cum -= cum[..., anchor, None]
+    np.multiply(u[..., :-1], 3.0, out=tail)
+    tail += u[..., 1:]
+    tail *= dx
+    tail /= 8.0
+    tail += cum[..., :-1]
+    return tail
 
 
 def representation_update(acc: ReprAccumulator, state: GasState | StateBlock,
@@ -318,8 +372,13 @@ def representation_update(acc: ReprAccumulator, state: GasState | StateBlock,
     """
     _require_normalized(p)
     sigma = np.atleast_1d(effective_stress(state, grid, terms.coeffs, acc.anchor))
-    h = (np.exp(-terms.v_pow)
-         * (state.theta + 0.5 * state.v * terms.coeffs.b_sq) / terms.b_factor)
+    # h = exp(-v_pow) * (theta + v|b|^2 / 2) / b_factor
+    h = np.negative(terms.v_pow)
+    np.exp(h, out=h)
+    heat = 0.5 * terms.v_b_sq
+    heat += state.theta
+    h *= heat
+    h /= terms.b_factor
     h = h.reshape(len(sigma), -1)
     factor = np.empty_like(h)
     row = acc.factor
@@ -328,7 +387,10 @@ def representation_update(acc: ReprAccumulator, state: GasState | StateBlock,
     for k, (sigma_n, dt_k) in enumerate(steps):
         sdt = sigma_n * dt_k
         geom = dt_k if sdt == 0.0 else math.expm1(sdt) / sigma_n
-        row = np.add(row * math.exp(sdt), h[k] * geom, out=factor[k])
+        hk = h[k]
+        hk *= geom
+        row = np.multiply(row, math.exp(sdt), out=factor[k])
+        row += hk
     acc.factor = row
     return factor
 
@@ -342,8 +404,13 @@ def representation_residual(factor: np.ndarray, state: GasState | StateBlock,
     produced it, or the factors that representation_update returned for it.
     terms are the record_terms of the state with that accumulator."""
     _require_normalized(p)
-    pred = terms.b_factor * np.exp(terms.v_pow) * factor
-    return np.abs(state.v - pred) / state.v
+    pred = np.exp(terms.v_pow)
+    pred *= terms.b_factor
+    pred = pred * factor  # factor may carry a record axis that a state lacks
+    np.subtract(state.v, pred, out=pred)
+    np.abs(pred, out=pred)
+    pred /= state.v
+    return pred
 
 
 @dataclass
@@ -379,15 +446,21 @@ class DiagnosticsRecord:
     slab_theta_max: float
     repr_residual_max: Optional[float]
 
+    # the field names in order, set once below the class
+    names: ClassVar[tuple[str, ...]]
+
     def to_json_dict(self) -> dict:
         # NaN (e.g. slab extremes on a sub-unit domain) is not valid JSON
         out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self.names:
+            value = getattr(self, name)
             if isinstance(value, float) and math.isnan(value):
                 value = None
-            out[f.name] = value
+            out[name] = value
         return out
+
+
+DiagnosticsRecord.names = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 class DiagnosticsCollector:
@@ -463,20 +536,25 @@ class DiagnosticsCollector:
 
         Every monitor runs once over the StateBlock of the states and reads
         its one RecordTerms, built with the collector's boundary data and the
-        reports' coefficients, heat flux and dissipation. The running sums,
-        budget defects, run extremes and the representation accumulator then
-        advance record by record, in order.
+        reports' coefficients, heat flux and dissipation. The extremes and
+        the momentum scale are the reductions that validation made, and
+        level_set_measures runs only if some record's theta extremes reach a
+        set. The running sums, budget defects, run extremes and the
+        representation accumulator then advance record by record, in order.
         """
         grid, p, dx = self.grid, self.p, self.grid.dx
         block = StateBlock.of(states)
         terms = record_terms(block, grid, p, self.bnd, ReportArrays.of(reports),
                              self.acc)
+        bounds = terms.bounds
         mass = (dx * block.v.sum(axis=-1)).tolist()
         momentum = (dx * block.u.sum(axis=-1)).tolist()
-        mom_scale = (dx * np.abs(block.u).sum(axis=-1)).tolist()
+        mom_scale = (dx * bounds.u_abs).tolist()
         w_rate = dissipation_W(block, grid, p, terms).tolist()
         e_entropy = energy_entropy(block, grid, p, terms).tolist()
-        energy = (dx * (p.c_v * block.theta + terms.kinetic).sum(axis=-1)).tolist()
+        energy = p.c_v * block.theta
+        energy += terms.kinetic
+        energy = (dx * energy.sum(axis=-1)).tolist()
         if self.acc is None:
             repr_max = [None] * len(states)
         else:
@@ -484,10 +562,12 @@ class DiagnosticsCollector:
                                            [r.dt_used for r in reports], p, terms)
             repr_max = representation_residual(factor, block, grid, p,
                                                terms).max(axis=-1).tolist()
-        min_v, max_v = block.v.min(axis=-1).tolist(), block.v.max(axis=-1).tolist()
-        min_th = block.theta.min(axis=-1).tolist()
-        max_th = block.theta.max(axis=-1).tolist()
-        meas_lo, meas_hi = (m.tolist() for m in level_set_measures(block, grid))
+        min_v, max_v = bounds.v_min.tolist(), bounds.v_max.tolist()
+        min_th, max_th = bounds.theta_min.tolist(), bounds.theta_max.tolist()
+        if min(min_th) < THETA_COLD or max(max_th) > THETA_HOT:
+            meas_lo, meas_hi = (m.tolist() for m in level_set_measures(block, grid))
+        else:  # the extremes show both sets empty in every record: dx * 0
+            meas_lo = meas_hi = [0.0] * len(states)
         slabs = []
         for ints in slab_integrals(block, grid):
             if ints.shape[-1]:

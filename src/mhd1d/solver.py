@@ -527,7 +527,8 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
             for it in range(ctl.newton_max_iter + 1):
                 h, bands = heat_flux_stencil(theta, k_over_v, dx, p, bnd)
                 neg_f = known - (theta * base - (h[1:] - h[:-1]) / dx)  # minus residual
-                fnorm = float(np.abs(neg_f).max())
+                # max norms as max(x.max(), -x.min()): no |x| array is formed
+                fnorm = max(float(neg_f.max()), -float(neg_f.min()))
                 scale = max(1.0, float(theta.max()))
                 if fnorm <= ctl.newton_tol * p.c_v * scale / dt:
                     break
@@ -552,9 +553,10 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
 
                 # Damp the update rather than clip: theta must stay positive
                 # for the conductivity to be evaluable at the next iterate.
+                # fmin skips NaN, as the test trial <= 0.0 does entry by entry.
                 guard = 0
                 trial = theta + delta
-                while (trial <= 0.0).any():
+                while np.fmin.reduce(trial) <= 0.0:
                     delta *= 0.5
                     guard += 1
                     if guard > 60:
@@ -562,7 +564,8 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
                                      "not damp an update to keep theta positive")
                     trial = theta + delta
                 theta = trial
-                if float(np.abs(delta).max()) <= ctl.newton_tol * scale:
+                if max(float(delta.max()),
+                       -float(delta.min())) <= ctl.newton_tol * scale:
                     it, h = it + 1, heat_flux_stencil(theta, k_over_v, dx, p, bnd)[0]
                     break
     except FloatingPointError:

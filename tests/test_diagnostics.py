@@ -1,7 +1,8 @@
 import json
 import math
 import re
-from dataclasses import asdict, fields
+import warnings
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mhd1d.core import (
     PhysicalParams,
     StateBlock,
     make_initial_state,
+    sq2,
 )
 from mhd1d.diagnostics import (
     BLOCK_CELLS,
@@ -692,6 +694,109 @@ class TestRecordBlocks:
         assert collector_outcome(coll, got) == collector_outcome(ref, records)
         assert np.array_equal(coll.acc.factor, ref.acc.factor)
         assert all(r.repr_residual_max <= 1e-12 for r in got)
+
+
+def validate_text(name, value):
+    """The ValueError text of GasState.validate for a state that is the
+    reference state but for one entry of field `name` set to value: v and
+    theta must be positive (NaN is not), then every field finite."""
+    if name in ("v", "theta") and not value > 0.0:
+        what = "specific volume" if name == "v" else "temperature"
+        return f"nonpositive {what}, min {name} = {value}"
+    return f"non-finite {name}: {value}"
+
+
+class TestTheFoldedCheckKeepsItsOrder:
+    """The record path reads positivity and finiteness off its reductions:
+    a defect must still raise validate's own text, before any monitor's
+    log or exp can warn, in a block of one and inside a block of three.
+    Each state comes with the report of a step that produced it, so a
+    defective b is in that report's |b|^2 too."""
+
+    DEFECTS = [*[(name, bad) for name in FIELDS
+                 for bad in (math.nan, math.inf, -math.inf)],
+               ("v", 0.0), ("v", -1.0), ("theta", 0.0), ("theta", -1.0)]
+
+    @pytest.mark.parametrize("name, value", DEFECTS)
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_flush_raises_the_validate_text(self, name, value, size):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state0, pairs = trajectory(grid, p, CAUCHY, smooth_bump(), 0.1)
+        pairs = pairs[:size]
+        bad, report = pairs[size // 2]
+        bad = bad.copy()
+        getattr(bad, name).flat[3] = value
+        report = replace(report, coeffs=replace(report.coeffs, b_sq=sq2(bad.b)))
+        pairs[size // 2] = (bad, report)
+        want = validate_text(name, value)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            bad.validate(grid)
+        collector = DiagnosticsCollector(grid, p, CAUCHY, state0)
+        assert collector.block_size > size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s, r in pairs:
+                assert collector.push(s, r) == []
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                collector.flush()
+
+    def test_a_finite_sum_that_overflows_is_no_defect(self):
+        # the reductions overflow; the scan they hand the state to finds
+        # every entry finite and lets it pass
+        grid = Grid.uniform(8, 4.0, -2.0)
+        state = reference_state(grid)
+        for name in ("u", "b", "w"):
+            getattr(state, name).flat[1:3] = 1e308
+        with np.errstate(over="ignore"):
+            b_sq = sq2(state.b)  # overflows to inf, as a step's would
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bounds in (state.validate(grid), state.validate(grid, b_sq)):
+                assert bounds.u_abs == math.inf
+                assert (bounds.v_min, bounds.v_max) == (1.0, 1.0)
+
+
+class TestLevelSetSkip:
+    """The record skips level_set_measures when every record's theta
+    extremes show both sets empty; a block that straddles the thresholds
+    must give each record the measures and extremes it has alone."""
+
+    @staticmethod
+    def straddling_pairs(grid, p):
+        state0, pairs = trajectory(grid, p, CAUCHY, smooth_bump(), 0.6)
+        assert len(pairs) >= 6
+        pairs = [(s.copy(), r) for s, r in pairs[:6]]
+        pairs[1][0].theta[4] = 0.3        # cold
+        pairs[3][0].theta[9] = 2.5        # hot
+        pairs[4][0].theta[[2, 11]] = 0.4, 3.0  # both
+        return state0, pairs
+
+    @staticmethod
+    def level_fields(record):
+        return json.dumps([record.measure_theta_low, record.measure_theta_high,
+                           record.min_theta, record.max_theta])
+
+    def test_a_straddling_block_keeps_every_measure(self):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state0, pairs = self.straddling_pairs(grid, p)
+        alone = DiagnosticsCollector(grid, p, CAUCHY, state0)
+        want = [self.level_fields(alone.make_record(s, r)) for s, r in pairs]
+        for size in (2, 3, 6):
+            block = DiagnosticsCollector(grid, p, CAUCHY, state0)
+            got = []
+            for at in range(0, len(pairs), size):
+                chunk = pairs[at:at + size]
+                got += [self.level_fields(r) for r in block.record_block(
+                    [s for s, _ in chunk], [r for _, r in chunk])]
+            assert got == want, size
+        for s, _ in pairs:
+            low, high = level_set_measures(s, grid)
+            assert (low > 0.0) == (s.theta.min() < 0.5)
+            assert (high > 0.0) == (s.theta.max() > 2.0)
+        assert [json.loads(w)[:2] for w in want] == [
+            [0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.5], [0.5, 0.5], [0.0, 0.0]]
 
 
 class TestFieldsMustBeFinite:
