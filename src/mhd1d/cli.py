@@ -7,6 +7,7 @@ verification-study failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import json
 import math
@@ -26,6 +27,12 @@ _NO_SUMMARY = {"min_v": math.nan, "min_theta": math.nan,
               "E_entropy_final": math.nan, "repr_residual_max": math.nan}
 
 _AXES = ("alpha", "beta", "amp")
+
+# glibc mallopt parameters, and the values _keep_freed_heap sets: the ceiling
+# of glibc's own dynamic mmap threshold on 64-bit systems, and twice it for
+# the trim threshold, the pair glibc sets itself when it raises the former
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
 
 
 def _error(message: str) -> int:
@@ -230,7 +237,26 @@ def _cmd_check_config(args) -> int:
     return 0
 
 
+def _keep_freed_heap() -> None:
+    """Keep the memory that a step's temporaries free in the process's heap.
+
+    A step at M = 8192 makes arrays of 64 to 130 kB by the dozen. By default
+    glibc gives the top of its heap back to the system once 128 kB or more
+    of it is free (and maps arrays above its mmap threshold one by one), so
+    the next temporaries fault their pages in afresh: about 200 minor page
+    faults a step, against 3 with these thresholds. Peak memory is the same,
+    since a freed block is reused before the heap grows. A C library without
+    mallopt is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="mhd1d",
         description="1D Lagrangian planar-MHD simulator with invariant monitors")

@@ -15,7 +15,8 @@ if TYPE_CHECKING:  # the solver imports this module
 
 
 def _require_positive(name, value):
-    if (np.asarray(value) <= 0.0).any():
+    # fmin skips NaN, as value <= 0.0 does entry by entry
+    if np.fmin.reduce(np.asarray(value), axis=None, initial=np.inf) <= 0.0:
         raise ValueError(f"{name} must be positive, got min {np.min(value)}")
 
 
@@ -31,7 +32,10 @@ def viscosity_mu(v, p: PhysicalParams):
     _require_positive("specific volume", v)
     if p.mu2 == 0.0:
         return p.mu1 + np.zeros_like(np.asarray(v, dtype=float))
-    return p.mu1 + p.mu2 * np.asarray(v, dtype=float) ** (-p.alpha)
+    mu = np.asarray(v, dtype=float) ** (-p.alpha)
+    mu *= p.mu2
+    mu += p.mu1
+    return mu
 
 
 def effective_stress(state: GasState | StateBlock, grid: Grid,

@@ -152,8 +152,9 @@ def state_coeffs(state: GasState, mu: np.ndarray, p: PhysicalParams
     """The StateCoeffs of a state whose viscosity mu = viscosity_mu(state.v, p)
     is already evaluated (a step evaluates it as soon as the new v exists)."""
     b_sq = sq2(state.b)
-    return StateCoeffs(mu=mu, mu_over_v=mu / state.v, b_sq=b_sq,
-                       ptot=pressure(state.v, state.theta, p) + 0.5 * b_sq)
+    ptot = pressure(state.v, state.theta, p)
+    ptot += 0.5 * b_sq
+    return StateCoeffs(mu=mu, mu_over_v=mu / state.v, b_sq=b_sq, ptot=ptot)
 
 
 @dataclass
@@ -302,7 +303,8 @@ def b_gradient(b: np.ndarray, bnd: BoundaryData, dx: float) -> np.ndarray:
     """Transverse-field gradient at every node, closed per end_nodes."""
     m = b.shape[0]
     bx = np.empty((m + 1,) + b.shape[1:], order="F")
-    bx[1:-1] = (b[1:] - b[:-1]) / dx
+    np.subtract(b[1:], b[:-1], out=bx[1:-1])
+    bx[1:-1] /= dx
     _, bx[0], _, bx[-1] = end_nodes(b, bnd.b_gl, bnd.b_gr, bnd, dx)
     return bx
 
@@ -320,8 +322,11 @@ def padded_k_over_v(v: np.ndarray, p: PhysicalParams, bnd: BoundaryData
     """kappa_tilde / v per cell between the ghosts of heat_flux_stencil: that
     of v_gl and v_gr, or zero on a wall, where no heat crosses an insulated
     one and the stencil sets the isothermal one's node flux itself."""
-    lo = 0.0 if bnd.v_gl is None else p.kappa_tilde / bnd.v_gl
-    return _padded(p.kappa_tilde / v, lo, p.kappa_tilde / bnd.v_gr)
+    out = np.empty(v.shape[0] + 2)
+    np.divide(p.kappa_tilde, v, out=out[1:-1])
+    out[0] = 0.0 if bnd.v_gl is None else p.kappa_tilde / bnd.v_gl
+    out[-1] = p.kappa_tilde / bnd.v_gr
+    return out
 
 
 def heat_flux_stencil(theta: np.ndarray, k_over_v: np.ndarray, dx: float,
@@ -344,10 +349,17 @@ def heat_flux_stencil(theta: np.ndarray, k_over_v: np.ndarray, dx: float,
     conductivity-derivative terms (Picard linearization).
     """
     th = _padded(theta, theta[0] if bnd.th_gl is None else bnd.th_gl, bnd.th_gr)
-    a = k_over_v * th ** p.beta
+    # k_over_v * th**beta, 2 * a[:-1] * a[1:] / a_sum and c * (dth / dx),
+    # each evaluated in place in that order of operations
+    a = th ** p.beta
+    a *= k_over_v
     a_sum = a[:-1] + a[1:]
-    c = 2.0 * a[:-1] * a[1:] / a_sum
-    H = c * ((th[1:] - th[:-1]) / dx)
+    c = a[:-1] * 2.0
+    c *= a[1:]
+    c /= a_sum
+    H = th[1:] - th[:-1]
+    H /= dx
+    H *= c
     isothermal = bnd.left_wall and bnd.th_gl is not None
     if isothermal:
         th_mid = 0.5 * (theta[0] + bnd.th_gl)
@@ -364,9 +376,14 @@ def heat_flux_stencil(theta: np.ndarray, k_over_v: np.ndarray, dx: float,
             hi, lo = c_dd[:-1], -c_dd[1:]
         else:
             bt = p.beta / th
-            g = H / (a_sum * dx)
-            hi = g[:-1] * a[:-2] * bt[1:-1] + c_dd[:-1]
-            lo = g[1:] * a[2:] * bt[1:-1] - c_dd[1:]
+            g = a_sum * dx
+            np.divide(H, g, out=g)
+            hi = g[:-1] * a[:-2]
+            hi *= bt[1:-1]
+            hi += c_dd[:-1]
+            lo = g[1:] * a[2:]
+            lo *= bt[1:-1]
+            lo -= c_dd[1:]
         if isothermal:  # the conductance of th_mid, half a cell away
             hi[0] = (c_l / (0.5 * dx) + (
                 0.0 if frozen else H[0] * p.beta / (2.0 * th_mid))) / dx
@@ -389,7 +406,10 @@ def compute_dt(state: GasState, b_sq: np.ndarray, grid: Grid,
     with b_sq = |b|^2 of the state, and the far-field signal speed as a floor,
     then clamped to [dt_min, dt_max].
     """
-    s = np.sqrt(p.gamma * p.R * state.theta + state.v * b_sq) / state.v
+    s = p.gamma * p.R * state.theta
+    s += state.v * b_sq
+    np.sqrt(s, out=s)
+    s /= state.v
     s_far = math.sqrt(p.gamma * p.R * FAR_FIELD_THETA * FAR_FIELD_V) / FAR_FIELD_V
     s_max = max(float(s.max()), s_far)
     return float(min(max(ctl.cfl * grid.dx / s_max, ctl.dt_min), ctl.dt_max))
@@ -403,7 +423,10 @@ def _diffusion_solve(mass, a: np.ndarray, r: float, rhs: np.ndarray, left,
     x_{-1} = left and x_n = right. rhs is modified in place."""
     rhs[0] += r * a[0] * left
     rhs[-1] += r * a[-1] * right
-    return symmetric_tridiag_solve(mass + r * (a[1:] + a[:-1]), -r * a[1:-1], rhs)
+    d = a[1:] + a[:-1]
+    d *= r
+    d += mass
+    return symmetric_tridiag_solve(d, a[1:-1] * -r, rhs)
 
 
 def substep_velocity(state: GasState, grid: Grid, dt: float,
@@ -411,7 +434,9 @@ def substep_velocity(state: GasState, grid: Grid, dt: float,
     """Stage (a): implicit viscous solve for u with explicit total-pressure
     gradient; coeffs are the state_coeffs of the stage-begin state."""
     g = coeffs.ptot
-    rhs = state.u[1:-1] - (dt / grid.dx) * (g[1:] - g[:-1])
+    rhs = g[1:] - g[:-1]
+    rhs *= dt / grid.dx
+    np.subtract(state.u[1:-1], rhs, out=rhs)
     if bnd.sources is not None:
         rhs += dt * bnd.sources["u"][1:-1]
     u = _diffusion_solve(1.0, coeffs.mu_over_v, dt / grid.dx ** 2, rhs,
@@ -423,7 +448,9 @@ def substep_volume(state: GasState, du: np.ndarray, grid: Grid, dt: float,
                    bnd: BoundaryData) -> np.ndarray:
     """Stage (b): conservative volume update v += dt * u_x, with
     du = u_new[1:] - u_new[:-1] of stage (a)."""
-    v_new = state.v + dt * du / grid.dx
+    v_new = du * dt
+    v_new /= grid.dx
+    v_new += state.v
     if bnd.sources is not None:
         v_new += dt * bnd.sources["v"]
     return v_new
@@ -435,7 +462,9 @@ def substep_transverse(state: GasState, v_new: np.ndarray, grid: Grid,
     """Stage (c): implicit transverse-velocity solve, magnetic tension b_x
     explicit from stage-begin b. Both components share one matrix."""
     dx = grid.dx
-    rhs = state.w[1:-1] + (dt / dx) * (state.b[1:] - state.b[:-1])
+    rhs = state.b[1:] - state.b[:-1]
+    rhs *= dt / dx
+    rhs += state.w[1:-1]
     if bnd.sources is not None:  # in place keeps rhs column-major
         rhs += dt * bnd.sources["w"][1:-1]
     w = _diffusion_solve(1.0, p.lam / v_new, dt / dx ** 2, rhs, bnd.w_left,
@@ -448,7 +477,8 @@ def induction_coeffs(v_new: np.ndarray, p: PhysicalParams, bnd: BoundaryData
     """Magnetic diffusion coefficient nu/v at nodes (harmonic interface mean),
     closed by the ghosts v_gl and v_gr, or on a wall by the first cell."""
     v = _padded(v_new, v_new[0] if bnd.v_gl is None else bnd.v_gl, bnd.v_gr)
-    return 2.0 * p.nu / (v[:-1] + v[1:])
+    v_sum = v[:-1] + v[1:]
+    return np.divide(2.0 * p.nu, v_sum, out=v_sum)
 
 
 def substep_induction(state: GasState, v_new: np.ndarray, dw: np.ndarray,
@@ -461,7 +491,8 @@ def substep_induction(state: GasState, v_new: np.ndarray, dw: np.ndarray,
     if bnd.left_wall:
         # Dirichlet b = 0 at the wall node, half a cell from the first center.
         d[0] *= 2.0
-    rhs = state.v[:, None] * state.b + (dt / dx) * dw
+    rhs = dw * (dt / dx)
+    rhs += state.v[:, None] * state.b
     if bnd.sources is not None:  # in place keeps rhs column-major
         rhs += dt * bnd.sources["b"]
     return _diffusion_solve(v_new, d, dt / dx ** 2, rhs, bnd.b_gl, bnd.b_gr)
@@ -475,8 +506,17 @@ def dissipation_source(v: np.ndarray, mu: np.ndarray, ux: np.ndarray,
     gradients ux = (u[1:] - u[:-1]) / dx and wx = (w[1:] - w[:-1]) / dx,
     and |b_x|^2 averaged from the adjacent nodes."""
     bx_sq = sq2(b_gradient(b, bnd, grid.dx))
-    bx_sq_cell = 0.5 * (bx_sq[:-1] + bx_sq[1:])
-    return (mu * ux ** 2 + p.lam * sq2(wx) + p.nu * bx_sq_cell) / v
+    q = ux * ux
+    q *= mu
+    term = sq2(wx)
+    term *= p.lam
+    q += term
+    term = bx_sq[:-1] + bx_sq[1:]
+    term *= 0.5
+    term *= p.nu
+    q += term
+    q /= v
+    return q
 
 
 def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
@@ -512,9 +552,13 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     ux = du / dx
     q = dissipation_source(v_new, mu_new, ux, dw / dx, b_new, grid, p, bnd)
     k_over_v = padded_k_over_v(v_new, p, bnd)
-    base = p.c_v / dt + p.R * ux / v_new
+    base = ux * p.R
+    base /= v_new
+    base += p.c_v / dt
     # the residual is theta * base - (H[1:] - H[:-1]) / dx - known
-    known = p.c_v * state.theta / dt + q
+    known = state.theta * p.c_v
+    known /= dt
+    known += q
     if bnd.sources is not None:
         known += bnd.sources["theta"]
 
@@ -526,7 +570,11 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
         with np.errstate(over="raise", invalid="raise"):
             for it in range(ctl.newton_max_iter + 1):
                 h, bands = heat_flux_stencil(theta, k_over_v, dx, p, bnd)
-                neg_f = known - (theta * base - (h[1:] - h[:-1]) / dx)  # minus residual
+                div = h[1:] - h[:-1]
+                div /= dx
+                neg_f = theta * base
+                neg_f -= div
+                np.subtract(known, neg_f, out=neg_f)  # minus residual
                 # max norms as max(x.max(), -x.min()): no |x| array is formed
                 fnorm = max(float(neg_f.max()), -float(neg_f.min()))
                 scale = max(1.0, float(theta.max()))
@@ -648,7 +696,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             u_new = substep_velocity(state, grid, dt, bnd, coeffs)
             du = u_new[1:] - u_new[:-1]
             v_new = substep_volume(state, du, grid, dt, bnd)
-            if not (v_new > 0.0).all():
+            if not v_new.min() > 0.0:  # NaN fails it, as v_new > 0.0 does
                 raise _Retry(PositivityFailure, "state stayed nonpositive")
             mu_new = viscosity_mu(v_new, p)
             w_new = substep_transverse(state, v_new, grid, p, dt, bnd)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import platform
 import re
 import subprocess
 import sys
@@ -931,3 +932,34 @@ class TestConsoleEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "summary:" in proc.stdout
+
+
+HEAP_PROBE = """
+import resource
+from mhd1d import cli, solver
+from mhd1d.core import BoundaryCondition, GaussianBump, Grid, PhysicalParams, make_initial_state
+cli._keep_freed_heap()
+grid = Grid.uniform(8192, 32.0, -16.0)
+p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+bc = BoundaryCondition.CAUCHY_FAR_FIELD
+state = make_initial_state(grid, GaussianBump(amp_v=-0.3, amp_theta=0.5), bc)
+coeffs = solver.state_coeffs(state, solver.viscosity_mu(state.v, p), p)
+ctl = solver.StepControl()
+for _ in range(5):
+    solver.step(state, grid, p, bc, ctl, coeffs)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    solver.step(state, grid, p, bc, ctl, coeffs)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+def test_a_large_step_reuses_freed_heap():
+    # glibc's default thresholds return a step's freed temporaries to the
+    # system, about 200 minor page faults a step at M = 8192; kept, about 3
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 20.0
