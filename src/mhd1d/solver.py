@@ -25,6 +25,12 @@ state's StateCoeffs (mu(v), mu(v)/v, |b|^2 and the total pressure) to the
 next step and to the monitors. Every stage reads the attempt's BoundaryData,
 which decides the boundary regime and carries any manufactured-solution
 sources; an unforced regime's BoundaryData is built once and shared.
+Stages (c) and (d) are skipped, and w and b come out as +0.0 arrays, on a
+step whose state holds no nonzero w or b and whose BoundaryData has zero
+transverse end values and no sources (BoundaryData.transverse): the planar
+system then reduces to the compressible Navier-Stokes one. The skip is exact,
+as the stages' right-hand sides are sums and products of zeros, so each
+solves for +0.0 (a -0.0 in the state becomes +0.0 too).
 The symmetric, diagonally dominant solves of stages (a), (c) and (d) use
 LAPACK ptsv; the Newton Jacobian of stage (e) is not symmetric and uses gtsv.
 Both come from scipy's f2py extension scipy.linalg._flapack, loaded from its
@@ -197,7 +203,9 @@ class BoundaryData:
     terms at the attempt's time, one array per field ("v", "u", "w", "b",
     "theta") at that field's grid locations, or None for the unforced system.
     Every array it holds is made read-only, so one instance can serve every
-    step attempt of a regime.
+    step attempt of a regime. transverse, worked out at construction, tells
+    whether the data can put a transverse field into a state that holds none:
+    a nonzero w_left, w_right, b_gl or b_gr, or any sources.
     """
 
     left_wall: bool
@@ -212,11 +220,14 @@ class BoundaryData:
     b_gl: np.ndarray
     b_gr: np.ndarray
     sources: Optional[dict] = None
+    transverse: bool = field(init=False)
 
     def __post_init__(self):
         arrays = [self.w_left, self.w_right, self.b_gl, self.b_gr]
         for arr in arrays + list((self.sources or {}).values()):
             arr.flags.writeable = False
+        object.__setattr__(self, "transverse", self.sources is not None
+                           or any(arr.any() for arr in arrays))
 
 
 _LEFT_OUTER = {  # (v_gl, th_gl) of each regime, see BoundaryData
@@ -622,19 +633,19 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     return theta, it, q, h
 
 
-def boundary_report(new: GasState, grid: Grid, p: PhysicalParams,
-                    bnd: BoundaryData, dt: float, old: StateCoeffs,
-                    coeffs: StateCoeffs, h: np.ndarray
+def boundary_report(new: GasState, du: np.ndarray, dw: np.ndarray, grid: Grid,
+                    p: PhysicalParams, bnd: BoundaryData, dt: float,
+                    old: StateCoeffs, coeffs: StateCoeffs, h: np.ndarray
                     ) -> tuple[float, float, float, float]:
     """Boundary flux totals (mass, momentum, total energy, entropy budget)
     added to the domain during this step.
 
-    old are the stage-(a) coefficients of the old state, coeffs those of the
-    new state and h its heat flux. Mass and momentum reproduce the telescoped
-    sums of stages (b) and (a) exactly; the energy and entropy terms are
-    second-order monitors. Each end's arithmetic runs on Python floats; its
-    2-vector dot products stay numpy @, whose rounding can differ from
-    x0*y0 + x1*y1.
+    du and dw are the node differences of the new u and w, old the stage-(a)
+    coefficients of the old state, coeffs those of the new state and h its
+    heat flux. Mass and momentum reproduce the telescoped sums of stages (b)
+    and (a) exactly; the energy and entropy terms are second-order monitors.
+    Each end's arithmetic runs on Python floats; its 2-vector dot products
+    stay numpy @, whose rounding can differ from x0*y0 + x1*y1.
     """
     dx = grid.dx
     u_new, w_new = new.u, new.w
@@ -650,8 +661,8 @@ def boundary_report(new: GasState, grid: Grid, p: PhysicalParams,
         """Stress, energy flux and entropy flux at node j of end cell c."""
         v_node, th_node, hj = float(v_node), float(th_node), float(h[j])
         u, w = float(u_new[j]), w_new[j]
-        ux = float(u_new[c + 1] - u_new[c]) / dx
-        wx = (w_new[c + 1] - w_new[c]) / dx
+        ux = float(du[c]) / dx
+        wx = dw[c] / dx
         g_node = p.R * th_node / v_node + 0.5 * float(b_node @ b_node)
         visc = float(coeffs.mu_over_v[c]) * u * ux
         wvisc = p.lam / float(new.v[c]) * float(w @ wx)
@@ -680,6 +691,10 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     nonpositive v, or whose temperature solve fails, is discarded and retried
     at half the step; the temperature solve keeps theta positive itself.
 
+    An attempt from a state with no transverse field under boundary data
+    that brings none skips stages (c) and (d): its w and b are +0.0, as the
+    stages would return them.
+
     Raises, when the attempt after retry_max halvings fails too or a halving
     takes dt below dt_min, PositivityFailure if that attempt produced
     nonpositive v and NewtonDivergence if its temperature solve failed.
@@ -688,6 +703,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     retries = 0
+    quiet = not (state.w.any() or state.b.any())
 
     while True:
         t_new = state.t + dt
@@ -699,9 +715,14 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             if not v_new.min() > 0.0:  # NaN fails it, as v_new > 0.0 does
                 raise _Retry(PositivityFailure, "state stayed nonpositive")
             mu_new = viscosity_mu(v_new, p)
-            w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
-            dw = w_new[1:] - w_new[:-1]
-            b_new = substep_induction(state, v_new, dw, grid, p, dt, bnd)
+            if quiet and not bnd.transverse:  # what stages (c) and (d) give
+                w_new = np.zeros(state.w.shape, order="F")
+                dw = np.zeros(state.b.shape, order="F")
+                b_new = np.zeros(state.b.shape, order="F")
+            else:
+                w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
+                dw = w_new[1:] - w_new[:-1]
+                b_new = substep_induction(state, v_new, dw, grid, p, dt, bnd)
             theta_new, iters, q, h = substep_temperature(
                 state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt, bnd)
         except _Retry as exc:
@@ -720,7 +741,8 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
                          t=t_new, step=state.step + 1)
     new_coeffs = state_coeffs(new_state, mu_new, p)
-    fluxes = boundary_report(new_state, grid, p, bnd, dt, coeffs, new_coeffs, h)
+    fluxes = boundary_report(new_state, du, dw, grid, p, bnd, dt, coeffs,
+                             new_coeffs, h)
     report = StepReport(dt_used=dt, newton_iterations=iters, retries=retries,
                         coeffs=new_coeffs,
                         mass_flux=fluxes[0], momentum_flux=fluxes[1],

@@ -181,8 +181,10 @@ def test_check_records_both_versions_and_compares(tmp_path, capsys,
                          ids=lambda path: path.stem)
 def test_the_code_agrees_with_the_reference_trees(cfg, tmp_path, capsys,
                                                   compare_outputs):
-    # each tree was recorded from the version before the stage solves moved
-    # to ptsv and the temperature Newton was rewritten
+    # the six magnetized trees were recorded from the version before the
+    # stage solves moved to ptsv and the temperature Newton was rewritten,
+    # the two *_no_transverse trees from the version before a step with no
+    # transverse field skipped the transverse and induction stages
     record_run(compare_outputs, cfg, tmp_path / "tree", capsys)
     verdict = compare_outputs.compare_trees(REFERENCES / cfg.stem,
                                             tmp_path / "tree")

@@ -96,9 +96,22 @@ def test_a_block_keeps_each_records_components_contiguous():
         assert block.w[k, :, 0].flags.c_contiguous
 
 
-@pytest.mark.parametrize("forced", [False, True])
-def test_the_stage_solves_get_column_major_right_hand_sides(forced, monkeypatch):
-    # stages (c) and (d) solve for two components at once; (a) for one
+def quiet_state(grid, bc=CAUCHY):
+    """A bump with no transverse field: the Navier-Stokes subspace."""
+    bump = replace(smooth_bump(center=8.0 if bc.has_left_wall else 0.0),
+                   amp_b=(0.0, 0.0), amp_w=(0.0, 0.0))
+    return make_initial_state(grid, bump, bc)
+
+
+@pytest.mark.parametrize("forced, transverse", [(False, "bump"), (True, "bump"),
+                                                (False, "none"),
+                                                (False, "one tiny b")],
+                         ids=["False", "True", "no transverse data",
+                              "one tiny b"])
+def test_the_stage_solves_get_column_major_right_hand_sides(forced, transverse,
+                                                            monkeypatch):
+    # stages (c) and (d) solve for two components at once; (a) for one. A
+    # state with no transverse field under unforced data skips (c) and (d)
     seen = []
     solve = solver.symmetric_tridiag_solve
 
@@ -113,6 +126,46 @@ def test_the_stage_solves_get_column_major_right_hand_sides(forced, monkeypatch)
     else:
         grid = Grid.uniform(16, 16.0, -8.0)
         state, forcing = make_initial_state(grid, smooth_bump(), CAUCHY), None
+        if transverse != "bump":
+            state = quiet_state(grid)
+        if transverse == "one tiny b":  # its |b|^2 underflows to 0
+            b = state.b.copy()
+            b[5, 0] = 1e-300
+            state = replace(state, b=b)
     step(state, grid, P, CAUCHY, StepControl(), coeffs_of(state, P),
          forcing=forcing)
-    assert seen == [(1, True), (2, True), (2, True)]
+    if transverse == "none":
+        assert seen == [(1, True)]
+    else:
+        assert seen == [(1, True), (2, True), (2, True)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["+0.0", "-0.0"])
+@pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
+def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
+    wall = bc.has_left_wall
+    grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
+    state = quiet_state(grid, bc)
+    state = replace(state, w=np.full((17, 2), sign * 0.0),
+                    b=np.full((16, 2), sign * 0.0))
+    assert np.signbit(state.b).all() == (sign < 0)
+    calls, stage = [], solver.substep_transverse
+    monkeypatch.setattr(solver, "substep_transverse",
+                        lambda *args: calls.append(args) or stage(*args))
+    new, report = step(state, grid, P, bc, StepControl(), coeffs_of(state, P))
+    monkeypatch.undo()
+    assert calls == []
+    assert_column_major(new)
+
+    # what the stages return for the step's own inputs
+    bnd = solver.boundary_data(grid, bc, new.t)
+    dt = report.dt_used
+    w = solver.substep_transverse(state, new.v, grid, P, dt, bnd)
+    b = solver.substep_induction(state, new.v, w[1:] - w[:-1], grid, P, dt, bnd)
+    for name, staged in (("w", w), ("b", b)):
+        arr = getattr(new, name)
+        assert arr.flags.writeable, name
+        assert not np.signbit(arr).any(), name
+        assert arr.shape == staged.shape
+        assert arr.tobytes(order="A") == staged.tobytes(order="A"), name
+        assert staged.flags.f_contiguous, name

@@ -1,6 +1,6 @@
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -325,6 +325,20 @@ class TestEndNodes:
         for arr in (bnd.w_left, bnd.b_gr, *bnd.sources.values()):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+    @pytest.mark.parametrize("bc", ALL_REGIMES)
+    def test_transverse_marks_data_that_bring_a_transverse_field(self, bc):
+        bnd = boundary_data(Grid.uniform(16, 8.0, 0.0), bc, 0.0)
+        assert bnd.transverse is False
+        for name in ("w_left", "w_right", "b_gl", "b_gr"):
+            tiny = np.array([0.0, -1e-300])
+            assert replace(bnd, **{name: tiny}).transverse is True, name
+        assert replace(bnd, w_left=np.array([-0.0, 0.0])).transverse is False
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        forced = MmsForcing(MmsSolution(), p).boundary_data(Grid.uniform(16, 1.0), 0.1)
+        assert forced.transverse is True
+        zero = {name: np.zeros(16) for name in ("v", "u", "w", "b", "theta")}
+        assert replace(bnd, sources=zero).transverse is True
 
     def test_wall_outer_values(self):
         grid = Grid.uniform(16, 8.0, 0.0)
