@@ -67,9 +67,10 @@ class RecordTerms:
     bnd is the collector's BoundaryData. heat_flux (at every node),
     dissipation (per cell) and coeffs, the state's solver.state_coeffs
     (mu(v), |b|^2, the total pressure), are the step report's; bounds are
-    the FieldBounds that validating the state read. v_b_sq is v|b|^2 and
-    kinetic the kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and
-    w averaged from the adjacent nodes. With a representation accumulator,
+    the FieldBounds that validating the state read. v_b_sq is v|b|^2, or
+    None when the report carries no transverse field, and kinetic the
+    kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and w averaged
+    from the adjacent nodes. With a representation accumulator,
     b_factor is init_factor * exp(integral of u from the anchor - its
     initial value) and v_pow is v**(-alpha); both are None without one.
     The terms of a StateBlock carry its leading record axis on every array.
@@ -80,7 +81,7 @@ class RecordTerms:
     dissipation: np.ndarray
     coeffs: StateCoeffs
     bounds: FieldBounds
-    v_b_sq: np.ndarray
+    v_b_sq: Optional[np.ndarray]
     kinetic: np.ndarray
     b_factor: Optional[np.ndarray]
     v_pow: Optional[np.ndarray]
@@ -90,12 +91,14 @@ class RecordTerms:
 class ReportArrays:
     """The arrays that the StepReports of a StateBlock's records hand the
     monitors, stacked like the block: coeffs (StateCoeffs of (K, M) arrays),
-    heat_flux and dissipation. record_terms reads it as it reads the
-    StepReport of one state."""
+    heat_flux and dissipation, and transverse, True when any report carries
+    a transverse field. record_terms reads it as it reads the StepReport of
+    one state."""
 
     coeffs: StateCoeffs
     heat_flux: np.ndarray
     dissipation: np.ndarray
+    transverse: bool
 
     @classmethod
     def of(cls, reports: Sequence[StepReport]) -> "ReportArrays":
@@ -104,11 +107,12 @@ class ReportArrays:
             c = r.coeffs
             return cls(StateCoeffs(c.mu[None], c.mu_over_v[None], c.b_sq[None],
                                    c.ptot[None]),
-                       r.heat_flux[None], r.dissipation[None])
+                       r.heat_flux[None], r.dissipation[None], r.transverse)
         coeffs = StateCoeffs(*(stack_rows([getattr(r.coeffs, f.name) for r in reports])
                                for f in fields(StateCoeffs)))
         return cls(coeffs, stack_rows([r.heat_flux for r in reports]),
-                   stack_rows([r.dissipation for r in reports]))
+                   stack_rows([r.dissipation for r in reports]),
+                   any(r.transverse for r in reports))
 
 
 def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
@@ -122,19 +126,24 @@ def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
     The report's |b|^2, which its step formed from the same b, decides b's
     finiteness in the validation. The node-pair sum u[..., :-1] + u[..., 1:]
     and v|b|^2 are formed once, for the kinetic energy and the
-    representation factors alike."""
+    representation factors alike. A report that carries no transverse field
+    (report.transverse False, in every record of a block) leaves w and b
+    out, as their +0.0 terms leave the sums: the kinetic density is
+    u_c^2 / 2, and v_b_sq is None, so the representation's heat is theta."""
     coeffs = report.coeffs
     bounds = state.validate(grid, coeffs.b_sq)
     u = state.u
     u_pair = u[..., :-1] + u[..., 1:]
-    w_c = state.w[..., :-1, :] + state.w[..., 1:, :]
-    w_c *= 0.5
-    v_b_sq = state.v * coeffs.b_sq
     # (u_c^2 + |w_c|^2 + v|b|^2) / 2 with u_c = u_pair / 2, in one buffer
     kinetic = 0.5 * u_pair
     kinetic *= kinetic
-    kinetic += sq2(w_c)
-    kinetic += v_b_sq
+    v_b_sq = None
+    if report.transverse:
+        w_c = state.w[..., :-1, :] + state.w[..., 1:, :]
+        w_c *= 0.5
+        v_b_sq = state.v * coeffs.b_sq
+        kinetic += sq2(w_c)
+        kinetic += v_b_sq
     kinetic *= 0.5
     b_factor = v_pow = None
     if acc is not None:
@@ -375,9 +384,12 @@ def representation_update(acc: ReprAccumulator, state: GasState | StateBlock,
     # h = exp(-v_pow) * (theta + v|b|^2 / 2) / b_factor
     h = np.negative(terms.v_pow)
     np.exp(h, out=h)
-    heat = 0.5 * terms.v_b_sq
-    heat += state.theta
-    h *= heat
+    if terms.v_b_sq is None:  # no transverse field: the heat is theta
+        h *= state.theta
+    else:
+        heat = 0.5 * terms.v_b_sq
+        heat += state.theta
+        h *= heat
     h /= terms.b_factor
     h = h.reshape(len(sigma), -1)
     factor = np.empty_like(h)

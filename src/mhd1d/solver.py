@@ -25,12 +25,16 @@ state's StateCoeffs (mu(v), mu(v)/v, |b|^2 and the total pressure) to the
 next step and to the monitors. Every stage reads the attempt's BoundaryData,
 which decides the boundary regime and carries any manufactured-solution
 sources; an unforced regime's BoundaryData is built once and shared.
-Stages (c) and (d) are skipped, and w and b come out as +0.0 arrays, on a
-step whose state holds no nonzero w or b and whose BoundaryData has zero
-transverse end values and no sources (BoundaryData.transverse): the planar
-system then reduces to the compressible Navier-Stokes one. The skip is exact,
-as the stages' right-hand sides are sums and products of zeros, so each
-solves for +0.0 (a -0.0 in the state becomes +0.0 too).
+A step decides once whether it carries a transverse field: it does not when
+its state holds no nonzero w or b and its BoundaryData has zero transverse end
+values and no sources (BoundaryData.transverse), and the planar system then
+reduces to the compressible Navier-Stokes one. Such a step skips stages (c)
+and (d), and w and b come out as +0.0 arrays; it hands the decision to the
+dissipation, the new state's coefficients and the boundary report, which
+skip their transverse terms, and on the StepReport (transverse) to the
+monitors. The skips are exact: the stages' right-hand sides are sums and
+products of zeros, so each solves for +0.0 (a -0.0 in the state becomes +0.0
+too), and each skipped term is a +0.0 added to a value that is never -0.0.
 The symmetric, diagonally dominant solves of stages (a), (c) and (d) use
 LAPACK ptsv; the Newton Jacobian of stage (e) is not symmetric and uses gtsv.
 Both come from scipy's f2py extension scipy.linalg._flapack, loaded from its
@@ -153,13 +157,18 @@ class StateCoeffs:
     ptot: np.ndarray
 
 
-def state_coeffs(state: GasState, mu: np.ndarray, p: PhysicalParams
-                 ) -> StateCoeffs:
+def state_coeffs(state: GasState, mu: np.ndarray, p: PhysicalParams,
+                 transverse: bool = True) -> StateCoeffs:
     """The StateCoeffs of a state whose viscosity mu = viscosity_mu(state.v, p)
-    is already evaluated (a step evaluates it as soon as the new v exists)."""
-    b_sq = sq2(state.b)
+    is already evaluated (a step evaluates it as soon as the new v exists).
+    transverse=False, for a state with no transverse field, forms b_sq as
+    +0.0 without squaring b and leaves it out of the (positive) pressure."""
     ptot = pressure(state.v, state.theta, p)
-    ptot += 0.5 * b_sq
+    if transverse:
+        b_sq = sq2(state.b)
+        ptot += 0.5 * b_sq
+    else:
+        b_sq = np.zeros(state.v.shape)
     return StateCoeffs(mu=mu, mu_over_v=mu / state.v, b_sq=b_sq, ptot=ptot)
 
 
@@ -177,6 +186,12 @@ class StepReport:
     with the step's boundary data (a forced step's are the forcing's), so
     the monitors need not compute them again. initial_report gives the
     report of a zero-length step, for a state no step produced.
+
+    transverse is the step's one decision whether it carries a transverse
+    field. False means the new state's w and b are +0.0 and the boundary
+    data bring none: the step skipped stages (c) and (d) and the transverse
+    terms of dissipation, coeffs and the boundary fluxes, and the monitors
+    skip theirs.
     """
 
     dt_used: float
@@ -189,6 +204,7 @@ class StepReport:
     entropy_flux: float
     dissipation: np.ndarray = field(repr=False, compare=False)
     heat_flux: np.ndarray = field(repr=False, compare=False)
+    transverse: bool
 
 
 @dataclass(frozen=True)
@@ -511,21 +527,25 @@ def substep_induction(state: GasState, v_new: np.ndarray, dw: np.ndarray,
 
 def dissipation_source(v: np.ndarray, mu: np.ndarray, ux: np.ndarray,
                        wx: np.ndarray, b: np.ndarray, grid: Grid,
-                       p: PhysicalParams, bnd: BoundaryData) -> np.ndarray:
+                       p: PhysicalParams, bnd: BoundaryData,
+                       transverse: bool = True) -> np.ndarray:
     """Nonnegative viscous/resistive heating per cell,
     (mu(v)*u_x^2 + lam*|w_x|^2 + nu*|b_x|^2) / v, with mu = mu(v), the cell
     gradients ux = (u[1:] - u[:-1]) / dx and wx = (w[1:] - w[:-1]) / dx,
-    and |b_x|^2 averaged from the adjacent nodes."""
-    bx_sq = sq2(b_gradient(b, bnd, grid.dx))
+    and |b_x|^2 averaged from the adjacent nodes. transverse=False, for w,
+    b and bnd with no transverse field, reads neither wx nor b and gives
+    mu(v)*u_x^2 / v: the two terms it skips add +0.0 to mu(v)*u_x^2."""
     q = ux * ux
     q *= mu
-    term = sq2(wx)
-    term *= p.lam
-    q += term
-    term = bx_sq[:-1] + bx_sq[1:]
-    term *= 0.5
-    term *= p.nu
-    q += term
+    if transverse:
+        bx_sq = sq2(b_gradient(b, bnd, grid.dx))
+        term = sq2(wx)
+        term *= p.lam
+        q += term
+        term = bx_sq[:-1] + bx_sq[1:]
+        term *= 0.5
+        term *= p.nu
+        q += term
     q /= v
     return q
 
@@ -536,7 +556,9 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
                         dt: float, bnd: BoundaryData):
     """Stage (e): fully implicit temperature solve by Newton iteration;
     du and dw are the node differences of the new u and w, mu_new is
-    viscosity_mu of v_new.
+    viscosity_mu of v_new. dw is None on an attempt that carries no
+    transverse field (see step), whose dissipation then skips the transverse
+    terms.
 
     Solves c_v*theta_t + (R*theta/v)*u_x = (kappa(theta)*theta_x/v)_x + Q with
     the compression term implicit in theta and Q the stage dissipation. The
@@ -561,7 +583,9 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     """
     dx = grid.dx
     ux = du / dx
-    q = dissipation_source(v_new, mu_new, ux, dw / dx, b_new, grid, p, bnd)
+    transverse = dw is not None
+    wx = dw / dx if transverse else None
+    q = dissipation_source(v_new, mu_new, ux, wx, b_new, grid, p, bnd, transverse)
     k_over_v = padded_k_over_v(v_new, p, bnd)
     base = ux * p.R
     base /= v_new
@@ -635,8 +659,8 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
 
 def boundary_report(new: GasState, du: np.ndarray, dw: np.ndarray, grid: Grid,
                     p: PhysicalParams, bnd: BoundaryData, dt: float,
-                    old: StateCoeffs, coeffs: StateCoeffs, h: np.ndarray
-                    ) -> tuple[float, float, float, float]:
+                    old: StateCoeffs, coeffs: StateCoeffs, h: np.ndarray,
+                    transverse: bool) -> tuple[float, float, float, float]:
     """Boundary flux totals (mass, momentum, total energy, entropy budget)
     added to the domain during this step.
 
@@ -645,13 +669,18 @@ def boundary_report(new: GasState, du: np.ndarray, dw: np.ndarray, grid: Grid,
     heat flux. Mass and momentum reproduce the telescoped sums of stages (b)
     and (a) exactly; the energy and entropy terms are second-order monitors.
     Each end's arithmetic runs on Python floats; its 2-vector dot products
-    stay numpy @, whose rounding can differ from x0*y0 + x1*y1.
+    stay numpy @, whose rounding can differ from x0*y0 + x1*y1. With
+    transverse False (the new state and bnd hold no transverse field, and dw
+    is not read) each transverse term is the Python 0.0 that the products
+    would give, in the same expressions.
     """
     dx = grid.dx
     u_new, w_new = new.u, new.w
     v_l, _, v_r, _ = end_nodes(new.v, bnd.v_gl, bnd.v_gr, bnd, dx)
     th_l, _, th_r, _ = end_nodes(new.theta, bnd.th_gl, bnd.th_gr, bnd, dx)
-    b_l, bx_l, b_r, bx_r = end_nodes(new.b, bnd.b_gl, bnd.b_gr, bnd, dx)
+    b_l = bx_l = b_r = bx_r = None
+    if transverse:
+        b_l, bx_l, b_r, bx_r = end_nodes(new.b, bnd.b_gl, bnd.b_gr, bnd, dx)
     if bnd.left_wall:
         # The wall node holds the wall's own b, and theta where it fixes one.
         b_l = bnd.b_gl
@@ -660,14 +689,17 @@ def boundary_report(new: GasState, du: np.ndarray, dw: np.ndarray, grid: Grid,
     def end(c, j, v_node, th_node, b_node, bx):
         """Stress, energy flux and entropy flux at node j of end cell c."""
         v_node, th_node, hj = float(v_node), float(th_node), float(h[j])
-        u, w = float(u_new[j]), w_new[j]
+        u = float(u_new[j])
         ux = float(du[c]) / dx
-        wx = dw[c] / dx
-        g_node = p.R * th_node / v_node + 0.5 * float(b_node @ b_node)
+        b_sq = wvisc = wb = bxb = 0.0
+        if transverse:
+            w, wx = w_new[j], dw[c] / dx
+            b_sq = float(b_node @ b_node)
+            wvisc = p.lam / float(new.v[c]) * float(w @ wx)
+            wb = float(w @ b_node)
+            bxb = float(b_node @ (p.nu / v_node * bx))
+        g_node = p.R * th_node / v_node + 0.5 * b_sq
         visc = float(coeffs.mu_over_v[c]) * u * ux
-        wvisc = p.lam / float(new.v[c]) * float(w @ wx)
-        wb = float(w @ b_node)
-        bxb = float(b_node @ (p.nu / v_node * bx))
         phi = u * g_node - wb - hj - visc - wvisc - bxb
         bf = ((1.0 - 1.0 / th_node) * hj + bxb + visc + wvisc - u * g_node
               + p.R * u + wb)
@@ -693,7 +725,9 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
 
     An attempt from a state with no transverse field under boundary data
     that brings none skips stages (c) and (d): its w and b are +0.0, as the
-    stages would return them.
+    stages would return them. That decision, made once per attempt, skips
+    the transverse terms of the dissipation (dw is None), of the new
+    coefficients and of the boundary fluxes, and is the report's transverse.
 
     Raises, when the attempt after retry_max halvings fails too or a halving
     takes dt below dt_min, PositivityFailure if that attempt produced
@@ -715,14 +749,15 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             if not v_new.min() > 0.0:  # NaN fails it, as v_new > 0.0 does
                 raise _Retry(PositivityFailure, "state stayed nonpositive")
             mu_new = viscosity_mu(v_new, p)
-            if quiet and not bnd.transverse:  # what stages (c) and (d) give
-                w_new = np.zeros(state.w.shape, order="F")
-                dw = np.zeros(state.b.shape, order="F")
-                b_new = np.zeros(state.b.shape, order="F")
-            else:
+            transverse = not quiet or bnd.transverse
+            if transverse:
                 w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
                 dw = w_new[1:] - w_new[:-1]
                 b_new = substep_induction(state, v_new, dw, grid, p, dt, bnd)
+            else:  # what stages (c) and (d) give
+                w_new = np.zeros(state.w.shape, order="F")
+                b_new = np.zeros(state.b.shape, order="F")
+                dw = None
             theta_new, iters, q, h = substep_temperature(
                 state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt, bnd)
         except _Retry as exc:
@@ -740,14 +775,14 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
 
     new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
                          t=t_new, step=state.step + 1)
-    new_coeffs = state_coeffs(new_state, mu_new, p)
+    new_coeffs = state_coeffs(new_state, mu_new, p, transverse)
     fluxes = boundary_report(new_state, du, dw, grid, p, bnd, dt, coeffs,
-                             new_coeffs, h)
+                             new_coeffs, h, transverse)
     report = StepReport(dt_used=dt, newton_iterations=iters, retries=retries,
                         coeffs=new_coeffs,
                         mass_flux=fluxes[0], momentum_flux=fluxes[1],
                         energy_flux=fluxes[2], entropy_flux=fluxes[3],
-                        dissipation=q, heat_flux=h)
+                        dissipation=q, heat_flux=h, transverse=transverse)
     return new_state, report
 
 
@@ -755,17 +790,22 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
                    bnd: BoundaryData) -> StepReport:
     """The StepReport of a zero-length step ending at state (dt 0, no Newton
     updates, retries or boundary fluxes), with the state's coefficients,
-    dissipation and heat flux under bnd; the state is validated first."""
+    dissipation and heat flux under bnd; the state is validated first. It
+    carries a transverse field when w or b has a nonzero entry (a -0.0 is
+    none) or bnd brings one."""
     state.validate(grid)
-    coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
+    transverse = bool(bnd.transverse or state.w.any() or state.b.any())
+    coeffs = state_coeffs(state, viscosity_mu(state.v, p), p, transverse)
     dx = grid.dx
     ux = (state.u[1:] - state.u[:-1]) / dx
-    wx = (state.w[1:] - state.w[:-1]) / dx
-    q = dissipation_source(state.v, coeffs.mu, ux, wx, state.b, grid, p, bnd)
+    wx = (state.w[1:] - state.w[:-1]) / dx if transverse else None
+    q = dissipation_source(state.v, coeffs.mu, ux, wx, state.b, grid, p, bnd,
+                           transverse)
     return StepReport(dt_used=0.0, newton_iterations=0, retries=0, coeffs=coeffs,
                       mass_flux=0.0, momentum_flux=0.0, energy_flux=0.0,
                       entropy_flux=0.0, dissipation=q,
-                      heat_flux=heat_flux(state.theta, state.v, dx, p, bnd))
+                      heat_flux=heat_flux(state.theta, state.v, dx, p, bnd),
+                      transverse=transverse)
 
 
 def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,

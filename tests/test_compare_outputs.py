@@ -183,8 +183,11 @@ def test_the_code_agrees_with_the_reference_trees(cfg, tmp_path, capsys,
                                                   compare_outputs):
     # the six magnetized trees were recorded from the version before the
     # stage solves moved to ptsv and the temperature Newton was rewritten,
-    # the two *_no_transverse trees from the version before a step with no
-    # transverse field skipped the transverse and induction stages
+    # the cauchy and insulated-wall *_no_transverse trees from the version
+    # before a step with no transverse field skipped the transverse and
+    # induction stages, and the isothermal-wall one from the version before
+    # such a step skipped the transverse terms of its dissipation,
+    # coefficients, boundary report and records
     record_run(compare_outputs, cfg, tmp_path / "tree", capsys)
     verdict = compare_outputs.compare_trees(REFERENCES / cfg.stem,
                                             tmp_path / "tree")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_REGIMES, coeffs_of, reference_state, smooth_bump
+from mhd1d import diagnostics
 from mhd1d.constitutive import effective_stress, pressure, viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
@@ -39,8 +40,10 @@ from mhd1d.diagnostics import (
 from mhd1d.solver import (
     StepControl,
     boundary_data,
+    dissipation_source,
     initial_report,
     run_until,
+    state_coeffs,
     step,
 )
 
@@ -678,6 +681,41 @@ class TestRecordBlocks:
         for size in (1, 2, k, None):
             assert collector_outcome(*in_blocks(grid, p, bc, state0, pairs, size)) \
                 == want, size
+
+    def test_a_block_of_mixed_transverse_flags_matches_one_at_a_time(
+            self, monkeypatch):
+        # a run with no transverse field, every third report forced onto the
+        # full path with its full-path arrays: a block holding one records
+        # every state on the full path, one at a time only those reports do
+        grid, p = Grid.uniform(32, 16.0, -8.0), PhysicalParams.normalized(1.0, 1.0)
+        quiet = replace(smooth_bump(), amp_b=(0.0, 0.0), amp_w=(0.0, 0.0))
+        state0, pairs = trajectory(grid, p, CAUCHY, quiet, 1.01, StepControl(dt_max=0.02))
+        assert not any(r.transverse for _, r in pairs)
+        bnd, dx = boundary_data(grid, CAUCHY, 0.0), grid.dx
+        mixed = []
+        for k, (s, r) in enumerate(pairs):
+            if k % 3 == 1:
+                mu = r.coeffs.mu
+                q = dissipation_source(s.v, mu, (s.u[1:] - s.u[:-1]) / dx,
+                                       (s.w[1:] - s.w[:-1]) / dx, s.b, grid, p, bnd)
+                r = replace(r, coeffs=state_coeffs(s, mu, p), dissipation=q,
+                            transverse=True)
+            mixed.append((s, r))
+        squares = []
+        sq2_of = diagnostics.sq2
+        monkeypatch.setattr(diagnostics, "sq2",
+                            lambda x: squares.append(x.shape) or sq2_of(x))
+        want = collector_outcome(*per_step(grid, p, CAUCHY, state0, mixed))
+        assert len(squares) == sum(r.transverse for _, r in mixed)
+        assert collector_outcome(*per_step(grid, p, CAUCHY, state0, pairs)) == want
+        for size in (2, 3, None):
+            squares.clear()
+            assert collector_outcome(*in_blocks(grid, p, CAUCHY, state0, mixed,
+                                                size)) == want, size
+            chunks = [mixed[at:at + (size or len(mixed))]
+                      for at in range(0, len(mixed), size or len(mixed))]
+            assert len(squares) == sum(any(r.transverse for _, r in chunk)
+                                       for chunk in chunks), size
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_representation_blocks_past_the_float_range_of_exp(self, alpha):

@@ -4,15 +4,18 @@ GasState holds b and w column-major (Fortran order), the layout in which
 LAPACK ptsv takes and returns the stage solves' two-column right-hand sides.
 Every way of making a state must keep it, a block of records must keep each
 record's components contiguous, and the stages must hand ptsv column-major
-right-hand sides, or each step pays for transposing copies again.
+right-hand sides, or each step pays for transposing copies again. A step
+with no transverse field makes none of those arrays and does no transverse
+arithmetic, and gives the bits of the path that does.
 """
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import ALL_REGIMES, coeffs_of, smooth_bump
-from mhd1d import solver
+from mhd1d import diagnostics, solver
 from mhd1d.core import (
     ConstantProfile,
     FileProfile,
@@ -22,8 +25,9 @@ from mhd1d.core import (
     StateBlock,
     make_initial_state,
 )
+from mhd1d.diagnostics import DiagnosticsCollector
 from mhd1d.snapshots import emit_snapshot, load_snapshot
-from mhd1d.solver import StepControl, step
+from mhd1d.solver import StateCoeffs, StepControl, step
 from mhd1d.verification import MmsForcing, MmsSolution, explicit_reference
 
 CAUCHY = ALL_REGIMES[0]
@@ -169,3 +173,84 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
         assert arr.shape == staged.shape
         assert arr.tobytes(order="A") == staged.tobytes(order="A"), name
         assert staged.flags.f_contiguous, name
+
+    # the decision skipped the transverse terms of the dissipation, the
+    # coefficients and the boundary fluxes: each gives the bits of its full
+    # path, forced by transverse=True on the same inputs
+    assert report.transverse is False
+    mu, dx = report.coeffs.mu, grid.dx
+    du, dw = new.u[1:] - new.u[:-1], new.w[1:] - new.w[:-1]
+    full_q = solver.dissipation_source(new.v, mu, du / dx, dw / dx, new.b,
+                                      grid, P, bnd, True)
+    full_c = solver.state_coeffs(new, mu, P, True)
+    full_fluxes = solver.boundary_report(new, du, dw, grid, P, bnd, dt,
+                                         coeffs_of(state, P), full_c,
+                                         report.heat_flux, True)
+    fluxes = (report.mass_flux, report.momentum_flux, report.energy_flux,
+              report.entropy_flux)
+    assert bits(*fluxes) == bits(*full_fluxes)
+    assert_same_arrays(report, replace(report, coeffs=full_c,
+                                       dissipation=full_q))
+
+    # the t = 0 report of the state, whose w and b may hold -0.0, decides
+    # the same; each record, forced onto the full path, keeps its bits
+    first = solver.initial_report(state, grid, P, bnd)
+    assert first.transverse is False
+    mu = first.coeffs.mu
+    ux, wx = (state.u[1:] - state.u[:-1]) / dx, (state.w[1:] - state.w[:-1]) / dx
+    first_full = replace(
+        first, coeffs=solver.state_coeffs(state, mu, P, True),
+        dissipation=solver.dissipation_source(state.v, mu, ux, wx, state.b,
+                                              grid, P, bnd, True))
+    assert_same_arrays(first, first_full)
+    lines = []
+    for reports in ((first, report),
+                    (replace(first_full, transverse=True),
+                     replace(report, coeffs=full_c, dissipation=full_q,
+                             transverse=True))):
+        collector = DiagnosticsCollector(grid, P, bc, state)
+        lines.append([json.dumps(collector.make_record(s, r).to_json_dict())
+                      for s, r in zip((state, new), reports)])
+    assert lines[0] == lines[1]
+
+
+def bits(*values):
+    """The bytes of each float or array, so that -0.0 differs from +0.0."""
+    return [np.asarray(x, dtype=float).tobytes() for x in values]
+
+
+def assert_same_arrays(report, other):
+    """The report's coefficients and dissipation, bit for bit."""
+    for f in fields(StateCoeffs):
+        assert bits(getattr(report.coeffs, f.name)) == \
+            bits(getattr(other.coeffs, f.name)), f.name
+    assert bits(report.dissipation) == bits(other.dissipation)
+
+
+@pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
+def test_a_quiet_step_and_its_records_do_no_transverse_arithmetic(bc, monkeypatch):
+    wall = bc.has_left_wall
+    grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
+    calls = []
+
+    def spy(owner, name):
+        orig, seen = getattr(owner, name), f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name,
+                            lambda *args: calls.append(seen) or orig(*args))
+
+    magnetized = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
+    for state, transverse in ((quiet_state(grid, bc), False), (magnetized, True)):
+        coeffs = coeffs_of(state, P)
+        collector = DiagnosticsCollector(grid, P, bc, state)
+        for owner, name in ((solver, "b_gradient"), (solver, "sq2"),
+                            (diagnostics, "sq2")):
+            spy(owner, name)
+        new, report = step(state, grid, P, bc, StepControl(), coeffs)
+        collector.make_record(state)
+        collector.make_record(new, report)
+        monkeypatch.undo()
+        # the magnetized step shows that the spies see each call
+        assert sorted(set(calls)) == (["mhd1d.diagnostics.sq2", "mhd1d.solver.b_gradient",
+                                       "mhd1d.solver.sq2"] if transverse else [])
+        assert report.transverse is transverse
+        calls.clear()
