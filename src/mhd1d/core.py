@@ -208,12 +208,8 @@ class StateBlock:
 
     @classmethod
     def of(cls, states: Sequence[GasState]) -> "StateBlock":
-        """The states stacked in order, their t and step read now; a single
-        state is viewed."""
-        if len(states) == 1:
-            (s,) = states
-            return cls(s.v[None], s.theta[None], s.b[None], s.u[None],
-                       s.w[None], (s.t,), (s.step,))
+        """The states stacked in order (stack_rows: a single state is
+        viewed), their t and step read now."""
         return cls(*(stack_rows([getattr(s, name) for s in states])
                      for name in ("v", "theta", "b", "u", "w")),
                    t=tuple(s.t for s in states),

@@ -90,10 +90,10 @@ class RecordTerms:
 @dataclass(frozen=True)
 class ReportArrays:
     """The arrays that the StepReports of a StateBlock's records hand the
-    monitors, stacked like the block: coeffs (StateCoeffs of (K, M) arrays),
-    heat_flux and dissipation, and transverse, True when any report carries
-    a transverse field. record_terms reads it as it reads the StepReport of
-    one state."""
+    monitors, stacked like the block (stack_rows, which views a single
+    report's arrays): coeffs (StateCoeffs of (K, M) arrays), heat_flux and
+    dissipation, and transverse, True when any report carries a transverse
+    field. record_terms reads it as it reads the StepReport of one state."""
 
     coeffs: StateCoeffs
     heat_flux: np.ndarray
@@ -102,12 +102,6 @@ class ReportArrays:
 
     @classmethod
     def of(cls, reports: Sequence[StepReport]) -> "ReportArrays":
-        if len(reports) == 1:  # viewed, as StateBlock.of views one state
-            (r,) = reports
-            c = r.coeffs
-            return cls(StateCoeffs(c.mu[None], c.mu_over_v[None], c.b_sq[None],
-                                   c.ptot[None]),
-                       r.heat_flux[None], r.dissipation[None], r.transverse)
         coeffs = StateCoeffs(*(stack_rows([getattr(r.coeffs, f.name) for r in reports])
                                for f in fields(StateCoeffs)))
         return cls(coeffs, stack_rows([r.heat_flux for r in reports]),

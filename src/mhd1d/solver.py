@@ -25,16 +25,19 @@ state's StateCoeffs (mu(v), mu(v)/v, |b|^2 and the total pressure) to the
 next step and to the monitors. Every stage reads the attempt's BoundaryData,
 which decides the boundary regime and carries any manufactured-solution
 sources; an unforced regime's BoundaryData is built once and shared.
-A step decides once whether it carries a transverse field: it does not when
-its state holds no nonzero w or b and its BoundaryData has zero transverse end
-values and no sources (BoundaryData.transverse), and the planar system then
-reduces to the compressible Navier-Stokes one. Such a step skips stages (c)
-and (d), and w and b come out as +0.0 arrays; it hands the decision to the
-dissipation, the new state's coefficients and the boundary report, which
-skip their transverse terms, and on the StepReport (transverse) to the
-monitors. The skips are exact: the stages' right-hand sides are sums and
-products of zeros, so each solves for +0.0 (a -0.0 in the state becomes +0.0
-too), and each skipped term is a +0.0 added to a value that is never -0.0.
+Each attempt decides once, by the rule initial_report uses too, whether it
+carries a transverse field: it does not when its BoundaryData brings none
+(BoundaryData.transverse: zero transverse end values and no sources) and
+its state holds no nonzero w or b, and the planar system then reduces to the
+compressible Navier-Stokes one. Such an attempt skips stages (c) and (d),
+and w and b come out as +0.0 arrays. Its dw is then None, and the
+dissipation and the boundary report, which read the decision from it, skip
+their transverse terms; the new state's coefficients skip theirs too
+(state_coeffs' transverse), and the StepReport carries the decision
+(transverse) to the monitors. The skips are exact: the stages' right-hand
+sides are sums and products of zeros, so each solves for +0.0 (a -0.0 in the
+state becomes +0.0 too), and each skipped term is a +0.0 added to a value
+that is never -0.0.
 The symmetric, diagonally dominant solves of stages (a), (c) and (d) use
 LAPACK ptsv; the Newton Jacobian of stage (e) is not symmetric and uses gtsv.
 Both come from scipy's f2py extension scipy.linalg._flapack, loaded from its
@@ -187,11 +190,12 @@ class StepReport:
     the monitors need not compute them again. initial_report gives the
     report of a zero-length step, for a state no step produced.
 
-    transverse is the step's one decision whether it carries a transverse
-    field. False means the new state's w and b are +0.0 and the boundary
-    data bring none: the step skipped stages (c) and (d) and the transverse
-    terms of dissipation, coeffs and the boundary fluxes, and the monitors
-    skip theirs.
+    transverse is the accepted attempt's one decision whether it carries a
+    transverse field, by the rule step and initial_report share. False means
+    the new state's w and b are +0.0 and the boundary data bring none: the
+    step skipped stages (c) and (d), the transverse terms of coeffs, and
+    those of the dissipation and the boundary fluxes (its dw was None), and
+    the monitors skip theirs.
     """
 
     dt_used: float
@@ -526,18 +530,17 @@ def substep_induction(state: GasState, v_new: np.ndarray, dw: np.ndarray,
 
 
 def dissipation_source(v: np.ndarray, mu: np.ndarray, ux: np.ndarray,
-                       wx: np.ndarray, b: np.ndarray, grid: Grid,
-                       p: PhysicalParams, bnd: BoundaryData,
-                       transverse: bool = True) -> np.ndarray:
+                       wx: Optional[np.ndarray], b: np.ndarray, grid: Grid,
+                       p: PhysicalParams, bnd: BoundaryData) -> np.ndarray:
     """Nonnegative viscous/resistive heating per cell,
     (mu(v)*u_x^2 + lam*|w_x|^2 + nu*|b_x|^2) / v, with mu = mu(v), the cell
     gradients ux = (u[1:] - u[:-1]) / dx and wx = (w[1:] - w[:-1]) / dx,
-    and |b_x|^2 averaged from the adjacent nodes. transverse=False, for w,
-    b and bnd with no transverse field, reads neither wx nor b and gives
-    mu(v)*u_x^2 / v: the two terms it skips add +0.0 to mu(v)*u_x^2."""
+    and |b_x|^2 averaged from the adjacent nodes. wx None, for w, b and bnd
+    with no transverse field, reads no b and gives mu(v)*u_x^2 / v: the two
+    terms it skips add +0.0 to mu(v)*u_x^2."""
     q = ux * ux
     q *= mu
-    if transverse:
+    if wx is not None:
         bx_sq = sq2(b_gradient(b, bnd, grid.dx))
         term = sq2(wx)
         term *= p.lam
@@ -583,9 +586,8 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     """
     dx = grid.dx
     ux = du / dx
-    transverse = dw is not None
-    wx = dw / dx if transverse else None
-    q = dissipation_source(v_new, mu_new, ux, wx, b_new, grid, p, bnd, transverse)
+    wx = None if dw is None else dw / dx
+    q = dissipation_source(v_new, mu_new, ux, wx, b_new, grid, p, bnd)
     k_over_v = padded_k_over_v(v_new, p, bnd)
     base = ux * p.R
     base /= v_new
@@ -657,10 +659,10 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     return theta, it, q, h
 
 
-def boundary_report(new: GasState, du: np.ndarray, dw: np.ndarray, grid: Grid,
-                    p: PhysicalParams, bnd: BoundaryData, dt: float,
-                    old: StateCoeffs, coeffs: StateCoeffs, h: np.ndarray,
-                    transverse: bool) -> tuple[float, float, float, float]:
+def boundary_report(new: GasState, du: np.ndarray, dw: Optional[np.ndarray],
+                    grid: Grid, p: PhysicalParams, bnd: BoundaryData, dt: float,
+                    old: StateCoeffs, coeffs: StateCoeffs, h: np.ndarray
+                    ) -> tuple[float, float, float, float]:
     """Boundary flux totals (mass, momentum, total energy, entropy budget)
     added to the domain during this step.
 
@@ -669,17 +671,17 @@ def boundary_report(new: GasState, du: np.ndarray, dw: np.ndarray, grid: Grid,
     heat flux. Mass and momentum reproduce the telescoped sums of stages (b)
     and (a) exactly; the energy and entropy terms are second-order monitors.
     Each end's arithmetic runs on Python floats; its 2-vector dot products
-    stay numpy @, whose rounding can differ from x0*y0 + x1*y1. With
-    transverse False (the new state and bnd hold no transverse field, and dw
-    is not read) each transverse term is the Python 0.0 that the products
-    would give, in the same expressions.
+    stay numpy @, whose rounding can differ from x0*y0 + x1*y1. With dw
+    None (the new state and bnd hold no transverse field) each transverse
+    term is the Python 0.0 that the products would give, in the same
+    expressions.
     """
     dx = grid.dx
     u_new, w_new = new.u, new.w
     v_l, _, v_r, _ = end_nodes(new.v, bnd.v_gl, bnd.v_gr, bnd, dx)
     th_l, _, th_r, _ = end_nodes(new.theta, bnd.th_gl, bnd.th_gr, bnd, dx)
     b_l = bx_l = b_r = bx_r = None
-    if transverse:
+    if dw is not None:
         b_l, bx_l, b_r, bx_r = end_nodes(new.b, bnd.b_gl, bnd.b_gr, bnd, dx)
     if bnd.left_wall:
         # The wall node holds the wall's own b, and theta where it fixes one.
@@ -692,7 +694,7 @@ def boundary_report(new: GasState, du: np.ndarray, dw: np.ndarray, grid: Grid,
         u = float(u_new[j])
         ux = float(du[c]) / dx
         b_sq = wvisc = wb = bxb = 0.0
-        if transverse:
+        if dw is not None:
             w, wx = w_new[j], dw[c] / dx
             b_sq = float(b_node @ b_node)
             wvisc = p.lam / float(new.v[c]) * float(w @ wx)
@@ -723,11 +725,13 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     nonpositive v, or whose temperature solve fails, is discarded and retried
     at half the step; the temperature solve keeps theta positive itself.
 
-    An attempt from a state with no transverse field under boundary data
-    that brings none skips stages (c) and (d): its w and b are +0.0, as the
-    stages would return them. That decision, made once per attempt, skips
-    the transverse terms of the dissipation (dw is None), of the new
-    coefficients and of the boundary fluxes, and is the report's transverse.
+    An attempt under boundary data that brings no transverse field, from a
+    state that holds none, skips stages (c) and (d): its w and b are +0.0,
+    as the stages would return them. The decision, made once per attempt
+    (forced data decide it without scanning w and b), passes dw None to the
+    dissipation and the boundary fluxes, which then skip their transverse
+    terms, skips those of the new coefficients, and is the report's
+    transverse.
 
     Raises, when the attempt after retry_max halvings fails too or a halving
     takes dt below dt_min, PositivityFailure if that attempt produced
@@ -737,7 +741,6 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     retries = 0
-    quiet = not (state.w.any() or state.b.any())
 
     while True:
         t_new = state.t + dt
@@ -749,7 +752,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             if not v_new.min() > 0.0:  # NaN fails it, as v_new > 0.0 does
                 raise _Retry(PositivityFailure, "state stayed nonpositive")
             mu_new = viscosity_mu(v_new, p)
-            transverse = not quiet or bnd.transverse
+            transverse = bool(bnd.transverse or state.w.any() or state.b.any())
             if transverse:
                 w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
                 dw = w_new[1:] - w_new[:-1]
@@ -777,7 +780,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
                          t=t_new, step=state.step + 1)
     new_coeffs = state_coeffs(new_state, mu_new, p, transverse)
     fluxes = boundary_report(new_state, du, dw, grid, p, bnd, dt, coeffs,
-                             new_coeffs, h, transverse)
+                             new_coeffs, h)
     report = StepReport(dt_used=dt, newton_iterations=iters, retries=retries,
                         coeffs=new_coeffs,
                         mass_flux=fluxes[0], momentum_flux=fluxes[1],
@@ -799,8 +802,7 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
     dx = grid.dx
     ux = (state.u[1:] - state.u[:-1]) / dx
     wx = (state.w[1:] - state.w[:-1]) / dx if transverse else None
-    q = dissipation_source(state.v, coeffs.mu, ux, wx, state.b, grid, p, bnd,
-                           transverse)
+    q = dissipation_source(state.v, coeffs.mu, ux, wx, state.b, grid, p, bnd)
     return StepReport(dt_used=0.0, newton_iterations=0, retries=0, coeffs=coeffs,
                       mass_flux=0.0, momentum_flux=0.0, energy_flux=0.0,
                       entropy_flux=0.0, dissipation=q,

@@ -328,15 +328,14 @@ def _order(steps, errors) -> float | None:
 
 
 def mms_convergence(sol: MmsSolution, p: PhysicalParams, cells_list,
-                    t_end: float, dt_coarsest: float, mass: float = 1.0,
-                    left_edge: float = 0.0) -> dict:
+                    t_end: float, dt_coarsest: float) -> dict:
     """Spatial refinement study: run the solver on each grid with dt scaled
     as dx^2 and report L2 errors against the closed forms plus least-squares
     orders per field."""
     errors = {f: [] for f in FIELDS}
     dxs = []
     for cells in cells_list:
-        grid = Grid.uniform(cells, mass, left_edge)
+        grid = Grid.uniform(cells, 1.0)
         dt = dt_coarsest * (cells_list[0] / cells) ** 2
         state = _forced_run(sol, p, grid, t_end, dt)
         exact = sol.state(grid, t_end)
@@ -349,12 +348,11 @@ def mms_convergence(sol: MmsSolution, p: PhysicalParams, cells_list,
 
 
 def temporal_convergence(sol: MmsSolution, p: PhysicalParams, cells: int,
-                         dts, t_end: float, mass: float = 1.0,
-                         left_edge: float = 0.0) -> dict:
+                         dts, t_end: float) -> dict:
     """Step refinement study on a fixed grid. Successive differences of the
     final states isolate the time-integration order from the (common)
     spatial error; the order is None when every difference is below 1e-13."""
-    grid = Grid.uniform(cells, mass, left_edge)
+    grid = Grid.uniform(cells, 1.0)
     finals = [_forced_run(sol, p, grid, t_end, dt) for dt in dts]
     diffs = [max(_field_diffs(s1, s2).values())
              for s1, s2 in zip(finals[:-1], finals[1:])]
@@ -434,7 +432,8 @@ def numerical_source_check(sol: MmsSolution, p: PhysicalParams,
 
 def standard_studies() -> list[dict]:
     """The verification suite behind `mhd1d verify`: source self-check, MMS
-    spatial and temporal orders, and oracle agreement for alpha in {0, 1}."""
+    spatial and temporal orders for beta in {1, 0.5, 10}, and oracle
+    agreement for alpha in {0, 1}."""
     sol = MmsSolution(amp_v=0.15, amp_u=0.2, amp_theta=0.12,
                       amp_w=(0.15, -0.1), amp_b=(0.12, 0.08))
     p_norm = PhysicalParams.normalized(alpha=1.0, beta=1.0)
@@ -445,19 +444,22 @@ def standard_studies() -> list[dict]:
                     "tolerance": 1e-6,
                     "pass": max(src.values()) <= 1e-6})
 
-    spatial = mms_convergence(sol, p_norm, [64, 128, 256], t_end=0.1,
-                              dt_coarsest=2e-3)
-    orders = spatial["orders"]
-    studies.append({"study": "mms_spatial_order", "orders": orders,
-                    "threshold": 1.9,
-                    "pass": all(o is None or o >= 1.9 for o in orders.values())})
+    for beta in (1.0, 0.5, 10.0):
+        p_beta = PhysicalParams.normalized(alpha=1.0, beta=beta)
+        name = "" if beta == 1.0 else f"_beta{beta:g}"
+        spatial = mms_convergence(sol, p_beta, [64, 128, 256], t_end=0.1,
+                                  dt_coarsest=2e-3)
+        orders = spatial["orders"]
+        studies.append({"study": f"mms_spatial_order{name}", "orders": orders,
+                        "threshold": 1.9,
+                        "pass": all(o is None or o >= 1.9 for o in orders.values())})
 
-    # step sizes that divide t_end exactly, so no run ends on a shortened step
-    temporal = temporal_convergence(sol, p_norm, cells=64,
-                                    dts=[2e-3, 1e-3, 5e-4, 2.5e-4], t_end=0.1)
-    order = temporal["order"]
-    studies.append({"study": "mms_temporal_order", "order": order,
-                    "threshold": 0.9, "pass": order is None or order >= 0.9})
+        # step sizes that divide t_end exactly, so no run ends on a shortened step
+        temporal = temporal_convergence(sol, p_beta, cells=64,
+                                        dts=[2e-3, 1e-3, 5e-4, 2.5e-4], t_end=0.1)
+        order = temporal["order"]
+        studies.append({"study": f"mms_temporal_order{name}", "order": order,
+                        "threshold": 0.9, "pass": order is None or order >= 0.9})
 
     for alpha in (0.0, 1.0):
         p_a = PhysicalParams.normalized(alpha=alpha, beta=1.0)

@@ -187,7 +187,11 @@ def test_the_code_agrees_with_the_reference_trees(cfg, tmp_path, capsys,
     # before a step with no transverse field skipped the transverse and
     # induction stages, and the isothermal-wall one from the version before
     # such a step skipped the transverse terms of its dissipation,
-    # coefficients, boundary report and records
+    # coefficients, boundary report and records. The two *_retries trees,
+    # whose steps damp the temperature Newton, fall back to Picard and
+    # retry at half the dt, were recorded from the version before the
+    # single-record stacking branches and the dissipation's and boundary
+    # report's transverse parameter were deleted
     record_run(compare_outputs, cfg, tmp_path / "tree", capsys)
     verdict = compare_outputs.compare_trees(REFERENCES / cfg.stem,
                                             tmp_path / "tree")

@@ -176,16 +176,17 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
 
     # the decision skipped the transverse terms of the dissipation, the
     # coefficients and the boundary fluxes: each gives the bits of its full
-    # path, forced by transverse=True on the same inputs
+    # path, forced by transverse=True or the differences of w on the same
+    # inputs
     assert report.transverse is False
     mu, dx = report.coeffs.mu, grid.dx
     du, dw = new.u[1:] - new.u[:-1], new.w[1:] - new.w[:-1]
     full_q = solver.dissipation_source(new.v, mu, du / dx, dw / dx, new.b,
-                                      grid, P, bnd, True)
+                                      grid, P, bnd)
     full_c = solver.state_coeffs(new, mu, P, True)
     full_fluxes = solver.boundary_report(new, du, dw, grid, P, bnd, dt,
                                          coeffs_of(state, P), full_c,
-                                         report.heat_flux, True)
+                                         report.heat_flux)
     fluxes = (report.mass_flux, report.momentum_flux, report.energy_flux,
               report.entropy_flux)
     assert bits(*fluxes) == bits(*full_fluxes)
@@ -201,7 +202,7 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
     first_full = replace(
         first, coeffs=solver.state_coeffs(state, mu, P, True),
         dissipation=solver.dissipation_source(state.v, mu, ux, wx, state.b,
-                                              grid, P, bnd, True))
+                                              grid, P, bnd))
     assert_same_arrays(first, first_full)
     lines = []
     for reports in ((first, report),

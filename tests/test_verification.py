@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_state
+from mhd1d import verification
 from mhd1d.core import (
     BoundaryCondition,
     GaussianBump,
@@ -248,6 +249,38 @@ class TestConvergenceStudies:
         res = temporal_convergence(sol, p, cells=32,
                                    dts=[2e-3, 1e-3, 5e-4], t_end=0.05)
         assert res["order"] >= 0.9
+
+    def test_verify_runs_both_mms_studies_at_beta_1_0_5_and_10(self,
+                                                              monkeypatch):
+        # the studies are stubbed, so this reads only which ones verify
+        # runs, at which beta and under which name and threshold; the
+        # verify CLI test runs them for real
+        calls = []
+
+        def spatial(sol, p, *args, **kwargs):
+            calls.append(("spatial", p.beta))
+            return {"orders": {"v": 2.0}}
+
+        def temporal(sol, p, **kwargs):
+            calls.append(("temporal", p.beta))
+            return {"order": 1.0}
+
+        monkeypatch.setattr(verification, "mms_convergence", spatial)
+        monkeypatch.setattr(verification, "temporal_convergence", temporal)
+        monkeypatch.setattr(verification, "numerical_source_check",
+                            lambda sol, p: {"v": 0.0})
+        monkeypatch.setattr(verification, "oracle_comparison",
+                            lambda *args, **kwargs: {"v": 0.0})
+        studies = verification.standard_studies()
+        assert calls == [(kind, beta) for beta in (1.0, 0.5, 10.0)
+                         for kind in ("spatial", "temporal")]
+        mms = [(s["study"], s["threshold"]) for s in studies[1:7]]
+        assert mms == [("mms_spatial_order", 1.9), ("mms_temporal_order", 0.9),
+                       ("mms_spatial_order_beta0.5", 1.9),
+                       ("mms_temporal_order_beta0.5", 0.9),
+                       ("mms_spatial_order_beta10", 1.9),
+                       ("mms_temporal_order_beta10", 0.9)]
+        assert all(s["pass"] for s in studies)
 
 
 class TestForcingAdapter:
