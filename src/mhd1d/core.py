@@ -236,14 +236,17 @@ class FieldBounds(NamedTuple):
 
 def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
     """Equal-shape arrays of one or two axes stacked along a new leading axis
-    (a single array is viewed, x[None]). Transposed rows are concatenated and
-    viewed back, so a column-major row (b, w) keeps its components contiguous."""
+    (a single array is viewed, x[None]). 1-D rows are concatenated and
+    reshaped; 2-D rows are concatenated transposed and viewed back, so a
+    column-major row (b, w) keeps its components contiguous."""
     if len(rows) == 1:
         return rows[0][None]
     shape = rows[0].shape
     if any(r.shape != shape for r in rows):
         raise ValueError(f"cannot stack arrays of shapes {[r.shape for r in rows]}")
     # np.concatenate costs a third of np.stack's call overhead
+    if len(shape) == 1:
+        return np.concatenate(rows).reshape(len(rows), shape[0])
     return np.concatenate([r.T for r in rows]).reshape(
         (len(rows),) + shape[::-1]).swapaxes(1, -1)
 

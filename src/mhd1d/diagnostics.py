@@ -19,6 +19,7 @@ the running sums and the representation accumulator advance record by record.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Sequence
@@ -56,8 +57,11 @@ THETA_HOT = 2.0
 
 # cell rows of a record block: the collector records max(1, BLOCK_CELLS //
 # cells) accepted steps at once, which spreads the per-call cost of a small
-# grid over many records and keeps a block of a large grid at one state
-BLOCK_CELLS = 4096
+# grid over many records (48 at 256 cells, 24 at 512) and keeps a block of a
+# large grid at one state (above 6144 cells). Per record, a block of 48 at
+# 256 cells costs about a fifth of a block of one, and longer blocks save a
+# few percent more; at 8192 cells a block of two is slower than one
+BLOCK_CELLS = 12288
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,11 @@ class RecordTerms:
     the FieldBounds that validating the state read. v_b_sq is v|b|^2, or
     None when the report carries no transverse field, and kinetic the
     kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and w averaged
-    from the adjacent nodes. With a representation accumulator,
-    b_factor is init_factor * exp(integral of u from the anchor - its
-    initial value) and v_pow is v**(-alpha); both are None without one.
-    The terms of a StateBlock carry its leading record axis on every array.
+    from the adjacent nodes. With a representation accumulator, v_per_factor
+    is exp(integral of u from the anchor + acc.log_constant + v**(-alpha)),
+    the volume that the representation formula reconstructs per unit of the
+    accumulator's factor; None without one. The terms of a StateBlock carry
+    its leading record axis on every array.
     """
 
     bnd: BoundaryData
@@ -83,8 +88,7 @@ class RecordTerms:
     bounds: FieldBounds
     v_b_sq: Optional[np.ndarray]
     kinetic: np.ndarray
-    b_factor: Optional[np.ndarray]
-    v_pow: Optional[np.ndarray]
+    v_per_factor: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,7 @@ def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
     The report's |b|^2, which its step formed from the same b, decides b's
     finiteness in the validation. The node-pair sum u[..., :-1] + u[..., 1:]
     and v|b|^2 are formed once, for the kinetic energy and the
-    representation factors alike. A report that carries no transverse field
+    representation terms alike. A report that carries no transverse field
     (report.transverse False, in every record of a block) leaves w and b
     out, as their +0.0 terms leave the sums: the kinetic density is
     u_c^2 / 2, and v_b_sq is None, so the representation's heat is theta."""
@@ -139,15 +143,14 @@ def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
         kinetic += sq2(w_c)
         kinetic += v_b_sq
     kinetic *= 0.5
-    b_factor = v_pow = None
-    if acc is not None:
-        b_factor = _integral_to_centers(u, u_pair, grid, acc.anchor)
-        b_factor -= acc.u0_integral
-        np.exp(b_factor, out=b_factor)
-        b_factor *= acc.init_factor
-        v_pow = state.v ** (-p.alpha)
+    v_per_factor = None
+    if acc is not None:  # summed in log space: one exp, in the float range
+        v_per_factor = _integral_to_centers(u, u_pair, grid, acc.anchor)
+        v_per_factor += acc.log_constant
+        v_per_factor += state.v ** (-p.alpha)
+        np.exp(v_per_factor, out=v_per_factor)
     return RecordTerms(bnd, report.heat_flux, report.dissipation, coeffs,
-                       bounds, v_b_sq, kinetic, b_factor, v_pow)
+                       bounds, v_b_sq, kinetic, v_per_factor)
 
 
 def energy_entropy(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
@@ -297,17 +300,17 @@ class ReprAccumulator:
     per-cell reconstruction factor Y * (1 + H), one at t = 0: Y = exp(S) is
     the stress-history factor, S the time integral of the effective stress
     at the anchor, and H the per-cell temperature/magnetic history integral.
-    The factor approximates v * exp(-v**(-alpha)) / b_factor, so it stays of
+    The factor approximates v / RecordTerms.v_per_factor, so it stays of
     order one while v stays bounded above and below, even where exp(S) alone
-    leaves the float range. init_factor stores v0 * exp(-v0**(-alpha)) and
-    u0_integral the initial velocity integral from the anchor to each cell
-    center.
+    leaves the float range. log_constant stores the initial data's part of
+    log v_per_factor, log v0 - v0**(-alpha) - the initial velocity integral
+    from the anchor to each cell center: kept as a logarithm, it stays
+    finite where v0 * exp(-v0**(-alpha)) underflows (v0**(-alpha) > 745).
     """
 
     anchor: int
     factor: np.ndarray
-    init_factor: np.ndarray
-    u0_integral: np.ndarray
+    log_constant: np.ndarray
 
     @classmethod
     def start(cls, state0: GasState, grid: Grid, p: PhysicalParams,
@@ -317,11 +320,12 @@ class ReprAccumulator:
             anchor = default_anchor(grid)
         if not 0 < anchor < grid.cells:
             raise ValueError(f"anchor node {anchor} must be interior")
-        init_factor = state0.v * np.exp(-state0.v ** (-p.alpha))
         u0 = state0.u
-        u0_int = _integral_to_centers(u0, u0[:-1] + u0[1:], grid, anchor)
+        log_constant = np.log(state0.v)
+        log_constant -= state0.v ** (-p.alpha)
+        log_constant -= _integral_to_centers(u0, u0[:-1] + u0[1:], grid, anchor)
         return cls(anchor=anchor, factor=np.ones(grid.cells),
-                   init_factor=init_factor, u0_integral=u0_int)
+                   log_constant=log_constant)
 
 
 def default_anchor(grid: Grid) -> int:
@@ -375,16 +379,13 @@ def representation_update(acc: ReprAccumulator, state: GasState | StateBlock,
     """
     _require_normalized(p)
     sigma = np.atleast_1d(effective_stress(state, grid, terms.coeffs, acc.anchor))
-    # h = exp(-v_pow) * (theta + v|b|^2 / 2) / b_factor
-    h = np.negative(terms.v_pow)
-    np.exp(h, out=h)
+    # h = (theta + v|b|^2 / 2) / v_per_factor
     if terms.v_b_sq is None:  # no transverse field: the heat is theta
-        h *= state.theta
+        h = state.theta / terms.v_per_factor
     else:
-        heat = 0.5 * terms.v_b_sq
-        heat += state.theta
-        h *= heat
-    h /= terms.b_factor
+        h = 0.5 * terms.v_b_sq
+        h += state.theta
+        h /= terms.v_per_factor
     h = h.reshape(len(sigma), -1)
     factor = np.empty_like(h)
     row = acc.factor
@@ -410,9 +411,8 @@ def representation_residual(factor: np.ndarray, state: GasState | StateBlock,
     produced it, or the factors that representation_update returned for it.
     terms are the record_terms of the state with that accumulator."""
     _require_normalized(p)
-    pred = np.exp(terms.v_pow)
-    pred *= terms.b_factor
-    pred = pred * factor  # factor may carry a record axis that a state lacks
+    # factor may carry a record axis that a state lacks
+    pred = terms.v_per_factor * factor
     np.subtract(state.v, pred, out=pred)
     np.abs(pred, out=pred)
     pred /= state.v
@@ -452,8 +452,10 @@ class DiagnosticsRecord:
     slab_theta_max: float
     repr_residual_max: Optional[float]
 
-    # the field names in order, set once below the class
+    # the field names in order, and the JSON line as one %-layout over
+    # them, each key written as json.dumps writes it; set once below the class
     names: ClassVar[tuple[str, ...]]
+    _line: ClassVar[str]
 
     def to_json_dict(self) -> dict:
         # NaN (e.g. slab extremes on a sub-unit domain) is not valid JSON
@@ -465,8 +467,30 @@ class DiagnosticsRecord:
             out[name] = value
         return out
 
+    def json_line(self) -> str:
+        """json.dumps(self.to_json_dict()) and a newline, filled into one
+        %-layout: %s writes an int or a float as json.dumps does, and only a
+        line whose values hold None, NaN or +-inf has them respelled."""
+        values = self.__dict__
+        line = self._line % values
+        try:  # a finite sum: no None, NaN or inf among the values
+            plain = math.isfinite(sum(values.values()))
+        except TypeError:
+            plain = False
+        if not plain:
+            for text, json_text in _NOT_JSON:
+                line = line.replace(text, json_text)
+        return line
+
 
 DiagnosticsRecord.names = tuple(f.name for f in fields(DiagnosticsRecord))
+DiagnosticsRecord._line = "{" + ", ".join(
+    f"{json.dumps(name)}: %({name})s" for name in DiagnosticsRecord.names) + "}\n"
+# what %s writes for None, NaN and +-inf, and what to_json_dict and
+# json.dumps write instead; ": " precedes only a value, so a finite value
+# is left as it is
+_NOT_JSON = ((": None", ": null"), (": nan", ": null"),
+             (": -inf", ": -Infinity"), (": inf", ": Infinity"))
 
 
 class DiagnosticsCollector:
@@ -594,8 +618,10 @@ class DiagnosticsCollector:
                                   - report.momentum_flux) / max(1.0, mom_scale[k])
             self._prev_mass = mass[k]
             self._prev_momentum = momentum[k]
-            if repr_max[k] is not None:
-                self.max_repr_residual = max(self.max_repr_residual, repr_max[k])
+            # max() would drop a NaN residual; it stays the run's maximum
+            if repr_max[k] is not None and (math.isnan(repr_max[k]) or
+                                            repr_max[k] > self.max_repr_residual):
+                self.max_repr_residual = repr_max[k]
             self.min_v_run = min(self.min_v_run, min_v[k])
             self.min_theta_run = min(self.min_theta_run, min_th[k])
             self.max_v_run = max(self.max_v_run, max_v[k])

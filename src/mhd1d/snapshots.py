@@ -8,7 +8,6 @@ trip is bit-exact.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +100,7 @@ def load_snapshot(path) -> tuple[GasState, Grid]:
 
 
 def emit_diagnostics(record, stream) -> None:
-    """Append one JSON object per record; keys follow the record's field
-    order so identical runs produce identical bytes."""
-    stream.write(json.dumps(record.to_json_dict()) + "\n")
+    """Append the record's JSON object as one line (record.json_line());
+    keys follow the record's field order so identical runs produce
+    identical bytes."""
+    stream.write(record.json_line())

@@ -1,10 +1,12 @@
 import importlib.util
+import io
 import json
 import math
 import platform
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +250,26 @@ class TestEmitDiagnostics:
         # identical key sets and ordering on every line
         assert [list(json.loads(l).keys()) for l in lines] \
             == [list(first.keys())] * 2
+
+    # what %s and json.dumps must write alike: ints and floats at the ends of
+    # the float range, a numpy float, and the values JSON spells otherwise
+    VALUES = [0, 7, -3, 0.0, -0.0, 0.1, 1e16, 1e-5, 5e-324, -5e-324, 1e308,
+              -1e308, np.float64(2.0 / 3.0), None, math.nan, math.inf,
+              -math.inf]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_the_line_is_json_dumps_of_the_record(self, value):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state = make_initial_state(grid, GaussianBump(amp_v=-0.3), CAUCHY)
+        rec = DiagnosticsCollector(grid, p, CAUCHY, state).make_record(state)
+        records = [rec, replace(rec, **{name: value for name in rec.names})]
+        records += [replace(rec, **{name: value}) for name in rec.names]
+        stream = io.StringIO()
+        for r in records:
+            emit_diagnostics(r, stream)
+        assert stream.getvalue() == "".join(json.dumps(r.to_json_dict()) + "\n"
+                                            for r in records)
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -565,16 +587,33 @@ def json_line(record):
 BLOCK_RUN = SMALL_RUN.replace("grid.cells = 16", "grid.cells = 32")
 
 
+def test_the_representation_residual_stays_finite_at_large_alpha(tmp_path,
+                                                                  capsys):
+    # v0 = 0.21 at the dip: v0**-alpha is about 2400, past the 745 where
+    # exp(-v0**-alpha) underflows, which no record may meet
+    text = ("grid.cells = 64\ngrid.mass = 16\nparams.preset = normalized\n"
+            "params.alpha = 5\ninitial.profile = gaussian_bump\n"
+            "initial.amp_v = -0.8\ninitial.amp_theta = 0.5\ntime.t_end = 0.01\n")
+    code, summary = cli.run_simulation(parse_config(text), tmp_path / "out")
+    assert code == 0
+    residuals = [json.loads(line)["repr_residual_max"] for line in
+                 (tmp_path / "out" / "diagnostics.jsonl").read_text().splitlines()]
+    assert all(isinstance(r, float) and math.isfinite(r) for r in residuals)
+    assert summary["repr_residual_max"] == max(residuals)
+    assert f"repr_residual_max = {max(residuals):.6g}\n" in capsys.readouterr().out
+
+
 class TestRecordBlocksInTheRunCommand:
     """The run command records its steps a block at a time; what it writes
     and prints must be what one step at a time gives."""
 
     def test_sparse_cadence_matches_the_per_step_records(self, tmp_path, capsys):
-        text = (BLOCK_RUN.replace("time.t_end = 0.05", "time.t_end = 1.2")
+        text = (BLOCK_RUN.replace("grid.cells = 32", "grid.cells = 96")
+                .replace("time.t_end = 0.05", "time.t_end = 1.2")
                 + "time.dt_max = 0.004\noutput.diagnostics_every = 7\n")
         records, coll, _ = per_step_records(text)
         steps = len(records) - 1
-        block = BLOCK_CELLS // 32
+        block = BLOCK_CELLS // 96
         # two full blocks and a ragged one, whose last record is pending
         assert steps > 2 * block and steps % block and steps % 7
         want = [json_line(r) for r in records if r.step % 7 == 0] \

@@ -282,8 +282,9 @@ class TestRepresentationFormula:
             representation_update(acc, state, grid, dt, p,
                                   terms_of(state, grid, p, acc=acc))
         assert np.max(np.abs(acc.factor - 1.0)) <= 1e-12
-        b_factor = acc.init_factor * np.exp(-acc.u0_integral)
-        assert np.allclose(b_factor, math.exp(-1.0), rtol=1e-14)
+        # the initial data's part of v_per_factor, v0 exp(-v0**-alpha) times
+        # exp(-u0 integral), is exp(-1) at the far-field state
+        assert np.allclose(np.exp(acc.log_constant), math.exp(-1.0), rtol=1e-14)
         resid = representation_residual(acc.factor, state, grid, p,
                                         terms_of(state, grid, p, acc=acc))
         assert np.max(resid) <= 1e-12
@@ -318,8 +319,7 @@ class TestRepresentationFormula:
             sigma = effective_stress(s, grid, coeffs_of(s, p), acc.anchor)
             sdt = sigma * r.dt_used
             geom = r.dt_used if sdt == 0.0 else math.expm1(sdt) / sigma
-            h = (np.exp(-s.v ** (-p.alpha)) * (s.theta + 0.5 * s.v * terms.coeffs.b_sq)
-                 / terms.b_factor)
+            h = (s.theta + 0.5 * s.v * terms.coeffs.b_sq) / terms.v_per_factor
             split["S"] += sdt
             split["H"] = split["H"] + h * geom / math.exp(split["S"])
             want = math.exp(split["S"]) * (1.0 + split["H"])
@@ -346,6 +346,32 @@ class TestRepresentationFormula:
                           sink=sink)
         assert final.t == 800.0
         assert all(r is not None and r <= 1e-12 for r in residuals)
+
+    def test_a_nan_residual_stays_the_run_maximum(self, monkeypatch):
+        # max() keeps its first argument against a NaN; the run's maximum
+        # must show the NaN that one record wrote as null
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state0, pairs = trajectory(grid, p, CAUCHY, smooth_bump(), 0.2)
+        assert len(pairs) >= 3
+        residual = diagnostics.representation_residual
+        calls = []
+
+        def nan_in_the_second(*args):
+            out = residual(*args)
+            calls.append(out)
+            if len(calls) == 2:
+                out[...] = math.nan
+            return out
+
+        monkeypatch.setattr(diagnostics, "representation_residual",
+                            nan_in_the_second)
+        coll = DiagnosticsCollector(grid, p, CAUCHY, state0)
+        records = [coll.make_record(state0)]
+        records += [coll.make_record(s, r) for s, r in pairs]
+        assert math.isnan(records[1].repr_residual_max)
+        assert all(0.0 <= r.repr_residual_max < 1.0 for r in records[2:])
+        assert math.isnan(coll.max_repr_residual)
 
     def test_residual_shrinks_under_refinement(self):
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
@@ -646,25 +672,25 @@ class TestRecordBlocks:
     JSON line, run extreme and running sum, bit for bit."""
 
     CASES = {
-        "cauchy-alpha0": (Grid.uniform(32, 16.0, -8.0), PhysicalParams.normalized(0.0, 1.0),
+        "cauchy-alpha0": (Grid.uniform(96, 16.0, -8.0), PhysicalParams.normalized(0.0, 1.0),
                           CAUCHY, smooth_bump()),
-        "cauchy-alpha1.3": (Grid.uniform(32, 16.0, -8.0), PhysicalParams.normalized(1.3, 0.7),
+        "cauchy-alpha1.3": (Grid.uniform(96, 16.0, -8.0), PhysicalParams.normalized(1.3, 0.7),
                             CAUCHY, smooth_bump()),
-        "isothermal-alpha0": (Grid.uniform(32, 16.0, 0.0), PhysicalParams.normalized(0.0, 1.0),
+        "isothermal-alpha0": (Grid.uniform(96, 16.0, 0.0), PhysicalParams.normalized(0.0, 1.0),
                               BoundaryCondition.ISOTHERMAL_WALL_LEFT, WALL_BUMP),
-        "isothermal-alpha1.3": (Grid.uniform(32, 16.0, 0.0), PhysicalParams.normalized(1.3, 1.6),
+        "isothermal-alpha1.3": (Grid.uniform(96, 16.0, 0.0), PhysicalParams.normalized(1.3, 1.6),
                                 BoundaryCondition.ISOTHERMAL_WALL_LEFT, WALL_BUMP),
-        "insulated-alpha0": (Grid.uniform(32, 16.0, 0.0), PhysicalParams.normalized(0.0, 0.5),
+        "insulated-alpha0": (Grid.uniform(96, 16.0, 0.0), PhysicalParams.normalized(0.0, 0.5),
                              BoundaryCondition.INSULATED_WALL_LEFT, WALL_BUMP),
-        "insulated-alpha1.3": (Grid.uniform(32, 16.0, 0.0), PhysicalParams.normalized(1.3, 1.0),
+        "insulated-alpha1.3": (Grid.uniform(96, 16.0, 0.0), PhysicalParams.normalized(1.3, 1.0),
                                BoundaryCondition.INSULATED_WALL_LEFT, WALL_BUMP),
         # no representation accumulator without the normalized preset
-        "general-constants": (Grid.uniform(32, 16.0, -8.0),
+        "general-constants": (Grid.uniform(96, 16.0, -8.0),
                               PhysicalParams(mu1=0.8, mu2=0.7, alpha=1.3, beta=1.6,
                                              lam=1.2, nu=0.9, R=1.1, c_v=0.7),
                               CAUCHY, smooth_bump()),
         # unit intervals that split cells: the interpolated slab integrals
-        "unaligned-9.5": (Grid.uniform(38, 9.5, -4.75), PhysicalParams.normalized(1.0, 1.0),
+        "unaligned-9.5": (Grid.uniform(115, 9.5, -4.75), PhysicalParams.normalized(1.0, 1.0),
                           CAUCHY, smooth_bump()),
     }
 
@@ -720,8 +746,8 @@ class TestRecordBlocks:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_representation_blocks_past_the_float_range_of_exp(self, alpha):
         # the equilibrium run to t = 800, past the t = 745 where exp(S)
-        # underflows, in blocks of BLOCK_CELLS // 8 records, the last ragged
-        grid = Grid.uniform(8, 8.0, -4.0)
+        # underflows, in blocks of BLOCK_CELLS // 24 records, the last ragged
+        grid = Grid.uniform(24, 24.0, -12.0)
         p = PhysicalParams.normalized(alpha=alpha, beta=1.0)
         state0, pairs = trajectory(grid, p, CAUCHY, ConstantProfile(), 800.0,
                                    StepControl(cfl=1.0))
