@@ -14,14 +14,17 @@ flux, dissipation and coefficients from the step report, and computes each
 other quantity that several monitors share once. A monitor
 reads a core.StateBlock, states stacked along a leading record axis, as it
 reads a GasState and gives one value per record: the DiagnosticsCollector
-evaluates a block of accepted steps in one set of array operations, and only
-the running sums and the representation accumulator advance record by record.
+evaluates a block of accepted steps in one set of array operations. The
+running sums advance column by column, and only the representation
+accumulator's affine recurrence runs record by record.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import accumulate
+from operator import attrgetter, mul
 from typing import ClassVar, Optional, Sequence
 
 import numpy as np
@@ -54,6 +57,13 @@ SLAB_INTERVALS_PER_CELL = 16
 # {theta > THETA_HOT} that level_set_measures measures
 THETA_COLD = 0.5
 THETA_HOT = 2.0
+
+# what record_block reads off each StepReport, as columns, and the kinds of
+# its four boundary fluxes in that order
+_REPORT_COLUMNS = attrgetter("dt_used", "mass_flux", "momentum_flux",
+                             "energy_flux", "entropy_flux",
+                             "newton_iterations", "retries")
+_FLUX_KINDS = ("mass", "momentum", "energy", "entropy")
 
 # cell rows of a record block: the collector records max(1, BLOCK_CELLS //
 # cells) accepted steps at once, which spreads the per-call cost of a small
@@ -387,17 +397,17 @@ def representation_update(acc: ReprAccumulator, state: GasState | StateBlock,
         h += state.theta
         h /= terms.v_per_factor
     h = h.reshape(len(sigma), -1)
+    steps = list(zip(sigma.tolist(), np.atleast_1d(dt).tolist()))
+    sdt = [s * d for s, d in steps]
+    # h * geom of each record, in one multiply
+    h *= np.array([d if x == 0.0 else math.expm1(x) / s
+                   for (s, d), x in zip(steps, sdt)])[:, None]
     factor = np.empty_like(h)
     row = acc.factor
-    steps = zip(sigma.tolist(), np.atleast_1d(dt).tolist())
     # in order: each record's factor starts from the one before
-    for k, (sigma_n, dt_k) in enumerate(steps):
-        sdt = sigma_n * dt_k
-        geom = dt_k if sdt == 0.0 else math.expm1(sdt) / sigma_n
-        hk = h[k]
-        hk *= geom
-        row = np.multiply(row, math.exp(sdt), out=factor[k])
-        row += hk
+    for k, x in enumerate(sdt):
+        row = np.multiply(row, math.exp(x), out=factor[k])
+        row += h[k]
     acc.factor = row
     return factor
 
@@ -569,11 +579,12 @@ class DiagnosticsCollector:
         reports' coefficients, heat flux and dissipation. The extremes and
         the momentum scale are the reductions that validation made, and
         level_set_measures runs only if some record's theta extremes reach a
-        set. The running sums, budget defects, run extremes and the
-        representation accumulator then advance record by record, in order.
+        set. The running sums, budget defects and run extremes then advance
+        column by column, each in record order.
         """
         grid, p, dx = self.grid, self.p, self.grid.dx
         block = StateBlock.of(states)
+        dts, *flux, newton, retries = zip(*map(_REPORT_COLUMNS, reports))
         terms = record_terms(block, grid, p, self.bnd, ReportArrays.of(reports),
                              self.acc)
         bounds = terms.bounds
@@ -588,8 +599,7 @@ class DiagnosticsCollector:
         if self.acc is None:
             repr_max = [None] * len(states)
         else:
-            factor = representation_update(self.acc, block, grid,
-                                           [r.dt_used for r in reports], p, terms)
+            factor = representation_update(self.acc, block, grid, dts, p, terms)
             repr_max = representation_residual(factor, block, grid, p,
                                                terms).max(axis=-1).tolist()
         min_v, max_v = bounds.v_min.tolist(), bounds.v_max.tolist()
@@ -605,42 +615,36 @@ class DiagnosticsCollector:
             else:
                 slabs += [[math.nan] * len(states)] * 2
 
-        records = []
-        for k, report in enumerate(reports):
-            self.w_cum += w_rate[k] * report.dt_used
-            self.mass_flux_cum += report.mass_flux
-            self.momentum_flux_cum += report.momentum_flux
-            self.energy_flux_cum += report.energy_flux
-            self.entropy_flux_cum += report.entropy_flux
-            mass_defect = abs(mass[k] - self._prev_mass - report.mass_flux) \
-                / max(abs(self._prev_mass), 1.0)
-            momentum_defect = abs(momentum[k] - self._prev_momentum
-                                  - report.momentum_flux) / max(1.0, mom_scale[k])
-            self._prev_mass = mass[k]
-            self._prev_momentum = momentum[k]
+        w_cum = self._advance("w_cum", map(mul, w_rate, dts))
+        cum = [self._advance(f"{kind}_flux_cum", column)
+               for kind, column in zip(_FLUX_KINDS, flux)]
+        # each record's defect against the record before it (zip stops at
+        # the shorter list)
+        mass_defect = [abs(m - m0 - f) / max(abs(m0), 1.0) for m, m0, f
+                       in zip(mass, [self._prev_mass, *mass], flux[0])]
+        momentum_defect = [abs(m - m0 - f) / max(1.0, scale) for m, m0, f, scale
+                           in zip(momentum, [self._prev_momentum, *momentum],
+                                  flux[1], mom_scale)]
+        self._prev_mass, self._prev_momentum = mass[-1], momentum[-1]
+        # min and max of several arguments fold them left to right
+        self.min_v_run = min(self.min_v_run, *min_v)
+        self.min_theta_run = min(self.min_theta_run, *min_th)
+        self.max_v_run = max(self.max_v_run, *max_v)
+        self.max_theta_run = max(self.max_theta_run, *max_th)
+        if self.acc is not None:
             # max() would drop a NaN residual; it stays the run's maximum
-            if repr_max[k] is not None and (math.isnan(repr_max[k]) or
-                                            repr_max[k] > self.max_repr_residual):
-                self.max_repr_residual = repr_max[k]
-            self.min_v_run = min(self.min_v_run, min_v[k])
-            self.min_theta_run = min(self.min_theta_run, min_th[k])
-            self.max_v_run = max(self.max_v_run, max_v[k])
-            self.max_theta_run = max(self.max_theta_run, max_th[k])
-            records.append(DiagnosticsRecord(
-                t=block.t[k], step=block.step[k], dt=report.dt_used,
-                newton_iterations=report.newton_iterations,
-                retries=report.retries, E_entropy=e_entropy[k], W=w_rate[k],
-                W_cum=self.w_cum, min_v=min_v[k], max_v=max_v[k],
-                min_theta=min_th[k], max_theta=max_th[k],
-                mass_total=mass[k], mass_flux_cum=self.mass_flux_cum,
-                mass_defect=mass_defect,
-                momentum_total=momentum[k],
-                momentum_flux_cum=self.momentum_flux_cum,
-                momentum_defect=momentum_defect,
-                energy_total=energy[k], energy_flux_cum=self.energy_flux_cum,
-                entropy_flux_cum=self.entropy_flux_cum,
-                measure_theta_low=meas_lo[k], measure_theta_high=meas_hi[k],
-                slab_v_min=slabs[0][k], slab_v_max=slabs[1][k],
-                slab_theta_min=slabs[2][k], slab_theta_max=slabs[3][k],
-                repr_residual_max=repr_max[k]))
-        return records
+            peak = [self.max_repr_residual, *repr_max]
+            self.max_repr_residual = next(filter(math.isnan, peak), max(peak))
+        # one column per field, in DiagnosticsRecord's order
+        return list(map(DiagnosticsRecord, block.t, block.step, dts, newton,
+                        retries, e_entropy, w_rate, w_cum, min_v, max_v, min_th,
+                        max_th, mass, cum[0], mass_defect, momentum, cum[1],
+                        momentum_defect, energy, cum[2], cum[3], meas_lo,
+                        meas_hi, *slabs, repr_max))
+
+    def _advance(self, name: str, column) -> list:
+        """The running sum self.<name> after each entry of column, added left
+        to right as a loop adds them; self.<name> keeps the last."""
+        sums = list(accumulate(column, initial=getattr(self, name)))[1:]
+        setattr(self, name, sums[-1])
+        return sums

@@ -34,10 +34,11 @@ and w and b come out as +0.0 arrays. Its dw is then None, and the
 dissipation and the boundary report, which read the decision from it, skip
 their transverse terms; the new state's coefficients skip theirs too
 (state_coeffs' transverse), and the StepReport carries the decision
-(transverse) to the monitors. The skips are exact: the stages' right-hand
-sides are sums and products of zeros, so each solves for +0.0 (a -0.0 in the
-state becomes +0.0 too), and each skipped term is a +0.0 added to a value
-that is never -0.0.
+(transverse) to the monitors and to run_until, which tells the next step
+that its state is quiet, so that step scans no w or b. The skips are exact:
+the stages' right-hand sides are sums and products of zeros, so each solves
+for +0.0 (a -0.0 in the state becomes +0.0 too), and each skipped term is a
++0.0 added to a value that is never -0.0.
 The symmetric, diagonally dominant solves of stages (a), (c) and (d) use
 LAPACK ptsv; the Newton Jacobian of stage (e) is not symmetric and uses gtsv.
 Both come from scipy's f2py extension scipy.linalg._flapack, loaded from its
@@ -429,20 +430,23 @@ def heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
     return heat_flux_stencil(theta, padded_k_over_v(v, p, bnd), dx, p, bnd)[0]
 
 
-def compute_dt(state: GasState, b_sq: np.ndarray, grid: Grid,
+def compute_dt(state: GasState, b_sq: Optional[np.ndarray], grid: Grid,
                p: PhysicalParams, ctl: StepControl) -> float:
     """Hyperbolic time-step bound; diffusion is implicit and does not restrict dt.
 
     Per-cell Lagrangian fast magnetosonic speed sqrt(gamma*P*v + v*|b|^2) / v,
     with b_sq = |b|^2 of the state, and the far-field signal speed as a floor,
-    then clamped to [dt_min, dt_max].
+    then clamped to [dt_min, dt_max]. b_sq None, for a state with no
+    transverse field, leaves out the term v*|b|^2, a +0.0 added to a
+    positive value.
     """
     s = p.gamma * p.R * state.theta
-    s += state.v * b_sq
+    if b_sq is not None:
+        s += state.v * b_sq
     np.sqrt(s, out=s)
     s /= state.v
     s_far = math.sqrt(p.gamma * p.R * FAR_FIELD_THETA * FAR_FIELD_V) / FAR_FIELD_V
-    s_max = max(float(s.max()), s_far)
+    s_max = max(float(np.maximum.reduce(s)), s_far)
     return float(min(max(ctl.cfl * grid.dx / s_max, ctl.dt_min), ctl.dt_max))
 
 
@@ -612,9 +616,10 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
                 neg_f = theta * base
                 neg_f -= div
                 np.subtract(known, neg_f, out=neg_f)  # minus residual
-                # max norms as max(x.max(), -x.min()): no |x| array is formed
-                fnorm = max(float(neg_f.max()), -float(neg_f.min()))
-                scale = max(1.0, float(theta.max()))
+                # each max norm is one reduction of |x|, written into a
+                # buffer that is dead by then: div here, delta below
+                fnorm = float(np.maximum.reduce(np.abs(neg_f, out=div)))
+                scale = max(1.0, float(np.maximum.reduce(theta)))
                 if fnorm <= ctl.newton_tol * p.c_v * scale / dt:
                     break
                 if it == ctl.newton_max_iter:
@@ -649,8 +654,8 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
                                      "not damp an update to keep theta positive")
                     trial = theta + delta
                 theta = trial
-                if max(float(delta.max()),
-                       -float(delta.min())) <= ctl.newton_tol * scale:
+                if float(np.maximum.reduce(np.abs(delta, out=delta))) \
+                        <= ctl.newton_tol * scale:
                     it, h = it + 1, heat_flux_stencil(theta, k_over_v, dx, p, bnd)[0]
                     break
     except FloatingPointError:
@@ -716,7 +721,8 @@ def boundary_report(new: GasState, du: np.ndarray, dw: Optional[np.ndarray],
 
 def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
          ctl: StepControl, coeffs: StateCoeffs, forcing=None,
-         dt_cap: float | None = None) -> tuple[GasState, StepReport]:
+         dt_cap: float | None = None, quiet: bool = False
+         ) -> tuple[GasState, StepReport]:
     """Advance one accepted step; coeffs are the state_coeffs of state (the
     previous step's report.coeffs).
 
@@ -731,13 +737,16 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     (forced data decide it without scanning w and b), passes dw None to the
     dissipation and the boundary fluxes, which then skip their transverse
     terms, skips those of the new coefficients, and is the report's
-    transverse.
+    transverse. quiet=True tells the step that state's w and b are the +0.0
+    arrays of such a step (its report's transverse was False), as run_until
+    knows: the decision then reads only the boundary data, with no scan of
+    w and b, and compute_dt skips the all-zero |b|^2.
 
     Raises, when the attempt after retry_max halvings fails too or a halving
     takes dt below dt_min, PositivityFailure if that attempt produced
     nonpositive v and NewtonDivergence if its temperature solve failed.
     """
-    dt = compute_dt(state, coeffs.b_sq, grid, p, ctl)
+    dt = compute_dt(state, None if quiet else coeffs.b_sq, grid, p, ctl)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     retries = 0
@@ -749,10 +758,12 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             u_new = substep_velocity(state, grid, dt, bnd, coeffs)
             du = u_new[1:] - u_new[:-1]
             v_new = substep_volume(state, du, grid, dt, bnd)
-            if not v_new.min() > 0.0:  # NaN fails it, as v_new > 0.0 does
+            # NaN fails it, as v_new > 0.0 does
+            if not np.minimum.reduce(v_new) > 0.0:
                 raise _Retry(PositivityFailure, "state stayed nonpositive")
             mu_new = viscosity_mu(v_new, p)
-            transverse = bool(bnd.transverse or state.w.any() or state.b.any())
+            transverse = bool(bnd.transverse or not quiet
+                              and (state.w.any() or state.b.any()))
             if transverse:
                 w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
                 dw = w_new[1:] - w_new[:-1]
@@ -814,7 +825,9 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
               bc: BoundaryCondition, ctl: StepControl, sink=None,
               forcing=None) -> GasState:
     """Step repeatedly until t_end, invoking sink(state, report) after each
-    accepted step, and hand each step's report.coeffs to the next. The final
+    accepted step, and hand each step's report.coeffs to the next, and its
+    transverse decision: a step after one that carried no transverse field
+    is told its state is quiet (see step). The final
     step is shortened to land exactly on t_end; a state within round-off of
     t_end is returned as a copy at t_end, so no state handed out or passed in
     is edited."""
@@ -822,10 +835,11 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
         raise ValueError(f"t_end = {t_end} is before state time {state.t}")
     snap_tol = 1e-12 * max(1.0, abs(t_end))
     coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
+    quiet = False
     while t_end - state.t > snap_tol:
         state, report = step(state, grid, p, bc, ctl, coeffs, forcing=forcing,
-                             dt_cap=t_end - state.t)
-        coeffs = report.coeffs
+                             dt_cap=t_end - state.t, quiet=quiet)
+        coeffs, quiet = report.coeffs, not report.transverse
         if sink is not None:
             sink(state, report)
     if state.t != t_end and abs(state.t - t_end) <= snap_tol:

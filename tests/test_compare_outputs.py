@@ -177,6 +177,28 @@ def test_check_records_both_versions_and_compares(tmp_path, capsys,
     assert (tree / "out" / "run_beta1" / "diagnostics.jsonl").is_file()
 
 
+def test_check_set_prints_a_verdict_per_case(capsys, compare_outputs):
+    # one tiny config, one source tree against itself
+    src = str(ROOT / "src")
+    case = ("tiny", RUN, ["run", "--config", compare_outputs.CFG_MARK])
+    assert compare_outputs.check_set(src, src, [case]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["tiny: exit 0 -> 0, byte-identical: yes, round-off PASS",
+                     "byte-identical: yes",
+                     "round-off agreement (C = 1e-12): PASS"]
+
+
+def test_the_standard_set_names_every_case(compare_outputs):
+    cases = compare_outputs.standard_cases()
+    names = [name for name, _, _ in cases]
+    assert names[:6] == [f"{w}_seed{s}" for w in ("run_small", "run_large",
+                                                  "sweep_matrix") for s in (0, 7)]
+    assert names[6:-1] == [cfg.stem for cfg in sorted(REFERENCES.glob("*.cfg"))]
+    assert names[-1] == "exit3" and "params.beta = 50" in cases[-1][1]
+    assert all(compare_outputs.CFG_MARK in args and "--out" not in args
+               for _, _, args in cases)
+
+
 @pytest.mark.parametrize("cfg", sorted(REFERENCES.glob("*.cfg")),
                          ids=lambda path: path.stem)
 def test_the_code_agrees_with_the_reference_trees(cfg, tmp_path, capsys,

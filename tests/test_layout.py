@@ -255,3 +255,52 @@ def test_a_quiet_step_and_its_records_do_no_transverse_arithmetic(bc, monkeypatc
                                        "mhd1d.solver.sq2"] if transverse else [])
         assert report.transverse is transverse
         calls.clear()
+
+
+@pytest.mark.parametrize("start", ["quiet, w -0.0", "one tiny b", "magnetized bump"])
+@pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
+def test_run_until_carries_the_decision_with_the_bits_of_a_scan(bc, start,
+                                                                monkeypatch):
+    # after a step with no transverse field, run_until tells the next step
+    # so: it scans no w or b and compute_dt gets no |b|^2. Every state and
+    # report equals the bits of steps that scan
+    wall = bc.has_left_wall
+    grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
+    if start == "magnetized bump":
+        state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
+    else:
+        state = quiet_state(grid, bc)
+        if start == "one tiny b":  # its |b|^2 underflows to 0
+            b = state.b.copy()
+            b[5, 0] = 1e-300
+            state = replace(state, b=b)
+        else:
+            state = replace(state, w=np.full((17, 2), -0.0))
+    t_end = 3.0
+    seen, run, compute_dt = [], [], solver.compute_dt
+    monkeypatch.setattr(solver, "compute_dt",
+                        lambda s, b_sq, *args: seen.append(b_sq is None)
+                        or compute_dt(s, b_sq, *args))
+    solver.run_until(state, grid, t_end, P, bc, StepControl(),
+                     sink=lambda s, r: run.append((s, r)))
+    monkeypatch.undo()
+
+    quiet = start == "quiet, w -0.0"
+    assert len(run) > 3
+    assert seen == [False] + [quiet] * (len(run) - 1)
+    new, coeffs = state, coeffs_of(state, P)
+    for got, report in run:
+        new, expected = step(new, grid, P, bc, StepControl(), coeffs,
+                             dt_cap=t_end - new.t)
+        coeffs = expected.coeffs
+        assert report.transverse is expected.transverse is not quiet
+        for name in ("v", "theta", "b", "u", "w"):
+            assert bits(getattr(got, name)) == bits(getattr(new, name)), name
+        assert (got.t, got.step) == (new.t, new.step)
+        assert report == expected  # the scalar fields
+        scalars = ("dt_used", "mass_flux", "momentum_flux", "energy_flux",
+                   "entropy_flux")
+        assert bits(*(getattr(report, f) for f in scalars)) == \
+            bits(*(getattr(expected, f) for f in scalars))
+        assert bits(report.heat_flux) == bits(expected.heat_flux)
+        assert_same_arrays(report, expected)

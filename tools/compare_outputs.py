@@ -8,6 +8,7 @@ records, a parent's and a change's:
     python3 tools/compare_outputs.py record SRC TREE -- run --config run.cfg
     python3 tools/compare_outputs.py compare PARENT_TREE CHANGE_TREE
     python3 tools/compare_outputs.py check PARENT_SRC CHANGE_SRC -- run --config run.cfg
+    python3 tools/compare_outputs.py check-set PARENT_SRC CHANGE_SRC
 
 ``record`` runs ``python -m mhd1d.cli`` with ``SRC`` (a checkout's ``src``
 directory) first on the import path and, for ``run`` and ``sweep``, with
@@ -18,6 +19,13 @@ compares them. Compare exits 0 when the trees agree and 1 when they do not,
 and prints each problem, the largest relative change of each kind and
 whether the two trees are byte-identical (a change meant to alter no result,
 such as a new memory layout, should print yes).
+
+``check-set`` checks the standard set of commands (standard_cases): the
+benchmark's three workloads at seeds 0 and 7, with the configs and arguments
+of ``perfbench/run.py``; every ``tests/data/roundoff/*.cfg``; and the exit-3
+run ``tests/data/exit3.cfg``. It prints one verdict line per case, then one
+``byte-identical`` line and one round-off line over all of them, and exits
+0 when every case agrees.
 
 Two trees agree when all of these hold:
 
@@ -37,6 +45,7 @@ or changes a count, and is a failure: ``C`` is never widened to admit one.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -56,6 +65,9 @@ C = 1e-12
 EXACT_KEYS = ("step", "newton_iterations", "retries")
 DEFECT_BOUNDS = {"mass_defect": 1e-13, "momentum_defect": 1e-12}
 OUT_MARK = "OUT"
+ROOT = Path(__file__).resolve().parents[1]
+CHECK_SEEDS = (0, 7)
+CFG_MARK = "{cfg}"  # the config file's path in a case's arguments
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
@@ -182,6 +194,52 @@ def record(src: Path, tree: Path, args: list) -> int:
     return proc.returncode
 
 
+def standard_cases() -> list[tuple[str, str, list]]:
+    """(name, config text, arguments) of every command check-set runs; the
+    arguments name the config file as CFG_MARK and leave out --out."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(ROOT / "perfbench"))  # for its `import probes`
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        sys.path.pop(0)
+    cases = []
+    for workload in ("run_small", "run_large", "sweep_matrix"):
+        cells, t_end, bump, _ = bench.WORKLOADS[workload]
+        args = bench.cli_args(workload, Path(CFG_MARK), Path(OUT_MARK))
+        args = args[:args.index("--out")]
+        cases += [(f"{workload}_seed{seed}",
+                   bench.config_text(cells, t_end, bump, seed), args)
+                  for seed in CHECK_SEEDS]
+    cfgs = sorted((ROOT / "tests" / "data" / "roundoff").glob("*.cfg"))
+    return cases + [(cfg.stem, cfg.read_text(), ["run", "--config", CFG_MARK])
+                    for cfg in cfgs + [ROOT / "tests" / "data" / "exit3.cfg"]]
+
+
+def check_set(parent_src: Path, change_src: Path, cases) -> int:
+    """Record and compare each case on both versions; print its verdict."""
+    problems, identical = [], True
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text, args in cases:
+            case = Path(tmp) / name
+            case.mkdir()
+            cfg = case / "run.cfg"
+            cfg.write_text(text)
+            args = [str(cfg) if arg == CFG_MARK else arg for arg in args]
+            trees = [case / "parent", case / "change"]
+            codes = [record(src, tree, args)
+                     for src, tree in zip((parent_src, change_src), trees)]
+            verdict = compare_trees(*trees)
+            problems += [f"{name}: {problem}" for problem in verdict.problems]
+            identical &= verdict.identical
+            print(f"{name}: exit {codes[0]} -> {codes[1]}, byte-identical: "
+                  f"{'yes' if verdict.identical else 'no'}, round-off "
+                  f"{'PASS' if verdict.ok else 'FAIL'}")
+    return report(Verdict(problems=problems, identical=identical))
+
+
 def report(verdict: Verdict) -> int:
     for problem in verdict.problems:
         print(f"problem: {problem}")
@@ -209,6 +267,8 @@ def main(argv=None) -> int:
             for src, tree in zip(paths, trees):
                 record(src, tree, args)
             return report(compare_trees(*trees))
+    if cmd == "check-set" and len(paths) == 2 and not args:
+        return check_set(*paths, standard_cases())
     print("usage:" + __doc__.split("\n\n")[2], file=sys.stderr)
     return 2
 
