@@ -317,7 +317,7 @@ def parse_config_file(path) -> RunConfig:
     try:
         with open(path) as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -179,14 +179,14 @@ class GasState:
                         b=self.b.copy(order="F"), u=self.u.copy(),
                         w=self.w.copy(order="F"), t=self.t, step=self.step)
 
-    def validate(self, grid: Grid, b_sq: Optional[np.ndarray] = None
-                 ) -> FieldBounds:
+    def validate(self, grid: Grid, coeffs=None) -> FieldBounds:
         """Check array shapes against the grid, strict positivity of v and
         theta, and that every field is finite; return the FieldBounds that
-        the check read. b_sq, if given, is |b|^2 of this state, as a step
-        report holds it: its maximum decides b's finiteness instead of a
-        scan of b."""
-        return _check_fields(self, grid, (), b_sq)
+        the check read. coeffs, if given, are the solver.StateCoeffs of this
+        state, as a step report holds them: the maximum of their |b|^2
+        decides b's finiteness instead of a scan of b, and a b_sq of None
+        (w and b +0.0) leaves both w and b unscanned."""
+        return _check_fields(self, grid, (), coeffs)
 
 
 @dataclass(frozen=True)
@@ -215,12 +215,11 @@ class StateBlock:
                    t=tuple(s.t for s in states),
                    step=tuple(s.step for s in states))
 
-    def validate(self, grid: Grid, b_sq: Optional[np.ndarray] = None
-                 ) -> FieldBounds:
+    def validate(self, grid: Grid, coeffs=None) -> FieldBounds:
         """GasState.validate of every record at once: each check is one call
         over the whole block, and the FieldBounds hold one entry per record;
-        b_sq is then the records' |b|^2 stacked the same way."""
-        return _check_fields(self, grid, (len(self.t),), b_sq)
+        coeffs then hold the records' coefficients stacked the same way."""
+        return _check_fields(self, grid, (len(self.t),), coeffs)
 
 
 class FieldBounds(NamedTuple):
@@ -251,8 +250,7 @@ def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
         (len(rows),) + shape[::-1]).swapaxes(1, -1)
 
 
-def _check_fields(s, grid: Grid, lead: tuple,
-                  b_sq: Optional[np.ndarray]) -> FieldBounds:
+def _check_fields(s, grid: Grid, lead: tuple, coeffs) -> FieldBounds:
     m = grid.cells
     shapes = {"v": (s.v, (m,)), "theta": (s.theta, (m,)),
               "b": (s.b, (m, 2)), "u": (s.u, (m + 1,)),
@@ -262,9 +260,12 @@ def _check_fields(s, grid: Grid, lead: tuple,
             raise ValueError(f"{name} has shape {arr.shape}, expected {lead + want}")
     # One reduction per field decides: NaN and -inf reach the minima, NaN
     # and +inf the maxima, the sum of |u| and the maximum of |b|^2, and
-    # isfinite scans w (and b without b_sq). A sum of finite values that
-    # overflows, or a |b|^2 that did, only sends the state on to the scan,
-    # which then passes it.
+    # isfinite scans w (and b without coeffs); quiet coeffs (b_sq None)
+    # vouch for both. A sum of finite values that overflows, or a |b|^2 that
+    # did, only sends the state on to the scan, which then passes it.
+    b_sq = None if coeffs is None else coeffs.b_sq
+    scans = ((s.b, s.w) if coeffs is None
+             else () if b_sq is None else (s.w,))
     v_min, v_max = s.v.min(axis=-1), s.v.max(axis=-1)
     theta_min, theta_max = s.theta.min(axis=-1), s.theta.max(axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -273,8 +274,7 @@ def _check_fields(s, grid: Grid, lead: tuple,
         if b_sq is not None:
             top += b_sq.max()
     if not ((np.minimum(v_min, theta_min) > 0.0).all() and np.isfinite(top).all()
-            and (b_sq is not None or np.isfinite(s.b).all())
-            and np.isfinite(s.w).all()):
+            and all(np.isfinite(arr).all() for arr in scans)):
         _scan_fields(shapes)
     return FieldBounds(v_min, v_max, theta_min, theta_max, u_abs)
 

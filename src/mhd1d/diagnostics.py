@@ -82,7 +82,8 @@ class RecordTerms:
     dissipation (per cell) and coeffs, the state's solver.state_coeffs
     (mu(v), |b|^2, the total pressure), are the step report's; bounds are
     the FieldBounds that validating the state read. v_b_sq is v|b|^2, or
-    None when the report carries no transverse field, and kinetic the
+    None when the report carries no transverse field (coeffs.b_sq None),
+    and kinetic the
     kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and w averaged
     from the adjacent nodes. With a representation accumulator, v_per_factor
     is exp(integral of u from the anchor + acc.log_constant + v**(-alpha)),
@@ -106,21 +107,26 @@ class ReportArrays:
     """The arrays that the StepReports of a StateBlock's records hand the
     monitors, stacked like the block (stack_rows, which views a single
     report's arrays): coeffs (StateCoeffs of (K, M) arrays), heat_flux and
-    dissipation, and transverse, True when any report carries a transverse
-    field. record_terms reads it as it reads the StepReport of one state."""
+    dissipation. record_terms reads it as it reads the StepReport of one
+    state. coeffs.b_sq is None when no record carries a transverse field,
+    and holds +0.0 rows for the records that carry none in a block that
+    mixes them (only a hand-built sequence of reports does)."""
 
     coeffs: StateCoeffs
     heat_flux: np.ndarray
     dissipation: np.ndarray
-    transverse: bool
 
     @classmethod
     def of(cls, reports: Sequence[StepReport]) -> "ReportArrays":
-        coeffs = StateCoeffs(*(stack_rows([getattr(r.coeffs, f.name) for r in reports])
-                               for f in fields(StateCoeffs)))
-        return cls(coeffs, stack_rows([r.heat_flux for r in reports]),
-                   stack_rows([r.dissipation for r in reports]),
-                   any(r.transverse for r in reports))
+        coeffs = [r.coeffs for r in reports]
+        quiet = [c.b_sq is None for c in coeffs]
+        b_sq = None if all(quiet) else stack_rows(  # +0.0 rows for quiet records
+            [np.zeros(c.mu.shape) if q else c.b_sq for c, q in zip(coeffs, quiet)])
+        return cls(StateCoeffs(stack_rows([c.mu for c in coeffs]),
+                               stack_rows([c.mu_over_v for c in coeffs]), b_sq,
+                               stack_rows([c.ptot for c in coeffs])),
+                   stack_rows([r.heat_flux for r in reports]),
+                   stack_rows([r.dissipation for r in reports]))
 
 
 def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
@@ -131,22 +137,23 @@ def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
     with; the coefficients, heat flux and dissipation come from report: the
     StepReport of the step that produced a GasState (solver.initial_report
     for a state no step produced), or the ReportArrays of a block's steps.
-    The report's |b|^2, which its step formed from the same b, decides b's
-    finiteness in the validation. The node-pair sum u[..., :-1] + u[..., 1:]
-    and v|b|^2 are formed once, for the kinetic energy and the
-    representation terms alike. A report that carries no transverse field
-    (report.transverse False, in every record of a block) leaves w and b
-    out, as their +0.0 terms leave the sums: the kinetic density is
-    u_c^2 / 2, and v_b_sq is None, so the representation's heat is theta."""
+    The validation takes the report's coefficients: their |b|^2, which the
+    step formed from the same b, decides b's finiteness. The node-pair sum
+    u[..., :-1] + u[..., 1:] and v|b|^2 are formed once, for the kinetic
+    energy and the representation terms alike. A report that carries no
+    transverse field (coeffs.b_sq None, in every record of a block) leaves w
+    and b out, as their +0.0 terms leave the sums: the validation scans
+    neither, the kinetic density is u_c^2 / 2, and v_b_sq is None, so the
+    representation's heat is theta."""
     coeffs = report.coeffs
-    bounds = state.validate(grid, coeffs.b_sq)
+    bounds = state.validate(grid, coeffs)
     u = state.u
     u_pair = u[..., :-1] + u[..., 1:]
     # (u_c^2 + |w_c|^2 + v|b|^2) / 2 with u_c = u_pair / 2, in one buffer
     kinetic = 0.5 * u_pair
     kinetic *= kinetic
     v_b_sq = None
-    if report.transverse:
+    if coeffs.b_sq is not None:
         w_c = state.w[..., :-1, :] + state.w[..., 1:, :]
         w_c *= 0.5
         v_b_sq = state.v * coeffs.b_sq

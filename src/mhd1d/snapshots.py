@@ -75,6 +75,8 @@ def _read_csv(path, columns: int) -> tuple[float, int, np.ndarray]:
             rows.append([float(x) for x in fields])
         except ValueError as exc:
             raise SnapshotError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
+    if not rows:
+        raise SnapshotError(f"{path}: no data rows")
     return t, step, np.asarray(rows, dtype=float)
 
 

@@ -32,10 +32,10 @@ its state holds no nonzero w or b, and the planar system then reduces to the
 compressible Navier-Stokes one. Such an attempt skips stages (c) and (d),
 and w and b come out as +0.0 arrays. Its dw is then None, and the
 dissipation and the boundary report, which read the decision from it, skip
-their transverse terms; the new state's coefficients skip theirs too
-(state_coeffs' transverse), and the StepReport carries the decision
-(transverse) to the monitors and to run_until, which tells the next step
-that its state is quiet, so that step scans no w or b. The skips are exact:
+their transverse terms. The new state's coefficients carry the decision on:
+their b_sq is None (state_coeffs' transverse), so the monitors skip their
+transverse terms and the next step, which holds those coefficients, knows
+its state is quiet and scans no w or b. The skips are exact:
 the stages' right-hand sides are sums and products of zeros, so each solves
 for +0.0 (a -0.0 in the state becomes +0.0 too), and each skipped term is a
 +0.0 added to a value that is never -0.0.
@@ -153,11 +153,15 @@ class StateCoeffs:
     """Cell coefficients of one state, built by state_coeffs: mu = mu(v),
     mu_over_v = mu(v)/v, b_sq = |b|^2 and ptot the total pressure
     R*theta/v + |b|^2/2. A step reads them as its stage-(a) coefficients and
-    its time-step bound; the monitors read them for the same state."""
+    its time-step bound; the monitors read them for the same state.
+
+    b_sq is None for a state with no transverse field (w and b +0.0 arrays):
+    the one mark of that state that a step, run_until and the monitors read.
+    They then skip every transverse term and scan neither w nor b."""
 
     mu: np.ndarray
     mu_over_v: np.ndarray
-    b_sq: np.ndarray
+    b_sq: Optional[np.ndarray]
     ptot: np.ndarray
 
 
@@ -165,14 +169,13 @@ def state_coeffs(state: GasState, mu: np.ndarray, p: PhysicalParams,
                  transverse: bool = True) -> StateCoeffs:
     """The StateCoeffs of a state whose viscosity mu = viscosity_mu(state.v, p)
     is already evaluated (a step evaluates it as soon as the new v exists).
-    transverse=False, for a state with no transverse field, forms b_sq as
-    +0.0 without squaring b and leaves it out of the (positive) pressure."""
+    transverse=False, for a state with no transverse field, gives b_sq None
+    without squaring b and leaves |b|^2 out of the (positive) pressure."""
     ptot = pressure(state.v, state.theta, p)
+    b_sq = None
     if transverse:
         b_sq = sq2(state.b)
         ptot += 0.5 * b_sq
-    else:
-        b_sq = np.zeros(state.v.shape)
     return StateCoeffs(mu=mu, mu_over_v=mu / state.v, b_sq=b_sq, ptot=ptot)
 
 
@@ -189,14 +192,8 @@ class StepReport:
     flux at every node of the new state (heat_flux of its theta and v), both
     with the step's boundary data (a forced step's are the forcing's), so
     the monitors need not compute them again. initial_report gives the
-    report of a zero-length step, for a state no step produced.
-
-    transverse is the accepted attempt's one decision whether it carries a
-    transverse field, by the rule step and initial_report share. False means
-    the new state's w and b are +0.0 and the boundary data bring none: the
-    step skipped stages (c) and (d), the transverse terms of coeffs, and
-    those of the dissipation and the boundary fluxes (its dw was None), and
-    the monitors skip theirs.
+    report of a zero-length step, for a state no step produced. coeffs.b_sq
+    None marks a new state with no transverse field (see StateCoeffs).
     """
 
     dt_used: float
@@ -209,7 +206,6 @@ class StepReport:
     entropy_flux: float
     dissipation: np.ndarray = field(repr=False, compare=False)
     heat_flux: np.ndarray = field(repr=False, compare=False)
-    transverse: bool
 
 
 @dataclass(frozen=True)
@@ -721,8 +717,7 @@ def boundary_report(new: GasState, du: np.ndarray, dw: Optional[np.ndarray],
 
 def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
          ctl: StepControl, coeffs: StateCoeffs, forcing=None,
-         dt_cap: float | None = None, quiet: bool = False
-         ) -> tuple[GasState, StepReport]:
+         dt_cap: float | None = None) -> tuple[GasState, StepReport]:
     """Advance one accepted step; coeffs are the state_coeffs of state (the
     previous step's report.coeffs).
 
@@ -733,20 +728,19 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
 
     An attempt under boundary data that brings no transverse field, from a
     state that holds none, skips stages (c) and (d): its w and b are +0.0,
-    as the stages would return them. The decision, made once per attempt
-    (forced data decide it without scanning w and b), passes dw None to the
-    dissipation and the boundary fluxes, which then skip their transverse
-    terms, skips those of the new coefficients, and is the report's
-    transverse. quiet=True tells the step that state's w and b are the +0.0
-    arrays of such a step (its report's transverse was False), as run_until
-    knows: the decision then reads only the boundary data, with no scan of
-    w and b, and compute_dt skips the all-zero |b|^2.
+    as the stages would return them. The decision, made once per attempt,
+    passes dw None to the dissipation and the boundary fluxes, which then
+    skip their transverse terms, and gives the new coefficients b_sq None.
+    Boundary data that bring a transverse field decide it without a scan,
+    and so do coeffs whose b_sq is None (a quiet report's coeffs): their
+    state's w and b are +0.0, and compute_dt skips the all-zero |b|^2. Other
+    coeffs have the state's w and b scanned.
 
     Raises, when the attempt after retry_max halvings fails too or a halving
     takes dt below dt_min, PositivityFailure if that attempt produced
     nonpositive v and NewtonDivergence if its temperature solve failed.
     """
-    dt = compute_dt(state, None if quiet else coeffs.b_sq, grid, p, ctl)
+    dt = compute_dt(state, coeffs.b_sq, grid, p, ctl)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     retries = 0
@@ -762,8 +756,8 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
             if not np.minimum.reduce(v_new) > 0.0:
                 raise _Retry(PositivityFailure, "state stayed nonpositive")
             mu_new = viscosity_mu(v_new, p)
-            transverse = bool(bnd.transverse or not quiet
-                              and (state.w.any() or state.b.any()))
+            transverse = bnd.transverse or (coeffs.b_sq is not None
+                                            and (state.w.any() or state.b.any()))
             if transverse:
                 w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
                 dw = w_new[1:] - w_new[:-1]
@@ -796,7 +790,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
                         coeffs=new_coeffs,
                         mass_flux=fluxes[0], momentum_flux=fluxes[1],
                         energy_flux=fluxes[2], entropy_flux=fluxes[3],
-                        dissipation=q, heat_flux=h, transverse=transverse)
+                        dissipation=q, heat_flux=h)
     return new_state, report
 
 
@@ -806,9 +800,9 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
     updates, retries or boundary fluxes), with the state's coefficients,
     dissipation and heat flux under bnd; the state is validated first. It
     carries a transverse field when w or b has a nonzero entry (a -0.0 is
-    none) or bnd brings one."""
+    none) or bnd brings one; else its coeffs.b_sq is None."""
     state.validate(grid)
-    transverse = bool(bnd.transverse or state.w.any() or state.b.any())
+    transverse = bnd.transverse or state.w.any() or state.b.any()
     coeffs = state_coeffs(state, viscosity_mu(state.v, p), p, transverse)
     dx = grid.dx
     ux = (state.u[1:] - state.u[:-1]) / dx
@@ -817,29 +811,26 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
     return StepReport(dt_used=0.0, newton_iterations=0, retries=0, coeffs=coeffs,
                       mass_flux=0.0, momentum_flux=0.0, energy_flux=0.0,
                       entropy_flux=0.0, dissipation=q,
-                      heat_flux=heat_flux(state.theta, state.v, dx, p, bnd),
-                      transverse=transverse)
+                      heat_flux=heat_flux(state.theta, state.v, dx, p, bnd))
 
 
 def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
               bc: BoundaryCondition, ctl: StepControl, sink=None,
               forcing=None) -> GasState:
     """Step repeatedly until t_end, invoking sink(state, report) after each
-    accepted step, and hand each step's report.coeffs to the next, and its
-    transverse decision: a step after one that carried no transverse field
-    is told its state is quiet (see step). The final
-    step is shortened to land exactly on t_end; a state within round-off of
+    accepted step, and hand each step's report.coeffs to the next: after a
+    step that carried no transverse field their b_sq is None, so the next
+    step scans no w or b (see step). The final step is shortened to land exactly on t_end; a state within round-off of
     t_end is returned as a copy at t_end, so no state handed out or passed in
     is edited."""
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before state time {state.t}")
     snap_tol = 1e-12 * max(1.0, abs(t_end))
     coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
-    quiet = False
     while t_end - state.t > snap_tol:
         state, report = step(state, grid, p, bc, ctl, coeffs, forcing=forcing,
-                             dt_cap=t_end - state.t, quiet=quiet)
-        coeffs, quiet = report.coeffs, not report.transverse
+                             dt_cap=t_end - state.t)
+        coeffs = report.coeffs
         if sink is not None:
             sink(state, report)
     if state.t != t_end and abs(state.t - t_end) <= snap_tol:

@@ -231,6 +231,19 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match="header"):
             load_snapshot(path)
 
+    def test_a_cell_file_with_no_data_row_is_refused(self, tmp_path):
+        # the only line after the column header is blank, and the node file
+        # holds the one row that zero cells would need
+        path = tmp_path / "snap.csv"
+        emit_snapshot(reference_state(Grid.uniform(4, 2.0, 0.0)),
+                      Grid.uniform(4, 2.0, 0.0), path)
+        cells = path.read_text().splitlines()
+        path.write_text("\n".join(cells[:2]) + "\n\n")
+        nodes = node_companion(path).read_text().splitlines()
+        node_companion(path).write_text("\n".join(nodes[:3]) + "\n")
+        with pytest.raises(SnapshotError, match="^.*snap.csv: no data rows$"):
+            load_snapshot(path)
+
 
 class TestEmitDiagnostics:
     def test_reference_record_line(self, tmp_path):
@@ -683,6 +696,35 @@ class TestNonFiniteFields:
         err = capsys.readouterr().err
         assert err.startswith("error: initial profile rejected: non-finite u")
         assert not (out / "diagnostics.jsonl").exists()
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", [["check-config"], ["run"],
+                                         ["sweep", "--axis", "alpha=0,1"]])
+    def test_a_config_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_bytes(SMALL_RUN.encode() + b"# \xff\n")
+        out = [] if command == ["check-config"] else ["--out", str(tmp_path / "out")]
+        assert cli.main([*command, "--config", str(cfg_path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg_path}: ")
+        assert "can't decode byte 0xff" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_snapshot_with_no_data_row_exits_2(self, tmp_path, capsys):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        snap = tmp_path / "snap.csv"
+        emit_snapshot(reference_state(grid), grid, snap)
+        snap.write_text("\n".join(snap.read_text().splitlines()[:2]) + "\n\n")
+        nodes = node_companion(snap).read_text().splitlines()
+        node_companion(snap).write_text("\n".join(nodes[:3]) + "\n")
+        text = (f"grid.cells = 16\ngrid.mass = 8.0\ninitial.profile = file\n"
+                f"initial.file = {snap}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: initial profile rejected: {snap}: no data rows\n"
 
 
 class TestCheckConfig:

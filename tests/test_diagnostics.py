@@ -711,12 +711,16 @@ class TestRecordBlocks:
     def test_a_block_of_mixed_transverse_flags_matches_one_at_a_time(
             self, monkeypatch):
         # a run with no transverse field, every third report forced onto the
-        # full path with its full-path arrays: a block holding one records
-        # every state on the full path, one at a time only those reports do
+        # full path with its full-path arrays (coefficients with a b_sq
+        # array): a block holding one records every state on the full path,
+        # one at a time only those reports do
+        def carries(r):
+            return r.coeffs.b_sq is not None
+
         grid, p = Grid.uniform(32, 16.0, -8.0), PhysicalParams.normalized(1.0, 1.0)
         quiet = replace(smooth_bump(), amp_b=(0.0, 0.0), amp_w=(0.0, 0.0))
         state0, pairs = trajectory(grid, p, CAUCHY, quiet, 1.01, StepControl(dt_max=0.02))
-        assert not any(r.transverse for _, r in pairs)
+        assert not any(carries(r) for _, r in pairs)
         bnd, dx = boundary_data(grid, CAUCHY, 0.0), grid.dx
         mixed = []
         for k, (s, r) in enumerate(pairs):
@@ -724,15 +728,14 @@ class TestRecordBlocks:
                 mu = r.coeffs.mu
                 q = dissipation_source(s.v, mu, (s.u[1:] - s.u[:-1]) / dx,
                                        (s.w[1:] - s.w[:-1]) / dx, s.b, grid, p, bnd)
-                r = replace(r, coeffs=state_coeffs(s, mu, p), dissipation=q,
-                            transverse=True)
+                r = replace(r, coeffs=state_coeffs(s, mu, p), dissipation=q)
             mixed.append((s, r))
         squares = []
         sq2_of = diagnostics.sq2
         monkeypatch.setattr(diagnostics, "sq2",
                             lambda x: squares.append(x.shape) or sq2_of(x))
         want = collector_outcome(*per_step(grid, p, CAUCHY, state0, mixed))
-        assert len(squares) == sum(r.transverse for _, r in mixed)
+        assert len(squares) == sum(carries(r) for _, r in mixed)
         assert collector_outcome(*per_step(grid, p, CAUCHY, state0, pairs)) == want
         for size in (2, 3, None):
             squares.clear()
@@ -740,7 +743,7 @@ class TestRecordBlocks:
                                                 size)) == want, size
             chunks = [mixed[at:at + (size or len(mixed))]
                       for at in range(0, len(mixed), size or len(mixed))]
-            assert len(squares) == sum(any(r.transverse for _, r in chunk)
+            assert len(squares) == sum(any(carries(r) for _, r in chunk)
                                        for chunk in chunks), size
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -813,10 +816,12 @@ class TestTheFoldedCheckKeepsItsOrder:
         for name in ("u", "b", "w"):
             getattr(state, name).flat[1:3] = 1e308
         with np.errstate(over="ignore"):
-            b_sq = sq2(state.b)  # overflows to inf, as a step's would
+            # |b|^2 overflows to inf, as a step's would
+            coeffs = coeffs_of(state, PhysicalParams.normalized())
+        assert coeffs.b_sq.max() == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for bounds in (state.validate(grid), state.validate(grid, b_sq)):
+            for bounds in (state.validate(grid), state.validate(grid, coeffs)):
                 assert bounds.u_abs == math.inf
                 assert (bounds.v_min, bounds.v_max) == (1.0, 1.0)
 

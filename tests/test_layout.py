@@ -175,10 +175,10 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
         assert staged.flags.f_contiguous, name
 
     # the decision skipped the transverse terms of the dissipation, the
-    # coefficients and the boundary fluxes: each gives the bits of its full
-    # path, forced by transverse=True or the differences of w on the same
-    # inputs
-    assert report.transverse is False
+    # coefficients (b_sq None) and the boundary fluxes: each gives the bits
+    # of its full path, forced by transverse=True or the differences of w
+    # on the same inputs
+    assert report.coeffs.b_sq is None
     mu, dx = report.coeffs.mu, grid.dx
     du, dw = new.u[1:] - new.u[:-1], new.w[1:] - new.w[:-1]
     full_q = solver.dissipation_source(new.v, mu, du / dx, dw / dx, new.b,
@@ -196,7 +196,7 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
     # the t = 0 report of the state, whose w and b may hold -0.0, decides
     # the same; each record, forced onto the full path, keeps its bits
     first = solver.initial_report(state, grid, P, bnd)
-    assert first.transverse is False
+    assert first.coeffs.b_sq is None
     mu = first.coeffs.mu
     ux, wx = (state.u[1:] - state.u[:-1]) / dx, (state.w[1:] - state.w[:-1]) / dx
     first_full = replace(
@@ -206,9 +206,8 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
     assert_same_arrays(first, first_full)
     lines = []
     for reports in ((first, report),
-                    (replace(first_full, transverse=True),
-                     replace(report, coeffs=full_c, dissipation=full_q,
-                             transverse=True))):
+                    (first_full,
+                     replace(report, coeffs=full_c, dissipation=full_q))):
         collector = DiagnosticsCollector(grid, P, bc, state)
         lines.append([json.dumps(collector.make_record(s, r).to_json_dict())
                       for s, r in zip((state, new), reports)])
@@ -220,11 +219,18 @@ def bits(*values):
     return [np.asarray(x, dtype=float).tobytes() for x in values]
 
 
+def coeff_bits(coeffs, name):
+    """bits of one coefficient array; a b_sq of None (a state with no
+    transverse field) stands for its +0.0 array."""
+    arr = getattr(coeffs, name)
+    return bits(np.zeros(coeffs.mu.shape) if arr is None else arr)
+
+
 def assert_same_arrays(report, other):
     """The report's coefficients and dissipation, bit for bit."""
     for f in fields(StateCoeffs):
-        assert bits(getattr(report.coeffs, f.name)) == \
-            bits(getattr(other.coeffs, f.name)), f.name
+        assert coeff_bits(report.coeffs, f.name) == \
+            coeff_bits(other.coeffs, f.name), f.name
     assert bits(report.dissipation) == bits(other.dissipation)
 
 
@@ -253,7 +259,7 @@ def test_a_quiet_step_and_its_records_do_no_transverse_arithmetic(bc, monkeypatc
         # the magnetized step shows that the spies see each call
         assert sorted(set(calls)) == (["mhd1d.diagnostics.sq2", "mhd1d.solver.b_gradient",
                                        "mhd1d.solver.sq2"] if transverse else [])
-        assert report.transverse is transverse
+        assert (report.coeffs.b_sq is not None) is transverse
         calls.clear()
 
 
@@ -261,9 +267,10 @@ def test_a_quiet_step_and_its_records_do_no_transverse_arithmetic(bc, monkeypatc
 @pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
 def test_run_until_carries_the_decision_with_the_bits_of_a_scan(bc, start,
                                                                 monkeypatch):
-    # after a step with no transverse field, run_until tells the next step
-    # so: it scans no w or b and compute_dt gets no |b|^2. Every state and
-    # report equals the bits of steps that scan
+    # after a step with no transverse field, run_until hands the next step
+    # its coefficients, whose b_sq is None: it scans no w or b and
+    # compute_dt gets no |b|^2. Every state and report equals the bits of
+    # steps that scan, each given coefficients with a b_sq array
     wall = bc.has_left_wall
     grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
     if start == "magnetized bump":
@@ -290,10 +297,12 @@ def test_run_until_carries_the_decision_with_the_bits_of_a_scan(bc, start,
     assert seen == [False] + [quiet] * (len(run) - 1)
     new, coeffs = state, coeffs_of(state, P)
     for got, report in run:
+        assert coeffs.b_sq is not None
         new, expected = step(new, grid, P, bc, StepControl(), coeffs,
                              dt_cap=t_end - new.t)
-        coeffs = expected.coeffs
-        assert report.transverse is expected.transverse is not quiet
+        coeffs = solver.state_coeffs(new, expected.coeffs.mu, P)
+        assert (report.coeffs.b_sq is None) is (expected.coeffs.b_sq is None) \
+            is quiet
         for name in ("v", "theta", "b", "u", "w"):
             assert bits(getattr(got, name)) == bits(getattr(new, name)), name
         assert (got.t, got.step) == (new.t, new.step)
@@ -304,3 +313,69 @@ def test_run_until_carries_the_decision_with_the_bits_of_a_scan(bc, start,
             bits(*(getattr(expected, f) for f in scalars))
         assert bits(report.heat_flux) == bits(expected.heat_flux)
         assert_same_arrays(report, expected)
+
+
+class CountsScans(np.ndarray):
+    """An array view that records each .any() scan made of it."""
+
+    scans: list = []
+
+    def any(self, *args, **kwargs):
+        CountsScans.scans.append(self.shape)
+        return super().any(*args, **kwargs)
+
+
+@pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
+def test_a_direct_step_on_quiet_coeffs_has_the_bits_of_a_scanning_step(
+        bc, monkeypatch):
+    # a caller that chains a quiet report's coeffs (b_sq None) into step gets
+    # run_until's scan-free path: no scan of w or b and no |b|^2 in
+    # compute_dt, with the bits of a step given coefficients that scan
+    wall = bc.has_left_wall
+    grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
+    state = quiet_state(grid, bc)
+    state, report = step(state, grid, P, bc, StepControl(), coeffs_of(state, P))
+    assert report.coeffs.b_sq is None
+    state.w, state.b = state.w.view(CountsScans), state.b.view(CountsScans)
+    seen, compute_dt = [], solver.compute_dt
+    monkeypatch.setattr(solver, "compute_dt",
+                        lambda s, b_sq, *args: seen.append(b_sq is None)
+                        or compute_dt(s, b_sq, *args))
+    runs, scans = [], []
+    for coeffs in (report.coeffs, solver.state_coeffs(state, report.coeffs.mu, P)):
+        CountsScans.scans.clear()
+        runs.append(step(state, grid, P, bc, StepControl(), coeffs))
+        scans.append(list(CountsScans.scans))
+    monkeypatch.undo()
+    (quiet_new, quiet), (new, scanned) = runs
+    assert seen == [True, False]
+    assert scans == [[], [(17, 2), (16, 2)]]
+    for name in ("v", "theta", "b", "u", "w"):
+        assert bits(getattr(quiet_new, name)) == bits(getattr(new, name)), name
+    assert quiet == scanned  # the scalar fields
+    assert bits(*(getattr(quiet, f) for f in ("dt_used", "energy_flux",
+                                              "entropy_flux"))) == \
+        bits(*(getattr(scanned, f) for f in ("dt_used", "energy_flux",
+                                             "entropy_flux")))
+    assert bits(quiet.heat_flux) == bits(scanned.heat_flux)
+    assert_same_arrays(quiet, scanned)
+
+
+@pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
+def test_a_quiet_record_reads_neither_w_nor_b(bc):
+    # the report's coefficients vouch for w and b as +0.0: NaN planted in
+    # both changes neither the validation nor the record, while coefficients
+    # with a b_sq array find the NaN
+    wall = bc.has_left_wall
+    grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
+    state0 = quiet_state(grid, bc)
+    new, report = step(state0, grid, P, bc, StepControl(), coeffs_of(state0, P))
+    assert report.coeffs.b_sq is None
+    bad = new.copy()
+    bad.w[3, 1] = bad.b[2, 0] = np.nan
+    assert bad.validate(grid, report.coeffs) == new.validate(grid, report.coeffs)
+    with pytest.raises(ValueError, match="^non-finite b: nan$"):
+        bad.validate(grid, solver.state_coeffs(bad, report.coeffs.mu, P))
+    lines = [DiagnosticsCollector(grid, P, bc, state0).make_record(s, report)
+             .json_line() for s in (new, bad)]
+    assert lines[0] == lines[1]

@@ -7,8 +7,12 @@ context as required arguments (no parameter defaults), and in
 diagnostics.py only record_terms validates a state. diagnostics.py computes
 none of the arrays a step report carries (heat flux, dissipation,
 coefficients): it reads them off the report. In cli.py only main
-catches ConfigError, so every config error leaves by one exit path. No module
-of the package or of the tests imports a name it never reads."""
+catches ConfigError, so every config error leaves by one exit path. The
+decision whether a step carries a transverse field has one flag: outside
+solver.py no module reads an attribute .transverse, and solver.py reads only
+BoundaryData's (bnd.transverse); a state carries the decision as
+StateCoeffs.b_sq None. No module of the package or of the tests imports a
+name it never reads."""
 import ast
 from pathlib import Path
 
@@ -85,6 +89,37 @@ def test_the_check_sees_regime_reads(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("if bnd.left_wall and not bnd.isothermal:\n    pass\n")
     assert sorted(_regime_reads(probe)) == ["line 1: .isothermal", "line 1: .left_wall"]
+
+
+def _transverse_reads(path: Path) -> list[str]:
+    """Reads of an attribute .transverse in this module, with what they
+    read it off."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "transverse"
+            and isinstance(node.ctx, ast.Load)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "solver.py"],
+                         ids=lambda p: p.name)
+def test_no_module_but_the_solver_reads_a_transverse_flag(path):
+    assert _transverse_reads(path) == []
+
+
+def test_the_solver_reads_only_the_boundary_datas_transverse_flag():
+    reads = _transverse_reads(PACKAGE / "solver.py")
+    assert reads
+    assert {read.split(": ", 1)[1] for read in reads} == {"bnd.transverse"}
+
+
+def test_the_check_sees_transverse_reads(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("quiet = not report.transverse\n"
+                     "if bnd.transverse or arrays.transverse:\n"
+                     "    self.transverse = True\n")
+    assert sorted(_transverse_reads(probe)) == [
+        "line 1: report.transverse", "line 2: arrays.transverse",
+        "line 2: bnd.transverse"]
 
 
 MONITORS = {"diagnostics.py": ("energy_entropy", "dissipation_W",
