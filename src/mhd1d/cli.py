@@ -14,6 +14,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import verification
 from .config import ConfigError, RunConfig, describe, parse_config_file
 from .core import make_initial_state
@@ -57,31 +59,31 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
                 dict(_NO_SUMMARY))
     try:
         state = make_initial_state(cfg.grid, cfg.profile, cfg.bc)
-    except (ValueError, OSError) as exc:
+        with np.errstate(over="raise", invalid="raise"):  # the t = 0 record
+            collector = DiagnosticsCollector(cfg.grid, cfg.params, cfg.bc,
+                                             state, repr_anchor=cfg.repr_node)
+    except (ValueError, OSError, FloatingPointError) as exc:
         return _error(f"initial profile rejected: {exc}"), dict(_NO_SUMMARY)
     try:
-        return _simulate(cfg, state, out)
+        return _simulate(cfg, state, collector, out)
     except OSError as exc:
         return _error(f"cannot write output in {out}: {exc}"), dict(_NO_SUMMARY)
 
 
-def _simulate(cfg: RunConfig, state, out: Path) -> tuple[int, dict]:
-    """run_simulation from the initial state on; a failed write raises."""
-    collector = DiagnosticsCollector(cfg.grid, cfg.params, cfg.bc, state,
-                                     repr_anchor=cfg.repr_node)
+def _simulate(cfg: RunConfig, state, collector, out: Path) -> tuple[int, dict]:
+    """run_simulation from the initial state and the collector that recorded
+    it on; a failed write raises."""
     interval, t0 = cfg.snapshot_interval, state.t
     snap_next = t0 + interval
-    last = collector.make_record(state)
     failure = None
     with open(out / "diagnostics.jsonl", "w") as stream:
-        emit_diagnostics(last, stream)
+        emit_diagnostics(collector.last, stream)
         emit_snapshot(state, cfg.grid, out / "snapshot_initial.csv")
 
-        def write(records):  # on the cadence; `last` keeps the newest
-            nonlocal last
-            for last in records:
-                if last.step % cfg.diagnostics_every == 0:
-                    emit_diagnostics(last, stream)
+        def write(records):  # on the cadence
+            for record in records:
+                if record.step % cfg.diagnostics_every == 0:
+                    emit_diagnostics(record, stream)
 
         def sink(s, report):
             nonlocal snap_next
@@ -101,6 +103,7 @@ def _simulate(cfg: RunConfig, state, out: Path) -> tuple[int, dict]:
         except SolverFailure as exc:
             failure = exc
         write(collector.flush())  # before the failure message reads the minima
+        last = collector.last
         if last.step % cfg.diagnostics_every != 0:  # the cadence skipped it
             emit_diagnostics(last, stream)
 
@@ -122,7 +125,7 @@ def _simulate(cfg: RunConfig, state, out: Path) -> tuple[int, dict]:
           f"min_theta = {collector.min_theta_run:.17g}, "
           f"max_theta = {collector.max_theta_run:.17g}")
     print(f"summary: E_entropy_final = {last.E_entropy:.17g}, "
-          f"W_integral = {collector.w_cum:.17g}, "
+          f"W_integral = {last.W_cum:.17g}, "
           f"repr_residual_max = {repr_txt}")
     return 0, summary
 

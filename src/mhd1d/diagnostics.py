@@ -58,12 +58,15 @@ SLAB_INTERVALS_PER_CELL = 16
 THETA_COLD = 0.5
 THETA_HOT = 2.0
 
-# what record_block reads off each StepReport, as columns, and the kinds of
-# its four boundary fluxes in that order
+# what record_block reads off each StepReport, as columns
 _REPORT_COLUMNS = attrgetter("dt_used", "mass_flux", "momentum_flux",
                              "energy_flux", "entropy_flux",
                              "newton_iterations", "retries")
-_FLUX_KINDS = ("mass", "momentum", "energy", "entropy")
+# what the next block carries on from the newest record: the running sums
+# (W_cum, then the four boundary fluxes') and the budgets' totals
+_CARRIES = attrgetter("W_cum", "mass_flux_cum", "momentum_flux_cum",
+                      "energy_flux_cum", "entropy_flux_cum", "mass_total",
+                      "momentum_total")
 
 # cell rows of a record block: the collector records max(1, BLOCK_CELLS //
 # cells) accepted steps at once, which spreads the per-call cost of a small
@@ -80,7 +83,7 @@ class RecordTerms:
 
     bnd is the collector's BoundaryData. heat_flux (at every node),
     dissipation (per cell) and coeffs, the state's solver.state_coeffs
-    (mu(v), |b|^2, the total pressure), are the step report's; bounds are
+    (mu(v)/v, |b|^2, the total pressure), are the step report's; bounds are
     the FieldBounds that validating the state read. v_b_sq is v|b|^2, or
     None when the report carries no transverse field (coeffs.b_sq None),
     and kinetic the
@@ -121,9 +124,8 @@ class ReportArrays:
         coeffs = [r.coeffs for r in reports]
         quiet = [c.b_sq is None for c in coeffs]
         b_sq = None if all(quiet) else stack_rows(  # +0.0 rows for quiet records
-            [np.zeros(c.mu.shape) if q else c.b_sq for c, q in zip(coeffs, quiet)])
-        return cls(StateCoeffs(stack_rows([c.mu for c in coeffs]),
-                               stack_rows([c.mu_over_v for c in coeffs]), b_sq,
+            [np.zeros(c.ptot.shape) if q else c.b_sq for c, q in zip(coeffs, quiet)])
+        return cls(StateCoeffs(stack_rows([c.mu_over_v for c in coeffs]), b_sq,
                                stack_rows([c.ptot for c in coeffs])),
                    stack_rows([r.heat_flux for r in reports]),
                    stack_rows([r.dissipation for r in reports]))
@@ -514,12 +516,19 @@ class DiagnosticsCollector:
     """Stateful sink that assembles a DiagnosticsRecord for every accepted
     step and maintains the cumulative budgets.
 
-    Use make_record(state) once for the initial record, then feed
-    (state, report) pairs in order: make_record(state, report) records one at
-    once (e.g. sink=collector.make_record with solver.run_until), push buffers
-    them and records block_size = max(1, BLOCK_CELLS // cells) of them at a
-    time, and flush records what push still holds; flush before calling
-    make_record again.
+    The constructor records state0 as the t = 0 row (make_record(state0)).
+    last is the newest record, and the only copy of every running total: the
+    next record continues W_cum and the four *_flux_cum sums from it and
+    measures its mass and momentum defects against its mass_total and
+    momentum_total. The run extremes (min_v_run, max_v_run, min_theta_run,
+    max_theta_run and, with the representation diagnostic,
+    max_repr_residual) fold the records' values.
+
+    Feed (state, report) pairs in order: make_record(state, report) records
+    one at once (e.g. sink=collector.make_record with solver.run_until), push
+    buffers them and records block_size = max(1, BLOCK_CELLS // cells) of
+    them at a time, and flush records what push still holds; flush before
+    calling make_record again.
     Each way runs record_block, so the records are the same.
     The grid must hold at most SLAB_INTERVALS_PER_CELL unit mass intervals
     per cell (ValueError otherwise), which bounds the slab integrals of every
@@ -539,23 +548,18 @@ class DiagnosticsCollector:
                     if p.is_normalized else None)
         self.block_size = max(1, BLOCK_CELLS // grid.cells)
         self._buffer = []
-        self.w_cum = 0.0
-        self.mass_flux_cum = 0.0
-        self.momentum_flux_cum = 0.0
-        self.energy_flux_cum = 0.0
-        self.entropy_flux_cum = 0.0
-        self._prev_mass = float(grid.dx * state0.v.sum())
-        self._prev_momentum = float(grid.dx * state0.u.sum())
-        self.min_v_run = float(state0.v.min())
-        self.min_theta_run = float(state0.theta.min())
-        self.max_v_run = float(state0.v.max())
-        self.max_theta_run = float(state0.theta.max())
+        self.min_v_run = self.min_theta_run = math.inf
+        self.max_v_run = self.max_theta_run = -math.inf
         self.max_repr_residual = 0.0
+        self.last: Optional[DiagnosticsRecord] = None
+        self.make_record(state0)
 
     def make_record(self, state: GasState,
                     report: Optional[StepReport] = None) -> DiagnosticsRecord:
-        """Assemble the record for a state; report=None marks the t = 0 row,
-        recorded as a zero-length step (solver.initial_report)."""
+        """Assemble the record for a state, which becomes last; report=None
+        records the state as a zero-length step (solver.initial_report), as
+        the constructor records the t = 0 row. Recording state0 again before
+        any step gives a record equal to that row (dt 0 adds nothing)."""
         if report is None:
             report = initial_report(state, self.grid, self.p, self.bnd)
         return self.record_block([state], [report])[0]
@@ -586,8 +590,9 @@ class DiagnosticsCollector:
         reports' coefficients, heat flux and dissipation. The extremes and
         the momentum scale are the reductions that validation made, and
         level_set_measures runs only if some record's theta extremes reach a
-        set. The running sums, budget defects and run extremes then advance
-        column by column, each in record order.
+        set. The running sums and budget defects then advance column by
+        column from last's carries, and the run extremes fold the columns,
+        each in record order; the newest record becomes last.
         """
         grid, p, dx = self.grid, self.p, self.grid.dx
         block = StateBlock.of(states)
@@ -622,17 +627,21 @@ class DiagnosticsCollector:
             else:
                 slabs += [[math.nan] * len(states)] * 2
 
-        w_cum = self._advance("w_cum", map(mul, w_rate, dts))
-        cum = [self._advance(f"{kind}_flux_cum", column)
-               for kind, column in zip(_FLUX_KINDS, flux)]
+        # the carries of the newest record; the t = 0 record starts the sums
+        # at zero and measures its budgets against its own totals
+        w0, *flux0, mass0, momentum0 = (
+            (0.0,) * 5 + (mass[0], momentum[0]) if self.last is None
+            else _CARRIES(self.last))
+        # running sums, added left to right as a loop adds them
+        w_cum = list(accumulate(map(mul, w_rate, dts), initial=w0))[1:]
+        cum = [list(accumulate(c, initial=c0))[1:] for c, c0 in zip(flux, flux0)]
         # each record's defect against the record before it (zip stops at
         # the shorter list)
         mass_defect = [abs(m - m0 - f) / max(abs(m0), 1.0) for m, m0, f
-                       in zip(mass, [self._prev_mass, *mass], flux[0])]
+                       in zip(mass, [mass0, *mass], flux[0])]
         momentum_defect = [abs(m - m0 - f) / max(1.0, scale) for m, m0, f, scale
-                           in zip(momentum, [self._prev_momentum, *momentum],
+                           in zip(momentum, [momentum0, *momentum],
                                   flux[1], mom_scale)]
-        self._prev_mass, self._prev_momentum = mass[-1], momentum[-1]
         # min and max of several arguments fold them left to right
         self.min_v_run = min(self.min_v_run, *min_v)
         self.min_theta_run = min(self.min_theta_run, *min_th)
@@ -643,15 +652,10 @@ class DiagnosticsCollector:
             peak = [self.max_repr_residual, *repr_max]
             self.max_repr_residual = next(filter(math.isnan, peak), max(peak))
         # one column per field, in DiagnosticsRecord's order
-        return list(map(DiagnosticsRecord, block.t, block.step, dts, newton,
-                        retries, e_entropy, w_rate, w_cum, min_v, max_v, min_th,
-                        max_th, mass, cum[0], mass_defect, momentum, cum[1],
-                        momentum_defect, energy, cum[2], cum[3], meas_lo,
-                        meas_hi, *slabs, repr_max))
-
-    def _advance(self, name: str, column) -> list:
-        """The running sum self.<name> after each entry of column, added left
-        to right as a loop adds them; self.<name> keeps the last."""
-        sums = list(accumulate(column, initial=getattr(self, name)))[1:]
-        setattr(self, name, sums[-1])
-        return sums
+        records = list(map(DiagnosticsRecord, block.t, block.step, dts, newton,
+                           retries, e_entropy, w_rate, w_cum, min_v, max_v,
+                           min_th, max_th, mass, cum[0], mass_defect, momentum,
+                           cum[1], momentum_defect, energy, cum[2], cum[3],
+                           meas_lo, meas_hi, *slabs, repr_max))
+        self.last = records[-1]
+        return records

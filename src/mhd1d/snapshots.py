@@ -54,7 +54,9 @@ def _parse_header(line: str, path) -> tuple[float, int]:
         raise SnapshotError(f"{path}:1: bad header {line!r}") from exc
 
 
-def _read_csv(path, columns: int) -> tuple[float, int, np.ndarray]:
+def _read_csv(path, columns: int) -> tuple[float, int, np.ndarray, list]:
+    """The time, step and data rows of one snapshot file, and the line
+    number of each row."""
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -63,10 +65,11 @@ def _read_csv(path, columns: int) -> tuple[float, int, np.ndarray]:
     if len(lines) < 3 or not lines[0].startswith("#"):
         raise SnapshotError(f"{path}:1: missing '# t=...' header")
     t, step = _parse_header(lines[0], path)
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
+        linenos.append(lineno)
         fields = line.split(",")
         if len(fields) != columns:
             raise SnapshotError(f"{path}:{lineno}: expected {columns} fields, "
@@ -77,23 +80,42 @@ def _read_csv(path, columns: int) -> tuple[float, int, np.ndarray]:
             raise SnapshotError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
     if not rows:
         raise SnapshotError(f"{path}: no data rows")
-    return t, step, np.asarray(rows, dtype=float)
+    return t, step, np.asarray(rows, dtype=float), linenos
 
 
 def load_snapshot(path) -> tuple[GasState, Grid]:
     """Inverse of emit_snapshot. Reconstructs the grid from the stored
-    coordinates and returns the state with its saved time and step."""
-    t, step, centers = _read_csv(path, 5)
-    t_n, step_n, nodes = _read_csv(node_companion(path), 4)
+    coordinates and returns the state with its saved time and step.
+
+    The first two nodes give the grid. Every later node must sit one dx
+    past the node before it, and every center half a dx past its left node
+    (midway between its nodes), each within 1e-9 * dx plus the coordinates'
+    own rounding, 2e-15 (9 machine epsilons) times the larger magnitude of
+    the grid's two edges; else SnapshotError names the file and line of the
+    first coordinate off the grid. Each spacing is held to dx, not each node
+    to x_node[0] + j * dx, whose rounding drifts on long grids."""
+    t, step, centers, center_lines = _read_csv(path, 5)
+    t_n, step_n, nodes, node_lines = _read_csv(node_companion(path), 4)
     if t_n != t or step_n != step:
         raise SnapshotError(f"{path}: node companion carries a different "
                             f"time/step ({t_n}, {step_n}) vs ({t}, {step})")
     if nodes.shape[0] != centers.shape[0] + 1:
         raise SnapshotError(f"{path}: {centers.shape[0]} centers need "
                             f"{centers.shape[0] + 1} nodes, got {nodes.shape[0]}")
-    x_node = nodes[:, 0]
-    dx = float(x_node[1] - x_node[0])
+    x_node, x_center = nodes[:, 0], centers[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are stray
+        dx = float(x_node[1] - x_node[0])
+        offsets = (np.diff(x_node) - dx, x_center - x_node[:-1] - 0.5 * dx)
     grid = Grid(cells=centers.shape[0], dx=dx, left_edge=float(x_node[0]))
+    tol = 1e-9 * dx + 2e-15 * max(abs(grid.left_edge), abs(grid.right_edge))
+    for name, lines, x, off in zip((node_companion(path), path),
+                                   (node_lines[1:], center_lines),
+                                   (x_node[1:], x_center), offsets):
+        stray = np.flatnonzero(~(np.abs(off) <= tol))
+        if stray.size:
+            raise SnapshotError(f"{name}:{lines[stray[0]]}: coordinate "
+                                f"{float(x[stray[0]])!r} is off the grid of "
+                                f"dx = {dx!r} from {grid.left_edge!r}")
     state = GasState(v=centers[:, 1].copy(), theta=centers[:, 2].copy(),
                      b=centers[:, 3:5], u=nodes[:, 1].copy(),
                      w=nodes[:, 2:4], t=t, step=step)

@@ -150,16 +150,16 @@ class StepControl:
 
 @dataclass(frozen=True)
 class StateCoeffs:
-    """Cell coefficients of one state, built by state_coeffs: mu = mu(v),
-    mu_over_v = mu(v)/v, b_sq = |b|^2 and ptot the total pressure
-    R*theta/v + |b|^2/2. A step reads them as its stage-(a) coefficients and
-    its time-step bound; the monitors read them for the same state.
+    """Cell coefficients of one state, built by state_coeffs: mu_over_v =
+    mu(v)/v, b_sq = |b|^2 and ptot the total pressure R*theta/v + |b|^2/2.
+    A step reads them as its stage-(a) coefficients and its time-step bound;
+    the monitors read them for the same state. mu(v) itself is not kept: the
+    step that evaluates it hands it to the stages that read it.
 
     b_sq is None for a state with no transverse field (w and b +0.0 arrays):
     the one mark of that state that a step, run_until and the monitors read.
     They then skip every transverse term and scan neither w nor b."""
 
-    mu: np.ndarray
     mu_over_v: np.ndarray
     b_sq: Optional[np.ndarray]
     ptot: np.ndarray
@@ -176,7 +176,7 @@ def state_coeffs(state: GasState, mu: np.ndarray, p: PhysicalParams,
     if transverse:
         b_sq = sq2(state.b)
         ptot += 0.5 * b_sq
-    return StateCoeffs(mu=mu, mu_over_v=mu / state.v, b_sq=b_sq, ptot=ptot)
+    return StateCoeffs(mu_over_v=mu / state.v, b_sq=b_sq, ptot=ptot)
 
 
 @dataclass
@@ -803,11 +803,12 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
     none) or bnd brings one; else its coeffs.b_sq is None."""
     state.validate(grid)
     transverse = bnd.transverse or state.w.any() or state.b.any()
-    coeffs = state_coeffs(state, viscosity_mu(state.v, p), p, transverse)
+    mu = viscosity_mu(state.v, p)
+    coeffs = state_coeffs(state, mu, p, transverse)
     dx = grid.dx
     ux = (state.u[1:] - state.u[:-1]) / dx
     wx = (state.w[1:] - state.w[:-1]) / dx if transverse else None
-    q = dissipation_source(state.v, coeffs.mu, ux, wx, state.b, grid, p, bnd)
+    q = dissipation_source(state.v, mu, ux, wx, state.b, grid, p, bnd)
     return StepReport(dt_used=0.0, newton_iterations=0, retries=0, coeffs=coeffs,
                       mass_flux=0.0, momentum_flux=0.0, energy_flux=0.0,
                       entropy_flux=0.0, dissipation=q,
@@ -820,9 +821,11 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
     """Step repeatedly until t_end, invoking sink(state, report) after each
     accepted step, and hand each step's report.coeffs to the next: after a
     step that carried no transverse field their b_sq is None, so the next
-    step scans no w or b (see step). The final step is shortened to land exactly on t_end; a state within round-off of
-    t_end is returned as a copy at t_end, so no state handed out or passed in
-    is edited."""
+    step scans no w or b (see step).
+
+    The final step is shortened to land exactly on t_end; a state within
+    round-off of t_end is returned as a copy at t_end, so no state handed out
+    or passed in is edited."""
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before state time {state.t}")
     snap_tol = 1e-12 * max(1.0, abs(t_end))

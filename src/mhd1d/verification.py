@@ -46,6 +46,10 @@ from .solver import (
 REFERENCE_MAX_CELLS = 64
 REFERENCE_SAFETY = 0.2
 
+# numerical_source_check's number of sample points on [0, 1), the time it
+# checks, and its centered-difference steps in x and t
+SOURCE_SAMPLES, SOURCE_T, SOURCE_H_X, SOURCE_H_T = 256, 0.3, 2e-5, 1e-5
+
 FIELDS = ("v", "u", "theta", "w", "b")
 # the trig of each field's mode, counted in quarter turns from sin (0 for sin,
 # 1 for cos); the n-th x derivative adds n quarter turns
@@ -212,8 +216,8 @@ def _semi_discrete_rhs(y: dict, grid: Grid, p: PhysicalParams,
     dx = grid.dx
     ux = np.diff(u) / dx  # v_t
 
-    coeffs = state_coeffs(GasState(v=v, theta=theta, b=b, u=u, w=w),
-                          viscosity_mu(v, p), p)
+    mu = viscosity_mu(v, p)
+    coeffs = state_coeffs(GasState(v=v, theta=theta, b=b, u=u, w=w), mu, p)
     g = coeffs.ptot
     visc = coeffs.mu_over_v * ux
     du = np.zeros_like(u)
@@ -231,7 +235,7 @@ def _semi_discrete_rhs(y: dict, grid: Grid, p: PhysicalParams,
     db = (wx + np.diff(xflux, axis=0) / dx - b * ux[:, None]) / v[:, None]
 
     h = heat_flux(theta, v, dx, p, bnd)
-    q = dissipation_source(v, coeffs.mu, ux, wx, b, grid, p, bnd)
+    q = dissipation_source(v, mu, ux, wx, b, grid, p, bnd)
     dth = (-(p.R * theta / v) * ux + np.diff(h) / dx + q) / p.c_v
     return {"v": ux, "u": du, "theta": dth, "w": dw, "b": db}
 
@@ -378,12 +382,13 @@ def _linf(diff: np.ndarray) -> float:
     return float(np.max(np.abs(diff)))
 
 
-def numerical_source_check(sol: MmsSolution, p: PhysicalParams,
-                           n_samples: int = 256, t: float = 0.3,
-                           h_x: float = 2e-5, h_t: float = 1e-5) -> dict:
+def numerical_source_check(sol: MmsSolution, p: PhysicalParams) -> dict:
     """Cross-check the hand-derived sources against centered numerical
     differentiation of the closed forms (fluxes included as nested
-    divided differences). Returns max abs discrepancy per equation."""
+    divided differences), at SOURCE_SAMPLES points and t = SOURCE_T with
+    steps SOURCE_H_X and SOURCE_H_T. Returns max abs discrepancy per
+    equation."""
+    n_samples, t, h_x, h_t = SOURCE_SAMPLES, SOURCE_T, SOURCE_H_X, SOURCE_H_T
     x = np.linspace(0.0, 1.0, n_samples, endpoint=False) + 0.31 / n_samples
     at = {f: (lambda xx, f=f: getattr(sol, f)(xx, t)) for f in FIELDS}
 

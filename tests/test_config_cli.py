@@ -244,6 +244,76 @@ class TestSnapshots:
         with pytest.raises(SnapshotError, match="^.*snap.csv: no data rows$"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("cells, mass, left", [
+        (8192, 32.0, -16.0), (8192, 7.3, -1e6), (8192, 1e-3, 1e8),
+        (80, 9.5, 12345.678), (1000, 1e6, -3e5), (5000, 3.3, 1e-7)])
+    def test_every_written_pair_loads(self, tmp_path, cells, mass, left):
+        # the coordinates' rounding grows with the offset and the cell count:
+        # at 1e8 it is a few percent of dx, and x0 + j * dx drifts from the
+        # written nodes by more than 1e-9 * dx on the large grids
+        grid = Grid.uniform(cells, mass, left)
+        path = tmp_path / "snap.csv"
+        emit_snapshot(reference_state(grid), grid, path)
+        loaded, lgrid = load_snapshot(path)
+        assert lgrid.cells == cells and lgrid.left_edge == grid.left_edge
+        assert np.array_equal(loaded.v, np.ones(cells))
+
+    def write_pair(self, tmp_path, cells=None, nodes=None):
+        """An 8-cell pair over [-2, 2] whose data rows' x_center (cells) or
+        x_node (nodes) is replaced by edit(row index, x); None keeps them."""
+        grid = Grid.uniform(8, 4.0, -2.0)
+        path = tmp_path / "snap.csv"
+        emit_snapshot(reference_state(grid), grid, path)
+        for name, edit in ((path, cells), (node_companion(path), nodes)):
+            if edit is None:
+                continue
+            lines = name.read_text().splitlines()
+            for j, line in enumerate(lines[2:]):
+                x, rest = line.split(",", 1)
+                lines[2 + j] = f"{edit(j, float(x))!r},{rest}"
+            name.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_stray_coordinates_are_refused_at_their_line(self, tmp_path):
+        # centers all -999 and nodes 100, 101, ... from the third on: the
+        # first two nodes alone give a plausible grid
+        path = self.write_pair(tmp_path, lambda j, x: -999.0,
+                               lambda j, x: x if j < 2 else 98.0 + j)
+        with pytest.raises(SnapshotError, match=re.escape(
+                f"{node_companion(path)}:5: coordinate 100.0 is off the grid "
+                "of dx = 0.5 from -2.0")):
+            load_snapshot(path)
+        path = self.write_pair(tmp_path, cells=lambda j, x: -999.0)
+        with pytest.raises(SnapshotError, match=re.escape(
+                f"{path}:3: coordinate -999.0 is off")):
+            load_snapshot(path)
+
+    # the edit of the centers, of the nodes, and the file and line refused
+    STRAYS = {
+        # each spacing 3e-10 longer than the one before, inside the 5e-10
+        # tolerance, so the spacing of nodes 2 and 3 is 6e-10 off dx: each
+        # spacing is held to dx, not to the spacing before it
+        "drift": (None, lambda j, x: x + 3e-10 * j * (j - 1) / 2, "nodes.csv:6"),
+        "center": (lambda j, x: x + 1e-6 if j == 5 else x, None, "csv:8"),
+        "nan": (lambda j, x: math.nan if j == 3 else x, None, "csv:6"),
+        "inf": (None, lambda j, x: math.inf if j == 8 else x, "nodes.csv:11"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STRAYS))
+    def test_each_kind_of_stray_coordinate_is_refused(self, tmp_path, case):
+        cells, nodes, where = self.STRAYS[case]
+        self.write_pair(tmp_path, cells, nodes)
+        with pytest.raises(SnapshotError, match=re.escape(
+                f"{tmp_path / 'snap'}.{where}: coordinate ")):
+            load_snapshot(tmp_path / "snap.csv")
+
+    def test_the_line_counts_blank_lines(self, tmp_path):
+        path = self.write_pair(tmp_path, lambda j, x: -999.0 if j == 2 else x)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["", ""] + lines[3:]) + "\n")
+        with pytest.raises(SnapshotError, match=re.escape(f"{path}:7: ")):
+            load_snapshot(path)
+
 
 class TestEmitDiagnostics:
     def test_reference_record_line(self, tmp_path):
@@ -640,7 +710,7 @@ class TestRecordBlocksInTheRunCommand:
                 f"min_theta = {coll.min_theta_run:.17g}, "
                 f"max_theta = {coll.max_theta_run:.17g}") in printed
         assert (f"E_entropy_final = {records[-1].E_entropy:.17g}, "
-                f"W_integral = {coll.w_cum:.17g}, "
+                f"W_integral = {coll.last.W_cum:.17g}, "
                 f"repr_residual_max = {coll.max_repr_residual:.6g}") in printed
 
     def test_failure_inside_a_block_writes_every_accepted_step(self, tmp_path,
@@ -696,6 +766,38 @@ class TestNonFiniteFields:
         err = capsys.readouterr().err
         assert err.startswith("error: initial profile rejected: non-finite u")
         assert not (out / "diagnostics.jsonl").exists()
+
+    # finite bumps whose t = 0 record overflows: u^2 in the kinetic energy,
+    # |b|^2, |w_x|^2 in the dissipation, kappa(theta) theta_x^2
+    OVERFLOWING = ["amp_u = 1e160", "amp_b1 = 1e160", "amp_b2 = 1e160",
+                   "amp_w1 = 1e160", "amp_w2 = 1e160", "amp_theta = 1e150"]
+
+    @pytest.mark.parametrize("amp", OVERFLOWING)
+    def test_an_overflowing_initial_record_exits_2(self, tmp_path, capsys, amp):
+        # the record is neither written (E_entropy Infinity, W_cum null) nor
+        # run; the suite turns the RuntimeWarning it used to print into an
+        # error
+        text = ("grid.cells = 16\ngrid.mass = 8.0\n"
+                f"initial.profile = gaussian_bump\ninitial.{amp}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: initial profile rejected: (overflow|invalid "
+                            r"value) encountered in \w+\n", err), err
+        assert not (out / "diagnostics.jsonl").exists()
+
+    def test_an_overflowing_initial_record_exits_2_under_warnings_as_errors(
+            self, tmp_path):
+        text = ("grid.cells = 16\ngrid.mass = 8.0\n"
+                "initial.profile = gaussian_bump\ninitial.amp_u = 1e160\n")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "mhd1d.cli",
+             "run", "--config", str(write_config(tmp_path, text)),
+             "--out", str(tmp_path / "out")], capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == ("error: initial profile rejected: overflow "
+                               "encountered in multiply\n")
 
 
 class TestUnreadableInput:

@@ -366,8 +366,8 @@ class TestRepresentationFormula:
 
         monkeypatch.setattr(diagnostics, "representation_residual",
                             nan_in_the_second)
-        coll = DiagnosticsCollector(grid, p, CAUCHY, state0)
-        records = [coll.make_record(state0)]
+        coll = DiagnosticsCollector(grid, p, CAUCHY, state0)  # the first call
+        records = [coll.last]
         records += [coll.make_record(s, r) for s, r in pairs]
         assert math.isnan(records[1].repr_residual_max)
         assert all(0.0 <= r.repr_residual_max < 1.0 for r in records[2:])
@@ -631,12 +631,14 @@ def trajectory(grid, p, bc, profile, t_end, ctl=StepControl()):
 
 def collector_outcome(coll, records):
     """What a run reports from its collector: the JSON lines, and the run
-    extremes and running sums that the summary prints."""
+    extremes and the running sums of its newest record that the summary
+    prints."""
     lines = [json.dumps(r.to_json_dict()) for r in records]
+    last = coll.last
     totals = (coll.min_v_run, coll.max_v_run, coll.min_theta_run,
-              coll.max_theta_run, coll.max_repr_residual, coll.w_cum,
-              coll.mass_flux_cum, coll.momentum_flux_cum,
-              coll.energy_flux_cum, coll.entropy_flux_cum)
+              coll.max_theta_run, coll.max_repr_residual, last.W_cum,
+              last.mass_flux_cum, last.momentum_flux_cum,
+              last.energy_flux_cum, last.entropy_flux_cum)
     return lines, totals
 
 
@@ -725,7 +727,7 @@ class TestRecordBlocks:
         mixed = []
         for k, (s, r) in enumerate(pairs):
             if k % 3 == 1:
-                mu = r.coeffs.mu
+                mu = viscosity_mu(s.v, p)
                 q = dissipation_source(s.v, mu, (s.u[1:] - s.u[:-1]) / dx,
                                        (s.w[1:] - s.w[:-1]) / dx, s.b, grid, p, bnd)
                 r = replace(r, coeffs=state_coeffs(s, mu, p), dissipation=q)
@@ -761,6 +763,84 @@ class TestRecordBlocks:
         assert collector_outcome(coll, got) == collector_outcome(ref, records)
         assert np.array_equal(coll.acc.factor, ref.acc.factor)
         assert all(r.repr_residual_max <= 1e-12 for r in got)
+
+
+class TestTheCarryHasOneCopy:
+    """The collector's newest record, last, is the one copy of every running
+    total: the t = 0 record right after construction, then the newest record
+    of each call, and a record swapped in for it is what the next record
+    continues from."""
+
+    GRID = Grid.uniform(32, 16.0, -8.0)
+    P = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+
+    def run(self):
+        return trajectory(self.GRID, self.P, CAUCHY, smooth_bump(), 1.5)
+
+    def test_last_is_the_newest_record_of_every_call(self):
+        state0, pairs = self.run()
+        coll = DiagnosticsCollector(self.GRID, self.P, CAUCHY, state0)
+        first = coll.last
+        assert (first.t, first.step, first.dt, first.W_cum) == (0.0, 0, 0.0, 0.0)
+        assert first.mass_defect == first.momentum_defect == 0.0
+        assert first.json_line() == DiagnosticsCollector(
+            self.GRID, self.P, CAUCHY, state0).make_record(state0).json_line()
+        # recording state0 again adds a zero-length step: the same record
+        again = coll.make_record(state0)
+        assert coll.last is again and again.json_line() == first.json_line()
+        coll.block_size = 5  # blocks that fill and a ragged one in this run
+        assert len(pairs) > 10 and (len(pairs) - 4) % 5
+        s, r = pairs[0]
+        assert coll.make_record(s, r) is coll.last
+        done = coll.record_block([s for s, _ in pairs[1:4]],
+                                 [r for _, r in pairs[1:4]])
+        assert coll.last is done[-1]
+        for s, r in pairs[4:]:
+            before, records = coll.last, coll.push(s, r)
+            assert coll.last is (records[-1] if records else before)
+        assert records == []  # a ragged block is left
+        assert coll.flush()[-1] is coll.last and coll.flush() == []
+        assert coll.last.step == pairs[-1][0].step
+
+    # each carry swapped for another value: what the next record starts from
+    SWAPS = {"W_cum": 0.25, "mass_flux_cum": 0.5, "momentum_flux_cum": -0.75,
+             "energy_flux_cum": 1.5, "entropy_flux_cum": -2.0,
+             "mass_total": 16.5, "momentum_total": 0.125}
+
+    def carried(self, name, prev, rec, report, state):
+        """What rec's field that reads carry `name` is when rec continues
+        from prev: a running sum, or the defect against prev's total."""
+        if name == "W_cum":
+            return prev.W_cum + rec.W * rec.dt
+        if name.endswith("_flux_cum"):
+            return getattr(prev, name) + getattr(report, name[:-4])
+        if name == "mass_total":
+            return (abs(rec.mass_total - prev.mass_total - report.mass_flux)
+                    / max(abs(prev.mass_total), 1.0))
+        return (abs(rec.momentum_total - prev.momentum_total - report.momentum_flux)
+                / max(1.0, self.GRID.dx * np.abs(state.u).sum()))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    @pytest.mark.parametrize("name", sorted(SWAPS))
+    def test_the_next_records_continue_from_a_swapped_last(self, name, size):
+        state0, pairs = self.run()
+        states, reports = zip(*pairs[:size])
+        want = DiagnosticsCollector(self.GRID, self.P, CAUCHY,
+                                    state0).record_block(states, reports)
+        coll = DiagnosticsCollector(self.GRID, self.P, CAUCHY, state0)
+        start = coll.last = replace(coll.last, **{name: self.SWAPS[name]})
+        got = coll.record_block(states, reports)
+        field = {"mass_total": "mass_defect",
+                 "momentum_total": "momentum_defect"}.get(name, name)
+        for prev, rec, report, state in zip([start, *got], got, reports,
+                                            states):
+            assert getattr(rec, field) == self.carried(name, prev, rec, report,
+                                                       state)
+        # a sum moves on every record, a defect on the first alone, and
+        # nothing else moves
+        for k, (a, b) in enumerate(zip(got, want)):
+            moved = {f for f in a.names if getattr(a, f) != getattr(b, f)}
+            assert moved == ({field} if k == 0 or field == name else set()), k
 
 
 def validate_text(name, value):

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import ALL_REGIMES, coeffs_of, smooth_bump
 from mhd1d import diagnostics, solver
+from mhd1d.constitutive import viscosity_mu
 from mhd1d.core import (
     ConstantProfile,
     FileProfile,
@@ -179,7 +180,7 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
     # of its full path, forced by transverse=True or the differences of w
     # on the same inputs
     assert report.coeffs.b_sq is None
-    mu, dx = report.coeffs.mu, grid.dx
+    mu, dx = viscosity_mu(new.v, P), grid.dx
     du, dw = new.u[1:] - new.u[:-1], new.w[1:] - new.w[:-1]
     full_q = solver.dissipation_source(new.v, mu, du / dx, dw / dx, new.b,
                                       grid, P, bnd)
@@ -197,7 +198,7 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
     # the same; each record, forced onto the full path, keeps its bits
     first = solver.initial_report(state, grid, P, bnd)
     assert first.coeffs.b_sq is None
-    mu = first.coeffs.mu
+    mu = viscosity_mu(state.v, P)
     ux, wx = (state.u[1:] - state.u[:-1]) / dx, (state.w[1:] - state.w[:-1]) / dx
     first_full = replace(
         first, coeffs=solver.state_coeffs(state, mu, P, True),
@@ -223,7 +224,7 @@ def coeff_bits(coeffs, name):
     """bits of one coefficient array; a b_sq of None (a state with no
     transverse field) stands for its +0.0 array."""
     arr = getattr(coeffs, name)
-    return bits(np.zeros(coeffs.mu.shape) if arr is None else arr)
+    return bits(np.zeros(coeffs.ptot.shape) if arr is None else arr)
 
 
 def assert_same_arrays(report, other):
@@ -300,7 +301,7 @@ def test_run_until_carries_the_decision_with_the_bits_of_a_scan(bc, start,
         assert coeffs.b_sq is not None
         new, expected = step(new, grid, P, bc, StepControl(), coeffs,
                              dt_cap=t_end - new.t)
-        coeffs = solver.state_coeffs(new, expected.coeffs.mu, P)
+        coeffs = solver.state_coeffs(new, viscosity_mu(new.v, P), P)
         assert (report.coeffs.b_sq is None) is (expected.coeffs.b_sq is None) \
             is quiet
         for name in ("v", "theta", "b", "u", "w"):
@@ -342,7 +343,8 @@ def test_a_direct_step_on_quiet_coeffs_has_the_bits_of_a_scanning_step(
                         lambda s, b_sq, *args: seen.append(b_sq is None)
                         or compute_dt(s, b_sq, *args))
     runs, scans = [], []
-    for coeffs in (report.coeffs, solver.state_coeffs(state, report.coeffs.mu, P)):
+    for coeffs in (report.coeffs,
+                   solver.state_coeffs(state, viscosity_mu(state.v, P), P)):
         CountsScans.scans.clear()
         runs.append(step(state, grid, P, bc, StepControl(), coeffs))
         scans.append(list(CountsScans.scans))
@@ -375,7 +377,7 @@ def test_a_quiet_record_reads_neither_w_nor_b(bc):
     bad.w[3, 1] = bad.b[2, 0] = np.nan
     assert bad.validate(grid, report.coeffs) == new.validate(grid, report.coeffs)
     with pytest.raises(ValueError, match="^non-finite b: nan$"):
-        bad.validate(grid, solver.state_coeffs(bad, report.coeffs.mu, P))
+        bad.validate(grid, solver.state_coeffs(bad, viscosity_mu(bad.v, P), P))
     lines = [DiagnosticsCollector(grid, P, bc, state0).make_record(s, report)
              .json_line() for s in (new, bad)]
     assert lines[0] == lines[1]

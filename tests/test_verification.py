@@ -57,7 +57,7 @@ class TestMmsSources:
         sol = MmsSolution(amp_v=0.15, amp_u=0.2, amp_theta=0.12,
                           amp_w=(0.15, -0.1), amp_b=(0.12, 0.08))
         p = PhysicalParams.normalized(alpha=alpha, beta=beta)
-        errs = numerical_source_check(sol, p, n_samples=256)
+        errs = numerical_source_check(sol, p)
         assert max(errs.values()) <= 1e-6, errs
 
     def test_sources_match_numeric_for_general_constants(self):
@@ -65,7 +65,7 @@ class TestMmsSources:
                           amp_w=(0.1, 0.05), amp_b=(0.1, -0.07))
         p = PhysicalParams(mu1=0.8, mu2=0.5, alpha=1.3, kappa_tilde=1.2,
                            beta=0.7, lam=1.1, nu=0.9, R=1.15, c_v=0.85)
-        errs = numerical_source_check(sol, p, n_samples=256)
+        errs = numerical_source_check(sol, p)
         assert max(errs.values()) <= 1e-6, errs
 
     def test_closed_forms_are_far_field_plus_mode(self):
@@ -91,7 +91,7 @@ class TestMmsSources:
     def test_source_check_keys_run_v_u_w_b_theta(self):
         # the order of the `max_errors` keys in the verify output
         errs = numerical_source_check(MmsSolution(amp_v=0.1),
-                                      PhysicalParams.normalized(), n_samples=8)
+                                      PhysicalParams.normalized())
         assert list(errs) == ["v", "u", "w", "b", "theta"]
 
 
