@@ -62,7 +62,12 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
         with np.errstate(over="raise", invalid="raise"):  # the t = 0 record
             collector = DiagnosticsCollector(cfg.grid, cfg.params, cfg.bc,
                                              state, repr_anchor=cfg.repr_node)
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except FloatingPointError as exc:  # only the record raises it
+        largest = ", ".join(f"|{name}| = {np.max(np.abs(getattr(state, name))):.3g}"
+                            for name in ("v", "theta", "u", "w", "b"))
+        return (_error(f"initial profile rejected: {exc}; largest {largest}"),
+                dict(_NO_SUMMARY))
+    except (ValueError, OSError) as exc:
         return _error(f"initial profile rejected: {exc}"), dict(_NO_SUMMARY)
     try:
         return _simulate(cfg, state, collector, out)

@@ -124,6 +124,13 @@ class Grid:
     def right_edge(self) -> float:
         return self.left_edge + self.cells * self.dx
 
+    @property
+    def coordinate_tol(self) -> float:
+        """How far a coordinate or spacing read back from a snapshot may sit
+        off this grid: 1e-9 * dx plus the coordinates' own rounding, 2e-15
+        (9 machine epsilons) times the larger magnitude of the two edges."""
+        return 1e-9 * self.dx + 2e-15 * max(abs(self.left_edge), abs(self.right_edge))
+
     def nodes(self) -> np.ndarray:
         return self.left_edge + np.arange(self.cells + 1) * self.dx
 
@@ -343,9 +350,10 @@ def make_initial_state(grid: Grid, profile: InitialProfile,
     compatibility with the chosen boundary regime.
 
     Rejects profiles whose continuum infimum of v or theta is nonpositive,
-    file profiles whose cell count, left_edge or dx (beyond 1e-9 * dx)
-    mismatches the grid, and wall regimes whose initial u, w (at the wall
-    node) or b (in the wall cell) exceed 1e-12.
+    file profiles whose cell count, left_edge or dx (beyond the grid's
+    coordinate_tol, as load_snapshot allows) mismatches the grid, and wall
+    regimes whose initial u, w (at the wall node) or b (in the wall cell)
+    exceed 1e-12.
     u and w on every far-field end node (both ends for Cauchy, the right end
     with a wall) are set to FAR_FIELD_U and FAR_FIELD_W, the values the
     solver holds there, so that the initial data match the boundary data
@@ -386,7 +394,7 @@ def make_initial_state(grid: Grid, profile: InitialProfile,
             raise ProfileError(f"file profile has {file_grid.cells} cells, grid has {m}")
         for name in ("left_edge", "dx"):
             have, want = getattr(file_grid, name), getattr(grid, name)
-            if abs(have - want) > 1e-9 * grid.dx:
+            if abs(have - want) > grid.coordinate_tol:
                 raise ProfileError(f"file profile has {name} = {have!r}, "
                                    f"grid has {want!r}")
         state = GasState(v=loaded.v, theta=loaded.theta, b=loaded.b,

@@ -87,13 +87,13 @@ def load_snapshot(path) -> tuple[GasState, Grid]:
     """Inverse of emit_snapshot. Reconstructs the grid from the stored
     coordinates and returns the state with its saved time and step.
 
-    The first two nodes give the grid. Every later node must sit one dx
-    past the node before it, and every center half a dx past its left node
-    (midway between its nodes), each within 1e-9 * dx plus the coordinates'
-    own rounding, 2e-15 (9 machine epsilons) times the larger magnitude of
-    the grid's two edges; else SnapshotError names the file and line of the
-    first coordinate off the grid. Each spacing is held to dx, not each node
-    to x_node[0] + j * dx, whose rounding drifts on long grids."""
+    The first two nodes give the grid; a second node that is not past the
+    first is refused at its line. Every later node must sit one dx past the
+    node before it, and every center half a dx past its left node (midway
+    between its nodes), each within the grid's coordinate_tol; else
+    SnapshotError names the file and line of the first coordinate off the
+    grid. Each spacing is held to dx, not each node to x_node[0] + j * dx,
+    whose rounding drifts on long grids."""
     t, step, centers, center_lines = _read_csv(path, 5)
     t_n, step_n, nodes, node_lines = _read_csv(node_companion(path), 4)
     if t_n != t or step_n != step:
@@ -106,12 +106,15 @@ def load_snapshot(path) -> tuple[GasState, Grid]:
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are stray
         dx = float(x_node[1] - x_node[0])
         offsets = (np.diff(x_node) - dx, x_center - x_node[:-1] - 0.5 * dx)
+    if not dx > 0.0:
+        raise SnapshotError(f"{node_companion(path)}:{node_lines[1]}: node "
+                            f"{float(x_node[1])!r} is not past the first node "
+                            f"{float(x_node[0])!r}")
     grid = Grid(cells=centers.shape[0], dx=dx, left_edge=float(x_node[0]))
-    tol = 1e-9 * dx + 2e-15 * max(abs(grid.left_edge), abs(grid.right_edge))
     for name, lines, x, off in zip((node_companion(path), path),
                                    (node_lines[1:], center_lines),
                                    (x_node[1:], x_center), offsets):
-        stray = np.flatnonzero(~(np.abs(off) <= tol))
+        stray = np.flatnonzero(~(np.abs(off) <= grid.coordinate_tol))
         if stray.size:
             raise SnapshotError(f"{name}:{lines[stray[0]]}: coordinate "
                                 f"{float(x[stray[0]])!r} is off the grid of "

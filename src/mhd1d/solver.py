@@ -13,14 +13,17 @@ freshest available fields:
   (e) temperature: fully implicit Newton solve with the conductivity
       relinearized every iteration, fed by the dissipation of stages (a)-(d).
 
-A failed attempt raises one retry signal naming its cause: nonpositive v,
-or a temperature solve at its iteration cap, on a singular Jacobian, with an
-update that no damping keeps theta positive, or with an iterate that
-overflows the conductivity. It is discarded and retried at half the dt, at
-most retry_max times per step. Stages (a), (c) and (d) share one implicit
-diffusion solve (_diffusion_solve); the attempt differences the new u and w
-once, and stages (b), (d) and (e) read those differences. Each attempt
-evaluates mu(v) of its new volume once; an accepted step hands the new
+attempt runs the five stages once at a dt its caller fixes and never
+changes it. A failed attempt raises one retry signal naming its cause:
+nonpositive v, or a temperature solve at its iteration cap, on a singular
+Jacobian, with an update that no damping keeps theta positive, or with an
+iterate that overflows the conductivity. step is the one dt controller and
+holds the whole retry policy: it proposes dt (compute_dt, capped), and
+discards a failed attempt and retries at half the dt, at most retry_max
+times per step. Stages (a), (c) and (d) share one implicit diffusion solve
+(_diffusion_solve); the attempt differences the new u and w once, and
+stages (b), (d) and (e) read those differences. Each attempt evaluates
+mu(v) of its new volume once; an accepted step hands the new
 state's StateCoeffs (mu(v), mu(v)/v, |b|^2 and the total pressure) to the
 next step and to the monitors. Every stage reads the attempt's BoundaryData,
 which decides the boundary regime and carries any manufactured-solution
@@ -560,8 +563,8 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     """Stage (e): fully implicit temperature solve by Newton iteration;
     du and dw are the node differences of the new u and w, mu_new is
     viscosity_mu of v_new. dw is None on an attempt that carries no
-    transverse field (see step), whose dissipation then skips the transverse
-    terms.
+    transverse field (see attempt), whose dissipation then skips the
+    transverse terms.
 
     Solves c_v*theta_t + (R*theta/v)*u_x = (kappa(theta)*theta_x/v)_x + Q with
     the compression term implicit in theta and Q the stage dissipation. The
@@ -715,16 +718,13 @@ def boundary_report(new: GasState, du: np.ndarray, dw: Optional[np.ndarray],
             dt * (phi_l - phi_r), dt * (bf_r - bf_l))
 
 
-def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
-         ctl: StepControl, coeffs: StateCoeffs, forcing=None,
-         dt_cap: float | None = None) -> tuple[GasState, StepReport]:
-    """Advance one accepted step; coeffs are the state_coeffs of state (the
-    previous step's report.coeffs).
-
-    The proposed dt comes from compute_dt, optionally capped (used by
-    run_until to land exactly on the end time). An attempt that produces
-    nonpositive v, or whose temperature solve fails, is discarded and retried
-    at half the step; the temperature solve keeps theta positive itself.
+def attempt(state: GasState, coeffs: StateCoeffs, dt: float, grid: Grid,
+            p: PhysicalParams, bc: BoundaryCondition, ctl: StepControl,
+            forcing=None) -> tuple[GasState, StepReport]:
+    """One step attempt at exactly dt from state, whose state_coeffs are
+    coeffs. Returns the new state and its StepReport (dt_used dt, retries 0),
+    or raises _Retry naming the cause: nonpositive v, or a failed
+    temperature solve. It never changes dt, nor state or coeffs.
 
     An attempt under boundary data that brings no transverse field, from a
     state that holds none, skips stages (c) and (d): its w and b are +0.0,
@@ -733,8 +733,49 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     skip their transverse terms, and gives the new coefficients b_sq None.
     Boundary data that bring a transverse field decide it without a scan,
     and so do coeffs whose b_sq is None (a quiet report's coeffs): their
-    state's w and b are +0.0, and compute_dt skips the all-zero |b|^2. Other
-    coeffs have the state's w and b scanned.
+    state's w and b are +0.0. Other coeffs have the state's w and b scanned.
+    """
+    t_new = state.t + dt
+    bnd = boundary_data(grid, bc, t_new, forcing)
+    u_new = substep_velocity(state, grid, dt, bnd, coeffs)
+    du = u_new[1:] - u_new[:-1]
+    v_new = substep_volume(state, du, grid, dt, bnd)
+    # NaN fails it, as v_new > 0.0 does
+    if not np.minimum.reduce(v_new) > 0.0:
+        raise _Retry(PositivityFailure, "state stayed nonpositive")
+    mu_new = viscosity_mu(v_new, p)
+    transverse = bnd.transverse or (coeffs.b_sq is not None
+                                    and (state.w.any() or state.b.any()))
+    if transverse:
+        w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
+        dw = w_new[1:] - w_new[:-1]
+        b_new = substep_induction(state, v_new, dw, grid, p, dt, bnd)
+    else:  # what stages (c) and (d) give
+        w_new = np.zeros(state.w.shape, order="F")
+        b_new = np.zeros(state.b.shape, order="F")
+        dw = None
+    theta_new, iters, q, h = substep_temperature(
+        state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt, bnd)
+
+    new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
+                         t=t_new, step=state.step + 1)
+    new_coeffs = state_coeffs(new_state, mu_new, p, transverse)
+    fluxes = boundary_report(new_state, du, dw, grid, p, bnd, dt, coeffs,
+                             new_coeffs, h)  # mass, momentum, energy, entropy
+    return new_state, StepReport(dt, iters, 0, new_coeffs, *fluxes, q, h)
+
+
+def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
+         ctl: StepControl, coeffs: StateCoeffs, forcing=None,
+         dt_cap: float | None = None) -> tuple[GasState, StepReport]:
+    """Advance one accepted step; coeffs are the state_coeffs of state (the
+    previous step's report.coeffs). It holds the whole retry policy.
+
+    The proposed dt comes from compute_dt, optionally capped (used by
+    run_until to land exactly on the end time); with coeffs whose b_sq is
+    None it skips the all-zero |b|^2. Each attempt (see attempt) that raises
+    _Retry is discarded and retried at half the dt; the report of the
+    accepted attempt counts those retries.
 
     Raises, when the attempt after retry_max halvings fails too or a halving
     takes dt below dt_min, PositivityFailure if that attempt produced
@@ -744,54 +785,21 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     retries = 0
-
     while True:
-        t_new = state.t + dt
-        bnd = boundary_data(grid, bc, t_new, forcing)
         try:
-            u_new = substep_velocity(state, grid, dt, bnd, coeffs)
-            du = u_new[1:] - u_new[:-1]
-            v_new = substep_volume(state, du, grid, dt, bnd)
-            # NaN fails it, as v_new > 0.0 does
-            if not np.minimum.reduce(v_new) > 0.0:
-                raise _Retry(PositivityFailure, "state stayed nonpositive")
-            mu_new = viscosity_mu(v_new, p)
-            transverse = bnd.transverse or (coeffs.b_sq is not None
-                                            and (state.w.any() or state.b.any()))
-            if transverse:
-                w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
-                dw = w_new[1:] - w_new[:-1]
-                b_new = substep_induction(state, v_new, dw, grid, p, dt, bnd)
-            else:  # what stages (c) and (d) give
-                w_new = np.zeros(state.w.shape, order="F")
-                b_new = np.zeros(state.b.shape, order="F")
-                dw = None
-            theta_new, iters, q, h = substep_temperature(
-                state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt, bnd)
+            new_state, report = attempt(state, coeffs, dt, grid, p, bc, ctl,
+                                        forcing)
+            report.retries = retries
+            return new_state, report
         except _Retry as exc:
             failure, what = exc.args
-            retries += 1
-            if retries > ctl.retry_max:
-                raise failure(f"{what} after {ctl.retry_max} dt halvings",
-                              state.t) from None
-            dt *= 0.5
-            if dt < ctl.dt_min:
-                raise failure(f"{what}; dt halved below dt_min = {ctl.dt_min}",
-                              state.t) from None
-            continue
-        break
-
-    new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
-                         t=t_new, step=state.step + 1)
-    new_coeffs = state_coeffs(new_state, mu_new, p, transverse)
-    fluxes = boundary_report(new_state, du, dw, grid, p, bnd, dt, coeffs,
-                             new_coeffs, h)
-    report = StepReport(dt_used=dt, newton_iterations=iters, retries=retries,
-                        coeffs=new_coeffs,
-                        mass_flux=fluxes[0], momentum_flux=fluxes[1],
-                        energy_flux=fluxes[2], entropy_flux=fluxes[3],
-                        dissipation=q, heat_flux=h)
-    return new_state, report
+        retries += 1
+        if retries > ctl.retry_max:
+            raise failure(f"{what} after {ctl.retry_max} dt halvings", state.t)
+        dt *= 0.5
+        if dt < ctl.dt_min:
+            raise failure(f"{what}; dt halved below dt_min = {ctl.dt_min}",
+                          state.t)
 
 
 def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
@@ -821,7 +829,7 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
     """Step repeatedly until t_end, invoking sink(state, report) after each
     accepted step, and hand each step's report.coeffs to the next: after a
     step that carried no transverse field their b_sq is None, so the next
-    step scans no w or b (see step).
+    step scans no w or b (see attempt).
 
     The final step is shortened to land exactly on t_end; a state within
     round-off of t_end is returned as a copy at t_end, so no state handed out

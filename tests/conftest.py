@@ -46,6 +46,11 @@ def coeffs_of(state: GasState, p: PhysicalParams):
     return state_coeffs(state, viscosity_mu(state.v, p), p)
 
 
+def bits(*values):
+    """The bytes of each float or array, so that -0.0 differs from +0.0."""
+    return [np.asarray(x, dtype=float).tobytes() for x in values]
+
+
 def state_max_diff(a: GasState, b: GasState) -> float:
     """Largest field-wise max-norm difference between two states."""
     return max(float(np.max(np.abs(a.v - b.v))),

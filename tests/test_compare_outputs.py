@@ -193,10 +193,11 @@ def test_the_standard_set_names_every_case(compare_outputs):
     names = [name for name, _, _ in cases]
     assert names[:6] == [f"{w}_seed{s}" for w in ("run_small", "run_large",
                                                   "sweep_matrix") for s in (0, 7)]
-    assert names[6:-1] == [cfg.stem for cfg in sorted(REFERENCES.glob("*.cfg"))]
-    assert names[-1] == "exit3" and "params.beta = 50" in cases[-1][1]
+    assert names[6:-2] == [cfg.stem for cfg in sorted(REFERENCES.glob("*.cfg"))]
+    assert names[-2] == "exit3" and "params.beta = 50" in cases[-2][1]
     assert all(compare_outputs.CFG_MARK in args and "--out" not in args
-               for _, _, args in cases)
+               for _, _, args in cases[:-1])
+    assert cases[-1] == ("verify", "", ["verify"])
 
 
 @pytest.mark.parametrize("cfg", sorted(REFERENCES.glob("*.cfg")),

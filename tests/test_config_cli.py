@@ -18,6 +18,7 @@ from mhd1d.config import _KEYS, ConfigError, describe, parse_config
 from mhd1d.core import (
     BoundaryCondition,
     ConstantProfile,
+    FileProfile,
     GaussianBump,
     Grid,
     PhysicalParams,
@@ -250,13 +251,17 @@ class TestSnapshots:
     def test_every_written_pair_loads(self, tmp_path, cells, mass, left):
         # the coordinates' rounding grows with the offset and the cell count:
         # at 1e8 it is a few percent of dx, and x0 + j * dx drifts from the
-        # written nodes by more than 1e-9 * dx on the large grids
+        # written nodes by more than 1e-9 * dx on the large grids. Each pair
+        # is also its own initial profile on the grid that wrote it
         grid = Grid.uniform(cells, mass, left)
         path = tmp_path / "snap.csv"
         emit_snapshot(reference_state(grid), grid, path)
         loaded, lgrid = load_snapshot(path)
         assert lgrid.cells == cells and lgrid.left_edge == grid.left_edge
         assert np.array_equal(loaded.v, np.ones(cells))
+        state = make_initial_state(grid, FileProfile(str(path)), CAUCHY)
+        for name in ("v", "theta", "b", "u", "w"):
+            assert np.array_equal(getattr(state, name), getattr(loaded, name))
 
     def write_pair(self, tmp_path, cells=None, nodes=None):
         """An 8-cell pair over [-2, 2] whose data rows' x_center (cells) or
@@ -286,6 +291,16 @@ class TestSnapshots:
         path = self.write_pair(tmp_path, cells=lambda j, x: -999.0)
         with pytest.raises(SnapshotError, match=re.escape(
                 f"{path}:3: coordinate -999.0 is off")):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("second", [-2.0, -2.5, math.nan])
+    def test_a_second_node_not_past_the_first_is_refused_at_its_line(
+            self, tmp_path, second):
+        # coincident, reversed or NaN: the first two nodes give no grid
+        path = self.write_pair(tmp_path, nodes=lambda j, x: second if j == 1 else x)
+        with pytest.raises(SnapshotError, match=re.escape(
+                f"{node_companion(path)}:4: node {second!r} is not past the "
+                "first node -2.0")):
             load_snapshot(path)
 
     # the edit of the centers, of the nodes, and the file and line refused
@@ -784,7 +799,13 @@ class TestNonFiniteFields:
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: initial profile rejected: (overflow|invalid "
-                            r"value) encountered in \w+\n", err), err
+                            r"value) encountered in \w+; largest \|v\| = \S+, "
+                            r"\|theta\| = \S+, \|u\| = \S+, \|w\| = \S+, "
+                            r"\|b\| = \S+\n", err), err
+        # the message names the amplitude's field as by far the largest
+        sizes = {k: float(x) for k, x in re.findall(r"\|(\w+)\| = ([^,\n]+)", err)}
+        culprit = amp.split()[0].removeprefix("amp_").rstrip("12")
+        assert sizes[culprit] > 1e149 and max(sizes, key=sizes.get) == culprit
         assert not (out / "diagnostics.jsonl").exists()
 
     def test_an_overflowing_initial_record_exits_2_under_warnings_as_errors(
@@ -797,7 +818,8 @@ class TestNonFiniteFields:
              "--out", str(tmp_path / "out")], capture_output=True, text=True)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == ("error: initial profile rejected: overflow "
-                               "encountered in multiply\n")
+                               "encountered in multiply; largest |v| = 1, "
+                               "|theta| = 1, |u| = 1e+160, |w| = 0, |b| = 0\n")
 
 
 class TestUnreadableInput:

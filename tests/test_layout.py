@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import ALL_REGIMES, coeffs_of, smooth_bump
+from conftest import ALL_REGIMES, bits, coeffs_of, smooth_bump
 from mhd1d import diagnostics, solver
 from mhd1d.constitutive import viscosity_mu
 from mhd1d.core import (
@@ -213,11 +213,6 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
         lines.append([json.dumps(collector.make_record(s, r).to_json_dict())
                       for s, r in zip((state, new), reports)])
     assert lines[0] == lines[1]
-
-
-def bits(*values):
-    """The bytes of each float or array, so that -0.0 differs from +0.0."""
-    return [np.asarray(x, dtype=float).tobytes() for x in values]
 
 
 def coeff_bits(coeffs, name):

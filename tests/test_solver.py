@@ -1,14 +1,23 @@
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 from scipy.linalg import solve_banded
 
-from conftest import ALL_REGIMES, coeffs_of, reference_state, smooth_bump, state_max_diff
+from conftest import (
+    ALL_REGIMES,
+    bits,
+    coeffs_of,
+    reference_state,
+    smooth_bump,
+    state_max_diff,
+)
 from mhd1d import solver
+from mhd1d.config import parse_config_file
 from mhd1d.constitutive import pressure, viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
@@ -24,6 +33,7 @@ from mhd1d.solver import (
     PositivityFailure,
     StateCoeffs,
     StepControl,
+    attempt,
     boundary_data,
     compute_dt,
     dissipation_source,
@@ -43,6 +53,7 @@ from mhd1d.solver import (
 from mhd1d.verification import MmsForcing, MmsSolution, explicit_reference
 
 CAUCHY = BoundaryCondition.CAUCHY_FAR_FIELD
+ROUNDOFF = Path(__file__).resolve().parent / "data" / "roundoff"
 
 
 def bump_state(grid, scale=1.0, bc=CAUCHY):
@@ -961,6 +972,88 @@ class TestFailureModes:
                            coeffs_of(state, p))
         assert report.retries == 4
         assert new.theta.min() > 0.0
+
+
+def assert_same_step(new, report, a_new, a_report):
+    """Two steps' states and reports, bit for bit, but for retries."""
+    for name in ("v", "theta", "b", "u", "w", "t", "step"):
+        assert bits(getattr(new, name)) == bits(getattr(a_new, name)), name
+    for f in fields(StateCoeffs):
+        x, y = getattr(report.coeffs, f.name), getattr(a_report.coeffs, f.name)
+        assert (x is None) == (y is None), f.name
+        assert x is None or bits(x) == bits(y), f.name
+    for f in fields(report):
+        if f.name not in ("coeffs", "retries"):
+            assert bits(getattr(report, f.name)) == \
+                bits(getattr(a_report, f.name)), f.name
+
+
+class TestAttempt:
+    """attempt runs one step attempt at the dt it is given; step is the dt
+    controller around it."""
+
+    @pytest.mark.parametrize("name", ["cauchy_beta10_retries",
+                                      "isothermal_wall_beta15_retries"])
+    def test_every_step_is_an_attempt_at_the_halved_proposal(self, name):
+        # each step of the run equals, bit for bit, one attempt at its
+        # proposed dt halved once per retry; the attempts at the larger dts
+        # fail
+        cfg = parse_config_file(ROUNDOFF / f"{name}.cfg")
+        grid, p, bc, ctl = cfg.grid, cfg.params, cfg.bc, cfg.control
+        state = make_initial_state(grid, cfg.profile, bc)
+        prev = [state, coeffs_of(state, p)]
+        retried = []
+
+        def sink(new, report):
+            old, coeffs = prev
+            proposed = min(compute_dt(old, coeffs.b_sq, grid, p, ctl),
+                           cfg.t_end - old.t)
+            for k in range(report.retries):
+                with pytest.raises(solver._Retry):
+                    attempt(old, coeffs, proposed * 0.5 ** k, grid, p, bc, ctl)
+            dt = proposed * 0.5 ** report.retries
+            a_new, a_report = attempt(old, coeffs, dt, grid, p, bc, ctl)
+            assert a_report.dt_used == dt == report.dt_used
+            assert a_report.retries == 0
+            assert_same_step(new, report, a_new, a_report)
+            retried.append(report.retries)
+            prev[:] = [new, report.coeffs]
+
+        run_until(state, grid, cfg.t_end, p, bc, ctl, sink=sink)
+        assert max(retried) > 0
+
+    def test_an_attempt_keeps_the_dt_it_is_given(self):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        state = bump_state(grid)
+        coeffs = coeffs_of(state, p)
+        for dt in (1e-3, 0.3 * compute_dt(state, coeffs.b_sq, grid, p,
+                                          StepControl())):
+            new, report = attempt(state, coeffs, dt, grid, p, CAUCHY, StepControl())
+            assert report.dt_used == dt and report.retries == 0
+            assert new.t == state.t + dt and new.step == state.step + 1
+
+    @pytest.mark.parametrize("failure", [PositivityFailure, NewtonDivergence])
+    def test_a_failed_attempt_names_its_cause_and_edits_nothing(self, failure):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=0.0, beta=1.0)
+        state = bump_state(grid)
+        if failure is PositivityFailure:  # steep inflow at a large dt
+            state.u = -10.0 * np.tanh(grid.nodes())
+            state.u[0] = state.u[-1] = 0.0
+            ctl, dt = StepControl(), 0.2
+        else:  # a temperature solve allowed no update
+            ctl, dt = StepControl(newton_max_iter=0), 1e-2
+        coeffs = coeffs_of(state, p)
+        arrays = [getattr(state, name).copy() for name in ("v", "theta", "b", "u", "w")]
+        coeff_arrays = [getattr(coeffs, f.name).copy() for f in fields(coeffs)]
+        with pytest.raises(solver._Retry) as err:
+            attempt(state, coeffs, dt, grid, p, CAUCHY, ctl)
+        assert err.value.args[0] is failure
+        assert bits(*arrays) == bits(*(getattr(state, name) for name in
+                                       ("v", "theta", "b", "u", "w")))
+        assert bits(*coeff_arrays) == bits(*(getattr(coeffs, f.name)
+                                             for f in fields(coeffs)))
 
 
 class TestRunUntil:

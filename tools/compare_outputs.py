@@ -22,10 +22,10 @@ such as a new memory layout, should print yes).
 
 ``check-set`` checks the standard set of commands (standard_cases): the
 benchmark's three workloads at seeds 0 and 7, with the configs and arguments
-of ``perfbench/run.py``; every ``tests/data/roundoff/*.cfg``; and the exit-3
-run ``tests/data/exit3.cfg``. It prints one verdict line per case, then one
-``byte-identical`` line and one round-off line over all of them, and exits
-0 when every case agrees.
+of ``perfbench/run.py``; every ``tests/data/roundoff/*.cfg``; the exit-3
+run ``tests/data/exit3.cfg``; and ``verify``, which reads no config. It
+prints one verdict line per case, then one ``byte-identical`` line and one
+round-off line over all of them, and exits 0 when every case agrees.
 
 Two trees agree when all of these hold:
 
@@ -196,7 +196,8 @@ def record(src: Path, tree: Path, args: list) -> int:
 
 def standard_cases() -> list[tuple[str, str, list]]:
     """(name, config text, arguments) of every command check-set runs; the
-    arguments name the config file as CFG_MARK and leave out --out."""
+    arguments name the config file as CFG_MARK, but verify's, and leave out
+    --out."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_run", ROOT / "perfbench" / "run.py")
     bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
@@ -214,8 +215,9 @@ def standard_cases() -> list[tuple[str, str, list]]:
                    bench.config_text(cells, t_end, bump, seed), args)
                   for seed in CHECK_SEEDS]
     cfgs = sorted((ROOT / "tests" / "data" / "roundoff").glob("*.cfg"))
-    return cases + [(cfg.stem, cfg.read_text(), ["run", "--config", CFG_MARK])
-                    for cfg in cfgs + [ROOT / "tests" / "data" / "exit3.cfg"]]
+    cases += [(cfg.stem, cfg.read_text(), ["run", "--config", CFG_MARK])
+              for cfg in cfgs + [ROOT / "tests" / "data" / "exit3.cfg"]]
+    return cases + [("verify", "", ["verify"])]
 
 
 def check_set(parent_src: Path, change_src: Path, cases) -> int:
