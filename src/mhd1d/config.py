@@ -30,12 +30,6 @@ class ConfigError(ValueError):
     """Configuration problem; message names the key, line, and constraint."""
 
 
-_BC_NAMES = {
-    "cauchy": BoundaryCondition.CAUCHY_FAR_FIELD,
-    "isothermal_wall": BoundaryCondition.ISOTHERMAL_WALL_LEFT,
-    "insulated_wall": BoundaryCondition.INSULATED_WALL_LEFT,
-}
-
 _PROFILE_NAMES = {ConstantProfile: "constant", GaussianBump: "gaussian_bump",
                   FileProfile: "file"}
 
@@ -140,7 +134,14 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _raw_entries(text: str) -> dict:
+def _refusal(line: int, key: str, what: str) -> ConfigError:
+    return ConfigError(f"line {line}: key '{key}' {what}")
+
+
+def _entries(text: str) -> dict:
+    """{key: (value, line)} of every key the text sets, each value parsed by
+    its _KEYS parser, finite if a float, and within its bound; the first
+    faulty line, in file order, raises ConfigError."""
     entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = _strip_comment(line).strip()
@@ -148,49 +149,28 @@ def _raw_entries(text: str) -> dict:
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = body.partition("=")
-        key, value = key.strip(), value.strip()
+        key, _, raw = body.partition("=")
+        key, raw = key.strip(), raw.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key '{key}' "
                               f"(first set on line {entries[key][1]})")
-        if not value:
-            raise ConfigError(f"line {lineno}: key '{key}' has no value")
-        entries[key] = (value, lineno)
-    return entries
-
-
-class _Lookup:
-    def __init__(self, entries: dict):
-        self.entries = entries
-
-    def get(self, key):
-        parser, default, bound = _KEYS[key]
-        if key not in self.entries:
-            return default
-        raw, lineno = self.entries[key]
+        if not raw:
+            raise _refusal(lineno, key, "has no value")
+        parser, _, bound = _KEYS[key]
         try:
             value = parser(raw)
         except ValueError:
-            raise ConfigError(f"line {lineno}: key '{key}' expects "
-                              f"{parser.__name__}, got {raw!r}") from None
+            raise _refusal(lineno, key, f"expects {parser.__name__}, "
+                                        f"got {raw!r}") from None
         if parser is float and not math.isfinite(value):
-            raise ConfigError(f"line {lineno}: key '{key}' expects a finite "
-                              f"float, got {raw!r}")
+            raise _refusal(lineno, key, f"expects a finite float, got {raw!r}")
         if bound is not None and not _BOUND_OPS[bound[0]](value, bound[1]):
-            self.fail(key, "{} {} {}".format(key.rpartition(".")[2], *bound))
-        return value
-
-    def was_set(self, key) -> bool:
-        return key in self.entries
-
-    def line(self, key) -> int:
-        return self.entries[key][1] if key in self.entries else 0
-
-    def fail(self, key, constraint):
-        raise ConfigError(f"line {self.line(key)}: key '{key}' violates "
-                          f"{constraint}")
+            raise _refusal(lineno, key, "violates {} {} {}".format(
+                key.rpartition(".")[2], *bound))
+        entries[key] = (value, lineno)
+    return entries
 
 
 def _build(what: str, factory, *args, **kwargs):
@@ -215,101 +195,103 @@ def _nodes_resolved(grid: Grid) -> bool:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a configuration. Each key's own lower bound
-    is checked as the key is read (_KEYS); the checks here are the rest:
-    names, upper bounds and the rules that join keys."""
-    look = _Lookup(_raw_entries(text))
+    """Parse and fully validate a configuration. _entries checks each key
+    the text sets against its own bound (_KEYS) as its line is read; the
+    checks here are the rest: names, upper bounds and the rules that join
+    keys."""
+    entries = _entries(text)
 
-    bc_name = look.get("bc")
-    if bc_name not in _BC_NAMES:
-        look.fail("bc", f"one of {sorted(_BC_NAMES)}")
-    bc = _BC_NAMES[bc_name]
+    def get(key):
+        return entries[key][0] if key in entries else _KEYS[key][1]
 
-    cells, mass = look.get("grid.cells"), look.get("grid.mass")
+    def fail(key, constraint):
+        line = entries[key][1] if key in entries else 0
+        raise _refusal(line, key, f"violates {constraint}")
+
+    try:
+        bc = BoundaryCondition(get("bc"))
+    except ValueError:
+        fail("bc", f"one of {sorted(b.value for b in BoundaryCondition)}")
+
+    cells, mass = get("grid.cells"), get("grid.mass")
     if not slab_intervals_bounded(cells, mass):
-        look.fail("grid.mass", f"mass <= {SLAB_INTERVALS_PER_CELL} * grid.cells "
-                  "(at most that many unit intervals per cell)")
-    left = look.get("grid.left")
+        fail("grid.mass", f"mass <= {SLAB_INTERVALS_PER_CELL} * grid.cells "
+             "(at most that many unit intervals per cell)")
+    left = get("grid.left")
     if left is None:
         left = -0.5 * mass if bc is BoundaryCondition.CAUCHY_FAR_FIELD else 0.0
     grid = _build("grid.cells, grid.mass", Grid.uniform, cells, mass, left)
     if not _nodes_resolved(grid):
-        look.fail("grid.left" if look.was_set("grid.left") else "grid.cells",
-                  "finite, strictly increasing node coordinates grid.left + "
-                  "j * grid.mass / grid.cells")
+        fail("grid.left" if "grid.left" in entries else "grid.cells",
+             "finite, strictly increasing node coordinates grid.left + "
+             "j * grid.mass / grid.cells")
 
-    preset = look.get("params.preset")
+    preset = get("params.preset")
     if preset is not None and preset != "normalized":
-        look.fail("params.preset", "'normalized' (or omit the key)")
-    alpha, beta = look.get("params.alpha"), look.get("params.beta")
+        fail("params.preset", "'normalized' (or omit the key)")
+    alpha, beta = get("params.alpha"), get("params.beta")
     if preset == "normalized":
         for key in _PRESET_FIXED:
-            if look.was_set(key):
-                look.fail(key, "no explicit constants together with "
-                               "params.preset = normalized")
+            if key in entries:
+                fail(key, "no explicit constants together with "
+                          "params.preset = normalized")
         params = _build("params.alpha, params.beta",
                         PhysicalParams.normalized, alpha=alpha, beta=beta)
-    else:  # keyword order is read order, which decides the key a fault names
-        params = _build("params.*", PhysicalParams,
-                        mu1=look.get("params.mu1"),
-                        kappa_tilde=look.get("params.kappa"),
-                        lam=look.get("params.lambda"), nu=look.get("params.nu"),
-                        R=look.get("params.R"), c_v=look.get("params.cv"),
-                        mu2=look.get("params.mu2"), alpha=alpha, beta=beta)
+    else:
+        params = _build("params.*", PhysicalParams, alpha=alpha, beta=beta,
+                        **{name: get(key) for key, name in _PRESET_FIXED.items()})
 
-    profile_kind = look.get("initial.profile")
-    seed = look.get("seed")  # read, and so bounded, with or without jitter
+    profile_kind = get("initial.profile")
     if profile_kind == "constant":
         profile: InitialProfile = ConstantProfile()
     elif profile_kind == "gaussian_bump":
-        width, jitter = look.get("initial.width"), look.get("initial.jitter")
-        amps = {name: look.get(f"initial.amp_{name}")
+        width, jitter = get("initial.width"), get("initial.jitter")
+        amps = {name: get(f"initial.amp_{name}")
                 for name in ("v", "u", "theta", "b1", "b2", "w1", "w2")}
         if jitter > 0.0:
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(get("seed"))
             for name in amps:
                 amps[name] *= 1.0 + jitter * rng.standard_normal()
-        profile = GaussianBump(center=look.get("initial.center"), width=width,
+        profile = GaussianBump(center=get("initial.center"), width=width,
                                amp_v=amps["v"], amp_u=amps["u"],
                                amp_theta=amps["theta"],
                                amp_b=(amps["b1"], amps["b2"]),
                                amp_w=(amps["w1"], amps["w2"]))
     elif profile_kind == "file":
-        path = look.get("initial.file")
+        path = get("initial.file")
         if path is None:
             raise ConfigError("initial.profile = file requires initial.file")
         profile = FileProfile(path)
     else:
-        look.fail("initial.profile", "one of constant, gaussian_bump, file")
+        fail("initial.profile", "one of constant, gaussian_bump, file")
 
-    cfl = look.get("time.cfl")
+    cfl = get("time.cfl")
     if not 0.0 < cfl <= 1.0:
-        look.fail("time.cfl", "0 < cfl <= 1")
-    dt_min, dt_max = look.get("time.dt_min"), look.get("time.dt_max")
+        fail("time.cfl", "0 < cfl <= 1")
+    dt_min, dt_max = get("time.dt_min"), get("time.dt_max")
     if not dt_min < dt_max:
-        look.fail("time.dt_max", "dt_min < dt_max")
+        fail("time.dt_max", "dt_min < dt_max")
     control = _build("time.*", StepControl, cfl=cfl, dt_min=dt_min,
-                     dt_max=dt_max, newton_tol=look.get("time.newton_tol"),
-                     newton_max_iter=look.get("time.newton_max_iter"),
-                     retry_max=look.get("time.retry_max"))
+                     dt_max=dt_max, newton_tol=get("time.newton_tol"),
+                     newton_max_iter=get("time.newton_max_iter"),
+                     retry_max=get("time.retry_max"))
 
-    t_end = look.get("time.t_end")
-    snap_int = look.get("output.snapshot_interval")
-    diag_every = look.get("output.diagnostics_every")
-    cap, workers = look.get("sweep.cap"), look.get("sweep.workers")
-
-    anchor = look.get("repr.anchor")  # used at its nearest node
+    anchor = get("repr.anchor")  # used at its nearest node
+    if anchor is not None and not params.is_normalized:
+        fail("repr.anchor", "normalized constants (mu1 = kappa = lambda = nu "
+             "= R = cv = 1, mu2 = alpha)")
     inside = anchor is not None and grid.left_edge < anchor < grid.right_edge
     node = round((anchor - left) / grid.dx) if inside else None
     if anchor is not None and not (inside and 0 < node < cells):
-        look.fail("repr.anchor", "an interior nearest node (1 to grid.cells - 1)")
+        fail("repr.anchor", "an interior nearest node (1 to grid.cells - 1)")
 
     return RunConfig(grid=grid, bc=bc, params=params, profile=profile,
-                     control=control, t_end=t_end,
-                     out_dir=look.get("output.dir"),
-                     snapshot_interval=snap_int, diagnostics_every=diag_every,
-                     sweep_cap=cap, sweep_workers=workers,
-                     repr_node=node,
+                     control=control, t_end=get("time.t_end"),
+                     out_dir=get("output.dir"),
+                     snapshot_interval=get("output.snapshot_interval"),
+                     diagnostics_every=get("output.diagnostics_every"),
+                     sweep_cap=get("sweep.cap"),
+                     sweep_workers=get("sweep.workers"), repr_node=node,
                      normalized_preset=(preset == "normalized"))
 
 

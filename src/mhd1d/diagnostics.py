@@ -527,9 +527,9 @@ class DiagnosticsCollector:
     Feed (state, report) pairs in order: make_record(state, report) records
     one at once (e.g. sink=collector.make_record with solver.run_until), push
     buffers them and records block_size = max(1, BLOCK_CELLS // cells) of
-    them at a time, and flush records what push still holds; flush before
-    calling make_record again.
-    Each way runs record_block, so the records are the same.
+    them at a time, and flush records what push still holds. make_record
+    records what push holds first, so the records stay in order however the
+    two are mixed. Each way runs record_block, so the records are the same.
     The grid must hold at most SLAB_INTERVALS_PER_CELL unit mass intervals
     per cell (ValueError otherwise), which bounds the slab integrals of every
     record.
@@ -556,13 +556,15 @@ class DiagnosticsCollector:
 
     def make_record(self, state: GasState,
                     report: Optional[StepReport] = None) -> DiagnosticsRecord:
-        """Assemble the record for a state, which becomes last; report=None
-        records the state as a zero-length step (solver.initial_report), as
-        the constructor records the t = 0 row. Recording state0 again before
-        any step gives a record equal to that row (dt 0 adds nothing)."""
+        """Assemble the record for a state, after those of the steps push
+        still holds, and return it; it becomes last. report=None records the
+        state as a zero-length step (solver.initial_report), as the
+        constructor records the t = 0 row. Recording state0 again before any
+        step gives a record equal to that row (dt 0 adds nothing)."""
         if report is None:
             report = initial_report(state, self.grid, self.p, self.bnd)
-        return self.record_block([state], [report])[0]
+        self._buffer.append((state, report))
+        return self.flush()[-1]
 
     def push(self, state: GasState, report: StepReport) -> list[DiagnosticsRecord]:
         """Buffer an accepted step as given: it is read when its block is

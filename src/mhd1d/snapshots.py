@@ -88,11 +88,11 @@ def load_snapshot(path) -> tuple[GasState, Grid]:
     coordinates and returns the state with its saved time and step.
 
     The first two nodes give the grid; a second node that is not past the
-    first is refused at its line. Every later node must sit one dx past the
-    node before it, and every center half a dx past its left node (midway
-    between its nodes), each within the grid's coordinate_tol; else
-    SnapshotError names the file and line of the first coordinate off the
-    grid. Each spacing is held to dx, not each node to x_node[0] + j * dx,
+    first is refused at its line, and fewer than 4 cells with the file's
+    name. Every later node must sit one dx past the node before it, and
+    every center half a dx past its left node (midway between its nodes),
+    each within the grid's coordinate_tol; else SnapshotError names the
+    file and line of the first coordinate off the grid. Each spacing is held to dx, not each node to x_node[0] + j * dx,
     whose rounding drifts on long grids."""
     t, step, centers, center_lines = _read_csv(path, 5)
     t_n, step_n, nodes, node_lines = _read_csv(node_companion(path), 4)
@@ -110,7 +110,10 @@ def load_snapshot(path) -> tuple[GasState, Grid]:
         raise SnapshotError(f"{node_companion(path)}:{node_lines[1]}: node "
                             f"{float(x_node[1])!r} is not past the first node "
                             f"{float(x_node[0])!r}")
-    grid = Grid(cells=centers.shape[0], dx=dx, left_edge=float(x_node[0]))
+    try:
+        grid = Grid(cells=centers.shape[0], dx=dx, left_edge=float(x_node[0]))
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: {exc}") from None
     for name, lines, x, off in zip((node_companion(path), path),
                                    (node_lines[1:], center_lines),
                                    (x_node[1:], x_center), offsets):

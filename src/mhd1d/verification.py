@@ -22,6 +22,7 @@ import numpy as np
 
 from .constitutive import viscosity_mu
 from .core import (
+    FAR_FIELD_THETA,
     BoundaryCondition,
     GasState,
     GaussianBump,
@@ -40,7 +41,6 @@ from .solver import (
     induction_coeffs,
     run_until,
     state_coeffs,
-    tridiag_solve,
 )
 
 REFERENCE_MAX_CELLS = 64
@@ -297,20 +297,15 @@ def heat_exact_semidiscrete(theta0: np.ndarray, grid: Grid, p: PhysicalParams,
     coef = p.kappa_tilde / (p.c_v * grid.dx ** 2)
     diag = np.full(m, -2.0 * coef)
     off = np.full(m - 1, coef)
-    r = np.zeros(m)
-    if bc is BoundaryCondition.CAUCHY_FAR_FIELD:
-        r[0] = coef
-    elif bc is BoundaryCondition.ISOTHERMAL_WALL_LEFT:
+    if bc is BoundaryCondition.ISOTHERMAL_WALL_LEFT:
         diag[0] = -3.0 * coef
-        r[0] = 2.0 * coef
-    else:
+    elif bc is BoundaryCondition.INSULATED_WALL_LEFT:
         diag[0] = -1.0 * coef
-    r[-1] = coef
-
-    theta_ss = tridiag_solve(off, diag, off, -r)
+    # the steady state: every boundary value is FAR_FIELD_THETA (or the
+    # insulated wall's zero flux), so each row sums to zero at that constant
     lam, vecs = eigh_tridiagonal(diag, off)
-    coeffs = vecs.T @ (theta0 - theta_ss)
-    return theta_ss + vecs @ (np.exp(lam * t) * coeffs)
+    coeffs = vecs.T @ (theta0 - FAR_FIELD_THETA)
+    return FAR_FIELD_THETA + vecs @ (np.exp(lam * t) * coeffs)
 
 
 def _forced_run(sol: MmsSolution, p: PhysicalParams, grid: Grid,

@@ -127,6 +127,44 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="no value"):
             parse_config("grid.cells =")
 
+    @pytest.mark.parametrize("text, message", [
+        ("initial.jitter = inf\n",
+         "line 1: key 'initial.jitter' expects a finite float, got 'inf'"),
+        ("initial.center = x\n", "line 1: key 'initial.center' expects float, got 'x'"),
+        ("params.preset = normalized\nparams.mu1 = 0\n",
+         "line 2: key 'params.mu1' violates mu1 > 0"),
+    ], ids=["jitter", "center", "mu1"])
+    def test_a_set_key_is_checked_whether_or_not_it_is_used(self, text, message):
+        # the default constant profile uses no bump key, and the preset
+        # replaces the constants (TestKeyTable covers each bound alone)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
+
+    def test_the_first_faulty_line_is_named(self):
+        text = ("time.t_end = 0\ngrid.cells = 2\ninitial.amp_u = x\n"
+                "grid.cells = 8\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == "line 1: key 'time.t_end' violates t_end > 0"
+
+    @pytest.mark.parametrize("constants", [
+        "params.mu1 = 2\n", "params.mu2 = 0.5\n", "params.alpha = 1\n"],
+        ids=["mu1", "mu2", "alpha"])
+    def test_anchor_needs_normalized_constants(self, constants):
+        # the representation diagnostic is computed for no other constants
+        with pytest.raises(ConfigError) as exc:
+            parse_config(constants + "repr.anchor = 0.5\n")
+        assert str(exc.value) == (
+            "line 2: key 'repr.anchor' violates normalized constants "
+            "(mu1 = kappa = lambda = nu = R = cv = 1, mu2 = alpha)")
+
+    def test_anchor_with_the_normalized_values_set_one_by_one(self):
+        cfg = parse_config("params.mu1 = 1\nparams.alpha = 1\nparams.mu2 = 1\n"
+                           "repr.anchor = 0.5\n")
+        assert cfg.params.is_normalized and not cfg.normalized_preset
+        assert cfg.repr_node == 264  # (0.5 + 16) / (32 / 512)
+
 
 BOUNDED_KEYS = sorted(key for key, (_, _, bound) in _KEYS.items() if bound)
 
@@ -151,9 +189,13 @@ def readme_key_rows():
 
 
 class TestKeyTable:
+    @pytest.mark.parametrize("prefix", ["", "initial.profile = gaussian_bump\n"],
+                             ids=["alone", "after-bump"])
     @pytest.mark.parametrize("key", BOUNDED_KEYS)
-    def test_first_value_past_each_bound_is_refused(self, key):
-        # the limit itself for '>', the next value below it for '>='
+    def test_first_value_past_each_bound_is_refused(self, key, prefix):
+        # the limit itself for '>', the next value below it for '>='; a bump
+        # is the only profile that uses width and jitter, and the bound
+        # holds with or without it
         parser, _, (op, limit) = _KEYS[key]
         if op == ">":
             value = limit
@@ -161,8 +203,6 @@ class TestKeyTable:
             value = limit - 1
         else:
             value = math.nextafter(limit, -math.inf)
-        # width and jitter are read only for a bump
-        prefix = "initial.profile = gaussian_bump\n" if key.startswith("initial.") else ""
         line = prefix.count("\n") + 1
         with pytest.raises(ConfigError) as exc:
             parse_config(f"{prefix}{key} = {value!r}\n")
@@ -850,6 +890,25 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err == f"error: initial profile rejected: {snap}: no data rows\n"
 
+    def test_a_snapshot_of_three_cells_exits_2_naming_it(self, tmp_path, capsys):
+        # a 4-cell pair without its last center and last node: consistent
+        # coordinates, one cell too few for a grid
+        grid = Grid.uniform(4, 2.0, 0.0)
+        snap = tmp_path / "snap.csv"
+        emit_snapshot(reference_state(grid), grid, snap)
+        for name in (snap, node_companion(snap)):
+            name.write_text("\n".join(name.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(SnapshotError) as exc:
+            load_snapshot(snap)
+        assert str(exc.value) == f"{snap}: need at least 4 cells, got 3"
+        text = (f"grid.cells = 4\ngrid.mass = 2.0\nbc = insulated_wall\n"
+                f"initial.profile = file\ninitial.file = {snap}\n")
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: initial profile rejected: {snap}: need at least 4 cells, "
+            "got 3\n")
+
 
 class TestCheckConfig:
     def test_valid(self, tmp_path, capsys):
@@ -860,6 +919,15 @@ class TestCheckConfig:
     def test_invalid(self, tmp_path):
         cfg_path = write_config(tmp_path, "grid.cells = 2\n")
         assert cli.main(["check-config", "--config", str(cfg_path)]) == 2
+
+    def test_a_key_the_profile_does_not_use_is_still_checked(self, tmp_path,
+                                                              capsys):
+        cfg_path = write_config(tmp_path, "initial.profile = constant\n"
+                                          "initial.amp_v = nan\n")
+        assert cli.main(["check-config", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 2: key 'initial.amp_v' expects a finite "
+            "float, got 'nan'\n")
 
     CUSTOM = """
 grid.cells = 40
@@ -988,6 +1056,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and axis.split("=")[0] in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("axes, message", [
+        (["alpha=0", "alpha=1"], "duplicate sweep axis 'alpha'"),
+        (["beta=0.5,x"], "axis 'beta' values must be numbers, got '0.5,x'"),
+        (["amp= , "], "axis 'amp' has no values"),
+    ], ids=["duplicate", "non-numeric", "empty"])
+    def test_malformed_axes_exit_2_before_any_run(self, tmp_path, capsys, axes,
+                                                  message):
+        out = tmp_path / "sweep"
+        args = ["sweep", "--config", str(write_config(tmp_path, SMALL_RUN)),
+                "--out", str(out)]
+        for axis in axes:
+            args += ["--axis", axis]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     def test_summary_does_not_depend_on_diagnostics_cadence(self, tmp_path):
         # the run-wide extremes cover every accepted step, not only the

@@ -765,6 +765,23 @@ class TestRecordBlocks:
         assert all(r.repr_residual_max <= 1e-12 for r in got)
 
 
+class TestMixedFeeding:
+    def test_make_record_after_push_records_the_pushed_steps_first(self):
+        # two steps pushed, short of a block, then a third made at once: the
+        # third record continues from the second, and nothing is left over
+        grid, p, bc, profile = TestRecordBlocks.CASES["cauchy-alpha1.3"]
+        state0, pairs = trajectory(grid, p, bc, profile, 0.05, StepControl(dt_max=0.02))
+        want_lines, want_totals = collector_outcome(
+            *per_step(grid, p, bc, state0, pairs[:3]))
+        coll = DiagnosticsCollector(grid, p, bc, state0)
+        first = coll.make_record(state0)
+        assert coll.push(*pairs[0]) == [] and coll.push(*pairs[1]) == []
+        third = coll.make_record(*pairs[2])
+        lines, totals = collector_outcome(coll, [first, third])
+        assert lines == [want_lines[0], want_lines[3]] and totals == want_totals
+        assert coll.flush() == [] and coll.last is third
+
+
 class TestTheCarryHasOneCopy:
     """The collector's newest record, last, is the one copy of every running
     total: the t = 0 record right after construction, then the newest record

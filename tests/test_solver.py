@@ -962,6 +962,18 @@ class TestFailureModes:
             "temperature solve could not damp an update to keep theta positive "
             "after 1 dt halvings")
 
+    def test_a_halving_below_dt_min_ends_the_step(self):
+        # dt_max caps the first attempt at 1.5e-3, and its half is below
+        # dt_min long before retry_max halvings
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=0.0, beta=1.0)
+        state = bump_state(grid)
+        ctl = StepControl(newton_max_iter=0, dt_min=1e-3, dt_max=1.5e-3)
+        with pytest.raises(NewtonDivergence) as err:
+            step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+        assert str(err.value) == ("temperature solve exceeded 0 iterations; "
+                                  "dt halved below dt_min = 0.001 (at t = 0)")
+
     def test_a_failed_temperature_solve_is_retried_until_it_converges(self):
         # a large beta stalls the first attempts' Newton solves at the
         # default cap; smaller steps converge
