@@ -87,6 +87,10 @@ _PRESET_FIXED = {"params.mu1": "mu1", "params.mu2": "mu2",
                  "params.nu": "nu", "params.R": "R", "params.cv": "c_v"}
 
 
+_NORMALIZED = ("normalized constants (mu1 = kappa = lambda = nu = R = cv = 1, "
+               "mu2 = alpha)")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated run description."""
@@ -107,12 +111,15 @@ class RunConfig:
 
     def with_params(self, alpha: float, beta: float) -> "RunConfig":
         """Rebuild with new exponents, preserving the preset coupling
-        mu2 = alpha when the normalized preset is in force."""
+        mu2 = alpha when the normalized preset is in force. A repr.anchor
+        needs normalized constants, as parse_config requires of a file."""
         what = f"alpha = {alpha!r}, beta = {beta!r}"
         if self.normalized_preset:
             params = _build(what, PhysicalParams.normalized, alpha=alpha, beta=beta)
         else:
             params = _build(what, replace, self.params, alpha=alpha, beta=beta)
+        if self.repr_node is not None and not params.is_normalized:
+            raise ConfigError(f"{what}: repr.anchor requires {_NORMALIZED}")
         return replace(self, params=params)
 
     def with_amplitude_scale(self, factor: float) -> "RunConfig":
@@ -278,8 +285,7 @@ def parse_config(text: str) -> RunConfig:
 
     anchor = get("repr.anchor")  # used at its nearest node
     if anchor is not None and not params.is_normalized:
-        fail("repr.anchor", "normalized constants (mu1 = kappa = lambda = nu "
-             "= R = cv = 1, mu2 = alpha)")
+        fail("repr.anchor", _NORMALIZED)
     inside = anchor is not None and grid.left_edge < anchor < grid.right_edge
     node = round((anchor - left) / grid.dx) if inside else None
     if anchor is not None and not (inside and 0 < node < cells):

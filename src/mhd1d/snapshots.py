@@ -92,8 +92,9 @@ def load_snapshot(path) -> tuple[GasState, Grid]:
     name. Every later node must sit one dx past the node before it, and
     every center half a dx past its left node (midway between its nodes),
     each within the grid's coordinate_tol; else SnapshotError names the
-    file and line of the first coordinate off the grid. Each spacing is held to dx, not each node to x_node[0] + j * dx,
-    whose rounding drifts on long grids."""
+    file and line of the first coordinate off the grid. Each spacing is held
+    to dx, not each node to x_node[0] + j * dx, whose rounding drifts on
+    long grids."""
     t, step, centers, center_lines = _read_csv(path, 5)
     t_n, step_n, nodes, node_lines = _read_csv(node_companion(path), 4)
     if t_n != t or step_n != step:

@@ -10,14 +10,16 @@ freshest available fields:
       explicit;
   (d) transverse magnetic field: diffusion implicit per component, with the
       new specific volume multiplying the time term;
-  (e) temperature: fully implicit Newton solve with the conductivity
-      relinearized every iteration, fed by the dissipation of stages (a)-(d).
+  (e) temperature: fully implicit Newton solve, with the heat flux taken in
+      the Kirchhoff variable phi = theta**(beta+1)/(beta+1), fed by the
+      dissipation of stages (a)-(d).
 
 attempt runs the five stages once at a dt its caller fixes and never
 changes it. A failed attempt raises one retry signal naming its cause:
-nonpositive v, or a temperature solve at its iteration cap, on a singular
-Jacobian, with an update that no damping keeps theta positive, or with an
-iterate that overflows the conductivity. step is the one dt controller and
+nonpositive v, or a temperature solve at its iteration cap, on a Newton
+matrix that is not positive definite, with an update that no damping keeps
+theta positive, or with an iterate that overflows the conductivity. step is
+the one dt controller and
 holds the whole retry policy: it proposes dt (compute_dt, capped), and
 discards a failed attempt and retries at half the dt, at most retry_max
 times per step. Stages (a), (c) and (d) share one implicit diffusion solve
@@ -42,16 +44,19 @@ its state is quiet and scans no w or b. The skips are exact:
 the stages' right-hand sides are sums and products of zeros, so each solves
 for +0.0 (a -0.0 in the state becomes +0.0 too), and each skipped term is a
 +0.0 added to a value that is never -0.0.
-The symmetric, diagonally dominant solves of stages (a), (c) and (d) use
-LAPACK ptsv; the Newton Jacobian of stage (e) is not symmetric and uses gtsv.
-Both come from scipy's f2py extension scipy.linalg._flapack, loaded from its
-file: importing the scipy.linalg package would cost every process about
-0.2 s for two routines (see _load_flapack).
+The symmetric, diagonally dominant solves of stages (a), (c) and (d) and
+the symmetric positive definite Newton matrix of stage (e), in the unknown
+dphi, all use LAPACK ptsv (symmetric_tridiag_solve), from scipy's f2py
+extension scipy.linalg._flapack, loaded from its file: importing the
+scipy.linalg package would cost every process about 0.2 s for one routine
+(see _load_flapack).
 Two-component arrays are column-major, as GasState holds b and w, so ptsv
 takes and returns them without a transposing copy. The heat flux has one
-stencil, over theta padded with the regime's ghosts (heat_flux_stencil).
-Interface diffusion coefficients are harmonic means of adjacent cell values;
-all other center-to-node transfers are arithmetic means.
+stencil, linear in phi over theta padded with the regime's ghosts
+(heat_flux_stencil), with the conductance face_conductance.
+Interface diffusion coefficients and the heat conductance are harmonic means
+of adjacent cell values of c/v; all other center-to-node transfers are
+arithmetic means.
 """
 from __future__ import annotations
 
@@ -83,7 +88,7 @@ from .core import (
 def _load_flapack():
     """scipy's f2py LAPACK extension, scipy.linalg._flapack, loaded from its
     file without running scipy.linalg's package __init__, which imports far
-    more than the two routines the solver calls. The module is the one
+    more than the one routine the solver calls. The module is the one
     scipy.linalg.lapack re-exports, so its routines are the same objects."""
     finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
                         (ExtensionFileLoader, EXTENSION_SUFFIXES))
@@ -96,8 +101,7 @@ def _load_flapack():
     return module
 
 
-_flapack = _load_flapack()
-dgtsv, dptsv = _flapack.dgtsv, _flapack.dptsv
+dptsv = _load_flapack().dptsv
 
 
 class SolverFailure(RuntimeError):
@@ -115,9 +119,9 @@ class PositivityFailure(SolverFailure):
 
 class NewtonDivergence(SolverFailure):
     """Raised when retry_max halvings of dt (or a dt underflow) still leave
-    the temperature solve failing: at its iteration cap, on a singular Newton
-    Jacobian, with an update no damping keeps positive, or with an iterate
-    that overflows the conductivity."""
+    the temperature solve failing: at its iteration cap, on a Newton matrix
+    that is not positive definite, with an update no damping keeps positive,
+    or with an iterate that overflows the conductivity."""
 
 
 class _Retry(Exception):
@@ -279,33 +283,13 @@ def boundary_data(grid: Grid, bc: BoundaryCondition, t: float,
     return _UNFORCED[bc]
 
 
-def tridiag_solve(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system with sub-diagonal dl, diagonal d and
-    super-diagonal du (dl and du of length n - 1; one array may be both).
-
-    rhs may have a trailing component axis; the same matrix is applied to
-    every column. Calls LAPACK gtsv directly, the routine
-    scipy.linalg.solve_banded uses for (1, 1) bands, so the result is bitwise
-    the same without building the band array. No input is overwritten. The
-    wrapper needs at least two unknowns, as every grid of 4 cells gives.
-    """
-    _, _, _, x, info = dgtsv(dl, d, du, rhs)
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gtsv")
-    return x
-
-
 def symmetric_tridiag_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray
                             ) -> np.ndarray:
     """Solve the symmetric positive definite tridiagonal system with diagonal
-    d and off-diagonal e (length n - 1), as tridiag_solve(e, d, e, rhs) does,
-    by LAPACK ptsv (a pivot-free L*D*L^T factorization). Its operations differ
-    from gtsv's, so the result agrees with tridiag_solve to round-off, not bit
-    for bit; each column of rhs is solved alone. No input is overwritten.
-    Raises LinAlgError when the matrix is not positive definite.
+    d and off-diagonal e (length n - 1) by LAPACK ptsv (a pivot-free L*D*L^T
+    factorization). rhs may have a trailing component axis; each column is
+    solved alone. No input is overwritten. Raises LinAlgError when the
+    matrix is not positive definite.
     """
     _, _, x, info = dptsv(d, e, rhs)
     if info > 0:
@@ -348,85 +332,57 @@ def _padded(f: np.ndarray, lo, hi) -> np.ndarray:
     return out
 
 
-def padded_k_over_v(v: np.ndarray, p: PhysicalParams, bnd: BoundaryData
-                    ) -> np.ndarray:
-    """kappa_tilde / v per cell between the ghosts of heat_flux_stencil: that
-    of v_gl and v_gr, or zero on a wall, where no heat crosses an insulated
-    one and the stencil sets the isothermal one's node flux itself."""
-    out = np.empty(v.shape[0] + 2)
-    np.divide(p.kappa_tilde, v, out=out[1:-1])
-    out[0] = 0.0 if bnd.v_gl is None else p.kappa_tilde / bnd.v_gl
-    out[-1] = p.kappa_tilde / bnd.v_gr
-    return out
+def _node_harmonic(c: float, v: np.ndarray, bnd: BoundaryData) -> np.ndarray:
+    """c / v at every node, the harmonic mean 2c / (v_l + v_r) of the cells
+    on either side, closed by the ghosts v_gl and v_gr, or on a wall by the
+    first cell."""
+    v = _padded(v, v[0] if bnd.v_gl is None else bnd.v_gl, bnd.v_gr)
+    v_sum = v[:-1] + v[1:]
+    return np.divide(2.0 * c, v_sum, out=v_sum)
 
 
-def heat_flux_stencil(theta: np.ndarray, k_over_v: np.ndarray, dx: float,
+def face_conductance(v: np.ndarray, p: PhysicalParams, bnd: BoundaryData
+                     ) -> np.ndarray:
+    """The conductance K of heat_flux_stencil at every node: the harmonic
+    mean of kappa_tilde / v of the cells on either side, closed as
+    induction_coeffs closes it; 0 on an insulated wall, and on an isothermal
+    wall 2 * kappa_tilde / v[0], since its theta sits on the node, half a
+    cell from the first center."""
+    k = _node_harmonic(p.kappa_tilde, v, bnd)
+    if bnd.left_wall:
+        k[0] = 0.0 if bnd.th_gl is None else 2.0 * k[0]
+    return k
+
+
+def heat_flux_stencil(theta: np.ndarray, k: np.ndarray, dx: float,
                       p: PhysicalParams, bnd: BoundaryData):
     """Diffusive heat flux kappa(theta) * theta_x / v at every node, with
-    k_over_v = padded_k_over_v(v, p, bnd), and a function bands(frozen) for
-    the Newton Jacobian.
+    k = face_conductance(v, p, bnd), and theta**beta per cell.
 
-    theta is padded with a ghost at each end (th_gl, or theta[0] on an
-    insulated wall, and th_gr), so the flux at all M + 1 nodes is one slice
-    expression: the harmonic mean of the cell values a = kappa(theta)/v on
-    either side times the difference quotient. An insulated wall's ghost has
-    a = 0, so its flux and derivatives vanish. The one fix-up is the
-    isothermal wall, whose th_gl sits on the node half a cell away.
-
-    bands returns the (sub, main, super) diagonals of the derivative of the
-    flux divergence -(H[1:] - H[:-1]) / dx with respect to theta, from the
-    flux's own coefficients; the conductivity's derivative is beta*a/theta
-    for the cell value a, so no second power is taken. frozen=True drops the
-    conductivity-derivative terms (Picard linearization).
+    The flux is taken in the Kirchhoff variable phi = theta**(beta+1) /
+    (beta+1), in which kappa_tilde * theta**beta * theta_x / v =
+    (kappa_tilde / v) * phi_x: the flux at node j is k_j * (phi_{j+1} -
+    phi_j) / dx over theta padded with a ghost at each end (th_gl, or
+    theta[0] on an insulated wall, and th_gr), one slice expression at all
+    M + 1 nodes; k holds each wall's closure, so no node needs a fix-up. The
+    flux has the sign of the theta difference, so the dissipation W stays
+    nonnegative. It is linear in phi, so its derivative with respect to
+    theta is the k-Laplacian times diag(theta**beta), the second value
+    returned (see substep_temperature).
     """
     th = _padded(theta, theta[0] if bnd.th_gl is None else bnd.th_gl, bnd.th_gr)
-    # k_over_v * th**beta, 2 * a[:-1] * a[1:] / a_sum and c * (dth / dx),
-    # each evaluated in place in that order of operations
-    a = th ** p.beta
-    a *= k_over_v
-    a_sum = a[:-1] + a[1:]
-    c = a[:-1] * 2.0
-    c *= a[1:]
-    c /= a_sum
-    H = th[1:] - th[:-1]
-    H /= dx
-    H *= c
-    isothermal = bnd.left_wall and bnd.th_gl is not None
-    if isothermal:
-        th_mid = 0.5 * (theta[0] + bnd.th_gl)
-        c_l = k_over_v[1] * th_mid ** p.beta
-        H[0] = c_l * (theta[0] - bnd.th_gl) / (0.5 * dx)
-
-    def bands(frozen: bool):
-        # hi, lo: dH_j/dtheta of the cell right of node j (nodes 0..M-1) and
-        # left of it (nodes 1..M), over dx. A harmonic mean c(x, y) has dc/dx
-        # = c y / (x (x + y)) and da/dtheta = beta a / theta, so the term of
-        # the left cell's conductance is H_j y beta / ((x + y) theta).
-        c_dd = c / (dx * dx)
-        if frozen:
-            hi, lo = c_dd[:-1], -c_dd[1:]
-        else:
-            bt = p.beta / th
-            g = a_sum * dx
-            np.divide(H, g, out=g)
-            hi = g[:-1] * a[:-2]
-            hi *= bt[1:-1]
-            hi += c_dd[:-1]
-            lo = g[1:] * a[2:]
-            lo *= bt[1:-1]
-            lo -= c_dd[1:]
-        if isothermal:  # the conductance of th_mid, half a cell away
-            hi[0] = (c_l / (0.5 * dx) + (
-                0.0 if frozen else H[0] * p.beta / (2.0 * th_mid))) / dx
-        return lo[:-1], hi - lo, -hi[1:]
-
-    return H, bands
+    th_beta = th ** p.beta
+    phi = th_beta * th
+    h = phi[1:] - phi[:-1]
+    h *= k
+    h /= dx * (p.beta + 1.0)
+    return h, th_beta[1:-1]
 
 
 def heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
               bnd: BoundaryData) -> np.ndarray:
     """Diffusive heat flux kappa(theta) * theta_x / v at every node."""
-    return heat_flux_stencil(theta, padded_k_over_v(v, p, bnd), dx, p, bnd)[0]
+    return heat_flux_stencil(theta, face_conductance(v, p, bnd), dx, p, bnd)[0]
 
 
 def compute_dt(state: GasState, b_sq: Optional[np.ndarray], grid: Grid,
@@ -510,9 +466,7 @@ def induction_coeffs(v_new: np.ndarray, p: PhysicalParams, bnd: BoundaryData
                      ) -> np.ndarray:
     """Magnetic diffusion coefficient nu/v at nodes (harmonic interface mean),
     closed by the ghosts v_gl and v_gr, or on a wall by the first cell."""
-    v = _padded(v_new, v_new[0] if bnd.v_gl is None else bnd.v_gl, bnd.v_gr)
-    v_sum = v[:-1] + v[1:]
-    return np.divide(2.0 * p.nu, v_sum, out=v_sum)
+    return _node_harmonic(p.nu, v_new, bnd)
 
 
 def substep_induction(state: GasState, v_new: np.ndarray, dw: np.ndarray,
@@ -568,30 +522,38 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
 
     Solves c_v*theta_t + (R*theta/v)*u_x = (kappa(theta)*theta_x/v)_x + Q with
     the compression term implicit in theta and Q the stage dissipation. The
-    conductivity is relinearized each iteration (full beta*theta**(beta-1)
-    derivative); if the residual fails to decrease three times in a row the
-    Jacobian falls back to the frozen-coefficient (Picard) form. Each iterate
-    evaluates the heat flux once (heat_flux_stencil), for the residual and
-    the Jacobian alike; kappa_tilde / v, the diagonal base c_v/dt + R*u_x/v
-    and the residual's theta-free part are evaluated once per stage.
+    residual is F = base*theta - (H[1:] - H[:-1])/dx - known, with base =
+    c_v/dt + R*u_x/v, and the heat flux H is linear in phi (see
+    heat_flux_stencil), so its Jacobian is base + L*diag(theta**beta) with L
+    the k-Laplacian. Each Newton update solves the symmetric system
+    (base/theta**beta + L) dphi = -F (symmetric_tridiag_solve) and takes
+    delta = dphi/theta**beta. The conductance k, L, base and the residual's
+    theta-free part are built once per stage; each iterate evaluates the
+    heat flux once (heat_flux_stencil), for the residual and the matrix alike.
 
     Returns (theta, number of Newton updates taken, Q, H) where H is the heat
     flux at the returned theta: the last iterate's, or evaluated once more
     when the last update moved theta past it. The returned theta is positive
-    whenever the stage-begin theta is: it is either an iterate that met the
-    residual test or one reached by an update damped until theta + delta > 0.
+    whenever the stage-begin theta is, since each update is damped until
+    theta + delta > 0. It is an iterate that met the residual test, or one
+    reached by an undamped update below the update tolerance: a damped
+    update is small because it was damped.
 
     Raises _Retry naming the cause when the iteration cap is reached without
-    meeting the tolerance, when the Newton Jacobian is singular, when 60
-    halvings of an update still leave theta nonpositive, or when an iterate
-    overflows or makes an invalid value (the loop runs under np.errstate, so
-    no NaN iterate runs on to the cap).
+    meeting the tolerance, when the matrix is not positive definite (base <=
+    0 somewhere), when 60 halvings of an update still leave theta
+    nonpositive, or when an iterate overflows, divides by an underflowed
+    theta**beta or makes an invalid value (the loop runs under np.errstate,
+    so no such iterate runs on to the cap).
     """
     dx = grid.dx
     ux = du / dx
     wx = None if dw is None else dw / dx
     q = dissipation_source(v_new, mu_new, ux, wx, b_new, grid, p, bnd)
-    k_over_v = padded_k_over_v(v_new, p, bnd)
+    k = face_conductance(v_new, p, bnd)
+    # L has the diagonal lap[:-1] + lap[1:] and the off-diagonal -lap[1:-1]
+    lap = k / (dx * dx)
+    lap_main, lap_off = lap[:-1] + lap[1:], -lap[1:-1]
     base = ux * p.R
     base /= v_new
     base += p.c_v / dt
@@ -603,13 +565,10 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
         known += bnd.sources["theta"]
 
     theta = state.theta.copy()
-    picard = False
-    stall = 0
-    prev_norm = math.inf
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(ctl.newton_max_iter + 1):
-                h, bands = heat_flux_stencil(theta, k_over_v, dx, p, bnd)
+                h, th_beta = heat_flux_stencil(theta, k, dx, p, bnd)
                 div = h[1:] - h[:-1]
                 div /= dx
                 neg_f = theta * base
@@ -624,21 +583,15 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
                 if it == ctl.newton_max_iter:
                     raise _Retry(NewtonDivergence, f"temperature solve exceeded "
                                  f"{ctl.newton_max_iter} iterations")
-                if fnorm >= prev_norm:
-                    stall += 1
-                    if stall >= 3:
-                        picard = True
-                else:
-                    stall = 0
-                prev_norm = fnorm
-
-                lower, main, upper = bands(frozen=picard)
-                main += base
+                main = base / th_beta
+                main += lap_main
                 try:
-                    delta = tridiag_solve(lower, main, upper, neg_f)
+                    delta = symmetric_tridiag_solve(main, lap_off, neg_f)
                 except LinAlgError:
                     raise _Retry(NewtonDivergence, "temperature solve met a "
-                                 "singular Newton Jacobian") from None
+                                 "Newton matrix that is not positive "
+                                 "definite") from None
+                delta /= th_beta
 
                 # Damp the update rather than clip: theta must stay positive
                 # for the conductivity to be evaluable at the next iterate.
@@ -653,9 +606,9 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
                                      "not damp an update to keep theta positive")
                     trial = theta + delta
                 theta = trial
-                if float(np.maximum.reduce(np.abs(delta, out=delta))) \
-                        <= ctl.newton_tol * scale:
-                    it, h = it + 1, heat_flux_stencil(theta, k_over_v, dx, p, bnd)[0]
+                if guard == 0 and float(np.maximum.reduce(
+                        np.abs(delta, out=delta))) <= ctl.newton_tol * scale:
+                    it, h = it + 1, heat_flux_stencil(theta, k, dx, p, bnd)[0]
                     break
     except FloatingPointError:
         raise _Retry(NewtonDivergence, "temperature iterate overflowed the "

@@ -16,7 +16,7 @@ order for the splitting).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -432,8 +432,9 @@ def numerical_source_check(sol: MmsSolution, p: PhysicalParams) -> dict:
 
 def standard_studies() -> list[dict]:
     """The verification suite behind `mhd1d verify`: source self-check, MMS
-    spatial and temporal orders for beta in {1, 0.5, 10}, and oracle
-    agreement for alpha in {0, 1}."""
+    spatial and temporal orders for beta in {1, 0.5, 10}, the spatial order
+    of a hotter solution (amp_theta = 0.5) at beta 10, and oracle agreement
+    for alpha in {0, 1}."""
     sol = MmsSolution(amp_v=0.15, amp_u=0.2, amp_theta=0.12,
                       amp_w=(0.15, -0.1), amp_b=(0.12, 0.08))
     p_norm = PhysicalParams.normalized(alpha=1.0, beta=1.0)
@@ -444,15 +445,17 @@ def standard_studies() -> list[dict]:
                     "tolerance": 1e-6,
                     "pass": max(src.values()) <= 1e-6})
 
-    for beta in (1.0, 0.5, 10.0):
-        p_beta = PhysicalParams.normalized(alpha=1.0, beta=beta)
-        name = "" if beta == 1.0 else f"_beta{beta:g}"
-        spatial = mms_convergence(sol, p_beta, [64, 128, 256], t_end=0.1,
-                                  dt_coarsest=2e-3)
-        orders = spatial["orders"]
+    def spatial_study(name, solution, p):
+        orders = mms_convergence(solution, p, [64, 128, 256], t_end=0.1,
+                                 dt_coarsest=2e-3)["orders"]
         studies.append({"study": f"mms_spatial_order{name}", "orders": orders,
                         "threshold": 1.9,
                         "pass": all(o is None or o >= 1.9 for o in orders.values())})
+
+    for beta in (1.0, 0.5, 10.0):
+        p_beta = PhysicalParams.normalized(alpha=1.0, beta=beta)
+        name = "" if beta == 1.0 else f"_beta{beta:g}"
+        spatial_study(name, sol, p_beta)
 
         # step sizes that divide t_end exactly, so no run ends on a shortened step
         temporal = temporal_convergence(sol, p_beta, cells=64,
@@ -460,6 +463,10 @@ def standard_studies() -> list[dict]:
         order = temporal["order"]
         studies.append({"study": f"mms_temporal_order{name}", "order": order,
                         "threshold": 0.9, "pass": order is None or order >= 0.9})
+
+    # theta**10 spans a factor of 3**10 over the hotter solution's range
+    spatial_study("_amp0.5_beta10", replace(sol, amp_theta=0.5),
+                  PhysicalParams.normalized(alpha=1.0, beta=10.0))
 
     for alpha in (0.0, 1.0):
         p_a = PhysicalParams.normalized(alpha=alpha, beta=1.0)

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from mhd1d import solver
 from mhd1d.constitutive import viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
@@ -58,3 +61,17 @@ def state_max_diff(a: GasState, b: GasState) -> float:
                float(np.max(np.abs(a.b - b.b))),
                float(np.max(np.abs(a.u - b.u))),
                float(np.max(np.abs(a.w - b.w))))
+
+
+def patch_newton_solve(monkeypatch, newton_solve):
+    """Route the temperature Newton's symmetric_tridiag_solve calls, and only
+    those, to newton_solve(solve, d, e, rhs) with solve the real routine; the
+    stage solves keep the real routine."""
+    solve = solver.symmetric_tridiag_solve
+
+    def routed(d, e, rhs):
+        if sys._getframe(1).f_code.co_name == "substep_temperature":
+            return newton_solve(solve, d, e, rhs)
+        return solve(d, e, rhs)
+
+    monkeypatch.setattr(solver, "symmetric_tridiag_solve", routed)

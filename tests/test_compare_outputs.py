@@ -204,17 +204,11 @@ def test_the_standard_set_names_every_case(compare_outputs):
                          ids=lambda path: path.stem)
 def test_the_code_agrees_with_the_reference_trees(cfg, tmp_path, capsys,
                                                   compare_outputs):
-    # the six magnetized trees were recorded from the version before the
-    # stage solves moved to ptsv and the temperature Newton was rewritten,
-    # the cauchy and insulated-wall *_no_transverse trees from the version
-    # before a step with no transverse field skipped the transverse and
-    # induction stages, and the isothermal-wall one from the version before
-    # such a step skipped the transverse terms of its dissipation,
-    # coefficients, boundary report and records. The two *_retries trees,
-    # whose steps damp the temperature Newton, fall back to Picard and
-    # retry at half the dt, were recorded from the version before the
-    # single-record stacking branches and the dissipation's and boundary
-    # report's transverse parameter were deleted
+    # every tree was recorded from the version whose heat flux is taken in
+    # the Kirchhoff variable theta**(beta+1)/(beta+1). The two *_retries
+    # trees retry steps at half the dt: cauchy_beta10_retries at its Newton
+    # cap of six updates, isothermal_wall_beta35_retries on iterates that
+    # overflow the conductivity or updates no damping keeps positive
     record_run(compare_outputs, cfg, tmp_path / "tree", capsys)
     verdict = compare_outputs.compare_trees(REFERENCES / cfg.stem,
                                             tmp_path / "tree")

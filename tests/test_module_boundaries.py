@@ -188,7 +188,8 @@ def test_the_checks_see_defaults_and_validate_calls(tmp_path):
 
 # the builders of a StepReport's arrays, which the monitors read off the report
 REPORT_BUILDERS = ("heat_flux", "heat_flux_and_jacobian", "heat_flux_stencil",
-                   "dissipation_source", "state_coeffs", "viscosity_mu")
+                   "face_conductance", "dissipation_source", "state_coeffs",
+                   "viscosity_mu")
 
 
 def _calls_of(path: Path, names) -> list[str]:

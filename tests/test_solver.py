@@ -12,15 +12,17 @@ from conftest import (
     ALL_REGIMES,
     bits,
     coeffs_of,
+    patch_newton_solve,
     reference_state,
     smooth_bump,
     state_max_diff,
 )
 from mhd1d import solver
-from mhd1d.config import parse_config_file
+from mhd1d.config import parse_config, parse_config_file
 from mhd1d.constitutive import pressure, viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
+    GasState,
     GaussianBump,
     Grid,
     PhysicalParams,
@@ -48,7 +50,6 @@ from mhd1d.solver import (
     substep_velocity,
     substep_volume,
     symmetric_tridiag_solve,
-    tridiag_solve,
 )
 from mhd1d.verification import MmsForcing, MmsSolution, explicit_reference
 
@@ -359,55 +360,6 @@ class TestEndNodes:
         assert ins.v_gl is None and ins.th_gl is None and np.all(ins.b_gl == 0.0)
 
 
-class TestTridiagSolve:
-    """The direct LAPACK call must reproduce solve_banded bit for bit."""
-
-    @pytest.mark.parametrize("n", [3, 64, 2048])
-    @pytest.mark.parametrize("columns", [None, 2])
-    @pytest.mark.parametrize("symmetric", [False, True])
-    def test_matches_solve_banded(self, n, columns, symmetric):
-        # symmetric passes one array as both off-diagonals
-        rng = np.random.default_rng(n)
-        lower = rng.normal(size=n - 1)
-        upper = lower if symmetric else rng.normal(size=n - 1)
-        diag = 3.0 + rng.random(n)
-        rhs = rng.normal(size=n if columns is None else (n, columns))
-        ab = np.zeros((3, n))
-        ab[0, 1:] = upper
-        ab[1] = diag
-        ab[2, :-1] = lower
-        expected = solve_banded((1, 1), ab, rhs, check_finite=False)
-        before = [arr.copy() for arr in (lower, diag, upper, rhs)]
-        x = tridiag_solve(lower, diag, upper, rhs)
-        assert x.shape == rhs.shape
-        assert np.array_equal(x, expected)
-        for arr, old in zip((lower, diag, upper, rhs), before):
-            assert np.array_equal(arr, old)
-
-    def test_commands_load_lapack_without_scipy_linalg(self):
-        # a fresh interpreter: importing the package and its CLI loads scipy's
-        # LAPACK extension alone, whose routines are the ones
-        # scipy.linalg.lapack exports, so every solve runs the same code
-        script = (
-            "import sys\n"
-            "import mhd1d, mhd1d.cli\n"
-            "assert 'scipy.linalg' not in sys.modules, "
-            "sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "from mhd1d import solver\n"
-            "import scipy.linalg.lapack as lapack\n"
-            "assert solver.dgtsv is lapack.dgtsv\n"
-            "assert solver.dptsv is lapack.dptsv\n")
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-
-    def test_singular_raises(self):
-        diag = np.ones(5)
-        diag[2] = 0.0
-        with pytest.raises(LinAlgError):
-            tridiag_solve(np.zeros(4), diag, np.zeros(4), np.ones(5))
-
-
 def dominant_system(n, columns, seed):
     """A symmetric, strictly diagonally dominant tridiagonal system with a
     positive diagonal, as the stage solves build: (d, e, rhs)."""
@@ -459,6 +411,22 @@ class TestSymmetricTridiagSolve:
         with pytest.raises(LinAlgError):
             symmetric_tridiag_solve(d, e, rhs)
 
+    def test_commands_load_lapack_without_scipy_linalg(self):
+        # a fresh interpreter: importing the package and its CLI loads scipy's
+        # LAPACK extension alone, whose routine is the one
+        # scipy.linalg.lapack exports, so every solve runs the same code
+        script = (
+            "import sys\n"
+            "import mhd1d, mhd1d.cli\n"
+            "assert 'scipy.linalg' not in sys.modules, "
+            "sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "from mhd1d import solver\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "assert solver.dptsv is lapack.dptsv\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestStepHandsOverMonitorInputs:
     """The step's heat flux and dissipation feed the monitors; they must equal
@@ -469,24 +437,24 @@ class TestStepHandsOverMonitorInputs:
         # beta = 0.5 makes the Newton solve end both ways within six steps: on
         # the residual test, with the flux of the returned theta in hand, and
         # on the update test, which evaluates the stencil at the returned
-        # theta once more. Either way a stage evaluates kappa_tilde / v once
+        # theta once more. Either way a stage evaluates the conductance once
         # and the stencil once per update plus once.
         ctl = StepControl()
-        thetas, k_over_v_calls, exits = [], [], []
+        thetas, conductance_calls, exits = [], [], []
 
         def stencil(theta, *args):
             thetas.append(theta)
             return solver_stencil(theta, *args)
 
-        def k_over_v(*args):
-            k_over_v_calls.append(args)
-            return solver_k_over_v(*args)
+        def conductance(*args):
+            conductance_calls.append(args)
+            return solver_conductance(*args)
 
         def recording(*args, **kwargs):
-            before, k_before = len(thetas), len(k_over_v_calls)
+            before, k_before = len(thetas), len(conductance_calls)
             out = substep_temperature(*args, **kwargs)
             updates, evaluated = out[1], thetas[before:]
-            assert len(k_over_v_calls) - k_before == 1
+            assert len(conductance_calls) - k_before == 1
             assert len(evaluated) == updates + 1
             if updates:
                 # the last update is the difference of the last two thetas
@@ -497,9 +465,9 @@ class TestStepHandsOverMonitorInputs:
             return out
 
         solver_stencil = solver.heat_flux_stencil
-        solver_k_over_v = solver.padded_k_over_v
+        solver_conductance = solver.face_conductance
         monkeypatch.setattr(solver, "heat_flux_stencil", stencil)
-        monkeypatch.setattr(solver, "padded_k_over_v", k_over_v)
+        monkeypatch.setattr(solver, "face_conductance", conductance)
         monkeypatch.setattr(solver, "substep_temperature", recording)
         wall = bc.has_left_wall
         grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
@@ -811,52 +779,52 @@ class TestWallRegimes:
         assert state.theta.min() > 0.0
 
 
-def _flux_padding(theta, bnd):
-    """theta with the ghosts heat_flux_stencil closes it with."""
-    return np.concatenate(([theta[0] if bnd.th_gl is None else bnd.th_gl],
-                           theta, [bnd.th_gr]))
-
-
-class TestHeatFluxJacobian:
-    """The bands of heat_flux_stencil against a centred finite-difference
-    Jacobian of the Newton residual theta*base - (H[1:] - H[:-1])/dx - known,
-    interior and end rows alike. frozen=True is checked against the residual
-    of the flux with its conductances frozen at the linearization point:
-    H_j / D_j times the difference quotient D_j of the perturbed theta."""
+class TestNewtonMatrix:
+    """The matrix each temperature Newton update solves, captured at the
+    solver's symmetric_tridiag_solve, against a centred finite-difference
+    Jacobian of the residual F = theta*base - (H[1:] - H[:-1])/dx - known
+    with respect to theta, interior and end rows alike: the update solves
+    A dphi = -F with dphi = theta**beta * dtheta, so A * diag(theta**beta)
+    must be that Jacobian."""
 
     M = 12
     CASES = [(bc.value, bc) for bc in ALL_REGIMES] + [("forced", None)]
 
-    def setup(self, bc):
+    @pytest.mark.parametrize("name, bc", CASES, ids=[c[0] for c in CASES])
+    def test_the_matrix_matches_finite_differences(self, name, bc, monkeypatch):
         rng = np.random.default_rng(11)
         grid = Grid.uniform(self.M, 3.0, 0.0)
+        dx = grid.dx
         p = PhysicalParams(kappa_tilde=1.3, beta=1.7)
         if bc is None:
             sol = MmsSolution(amp_v=0.3, amp_theta=0.4)
             bnd = MmsForcing(sol, p).boundary_data(grid, 0.2)
         else:
             bnd = boundary_data(grid, bc, 0.0)
-        theta = rng.uniform(0.5, 2.0, self.M)
+        theta0 = rng.uniform(0.5, 2.0, self.M)
         v = rng.uniform(0.5, 1.5, self.M)
-        base = rng.uniform(1.0, 3.0, self.M)
-        known = rng.uniform(-1.0, 1.0, self.M)
-        return grid.dx, p, bnd, theta, v, base, known
+        du = rng.uniform(-0.05, 0.05, self.M)
+        dt = 0.05
+        state = GasState(v=v, theta=theta0, b=np.zeros((self.M, 2)),
+                         u=np.zeros(self.M + 1), w=np.zeros((self.M + 1, 2)))
+        solved = []
 
-    @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("name, bc", CASES, ids=[c[0] for c in CASES])
-    def test_bands_match_finite_differences(self, name, bc, frozen):
-        dx, p, bnd, theta0, v, base, known = self.setup(bc)
-        k_over_v = solver.padded_k_over_v(v, p, bnd)
-        h0, bands = solver.heat_flux_stencil(theta0, k_over_v, dx, p, bnd)
-        d0 = np.diff(_flux_padding(theta0, bnd)) / dx
-        cond = np.divide(h0, d0, out=np.zeros_like(h0), where=d0 != 0.0)
+        def capturing(d, e, rhs):
+            solved.append((d.copy(), e.copy(), rhs.copy()))
+            return solve(d, e, rhs)
 
-        def residual(theta):
-            if frozen:
-                h = cond * np.diff(_flux_padding(theta, bnd)) / dx
-            else:
-                h = solver.heat_flux_stencil(theta, k_over_v, dx, p, bnd)[0]
-            return theta * base - (h[1:] - h[:-1]) / dx - known
+        solve = solver.symmetric_tridiag_solve
+        monkeypatch.setattr(solver, "symmetric_tridiag_solve", capturing)
+        with pytest.raises(solver._Retry):
+            substep_temperature(state, v, du, None, state.b, viscosity_mu(v, p),
+                                grid, p, StepControl(newton_max_iter=1), dt,
+                                bnd)
+        d, e, neg_f = solved[0]  # the first update, at theta0
+        base = p.c_v / dt + p.R * (du / dx) / v
+
+        def residual(theta):  # up to the theta-free part
+            h = heat_flux(theta, v, dx, p, bnd)
+            return theta * base - (h[1:] - h[:-1]) / dx
 
         fd = np.empty((self.M, self.M))
         for k in range(self.M):
@@ -865,15 +833,23 @@ class TestHeatFluxJacobian:
             up[k] += step_k
             down[k] -= step_k
             fd[:, k] = (residual(up) - residual(down)) / (2.0 * step_k)
-        sub, main, sup = bands(frozen)
-        jac = np.diag(main + base) + np.diag(sub, -1) + np.diag(sup, 1)
+        jac = (np.diag(d) + np.diag(e, -1) + np.diag(e, 1)) * theta0 ** p.beta
         assert np.count_nonzero(fd - np.triu(np.tril(fd, 1), -1)) == 0
         for row in range(self.M):
             scale = np.abs(jac[row]).max()
             assert np.abs(fd[row] - jac[row]).max() <= 1e-6 * scale, row
-        # an insulated wall passes no heat, whatever theta does
+        # the right-hand side is minus the residual at theta0
+        known = p.c_v * theta0 / dt + dissipation_source(
+            v, viscosity_mu(v, p), du / dx, None, state.b, grid, p, bnd)
+        if bnd.sources is not None:
+            known += bnd.sources["theta"]
+        f = residual(theta0) - known
+        assert np.abs(neg_f + f).max() <= 1e-12 * np.abs(f).max()
+        # an insulated wall passes no heat, whatever theta does: row 0 of the
+        # k-Laplacian sums to zero
         if bc is BoundaryCondition.INSULATED_WALL_LEFT:
-            assert h0[0] == 0.0 and main[0] == -sub[0]
+            assert heat_flux(theta0, v, dx, p, bnd)[0] == 0.0
+            assert d[0] - base[0] / theta0[0] ** p.beta == pytest.approx(-e[0])
 
 
 class TestHeatEquationAgreement:
@@ -950,8 +926,8 @@ class TestFailureModes:
     def test_a_failed_damping_names_the_damping(self, monkeypatch):
         # an update of -inf leaves theta nonpositive after every halving, one
         # Newton update into the solve, far below the iteration cap
-        monkeypatch.setattr(solver, "tridiag_solve",
-                            lambda dl, d, du, rhs: np.full_like(rhs, -np.inf))
+        patch_newton_solve(monkeypatch,
+                           lambda solve, d, e, rhs: np.full_like(rhs, -np.inf))
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=0.0, beta=1.0)
         state = bump_state(grid)
@@ -961,6 +937,28 @@ class TestFailureModes:
         assert str(err.value).startswith(
             "temperature solve could not damp an update to keep theta positive "
             "after 1 dt halvings")
+
+    def test_a_damped_update_does_not_end_the_solve(self, monkeypatch):
+        # the first scripted update takes cell 5 to 1e-11; the second would
+        # take it below zero, and damping shrinks it under the update
+        # tolerance. A damped update is small because it was damped, so the
+        # solve goes on; at beta = 0 it is linear, and one real update
+        # reaches the solution
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=0.0, beta=0.0)
+        state = reference_state(grid)
+        state.theta = 1.0 + 0.1 * np.cos(np.arange(16.0))
+        first, second = np.zeros(16), np.zeros(16)
+        first[5] = 1e-11 - state.theta[5]
+        second[5] = -1.0
+        scripted = [first, second]
+        patch_newton_solve(monkeypatch, lambda solve, d, e, rhs: (
+            scripted.pop(0) if scripted else solve(d, e, rhs)))
+        theta, updates, _, _ = substep_temperature(
+            state, state.v, np.zeros(16), None, state.b,
+            viscosity_mu(state.v, p), grid, p, StepControl(), 0.01,
+            boundary_data(grid, CAUCHY, 0.01))
+        assert updates >= 3 and theta.min() > 0.5
 
     def test_a_halving_below_dt_min_ends_the_step(self):
         # dt_max caps the first attempt at 1.5e-3, and its half is below
@@ -975,15 +973,66 @@ class TestFailureModes:
                                   "dt halved below dt_min = 0.001 (at t = 0)")
 
     def test_a_failed_temperature_solve_is_retried_until_it_converges(self):
-        # a large beta stalls the first attempts' Newton solves at the
-        # default cap; smaller steps converge
+        # at beta = 6 the Newton solves of the first attempts need more than
+        # six updates; smaller steps converge within them
         grid = Grid.uniform(64, 16.0, -8.0)
         p = PhysicalParams(beta=6.0)
         state = make_initial_state(grid, GaussianBump(amp_theta=3.0), CAUCHY)
-        new, report = step(state, grid, p, CAUCHY, StepControl(),
-                           coeffs_of(state, p))
+        new, report = step(state, grid, p, CAUCHY,
+                           StepControl(newton_max_iter=6), coeffs_of(state, p))
         assert report.retries == 4
         assert new.theta.min() > 0.0
+
+
+class TestLargeBetaTable:
+    """The temperature Newton on a hot bump (amp_theta = 3) at large beta, in
+    every regime: each cell up to beta 30 reaches t_end, a beta-50 cell
+    reaches it or fails with a NewtonDivergence that names the cause, and
+    every accepted temperature solve meets its tolerance at the theta it
+    returns, to a factor of 10."""
+
+    CONFIG = ("grid.cells = 64\ngrid.mass = 16\n{left}bc = {bc}\n"
+              "params.preset = normalized\nparams.alpha = 1\n"
+              "params.beta = {beta}\ninitial.profile = gaussian_bump\n"
+              "initial.center = 0\ninitial.amp_theta = 3\ntime.t_end = 0.5\n")
+    CAUSES = ("temperature solve exceeded", "temperature solve met a Newton "
+              "matrix", "temperature solve could not damp",
+              "temperature iterate overflowed")
+
+    def test_every_cell_finishes_or_names_its_failure(self, monkeypatch):
+        ratios = []
+
+        def checking(state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt,
+                     bnd):
+            out = substep_temperature(state, v_new, du, dw, b_new, mu_new,
+                                      grid, p, ctl, dt, bnd)
+            theta, dx = out[0], grid.dx
+            ux = du / dx
+            wx = None if dw is None else dw / dx
+            h = heat_flux(theta, v_new, dx, p, bnd)
+            q = dissipation_source(v_new, mu_new, ux, wx, b_new, grid, p, bnd)
+            f = (p.c_v * (theta - state.theta) / dt + p.R * theta / v_new * ux
+                 - (h[1:] - h[:-1]) / dx - q)
+            tol = ctl.newton_tol * p.c_v * max(1.0, theta.max()) / dt
+            ratios.append(np.abs(f).max() / tol)
+            return out
+
+        monkeypatch.setattr(solver, "substep_temperature", checking)
+        for bc in ("cauchy", "insulated_wall", "isothermal_wall"):
+            left = "" if bc == "cauchy" else "grid.left = 0\n"
+            for beta in (6, 10, 15, 20, 30, 50):
+                cfg = parse_config(self.CONFIG.format(left=left, bc=bc,
+                                                      beta=beta))
+                state = make_initial_state(cfg.grid, cfg.profile, cfg.bc)
+                try:
+                    end = run_until(state, cfg.grid, cfg.t_end, cfg.params,
+                                    cfg.bc, cfg.control)
+                except NewtonDivergence as exc:
+                    assert beta == 50, (bc, beta, str(exc))
+                    assert str(exc).startswith(self.CAUSES), str(exc)
+                else:
+                    assert end.t == cfg.t_end and end.theta.min() > 0.0
+        assert len(ratios) > 100 and max(ratios) <= 10.0
 
 
 def assert_same_step(new, report, a_new, a_report):
@@ -1005,7 +1054,7 @@ class TestAttempt:
     controller around it."""
 
     @pytest.mark.parametrize("name", ["cauchy_beta10_retries",
-                                      "isothermal_wall_beta15_retries"])
+                                      "isothermal_wall_beta35_retries"])
     def test_every_step_is_an_attempt_at_the_halved_proposal(self, name):
         # each step of the run equals, bit for bit, one attempt at its
         # proposed dt halved once per retry; the attempts at the larger dts

@@ -258,11 +258,11 @@ class TestConvergenceStudies:
         calls = []
 
         def spatial(sol, p, *args, **kwargs):
-            calls.append(("spatial", p.beta))
+            calls.append(("spatial", p.beta, sol.amp_theta))
             return {"orders": {"v": 2.0}}
 
         def temporal(sol, p, **kwargs):
-            calls.append(("temporal", p.beta))
+            calls.append(("temporal", p.beta, sol.amp_theta))
             return {"order": 1.0}
 
         monkeypatch.setattr(verification, "mms_convergence", spatial)
@@ -272,14 +272,16 @@ class TestConvergenceStudies:
         monkeypatch.setattr(verification, "oracle_comparison",
                             lambda *args, **kwargs: {"v": 0.0})
         studies = verification.standard_studies()
-        assert calls == [(kind, beta) for beta in (1.0, 0.5, 10.0)
-                         for kind in ("spatial", "temporal")]
-        mms = [(s["study"], s["threshold"]) for s in studies[1:7]]
+        assert calls == [(kind, beta, 0.12) for beta in (1.0, 0.5, 10.0)
+                         for kind in ("spatial", "temporal")] + [
+                             ("spatial", 10.0, 0.5)]
+        mms = [(s["study"], s["threshold"]) for s in studies[1:8]]
         assert mms == [("mms_spatial_order", 1.9), ("mms_temporal_order", 0.9),
                        ("mms_spatial_order_beta0.5", 1.9),
                        ("mms_temporal_order_beta0.5", 0.9),
                        ("mms_spatial_order_beta10", 1.9),
-                       ("mms_temporal_order_beta10", 0.9)]
+                       ("mms_temporal_order_beta10", 0.9),
+                       ("mms_spatial_order_amp0.5_beta10", 1.9)]
         assert all(s["pass"] for s in studies)
 
 
