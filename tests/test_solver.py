@@ -40,6 +40,7 @@ from mhd1d.solver import (
     compute_dt,
     dissipation_source,
     end_nodes,
+    face_conductance,
     heat_flux,
     initial_report,
     run_until,
@@ -411,6 +412,12 @@ class TestSymmetricTridiagSolve:
         with pytest.raises(LinAlgError):
             symmetric_tridiag_solve(d, e, rhs)
 
+    def test_singular_raises(self):
+        d = np.ones(5)
+        d[2] = 0.0
+        with pytest.raises(LinAlgError):
+            symmetric_tridiag_solve(d, np.zeros(4), np.ones(5))
+
     def test_commands_load_lapack_without_scipy_linalg(self):
         # a fresh interpreter: importing the package and its CLI loads scipy's
         # LAPACK extension alone, whose routine is the one
@@ -779,6 +786,29 @@ class TestWallRegimes:
         assert state.theta.min() > 0.0
 
 
+TEMPERATURE_CASES = [(bc.value, bc) for bc in ALL_REGIMES] + [("forced", None)]
+
+
+def temperature_case(bc, m=12, seed=11):
+    """A random stage-(e) input on a small grid in the regime bc, or, for
+    bc None, under a manufactured solution's forcing: (grid, p, bnd, state,
+    du), with the state's v standing for the new volume."""
+    rng = np.random.default_rng(seed)
+    grid = Grid.uniform(m, 3.0, 0.0)
+    p = PhysicalParams(kappa_tilde=1.3, beta=1.7)
+    if bc is None:
+        sol = MmsSolution(amp_v=0.3, amp_theta=0.4)
+        bnd = MmsForcing(sol, p).boundary_data(grid, 0.2)
+    else:
+        bnd = boundary_data(grid, bc, 0.0)
+    theta = rng.uniform(0.5, 2.0, m)
+    v = rng.uniform(0.5, 1.5, m)
+    du = rng.uniform(-0.05, 0.05, m)
+    state = GasState(v=v, theta=theta, b=np.zeros((m, 2)),
+                     u=np.zeros(m + 1), w=np.zeros((m + 1, 2)))
+    return grid, p, bnd, state, du
+
+
 class TestNewtonMatrix:
     """The matrix each temperature Newton update solves, captured at the
     solver's symmetric_tridiag_solve, against a centred finite-difference
@@ -788,25 +818,13 @@ class TestNewtonMatrix:
     must be that Jacobian."""
 
     M = 12
-    CASES = [(bc.value, bc) for bc in ALL_REGIMES] + [("forced", None)]
 
-    @pytest.mark.parametrize("name, bc", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("name, bc", TEMPERATURE_CASES,
+                             ids=[c[0] for c in TEMPERATURE_CASES])
     def test_the_matrix_matches_finite_differences(self, name, bc, monkeypatch):
-        rng = np.random.default_rng(11)
-        grid = Grid.uniform(self.M, 3.0, 0.0)
-        dx = grid.dx
-        p = PhysicalParams(kappa_tilde=1.3, beta=1.7)
-        if bc is None:
-            sol = MmsSolution(amp_v=0.3, amp_theta=0.4)
-            bnd = MmsForcing(sol, p).boundary_data(grid, 0.2)
-        else:
-            bnd = boundary_data(grid, bc, 0.0)
-        theta0 = rng.uniform(0.5, 2.0, self.M)
-        v = rng.uniform(0.5, 1.5, self.M)
-        du = rng.uniform(-0.05, 0.05, self.M)
+        grid, p, bnd, state, du = temperature_case(bc, self.M)
+        dx, v, theta0 = grid.dx, state.v, state.theta
         dt = 0.05
-        state = GasState(v=v, theta=theta0, b=np.zeros((self.M, 2)),
-                         u=np.zeros(self.M + 1), w=np.zeros((self.M + 1, 2)))
         solved = []
 
         def capturing(d, e, rhs):
@@ -850,6 +868,94 @@ class TestNewtonMatrix:
         if bc is BoundaryCondition.INSULATED_WALL_LEFT:
             assert heat_flux(theta0, v, dx, p, bnd)[0] == 0.0
             assert d[0] - base[0] / theta0[0] ** p.beta == pytest.approx(-e[0])
+
+
+class TestFaceConductance:
+    @pytest.mark.parametrize("name, bc", TEMPERATURE_CASES,
+                             ids=[c[0] for c in TEMPERATURE_CASES])
+    def test_the_harmonic_mean_of_kappa_over_v_closed_per_regime(self, name,
+                                                                  bc):
+        # interior nodes and the far end average the cells on either side;
+        # on the left a ghost closes it, an insulated wall passes nothing and
+        # an isothermal wall's theta sits half a cell from the first center
+        grid, p, bnd, state, _ = temperature_case(bc)
+        v, c = state.v, p.kappa_tilde
+        k = face_conductance(v, p, bnd)
+        assert k.shape == (grid.cells + 1,)
+        assert k[1:-1] == pytest.approx(2.0 * c / (v[:-1] + v[1:]), rel=1e-15)
+        assert k[-1] == pytest.approx(2.0 * c / (v[-1] + bnd.v_gr), rel=1e-15)
+        if bc is BoundaryCondition.INSULATED_WALL_LEFT:
+            assert k[0] == 0.0
+        elif bc is BoundaryCondition.ISOTHERMAL_WALL_LEFT:
+            assert k[0] == pytest.approx(2.0 * c / v[0], rel=1e-15)
+        else:
+            assert k[0] == pytest.approx(2.0 * c / (bnd.v_gl + v[0]),
+                                         rel=1e-15)
+
+
+class TestKirchhoffFlux:
+    @pytest.mark.parametrize("name, bc", TEMPERATURE_CASES,
+                             ids=[c[0] for c in TEMPERATURE_CASES])
+    def test_the_flux_has_the_sign_of_the_theta_difference(self, name, bc):
+        # phi is increasing in theta, so the flux runs down the temperature
+        # difference at every node the conductance does not close
+        grid, p, bnd, state, _ = temperature_case(bc)
+        theta = state.theta
+        h = heat_flux(theta, state.v, grid.dx, p, bnd)
+        lo = theta[0] if bnd.th_gl is None else bnd.th_gl
+        rise = np.diff(np.concatenate(([lo], theta, [bnd.th_gr])))
+        open_nodes = face_conductance(state.v, p, bnd) > 0.0
+        assert np.count_nonzero(rise) == grid.cells + 1 - (bnd.th_gl is None)
+        assert np.array_equal(np.sign(h), np.sign(rise) * open_nodes)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 10.0, 30.0])
+    def test_converges_to_the_pointwise_flux_at_second_order(self, beta):
+        # smooth theta and v, equal to their far-field values 1 at both ends:
+        # the root-mean-square error at the nodes against
+        # kappa_tilde * theta**beta * theta_x / v falls as dx**2
+        p = PhysicalParams(kappa_tilde=1.3, beta=beta)
+        bnd = boundary_data(Grid.uniform(8, 16.0, -8.0), CAUCHY, 0.0)
+
+        def theta(x):
+            return 1.0 + 0.3 * np.exp(-x * x)
+
+        def v(x):
+            return 1.0 + 0.4 * np.exp(-(x - 0.5) ** 2)
+
+        errors = []
+        for m in (128, 256, 512):
+            grid = Grid.uniform(m, 16.0, -8.0)
+            xc, xn = grid.centers(), grid.nodes()
+            h = heat_flux(theta(xc), v(xc), grid.dx, p, bnd)
+            theta_x = -0.6 * xn * np.exp(-xn * xn)
+            exact = p.kappa_tilde * theta(xn) ** beta * theta_x / v(xn)
+            errors.append(np.sqrt(np.mean((h - exact) ** 2)))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 1.95), orders
+
+
+class TestTemperatureSolve:
+    @pytest.mark.parametrize("name, bc", TEMPERATURE_CASES,
+                             ids=[c[0] for c in TEMPERATURE_CASES])
+    def test_the_returned_theta_meets_the_residual_test(self, name, bc):
+        # the residual, recomputed at the returned theta from the heat flux
+        # returned with it, meets the Newton tolerance to a factor of 10, as
+        # on every accepted step of the large-beta table
+        grid, p, bnd, state, du = temperature_case(bc)
+        v, dx, dt, ctl = state.v, grid.dx, 0.05, StepControl()
+        mu = viscosity_mu(v, p)
+        theta, updates, q, h = substep_temperature(
+            state, v, du, None, state.b, mu, grid, p, ctl, dt, bnd)
+        assert updates >= 1 and theta.min() > 0.0
+        assert bits(h) == bits(heat_flux(theta, v, dx, p, bnd))
+        assert bits(q) == bits(dissipation_source(v, mu, du / dx, None,
+                                                  state.b, grid, p, bnd))
+        f = (p.c_v * (theta - state.theta) / dt + p.R * theta / v * (du / dx)
+             - (h[1:] - h[:-1]) / dx - q)
+        if bnd.sources is not None:
+            f -= bnd.sources["theta"]
+        tol = ctl.newton_tol * p.c_v * max(1.0, theta.max()) / dt
+        assert np.abs(f).max() <= 10.0 * tol
 
 
 class TestHeatEquationAgreement:
