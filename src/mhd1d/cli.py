@@ -82,13 +82,13 @@ def _simulate(cfg: RunConfig, state, collector, out: Path) -> tuple[int, dict]:
     snap_next = t0 + interval
     failure = None
     with open(out / "diagnostics.jsonl", "w") as stream:
-        emit_diagnostics(collector.last, stream)
+        emit_diagnostics([collector.last], stream)
         emit_snapshot(state, cfg.grid, out / "snapshot_initial.csv")
 
-        def write(records):  # on the cadence
-            for record in records:
-                if record.step % cfg.diagnostics_every == 0:
-                    emit_diagnostics(record, stream)
+        def write(records):  # on the cadence, a block in one call
+            printed = [r for r in records if r.step % cfg.diagnostics_every == 0]
+            if printed:
+                emit_diagnostics(printed, stream)
 
         def sink(s, report):
             nonlocal snap_next
@@ -110,7 +110,7 @@ def _simulate(cfg: RunConfig, state, collector, out: Path) -> tuple[int, dict]:
         write(collector.flush())  # before the failure message reads the minima
         last = collector.last
         if last.step % cfg.diagnostics_every != 0:  # the cadence skipped it
-            emit_diagnostics(last, stream)
+            emit_diagnostics([last], stream)
 
     summary = {"min_v": collector.min_v_run,
                "min_theta": collector.min_theta_run,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -200,32 +201,38 @@ class GasState:
 class StateBlock:
     """K states of one grid stacked along a leading record axis.
 
-    v, theta: (K, M); b: (K, M, 2); u: (K, M+1); w: (K, M+1, 2); t and step
-    hold each record's time and step. The monitors of mhd1d.diagnostics read
-    a block as they read a GasState, and give one value per record.
+    v, theta: (K, M) and u: (K, M+1) are stacked when the block is made,
+    with t and step, each record's time and step; b: (K, M, 2) and w:
+    (K, M+1, 2) are stacked when first read, so a reader that needs neither
+    copies neither. Stacking is stack_rows: a block of one views its state.
+    The monitors of mhd1d.diagnostics read a block as they read a GasState,
+    and give one value per record.
     """
 
+    states: tuple
     v: np.ndarray
     theta: np.ndarray
-    b: np.ndarray
     u: np.ndarray
-    w: np.ndarray
     t: tuple
     step: tuple
 
     @classmethod
     def of(cls, states: Sequence[GasState]) -> "StateBlock":
-        """The states stacked in order (stack_rows: a single state is
-        viewed), their t and step read now."""
-        return cls(*(stack_rows([getattr(s, name) for s in states])
-                     for name in ("v", "theta", "b", "u", "w")),
+        """The block of the states, in order."""
+        return cls(tuple(states), *(stack_rows([getattr(s, name) for s in states])
+                                    for name in ("v", "theta", "u")),
                    t=tuple(s.t for s in states),
                    step=tuple(s.step for s in states))
+
+    b = cached_property(lambda self: stack_rows([s.b for s in self.states]))
+    w = cached_property(lambda self: stack_rows([s.w for s in self.states]))
 
     def validate(self, grid: Grid, coeffs=None) -> FieldBounds:
         """GasState.validate of every record at once: each check is one call
         over the whole block, and the FieldBounds hold one entry per record;
-        coeffs then hold the records' coefficients stacked the same way."""
+        coeffs then hold the records' |b|^2 stacked the same way as b_sq.
+        The shapes of b and w are checked state by state, so the check
+        stacks w only to scan it and b only without coeffs."""
         return _check_fields(self, grid, (len(self.t),), coeffs)
 
 
@@ -259,12 +266,13 @@ def stack_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
 
 def _check_fields(s, grid: Grid, lead: tuple, coeffs) -> FieldBounds:
     m = grid.cells
-    shapes = {"v": (s.v, (m,)), "theta": (s.theta, (m,)),
-              "b": (s.b, (m, 2)), "u": (s.u, (m + 1,)),
-              "w": (s.w, (m + 1, 2))}
-    for name, (arr, want) in shapes.items():
-        if arr.shape != lead + want:
-            raise ValueError(f"{name} has shape {arr.shape}, expected {lead + want}")
+    rows = s.states if lead else (s,)  # whose b and w shapes are checked
+    for name, arr, want in (("v", s.v, lead + (m,)), ("theta", s.theta, lead + (m,)),
+                            *(("b", r.b, (m, 2)) for r in rows),
+                            ("u", s.u, lead + (m + 1,)),
+                            *(("w", r.w, (m + 1, 2)) for r in rows)):
+        if arr.shape != want:
+            raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
     # One reduction per field decides: NaN and -inf reach the minima, NaN
     # and +inf the maxima, the sum of |u| and the maximum of |b|^2, and
     # isfinite scans w (and b without coeffs); quiet coeffs (b_sq None)
@@ -282,19 +290,19 @@ def _check_fields(s, grid: Grid, lead: tuple, coeffs) -> FieldBounds:
             top += b_sq.max()
     if not ((np.minimum(v_min, theta_min) > 0.0).all() and np.isfinite(top).all()
             and all(np.isfinite(arr).all() for arr in scans)):
-        _scan_fields(shapes)
+        _scan_fields(s)
     return FieldBounds(v_min, v_max, theta_min, theta_max, u_abs)
 
 
-def _scan_fields(shapes: dict) -> None:
+def _scan_fields(s) -> None:
     """Raise for the first defect, in the order positivity of v, of theta,
     then finiteness field by field; pass if there is none."""
-    v, theta = shapes["v"][0], shapes["theta"][0]
-    if not (v > 0.0).all():
-        raise ValueError(f"nonpositive specific volume, min v = {v.min()}")
-    if not (theta > 0.0).all():
-        raise ValueError(f"nonpositive temperature, min theta = {theta.min()}")
-    for name, (arr, _) in shapes.items():
+    if not (s.v > 0.0).all():
+        raise ValueError(f"nonpositive specific volume, min v = {s.v.min()}")
+    if not (s.theta > 0.0).all():
+        raise ValueError(f"nonpositive temperature, min theta = {s.theta.min()}")
+    for name in ("v", "theta", "b", "u", "w"):
+        arr = getattr(s, name)
         finite = np.isfinite(arr)
         if not finite.all():
             raise ValueError(f"non-finite {name}: {arr[~finite].flat[0]}")

@@ -15,8 +15,10 @@ other quantity that several monitors share once. A monitor
 reads a core.StateBlock, states stacked along a leading record axis, as it
 reads a GasState and gives one value per record: the DiagnosticsCollector
 evaluates a block of accepted steps in one set of array operations. The
-running sums advance column by column, and only the representation
-accumulator's affine recurrence runs record by record.
+running sums advance column by column; only the anchor stress, which reads
+two cells of each report's coefficients, and the representation
+accumulator's affine recurrence run record by record. json_lines writes a
+block's records as JSON lines with one % format.
 """
 from __future__ import annotations
 
@@ -83,12 +85,12 @@ class RecordTerms:
 
     bnd is the collector's BoundaryData. heat_flux (at every node),
     dissipation (per cell) and coeffs, the state's solver.state_coeffs
-    (mu(v)/v, |b|^2, the total pressure), are the step report's; bounds are
-    the FieldBounds that validating the state read. v_b_sq is v|b|^2, or
-    None when the report carries no transverse field (coeffs.b_sq None),
-    and kinetic the
-    kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and w averaged
-    from the adjacent nodes. With a representation accumulator, v_per_factor
+    (mu(v)/v, |b|^2, the total pressure), are the step report's, and for a
+    StateBlock its ReportArrays' (coeffs one StateCoeffs per record); bounds
+    are the FieldBounds that validating the state read. v_b_sq is v|b|^2,
+    or None when the report carries no transverse field (b_sq None), and
+    kinetic the kinetic energy density (u^2 + |w|^2 + v|b|^2)/2, with u and
+    w averaged from the adjacent nodes. With a representation accumulator, v_per_factor
     is exp(integral of u from the anchor + acc.log_constant + v**(-alpha)),
     the volume that the representation formula reconstructs per unit of the
     accumulator's factor; None without one. The terms of a StateBlock carry
@@ -98,7 +100,7 @@ class RecordTerms:
     bnd: BoundaryData
     heat_flux: np.ndarray
     dissipation: np.ndarray
-    coeffs: StateCoeffs
+    coeffs: StateCoeffs | tuple
     bounds: FieldBounds
     v_b_sq: Optional[np.ndarray]
     kinetic: np.ndarray
@@ -107,27 +109,28 @@ class RecordTerms:
 
 @dataclass(frozen=True)
 class ReportArrays:
-    """The arrays that the StepReports of a StateBlock's records hand the
-    monitors, stacked like the block (stack_rows, which views a single
-    report's arrays): coeffs (StateCoeffs of (K, M) arrays), heat_flux and
-    dissipation. record_terms reads it as it reads the StepReport of one
-    state. coeffs.b_sq is None when no record carries a transverse field,
-    and holds +0.0 rows for the records that carry none in a block that
-    mixes them (only a hand-built sequence of reports does)."""
+    """What the StepReports of a StateBlock's records hand the monitors:
+    coeffs, each report's StateCoeffs in record order, and b_sq, heat_flux
+    and dissipation, their |b|^2, heat flux and dissipation stacked like the
+    block (stack_rows, which views a single report's arrays). record_terms
+    reads it as it reads the StepReport of one state; mu_over_v and ptot stay
+    unstacked, as the monitors read two cells of each (effective_stress).
+    b_sq is None when no record carries a transverse field, and holds +0.0
+    rows for the records that carry none in a block that mixes them (only a
+    hand-built sequence of reports does)."""
 
-    coeffs: StateCoeffs
+    coeffs: tuple
+    b_sq: Optional[np.ndarray]
     heat_flux: np.ndarray
     dissipation: np.ndarray
 
     @classmethod
     def of(cls, reports: Sequence[StepReport]) -> "ReportArrays":
-        coeffs = [r.coeffs for r in reports]
+        coeffs = tuple(r.coeffs for r in reports)
         quiet = [c.b_sq is None for c in coeffs]
         b_sq = None if all(quiet) else stack_rows(  # +0.0 rows for quiet records
             [np.zeros(c.ptot.shape) if q else c.b_sq for c, q in zip(coeffs, quiet)])
-        return cls(StateCoeffs(stack_rows([c.mu_over_v for c in coeffs]), b_sq,
-                               stack_rows([c.ptot for c in coeffs])),
-                   stack_rows([r.heat_flux for r in reports]),
+        return cls(coeffs, b_sq, stack_rows([r.heat_flux for r in reports]),
                    stack_rows([r.dissipation for r in reports]))
 
 
@@ -139,26 +142,27 @@ def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
     with; the coefficients, heat flux and dissipation come from report: the
     StepReport of the step that produced a GasState (solver.initial_report
     for a state no step produced), or the ReportArrays of a block's steps.
-    The validation takes the report's coefficients: their |b|^2, which the
-    step formed from the same b, decides b's finiteness. The node-pair sum
+    The validation takes the report's |b|^2 (its coeffs', or a ReportArrays'
+    stacked b_sq), which the step formed from the same b: it decides b's
+    finiteness, so b is neither scanned nor stacked. The node-pair sum
     u[..., :-1] + u[..., 1:] and v|b|^2 are formed once, for the kinetic
     energy and the representation terms alike. A report that carries no
-    transverse field (coeffs.b_sq None, in every record of a block) leaves w
+    transverse field (b_sq None, in every record of a block) leaves w
     and b out, as their +0.0 terms leave the sums: the validation scans
     neither, the kinetic density is u_c^2 / 2, and v_b_sq is None, so the
     representation's heat is theta."""
-    coeffs = report.coeffs
-    bounds = state.validate(grid, coeffs)
+    squares = report if isinstance(report, ReportArrays) else report.coeffs
+    bounds = state.validate(grid, squares)
     u = state.u
     u_pair = u[..., :-1] + u[..., 1:]
     # (u_c^2 + |w_c|^2 + v|b|^2) / 2 with u_c = u_pair / 2, in one buffer
     kinetic = 0.5 * u_pair
     kinetic *= kinetic
     v_b_sq = None
-    if coeffs.b_sq is not None:
+    if squares.b_sq is not None:
         w_c = state.w[..., :-1, :] + state.w[..., 1:, :]
         w_c *= 0.5
-        v_b_sq = state.v * coeffs.b_sq
+        v_b_sq = state.v * squares.b_sq
         kinetic += sq2(w_c)
         kinetic += v_b_sq
     kinetic *= 0.5
@@ -168,7 +172,7 @@ def record_terms(state: GasState | StateBlock, grid: Grid, p: PhysicalParams,
         v_per_factor += acc.log_constant
         v_per_factor += state.v ** (-p.alpha)
         np.exp(v_per_factor, out=v_per_factor)
-    return RecordTerms(bnd, report.heat_flux, report.dissipation, coeffs,
+    return RecordTerms(bnd, report.heat_flux, report.dissipation, report.coeffs,
                        bounds, v_b_sq, kinetic, v_per_factor)
 
 
@@ -471,8 +475,9 @@ class DiagnosticsRecord:
     slab_theta_max: float
     repr_residual_max: Optional[float]
 
-    # the field names in order, and the JSON line as one %-layout over
-    # them, each key written as json.dumps writes it; set once below the class
+    # the field names in order, and the JSON line as one positional
+    # %-layout over them, each key written as json.dumps writes it; set
+    # once below the class
     names: ClassVar[tuple[str, ...]]
     _line: ClassVar[str]
 
@@ -487,29 +492,37 @@ class DiagnosticsRecord:
         return out
 
     def json_line(self) -> str:
-        """json.dumps(self.to_json_dict()) and a newline, filled into one
-        %-layout: %s writes an int or a float as json.dumps does, and only a
-        line whose values hold None, NaN or +-inf has them respelled."""
-        values = self.__dict__
-        line = self._line % values
-        try:  # a finite sum: no None, NaN or inf among the values
-            plain = math.isfinite(sum(values.values()))
-        except TypeError:
-            plain = False
-        if not plain:
-            for text, json_text in _NOT_JSON:
-                line = line.replace(text, json_text)
-        return line
+        """json.dumps(self.to_json_dict()) and a newline: json_lines of this
+        record alone."""
+        return json_lines([self])
 
 
 DiagnosticsRecord.names = tuple(f.name for f in fields(DiagnosticsRecord))
 DiagnosticsRecord._line = "{" + ", ".join(
-    f"{json.dumps(name)}: %({name})s" for name in DiagnosticsRecord.names) + "}\n"
+    f"{json.dumps(name)}: %s" for name in DiagnosticsRecord.names) + "}\n"
 # what %s writes for None, NaN and +-inf, and what to_json_dict and
 # json.dumps write instead; ": " precedes only a value, so a finite value
 # is left as it is
 _NOT_JSON = ((": None", ": null"), (": nan", ": null"),
              (": -inf", ": -Infinity"), (": inf", ": Infinity"))
+
+
+def json_lines(records: Sequence[DiagnosticsRecord]) -> str:
+    """Each record's json.dumps(to_json_dict()) and a newline, in order, all
+    filled by one % into the record layout repeated once per record: %s
+    writes an int or a float as json.dumps does, and only a text whose
+    values hold None, NaN or +-inf has them respelled. A record's __dict__
+    holds its fields in order, as its __init__ set them."""
+    values = [x for r in records for x in r.__dict__.values()]
+    text = (DiagnosticsRecord._line * len(records)) % tuple(values)
+    try:  # a finite sum: no None, NaN or inf among the values
+        plain = math.isfinite(sum(values))
+    except TypeError:
+        plain = False
+    if not plain:
+        for spelled, json_text in _NOT_JSON:
+            text = text.replace(spelled, json_text)
+    return text
 
 
 class DiagnosticsCollector:
@@ -589,7 +602,12 @@ class DiagnosticsCollector:
 
         Every monitor runs once over the StateBlock of the states and reads
         its one RecordTerms, built with the collector's boundary data and the
-        reports' coefficients, heat flux and dissipation. The extremes and
+        reports' coefficients, heat flux and dissipation. Only what a monitor
+        reads is copied: the block stacks v, theta and u, and w only when
+        some report carries a transverse field; b is never stacked, as the
+        reports' |b|^2 decide its finiteness. The ReportArrays stack |b|^2,
+        heat flux and dissipation, and the anchor stress reads two cells of
+        each report's mu(v)/v and total pressure. The extremes and
         the momentum scale are the reductions that validation made, and
         level_set_measures runs only if some record's theta extremes reach a
         set. The running sums and budget defects then advance column by

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import GasState, Grid
+from .diagnostics import json_lines
 
 _FMT = "%.17g"
 _ROWS = 1024
@@ -130,8 +131,8 @@ def load_snapshot(path) -> tuple[GasState, Grid]:
     return state, grid
 
 
-def emit_diagnostics(record, stream) -> None:
-    """Append the record's JSON object as one line (record.json_line());
-    keys follow the record's field order so identical runs produce
-    identical bytes."""
-    stream.write(record.json_line())
+def emit_diagnostics(records, stream) -> None:
+    """Append each record's JSON object as one line, the records formatted
+    by one json_lines call and written at once; keys follow the record's
+    field order so identical runs produce identical bytes."""
+    stream.write(json_lines(records))

@@ -198,9 +198,14 @@ class StepReport:
     (dissipation_source of the new state) and heat_flux the diffusive heat
     flux at every node of the new state (heat_flux of its theta and v), both
     with the step's boundary data (a forced step's are the forcing's), so
-    the monitors need not compute them again. initial_report gives the
-    report of a zero-length step, for a state no step produced. coeffs.b_sq
-    None marks a new state with no transverse field (see StateCoeffs).
+    the monitors need not compute them again. kirchhoff are the Kirchhoff
+    terms of the new theta that the step's last heat_flux_stencil formed:
+    theta**beta and theta**(beta+1) over the theta padded with the step's
+    ghosts. run_until hands them to the next step with coeffs, whose first
+    Newton iterate reads them on unforced boundary data. initial_report
+    gives the report of a zero-length step, for a state no step produced
+    (kirchhoff None). coeffs.b_sq None marks a new state with no transverse
+    field (see StateCoeffs).
     """
 
     dt_used: float
@@ -213,6 +218,7 @@ class StepReport:
     entropy_flux: float
     dissipation: np.ndarray = field(repr=False, compare=False)
     heat_flux: np.ndarray = field(repr=False, compare=False)
+    kirchhoff: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -355,9 +361,12 @@ def face_conductance(v: np.ndarray, p: PhysicalParams, bnd: BoundaryData
 
 
 def heat_flux_stencil(theta: np.ndarray, k: np.ndarray, dx: float,
-                      p: PhysicalParams, bnd: BoundaryData):
+                      p: PhysicalParams, bnd: BoundaryData, kirchhoff=None):
     """Diffusive heat flux kappa(theta) * theta_x / v at every node, with
-    k = face_conductance(v, p, bnd), and theta**beta per cell.
+    k = face_conductance(v, p, bnd), and the Kirchhoff terms of theta: the
+    pair (theta**beta, theta**(beta+1)) over theta padded with its ghosts.
+    kirchhoff, if given, are those terms of this theta under this bnd, from
+    an earlier evaluation, and are used instead of being formed again.
 
     The flux is taken in the Kirchhoff variable phi = theta**(beta+1) /
     (beta+1), in which kappa_tilde * theta**beta * theta_x / v =
@@ -367,16 +376,18 @@ def heat_flux_stencil(theta: np.ndarray, k: np.ndarray, dx: float,
     M + 1 nodes; k holds each wall's closure, so no node needs a fix-up. The
     flux has the sign of the theta difference, so the dissipation W stays
     nonnegative. It is linear in phi, so its derivative with respect to
-    theta is the k-Laplacian times diag(theta**beta), the second value
-    returned (see substep_temperature).
+    theta is the k-Laplacian times diag(theta**beta), theta**beta read off
+    the returned terms (see substep_temperature).
     """
-    th = _padded(theta, theta[0] if bnd.th_gl is None else bnd.th_gl, bnd.th_gr)
-    th_beta = th ** p.beta
-    phi = th_beta * th
+    if kirchhoff is None:
+        th = _padded(theta, theta[0] if bnd.th_gl is None else bnd.th_gl, bnd.th_gr)
+        th_beta = th ** p.beta
+        kirchhoff = th_beta, th_beta * th
+    phi = kirchhoff[1]
     h = phi[1:] - phi[:-1]
     h *= k
     h /= dx * (p.beta + 1.0)
-    return h, th_beta[1:-1]
+    return h, kirchhoff
 
 
 def heat_flux(theta: np.ndarray, v: np.ndarray, dx: float, p: PhysicalParams,
@@ -513,12 +524,14 @@ def dissipation_source(v: np.ndarray, mu: np.ndarray, ux: np.ndarray,
 def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
                         dw: np.ndarray, b_new: np.ndarray, mu_new: np.ndarray,
                         grid: Grid, p: PhysicalParams, ctl: StepControl,
-                        dt: float, bnd: BoundaryData):
+                        dt: float, bnd: BoundaryData, kirchhoff=None):
     """Stage (e): fully implicit temperature solve by Newton iteration;
     du and dw are the node differences of the new u and w, mu_new is
     viscosity_mu of v_new. dw is None on an attempt that carries no
     transverse field (see attempt), whose dissipation then skips the
-    transverse terms.
+    transverse terms. kirchhoff, if given, are the Kirchhoff terms of
+    state.theta under bnd (heat_flux_stencil), which the first iterate,
+    state.theta itself, then does not form again.
 
     Solves c_v*theta_t + (R*theta/v)*u_x = (kappa(theta)*theta_x/v)_x + Q with
     the compression term implicit in theta and Q the stage dissipation. The
@@ -531,9 +544,10 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     theta-free part are built once per stage; each iterate evaluates the
     heat flux once (heat_flux_stencil), for the residual and the matrix alike.
 
-    Returns (theta, number of Newton updates taken, Q, H) where H is the heat
-    flux at the returned theta: the last iterate's, or evaluated once more
-    when the last update moved theta past it. The returned theta is positive
+    Returns (theta, number of Newton updates taken, Q, H, kirchhoff) where H
+    is the heat flux at the returned theta and kirchhoff its Kirchhoff terms:
+    the last iterate's, or evaluated once more when the last update moved
+    theta past it. The returned theta is positive
     whenever the stage-begin theta is, since each update is damped until
     theta + delta > 0. It is an iterate that met the residual test, or one
     reached by an undamped update below the update tolerance: a damped
@@ -568,7 +582,8 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(ctl.newton_max_iter + 1):
-                h, th_beta = heat_flux_stencil(theta, k, dx, p, bnd)
+                h, kirchhoff = heat_flux_stencil(theta, k, dx, p, bnd, kirchhoff)
+                th_beta = kirchhoff[0][1:-1]
                 div = h[1:] - h[:-1]
                 div /= dx
                 neg_f = theta * base
@@ -605,15 +620,15 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
                         raise _Retry(NewtonDivergence, "temperature solve could "
                                      "not damp an update to keep theta positive")
                     trial = theta + delta
-                theta = trial
+                theta, kirchhoff = trial, None
                 if guard == 0 and float(np.maximum.reduce(
                         np.abs(delta, out=delta))) <= ctl.newton_tol * scale:
-                    it, h = it + 1, heat_flux_stencil(theta, k, dx, p, bnd)[0]
+                    it, (h, kirchhoff) = it + 1, heat_flux_stencil(theta, k, dx, p, bnd)
                     break
     except FloatingPointError:
         raise _Retry(NewtonDivergence, "temperature iterate overflowed the "
                      "conductivity") from None
-    return theta, it, q, h
+    return theta, it, q, h, kirchhoff
 
 
 def boundary_report(new: GasState, du: np.ndarray, dw: Optional[np.ndarray],
@@ -673,11 +688,16 @@ def boundary_report(new: GasState, du: np.ndarray, dw: Optional[np.ndarray],
 
 def attempt(state: GasState, coeffs: StateCoeffs, dt: float, grid: Grid,
             p: PhysicalParams, bc: BoundaryCondition, ctl: StepControl,
-            forcing=None) -> tuple[GasState, StepReport]:
+            forcing=None, kirchhoff=None) -> tuple[GasState, StepReport]:
     """One step attempt at exactly dt from state, whose state_coeffs are
     coeffs. Returns the new state and its StepReport (dt_used dt, retries 0),
     or raises _Retry naming the cause: nonpositive v, or a failed
-    temperature solve. It never changes dt, nor state or coeffs.
+    temperature solve. It never changes dt, nor state, coeffs or kirchhoff.
+    kirchhoff, if given, are the Kirchhoff terms of state.theta under the
+    regime's unforced boundary data (the report.kirchhoff of the step that
+    produced state); the temperature solve reads them only when the
+    attempt's boundary data is that shared instance, and a forced attempt
+    forms them again.
 
     An attempt under boundary data that brings no transverse field, from a
     state that holds none, skips stages (c) and (d): its w and b are +0.0,
@@ -707,22 +727,26 @@ def attempt(state: GasState, coeffs: StateCoeffs, dt: float, grid: Grid,
         w_new = np.zeros(state.w.shape, order="F")
         b_new = np.zeros(state.b.shape, order="F")
         dw = None
-    theta_new, iters, q, h = substep_temperature(
-        state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt, bnd)
+    theta_new, iters, q, h, terms = substep_temperature(
+        state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt, bnd,
+        kirchhoff if bnd is _UNFORCED[bc] else None)
 
     new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
                          t=t_new, step=state.step + 1)
     new_coeffs = state_coeffs(new_state, mu_new, p, transverse)
     fluxes = boundary_report(new_state, du, dw, grid, p, bnd, dt, coeffs,
                              new_coeffs, h)  # mass, momentum, energy, entropy
-    return new_state, StepReport(dt, iters, 0, new_coeffs, *fluxes, q, h)
+    return new_state, StepReport(dt, iters, 0, new_coeffs, *fluxes, q, h, terms)
 
 
 def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
          ctl: StepControl, coeffs: StateCoeffs, forcing=None,
-         dt_cap: float | None = None) -> tuple[GasState, StepReport]:
+         dt_cap: float | None = None, kirchhoff=None
+         ) -> tuple[GasState, StepReport]:
     """Advance one accepted step; coeffs are the state_coeffs of state (the
-    previous step's report.coeffs). It holds the whole retry policy.
+    previous step's report.coeffs), and kirchhoff, if given, the Kirchhoff
+    terms of its theta (that report's kirchhoff), which every attempt reads
+    as attempt says. It holds the whole retry policy.
 
     The proposed dt comes from compute_dt, optionally capped (used by
     run_until to land exactly on the end time); with coeffs whose b_sq is
@@ -741,7 +765,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     while True:
         try:
             new_state, report = attempt(state, coeffs, dt, grid, p, bc, ctl,
-                                        forcing)
+                                        forcing, kirchhoff)
             report.retries = retries
             return new_state, report
         except _Retry as exc:
@@ -780,9 +804,10 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
               bc: BoundaryCondition, ctl: StepControl, sink=None,
               forcing=None) -> GasState:
     """Step repeatedly until t_end, invoking sink(state, report) after each
-    accepted step, and hand each step's report.coeffs to the next: after a
-    step that carried no transverse field their b_sq is None, so the next
-    step scans no w or b (see attempt).
+    accepted step, and hand each step's report.coeffs and report.kirchhoff
+    to the next: after a step that carried no transverse field the coeffs'
+    b_sq is None, so the next step scans no w or b, and on unforced boundary
+    data its first Newton iterate forms no Kirchhoff terms (see attempt).
 
     The final step is shortened to land exactly on t_end; a state within
     round-off of t_end is returned as a copy at t_end, so no state handed out
@@ -790,11 +815,11 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before state time {state.t}")
     snap_tol = 1e-12 * max(1.0, abs(t_end))
-    coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
+    coeffs, kirchhoff = state_coeffs(state, viscosity_mu(state.v, p), p), None
     while t_end - state.t > snap_tol:
         state, report = step(state, grid, p, bc, ctl, coeffs, forcing=forcing,
-                             dt_cap=t_end - state.t)
-        coeffs = report.coeffs
+                             dt_cap=t_end - state.t, kirchhoff=kirchhoff)
+        coeffs, kirchhoff = report.coeffs, report.kirchhoff
         if sink is not None:
             sink(state, report)
     if state.t != t_end and abs(state.t - t_end) <= snap_tol:

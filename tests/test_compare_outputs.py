@@ -183,9 +183,52 @@ def test_check_set_prints_a_verdict_per_case(capsys, compare_outputs):
     case = ("tiny", RUN, ["run", "--config", compare_outputs.CFG_MARK])
     assert compare_outputs.check_set(src, src, [case]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["tiny: exit 0 -> 0, byte-identical: yes, round-off PASS",
-                     "byte-identical: yes",
-                     "round-off agreement (C = 1e-12): PASS"]
+    assert lines[0] == ("tiny: exit 0 -> 0, byte-identical: yes, round-off "
+                        "PASS, largest change: diagnostics 0, snapshots 0, "
+                        "stdout 0")
+    assert [line.split(" (")[0] for line in lines[1:4]] == [
+        f"largest {kind} change: 0" for kind in ("diagnostics", "snapshots",
+                                                 "stdout")]
+    assert all(line.endswith(")") and " (tiny: " in line for line in lines[1:4])
+    assert lines[4:] == ["byte-identical: yes",
+                         "round-off agreement (C = 1e-12): PASS"]
+
+
+def test_check_set_names_the_largest_change_of_each_case_and_of_the_set(
+        capsys, compare_outputs, monkeypatch):
+    # two cases whose change trees have E_entropy of record 2 moved by a
+    # known amount, inside C: each verdict line shows its own move, and the
+    # set's report the larger one, named by its case and place
+    C = compare_outputs.C
+    moves = {"small": 0.1 * C, "large": 0.4 * C}
+    record = compare_outputs.record
+
+    def moving(src, tree, args):
+        code = record(src, tree, args)
+        if tree.name == "change":
+            by = moves[tree.parent.name]
+            edit_record(tree, 2, lambda records, i: records[i].update(
+                E_entropy=moved(records[i]["E_entropy"], by)))
+        return code
+
+    monkeypatch.setattr(compare_outputs, "record", moving)
+    src = str(ROOT / "src")
+    cases = [(name, RUN, ["run", "--config", compare_outputs.CFG_MARK])
+             for name in moves]
+    assert compare_outputs.check_set(src, src, cases) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for line, (name, by) in zip(lines, moves.items()):
+        assert line.startswith(f"{name}: exit 0 -> 0, byte-identical: no, "
+                               "round-off PASS, largest change: diagnostics ")
+        shown = float(line.split("diagnostics ")[1].split(",")[0])
+        assert shown == pytest.approx(by, rel=1e-2), line
+    diagnostics = next(line for line in lines
+                       if line.startswith("largest diagnostics change: "))
+    change = float(diagnostics.split(": ")[1].split(" ")[0])
+    assert change == pytest.approx(moves["large"], rel=1e-2)
+    assert diagnostics.endswith("(large: diagnostics.jsonl:3 E_entropy)")
+    assert lines[-2:] == ["byte-identical: no",
+                          "round-off agreement (C = 1e-12): PASS"]
 
 
 def test_the_standard_set_names_every_case(compare_outputs):

@@ -379,8 +379,8 @@ class TestEmitDiagnostics:
         rec = coll.make_record(state)
         path = tmp_path / "diag.jsonl"
         with open(path, "w") as f:
-            emit_diagnostics(rec, f)
-            emit_diagnostics(coll.make_record(state), f)
+            emit_diagnostics([rec], f)
+            emit_diagnostics([coll.make_record(state)], f)
         lines = path.read_text().splitlines()
         first = json.loads(lines[0])
         assert first["E_entropy"] == 0.0
@@ -403,11 +403,13 @@ class TestEmitDiagnostics:
         rec = DiagnosticsCollector(grid, p, CAUCHY, state).make_record(state)
         records = [rec, replace(rec, **{name: value for name in rec.names})]
         records += [replace(rec, **{name: value}) for name in rec.names]
-        stream = io.StringIO()
-        for r in records:
-            emit_diagnostics(r, stream)
-        assert stream.getvalue() == "".join(json.dumps(r.to_json_dict()) + "\n"
-                                            for r in records)
+        want = "".join(json.dumps(r.to_json_dict()) + "\n" for r in records)
+        # record by record, and the whole list as one block
+        for blocks in ([[r] for r in records], [records]):
+            stream = io.StringIO()
+            for block in blocks:
+                emit_diagnostics(block, stream)
+            assert stream.getvalue() == want
 
 
 def write_config(tmp_path, text, name="run.cfg"):

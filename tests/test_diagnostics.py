@@ -1002,3 +1002,77 @@ class TestFieldsMustBeFinite:
         assert (block.t, block.step) == ((0.5,), (3,))
         for name in FIELDS:
             assert np.shares_memory(getattr(block, name), getattr(state, name))
+
+
+class TestBlocksCopyOnlyWhatTheMonitorsRead:
+    """A record block stacks v, theta and u, w only when some record carries
+    a transverse field, and b never: validation takes b's finiteness from
+    the reports' |b|^2. Its records are those of one state at a time, bit
+    for bit, and a wrongly shaped b or w is still refused."""
+
+    K = 48
+
+    @staticmethod
+    def run(bc, quiet):
+        wall = bc.has_left_wall
+        grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        bump = smooth_bump(center=8.0 if wall else 0.0)
+        if quiet:
+            bump = replace(bump, amp_b=(0.0, 0.0), amp_w=(0.0, 0.0))
+        state0, pairs = trajectory(grid, p, bc, bump, 1.51, StepControl(dt_max=0.02))
+        return grid, p, state0, pairs
+
+    @pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "magnetized"])
+    @pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
+    def test_blocks_of_1_5_and_48_are_the_records_one_by_one(self, bc, quiet,
+                                                             monkeypatch):
+        grid, p, state0, pairs = self.run(bc, quiet)
+        assert len(pairs) > self.K and len(pairs) % self.K and len(pairs) % 5
+        assert all((r.coeffs.b_sq is None) is quiet for _, r in pairs)
+        want = collector_outcome(*per_step(grid, p, bc, state0, pairs))
+        blocks = []
+        block_of = diagnostics.StateBlock.of
+        monkeypatch.setattr(diagnostics.StateBlock, "of", lambda states: (
+            blocks.append(block_of(states)) or blocks[-1]))
+        for size in (1, 5, self.K):
+            blocks.clear()
+            assert collector_outcome(*in_blocks(grid, p, bc, state0, pairs,
+                                                size)) == want, size
+            # the t = 0 record twice (constructor, make_record), then the pairs
+            assert len(blocks) == 2 + -(-len(pairs) // size)
+            # a cached_property keeps what it stacked in the block's __dict__
+            for block in blocks:
+                assert "b" not in vars(block)
+                assert ("w" in vars(block)) is not quiet
+
+    @pytest.mark.parametrize("name", ["b", "w"])
+    @pytest.mark.parametrize("quiet", [True, False], ids=["quiet", "magnetized"])
+    def test_a_wrongly_shaped_b_or_w_is_refused(self, name, quiet):
+        grid, p, state0, pairs = self.run(CAUCHY, quiet)
+        pairs = pairs[:5]
+        bad = pairs[2][0].copy()
+        setattr(bad, name, getattr(bad, name)[:-1])
+        pairs[2] = (bad, pairs[2][1])
+        want = f"{name} has shape {getattr(bad, name).shape}, expected "
+        coll = DiagnosticsCollector(grid, p, CAUCHY, state0)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+            coll.record_block([s for s, _ in pairs], [r for _, r in pairs])
+
+
+def test_a_block_of_json_lines_is_json_dumps_of_each_record():
+    # a NaN slab extreme, a None residual and an infinite value in the
+    # middle of a block: the whole text is respelled as json.dumps spells it
+    grid, p = Grid.uniform(16, 8.0, -4.0), PhysicalParams.normalized(1.0, 1.0)
+    state0, pairs = trajectory(grid, p, CAUCHY, smooth_bump(), 0.2,
+                               StepControl(dt_max=0.02))
+    coll = DiagnosticsCollector(grid, p, CAUCHY, state0)
+    records = coll.record_block([s for s, _ in pairs[:7]], [r for _, r in pairs[:7]])
+    records[2] = replace(records[2], slab_theta_max=math.nan)
+    records[3] = replace(records[3], repr_residual_max=None)
+    records[4] = replace(records[4], W=math.inf, energy_total=-math.inf)
+    want = [json.dumps(r.to_json_dict()) + "\n" for r in records]
+    assert diagnostics.json_lines(records) == "".join(want)
+    assert [r.json_line() for r in records] == want
+    assert diagnostics.json_lines(records[:2]) == "".join(want[:2])
+    assert "null" in want[2] and "null" in want[3] and "-Infinity" in want[4]

@@ -42,6 +42,7 @@ from mhd1d.solver import (
     end_nodes,
     face_conductance,
     heat_flux,
+    heat_flux_stencil,
     initial_report,
     run_until,
     step,
@@ -248,7 +249,7 @@ class TestSubstepsInIsolation:
         v_new = state.v.copy()
         w_new = state.w.copy()
         b_new = state.b.copy()
-        theta_new, iters, _, _ = substep_temperature(
+        theta_new, iters, _, _, _ = substep_temperature(
             state, v_new, u_new[1:] - u_new[:-1], w_new[1:] - w_new[:-1], b_new,
             viscosity_mu(v_new, p), grid, p, StepControl(), dt, self.bnd)
 
@@ -944,7 +945,7 @@ class TestTemperatureSolve:
         grid, p, bnd, state, du = temperature_case(bc)
         v, dx, dt, ctl = state.v, grid.dx, 0.05, StepControl()
         mu = viscosity_mu(v, p)
-        theta, updates, q, h = substep_temperature(
+        theta, updates, q, h, _ = substep_temperature(
             state, v, du, None, state.b, mu, grid, p, ctl, dt, bnd)
         assert updates >= 1 and theta.min() > 0.0
         assert bits(h) == bits(heat_flux(theta, v, dx, p, bnd))
@@ -1013,10 +1014,10 @@ class TestFailureModes:
         attempts = []
 
         def recording(state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt,
-                      bnd):
+                      bnd, *kirchhoff):
             attempts.append(dt)
             return substep_temperature(state, v_new, du, dw, b_new, mu_new,
-                                       grid, p, ctl, dt, bnd)
+                                       grid, p, ctl, dt, bnd, *kirchhoff)
 
         monkeypatch.setattr(solver, "substep_temperature", recording)
         grid = Grid.uniform(16, 8.0, -4.0)
@@ -1060,7 +1061,7 @@ class TestFailureModes:
         scripted = [first, second]
         patch_newton_solve(monkeypatch, lambda solve, d, e, rhs: (
             scripted.pop(0) if scripted else solve(d, e, rhs)))
-        theta, updates, _, _ = substep_temperature(
+        theta, updates, _, _, _ = substep_temperature(
             state, state.v, np.zeros(16), None, state.b,
             viscosity_mu(state.v, p), grid, p, StepControl(), 0.01,
             boundary_data(grid, CAUCHY, 0.01))
@@ -1109,9 +1110,9 @@ class TestLargeBetaTable:
         ratios = []
 
         def checking(state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt,
-                     bnd):
+                     bnd, *kirchhoff):
             out = substep_temperature(state, v_new, du, dw, b_new, mu_new,
-                                      grid, p, ctl, dt, bnd)
+                                      grid, p, ctl, dt, bnd, *kirchhoff)
             theta, dx = out[0], grid.dx
             ux = du / dx
             wx = None if dw is None else dw / dx
@@ -1271,3 +1272,91 @@ class TestRunUntil:
         assert out.t == 0.3 + 5e-13 and len(seen) == 3
         assert seen[-1][1] != out.t
         assert all(s.t == t for s, t in seen)
+
+
+class TestKirchhoffCarry:
+    """An accepted step's report carries the Kirchhoff terms of its new
+    theta, and the next step's first Newton iterate reads them, on the
+    regime's unforced boundary data only, instead of forming them again."""
+
+    @pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
+    def test_the_carried_terms_are_a_fresh_evaluation(self, bc):
+        wall = bc.has_left_wall
+        grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=0.5)
+        state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
+        bnd = boundary_data(grid, bc, 0.0)
+        pairs = []
+        run_until(state, grid, 0.3, p, bc, StepControl(),
+                  sink=lambda s, r: pairs.append((s, r)))
+        assert len(pairs) > 3
+        for s, r in pairs:
+            h, fresh = heat_flux_stencil(s.theta, face_conductance(s.v, p, bnd),
+                                         grid.dx, p, bnd)
+            assert [x.shape for x in r.kirchhoff] == [(grid.cells + 2,)] * 2
+            assert bits(*r.kirchhoff) == bits(*fresh)
+            assert bits(r.heat_flux) == bits(h)
+
+    def test_a_run_with_the_carry_is_the_run_without_it(self):
+        # the carry changes no bit: every step of a run equals, bit for bit,
+        # a step from the same state with no carry, and a wrong carry on
+        # unforced data moves the result, so the first iterate reads it
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.5)
+        state = bump_state(grid)
+        ctl = StepControl()
+        prev = [state, coeffs_of(state, p), None]
+
+        def sink(new, report):
+            old, coeffs, carried = prev
+            assert_same_step(new, report, *step(old, grid, p, CAUCHY, ctl, coeffs,
+                                                dt_cap=0.2 - old.t))
+            if carried is not None:
+                skewed = tuple(2.0 * x for x in carried)
+                wrong, _ = attempt(old, coeffs, report.dt_used, grid, p, CAUCHY,
+                                   ctl, None, skewed)
+                assert bits(wrong.theta) != bits(new.theta)
+            prev[:] = [new, report.coeffs, report.kirchhoff]
+
+        run_until(state, grid, 0.2, p, CAUCHY, ctl, sink=sink)
+        assert prev[2] is not None
+
+    def test_a_forced_attempt_forms_the_terms_again(self):
+        sol = MmsSolution(amp_v=0.1, amp_u=0.2, amp_theta=0.1, amp_w=(0.1, 0.2),
+                          amp_b=(0.2, 0.1))
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        grid = Grid.uniform(16, 1.0, 0.1)
+        state = sol.state(grid, 0.0)
+        forcing, ctl = MmsForcing(sol, p), StepControl(dt_max=1e-3)
+        new, report = step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p),
+                           forcing=forcing)
+        junk = tuple(np.full_like(x, np.nan) for x in report.kirchhoff)
+        plain = attempt(new, report.coeffs, 1e-3, grid, p, CAUCHY, ctl, forcing)
+        carried = attempt(new, report.coeffs, 1e-3, grid, p, CAUCHY, ctl,
+                          forcing, junk)
+        assert_same_step(*plain, *carried)
+
+    def test_the_carry_survives_a_retry(self, monkeypatch):
+        # the first attempt's temperature solve fails; the retry at half
+        # the dt reads the same carry, which no attempt has edited
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.5)
+        state = bump_state(grid)
+        bnd = boundary_data(grid, CAUCHY, 0.0)
+        carry = heat_flux_stencil(state.theta, face_conductance(state.v, p, bnd),
+                                  grid.dx, p, bnd)[1]
+        before = bits(*carry)
+        seen = []
+
+        def failing_once(*args):
+            seen.append(args[-1])
+            if len(seen) % 2:
+                raise solver._Retry(NewtonDivergence, "failed on purpose")
+            return substep_temperature(*args)
+
+        monkeypatch.setattr(solver, "substep_temperature", failing_once)
+        ctl, coeffs = StepControl(), coeffs_of(state, p)
+        new, report = step(state, grid, p, CAUCHY, ctl, coeffs, kirchhoff=carry)
+        assert report.retries == 1 and len(seen) == 2
+        assert all(k is carry for k in seen) and bits(*carry) == before
+        assert_same_step(new, report, *step(state, grid, p, CAUCHY, ctl, coeffs))

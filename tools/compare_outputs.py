@@ -24,8 +24,10 @@ such as a new memory layout, should print yes).
 benchmark's three workloads at seeds 0 and 7, with the configs and arguments
 of ``perfbench/run.py``; every ``tests/data/roundoff/*.cfg``; the exit-3
 run ``tests/data/exit3.cfg``; and ``verify``, which reads no config. It
-prints one verdict line per case, then one ``byte-identical`` line and one
-round-off line over all of them, and exits 0 when every case agrees.
+prints one verdict line per case, with the case's largest relative change
+of each kind, then the largest change of each kind over all cases, one
+``byte-identical`` line and one round-off line over all of them, and exits
+0 when every case agrees.
 
 Two trees agree when all of these hold:
 
@@ -221,8 +223,10 @@ def standard_cases() -> list[tuple[str, str, list]]:
 
 
 def check_set(parent_src: Path, change_src: Path, cases) -> int:
-    """Record and compare each case on both versions; print its verdict."""
-    problems, identical = [], True
+    """Record and compare each case on both versions; print its verdict and
+    its largest relative change per kind, then report the set, with the
+    largest change per kind over every case."""
+    total = Verdict()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text, args in cases:
             case = Path(tmp) / name
@@ -234,12 +238,18 @@ def check_set(parent_src: Path, change_src: Path, cases) -> int:
             codes = [record(src, tree, args)
                      for src, tree in zip((parent_src, change_src), trees)]
             verdict = compare_trees(*trees)
-            problems += [f"{name}: {problem}" for problem in verdict.problems]
-            identical &= verdict.identical
+            total.problems += [f"{name}: {problem}" for problem in verdict.problems]
+            total.identical &= verdict.identical
+            for kind, (change, where) in verdict.largest.items():
+                if change > total.largest.get(kind, (-1.0, ""))[0]:
+                    total.largest[kind] = (change, f"{name}: {where}")
+            largest = ", ".join(f"{kind} {change:.3g}" for kind, (change, _)
+                                in sorted(verdict.largest.items()))
             print(f"{name}: exit {codes[0]} -> {codes[1]}, byte-identical: "
                   f"{'yes' if verdict.identical else 'no'}, round-off "
-                  f"{'PASS' if verdict.ok else 'FAIL'}")
-    return report(Verdict(problems=problems, identical=identical))
+                  f"{'PASS' if verdict.ok else 'FAIL'}, largest change: "
+                  f"{largest or 'none'}")
+    return report(total)
 
 
 def report(verdict: Verdict) -> int:
