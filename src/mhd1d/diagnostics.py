@@ -32,7 +32,6 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from . import solver
-from .constitutive import effective_stress
 from .core import (
     BoundaryCondition,
     FieldBounds,
@@ -384,6 +383,29 @@ def _integral_to_centers(u: np.ndarray, u_pair: np.ndarray, grid: Grid,
     tail /= 8.0
     tail += cum[..., :-1]
     return tail
+
+
+def effective_stress(state: GasState | StateBlock, grid: Grid,
+                     coeffs: StateCoeffs | Sequence[StateCoeffs], node: int):
+    """Total longitudinal stress mu(v)*u_x/v - (R*theta/v + |b|^2/2) at an
+    interior node: mu/v and the total pressure are the means of the two
+    adjacent cells' coeffs (solver.state_coeffs of the state, whose
+    constitutive laws checked positivity) and u_x their mean gradient
+    (u[node+1] - u[node-1])/(2 dx). Only those cells and three nodes are
+    read, as Python floats. A StateBlock, with a sequence of coeffs, one
+    per record in order, gives an array of one stress per record."""
+    if not 0 < node < grid.cells:
+        raise ValueError(f"node {node} must be interior (1 to {grid.cells - 1})")
+    c, dx = slice(node - 1, node + 1), grid.dx
+    single = state.u.ndim == 1
+    rows = [coeffs] if single else coeffs
+    stress = [0.5 * (m0 + m1) * 0.5 * ((u1 - u0) / dx + (u2 - u1) / dx)
+              - 0.5 * (p0 + p1)
+              for (m0, m1), (p0, p1), (u0, u1, u2) in zip(
+                  [k.mu_over_v[c].tolist() for k in rows],
+                  [k.ptot[c].tolist() for k in rows],
+                  state.u[..., node - 1:node + 2].reshape(-1, 3).tolist())]
+    return stress[0] if single else np.array(stress)
 
 
 def representation_update(acc: ReprAccumulator, state: GasState | StateBlock,

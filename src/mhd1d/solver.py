@@ -25,11 +25,14 @@ discards a failed attempt and retries at half the dt, at most retry_max
 times per step. Stages (a), (c) and (d) share one implicit diffusion solve
 (_diffusion_solve); the attempt differences the new u and w once, and
 stages (b), (d) and (e) read those differences. Each attempt evaluates
-mu(v) of its new volume once; an accepted step hands the new
-state's StateCoeffs (mu(v), mu(v)/v, |b|^2 and the total pressure) to the
-next step and to the monitors. Every stage reads the attempt's BoundaryData,
-which decides the boundary regime and carries any manufactured-solution
-sources; an unforced regime's BoundaryData is built once and shared.
+mu(v) of its new volume once. A run is a chain of (state, StepReport)
+pairs: each step starts from the report of the step that produced its state
+(initial_report for a state no step produced), and reads there the state's
+StateCoeffs (mu(v)/v, |b|^2 and the total pressure) and the Kirchhoff terms
+of its theta; the monitors read the same report. Every stage reads the
+attempt's BoundaryData, which decides the boundary regime and carries any
+manufactured-solution sources; an unforced regime's BoundaryData is built
+once and shared.
 Each attempt decides once, by the rule initial_report uses too, whether it
 carries a transverse field: it does not when its BoundaryData brings none
 (BoundaryData.transverse: zero transverse end values and no sources) and
@@ -39,7 +42,7 @@ and w and b come out as +0.0 arrays. Its dw is then None, and the
 dissipation and the boundary report, which read the decision from it, skip
 their transverse terms. The new state's coefficients carry the decision on:
 their b_sq is None (state_coeffs' transverse), so the monitors skip their
-transverse terms and the next step, which holds those coefficients, knows
+transverse terms and the next step, which reads them from the report, knows
 its state is quiet and scans no w or b. The skips are exact:
 the stages' right-hand sides are sums and products of zeros, so each solves
 for +0.0 (a -0.0 in the state becomes +0.0 too), and each skipped term is a
@@ -193,19 +196,19 @@ class StepReport:
     The *_flux fields are the amounts the boundary terms added to the
     corresponding domain totals during this step (signed).
 
-    coeffs are the state_coeffs of the new state, which the next step and the
-    monitors read. dissipation is the stage-(e) heating source per cell
-    (dissipation_source of the new state) and heat_flux the diffusive heat
-    flux at every node of the new state (heat_flux of its theta and v), both
-    with the step's boundary data (a forced step's are the forcing's), so
-    the monitors need not compute them again. kirchhoff are the Kirchhoff
-    terms of the new theta that the step's last heat_flux_stencil formed:
-    theta**beta and theta**(beta+1) over the theta padded with the step's
-    ghosts. run_until hands them to the next step with coeffs, whose first
-    Newton iterate reads them on unforced boundary data. initial_report
-    gives the report of a zero-length step, for a state no step produced
-    (kirchhoff None). coeffs.b_sq None marks a new state with no transverse
-    field (see StateCoeffs).
+    The next step takes the whole report (step, attempt) and the monitors
+    read it. coeffs are the state_coeffs of the new state. dissipation is
+    the stage-(e) heating source per cell (dissipation_source of the new
+    state) and heat_flux the diffusive heat flux at every node of the new
+    state (heat_flux of its theta and v), both with the step's boundary data
+    (a forced step's are the forcing's), so the monitors need not compute
+    them again. kirchhoff are the Kirchhoff terms of the new theta that the
+    step's last heat_flux_stencil formed: theta**beta and theta**(beta+1)
+    over the theta padded with the step's ghosts, which the next step's
+    first Newton iterate reads on unforced boundary data. initial_report
+    gives the report of a zero-length step, for a state no step produced.
+    coeffs.b_sq None marks a new state with no transverse field (see
+    StateCoeffs).
     """
 
     dt_used: float
@@ -218,7 +221,7 @@ class StepReport:
     entropy_flux: float
     dissipation: np.ndarray = field(repr=False, compare=False)
     heat_flux: np.ndarray = field(repr=False, compare=False)
-    kirchhoff: Optional[tuple] = field(default=None, repr=False, compare=False)
+    kirchhoff: tuple = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -686,18 +689,17 @@ def boundary_report(new: GasState, du: np.ndarray, dw: Optional[np.ndarray],
             dt * (phi_l - phi_r), dt * (bf_r - bf_l))
 
 
-def attempt(state: GasState, coeffs: StateCoeffs, dt: float, grid: Grid,
+def attempt(state: GasState, report: StepReport, dt: float, grid: Grid,
             p: PhysicalParams, bc: BoundaryCondition, ctl: StepControl,
-            forcing=None, kirchhoff=None) -> tuple[GasState, StepReport]:
-    """One step attempt at exactly dt from state, whose state_coeffs are
-    coeffs. Returns the new state and its StepReport (dt_used dt, retries 0),
-    or raises _Retry naming the cause: nonpositive v, or a failed
-    temperature solve. It never changes dt, nor state, coeffs or kirchhoff.
-    kirchhoff, if given, are the Kirchhoff terms of state.theta under the
-    regime's unforced boundary data (the report.kirchhoff of the step that
-    produced state); the temperature solve reads them only when the
-    attempt's boundary data is that shared instance, and a forced attempt
-    forms them again.
+            forcing=None) -> tuple[GasState, StepReport]:
+    """One step attempt at exactly dt from state, where report is the
+    StepReport of the step that produced state (initial_report for a state
+    no step produced). Returns the new state and its StepReport (dt_used dt,
+    retries 0), or raises _Retry naming the cause: nonpositive v, or a
+    failed temperature solve. It never changes dt, state or report. The
+    stages read report.coeffs; the temperature solve reads report.kirchhoff
+    only when the attempt's boundary data is the regime's shared unforced
+    instance, and a forced attempt forms the terms again.
 
     An attempt under boundary data that brings no transverse field, from a
     state that holds none, skips stages (c) and (d): its w and b are +0.0,
@@ -710,14 +712,14 @@ def attempt(state: GasState, coeffs: StateCoeffs, dt: float, grid: Grid,
     """
     t_new = state.t + dt
     bnd = boundary_data(grid, bc, t_new, forcing)
-    u_new = substep_velocity(state, grid, dt, bnd, coeffs)
+    u_new = substep_velocity(state, grid, dt, bnd, report.coeffs)
     du = u_new[1:] - u_new[:-1]
     v_new = substep_volume(state, du, grid, dt, bnd)
     # NaN fails it, as v_new > 0.0 does
     if not np.minimum.reduce(v_new) > 0.0:
         raise _Retry(PositivityFailure, "state stayed nonpositive")
     mu_new = viscosity_mu(v_new, p)
-    transverse = bnd.transverse or (coeffs.b_sq is not None
+    transverse = bnd.transverse or (report.coeffs.b_sq is not None
                                     and (state.w.any() or state.b.any()))
     if transverse:
         w_new = substep_transverse(state, v_new, grid, p, dt, bnd)
@@ -729,45 +731,45 @@ def attempt(state: GasState, coeffs: StateCoeffs, dt: float, grid: Grid,
         dw = None
     theta_new, iters, q, h, terms = substep_temperature(
         state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt, bnd,
-        kirchhoff if bnd is _UNFORCED[bc] else None)
+        report.kirchhoff if bnd is _UNFORCED[bc] else None)
 
     new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
                          t=t_new, step=state.step + 1)
     new_coeffs = state_coeffs(new_state, mu_new, p, transverse)
-    fluxes = boundary_report(new_state, du, dw, grid, p, bnd, dt, coeffs,
-                             new_coeffs, h)  # mass, momentum, energy, entropy
+    # the mass, momentum, energy and entropy fluxes
+    fluxes = boundary_report(new_state, du, dw, grid, p, bnd, dt,
+                             report.coeffs, new_coeffs, h)
     return new_state, StepReport(dt, iters, 0, new_coeffs, *fluxes, q, h, terms)
 
 
 def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
-         ctl: StepControl, coeffs: StateCoeffs, forcing=None,
-         dt_cap: float | None = None, kirchhoff=None
-         ) -> tuple[GasState, StepReport]:
-    """Advance one accepted step; coeffs are the state_coeffs of state (the
-    previous step's report.coeffs), and kirchhoff, if given, the Kirchhoff
-    terms of its theta (that report's kirchhoff), which every attempt reads
-    as attempt says. It holds the whole retry policy.
+         ctl: StepControl, report: StepReport, forcing=None,
+         dt_cap: float | None = None) -> tuple[GasState, StepReport]:
+    """Advance one accepted step from state, where report is the StepReport
+    of the step that produced state (initial_report for a state no step
+    produced), which every attempt reads as attempt says. It holds the
+    whole retry policy.
 
     The proposed dt comes from compute_dt, optionally capped (used by
-    run_until to land exactly on the end time); with coeffs whose b_sq is
-    None it skips the all-zero |b|^2. Each attempt (see attempt) that raises
-    _Retry is discarded and retried at half the dt; the report of the
-    accepted attempt counts those retries.
+    run_until to land exactly on the end time); with report.coeffs whose
+    b_sq is None it skips the all-zero |b|^2. Each attempt (see attempt)
+    that raises _Retry is discarded and retried at half the dt; the report
+    of the accepted attempt counts those retries.
 
     Raises, when the attempt after retry_max halvings fails too or a halving
     takes dt below dt_min, PositivityFailure if that attempt produced
     nonpositive v and NewtonDivergence if its temperature solve failed.
     """
-    dt = compute_dt(state, coeffs.b_sq, grid, p, ctl)
+    dt = compute_dt(state, report.coeffs.b_sq, grid, p, ctl)
     if dt_cap is not None:
         dt = min(dt, dt_cap)
     retries = 0
     while True:
         try:
-            new_state, report = attempt(state, coeffs, dt, grid, p, bc, ctl,
-                                        forcing, kirchhoff)
-            report.retries = retries
-            return new_state, report
+            new_state, new_report = attempt(state, report, dt, grid, p, bc, ctl,
+                                            forcing)
+            new_report.retries = retries
+            return new_state, new_report
         except _Retry as exc:
             failure, what = exc.args
         retries += 1
@@ -783,9 +785,11 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
                    bnd: BoundaryData) -> StepReport:
     """The StepReport of a zero-length step ending at state (dt 0, no Newton
     updates, retries or boundary fluxes), with the state's coefficients,
-    dissipation and heat flux under bnd; the state is validated first. It
-    carries a transverse field when w or b has a nonzero entry (a -0.0 is
-    none) or bnd brings one; else its coeffs.b_sq is None."""
+    dissipation, heat flux and Kirchhoff terms under bnd; the state is
+    validated first. With the regime's boundary_data it is the report that
+    step and attempt take for a state no step produced. It carries a
+    transverse field when w or b has a nonzero entry (a -0.0 is none) or
+    bnd brings one; else its coeffs.b_sq is None."""
     state.validate(grid)
     transverse = bnd.transverse or state.w.any() or state.b.any()
     mu = viscosity_mu(state.v, p)
@@ -794,20 +798,19 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
     ux = (state.u[1:] - state.u[:-1]) / dx
     wx = (state.w[1:] - state.w[:-1]) / dx if transverse else None
     q = dissipation_source(state.v, mu, ux, wx, state.b, grid, p, bnd)
-    return StepReport(dt_used=0.0, newton_iterations=0, retries=0, coeffs=coeffs,
-                      mass_flux=0.0, momentum_flux=0.0, energy_flux=0.0,
-                      entropy_flux=0.0, dissipation=q,
-                      heat_flux=heat_flux(state.theta, state.v, dx, p, bnd))
+    # dt, Newton updates, retries, then the four boundary fluxes
+    return StepReport(0.0, 0, 0, coeffs, 0.0, 0.0, 0.0, 0.0, q, *heat_flux_stencil(
+        state.theta, face_conductance(state.v, p, bnd), dx, p, bnd))
 
 
 def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
               bc: BoundaryCondition, ctl: StepControl, sink=None,
               forcing=None) -> GasState:
     """Step repeatedly until t_end, invoking sink(state, report) after each
-    accepted step, and hand each step's report.coeffs and report.kirchhoff
-    to the next: after a step that carried no transverse field the coeffs'
-    b_sq is None, so the next step scans no w or b, and on unforced boundary
-    data its first Newton iterate forms no Kirchhoff terms (see attempt).
+    accepted step. The first step starts from the state's initial_report,
+    which validates it (ValueError), and each later step from the report of
+    the step before, so every step reads its state's coefficients and
+    Kirchhoff terms from one hand-off (see attempt).
 
     The final step is shortened to land exactly on t_end; a state within
     round-off of t_end is returned as a copy at t_end, so no state handed out
@@ -815,11 +818,10 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before state time {state.t}")
     snap_tol = 1e-12 * max(1.0, abs(t_end))
-    coeffs, kirchhoff = state_coeffs(state, viscosity_mu(state.v, p), p), None
+    report = initial_report(state, grid, p, boundary_data(grid, bc, state.t, forcing))
     while t_end - state.t > snap_tol:
-        state, report = step(state, grid, p, bc, ctl, coeffs, forcing=forcing,
-                             dt_cap=t_end - state.t, kirchhoff=kirchhoff)
-        coeffs, kirchhoff = report.coeffs, report.kirchhoff
+        state, report = step(state, grid, p, bc, ctl, report, forcing,
+                             t_end - state.t)
         if sink is not None:
             sink(state, report)
     if state.t != t_end and abs(state.t - t_end) <= snap_tol:

@@ -1,13 +1,13 @@
 """Independent oracles for the solver.
 
-Three layers of checking:
+Two layers of checking:
 
   * a manufactured solution with hand-derived source terms, cross-checked
     against numerical differentiation of the closed forms;
   * an all-explicit classical RK4 integrator that shares the solver's spatial
-    stencils and differs only in time integration;
-  * an exact eigendecomposition of the semi-discrete linear heat operator for
-    the configuration where the system degenerates to pure conduction.
+    stencils and differs only in time integration. The tests check it in
+    turn against an exact eigendecomposition of the semi-discrete linear
+    heat operator, where the system degenerates to pure conduction.
 
 Convergence studies run the production solver on refined grids (dt tied to
 dx^2 for spatial order) or refined steps (fixed grid, successive-difference
@@ -22,7 +22,6 @@ import numpy as np
 
 from .constitutive import viscosity_mu
 from .core import (
-    FAR_FIELD_THETA,
     BoundaryCondition,
     GasState,
     GaussianBump,
@@ -282,30 +281,6 @@ def explicit_reference(state0: GasState, grid: Grid, t_end: float,
         if not (np.all(y["v"] > 0.0) and np.all(y["theta"] > 0.0)):
             raise PositivityFailure("reference integration lost positivity", t)
     return GasState(**y, t=t_end, step=state0.step + steps)
-
-
-def heat_exact_semidiscrete(theta0: np.ndarray, grid: Grid, p: PhysicalParams,
-                            bc: BoundaryCondition, t: float) -> np.ndarray:
-    """Exact solution of the semi-discrete linear conduction system
-    c_v*theta_t = kappa_tilde*theta_xx (v = 1, beta = 0, discrete stencils
-    with the regime's boundary rows) via symmetric tridiagonal
-    eigendecomposition."""
-    # deferred: scipy.linalg's package costs every other command ~0.2 s to import
-    from scipy.linalg import eigh_tridiagonal
-
-    m = grid.cells
-    coef = p.kappa_tilde / (p.c_v * grid.dx ** 2)
-    diag = np.full(m, -2.0 * coef)
-    off = np.full(m - 1, coef)
-    if bc is BoundaryCondition.ISOTHERMAL_WALL_LEFT:
-        diag[0] = -3.0 * coef
-    elif bc is BoundaryCondition.INSULATED_WALL_LEFT:
-        diag[0] = -1.0 * coef
-    # the steady state: every boundary value is FAR_FIELD_THETA (or the
-    # insulated wall's zero flux), so each row sums to zero at that constant
-    lam, vecs = eigh_tridiagonal(diag, off)
-    coeffs = vecs.T @ (theta0 - FAR_FIELD_THETA)
-    return FAR_FIELD_THETA + vecs @ (np.exp(lam * t) * coeffs)
 
 
 def _forced_run(sol: MmsSolution, p: PhysicalParams, grid: Grid,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mhd1d import solver
-from mhd1d.constitutive import viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
     GasState,
@@ -12,7 +11,7 @@ from mhd1d.core import (
     Grid,
     PhysicalParams,
 )
-from mhd1d.solver import state_coeffs
+from mhd1d.solver import boundary_data, initial_report
 
 ALL_REGIMES = [BoundaryCondition.CAUCHY_FAR_FIELD,
                BoundaryCondition.ISOTHERMAL_WALL_LEFT,
@@ -43,10 +42,12 @@ def reference_state(grid: Grid) -> GasState:
                     u=np.zeros(m + 1), w=np.zeros((m + 1, 2)))
 
 
-def coeffs_of(state: GasState, p: PhysicalParams):
-    """The state's coefficients from the one builder, as a step's first
-    attempt and the record of an unstepped state evaluate them."""
-    return state_coeffs(state, viscosity_mu(state.v, p), p)
+def report_of(state: GasState, grid: Grid, p: PhysicalParams,
+              bc: BoundaryCondition):
+    """The report that a step from a state no step produced takes: its
+    initial_report under the regime's unforced boundary data, as run_until
+    and the collector build it."""
+    return initial_report(state, grid, p, boundary_data(grid, bc, state.t))
 
 
 def bits(*values):

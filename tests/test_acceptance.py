@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from conftest import coeffs_of, reference_state, smooth_bump, state_max_diff
+from conftest import reference_state, report_of, smooth_bump, state_max_diff
 from mhd1d import cli
 from mhd1d.core import (
     BoundaryCondition,
@@ -90,10 +90,9 @@ def test_criterion_01_equilibrium_fixed_point():
     for bc in ALL_REGIMES:
         grid = Grid.uniform(64, 32.0, 0.0 if bc.has_left_wall else -16.0)
         state = reference_state(grid)
-        coeffs = coeffs_of(state, p)
+        report = report_of(state, grid, p, bc)
         for _ in range(1000):
-            state, report = step(state, grid, p, bc, ctl, coeffs)
-            coeffs = report.coeffs
+            state, report = step(state, grid, p, bc, ctl, report)
         diff = state_max_diff(state, reference_state(grid))
         worst = max(worst, diff)
         assert diff <= 1e-12, bc

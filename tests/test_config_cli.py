@@ -559,6 +559,41 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_an_unknown_profile_exits_2_naming_the_choices(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, "initial.profile = foo\n")
+        assert cli.main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 1: key 'initial.profile' violates one of "
+            "constant, gaussian_bump, file\n")
+
+    @pytest.mark.parametrize("key, named", [("initial.amp_w1", "|w(wall)|"),
+                                            ("initial.amp_b1", "|b(wall cell)|")])
+    def test_a_transverse_field_on_an_isothermal_wall_exits_2(
+            self, tmp_path, capsys, key, named):
+        # the bump is centered on the wall, where w and b must vanish
+        text = ("grid.cells = 16\ngrid.mass = 8.0\nbc = isothermal_wall\n"
+                f"initial.profile = gaussian_bump\n{key} = 0.5\n")
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial profile rejected: profile "
+                              f"incompatible with wall regime: {named} = ")
+        assert "," not in err
+
+    def test_a_grid_of_less_than_unit_mass_records_no_slab(self, tmp_path):
+        # no unit mass interval fits in the domain, so every slab extreme of
+        # every record is null
+        cfg_path = write_config(tmp_path, "grid.cells = 16\ngrid.mass = 0.5\n"
+                                          "time.t_end = 0.01\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        records = [json.loads(line) for line in
+                   (out / "diagnostics.jsonl").read_text().splitlines()]
+        slabs = [key for key in records[0] if key.startswith("slab_")]
+        assert len(records) > 2 and len(slabs) == 4
+        assert all(record[key] is None for record in records for key in slabs)
+
     @pytest.mark.parametrize("anchor", ["-15.9", "15.9"])
     def test_anchor_nearest_an_end_node_exit_2(self, tmp_path, capsys, anchor):
         # inside the domain, but the nearest node is node 0 or node M, where
@@ -899,6 +934,17 @@ class TestUnreadableInput:
         assert err.startswith(f"config error: cannot read config {cfg_path}: ")
         assert "can't decode byte 0xff" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_a_missing_snapshot_exits_2_naming_it(self, tmp_path, capsys):
+        snap = tmp_path / "missing.csv"
+        text = (f"grid.cells = 16\ngrid.mass = 8.0\ninitial.profile = file\n"
+                f"initial.file = {snap}\n")
+        assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: initial profile rejected: cannot read "
+                              f"snapshot {snap}: ")
+        assert "Traceback" not in err
 
     def test_a_snapshot_with_no_data_row_exits_2(self, tmp_path, capsys):
         grid = Grid.uniform(16, 8.0, -4.0)
@@ -1274,13 +1320,13 @@ grid = Grid.uniform(8192, 32.0, -16.0)
 p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
 bc = BoundaryCondition.CAUCHY_FAR_FIELD
 state = make_initial_state(grid, GaussianBump(amp_v=-0.3, amp_theta=0.5), bc)
-coeffs = solver.state_coeffs(state, solver.viscosity_mu(state.v, p), p)
+report = solver.initial_report(state, grid, p, solver.boundary_data(grid, bc, 0.0))
 ctl = solver.StepControl()
 for _ in range(5):
-    solver.step(state, grid, p, bc, ctl, coeffs)
+    solver.step(state, grid, p, bc, ctl, report)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    solver.step(state, grid, p, bc, ctl, coeffs)
+    solver.step(state, grid, p, bc, ctl, report)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import coeffs_of, reference_state
-from mhd1d.constitutive import effective_stress, pressure, viscosity_mu
+from conftest import reference_state
+from mhd1d.constitutive import pressure, viscosity_mu
 from mhd1d.core import Grid, PhysicalParams
+from mhd1d.diagnostics import effective_stress
+from mhd1d.solver import state_coeffs
 from mhd1d.verification import MmsSolution
 
 
@@ -60,7 +62,7 @@ class TestViscosity:
 
 def interior_stress(state, grid, p):
     """effective_stress at every interior node."""
-    coeffs = coeffs_of(state, p)
+    coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
     return np.array([effective_stress(state, grid, coeffs, j)
                      for j in range(1, grid.cells)])
 

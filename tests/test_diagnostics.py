@@ -7,9 +7,9 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from conftest import ALL_REGIMES, coeffs_of, reference_state, smooth_bump
+from conftest import ALL_REGIMES, reference_state, report_of, smooth_bump
 from mhd1d import diagnostics
-from mhd1d.constitutive import effective_stress, pressure, viscosity_mu
+from mhd1d.constitutive import pressure, viscosity_mu
 from mhd1d.core import (
     BoundaryCondition,
     ConstantProfile,
@@ -29,6 +29,7 @@ from mhd1d.diagnostics import (
     ReprAccumulator,
     default_anchor,
     dissipation_W,
+    effective_stress,
     energy_entropy,
     equilibrium_roots,
     level_set_measures,
@@ -259,6 +260,14 @@ class TestRepresentationFormula:
         with pytest.raises(ValueError, match="normalized"):
             ReprAccumulator.start(state, grid, PhysicalParams(R=2.0))
 
+    @pytest.mark.parametrize("anchor", [0, 16])
+    def test_rejects_an_anchor_on_an_end_node(self, anchor):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        with pytest.raises(ValueError,
+                           match=f"^anchor node {anchor} must be interior$"):
+            ReprAccumulator.start(reference_state(grid), grid,
+                                  PhysicalParams.normalized(alpha=1.0), anchor)
+
     def test_initial_accumulator(self):
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=1.0)
@@ -316,7 +325,7 @@ class TestRepresentationFormula:
         def sink(s, r):
             terms = terms_of(s, grid, p, acc=acc)
             representation_update(acc, s, grid, r.dt_used, p, terms)
-            sigma = effective_stress(s, grid, coeffs_of(s, p), acc.anchor)
+            sigma = effective_stress(s, grid, terms.coeffs, acc.anchor)
             sdt = sigma * r.dt_used
             geom = r.dt_used if sdt == 0.0 else math.expm1(sdt) / sigma
             h = (s.theta + 0.5 * s.v * terms.coeffs.b_sq) / terms.v_per_factor
@@ -509,7 +518,7 @@ class TestOnePassRecord:
         for n in range(7):
             if n > 0:
                 state, report = step(state, grid, p, bc, StepControl(),
-                                     coeffs_of(state, p))
+                                     report_of(state, grid, p, bc))
             record = collector.make_record(state, report)
 
             terms = terms_of(state, grid, p, bc, ref)
@@ -560,7 +569,8 @@ class TestOnePassRecord:
         grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
-        state, report = step(state, grid, p, bc, StepControl(), coeffs_of(state, p))
+        state, report = step(state, grid, p, bc, StepControl(),
+                             report_of(state, grid, p, bc))
         bnd = boundary_data(grid, bc, 0.0)
         handed = record_terms(state, grid, p, bnd, report)
         assert handed.heat_flux is report.heat_flux
@@ -577,7 +587,7 @@ class TestOnePassRecord:
         ux_cell = np.diff(state.u) / grid.dx
         sigma = (0.5 * (mu_over_v[:-1] + mu_over_v[1:]) * 0.5 * (ux_cell[:-1] + ux_cell[1:])
                  - 0.5 * (ptot[:-1] + ptot[1:]))
-        coeffs = coeffs_of(state, p)
+        coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
         for node in range(1, grid.cells):
             assert effective_stress(state, grid, coeffs, node) == sigma[node - 1]
         for node in (0, grid.cells):
@@ -914,7 +924,8 @@ class TestTheFoldedCheckKeepsItsOrder:
             getattr(state, name).flat[1:3] = 1e308
         with np.errstate(over="ignore"):
             # |b|^2 overflows to inf, as a step's would
-            coeffs = coeffs_of(state, PhysicalParams.normalized())
+            p = PhysicalParams.normalized()
+            coeffs = state_coeffs(state, viscosity_mu(state.v, p), p)
         assert coeffs.b_sq.max() == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from conftest import ALL_REGIMES, bits, coeffs_of, smooth_bump
+from conftest import ALL_REGIMES, bits, report_of, smooth_bump
 from mhd1d import diagnostics, solver
 from mhd1d.constitutive import viscosity_mu
 from mhd1d.core import (
@@ -48,7 +48,7 @@ def stepped(bc):
     wall = bc.has_left_wall
     grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
     state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
-    return step(state, grid, P, bc, StepControl(), coeffs_of(state, P))[0]
+    return step(state, grid, P, bc, StepControl(), report_of(state, grid, P, bc))[0]
 
 
 @pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
@@ -65,9 +65,10 @@ def test_every_other_way_of_making_a_state_is_column_major(tmp_path):
     loaded, _ = load_snapshot(tmp_path / "s.csv")
     from_file = make_initial_state(grid, FileProfile(str(tmp_path / "s.csv")),
                                    CAUCHY)
-    mms = SOL.state(Grid.uniform(16, 1.0), 0.0)
-    forced = step(mms, Grid.uniform(16, 1.0), P, CAUCHY, StepControl(),
-                  coeffs_of(mms, P), forcing=MmsForcing(SOL, P))[0]
+    mms_grid = Grid.uniform(16, 1.0)
+    mms = SOL.state(mms_grid, 0.0)
+    forced = step(mms, mms_grid, P, CAUCHY, StepControl(),
+                  report_of(mms, mms_grid, P, CAUCHY), forcing=MmsForcing(SOL, P))[0]
     reference = explicit_reference(state, grid, 1e-3, P, CAUCHY, 1e-3)
     for built in (state, loaded, from_file, state.copy(), mms, forced,
                   reference, replace(state, t=1.0)):
@@ -138,8 +139,8 @@ def test_the_stage_solves_get_column_major_right_hand_sides(forced, transverse,
             b = state.b.copy()
             b[5, 0] = 1e-300
             state = replace(state, b=b)
-    _, report = step(state, grid, P, CAUCHY, StepControl(), coeffs_of(state, P),
-                     forcing=forcing)
+    _, report = step(state, grid, P, CAUCHY, StepControl(),
+                     report_of(state, grid, P, CAUCHY), forcing=forcing)
     newton = [(1, True)] * report.newton_iterations
     assert report.newton_iterations > 0
     if transverse == "none":
@@ -160,7 +161,8 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
     calls, stage = [], solver.substep_transverse
     monkeypatch.setattr(solver, "substep_transverse",
                         lambda *args: calls.append(args) or stage(*args))
-    new, report = step(state, grid, P, bc, StepControl(), coeffs_of(state, P))
+    new, report = step(state, grid, P, bc, StepControl(),
+                       report_of(state, grid, P, bc))
     monkeypatch.undo()
     assert calls == []
     assert_column_major(new)
@@ -189,7 +191,7 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
                                       grid, P, bnd)
     full_c = solver.state_coeffs(new, mu, P, True)
     full_fluxes = solver.boundary_report(new, du, dw, grid, P, bnd, dt,
-                                         coeffs_of(state, P), full_c,
+                                         scanning_coeffs(state), full_c,
                                          report.heat_flux)
     fluxes = (report.mass_flux, report.momentum_flux, report.energy_flux,
               report.entropy_flux)
@@ -216,6 +218,12 @@ def test_a_skipped_step_returns_the_zeros_of_the_stages(bc, sign, monkeypatch):
         lines.append([json.dumps(collector.make_record(s, r).to_json_dict())
                       for s, r in zip((state, new), reports)])
     assert lines[0] == lines[1]
+
+
+def scanning_coeffs(state):
+    """The state's coefficients with a b_sq array, even of a state with no
+    transverse field: a step from a report that holds them scans w and b."""
+    return solver.state_coeffs(state, viscosity_mu(state.v, P), P)
 
 
 def coeff_bits(coeffs, name):
@@ -246,12 +254,12 @@ def test_a_quiet_step_and_its_records_do_no_transverse_arithmetic(bc, monkeypatc
 
     magnetized = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
     for state, transverse in ((quiet_state(grid, bc), False), (magnetized, True)):
-        coeffs = coeffs_of(state, P)
+        report = report_of(state, grid, P, bc)
         collector = DiagnosticsCollector(grid, P, bc, state)
         for owner, name in ((solver, "b_gradient"), (solver, "sq2"),
                             (diagnostics, "sq2")):
             spy(owner, name)
-        new, report = step(state, grid, P, bc, StepControl(), coeffs)
+        new, report = step(state, grid, P, bc, StepControl(), report)
         collector.make_record(state)
         collector.make_record(new, report)
         monkeypatch.undo()
@@ -266,10 +274,11 @@ def test_a_quiet_step_and_its_records_do_no_transverse_arithmetic(bc, monkeypatc
 @pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
 def test_run_until_carries_the_decision_with_the_bits_of_a_scan(bc, start,
                                                                 monkeypatch):
-    # after a step with no transverse field, run_until hands the next step
-    # its coefficients, whose b_sq is None: it scans no w or b and
-    # compute_dt gets no |b|^2. Every state and report equals the bits of
-    # steps that scan, each given coefficients with a b_sq array
+    # run_until starts from the state's initial report and hands each step
+    # the report of the one before: a report with no transverse field has
+    # b_sq None, so the step scans no w or b and compute_dt gets no |b|^2,
+    # the first step too. Every state and report equals the bits of steps
+    # that scan, each from a report whose coefficients hold a b_sq array
     wall = bc.has_left_wall
     grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
     if start == "magnetized bump":
@@ -293,13 +302,12 @@ def test_run_until_carries_the_decision_with_the_bits_of_a_scan(bc, start,
 
     quiet = start == "quiet, w -0.0"
     assert len(run) > 3
-    assert seen == [False] + [quiet] * (len(run) - 1)
-    new, coeffs = state, coeffs_of(state, P)
+    assert seen == [quiet] * len(run)
+    new = state
     for got, report in run:
-        assert coeffs.b_sq is not None
-        new, expected = step(new, grid, P, bc, StepControl(), coeffs,
+        scanning = replace(report_of(new, grid, P, bc), coeffs=scanning_coeffs(new))
+        new, expected = step(new, grid, P, bc, StepControl(), scanning,
                              dt_cap=t_end - new.t)
-        coeffs = solver.state_coeffs(new, viscosity_mu(new.v, P), P)
         assert (report.coeffs.b_sq is None) is (expected.coeffs.b_sq is None) \
             is quiet
         for name in ("v", "theta", "b", "u", "w"):
@@ -327,13 +335,14 @@ class CountsScans(np.ndarray):
 @pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
 def test_a_direct_step_on_quiet_coeffs_has_the_bits_of_a_scanning_step(
         bc, monkeypatch):
-    # a caller that chains a quiet report's coeffs (b_sq None) into step gets
+    # a caller that chains a quiet report (b_sq None) into step gets
     # run_until's scan-free path: no scan of w or b and no |b|^2 in
-    # compute_dt, with the bits of a step given coefficients that scan
+    # compute_dt, with the bits of a step from coefficients that scan
     wall = bc.has_left_wall
     grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
     state = quiet_state(grid, bc)
-    state, report = step(state, grid, P, bc, StepControl(), coeffs_of(state, P))
+    state, report = step(state, grid, P, bc, StepControl(),
+                         report_of(state, grid, P, bc))
     assert report.coeffs.b_sq is None
     state.w, state.b = state.w.view(CountsScans), state.b.view(CountsScans)
     seen, compute_dt = [], solver.compute_dt
@@ -341,10 +350,9 @@ def test_a_direct_step_on_quiet_coeffs_has_the_bits_of_a_scanning_step(
                         lambda s, b_sq, *args: seen.append(b_sq is None)
                         or compute_dt(s, b_sq, *args))
     runs, scans = [], []
-    for coeffs in (report.coeffs,
-                   solver.state_coeffs(state, viscosity_mu(state.v, P), P)):
+    for start in (report, replace(report, coeffs=scanning_coeffs(state))):
         CountsScans.scans.clear()
-        runs.append(step(state, grid, P, bc, StepControl(), coeffs))
+        runs.append(step(state, grid, P, bc, StepControl(), start))
         scans.append(list(CountsScans.scans))
     monkeypatch.undo()
     (quiet_new, quiet), (new, scanned) = runs
@@ -369,13 +377,14 @@ def test_a_quiet_record_reads_neither_w_nor_b(bc):
     wall = bc.has_left_wall
     grid = Grid.uniform(16, 16.0, 0.0 if wall else -8.0)
     state0 = quiet_state(grid, bc)
-    new, report = step(state0, grid, P, bc, StepControl(), coeffs_of(state0, P))
+    new, report = step(state0, grid, P, bc, StepControl(),
+                       report_of(state0, grid, P, bc))
     assert report.coeffs.b_sq is None
     bad = new.copy()
     bad.w[3, 1] = bad.b[2, 0] = np.nan
     assert bad.validate(grid, report.coeffs) == new.validate(grid, report.coeffs)
     with pytest.raises(ValueError, match="^non-finite b: nan$"):
-        bad.validate(grid, solver.state_coeffs(bad, viscosity_mu(bad.v, P), P))
+        bad.validate(grid, scanning_coeffs(bad))
     lines = [DiagnosticsCollector(grid, P, bc, state0).make_record(s, report)
              .json_line() for s in (new, bad)]
     assert lines[0] == lines[1]

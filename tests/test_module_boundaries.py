@@ -11,8 +11,10 @@ catches ConfigError, so every config error leaves by one exit path. The
 decision whether a step carries a transverse field has one flag: outside
 solver.py no module reads an attribute .transverse, and solver.py reads only
 BoundaryData's (bnd.transverse); a state carries the decision as
-StateCoeffs.b_sq None. No module of the package or of the tests imports a
-name it never reads."""
+StateCoeffs.b_sq None. A step takes what the step before it hands on in
+one carrier, that step's report: run_until, step and attempt take no coeffs
+or kirchhoff parameter, and only attempt reads a report's .kirchhoff. No
+module of the package or of the tests imports a name it never reads."""
 import ast
 from pathlib import Path
 
@@ -122,10 +124,54 @@ def test_the_check_sees_transverse_reads(tmp_path):
         "line 2: bnd.transverse"]
 
 
-MONITORS = {"diagnostics.py": ("energy_entropy", "dissipation_W",
+HAND_OFF = ("run_until", "step", "attempt")
+
+
+def _hand_off_faults(path: Path) -> list[str]:
+    """Parameters coeffs or kirchhoff of run_until, step and attempt, and
+    reads of an attribute .kirchhoff outside attempt, in this module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found, in_attempt = [], set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name == "attempt":
+            in_attempt |= {id(node) for node in ast.walk(fn)}
+        if fn.name in HAND_OFF:
+            args = fn.args
+            found += [f"{fn.name}: {a.arg}"
+                      for a in args.posonlyargs + args.args + args.kwonlyargs
+                      if a.arg in ("coeffs", "kirchhoff")]
+    found += [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "kirchhoff"
+              and isinstance(node.ctx, ast.Load) and id(node) not in in_attempt]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_a_step_takes_one_hand_off(path):
+    assert _hand_off_faults(path) == []
+
+
+def test_the_check_sees_a_second_hand_off(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def attempt(state, report, dt):\n"
+                     "    return report.kirchhoff\n"
+                     "def step(state, report, coeffs, *, kirchhoff=None):\n"
+                     "    return report.kirchhoff\n"
+                     "def run_until(state, grid):\n"
+                     "    carry = report.kirchhoff\n"
+                     "def other(coeffs, kirchhoff):\n"
+                     "    report.kirchhoff = kirchhoff\n")
+    assert _hand_off_faults(probe) == ["line 4: report.kirchhoff",
+                                       "line 6: report.kirchhoff",
+                                       "step: coeffs", "step: kirchhoff"]
+
+
+MONITORS = {"diagnostics.py": ("energy_entropy", "dissipation_W", "effective_stress",
                                "representation_update", "representation_residual",
                                "level_set_measures"),
-            "constitutive.py": ("effective_stress", "pressure", "viscosity_mu")}
+            "constitutive.py": ("pressure", "viscosity_mu")}
 
 
 def _functions(path: Path):

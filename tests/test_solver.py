@@ -11,9 +11,9 @@ from scipy.linalg import solve_banded
 from conftest import (
     ALL_REGIMES,
     bits,
-    coeffs_of,
     patch_newton_solve,
     reference_state,
+    report_of,
     smooth_bump,
     state_max_diff,
 )
@@ -45,6 +45,7 @@ from mhd1d.solver import (
     heat_flux_stencil,
     initial_report,
     run_until,
+    state_coeffs,
     step,
     substep_induction,
     substep_temperature,
@@ -114,10 +115,9 @@ class TestEquilibriumFixedPoint:
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         state = reference_state(grid)
         ctl = StepControl()
-        coeffs = coeffs_of(state, p)
+        report = report_of(state, grid, p, bc)
         for _ in range(20):
-            state, report = step(state, grid, p, bc, ctl, coeffs)
-            coeffs = report.coeffs
+            state, report = step(state, grid, p, bc, ctl, report)
         assert np.all(state.v == 1.0)
         assert np.all(state.theta == 1.0)
         assert np.all(state.u == 0.0)
@@ -147,7 +147,8 @@ class TestSubstepsInIsolation:
 
     def velocity(self):
         return substep_velocity(self.state, self.grid, self.dt, self.bnd,
-                                coeffs_of(self.state, self.p))
+                                report_of(self.state, self.grid, self.p,
+                                          CAUCHY).coeffs)
 
     def test_velocity_matches_dense_solve(self):
         grid, p, state, dt = self.grid, self.p, self.state, self.dt
@@ -217,7 +218,8 @@ class TestSubstepsInIsolation:
             state.u[0], state.w[0] = 0.0, 0.0
             bnd = boundary_data(grid, bc, state.t + dt)
             assert state.b[0, 0] > 0.2 and np.all(bnd.b_gl == 0.0)
-        u_new = substep_velocity(state, grid, dt, bnd, coeffs_of(state, p))
+        u_new = substep_velocity(state, grid, dt, bnd,
+                                 report_of(state, grid, p, bc).coeffs)
         v_new = substep_volume(state, u_new[1:] - u_new[:-1], grid, dt, bnd)
         w_new = state.w.copy()
         b_new = substep_induction(state, v_new, w_new[1:] - w_new[:-1], grid, p,
@@ -484,7 +486,8 @@ class TestStepHandsOverMonitorInputs:
         collector = DiagnosticsCollector(grid, p, bc, state)
         bnd = boundary_data(grid, bc, 0.0)
         for _ in range(6):
-            state, report = step(state, grid, p, bc, ctl, coeffs_of(state, p))
+            state, report = step(state, grid, p, bc, ctl,
+                                 report_of(state, grid, p, bc))
             assert np.array_equal(report.heat_flux,
                                   heat_flux(state.theta, state.v, grid.dx, p, bnd))
             ux = (state.u[1:] - state.u[:-1]) / grid.dx
@@ -508,7 +511,7 @@ class TestStepHandsOverMonitorInputs:
         state = sol.state(grid, 0.0)
         forcing = MmsForcing(sol, p)
         new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=1e-3),
-                           coeffs_of(state, p), forcing=forcing)
+                           report_of(state, grid, p, CAUCHY), forcing=forcing)
         ux = (new.u[1:] - new.u[:-1]) / grid.dx
         wx = (new.w[1:] - new.w[:-1]) / grid.dx
         for bnd, same in ((boundary_data(grid, CAUCHY, new.t, forcing), True),
@@ -524,7 +527,7 @@ def assert_carried(report, state, p):
     """Every array of the report's coefficients equals the builder's; a
     b_sq of None stands for the all-zero |b|^2 of a state with no
     transverse field."""
-    fresh = coeffs_of(state, p)
+    fresh = state_coeffs(state, viscosity_mu(state.v, p), p)
     for f in fields(StateCoeffs):
         carried = getattr(report.coeffs, f.name)
         if carried is None:
@@ -580,11 +583,10 @@ class TestStepCarriesCoefficients:
         grid = Grid.uniform(32, 16.0, 0.0 if wall else -8.0)
         p = PhysicalParams(mu1=0.8, mu2=0.6, alpha=1.3, beta=0.7)
         state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
-        coeffs = coeffs_of(state, p)
+        report = report_of(state, grid, p, bc)
         for _ in range(5):
-            state, report = step(state, grid, p, bc, StepControl(), coeffs)
+            state, report = step(state, grid, p, bc, StepControl(), report)
             assert_carried(report, state, p)
-            coeffs = report.coeffs
 
     def test_forced_step(self):
         sol = MmsSolution(amp_v=0.1, amp_u=0.2, amp_theta=0.1, amp_w=(0.1, 0.2),
@@ -593,7 +595,8 @@ class TestStepCarriesCoefficients:
         grid = Grid.uniform(16, 1.0, 0.1)
         state = sol.state(grid, 0.0)
         new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=1e-3),
-                           coeffs_of(state, p), forcing=MmsForcing(sol, p))
+                           report_of(state, grid, p, CAUCHY),
+                           forcing=MmsForcing(sol, p))
         assert_carried(report, new, p)
 
     def test_retried_step(self):
@@ -603,7 +606,8 @@ class TestStepCarriesCoefficients:
         state.u = -10.0 * np.tanh(grid.nodes())
         state.u[0] = state.u[-1] = 0.0
         ctl = StepControl(cfl=1.0, dt_min=1e-12, dt_max=0.2)
-        new, report = step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+        new, report = step(state, grid, p, CAUCHY, ctl,
+                           report_of(state, grid, p, CAUCHY))
         assert report.retries >= 1
         assert_carried(report, new, p)
 
@@ -622,10 +626,10 @@ class TestStepCarriesCoefficients:
                               amp_b=tuple(rng.uniform(-1, 1, 2)))
             forcing = MmsForcing(sol, p)
             state = sol.state(grid, 0.0)
-            coeffs = coeffs_of(state, p)
+            report = report_of(state, grid, p, CAUCHY)
             for _ in range(3):
                 new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=2e-3),
-                                   coeffs, forcing=forcing)
+                                   report, forcing=forcing)
                 bnd = boundary_data(grid, CAUCHY, new.t, forcing)
                 assert np.all(new.w[[0, -1]] != 0.0) and np.all(bnd.b_gl != 0.0)
                 h = heat_flux(new.theta, new.v, grid.dx, p, bnd)
@@ -633,7 +637,7 @@ class TestStepCarriesCoefficients:
                                                 report.dt_used, h)
                 assert (report.mass_flux, report.momentum_flux, report.energy_flux,
                         report.entropy_flux) == expected
-                state, coeffs = new, report.coeffs
+                state = new
 
 
 class TestForcingRegime:
@@ -645,8 +649,8 @@ class TestForcingRegime:
         grid = Grid.uniform(16, 1.0, 0.0)
         state = sol.state(grid, 0.0)
         with pytest.raises(ValueError, match="Cauchy"):
-            step(state, grid, p, bc, StepControl(dt_max=1e-3), coeffs_of(state, p),
-                 forcing=MmsForcing(sol, p))
+            step(state, grid, p, bc, StepControl(dt_max=1e-3),
+                 report_of(state, grid, p, bc), forcing=MmsForcing(sol, p))
 
 
 class TestStepBudgets:
@@ -655,12 +659,11 @@ class TestStepBudgets:
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         state = bump_state(grid)
         ctl = StepControl()
-        coeffs = coeffs_of(state, p)
+        report = report_of(state, grid, p, CAUCHY)
         for _ in range(25):
             mass0 = grid.dx * np.sum(state.v)
             mom0 = grid.dx * np.sum(state.u)
-            state, report = step(state, grid, p, CAUCHY, ctl, coeffs)
-            coeffs = report.coeffs
+            state, report = step(state, grid, p, CAUCHY, ctl, report)
             mass1 = grid.dx * np.sum(state.v)
             mom1 = grid.dx * np.sum(state.u)
             assert abs(mass1 - mass0 - report.mass_flux) / mass0 <= 1e-13
@@ -767,7 +770,8 @@ class TestWallRegimes:
         state = make_initial_state(grid, GaussianBump(
             center=0.75, width=1.0, amp_theta=3.0), bc)
         assert state.theta[0] > 2.0 and state.theta[-1] == 1.0
-        new, report = step(state, grid, p, bc, StepControl(), coeffs_of(state, p))
+        new, report = step(state, grid, p, bc, StepControl(),
+                           report_of(state, grid, p, bc))
         assert new.theta[-1] == 1.0
         assert report.entropy_flux == 0.0
         assert report.energy_flux < 0.0
@@ -985,7 +989,8 @@ class TestFailureModes:
         state.u = -10.0 * np.tanh(grid.nodes())
         state.u[0] = state.u[-1] = 0.0
         ctl = StepControl(cfl=1.0, dt_min=1e-12, dt_max=0.2, retry_max=20)
-        new_state, report = step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+        new_state, report = step(state, grid, p, CAUCHY, ctl,
+                                 report_of(state, grid, p, CAUCHY))
         assert report.retries >= 1
         assert new_state.v.min() > 0.0
 
@@ -997,7 +1002,7 @@ class TestFailureModes:
         state.u[0] = state.u[-1] = 0.0
         ctl = StepControl(cfl=1.0, dt_min=1e-12, dt_max=0.2, retry_max=0)
         with pytest.raises(PositivityFailure) as err:
-            step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+            step(state, grid, p, CAUCHY, ctl, report_of(state, grid, p, CAUCHY))
         assert err.value.t == state.t
 
     def test_newton_divergence_after_retry_max_halvings(self):
@@ -1006,7 +1011,7 @@ class TestFailureModes:
         state = bump_state(grid)
         ctl = StepControl(newton_max_iter=0, dt_min=1e-12)
         with pytest.raises(NewtonDivergence):
-            step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+            step(state, grid, p, CAUCHY, ctl, report_of(state, grid, p, CAUCHY))
 
     @pytest.mark.parametrize("retry_max", [0, 1, 3])
     def test_a_failed_temperature_solve_halves_dt_under_retry_max(
@@ -1025,7 +1030,7 @@ class TestFailureModes:
         state = bump_state(grid)
         ctl = StepControl(newton_max_iter=0, dt_min=1e-12, retry_max=retry_max)
         with pytest.raises(NewtonDivergence) as err:
-            step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+            step(state, grid, p, CAUCHY, ctl, report_of(state, grid, p, CAUCHY))
         assert f"after {retry_max} dt halvings" in str(err.value)
         assert err.value.t == state.t
         assert attempts == [attempts[0] * 0.5 ** k for k in range(retry_max + 1)]
@@ -1040,7 +1045,7 @@ class TestFailureModes:
         state = bump_state(grid)
         with pytest.raises(NewtonDivergence) as err:
             step(state, grid, p, CAUCHY, StepControl(retry_max=1),
-                 coeffs_of(state, p))
+                 report_of(state, grid, p, CAUCHY))
         assert str(err.value).startswith(
             "temperature solve could not damp an update to keep theta positive "
             "after 1 dt halvings")
@@ -1075,7 +1080,7 @@ class TestFailureModes:
         state = bump_state(grid)
         ctl = StepControl(newton_max_iter=0, dt_min=1e-3, dt_max=1.5e-3)
         with pytest.raises(NewtonDivergence) as err:
-            step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p))
+            step(state, grid, p, CAUCHY, ctl, report_of(state, grid, p, CAUCHY))
         assert str(err.value) == ("temperature solve exceeded 0 iterations; "
                                   "dt halved below dt_min = 0.001 (at t = 0)")
 
@@ -1085,8 +1090,8 @@ class TestFailureModes:
         grid = Grid.uniform(64, 16.0, -8.0)
         p = PhysicalParams(beta=6.0)
         state = make_initial_state(grid, GaussianBump(amp_theta=3.0), CAUCHY)
-        new, report = step(state, grid, p, CAUCHY,
-                           StepControl(newton_max_iter=6), coeffs_of(state, p))
+        new, report = step(state, grid, p, CAUCHY, StepControl(newton_max_iter=6),
+                           report_of(state, grid, p, CAUCHY))
         assert report.retries == 4
         assert new.theta.min() > 0.0
 
@@ -1169,23 +1174,23 @@ class TestAttempt:
         cfg = parse_config_file(ROUNDOFF / f"{name}.cfg")
         grid, p, bc, ctl = cfg.grid, cfg.params, cfg.bc, cfg.control
         state = make_initial_state(grid, cfg.profile, bc)
-        prev = [state, coeffs_of(state, p)]
+        prev = [state, report_of(state, grid, p, bc)]
         retried = []
 
         def sink(new, report):
-            old, coeffs = prev
-            proposed = min(compute_dt(old, coeffs.b_sq, grid, p, ctl),
+            old, old_report = prev
+            proposed = min(compute_dt(old, old_report.coeffs.b_sq, grid, p, ctl),
                            cfg.t_end - old.t)
             for k in range(report.retries):
                 with pytest.raises(solver._Retry):
-                    attempt(old, coeffs, proposed * 0.5 ** k, grid, p, bc, ctl)
+                    attempt(old, old_report, proposed * 0.5 ** k, grid, p, bc, ctl)
             dt = proposed * 0.5 ** report.retries
-            a_new, a_report = attempt(old, coeffs, dt, grid, p, bc, ctl)
+            a_new, a_report = attempt(old, old_report, dt, grid, p, bc, ctl)
             assert a_report.dt_used == dt == report.dt_used
             assert a_report.retries == 0
             assert_same_step(new, report, a_new, a_report)
             retried.append(report.retries)
-            prev[:] = [new, report.coeffs]
+            prev[:] = [new, report]
 
         run_until(state, grid, cfg.t_end, p, bc, ctl, sink=sink)
         assert max(retried) > 0
@@ -1194,10 +1199,10 @@ class TestAttempt:
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         state = bump_state(grid)
-        coeffs = coeffs_of(state, p)
-        for dt in (1e-3, 0.3 * compute_dt(state, coeffs.b_sq, grid, p,
+        start = report_of(state, grid, p, CAUCHY)
+        for dt in (1e-3, 0.3 * compute_dt(state, start.coeffs.b_sq, grid, p,
                                           StepControl())):
-            new, report = attempt(state, coeffs, dt, grid, p, CAUCHY, StepControl())
+            new, report = attempt(state, start, dt, grid, p, CAUCHY, StepControl())
             assert report.dt_used == dt and report.retries == 0
             assert new.t == state.t + dt and new.step == state.step + 1
 
@@ -1212,16 +1217,19 @@ class TestAttempt:
             ctl, dt = StepControl(), 0.2
         else:  # a temperature solve allowed no update
             ctl, dt = StepControl(newton_max_iter=0), 1e-2
-        coeffs = coeffs_of(state, p)
+        report = report_of(state, grid, p, CAUCHY)
         arrays = [getattr(state, name).copy() for name in ("v", "theta", "b", "u", "w")]
-        coeff_arrays = [getattr(coeffs, f.name).copy() for f in fields(coeffs)]
+        report_arrays = [getattr(report.coeffs, f.name).copy()
+                         for f in fields(StateCoeffs)] + [
+            x.copy() for x in (report.dissipation, report.heat_flux, *report.kirchhoff)]
         with pytest.raises(solver._Retry) as err:
-            attempt(state, coeffs, dt, grid, p, CAUCHY, ctl)
+            attempt(state, report, dt, grid, p, CAUCHY, ctl)
         assert err.value.args[0] is failure
         assert bits(*arrays) == bits(*(getattr(state, name) for name in
                                        ("v", "theta", "b", "u", "w")))
-        assert bits(*coeff_arrays) == bits(*(getattr(coeffs, f.name)
-                                             for f in fields(coeffs)))
+        assert bits(*report_arrays) == bits(
+            *(getattr(report.coeffs, f.name) for f in fields(StateCoeffs)),
+            report.dissipation, report.heat_flux, *report.kirchhoff)
 
 
 class TestRunUntil:
@@ -1275,9 +1283,10 @@ class TestRunUntil:
 
 
 class TestKirchhoffCarry:
-    """An accepted step's report carries the Kirchhoff terms of its new
-    theta, and the next step's first Newton iterate reads them, on the
-    regime's unforced boundary data only, instead of forming them again."""
+    """A report, an accepted step's or a state's initial_report, carries the
+    Kirchhoff terms of its state's theta, and the first Newton iterate of a
+    step from it reads them, on the regime's unforced boundary data only,
+    instead of forming them again."""
 
     @pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
     def test_the_carried_terms_are_a_fresh_evaluation(self, bc):
@@ -1286,10 +1295,10 @@ class TestKirchhoffCarry:
         p = PhysicalParams.normalized(alpha=1.0, beta=0.5)
         state = make_initial_state(grid, smooth_bump(center=8.0 if wall else 0.0), bc)
         bnd = boundary_data(grid, bc, 0.0)
-        pairs = []
+        pairs = [(state, initial_report(state, grid, p, bnd))]
         run_until(state, grid, 0.3, p, bc, StepControl(),
                   sink=lambda s, r: pairs.append((s, r)))
-        assert len(pairs) > 3
+        assert len(pairs) > 4
         for s, r in pairs:
             h, fresh = heat_flux_stencil(s.theta, face_conductance(s.v, p, bnd),
                                          grid.dx, p, bnd)
@@ -1297,29 +1306,70 @@ class TestKirchhoffCarry:
             assert bits(*r.kirchhoff) == bits(*fresh)
             assert bits(r.heat_flux) == bits(h)
 
+    def test_run_until_starts_from_the_initial_terms(self, monkeypatch):
+        # one step to t_end: run_until forms the terms once for the initial
+        # report, and its step's first Newton iterate reads them, so the
+        # step forms one evaluation fewer than a step from a report with
+        # no terms, and evaluates the stencil as often, to the same bits
+        grid = Grid.uniform(16, 8.0, -4.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.5)
+        state, ctl, t_end = bump_state(grid), StepControl(), 1e-3
+        formed, stencil = [], solver.heat_flux_stencil
+
+        def counting(theta, k, dx, p, bnd, kirchhoff=None):
+            formed.append(kirchhoff is None)
+            return stencil(theta, k, dx, p, bnd, kirchhoff)
+
+        monkeypatch.setattr(solver, "heat_flux_stencil", counting)
+        run = run_until(state, grid, t_end, p, CAUCHY, ctl)
+        in_run, formed[:] = formed[:], []
+        plain, _ = step(state, grid, p, CAUCHY, ctl,
+                        replace(report_of(state, grid, p, CAUCHY), kirchhoff=None),
+                        dt_cap=t_end)
+        monkeypatch.undo()
+        in_step, in_plain = in_run[1:], formed[1:]  # past each initial report
+        assert in_run[0] and formed[0] and not in_step[0] and in_plain[0]
+        assert len(in_step) == len(in_plain) > 1
+        assert sum(in_step) == sum(in_plain) - 1
+        assert run.t == plain.t == t_end and bits(run.theta) == bits(plain.theta)
+
+    @pytest.mark.parametrize("name", ["v", "theta", "b", "u", "w"])
+    def test_run_until_refuses_a_non_finite_state(self, name, monkeypatch):
+        # the initial report validates the state; a NaN theta passes the
+        # constitutive laws, whose positivity test skips NaN
+        grid = Grid.uniform(16, 8.0, -4.0)
+        state = bump_state(grid)
+        getattr(state, name).flat[3] = np.nan
+        monkeypatch.setattr(solver, "step", lambda *args, **kwargs: pytest.fail(
+            "run_until stepped a non-finite state"))
+        with pytest.raises(ValueError, match=name):
+            run_until(state, grid, 0.1, PhysicalParams.normalized(1.0, 1.0),
+                      CAUCHY, StepControl())
+
     def test_a_run_with_the_carry_is_the_run_without_it(self):
-        # the carry changes no bit: every step of a run equals, bit for bit,
-        # a step from the same state with no carry, and a wrong carry on
-        # unforced data moves the result, so the first iterate reads it
+        # the carry changes no bit: every step of a run, the first included,
+        # equals, bit for bit, a step from the same report with no terms,
+        # and a wrong carry on unforced data moves the result, so the first
+        # iterate reads it
         grid = Grid.uniform(16, 8.0, -4.0)
         p = PhysicalParams.normalized(alpha=1.0, beta=1.5)
         state = bump_state(grid)
         ctl = StepControl()
-        prev = [state, coeffs_of(state, p), None]
+        prev = [state, report_of(state, grid, p, CAUCHY)]
 
         def sink(new, report):
-            old, coeffs, carried = prev
-            assert_same_step(new, report, *step(old, grid, p, CAUCHY, ctl, coeffs,
-                                                dt_cap=0.2 - old.t))
-            if carried is not None:
-                skewed = tuple(2.0 * x for x in carried)
-                wrong, _ = attempt(old, coeffs, report.dt_used, grid, p, CAUCHY,
-                                   ctl, None, skewed)
-                assert bits(wrong.theta) != bits(new.theta)
-            prev[:] = [new, report.coeffs, report.kirchhoff]
+            old, carried = prev
+            assert_same_step(new, report, *step(
+                old, grid, p, CAUCHY, ctl, replace(carried, kirchhoff=None),
+                dt_cap=0.2 - old.t))
+            skewed = tuple(2.0 * x for x in carried.kirchhoff)
+            wrong, _ = attempt(old, replace(carried, kirchhoff=skewed),
+                               report.dt_used, grid, p, CAUCHY, ctl)
+            assert bits(wrong.theta) != bits(new.theta)
+            prev[:] = [new, report]
 
         run_until(state, grid, 0.2, p, CAUCHY, ctl, sink=sink)
-        assert prev[2] is not None
+        assert prev[0].t == 0.2
 
     def test_a_forced_attempt_forms_the_terms_again(self):
         sol = MmsSolution(amp_v=0.1, amp_u=0.2, amp_theta=0.1, amp_w=(0.1, 0.2),
@@ -1328,12 +1378,13 @@ class TestKirchhoffCarry:
         grid = Grid.uniform(16, 1.0, 0.1)
         state = sol.state(grid, 0.0)
         forcing, ctl = MmsForcing(sol, p), StepControl(dt_max=1e-3)
-        new, report = step(state, grid, p, CAUCHY, ctl, coeffs_of(state, p),
-                           forcing=forcing)
+        new, report = step(state, grid, p, CAUCHY, ctl,
+                           report_of(state, grid, p, CAUCHY), forcing=forcing)
         junk = tuple(np.full_like(x, np.nan) for x in report.kirchhoff)
-        plain = attempt(new, report.coeffs, 1e-3, grid, p, CAUCHY, ctl, forcing)
-        carried = attempt(new, report.coeffs, 1e-3, grid, p, CAUCHY, ctl,
-                          forcing, junk)
+        plain = attempt(new, replace(report, kirchhoff=None), 1e-3, grid, p,
+                        CAUCHY, ctl, forcing)
+        carried = attempt(new, replace(report, kirchhoff=junk), 1e-3, grid, p,
+                          CAUCHY, ctl, forcing)
         assert_same_step(*plain, *carried)
 
     def test_the_carry_survives_a_retry(self, monkeypatch):
@@ -1355,8 +1406,10 @@ class TestKirchhoffCarry:
             return substep_temperature(*args)
 
         monkeypatch.setattr(solver, "substep_temperature", failing_once)
-        ctl, coeffs = StepControl(), coeffs_of(state, p)
-        new, report = step(state, grid, p, CAUCHY, ctl, coeffs, kirchhoff=carry)
+        ctl = StepControl()
+        start = replace(report_of(state, grid, p, CAUCHY), kirchhoff=carry)
+        new, report = step(state, grid, p, CAUCHY, ctl, start)
         assert report.retries == 1 and len(seen) == 2
         assert all(k is carry for k in seen) and bits(*carry) == before
-        assert_same_step(new, report, *step(state, grid, p, CAUCHY, ctl, coeffs))
+        assert_same_step(new, report, *step(state, grid, p, CAUCHY, ctl,
+                                            replace(start, kirchhoff=None)))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from conftest import reference_state
 from mhd1d import verification
 from mhd1d.core import (
+    FAR_FIELD_THETA,
     BoundaryCondition,
     GaussianBump,
     Grid,
@@ -15,7 +17,6 @@ from mhd1d.verification import (
     MmsForcing,
     MmsSolution,
     explicit_reference,
-    heat_exact_semidiscrete,
     mms_convergence,
     mms_sources,
     numerical_source_check,
@@ -93,6 +94,28 @@ class TestMmsSources:
         errs = numerical_source_check(MmsSolution(amp_v=0.1),
                                       PhysicalParams.normalized())
         assert list(errs) == ["v", "u", "w", "b", "theta"]
+
+
+def heat_exact_semidiscrete(theta0: np.ndarray, grid: Grid, p: PhysicalParams,
+                            bc: BoundaryCondition, t: float) -> np.ndarray:
+    """Exact solution of the semi-discrete linear conduction system
+    c_v*theta_t = kappa_tilde*theta_xx (v = 1, beta = 0, discrete stencils
+    with the regime's boundary rows) via symmetric tridiagonal
+    eigendecomposition: the oracle of the explicit reference's heat
+    configuration."""
+    m = grid.cells
+    coef = p.kappa_tilde / (p.c_v * grid.dx ** 2)
+    diag = np.full(m, -2.0 * coef)
+    off = np.full(m - 1, coef)
+    if bc is BoundaryCondition.ISOTHERMAL_WALL_LEFT:
+        diag[0] = -3.0 * coef
+    elif bc is BoundaryCondition.INSULATED_WALL_LEFT:
+        diag[0] = -1.0 * coef
+    # the steady state: every boundary value is FAR_FIELD_THETA (or the
+    # insulated wall's zero flux), so each row sums to zero at that constant
+    lam, vecs = eigh_tridiagonal(diag, off)
+    coeffs = vecs.T @ (theta0 - FAR_FIELD_THETA)
+    return FAR_FIELD_THETA + vecs @ (np.exp(lam * t) * coeffs)
 
 
 class TestExplicitReference:
