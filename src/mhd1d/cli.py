@@ -51,12 +51,6 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
     without the representation diagnostic), and E_entropy of the last record.
     The summary does not depend on the diagnostics cadence.
     """
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return (_error(f"cannot create output directory {out}: {exc}"),
-                dict(_NO_SUMMARY))
     try:
         state = make_initial_state(cfg.grid, cfg.profile, cfg.bc)
         with np.errstate(over="raise", invalid="raise"):  # the t = 0 record
@@ -69,6 +63,12 @@ def run_simulation(cfg: RunConfig, out_dir=None) -> tuple[int, dict]:
                 dict(_NO_SUMMARY))
     except (ValueError, OSError) as exc:
         return _error(f"initial profile rejected: {exc}"), dict(_NO_SUMMARY)
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    try:  # after the profile is accepted, so a rejected one leaves no directory
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return (_error(f"cannot create output directory {out}: {exc}"),
+                dict(_NO_SUMMARY))
     try:
         return _simulate(cfg, state, collector, out)
     except OSError as exc:

@@ -29,10 +29,13 @@ mu(v) of its new volume once. A run is a chain of (state, StepReport)
 pairs: each step starts from the report of the step that produced its state
 (initial_report for a state no step produced), and reads there the state's
 StateCoeffs (mu(v)/v, |b|^2 and the total pressure) and the Kirchhoff terms
-of its theta; the monitors read the same report. Every stage reads the
-attempt's BoundaryData, which decides the boundary regime and carries any
+of its theta; the monitors read the same report. A run's regime is one
+argument, bc: a BoundaryCondition, or a forcing (verification.MmsForcing)
+that builds each attempt's data. Every stage reads the attempt's
+BoundaryData, which decides the boundary treatment and carries any
 manufactured-solution sources; an unforced regime's BoundaryData is built
-once and shared.
+once and shared. A report names the BoundaryData its arrays were formed
+under, and a step reuses its Kirchhoff terms only under that same data.
 Each attempt decides once, by the rule initial_report uses too, whether it
 carries a transverse field: it does not when its BoundaryData brings none
 (BoundaryData.transverse: zero transverse end values and no sources) and
@@ -197,18 +200,19 @@ class StepReport:
     corresponding domain totals during this step (signed).
 
     The next step takes the whole report (step, attempt) and the monitors
-    read it. coeffs are the state_coeffs of the new state. dissipation is
-    the stage-(e) heating source per cell (dissipation_source of the new
-    state) and heat_flux the diffusive heat flux at every node of the new
-    state (heat_flux of its theta and v), both with the step's boundary data
-    (a forced step's are the forcing's), so the monitors need not compute
-    them again. kirchhoff are the Kirchhoff terms of the new theta that the
-    step's last heat_flux_stencil formed: theta**beta and theta**(beta+1)
-    over the theta padded with the step's ghosts, which the next step's
-    first Newton iterate reads on unforced boundary data. initial_report
-    gives the report of a zero-length step, for a state no step produced.
-    coeffs.b_sq None marks a new state with no transverse field (see
-    StateCoeffs).
+    read it. coeffs are the state_coeffs of the new state. bnd is the
+    BoundaryData the step ran under, and dissipation, heat_flux and
+    kirchhoff were formed under it (a forced step's are the forcing's), so
+    the monitors need not compute them again: dissipation is the stage-(e)
+    heating source per cell (dissipation_source of the new state) and
+    heat_flux the diffusive heat flux at every node of the new state
+    (heat_flux of its theta and v). kirchhoff are the Kirchhoff terms of the
+    new theta that the step's last heat_flux_stencil formed: theta**beta and
+    theta**(beta+1) over the theta padded with bnd's ghosts, which the next
+    step's first Newton iterate reads when it runs under bnd itself.
+    initial_report gives the report of a zero-length step, for a state no
+    step produced. coeffs.b_sq None marks a new state with no transverse
+    field (see StateCoeffs).
     """
 
     dt_used: float
@@ -222,6 +226,7 @@ class StepReport:
     dissipation: np.ndarray = field(repr=False, compare=False)
     heat_flux: np.ndarray = field(repr=False, compare=False)
     kirchhoff: tuple = field(repr=False, compare=False)
+    bnd: BoundaryData = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -280,16 +285,13 @@ _UNFORCED = {bc: BoundaryData(left_wall=bc.has_left_wall,
              for bc, (v_gl, th_gl) in _LEFT_OUTER.items()}
 
 
-def boundary_data(grid: Grid, bc: BoundaryCondition, t: float,
-                  forcing=None) -> BoundaryData:
-    """The boundary data of the regime, the same instance at every time t, or
-    the forcing's own (forcing.boundary_data(grid, t)), which requires the
-    Cauchy regime."""
-    if forcing is not None:
-        if bc is not BoundaryCondition.CAUCHY_FAR_FIELD:
-            raise ValueError("manufactured-solution forcing requires the Cauchy regime")
-        return forcing.boundary_data(grid, t)
-    return _UNFORCED[bc]
+def boundary_data(grid: Grid, bc, t: float) -> BoundaryData:
+    """The boundary data of the regime bc at time t: a BoundaryCondition's
+    unforced data, the same instance at every t, or a forcing's own
+    (bc.boundary_data(grid, t))."""
+    if isinstance(bc, BoundaryCondition):
+        return _UNFORCED[bc]
+    return bc.boundary_data(grid, t)
 
 
 def symmetric_tridiag_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray
@@ -690,16 +692,17 @@ def boundary_report(new: GasState, du: np.ndarray, dw: Optional[np.ndarray],
 
 
 def attempt(state: GasState, report: StepReport, dt: float, grid: Grid,
-            p: PhysicalParams, bc: BoundaryCondition, ctl: StepControl,
-            forcing=None) -> tuple[GasState, StepReport]:
-    """One step attempt at exactly dt from state, where report is the
-    StepReport of the step that produced state (initial_report for a state
-    no step produced). Returns the new state and its StepReport (dt_used dt,
-    retries 0), or raises _Retry naming the cause: nonpositive v, or a
+            p: PhysicalParams, bc, ctl: StepControl) -> tuple[GasState, StepReport]:
+    """One step attempt at exactly dt from state in the regime bc (see
+    boundary_data), where report is the StepReport of the step that produced
+    state (initial_report for a state no step produced). Returns the new
+    state and its StepReport (dt_used dt, retries 0, bnd the attempt's
+    boundary data), or raises _Retry naming the cause: nonpositive v, or a
     failed temperature solve. It never changes dt, state or report. The
     stages read report.coeffs; the temperature solve reads report.kirchhoff
-    only when the attempt's boundary data is the regime's shared unforced
-    instance, and a forced attempt forms the terms again.
+    exactly when the attempt's boundary data is report.bnd, the data the
+    terms were formed under, and forms the terms again otherwise (at every
+    forced attempt, whose data is built at its own time).
 
     An attempt under boundary data that brings no transverse field, from a
     state that holds none, skips stages (c) and (d): its w and b are +0.0,
@@ -711,7 +714,7 @@ def attempt(state: GasState, report: StepReport, dt: float, grid: Grid,
     state's w and b are +0.0. Other coeffs have the state's w and b scanned.
     """
     t_new = state.t + dt
-    bnd = boundary_data(grid, bc, t_new, forcing)
+    bnd = boundary_data(grid, bc, t_new)
     u_new = substep_velocity(state, grid, dt, bnd, report.coeffs)
     du = u_new[1:] - u_new[:-1]
     v_new = substep_volume(state, du, grid, dt, bnd)
@@ -731,7 +734,7 @@ def attempt(state: GasState, report: StepReport, dt: float, grid: Grid,
         dw = None
     theta_new, iters, q, h, terms = substep_temperature(
         state, v_new, du, dw, b_new, mu_new, grid, p, ctl, dt, bnd,
-        report.kirchhoff if bnd is _UNFORCED[bc] else None)
+        report.kirchhoff if bnd is report.bnd else None)
 
     new_state = GasState(v=v_new, theta=theta_new, b=b_new, u=u_new, w=w_new,
                          t=t_new, step=state.step + 1)
@@ -739,16 +742,16 @@ def attempt(state: GasState, report: StepReport, dt: float, grid: Grid,
     # the mass, momentum, energy and entropy fluxes
     fluxes = boundary_report(new_state, du, dw, grid, p, bnd, dt,
                              report.coeffs, new_coeffs, h)
-    return new_state, StepReport(dt, iters, 0, new_coeffs, *fluxes, q, h, terms)
+    return new_state, StepReport(dt, iters, 0, new_coeffs, *fluxes, q, h, terms, bnd)
 
 
-def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
-         ctl: StepControl, report: StepReport, forcing=None,
+def step(state: GasState, grid: Grid, p: PhysicalParams, bc,
+         ctl: StepControl, report: StepReport,
          dt_cap: float | None = None) -> tuple[GasState, StepReport]:
-    """Advance one accepted step from state, where report is the StepReport
-    of the step that produced state (initial_report for a state no step
-    produced), which every attempt reads as attempt says. It holds the
-    whole retry policy.
+    """Advance one accepted step from state in the regime bc (see
+    boundary_data), where report is the StepReport of the step that produced
+    state (initial_report for a state no step produced), which every attempt
+    reads as attempt says. It holds the whole retry policy.
 
     The proposed dt comes from compute_dt, optionally capped (used by
     run_until to land exactly on the end time); with report.coeffs whose
@@ -766,8 +769,7 @@ def step(state: GasState, grid: Grid, p: PhysicalParams, bc: BoundaryCondition,
     retries = 0
     while True:
         try:
-            new_state, new_report = attempt(state, report, dt, grid, p, bc, ctl,
-                                            forcing)
+            new_state, new_report = attempt(state, report, dt, grid, p, bc, ctl)
             new_report.retries = retries
             return new_state, new_report
         except _Retry as exc:
@@ -785,11 +787,11 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
                    bnd: BoundaryData) -> StepReport:
     """The StepReport of a zero-length step ending at state (dt 0, no Newton
     updates, retries or boundary fluxes), with the state's coefficients,
-    dissipation, heat flux and Kirchhoff terms under bnd; the state is
-    validated first. With the regime's boundary_data it is the report that
-    step and attempt take for a state no step produced. It carries a
-    transverse field when w or b has a nonzero entry (a -0.0 is none) or
-    bnd brings one; else its coeffs.b_sq is None."""
+    and its dissipation, heat flux and Kirchhoff terms under bnd, which it
+    names; the state is validated first. With the regime's boundary_data it
+    is the report that step and attempt take for a state no step produced.
+    It carries a transverse field when w or b has a nonzero entry (a -0.0
+    is none) or bnd brings one; else its coeffs.b_sq is None."""
     state.validate(grid)
     transverse = bnd.transverse or state.w.any() or state.b.any()
     mu = viscosity_mu(state.v, p)
@@ -800,17 +802,17 @@ def initial_report(state: GasState, grid: Grid, p: PhysicalParams,
     q = dissipation_source(state.v, mu, ux, wx, state.b, grid, p, bnd)
     # dt, Newton updates, retries, then the four boundary fluxes
     return StepReport(0.0, 0, 0, coeffs, 0.0, 0.0, 0.0, 0.0, q, *heat_flux_stencil(
-        state.theta, face_conductance(state.v, p, bnd), dx, p, bnd))
+        state.theta, face_conductance(state.v, p, bnd), dx, p, bnd), bnd)
 
 
 def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
-              bc: BoundaryCondition, ctl: StepControl, sink=None,
-              forcing=None) -> GasState:
-    """Step repeatedly until t_end, invoking sink(state, report) after each
-    accepted step. The first step starts from the state's initial_report,
-    which validates it (ValueError), and each later step from the report of
-    the step before, so every step reads its state's coefficients and
-    Kirchhoff terms from one hand-off (see attempt).
+              bc, ctl: StepControl, sink=None) -> GasState:
+    """Step repeatedly in the regime bc (see boundary_data) until t_end,
+    invoking sink(state, report) after each accepted step. The first step
+    starts from the state's initial_report under bc's data at the state's
+    time, which validates the state (ValueError), and each later step from
+    the report of the step before, so every step reads its state's
+    coefficients and Kirchhoff terms from one hand-off (see attempt).
 
     The final step is shortened to land exactly on t_end; a state within
     round-off of t_end is returned as a copy at t_end, so no state handed out
@@ -818,10 +820,9 @@ def run_until(state: GasState, grid: Grid, t_end: float, p: PhysicalParams,
     if t_end < state.t:
         raise ValueError(f"t_end = {t_end} is before state time {state.t}")
     snap_tol = 1e-12 * max(1.0, abs(t_end))
-    report = initial_report(state, grid, p, boundary_data(grid, bc, state.t, forcing))
+    report = initial_report(state, grid, p, boundary_data(grid, bc, state.t))
     while t_end - state.t > snap_tol:
-        state, report = step(state, grid, p, bc, ctl, report, forcing,
-                             t_end - state.t)
+        state, report = step(state, grid, p, bc, ctl, report, t_end - state.t)
         if sink is not None:
             sink(state, report)
     if state.t != t_end and abs(state.t - t_end) <= snap_tol:

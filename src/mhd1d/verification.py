@@ -177,8 +177,9 @@ def mms_sources(sol: MmsSolution, grid: Grid, t: float,
 
 @dataclass(frozen=True)
 class MmsForcing:
-    """Boundary provider of a manufactured solution: the solver takes its
-    boundary data, sources included, from boundary_data."""
+    """A manufactured solution as a regime of the solver: passed as bc to
+    run_until, step or attempt, it gives each attempt's boundary data,
+    sources included, from boundary_data. The data is Cauchy's (no wall)."""
 
     sol: MmsSolution
     p: PhysicalParams
@@ -288,9 +289,7 @@ def _forced_run(sol: MmsSolution, p: PhysicalParams, grid: Grid,
     """The solver at fixed step dt on the manufactured problem, from its
     exact state at t = 0."""
     ctl = StepControl(cfl=1.0, dt_min=1e-14, dt_max=dt)
-    return run_until(sol.state(grid, 0.0), grid, t_end, p,
-                     BoundaryCondition.CAUCHY_FAR_FIELD, ctl,
-                     forcing=MmsForcing(sol, p))
+    return run_until(sol.state(grid, 0.0), grid, t_end, p, MmsForcing(sol, p), ctl)
 
 
 def _order(steps, errors) -> float | None:

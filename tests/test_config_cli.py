@@ -571,7 +571,8 @@ class TestRunCommand:
                                             ("initial.amp_b1", "|b(wall cell)|")])
     def test_a_transverse_field_on_an_isothermal_wall_exits_2(
             self, tmp_path, capsys, key, named):
-        # the bump is centered on the wall, where w and b must vanish
+        # the bump is centered on the wall, where w and b must vanish; the
+        # refused run leaves no output directory
         text = ("grid.cells = 16\ngrid.mass = 8.0\nbc = isothermal_wall\n"
                 f"initial.profile = gaussian_bump\n{key} = 0.5\n")
         assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
@@ -580,6 +581,7 @@ class TestRunCommand:
         assert err.startswith("error: initial profile rejected: profile "
                               f"incompatible with wall regime: {named} = ")
         assert "," not in err
+        assert not (tmp_path / "out").exists()
 
     def test_a_grid_of_less_than_unit_mass_records_no_slab(self, tmp_path):
         # no unit mass interval fits in the domain, so every slab extreme of
@@ -944,7 +946,7 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: initial profile rejected: cannot read "
                               f"snapshot {snap}: ")
-        assert "Traceback" not in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_a_snapshot_with_no_data_row_exits_2(self, tmp_path, capsys):
         grid = Grid.uniform(16, 8.0, -4.0)

@@ -67,8 +67,8 @@ def test_every_other_way_of_making_a_state_is_column_major(tmp_path):
                                    CAUCHY)
     mms_grid = Grid.uniform(16, 1.0)
     mms = SOL.state(mms_grid, 0.0)
-    forced = step(mms, mms_grid, P, CAUCHY, StepControl(),
-                  report_of(mms, mms_grid, P, CAUCHY), forcing=MmsForcing(SOL, P))[0]
+    forced = step(mms, mms_grid, P, MmsForcing(SOL, P), StepControl(),
+                  report_of(mms, mms_grid, P, CAUCHY))[0]
     reference = explicit_reference(state, grid, 1e-3, P, CAUCHY, 1e-3)
     for built in (state, loaded, from_file, state.copy(), mms, forced,
                   reference, replace(state, t=1.0)):
@@ -129,18 +129,18 @@ def test_the_stage_solves_get_column_major_right_hand_sides(forced, transverse,
     monkeypatch.setattr(solver, "symmetric_tridiag_solve", checking)
     if forced:
         grid = Grid.uniform(16, 1.0)
-        state, forcing = SOL.state(grid, 0.0), MmsForcing(SOL, P)
+        state, bc = SOL.state(grid, 0.0), MmsForcing(SOL, P)
     else:
         grid = Grid.uniform(16, 16.0, -8.0)
-        state, forcing = make_initial_state(grid, smooth_bump(), CAUCHY), None
+        state, bc = make_initial_state(grid, smooth_bump(), CAUCHY), CAUCHY
         if transverse != "bump":
             state = quiet_state(grid)
         if transverse == "one tiny b":  # its |b|^2 underflows to 0
             b = state.b.copy()
             b[5, 0] = 1e-300
             state = replace(state, b=b)
-    _, report = step(state, grid, P, CAUCHY, StepControl(),
-                     report_of(state, grid, P, CAUCHY), forcing=forcing)
+    _, report = step(state, grid, P, bc, StepControl(),
+                     report_of(state, grid, P, CAUCHY))
     newton = [(1, True)] * report.newton_iterations
     assert report.newton_iterations > 0
     if transverse == "none":

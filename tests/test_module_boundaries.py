@@ -13,7 +13,9 @@ solver.py no module reads an attribute .transverse, and solver.py reads only
 BoundaryData's (bnd.transverse); a state carries the decision as
 StateCoeffs.b_sq None. A step takes what the step before it hands on in
 one carrier, that step's report: run_until, step and attempt take no coeffs
-or kirchhoff parameter, and only attempt reads a report's .kirchhoff. No
+or kirchhoff parameter, and only attempt reads a report's .kirchhoff. A
+run's regime is one argument: no function takes a forcing parameter, and
+only boundary_data reads the table _UNFORCED of unforced boundary data. No
 module of the package or of the tests imports a name it never reads."""
 import ast
 from pathlib import Path
@@ -166,6 +168,44 @@ def test_the_check_sees_a_second_hand_off(tmp_path):
     assert _hand_off_faults(probe) == ["line 4: report.kirchhoff",
                                        "line 6: report.kirchhoff",
                                        "step: coeffs", "step: kirchhoff"]
+
+
+def _regime_faults(path: Path) -> list[str]:
+    """Parameters named forcing, and reads of _UNFORCED outside
+    boundary_data, in this module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found, in_lookup = [], set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name == "boundary_data":
+            in_lookup |= {id(node) for node in ast.walk(fn)}
+        args = fn.args
+        found += [f"{fn.name}: forcing"
+                  for a in args.posonlyargs + args.args + args.kwonlyargs
+                  if a.arg == "forcing"]
+    found += [f"line {node.lineno}: _UNFORCED" for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and node.id == "_UNFORCED"
+              and isinstance(node.ctx, ast.Load) and id(node) not in in_lookup]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_regime_is_one_argument(path):
+    assert _regime_faults(path) == []
+
+
+def test_the_check_sees_a_second_regime_argument(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("_UNFORCED = {}\n"
+                     "def boundary_data(grid, bc, t):\n"
+                     "    return _UNFORCED[bc]\n"
+                     "def attempt(state, bc, *, forcing=None):\n"
+                     "    return _UNFORCED[bc]\n"
+                     "def run_until(state, forcing):\n"
+                     "    pass\n")
+    assert _regime_faults(probe) == ["attempt: forcing", "line 5: _UNFORCED",
+                                     "run_until: forcing"]
 
 
 MONITORS = {"diagnostics.py": ("energy_entropy", "dissipation_W", "effective_stress",

@@ -334,10 +334,28 @@ class TestEndNodes:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
+    def test_a_regime_is_a_condition_or_a_forcing(self):
+        # a BoundaryCondition gives its one unforced instance at every t, a
+        # forcing its own data at the time asked for
+        grid = Grid.uniform(16, 1.0, 0.1)
+        for bc in ALL_REGIMES:
+            assert boundary_data(grid, bc, 0.0) is boundary_data(grid, bc, 3.5)
+        asked, data = [], object()
+
+        class Forcing:
+            def boundary_data(self, grid, t):
+                asked.append((grid, t))
+                return data
+
+        assert boundary_data(grid, Forcing(), 0.25) is data
+        assert asked == [(grid, 0.25)]
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        assert boundary_data(grid, MmsForcing(MmsSolution(), p), 0.2).left_wall is False
+
     def test_forced_data_is_read_only(self):
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
-        bnd = boundary_data(Grid.uniform(16, 1.0, 0.1), CAUCHY, 0.1,
-                            MmsForcing(MmsSolution(), p))
+        bnd = boundary_data(Grid.uniform(16, 1.0, 0.1),
+                            MmsForcing(MmsSolution(), p), 0.1)
         for arr in (bnd.w_left, bnd.b_gr, *bnd.sources.values()):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -510,11 +528,11 @@ class TestStepHandsOverMonitorInputs:
         grid = Grid.uniform(16, 1.0, 0.1)
         state = sol.state(grid, 0.0)
         forcing = MmsForcing(sol, p)
-        new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=1e-3),
-                           report_of(state, grid, p, CAUCHY), forcing=forcing)
+        new, report = step(state, grid, p, forcing, StepControl(dt_max=1e-3),
+                           report_of(state, grid, p, CAUCHY))
         ux = (new.u[1:] - new.u[:-1]) / grid.dx
         wx = (new.w[1:] - new.w[:-1]) / grid.dx
-        for bnd, same in ((boundary_data(grid, CAUCHY, new.t, forcing), True),
+        for bnd, same in ((boundary_data(grid, forcing, new.t), True),
                           (boundary_data(grid, CAUCHY, new.t), False)):
             h = heat_flux(new.theta, new.v, grid.dx, p, bnd)
             q = dissipation_source(new.v, viscosity_mu(new.v, p), ux, wx,
@@ -594,9 +612,8 @@ class TestStepCarriesCoefficients:
         p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
         grid = Grid.uniform(16, 1.0, 0.1)
         state = sol.state(grid, 0.0)
-        new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=1e-3),
-                           report_of(state, grid, p, CAUCHY),
-                           forcing=MmsForcing(sol, p))
+        new, report = step(state, grid, p, MmsForcing(sol, p),
+                           StepControl(dt_max=1e-3), report_of(state, grid, p, CAUCHY))
         assert_carried(report, new, p)
 
     def test_retried_step(self):
@@ -628,9 +645,9 @@ class TestStepCarriesCoefficients:
             state = sol.state(grid, 0.0)
             report = report_of(state, grid, p, CAUCHY)
             for _ in range(3):
-                new, report = step(state, grid, p, CAUCHY, StepControl(dt_max=2e-3),
-                                   report, forcing=forcing)
-                bnd = boundary_data(grid, CAUCHY, new.t, forcing)
+                new, report = step(state, grid, p, forcing, StepControl(dt_max=2e-3),
+                                   report)
+                bnd = boundary_data(grid, forcing, new.t)
                 assert np.all(new.w[[0, -1]] != 0.0) and np.all(bnd.b_gl != 0.0)
                 h = heat_flux(new.theta, new.v, grid.dx, p, bnd)
                 expected = end_fluxes_reference(state, new, grid, p, bnd,
@@ -638,19 +655,6 @@ class TestStepCarriesCoefficients:
                 assert (report.mass_flux, report.momentum_flux, report.energy_flux,
                         report.entropy_flux) == expected
                 state = new
-
-
-class TestForcingRegime:
-    @pytest.mark.parametrize("bc", [BoundaryCondition.ISOTHERMAL_WALL_LEFT,
-                                    BoundaryCondition.INSULATED_WALL_LEFT])
-    def test_forcing_requires_the_cauchy_regime(self, bc):
-        sol = MmsSolution(amp_v=0.1, amp_theta=0.1)
-        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
-        grid = Grid.uniform(16, 1.0, 0.0)
-        state = sol.state(grid, 0.0)
-        with pytest.raises(ValueError, match="Cauchy"):
-            step(state, grid, p, bc, StepControl(dt_max=1e-3),
-                 report_of(state, grid, p, bc), forcing=MmsForcing(sol, p))
 
 
 class TestStepBudgets:
@@ -1148,15 +1152,17 @@ class TestLargeBetaTable:
 
 
 def assert_same_step(new, report, a_new, a_report):
-    """Two steps' states and reports, bit for bit, but for retries."""
+    """Two steps' states and reports, bit for bit, but for retries; the
+    reports' boundary data by identity."""
     for name in ("v", "theta", "b", "u", "w", "t", "step"):
         assert bits(getattr(new, name)) == bits(getattr(a_new, name)), name
     for f in fields(StateCoeffs):
         x, y = getattr(report.coeffs, f.name), getattr(a_report.coeffs, f.name)
         assert (x is None) == (y is None), f.name
         assert x is None or bits(x) == bits(y), f.name
+    assert report.bnd is a_report.bnd
     for f in fields(report):
-        if f.name not in ("coeffs", "retries"):
+        if f.name not in ("coeffs", "retries", "bnd"):
             assert bits(getattr(report, f.name)) == \
                 bits(getattr(a_report, f.name)), f.name
 
@@ -1284,9 +1290,9 @@ class TestRunUntil:
 
 class TestKirchhoffCarry:
     """A report, an accepted step's or a state's initial_report, carries the
-    Kirchhoff terms of its state's theta, and the first Newton iterate of a
-    step from it reads them, on the regime's unforced boundary data only,
-    instead of forming them again."""
+    Kirchhoff terms of its state's theta and the boundary data they were
+    formed under, and the first Newton iterate of a step from it reads them,
+    under that same data only, instead of forming them again."""
 
     @pytest.mark.parametrize("bc", ALL_REGIMES, ids=lambda bc: bc.value)
     def test_the_carried_terms_are_a_fresh_evaluation(self, bc):
@@ -1378,14 +1384,32 @@ class TestKirchhoffCarry:
         grid = Grid.uniform(16, 1.0, 0.1)
         state = sol.state(grid, 0.0)
         forcing, ctl = MmsForcing(sol, p), StepControl(dt_max=1e-3)
-        new, report = step(state, grid, p, CAUCHY, ctl,
-                           report_of(state, grid, p, CAUCHY), forcing=forcing)
+        new, report = step(state, grid, p, forcing, ctl,
+                           report_of(state, grid, p, CAUCHY))
         junk = tuple(np.full_like(x, np.nan) for x in report.kirchhoff)
         plain = attempt(new, replace(report, kirchhoff=None), 1e-3, grid, p,
-                        CAUCHY, ctl, forcing)
+                        forcing, ctl)
         carried = attempt(new, replace(report, kirchhoff=junk), 1e-3, grid, p,
-                          CAUCHY, ctl, forcing)
-        assert_same_step(*plain, *carried)
+                          forcing, ctl)
+        # each forced attempt builds its own data
+        assert plain[1].bnd is not carried[1].bnd
+        assert_same_step(plain[0], replace(plain[1], bnd=carried[1].bnd), *carried)
+
+    @pytest.mark.parametrize("second", ALL_REGIMES, ids=lambda bc: bc.value)
+    @pytest.mark.parametrize("first", ALL_REGIMES, ids=lambda bc: bc.value)
+    def test_a_step_reuses_only_terms_formed_under_its_own_data(self, first,
+                                                                second):
+        # a bump against the left wall, where the regimes' theta ghosts
+        # differ: a step in the second regime from the first regime's
+        # initial report is the step from that report with no terms
+        grid = Grid.uniform(64, 8.0, 0.0)
+        p = PhysicalParams.normalized(alpha=1.0, beta=1.0)
+        prof = GaussianBump(center=0.5, width=0.3, amp_theta=0.8, amp_v=-0.2)
+        state = make_initial_state(grid, prof, first)
+        start, ctl = report_of(state, grid, p, first), StepControl()
+        assert_same_step(*step(state, grid, p, second, ctl, start),
+                         *step(state, grid, p, second, ctl,
+                               replace(start, kirchhoff=None)))
 
     def test_the_carry_survives_a_retry(self, monkeypatch):
         # the first attempt's temperature solve fails; the retry at half
