@@ -546,22 +546,24 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     the k-Laplacian. Each Newton update solves the symmetric system
     (base/theta**beta + L) dphi = -F (symmetric_tridiag_solve) and takes
     delta = dphi/theta**beta. The conductance k, L, base and the residual's
-    theta-free part are built once per stage; each iterate evaluates the
-    heat flux once (heat_flux_stencil), for the residual and the matrix alike.
+    theta-free part are built once per stage. Each pass of the loop evaluates
+    the heat flux of its iterate once, at one site (heat_flux_stencil), for
+    the residual and the matrix alike, and both stops come right after it.
 
     Returns (theta, number of Newton updates taken, Q, H, kirchhoff) where H
-    is the heat flux at the returned theta and kirchhoff its Kirchhoff terms:
-    the last iterate's, or evaluated once more when the last update moved
-    theta past it. The returned theta is positive
-    whenever the stage-begin theta is, since each update is damped until
-    theta + delta > 0. It is an iterate that met the residual test, or one
-    reached by an undamped update below the update tolerance: a damped
-    update is small because it was damped.
+    is the heat flux at the returned theta and kirchhoff its Kirchhoff terms,
+    both from the last pass's evaluation. The returned theta is positive
+    whenever the stage-begin theta is, since each update is damped, in at
+    most 61 trials, until theta + delta > 0. It is an iterate that met the
+    residual test, or one reached by an undamped update below the update
+    tolerance: a damped update is small because it was damped. Such an
+    update sets a flag, and the next pass stops on it after forming the
+    flux and before the residual.
 
     Raises _Retry naming the cause when the iteration cap is reached without
     meeting the tolerance, when the matrix is not positive definite (base <=
-    0 somewhere), when 60 halvings of an update still leave theta
-    nonpositive, or when an iterate overflows, divides by an underflowed
+    0 somewhere), when none of 61 trials (60 halvings) of an update keeps
+    theta positive, or when an iterate overflows, divides by an underflowed
     theta**beta or makes an invalid value (the loop runs under np.errstate,
     so no such iterate runs on to the cap).
     """
@@ -583,11 +585,13 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
     if bnd.sources is not None:
         known += bnd.sources["theta"]
 
-    theta = state.theta.copy()
+    theta, small = state.theta.copy(), False
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             for it in range(ctl.newton_max_iter + 1):
                 h, kirchhoff = heat_flux_stencil(theta, k, dx, p, bnd, kirchhoff)
+                if small:  # the update that reached theta met the update test
+                    break
                 th_beta = kirchhoff[0][1:-1]
                 div = h[1:] - h[:-1]
                 div /= dx
@@ -616,20 +620,17 @@ def substep_temperature(state: GasState, v_new: np.ndarray, du: np.ndarray,
                 # Damp the update rather than clip: theta must stay positive
                 # for the conductivity to be evaluable at the next iterate.
                 # fmin skips NaN, as the test trial <= 0.0 does entry by entry.
-                guard = 0
-                trial = theta + delta
-                while np.fmin.reduce(trial) <= 0.0:
-                    delta *= 0.5
-                    guard += 1
-                    if guard > 60:
-                        raise _Retry(NewtonDivergence, "temperature solve could "
-                                     "not damp an update to keep theta positive")
+                for halvings in range(61):
                     trial = theta + delta
+                    if not np.fmin.reduce(trial) <= 0.0:
+                        break
+                    delta *= 0.5
+                else:
+                    raise _Retry(NewtonDivergence, "temperature solve could "
+                                 "not damp an update to keep theta positive")
                 theta, kirchhoff = trial, None
-                if guard == 0 and float(np.maximum.reduce(
-                        np.abs(delta, out=delta))) <= ctl.newton_tol * scale:
-                    it, (h, kirchhoff) = it + 1, heat_flux_stencil(theta, k, dx, p, bnd)
-                    break
+                small = halvings == 0 and float(np.maximum.reduce(
+                    np.abs(delta, out=delta))) <= ctl.newton_tol * scale
     except FloatingPointError:
         raise _Retry(NewtonDivergence, "temperature iterate overflowed the "
                      "conductivity") from None

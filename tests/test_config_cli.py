@@ -1002,6 +1002,17 @@ class TestCheckConfig:
             "config error: line 2: key 'initial.amp_v' expects a finite "
             "float, got 'nan'\n")
 
+    def test_non_finite_node_coordinates_exit_2(self, tmp_path, capsys):
+        # cells * dx = 1e307 is finite; the right edge left + 1e307 is not
+        cfg_path = write_config(tmp_path, f"grid.cells = {10 ** 306}\n"
+                                          "grid.mass = 1e307\n"
+                                          "grid.left = 1.7e308\n")
+        assert cli.main(["check-config", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: line 3: key 'grid.left' violates finite, strictly "
+            "increasing node coordinates grid.left + j * grid.mass / "
+            "grid.cells\n")
+
     CUSTOM = """
 grid.cells = 40
 grid.mass = 9.7

@@ -69,6 +69,11 @@ class TestGrid:
     def test_mass(self):
         assert Grid.uniform(128, 32.0).mass == pytest.approx(32.0)
 
+    @pytest.mark.parametrize("mass", [0.0, -1.0])
+    def test_uniform_refuses_a_mass_that_is_not_positive(self, mass):
+        with pytest.raises(ValueError, match="total mass must be > 0"):
+            Grid.uniform(8, mass)
+
 
 class TestMakeInitialState:
     @pytest.mark.parametrize("bc", ALL_REGIMES)
@@ -96,6 +101,19 @@ class TestMakeInitialState:
         make_initial_state(grid, GaussianBump(amp_v=-0.99), bc)
         with pytest.raises(ProfileError, match="v amplitude"):
             make_initial_state(grid, GaussianBump(amp_v=-1.0), bc)
+
+    @pytest.mark.parametrize("width", [0.0, -0.5])
+    def test_a_bump_of_no_width_is_refused(self, width):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        with pytest.raises(ProfileError, match="bump width must be > 0"):
+            make_initial_state(grid, GaussianBump(width=width),
+                               BoundaryCondition.CAUCHY_FAR_FIELD)
+
+    def test_an_unknown_profile_type_is_refused(self):
+        grid = Grid.uniform(16, 8.0, -4.0)
+        with pytest.raises(TypeError, match="unknown profile type dict"):
+            make_initial_state(grid, {"width": 1.0},
+                               BoundaryCondition.CAUCHY_FAR_FIELD)
 
     def test_file_profile_round_trip(self, tmp_path):
         grid = Grid.uniform(16, 8.0, -4.0)

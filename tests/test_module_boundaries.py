@@ -15,8 +15,12 @@ StateCoeffs.b_sq None. A step takes what the step before it hands on in
 one carrier, that step's report: run_until, step and attempt take no coeffs
 or kirchhoff parameter, and only attempt reads a report's .kirchhoff. A
 run's regime is one argument: no function takes a forcing parameter, and
-only boundary_data reads the table _UNFORCED of unforced boundary data. No
-module of the package or of the tests imports a name it never reads."""
+only boundary_data reads the table _UNFORCED of unforced boundary data. The
+temperature Newton evaluates the heat flux at one site: substep_temperature
+calls heat_flux_stencil once and assigns its update count it only as the
+loop variable, so each iterate's flux is formed in one place and the solve
+stops right after it. No module of the package or of the tests imports a
+name it never reads."""
 import ast
 from pathlib import Path
 
@@ -206,6 +210,53 @@ def test_the_check_sees_a_second_regime_argument(tmp_path):
                      "    pass\n")
     assert _regime_faults(probe) == ["attempt: forcing", "line 5: _UNFORCED",
                                      "run_until: forcing"]
+
+
+def _newton_faults(path: Path) -> list[str]:
+    """Calls of heat_flux_stencil beyond one, and assignments to it other
+    than as a for loop's target, inside substep_temperature in this module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name == "substep_temperature"):
+            continue
+        loops = {id(node.target) for node in ast.walk(fn)
+                 if isinstance(node, ast.For)}
+        calls = [node.lineno for node in ast.walk(fn)
+                 if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).split(".")[-1] == "heat_flux_stencil"]
+        if len(calls) != 1:
+            found.append(f"{len(calls)} calls of heat_flux_stencil")
+        found += [f"line {node.lineno}: it assigned" for node in ast.walk(fn)
+                  if isinstance(node, ast.Name) and node.id == "it"
+                  and isinstance(node.ctx, ast.Store) and id(node) not in loops]
+    return sorted(found)
+
+
+def test_the_temperature_solve_forms_the_flux_at_one_site():
+    path = PACKAGE / "solver.py"
+    assert "substep_temperature" in {fn.name for fn in _functions(path)}
+    assert _newton_faults(path) == []
+
+
+def test_the_check_sees_a_second_flux_site(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def substep_temperature(theta, k, dx, p, bnd):\n"
+                     "    for it in range(9):\n"
+                     "        h, kh = heat_flux_stencil(theta, k, dx, p, bnd)\n"
+                     "        if small(h):\n"
+                     "            it, (h, kh) = it + 1, solver.heat_flux_stencil(\n"
+                     "                theta, k, dx, p, bnd)\n"
+                     "            break\n"
+                     "        it += 1\n"
+                     "    return theta, it, h, kh\n"
+                     "def heat_flux(theta, k, dx, p, bnd):\n"
+                     "    it = 0\n"
+                     "    return heat_flux_stencil(theta, k, dx, p, bnd)[0]\n")
+    assert _newton_faults(probe) == ["2 calls of heat_flux_stencil",
+                                     "line 5: it assigned",
+                                     "line 8: it assigned"]
 
 
 MONITORS = {"diagnostics.py": ("energy_entropy", "dissipation_W", "effective_stress",

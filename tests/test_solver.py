@@ -966,6 +966,69 @@ class TestTemperatureSolve:
         tol = ctl.newton_tol * p.c_v * max(1.0, theta.max()) / dt
         assert np.abs(f).max() <= 10.0 * tol
 
+    # dt = 1e-3 stops on the residual, while the last update is still above
+    # the update tolerance; at dt = 1e30 the residual bound
+    # newton_tol * c_v * scale / dt is far below round-off, so only an
+    # undamped update below newton_tol * scale can stop the solve
+    @pytest.mark.parametrize("stop, dt", [("residual", 1e-3), ("update", 1e30)])
+    @pytest.mark.parametrize("name, bc", TEMPERATURE_CASES,
+                             ids=[c[0] for c in TEMPERATURE_CASES])
+    def test_each_stop_returns_the_flux_of_the_returned_theta(
+            self, name, bc, stop, dt, monkeypatch):
+        grid, p, bnd, state, du = temperature_case(bc)
+        v, dx, ctl = state.v, grid.dx, StepControl()
+        iterates, updates = [], []
+
+        def evaluating(theta, *args):
+            iterates.append(theta.copy())
+            return stencil(theta, *args)
+
+        def recording(solve, d, e, rhs):  # the stage scales its copy
+            updates.append(solve(d, e, rhs))
+            return updates[-1].copy()
+
+        stencil = solver.heat_flux_stencil
+        monkeypatch.setattr(solver, "heat_flux_stencil", evaluating)
+        patch_newton_solve(monkeypatch, recording)
+        theta, count, q, h, kirchhoff = substep_temperature(
+            state, v, du, None, state.b, viscosity_mu(v, p), grid, p, ctl, dt,
+            bnd)
+        # one flux evaluation per iterate, the last at the returned theta
+        assert count == len(updates) >= 1 and len(iterates) == count + 1
+        assert bits(iterates[-1]) == bits(theta)
+        h_ref, (th_beta, th_phi) = stencil(theta, face_conductance(v, p, bnd),
+                                           dx, p, bnd)
+        assert bits(h, *kirchhoff) == bits(h_ref, th_beta, th_phi)
+        before = iterates[-2]
+        last = updates[-1] / before ** p.beta
+        small = np.abs(last).max() <= ctl.newton_tol * max(1.0, before.max())
+        f = (p.c_v * (theta - state.theta) / dt + p.R * theta / v * (du / dx)
+             - (h[1:] - h[:-1]) / dx - q)
+        if bnd.sources is not None:
+            f -= bnd.sources["theta"]
+        met = (np.abs(f).max()
+               <= ctl.newton_tol * p.c_v * max(1.0, theta.max()) / dt)
+        assert small == (stop == "update") and met == (stop == "residual")
+        if stop == "update":  # undamped
+            assert bits(theta) == bits(before + last)
+
+    @pytest.mark.parametrize("halvings, cause", [
+        (59, "exceeded 1 iterations"), (60, "could not damp an update")])
+    def test_damping_tries_an_update_at_most_61_times(self, halvings, cause,
+                                                      monkeypatch):
+        # an update of -1.5 * 2**halvings * theta first keeps theta positive
+        # after halvings + 1 halvings: with 59 the 61st trial (60 halvings)
+        # keeps it, and the solve runs on to its cap; with 60 none does
+        grid, p, bnd, state, du = temperature_case(CAUCHY)
+        theta0 = state.theta
+        patch_newton_solve(monkeypatch, lambda solve, d, e, rhs: (
+            -1.5 * 2.0 ** halvings * theta0 ** (p.beta + 1.0)))
+        with pytest.raises(solver._Retry) as err:
+            substep_temperature(state, state.v, du, None, state.b,
+                                viscosity_mu(state.v, p), grid, p,
+                                StepControl(newton_max_iter=1), 0.05, bnd)
+        assert cause in err.value.args[1]
+
 
 class TestHeatEquationAgreement:
     def test_solver_matches_explicit_reference(self):
