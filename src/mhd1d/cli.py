@@ -164,16 +164,6 @@ def _parse_axes(axis_args) -> dict:
     return {name: axes[name] for name in _AXES if name in axes}
 
 
-def _sweep_case(cfg: RunConfig, alpha, beta, amp) -> RunConfig:
-    out = cfg
-    if alpha is not None or beta is not None:
-        out = out.with_params(alpha if alpha is not None else cfg.params.alpha,
-                              beta if beta is not None else cfg.params.beta)
-    if amp is not None:
-        out = out.with_amplitude_scale(amp)
-    return out
-
-
 def _sweep_worker(task):
     cfg, run_dir, combo = task
     code, summary = run_simulation(cfg, run_dir)
@@ -199,8 +189,8 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"sweep runs ({named[name]}) and ({values}) would "
                               f"share the run directory {name}; refusing to start")
         named[name] = values
-        case = _sweep_case(cfg, *map(combo.get, _AXES))
-        tasks.append((case, str(out_root / name), combo))
+        tasks.append((cfg.member(*map(combo.get, _AXES)), str(out_root / name),
+                      combo))
 
     try:
         out_root.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,23 +34,24 @@ _PROFILE_NAMES = {ConstantProfile: "constant", GaussianBump: "gaussian_bump",
                   FileProfile: "file"}
 
 # key -> (parser, default, lower bound); a None default means "computed
-# later"; a bound (op, limit) holds for every value a config sets, and the
-# rules that join keys live in parse_config
+# later" (PhysicalParams and StepControl own the defaults of their keys);
+# a bound (op, limit) holds for every value a config or a sweep run sets,
+# and the rules that join keys live in _resolve
 _KEYS = {
     "grid.cells": (int, 512, (">=", 4)),
     "grid.mass": (float, 32.0, (">", 0)),
     "grid.left": (float, None, None),
     "bc": (str, "cauchy", None),
     "params.preset": (str, None, None),
-    "params.alpha": (float, 0.0, (">=", 0)),
-    "params.beta": (float, 1.0, (">=", 0)),
-    "params.mu1": (float, 1.0, (">", 0)),
-    "params.mu2": (float, 0.0, (">=", 0)),
-    "params.kappa": (float, 1.0, (">", 0)),
-    "params.lambda": (float, 1.0, (">", 0)),
-    "params.nu": (float, 1.0, (">", 0)),
-    "params.R": (float, 1.0, (">", 0)),
-    "params.cv": (float, 1.0, (">", 0)),
+    "params.alpha": (float, PhysicalParams.alpha, (">=", 0)),
+    "params.beta": (float, PhysicalParams.beta, (">=", 0)),
+    "params.mu1": (float, PhysicalParams.mu1, (">", 0)),
+    "params.mu2": (float, PhysicalParams.mu2, (">=", 0)),
+    "params.kappa": (float, PhysicalParams.kappa_tilde, (">", 0)),
+    "params.lambda": (float, PhysicalParams.lam, (">", 0)),
+    "params.nu": (float, PhysicalParams.nu, (">", 0)),
+    "params.R": (float, PhysicalParams.R, (">", 0)),
+    "params.cv": (float, PhysicalParams.c_v, (">", 0)),
     "initial.profile": (str, "constant", None),
     "initial.center": (float, 0.0, None),
     "initial.width": (float, 1.0, (">", 0)),
@@ -64,12 +65,12 @@ _KEYS = {
     "initial.jitter": (float, 0.0, (">=", 0)),
     "initial.file": (str, None, None),
     "time.t_end": (float, 1.0, (">", 0)),
-    "time.cfl": (float, 0.4, None),
-    "time.dt_min": (float, 1e-10, (">", 0)),
-    "time.dt_max": (float, 1.0, None),
-    "time.newton_tol": (float, 1e-10, (">", 0)),
-    "time.newton_max_iter": (int, 50, (">=", 0)),
-    "time.retry_max": (int, 20, (">=", 0)),
+    "time.cfl": (float, StepControl.cfl, None),
+    "time.dt_min": (float, StepControl.dt_min, (">", 0)),
+    "time.dt_max": (float, StepControl.dt_max, None),
+    "time.newton_tol": (float, StepControl.newton_tol, (">", 0)),
+    "time.newton_max_iter": (int, StepControl.newton_max_iter, (">=", 0)),
+    "time.retry_max": (int, StepControl.retry_max, (">=", 0)),
     "output.dir": (str, "out", None),
     "output.snapshot_interval": (float, 0.0, (">=", 0)),
     "output.diagnostics_every": (int, 1, (">=", 1)),
@@ -108,26 +109,18 @@ class RunConfig:
     sweep_workers: int
     repr_node: Optional[int]  # the node nearest repr.anchor
     normalized_preset: bool
+    entries: dict = field(compare=False)  # of its text, as _entries gives them
 
-    def with_params(self, alpha: float, beta: float) -> "RunConfig":
-        """Rebuild with new exponents, preserving the preset coupling
-        mu2 = alpha when the normalized preset is in force. A repr.anchor
-        needs normalized constants, as parse_config requires of a file."""
-        what = f"alpha = {alpha!r}, beta = {beta!r}"
-        if self.normalized_preset:
-            params = _build(what, PhysicalParams.normalized, alpha=alpha, beta=beta)
-        else:
-            params = _build(what, replace, self.params, alpha=alpha, beta=beta)
-        if self.repr_node is not None and not params.is_normalized:
-            raise ConfigError(f"{what}: repr.anchor requires {_NORMALIZED}")
-        return replace(self, params=params)
-
-    def with_amplitude_scale(self, factor: float) -> "RunConfig":
-        if isinstance(self.profile, GaussianBump):
-            return replace(self, profile=self.profile.scaled(factor))
-        if factor == 1.0 or isinstance(self.profile, ConstantProfile):
-            return self
-        raise ConfigError("amplitude scaling requires a gaussian_bump profile")
+    def member(self, alpha=None, beta=None, amp=None) -> "RunConfig":
+        """The sweep run with these axis values (None: the config's own),
+        resolved from this config's entries by the pass that resolved it;
+        a refusal names the run's axis values."""
+        try:
+            return _resolve(self.entries, alpha, beta, amp)
+        except ConfigError as exc:
+            swept = zip(("alpha", "beta", "amp"), (alpha, beta, amp))
+            raise ConfigError("sweep run ({}): {}".format(", ".join(
+                f"{k} = {v!r}" for k, v in swept if v is not None), exc)) from None
 
 
 def _strip_comment(line: str) -> str:
@@ -141,8 +134,18 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _refusal(line: int, key: str, what: str) -> ConfigError:
-    return ConfigError(f"line {line}: key '{key}' {what}")
+def _refusal(line: Optional[int], key: str, what: str) -> ConfigError:
+    """The refusal of a key's value; line None: a value no line set."""
+    return ConfigError(f"{'' if line is None else f'line {line}: '}key '{key}' {what}")
+
+
+def _bounded(key: str, value, line: Optional[int] = None):
+    """value, if it is within key's _KEYS bound; else the refusal."""
+    bound = _KEYS[key][2]
+    if bound is not None and not _BOUND_OPS[bound[0]](value, bound[1]):
+        raise _refusal(line, key, "violates {} {} {}".format(
+            key.rpartition(".")[2], *bound))
+    return value
 
 
 def _entries(text: str) -> dict:
@@ -165,7 +168,7 @@ def _entries(text: str) -> dict:
                               f"(first set on line {entries[key][1]})")
         if not raw:
             raise _refusal(lineno, key, "has no value")
-        parser, _, bound = _KEYS[key]
+        parser = _KEYS[key][0]
         try:
             value = parser(raw)
         except ValueError:
@@ -173,10 +176,7 @@ def _entries(text: str) -> dict:
                                         f"got {raw!r}") from None
         if parser is float and not math.isfinite(value):
             raise _refusal(lineno, key, f"expects a finite float, got {raw!r}")
-        if bound is not None and not _BOUND_OPS[bound[0]](value, bound[1]):
-            raise _refusal(lineno, key, "violates {} {} {}".format(
-                key.rpartition(".")[2], *bound))
-        entries[key] = (value, lineno)
+        entries[key] = (_bounded(key, value, lineno), lineno)
     return entries
 
 
@@ -202,18 +202,23 @@ def _nodes_resolved(grid: Grid) -> bool:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate a configuration. _entries checks each key
-    the text sets against its own bound (_KEYS) as its line is read; the
+    """Parse and fully validate a configuration."""
+    return _resolve(_entries(text))
+
+
+def _resolve(entries: dict, alpha=None, beta=None, amp=None) -> RunConfig:
+    """The RunConfig of a text's entries (see _entries). alpha and beta, if
+    given, replace the text's, held to the same bounds; amp, if given,
+    multiplies every bump amplitude after the jitter. _entries checks each
+    key the text sets against its own bound (_KEYS) as its line is read; the
     checks here are the rest: names, upper bounds and the rules that join
     keys."""
-    entries = _entries(text)
-
     def get(key):
         return entries[key][0] if key in entries else _KEYS[key][1]
 
     def fail(key, constraint):
-        line = entries[key][1] if key in entries else 0
-        raise _refusal(line, key, f"violates {constraint}")
+        raise _refusal(entries.get(key, (None, None))[1], key,
+                       f"violates {constraint}")
 
     try:
         bc = BoundaryCondition(get("bc"))
@@ -236,7 +241,8 @@ def parse_config(text: str) -> RunConfig:
     preset = get("params.preset")
     if preset is not None and preset != "normalized":
         fail("params.preset", "'normalized' (or omit the key)")
-    alpha, beta = get("params.alpha"), get("params.beta")
+    alpha, beta = (get(key) if value is None else _bounded(key, value) for key, value
+                   in (("params.alpha", alpha), ("params.beta", beta)))
     if preset == "normalized":
         for key in _PRESET_FIXED:
             if key in entries:
@@ -259,6 +265,8 @@ def parse_config(text: str) -> RunConfig:
             rng = np.random.default_rng(get("seed"))
             for name in amps:
                 amps[name] *= 1.0 + jitter * rng.standard_normal()
+        if amp is not None:  # after the jitter, whose bits it keeps
+            amps = {name: amp * a for name, a in amps.items()}
         profile = GaussianBump(center=get("initial.center"), width=width,
                                amp_v=amps["v"], amp_u=amps["u"],
                                amp_theta=amps["theta"],
@@ -268,6 +276,8 @@ def parse_config(text: str) -> RunConfig:
         path = get("initial.file")
         if path is None:
             raise ConfigError("initial.profile = file requires initial.file")
+        if amp not in (None, 1.0):
+            raise ConfigError("amplitude scaling requires a gaussian_bump profile")
         profile = FileProfile(path)
     else:
         fail("initial.profile", "one of constant, gaussian_bump, file")
@@ -298,7 +308,7 @@ def parse_config(text: str) -> RunConfig:
                      diagnostics_every=get("output.diagnostics_every"),
                      sweep_cap=get("sweep.cap"),
                      sweep_workers=get("sweep.workers"), repr_node=node,
-                     normalized_preset=(preset == "normalized"))
+                     normalized_preset=(preset == "normalized"), entries=entries)
 
 
 def parse_config_file(path) -> RunConfig:

@@ -329,14 +329,6 @@ class GaussianBump:
     amp_b: tuple = (0.0, 0.0)
     amp_w: tuple = (0.0, 0.0)
 
-    def scaled(self, factor: float) -> "GaussianBump":
-        """All amplitudes multiplied by `factor` (used by parameter sweeps)."""
-        return GaussianBump(center=self.center, width=self.width,
-                            amp_v=factor * self.amp_v, amp_u=factor * self.amp_u,
-                            amp_theta=factor * self.amp_theta,
-                            amp_b=tuple(factor * a for a in self.amp_b),
-                            amp_w=tuple(factor * a for a in self.amp_w))
-
 
 @dataclass(frozen=True)
 class FileProfile:

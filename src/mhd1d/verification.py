@@ -245,8 +245,9 @@ def explicit_reference(state0: GasState, grid: Grid, t_end: float,
                        dt_ref: float) -> GasState:
     """Classical 4-stage explicit reference integration of the same
     semi-discrete system. Intended for tiny grids; rejects dt_ref beyond the
-    explicit diffusion stability bound and aborts on lost positivity. The
-    returned state shares no array with state0, which it leaves unchanged."""
+    explicit diffusion stability bound and aborts on lost positivity, of a
+    step or of a stage before its right-hand side is taken. The returned
+    state shares no array with state0, which it leaves unchanged."""
     if grid.cells > REFERENCE_MAX_CELLS:
         raise ValueError(f"reference integrator is limited to "
                          f"{REFERENCE_MAX_CELLS} cells, got {grid.cells}")
@@ -263,6 +264,11 @@ def explicit_reference(state0: GasState, grid: Grid, t_end: float,
         y["u"][0], y["u"][-1] = bnd.u_left, bnd.u_right
         y["w"][0], y["w"][-1] = bnd.w_left, bnd.w_right
 
+    def positive(z, t):  # z, if its v and theta are positive; else the abort
+        if not (np.all(z["v"] > 0.0) and np.all(z["theta"] > 0.0)):
+            raise PositivityFailure("reference integration lost positivity", t)
+        return z
+
     y = {f: getattr(state0, f).copy(order="F") for f in FIELDS}
     t = state0.t
     steps = 0
@@ -272,15 +278,14 @@ def explicit_reference(state0: GasState, grid: Grid, t_end: float,
         for h in (0.5 * dt, 0.5 * dt, dt):
             stage = {f: y[f] + h * ks[-1][f] for f in FIELDS}
             impose(stage)
-            ks.append(_semi_discrete_rhs(stage, grid, p, bnd))
+            ks.append(_semi_discrete_rhs(positive(stage, t + h), grid, p, bnd))
         k1, k2, k3, k4 = ks
         y = {f: y[f] + dt / 6.0 * (k1[f] + 2.0 * k2[f] + 2.0 * k3[f] + k4[f])
              for f in FIELDS}
         t += dt
         steps += 1
         impose(y)
-        if not (np.all(y["v"] > 0.0) and np.all(y["theta"] > 0.0)):
-            raise PositivityFailure("reference integration lost positivity", t)
+        positive(y, t)
     return GasState(**y, t=t_end, step=state0.step + steps)
 
 

@@ -236,8 +236,13 @@ def test_the_standard_set_names_every_case(compare_outputs):
     names = [name for name, _, _ in cases]
     assert names[:6] == [f"{w}_seed{s}" for w in ("run_small", "run_large",
                                                   "sweep_matrix") for s in (0, 7)]
-    assert names[6:-2] == [cfg.stem for cfg in sorted(REFERENCES.glob("*.cfg"))]
-    assert names[-2] == "exit3" and "params.beta = 50" in cases[-2][1]
+    assert names[6:-3] == [cfg.stem for cfg in sorted(REFERENCES.glob("*.cfg"))]
+    assert names[-3] == "exit3" and "params.beta = 50" in cases[-3][1]
+    assert names[-2] == "sweep_jitter" and "initial.jitter" in cases[-2][1]
+    assert cases[-2][2][:3] == ["sweep", "--config", compare_outputs.CFG_MARK]
+    assert cases[-2][2][3::2] == ["--axis"] * 3
+    assert cases[-2][2][4::2] == ["alpha=0,1.5", "beta=0.5,2", "amp=0.3,1,-0.5"]
+    assert len(cases) == 20
     assert all(compare_outputs.CFG_MARK in args and "--out" not in args
                for _, _, args in cases[:-1])
     assert cases[-1] == ("verify", "", ["verify"])

@@ -14,7 +14,13 @@ import pytest
 
 from conftest import patch_newton_solve, reference_state
 from mhd1d import cli, solver
-from mhd1d.config import _KEYS, ConfigError, describe, parse_config
+from mhd1d.config import (
+    _KEYS,
+    ConfigError,
+    describe,
+    parse_config,
+    parse_config_file,
+)
 from mhd1d.core import (
     BoundaryCondition,
     ConstantProfile,
@@ -36,7 +42,7 @@ from mhd1d.snapshots import (
     load_snapshot,
     node_companion,
 )
-from mhd1d.solver import SolverFailure, run_until
+from mhd1d.solver import SolverFailure, StepControl, run_until
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,6 +61,11 @@ class TestParseConfig:
         assert cfg.t_end == 1.0
         assert cfg.control.cfl == 0.4
         assert cfg.diagnostics_every == 1
+
+    def test_the_defaults_of_params_and_time_are_the_dataclasses(self):
+        cfg = parse_config("")
+        assert cfg.params == PhysicalParams()
+        assert cfg.control == StepControl()
 
     def test_wall_regime_defaults_left_edge_to_zero(self):
         cfg = parse_config("bc = insulated_wall")
@@ -1085,6 +1096,109 @@ output.dir = elsewhere
         assert "jitter" not in echoed and "seed" not in echoed
 
 
+# bases of a sweep: the normalized preset with an anchor and jitter,
+# explicit constants with jitter, a constant profile and a file profile
+MEMBER_BASES = {
+    "anchored-jitter": (
+        "params.preset = normalized\nparams.alpha = 1.0\nparams.beta = 1.0\n"
+        "repr.anchor = 0.5\ninitial.profile = gaussian_bump\n"
+        "initial.amp_v = -0.2\ninitial.amp_u = 0.3\ninitial.amp_b1 = 0.1\n"
+        "initial.amp_w2 = -0.05\ninitial.jitter = 0.02\nseed = 3\n"),
+    "explicit-jitter": (
+        "params.mu1 = 0.8\nparams.mu2 = 0.5\nparams.alpha = 0.5\n"
+        "params.kappa = 1.5\nparams.beta = 2\nparams.lambda = 0.7\n"
+        "params.nu = 1.3\nparams.R = 0.4\nparams.cv = 2.5\n"
+        "initial.profile = gaussian_bump\ninitial.center = 0.25\n"
+        "initial.width = 0.75\ninitial.amp_theta = 0.4\ninitial.amp_u = -0.2\n"
+        "initial.amp_b2 = 0.3\ninitial.amp_w1 = 0.1\ninitial.jitter = 0.05\n"
+        "seed = 11\n"),
+    "constant": "params.alpha = 0.5\n",
+    "file": "initial.profile = file\ninitial.file = snap.csv\nparams.beta = 0.5\n",
+}
+
+
+def with_exponents(text, alpha, beta):
+    """The config text with its params.alpha and params.beta lines set to
+    alpha and beta; None keeps the text's own line, or its absence."""
+    lines = text.splitlines()
+    for key, value in (("params.alpha", alpha), ("params.beta", beta)):
+        if value is not None:
+            lines = [line for line in lines if not line.startswith(f"{key} ")]
+            lines.append(f"{key} = {value!r}")
+    return "\n".join(lines) + "\n"
+
+
+def amplitudes(profile):
+    return [profile.amp_v, profile.amp_u, profile.amp_theta, *profile.amp_b,
+            *profile.amp_w]
+
+
+class TestSweepMembers:
+    """A sweep run is resolved from its config's entries by the pass that
+    resolves a file."""
+
+    @pytest.mark.parametrize("alpha, beta", [(None, None), (0.0, 0.5),
+                                             (1.5, None), (None, 2.0),
+                                             (0.25, 3.0)])
+    @pytest.mark.parametrize("base", sorted(MEMBER_BASES))
+    def test_an_exponent_member_is_the_file_with_those_lines(self, base, alpha,
+                                                             beta):
+        text = MEMBER_BASES[base]
+        cfg = parse_config(text)
+        member = cfg.member(alpha, beta)
+        assert member == parse_config(with_exponents(text, alpha, beta))
+        assert member.params.alpha == (cfg.params.alpha if alpha is None else alpha)
+        assert member.params.beta == (cfg.params.beta if beta is None else beta)
+
+    @pytest.mark.parametrize("amp", [0.3, 1.0, -0.5, 0.0])
+    @pytest.mark.parametrize("base", ["anchored-jitter", "explicit-jitter"])
+    def test_an_amp_member_scales_the_resolved_amplitudes(self, base, amp):
+        # amp multiplies the amplitudes after the jitter, bit for bit
+        cfg = parse_config(MEMBER_BASES[base])
+        member = cfg.member(None, None, amp)
+        assert [a.hex() for a in amplitudes(member.profile)] == [
+            (amp * a).hex() for a in amplitudes(cfg.profile)]
+        assert (member.profile.center, member.profile.width) == (
+            cfg.profile.center, cfg.profile.width)
+        assert (member.grid, member.params, member.control, member.repr_node) \
+            == (cfg.grid, cfg.params, cfg.control, cfg.repr_node)
+
+    @pytest.mark.parametrize("base, amp", [("constant", 0.5), ("constant", -2.0),
+                                           ("file", 1.0)])
+    def test_an_amp_member_without_amplitudes_is_the_file(self, base, amp):
+        cfg = parse_config(MEMBER_BASES[base])
+        assert cfg.member(0.5, None, amp) == parse_config(
+            with_exponents(MEMBER_BASES[base], 0.5, None))
+
+    def test_a_member_reads_no_file(self, tmp_path):
+        path = write_config(tmp_path, MEMBER_BASES["explicit-jitter"])
+        cfg = parse_config_file(path)
+        path.unlink()
+        assert cfg.member(1.0, 0.5, 0.3).params.alpha == 1.0
+
+    @pytest.mark.parametrize("text, args, message", [
+        (MEMBER_BASES["constant"], (-1.0, None, None),
+         "sweep run (alpha = -1.0): key 'params.alpha' violates alpha >= 0"),
+        (MEMBER_BASES["anchored-jitter"], (0.5, -0.5, 2.0),
+         "sweep run (alpha = 0.5, beta = -0.5, amp = 2.0): key 'params.beta' "
+         "violates beta >= 0"),
+        ("grid.cells = 32\nparams.mu1 = 1\nparams.alpha = 0\n"
+         "params.mu2 = 0\nrepr.anchor = 0.5\n", (1.0, None, None),
+         "sweep run (alpha = 1.0): line 5: key 'repr.anchor' violates "
+         "normalized constants (mu1 = kappa = lambda = nu = R = cv = 1, "
+         "mu2 = alpha)"),
+        (MEMBER_BASES["file"], (None, 2.0, 0.5),
+         "sweep run (beta = 2.0, amp = 0.5): amplitude scaling requires a "
+         "gaussian_bump profile"),
+    ], ids=["negative-alpha", "negative-beta", "anchor", "file-amp"])
+    def test_a_refused_member_names_its_axes_and_the_rule(self, text, args,
+                                                          message):
+        cfg = parse_config(text)
+        with pytest.raises(ConfigError) as exc:
+            cfg.member(*args)
+        assert str(exc.value) == message
+
+
 class TestSweepCommand:
     def test_an_axis_value_that_unnormalizes_the_anchor_exits_2(self, tmp_path,
                                                                  capsys):
@@ -1098,9 +1212,9 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.strip() == (
-            "config error: alpha = 1.0, beta = 1.0: repr.anchor requires "
-            "normalized constants (mu1 = kappa = lambda = nu = R = cv = 1, "
-            "mu2 = alpha)")
+            "config error: sweep run (alpha = 1.0): line 5: key 'repr.anchor' "
+            "violates normalized constants (mu1 = kappa = lambda = nu = R = "
+            "cv = 1, mu2 = alpha)")
         assert not out.exists()
 
     def test_cartesian_product_and_summary(self, tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mhd1d.cli import _parse_axes, _sweep_case
+from mhd1d.cli import _parse_axes
 from mhd1d.config import _KEYS, ConfigError, RunConfig, parse_config, parse_config_file
 from mhd1d.core import GasState
 from mhd1d.snapshots import load_snapshot, node_companion
@@ -65,7 +65,7 @@ def test_sweep_axes_give_cases_or_a_config_error(base, axes):
         combos = itertools.product(*(parsed.get(name, [None])
                                      for name in ("alpha", "beta", "amp")))
         for alpha, beta, amp in combos:
-            assert isinstance(_sweep_case(cfg, alpha, beta, amp), RunConfig)
+            assert isinstance(cfg.member(alpha, beta, amp), RunConfig)
     except ConfigError:
         pass
 

@@ -19,8 +19,11 @@ only boundary_data reads the table _UNFORCED of unforced boundary data. The
 temperature Newton evaluates the heat flux at one site: substep_temperature
 calls heat_flux_stencil once and assigns its update count it only as the
 loop variable, so each iterate's flux is formed in one place and the solve
-stops right after it. No module of the package or of the tests imports a
-name it never reads."""
+stops right after it. A run's config is resolved on one path: only
+config._resolve calls RunConfig, no module copies a RunConfig or a
+GaussianBump with dataclasses.replace, and RunConfig has no with_* method,
+so a sweep run is resolved by the pass that resolves a file. No module of
+the package or of the tests imports a name it never reads."""
 import ast
 from pathlib import Path
 
@@ -450,3 +453,89 @@ def test_the_check_sees_config_error_handlers(tmp_path):
                      "    except config.ConfigError:\n        pass\n")
     assert _config_error_handlers(probe) == ["_cmd_check_config", "_cmd_run",
                                              "main"]
+
+
+# calls whose value is a RunConfig or a GaussianBump
+CONFIG_BUILDERS = ("RunConfig", "GaussianBump", "parse_config",
+                   "parse_config_file", "member")
+CONFIG_TYPES = ("RunConfig", "GaussianBump")
+
+
+def _config_faults(path: Path) -> list[str]:
+    """Methods of RunConfig named with_*, calls of RunConfig outside
+    config._resolve, and calls of dataclasses.replace on a RunConfig or a
+    GaussianBump, in this module. A value counts as either when it is a call
+    of CONFIG_BUILDERS, an attribute .profile, self in either class, or a
+    name that its function annotates with either class or assigns such a
+    call or attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def built(node) -> bool:
+        return ((isinstance(node, ast.Call)
+                 and ast.unparse(node.func).split(".")[-1] in CONFIG_BUILDERS)
+                or (isinstance(node, ast.Attribute) and node.attr == "profile"))
+
+    found, scope, typed = [], {}, {}  # node -> innermost function -> names
+    for node in ast.walk(tree):  # outer functions first, then inner ones
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and node.name in CONFIG_TYPES:
+                    typed[id(fn)] = {"self"}
+                if (isinstance(fn, ast.FunctionDef) and node.name == "RunConfig"
+                        and fn.name.startswith("with_")):
+                    found.append(f"RunConfig.{fn.name}")
+        elif isinstance(node, ast.FunctionDef):
+            names = typed.setdefault(id(node), set())
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            names |= {a.arg for a in args if a.annotation is not None and any(
+                t in ast.unparse(a.annotation) for t in CONFIG_TYPES)}
+            for inner in ast.walk(node):
+                scope[id(inner)] = node
+                if isinstance(inner, ast.Assign) and built(inner.value):
+                    names |= {t.id for t in inner.targets if isinstance(t, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn, callee = scope.get(id(node)), ast.unparse(node.func)
+        if callee.split(".")[-1] == "RunConfig" and not (
+                path.name == "config.py" and fn is not None and fn.name == "_resolve"):
+            found.append(f"line {node.lineno}: RunConfig(")
+        first = node.args[0] if node.args else None
+        if callee in ("replace", "dataclasses.replace") and first is not None and (
+                built(first) or (isinstance(first, ast.Name)
+                                 and first.id in typed.get(id(fn), ()))):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_each_config_is_resolved_on_one_path(path):
+    assert _config_faults(path) == []
+
+
+def test_the_one_path_builds_the_run_config():
+    calls = [node for fn in _functions(PACKAGE / "config.py") if fn.name == "_resolve"
+             for node in ast.walk(fn) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "RunConfig"]
+    assert len(calls) == 1
+
+
+def test_the_check_sees_a_second_config_path(tmp_path):
+    probe = tmp_path / "config.py"
+    probe.write_text("class RunConfig:\n"
+                     "    def with_params(self, alpha):\n"
+                     "        return replace(self, alpha=alpha)\n"
+                     "    def member(self):\n"
+                     "        return _resolve(self.entries)\n"
+                     "def _resolve(entries):\n"
+                     "    return RunConfig(entries=entries)\n"
+                     "def sweep(cfg: RunConfig, text):\n"
+                     "    base = parse_config(text)\n"
+                     "    out = dataclasses.replace(base, t_end=2.0)\n"
+                     "    bump = replace(cfg.profile, amp_v=1.0)\n"
+                     "    state = replace(state, t=1.0)\n"
+                     "    return RunConfig(), text.replace('a', 'b'), replace(cfg)\n")
+    assert _config_faults(probe) == [
+        "RunConfig.with_params", "line 10: dataclasses.replace(base, t_end=2.0)",
+        "line 11: replace(cfg.profile, amp_v=1.0)", "line 13: RunConfig(",
+        "line 13: replace(cfg)", "line 3: replace(self, alpha=alpha)"]

@@ -12,7 +12,7 @@ from mhd1d.core import (
     PhysicalParams,
     make_initial_state,
 )
-from mhd1d.solver import StepControl
+from mhd1d.solver import PositivityFailure, StepControl
 from mhd1d.verification import (
     MmsForcing,
     MmsSolution,
@@ -215,6 +215,20 @@ class TestExplicitReference:
         with pytest.raises(ValueError,
                            match="t_end = 0.1 is before state time 0.5"):
             explicit_reference(state, grid, 0.1, p, CAUCHY, dt_ref=1e-6)
+
+    def test_a_stage_that_loses_positivity_aborts_the_integration(self):
+        # a strong compression drives an RK4 stage's theta negative within
+        # a few steps: the stage is refused before its right-hand side,
+        # whose pressure would raise a bare ValueError
+        grid = Grid.uniform(16, 1.0, -0.5)
+        p = PhysicalParams.normalized(alpha=0.0, beta=1.0)
+        state0 = make_initial_state(grid, GaussianBump(
+            center=-0.1, width=0.15, amp_v=-0.6, amp_u=-20), CAUCHY)
+        dt_ref = reference_dt_bound(state0, grid, p)
+        with pytest.raises(PositivityFailure,
+                           match="reference integration lost positivity") as exc:
+            explicit_reference(state0, grid, 0.05, p, CAUCHY, dt_ref=dt_ref)
+        assert 0.0 < exc.value.t <= 0.05
 
     def test_oracle_comparison_keys_and_input(self):
         # the order of the `max_diffs` keys in the verify output

@@ -20,10 +20,12 @@ and prints each problem, the largest relative change of each kind and
 whether the two trees are byte-identical (a change meant to alter no result,
 such as a new memory layout, should print yes).
 
-``check-set`` checks the standard set of commands (standard_cases): the
-benchmark's three workloads at seeds 0 and 7, with the configs and arguments
-of ``perfbench/run.py``; every ``tests/data/roundoff/*.cfg``; the exit-3
-run ``tests/data/exit3.cfg``; and ``verify``, which reads no config. It
+``check-set`` checks the standard set of commands (standard_cases), 20
+cases: the benchmark's three workloads at seeds 0 and 7, with the configs
+and arguments of ``perfbench/run.py``; every ``tests/data/roundoff/*.cfg``;
+the exit-3 run ``tests/data/exit3.cfg``; the sweep of
+``tests/data/sweep_jitter.cfg`` (explicit constants, jittered amplitudes)
+over SWEEP_AXES; and ``verify``, which reads no config. It
 prints one verdict line per case, with the case's largest relative change
 of each kind, then the largest change of each kind over all cases, one
 ``byte-identical`` line and one round-off line over all of them, and exits
@@ -70,6 +72,7 @@ OUT_MARK = "OUT"
 ROOT = Path(__file__).resolve().parents[1]
 CHECK_SEEDS = (0, 7)
 CFG_MARK = "{cfg}"  # the config file's path in a case's arguments
+SWEEP_AXES = ("alpha=0,1.5", "beta=0.5,2", "amp=0.3,1,-0.5")
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
 
@@ -219,7 +222,11 @@ def standard_cases() -> list[tuple[str, str, list]]:
     cfgs = sorted((ROOT / "tests" / "data" / "roundoff").glob("*.cfg"))
     cases += [(cfg.stem, cfg.read_text(), ["run", "--config", CFG_MARK])
               for cfg in cfgs + [ROOT / "tests" / "data" / "exit3.cfg"]]
-    return cases + [("verify", "", ["verify"])]
+    sweep = ["sweep", "--config", CFG_MARK]
+    for axis in SWEEP_AXES:
+        sweep += ["--axis", axis]
+    text = (ROOT / "tests" / "data" / "sweep_jitter.cfg").read_text()
+    return cases + [("sweep_jitter", text, sweep), ("verify", "", ["verify"])]
 
 
 def check_set(parent_src: Path, change_src: Path, cases) -> int:
